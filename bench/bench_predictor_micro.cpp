@@ -1,11 +1,17 @@
 // Ablation A2 (google-benchmark): predictor cost and accuracy — Holt versus
 // the last-value and moving-average baselines on the synthetic solar traces.
 // Accuracy (mean absolute one-step error in watts) is reported as a counter.
+//
+// A custom main runs the google-benchmark suite and then re-times Holt
+// training on the 96-point window (one day of 15-minute epochs) to emit the
+// machine-readable BENCH_predictor_micro.json via BenchReport.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <vector>
 
+#include "bench_common.h"
+#include "bench_timing.h"
 #include "core/predictor.h"
 #include "trace/solar.h"
 
@@ -49,9 +55,15 @@ void BM_HoltObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HoltObserve);
 
-void BM_TrainHolt(benchmark::State& state) {
+/// The first day of the high-solar week: the window size the controller
+/// retrains on.
+std::vector<double> training_window() {
   const auto series = solar_series(false);
-  const std::vector<double> window(series.begin(), series.begin() + 96);
+  return {series.begin(), series.begin() + 96};
+}
+
+void BM_TrainHolt(benchmark::State& state) {
+  const std::vector<double> window = training_window();
   for (auto _ : state) {
     benchmark::DoNotOptimize(train_holt(window));
   }
@@ -86,3 +98,16 @@ BENCHMARK(BM_PredictorAccuracy)
     ->Iterations(1);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+
+  greenhetero::bench::BenchReport report("predictor_micro");
+  const std::vector<double> window = training_window();
+  report.set("train_holt_96_ns", greenhetero::bench::time_ns_per_op(
+                                     [&] { return train_holt(window); }, 200));
+  report.write();
+  return 0;
+}

@@ -8,11 +8,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_timing.h"
 #include "core/solver.h"
 
 namespace {
@@ -141,31 +140,10 @@ void BM_SolveOptimalityGap(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveOptimalityGap)->Iterations(1);
 
-/// Mean ns per call of `fn`, hand-timed over enough iterations to smooth
-/// scheduler noise.  Best-of-5: each repeat averages `iterations` calls and
-/// the minimum wins, so one preempted repeat cannot poison the figure the
-/// benchdiff gate compares against bench/baselines/.
-template <typename Fn>
-double time_ns_per_op(Fn&& fn, int iterations = 2000) {
-  // Warm-up pass so lazy initialisation does not land in the measurement.
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int repeat = 0; repeat < 5; ++repeat) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iterations; ++i) {
-      benchmark::DoNotOptimize(fn());
-    }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    best = std::min(
-        best, std::chrono::duration<double, std::nano>(elapsed).count() /
-                  iterations);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using greenhetero::bench::time_ns_per_op;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -164,7 +164,14 @@ class HoltWintersPredictor final : public SeriesPredictor {
                               HoltParams params);
 
 /// Train (alpha, beta) over `history`: coarse grid scan of the unit square
-/// followed by a local refinement.  Needs at least 3 observations.
+/// (step 1/grid_steps), then a refinement in steps of step/8 whose +-step
+/// window follows the incumbent — each improvement re-centres the rows still
+/// to come.  Starting from the default parameters, a candidate replaces the
+/// incumbent, in scan order, only if its holt_sse is lower by more than a
+/// 1e-12 relative tolerance.
+/// Candidates are replayed in lockstep blocks whose per-lane arithmetic is
+/// holt_sse's, so the result is bitwise that of a one-at-a-time scan.  Needs
+/// at least 3 observations.
 [[nodiscard]] HoltParams train_holt(std::span<const double> history,
                                     int grid_steps = 20);
 

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "trace/solar.h"
+#include "util/rng.h"
 
 namespace greenhetero {
 namespace {
@@ -107,6 +113,177 @@ TEST(HoltTraining, TrainedParamsInRange) {
   EXPECT_LE(p.beta, 1.0);
 }
 
+// train_holt as a one-candidate-at-a-time scan built on holt_sse — the
+// scalar specification the lockstep-lane implementation must match bit for
+// bit.  Kept verbatim, including the refinement whose loop bounds re-read
+// the incumbent they update.
+HoltParams reference_train_holt(std::span<const double> history,
+                                int grid_steps) {
+  if (history.size() < 3) {
+    throw PredictorError("holt training: need at least 3 observations");
+  }
+  grid_steps = std::max(grid_steps, 4);
+  HoltParams best{};
+  double best_sse = holt_sse(history, best);
+  const auto improves = [&](double sse) {
+    return sse < best_sse - 1e-12 * (1.0 + best_sse);
+  };
+  const double step = 1.0 / grid_steps;
+  for (int i = 0; i <= grid_steps; ++i) {
+    for (int j = 0; j <= grid_steps; ++j) {
+      const HoltParams candidate{i * step, j * step};
+      const double sse = holt_sse(history, candidate);
+      if (improves(sse)) {
+        best_sse = sse;
+        best = candidate;
+      }
+    }
+  }
+  const double fine = step / 8.0;
+  for (double a = best.alpha - step; a <= best.alpha + step; a += fine) {
+    for (double b = best.beta - step; b <= best.beta + step; b += fine) {
+      if (a < 0.0 || a > 1.0 || b < 0.0 || b > 1.0) continue;
+      const HoltParams candidate{a, b};
+      const double sse = holt_sse(history, candidate);
+      if (improves(sse)) {
+        best_sse = sse;
+        best = candidate;
+      }
+    }
+  }
+  return best;
+}
+
+// The same scan with the refinement window pinned to +-step around the grid
+// winner — what a fixed-window reading of "refine around the best grid
+// cell" would compute.
+HoltParams fixed_window_train_holt(std::span<const double> history,
+                                   int grid_steps) {
+  HoltParams best{};
+  double best_sse = holt_sse(history, best);
+  const auto consider = [&](HoltParams candidate) {
+    const double sse = holt_sse(history, candidate);
+    if (sse < best_sse - 1e-12 * (1.0 + best_sse)) {
+      best_sse = sse;
+      best = candidate;
+    }
+  };
+  const double step = 1.0 / grid_steps;
+  for (int i = 0; i <= grid_steps; ++i) {
+    for (int j = 0; j <= grid_steps; ++j) consider({i * step, j * step});
+  }
+  const HoltParams centre = best;
+  const double fine = step / 8.0;
+  for (double a = centre.alpha - step; a <= centre.alpha + step; a += fine) {
+    for (double b = centre.beta - step; b <= centre.beta + step; b += fine) {
+      if (a < 0.0 || a > 1.0 || b < 0.0 || b > 1.0) continue;
+      consider({a, b});
+    }
+  }
+  return best;
+}
+
+bool bitwise_equal(const HoltParams& x, const HoltParams& y) {
+  return std::memcmp(&x.alpha, &y.alpha, sizeof(double)) == 0 &&
+         std::memcmp(&x.beta, &y.beta, sizeof(double)) == 0;
+}
+
+// Seeded random walk with drift and noise, 3..200 points; every third one
+// is clamped at 0 like a solar series overnight.
+std::vector<double> random_walk(std::uint64_t seed) {
+  Rng rng(seed);
+  const int length = rng.uniform_int(3, 200);
+  const double drift = rng.uniform(-20.0, 20.0);
+  const double noise = rng.uniform(1.0, 100.0);
+  double value = rng.uniform(0.0, 1000.0);
+  std::vector<double> series;
+  for (int i = 0; i < length; ++i) {
+    value += drift + rng.gaussian(0.0, noise);
+    series.push_back(seed % 3 == 0 ? std::max(value, 0.0) : value);
+  }
+  return series;
+}
+
+std::vector<double> solar_week(bool low) {
+  const PowerTrace trace = low ? low_solar_week(Watts{2500.0}, 3)
+                               : high_solar_week(Watts{2500.0}, 3);
+  std::vector<double> series;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    series.push_back(trace.sample(i).value());
+  }
+  return series;
+}
+
+TEST(HoltTraining, LaneKernelMatchesScalarScanBitwise) {
+  std::vector<std::vector<double>> histories;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    histories.push_back(random_walk(seed));
+  }
+  for (const bool low : {false, true}) {
+    const std::vector<double> week = solar_week(low);
+    for (std::size_t start = 0; start + 96 <= week.size(); start += 24) {
+      histories.emplace_back(week.begin() + start, week.begin() + start + 96);
+    }
+  }
+  // SSE multimodal in beta: an improvement early in a refinement block pulls
+  // the row's bound below lanes already replayed, and a later lane in that
+  // block would win if the fold did not re-check the live bound
+  // (grid_steps 4).
+  histories.push_back({-0.79179923669609575, 0.091702693477611286,
+                       579.09370930140199, 0.95574262748313821,
+                       -0.45347477278194992, -0.080039823454463255,
+                       -448.56777556258987, 378.13151111327306,
+                       -44.988000167348332, -927.69229997887601,
+                       -0.20677244288806251, 0.028201092148701701,
+                       -992.31644447879773});
+  histories.push_back({-3.2963887911088881, -8.5568163939159305,
+                       11.69417159046275, 9.1583748071784328,
+                       9.3163737963735684, -0.19883657126681165,
+                       -5.1576376307433973, -12.289673428530708,
+                       -13.26848896561804, -15.488774328054619,
+                       15.78717355991582, -17.70326999426203,
+                       -23.938690352774788, -39.087726108509486,
+                       40.716599136743213, -81.987234679930026});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  histories.push_back(std::vector<double>(96, 250.0));
+  histories.push_back(std::vector<double>(96, 0.0));
+  histories.push_back({0.0, 0.0, 0.0});
+  histories.push_back({10.0, 12.0, nan, 15.0, 16.0, 18.0});
+  histories.push_back({nan, 1.0, 2.0, 3.0});
+  histories.push_back({1.0, 2.0, 3.0, nan});
+
+  for (const int grid_steps : {4, 7, 20, 33}) {
+    for (std::size_t h = 0; h < histories.size(); ++h) {
+      const HoltParams expected =
+          reference_train_holt(histories[h], grid_steps);
+      const HoltParams actual = train_holt(histories[h], grid_steps);
+      ASSERT_TRUE(bitwise_equal(actual, expected))
+          << "history " << h << " (" << histories[h].size()
+          << " points), grid_steps " << grid_steps << ": got ("
+          << actual.alpha << ", " << actual.beta << "), expected ("
+          << expected.alpha << ", " << expected.beta << ")";
+    }
+  }
+}
+
+TEST(HoltTraining, RefinementWindowFollowsTheIncumbent) {
+  // The refinement's loop bounds re-read the incumbent, so an improvement
+  // re-centres the rows still to come.  Find a history on which that
+  // differs from a window pinned around the grid winner, and check that
+  // train_holt keeps the incumbent-following result.
+  int differing = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::vector<double> history = random_walk(seed);
+    const HoltParams trained = train_holt(history);
+    EXPECT_TRUE(bitwise_equal(trained, reference_train_holt(history, 20)))
+        << "seed " << seed;
+    if (!bitwise_equal(trained, fixed_window_train_holt(history, 20))) {
+      ++differing;
+    }
+  }
+  EXPECT_GT(differing, 0);
+}
+
 TEST(HoltWinters, Validation) {
   EXPECT_THROW(HoltWintersPredictor(HoltParams{}, 1), PredictorError);
   EXPECT_THROW(HoltWintersPredictor(HoltParams{}, 4, -0.1), PredictorError);
@@ -181,11 +358,7 @@ TEST(PredictorFactory, CreatesEveryKind) {
 TEST(HoltOnSolar, ReasonableOneStepError) {
   // Holt on a real-ish solar day should track the diurnal ramp far better
   // than predicting zero, and at least as well as last-value on average.
-  const PowerTrace trace = high_solar_week(Watts{2500.0}, 3);
-  std::vector<double> series;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    series.push_back(trace.sample(i).value());
-  }
+  const std::vector<double> series = solar_week(/*low=*/false);
   const HoltParams params = train_holt(series);
   HoltPredictor holt(params);
   LastValuePredictor last;
