@@ -111,6 +111,16 @@ Watts Battery::max_discharge(Minutes dt) const {
   if (dt.value() <= 0.0) {
     throw BatteryError("battery: dt must be positive");
   }
+  if (stored_.value() == memo_stored_ && dt.value() == memo_dt_) {
+    return memo_max_discharge_;
+  }
+  memo_stored_ = stored_.value();
+  memo_dt_ = dt.value();
+  memo_max_discharge_ = bisect_max_discharge(dt);
+  return memo_max_discharge_;
+}
+
+Watts Battery::bisect_max_discharge(Minutes dt) const {
   const WattHours available{
       std::max(0.0, stored_.value() - spec_.floor_energy().value())};
   // The highest deliverable power P satisfies drain_rate(P) * dt <=

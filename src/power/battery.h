@@ -7,6 +7,7 @@
 // and when the DoD floor is hit the battery stops supplying until recharged.
 #pragma once
 
+#include <limits>
 #include <stdexcept>
 
 #include "checkpoint/serializer.h"
@@ -87,6 +88,17 @@ class Battery {
 
   /// Highest power the battery can sustain for `dt` without violating the
   /// discharge rate limit or the DoD floor.
+  ///
+  /// The answer is a pure function of (stored energy, dt) — the spec is
+  /// fixed at construction — and the controller asks it dozens of times per
+  /// epoch on the same state, so the last answer is memoised and returned
+  /// while both keys compare equal.  No other mutable state enters the
+  /// answer, so nothing invalidates the memo explicitly (every mutator that
+  /// moves the answer moves the stored-energy key), and a hit returns
+  /// bitwise the value the bisection would.  Thread contract: the memo makes
+  /// this const method write, so one thread drives a battery at a time (a
+  /// shard steps only its own racks; the fleet reads batteries only at the
+  /// epoch barrier).
   [[nodiscard]] Watts max_discharge(Minutes dt) const;
 
   /// Highest *input* power the battery can accept for `dt` (rate limit and
@@ -124,7 +136,7 @@ class Battery {
   [[nodiscard]] WattHours total_charged_input() const { return charged_in_; }
 
   /// Checkpoint the mutable charge/wear/fault state (the spec is rebuilt
-  /// from configuration on resume).
+  /// from configuration on resume; the max_discharge memo is not saved).
   void save_state(checkpoint::Writer& w) const {
     w.f64(stored_.value());
     w.f64(fault_derate_);
@@ -139,11 +151,20 @@ class Battery {
   }
 
  private:
+  /// The uncached max_discharge(): bisection on the monotone drain rate.
+  [[nodiscard]] Watts bisect_max_discharge(Minutes dt) const;
+
   BatterySpec spec_;
   WattHours stored_;
   double fault_derate_ = 0.0;
   WattHours discharged_{0.0};
   WattHours charged_in_{0.0};
+
+  // max_discharge memo: the (stored_, dt) keys of the last answer.  NaN
+  // keys never compare equal, so the first call always bisects.
+  mutable double memo_stored_ = std::numeric_limits<double>::quiet_NaN();
+  mutable double memo_dt_ = std::numeric_limits<double>::quiet_NaN();
+  mutable Watts memo_max_discharge_{0.0};
 };
 
 }  // namespace greenhetero
