@@ -144,6 +144,39 @@ TEST(Plant, BatteryDischargePlanBeyondDoDRejected) {
                PowerPlanError);
 }
 
+TEST(Plant, MeteredDischargeMatchesReturnedFlows) {
+  // A self-discharging lead-acid pack 3 Wh above its DoD floor, asked for
+  // everything it can deliver in one minute: the battery must meter exactly
+  // the discharge the returned flows book (self-discharge is a standing
+  // loss after the step, not a cut to the validated plan).
+  Battery battery{lead_acid_spec(WattHours{12000.0})};
+  battery.discharge(Watts{600.0}, Minutes{479.7});  // ~7203 Wh stored
+  ASSERT_NEAR(battery.stored().value() -
+                  battery.spec().floor_energy().value(),
+              3.0, 1e-6);
+  GridSpec grid;
+  grid.budget = Watts{0.0};
+  RackPowerPlant plant{SolarArray{flat_solar(Watts{0.0})}, std::move(battery),
+                       GridSupply{grid}};
+  const Minutes dt{1.0};
+  PowerFlows plan;
+  plan.battery_to_load = plant.battery_discharge_available(dt);
+  ASSERT_NEAR(plan.battery_to_load.value(), 180.0, 1e-6);
+  const WattHours before = plant.battery().total_discharged();
+  const PowerFlows flows = plant.execute(plan, Minutes{0.0}, dt);
+  const WattHours metered = plant.battery().total_discharged() - before;
+  EXPECT_NEAR(metered.value(), (flows.battery_to_load * dt).value(), 1e-9);
+  EXPECT_NEAR(metered.value(), 3.0, 1e-6);
+  EXPECT_TRUE(plant.battery().at_floor());
+
+  // The standing loss still accrues on an idle step.
+  RackPowerPlant idle{SolarArray{flat_solar(Watts{0.0})},
+                      Battery{lead_acid_spec(WattHours{12000.0})},
+                      GridSupply{grid}};
+  idle.execute(PowerFlows{}, Minutes{0.0}, Minutes{60.0});
+  EXPECT_LT(idle.battery().stored().value(), 12000.0);
+}
+
 TEST(EnergyLedger, AccumulatesAndConserves) {
   EnergyLedger ledger;
   PowerFlows f;
