@@ -28,6 +28,10 @@ constexpr InvariantInfo kRegistry[] = {
      "grid draw (load + charging) never exceeds the per-rack budget"},
     {"substep-battery-soc-bounds",
      "battery stored energy stays within [DoD floor, effective capacity]"},
+    {"substep-battery-metered-flow",
+     "the battery's terminal meters move by exactly the returned flows: "
+     "discharged = battery_to_load * dt, charged input = battery_input * "
+     "dt"},
     {"substep-allocation-within-range",
      "every operating server draws within its [idle, peak] range (sleeping "
      "servers draw zero)"},
@@ -165,6 +169,26 @@ void InvariantChecker::check_substep(const SubstepContext& ctx) {
     msg << "stored " << stored << " Wh outside [" << floor << ", " << ceiling
         << "] Wh (SoC " << battery.soc() << ")";
     fail("substep-battery-soc-bounds", msg.str(), t);
+  }
+  ++checks_;
+
+  // substep-battery-metered-flow
+  const double metered_out =
+      (battery.total_discharged() - ctx.battery_discharged_before).value();
+  const double booked_out = (f.battery_to_load * ctx.dt).value();
+  const double metered_in =
+      (battery.total_charged_input() - ctx.battery_charged_before).value();
+  const double booked_in = (f.battery_input() * ctx.dt).value();
+  if (std::fabs(metered_out - booked_out) >
+          rel_tol(battery.total_discharged().value()) ||
+      std::fabs(metered_in - booked_in) >
+          rel_tol(battery.total_charged_input().value())) {
+    std::ostringstream msg;
+    msg.precision(12);
+    msg << "battery metered " << metered_out << " Wh out / " << metered_in
+        << " Wh in, flows book " << booked_out << " Wh out / " << booked_in
+        << " Wh in";
+    fail("substep-battery-metered-flow", msg.str(), t);
   }
   ++checks_;
 

@@ -80,6 +80,12 @@ class InvariantChecker {
     /// Unmet planned load after degradation.
     Watts shortfall{0.0};
     Minutes now{0.0};
+    /// Substep length the flows were applied for.
+    Minutes dt{0.0};
+    /// The battery's terminal meters (total_discharged /
+    /// total_charged_input) just before the flows were applied.
+    WattHours battery_discharged_before{0.0};
+    WattHours battery_charged_before{0.0};
   };
 
   /// Everything known at the end of one epoch.

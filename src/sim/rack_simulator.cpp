@@ -896,6 +896,8 @@ PowerFlows RackSimulator::execute_substep(const SourceDecision& decision,
   run_epu_.record(offered, step.flows.green_to_load(), dt);
   stats.epu.record(offered, step.flows.green_to_load(), dt);
 
+  const WattHours discharged_before = plant_.battery().total_discharged();
+  const WattHours charged_before = plant_.battery().total_charged_input();
   const PowerFlows flows = plant_.execute(step.flows, now, dt);
   ledger_.post(flows, dt);
 
@@ -923,6 +925,9 @@ PowerFlows RackSimulator::execute_substep(const SourceDecision& decision,
     ctx.renewable_available = renewable;
     ctx.shortfall = step.shortfall;
     ctx.now = now;
+    ctx.dt = dt;
+    ctx.battery_discharged_before = discharged_before;
+    ctx.battery_charged_before = charged_before;
     checker_->check_substep(ctx);
   }
 

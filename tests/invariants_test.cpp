@@ -155,6 +155,48 @@ TEST(CheckEpoch, CraftedBadRecordsTripTheRightInvariant) {
   EXPECT_GT(checker.checks_passed(), 0u);
 }
 
+TEST(CheckSubstep, BatteryMeteredFlowCatchesAPlantedMismatch) {
+  Rack rack{default_runtime_rack(), Workload::kSpecJbb};
+  rack.run_full_speed();
+  const Watts draw = rack.total_draw();
+  GridSpec grid;
+  grid.budget = draw;
+  RackPowerPlant plant = make_standard_plant(
+      PowerTrace{Minutes{15.0}, std::vector<Watts>(96, Watts{0.0})}, grid);
+  const Minutes dt{1.0};
+  PowerFlows plan;
+  plan.battery_to_load = draw * 0.5;
+  plan.grid_to_load = draw - plan.battery_to_load;
+
+  InvariantChecker::SubstepContext ctx;
+  ctx.rack = &rack;
+  ctx.plant = &plant;
+  ctx.dt = dt;
+  ctx.battery_discharged_before = plant.battery().total_discharged();
+  ctx.battery_charged_before = plant.battery().total_charged_input();
+  ctx.flows = plant.execute(plan, Minutes{0.0}, dt);
+  ASSERT_GT(plant.battery().total_discharged().value(), 0.0);
+  EXPECT_NO_THROW(InvariantChecker{}.check_substep(ctx));
+
+  const auto expect_trip = [](const InvariantChecker::SubstepContext& bad) {
+    try {
+      InvariantChecker{}.check_substep(bad);
+      FAIL() << "expected substep-battery-metered-flow";
+    } catch (const InvariantViolation& v) {
+      EXPECT_EQ(v.name(), "substep-battery-metered-flow") << v.what();
+    }
+  };
+  // The battery delivered less than the flows book (the shape of a plant
+  // that clips a validated discharge without reporting it).
+  InvariantChecker::SubstepContext short_delivery = ctx;
+  short_delivery.battery_discharged_before += WattHours{0.005};
+  expect_trip(short_delivery);
+  // Charge input metered that no flow books.
+  InvariantChecker::SubstepContext phantom_charge = ctx;
+  phantom_charge.battery_charged_before -= WattHours{0.25};
+  expect_trip(phantom_charge);
+}
+
 // ---------------------------------------------------------------------------
 // Observer contract on a real simulator.
 
