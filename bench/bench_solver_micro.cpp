@@ -1,6 +1,6 @@
-// Ablation A1 (google-benchmark): Solver backends — grid-refine (the
-// production path), exhaustive grids at several granularities, and the
-// analytic KKT fast path — timed on representative 2- and 3-group problems.
+// Ablation A1 (google-benchmark): the exact KKT Solver against exhaustive
+// grids at several granularities, timed on representative 2-, 3- and
+// 5-group problems.
 //
 // A custom main runs the google-benchmark suite and then re-times the key
 // entry points with a plain steady_clock loop to emit the machine-readable
@@ -59,13 +59,13 @@ std::vector<GroupModel> five_groups() {
   return groups;
 }
 
-void BM_SolveFiveGroupsWaterfill(benchmark::State& state) {
+void BM_SolveFiveGroups(benchmark::State& state) {
   const auto groups = five_groups();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Solver::solve_n(groups, Watts{2000.0}));
+    benchmark::DoNotOptimize(Solver::solve(groups, Watts{2000.0}));
   }
 }
-BENCHMARK(BM_SolveFiveGroupsWaterfill);
+BENCHMARK(BM_SolveFiveGroups);
 
 void BM_SolveGridTenPercent(benchmark::State& state) {
   const auto groups = two_groups();
@@ -82,43 +82,6 @@ void BM_SolveGridFine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveGridFine);
-
-void BM_SolveAnalytic(benchmark::State& state) {
-  const auto groups = two_groups();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Solver::solve_analytic_2(groups, Watts{900.0}));
-  }
-}
-BENCHMARK(BM_SolveAnalytic);
-
-void BM_SolveAnalyticNGroups(benchmark::State& state) {
-  const auto groups =
-      state.range(0) == 3 ? three_groups() : five_groups();
-  const Watts supply{state.range(0) == 3 ? 1500.0 : 2000.0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Solver::solve_analytic_n(groups, supply));
-  }
-}
-BENCHMARK(BM_SolveAnalyticNGroups)->Arg(3)->Arg(5);
-
-/// A 64-rack fleet epoch solved in one batched pass (warm hints, the
-/// steady-state shape); reported per call — divide by 64 for per-rack cost.
-void BM_SolveBatch64(benchmark::State& state) {
-  const auto g3 = three_groups();
-  const auto g5 = five_groups();
-  SolverBatch batch;
-  for (int r = 0; r < 64; ++r) {
-    const auto& groups = r % 2 == 0 ? g3 : g5;
-    const Watts supply{900.0 + 25.0 * r};
-    const SolverHint hint =
-        SolverHint::from(Solver::solve_analytic_n(groups, supply));
-    batch.add(groups, supply, hint);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Solver::solve_batch(batch));
-  }
-}
-BENCHMARK(BM_SolveBatch64);
 
 // Optimality gap of the production solver vs a very fine brute force,
 // reported as a counter (x1000) alongside the timing.
@@ -158,31 +121,9 @@ int main(int argc, char** argv) {
   report.set("solve_3groups_ns", time_ns_per_op([&] {
                return Solver::solve(g3, Watts{1500.0});
              }));
-  report.set("solve_n_5groups_ns", time_ns_per_op([&] {
-               return Solver::solve_n(g5, Watts{2000.0});
+  report.set("solve_5groups_ns", time_ns_per_op([&] {
+               return Solver::solve(g5, Watts{2000.0});
              }));
-  report.set("solve_analytic_2groups_ns", time_ns_per_op([&] {
-               return Solver::solve_analytic_2(g2, Watts{900.0});
-             }));
-  report.set("solve_analytic_ngroups_ns", time_ns_per_op([&] {
-               return Solver::solve_analytic_n(g5, Watts{2000.0});
-             }));
-  {
-    // Per-rack cost of the batched fleet pre-pass: 64 warm-hinted racks
-    // (alternating 3- and 5-group models) solved in one SoA pass.
-    SolverBatch batch;
-    for (int r = 0; r < 64; ++r) {
-      const auto& groups = r % 2 == 0 ? g3 : g5;
-      const Watts supply{900.0 + 25.0 * r};
-      const SolverHint hint =
-          SolverHint::from(Solver::solve_analytic_n(groups, supply));
-      batch.add(groups, supply, hint);
-    }
-    report.set("solve_batch_per_rack_ns",
-               time_ns_per_op([&] { return Solver::solve_batch(batch); },
-                              200) /
-                   static_cast<double>(batch.size()));
-  }
   report.set("solve_grid_10pct_ns", time_ns_per_op([&] {
                return Solver::solve_grid(g2, Watts{900.0}, 0.10);
              }, 200));

@@ -41,11 +41,7 @@ constexpr std::array<ServerModel, 5> kCpuModels = {
 
 /// Everything derived for one rack.  Derivation draws only from the rack's
 /// own fork of the run RNG, so racks are independent and prefix-stable.
-/// `warm_start` only matters in solver mode, where the scenario is executed
-/// both warm and cold; it is applied after every RNG draw so both variants
-/// derive byte-identical racks.
-RackSimulator make_rack_sim(const FuzzScenario& scenario, int rack_index,
-                            bool warm_start = true) {
+RackSimulator make_rack_sim(const FuzzScenario& scenario, int rack_index) {
   Rng rack_rng = Rng(scenario.seed)
                      .fork(static_cast<std::uint64_t>(scenario.run_index))
                      .fork(1000 + static_cast<std::uint64_t>(rack_index));
@@ -111,15 +107,12 @@ RackSimulator make_rack_sim(const FuzzScenario& scenario, int rack_index,
   }
 
   if (scenario.solver) {
-    // Solver-focused mode: force a solver-driven policy onto the analytic
-    // backend (alternating the two solver-driven kinds across racks) so the
-    // warm/cold/batched variants exercise solve_analytic_n every epoch.
+    // Solver-focused mode: force a solver-driven policy (alternating the
+    // two solver-driven kinds across racks) so every rack runs the Solver.
     // The override consumes no RNG draws, so the rest of the derivation
     // stays identical to the non-solver scenario with the same coordinates.
     cfg.controller.policy = rack_index % 2 == 0 ? PolicyKind::kGreenHetero
                                                 : PolicyKind::kGreenHeteroA;
-    cfg.controller.solver_backend = SolverBackend::kAnalyticN;
-    cfg.controller.solver_warm_start = warm_start;
   }
 
   const Watts capacity{rack_rng.uniform(600.0, 3000.0)};
@@ -165,19 +158,17 @@ struct ExecutionArtifacts {
 };
 
 ExecutionArtifacts execute(const FuzzScenario& scenario, std::size_t threads,
-                           bool warm_start = true, bool batch_solve = false,
                            std::size_t shards = 1) {
   const FleetParams params = derive_fleet_params(scenario);
   std::vector<RackSimulator> racks;
   for (int r = 0; r < scenario.racks; ++r) {
-    racks.push_back(make_rack_sim(scenario, r, warm_start));
+    racks.push_back(make_rack_sim(scenario, r));
   }
   FleetConfig cfg;
   cfg.total_grid_budget = params.total_grid_budget;
   cfg.mode = params.mode;
   cfg.threads = threads;
   cfg.shards = shards;
-  cfg.batch_solve = batch_solve;
   cfg.check = true;
   Fleet fleet{std::move(racks), cfg};
   if (params.pretrain) fleet.pretrain();
@@ -328,7 +319,7 @@ std::optional<std::string> run_scenario(const FuzzScenario& scenario,
     // execution layers the derived shard hierarchy on top, so one compare
     // covers both the threads and the shards byte-identity contract.
     sequential = execute(scenario, 1);
-    parallel = execute(scenario, 4, true, false,
+    parallel = execute(scenario, 4,
                        static_cast<std::size_t>(std::max(1, scenario.shards)));
   } catch (const InvariantViolation& violation) {
     return std::string("invariant violation: ") + violation.what();
@@ -343,41 +334,9 @@ std::optional<std::string> run_scenario(const FuzzScenario& scenario,
     return complaint;
   }
 
-  if (scenario.solver) {
-    // Solver mode: the warm sequential run above is the reference; cold
-    // (warm start off) and batched executions at 1 and 4 threads must all
-    // reproduce it byte for byte — that is the warm-start and presolve
-    // contract of the analytic backend, checked in vivo.
-    struct SolverVariant {
-      const char* name;
-      std::size_t threads;
-      bool warm_start;
-      bool batch_solve;
-    };
-    constexpr SolverVariant kVariants[] = {
-        {"cold solve, 1 thread", 1, false, false},
-        {"cold solve, 4 threads", 4, false, false},
-        {"batched solve, 1 thread", 1, true, true},
-        {"batched solve, 4 threads", 4, true, true},
-    };
-    for (const SolverVariant& variant : kVariants) {
-      ExecutionArtifacts other;
-      try {
-        other = execute(scenario, variant.threads, variant.warm_start,
-                        variant.batch_solve);
-      } catch (const std::exception& e) {
-        return std::string(variant.name) + " aborted: " + e.what();
-      }
-      if (auto divergence = compare_executions(sequential, other)) {
-        return std::string(variant.name) + " vs warm reference: " +
-               *divergence;
-      }
-    }
-  }
-
   // Differential-oracle spot check on the run's own side instances; solver
   // mode samples more instances at a larger group count, exercising the
-  // analytic backend's active-set sweep (oracle check (f)) harder.
+  // Solver's active-set sweep harder.
   OracleConfig oracle_config;
   int oracle_runs = 2;
   if (scenario.solver) {

@@ -42,12 +42,9 @@ struct FuzzScenario {
   int shards = 1;
   /// Number of fault events kept from the derived plan; -1 = all of them.
   int max_faults = -1;
-  /// Solver-focused mode: every rack runs a solver-driven policy on the
-  /// analytic backend, and the scenario is additionally executed cold
-  /// (warm start off) and with the batched fleet pre-pass, all of which
-  /// must be byte-identical to the warm sequential reference at 1 and 4
-  /// threads.  The per-run differential oracle also samples more instances
-  /// at a larger group count in this mode.
+  /// Solver-focused mode: every rack runs a solver-driven policy, and the
+  /// per-run differential oracle samples more instances at a larger group
+  /// count.
   bool solver = false;
 
   /// The exact CLI invocation that replays this scenario.

@@ -170,14 +170,14 @@ OracleReport run_oracle(std::uint64_t seed, int runs,
     const OracleSolution reference =
         oracle_solve(groups, supply, config.granularity);
 
-    // (a)+(b)+(c): the main solver (or the injected replacement).  Beyond
-    // 3 groups the production grid-refine path does not apply; the greedy
-    // N-group solver is the fast reference there.
+    // (a)+(b)+(c): the main solver (or the injected replacement).  It
+    // claims exactness on the continuous simplex, so its claimed objective
+    // must match the oracle's independent evaluation of its ratios to near
+    // machine precision, and it must not fall below the brute-force grid
+    // optimum (any grid point bounds the true optimum from below).
     Allocation fast;
     try {
-      fast = solve_fn          ? solve_fn(groups, supply)
-             : groups.size() <= 3 ? Solver::solve(groups, supply)
-                                  : Solver::solve_n(groups, supply);
+      fast = solve_fn ? solve_fn(groups, supply) : Solver::solve(groups, supply);
     } catch (const std::exception& e) {
       disagree(std::string("solver rejected a valid instance: ") + e.what(),
                0.0, reference.perf);
@@ -192,7 +192,7 @@ OracleReport run_oracle(std::uint64_t seed, int runs,
     }
     const double audited = oracle_objective(groups, fast.ratios, supply);
     if (std::fabs(fast.predicted_perf - audited) >
-        tolerance(config, audited)) {
+        1e-6 * std::max(1.0, std::fabs(audited))) {
       disagree("claimed objective disagrees with the oracle's evaluation of "
                "the returned ratios",
                fast.predicted_perf, audited);
@@ -207,8 +207,8 @@ OracleReport run_oracle(std::uint64_t seed, int runs,
 
     if (!solve_fn) {
       // (d) subset-activation variant: waking every server is always one of
-      // its options, so it must dominate the whole-group optimum.  Like
-      // grid-refine it only supports up to 3 groups.
+      // its options, so it must dominate the whole-group optimum.  It only
+      // supports up to 3 groups.
       if (groups.size() <= 3) try {
         const Allocation subset = Solver::solve_subset(groups, supply);
         const std::string subset_complaint =
@@ -223,56 +223,6 @@ OracleReport run_oracle(std::uint64_t seed, int runs,
         }
       } catch (const std::exception& e) {
         disagree(std::string("subset solver rejected a valid instance: ") +
-                     e.what(),
-                 0.0, reference.perf);
-      }
-
-      // (f) the closed-form N-group backend.  It claims exactness on the
-      // continuous simplex, so it is held to tighter standards than the
-      // grid backends: its claimed objective must match the oracle's
-      // independent evaluation of its ratios to near machine precision, it
-      // must dominate the grid-refine result (any feasible point bounds the
-      // true optimum from below), and a warm start derived from its own
-      // solution must reproduce it bit for bit.
-      try {
-        const Allocation analytic = Solver::solve_analytic_n(groups, supply);
-        const std::string analytic_complaint =
-            structural_complaint(analytic, groups.size());
-        const double audited_n =
-            oracle_objective(groups, analytic.ratios, supply);
-        const double exact_tol =
-            1e-6 * std::max(1.0, std::fabs(audited_n));
-        if (!analytic_complaint.empty()) {
-          disagree("analytic solution invalid: " + analytic_complaint,
-                   analytic.predicted_perf, reference.perf);
-        } else if (std::fabs(analytic.predicted_perf - audited_n) >
-                   exact_tol) {
-          disagree("analytic claimed objective disagrees with the oracle's "
-                   "evaluation of the returned ratios",
-                   analytic.predicted_perf, audited_n);
-        } else if (analytic.predicted_perf <
-                   fast.predicted_perf -
-                       1e-9 * std::max(1.0,
-                                       std::fabs(fast.predicted_perf))) {
-          disagree("analytic solver fell below the fast solver",
-                   analytic.predicted_perf, fast.predicted_perf);
-        } else if (analytic.predicted_perf <
-                   reference.perf - tolerance(config, reference.perf)) {
-          disagree("analytic solver fell below the brute-force grid optimum",
-                   analytic.predicted_perf, reference.perf);
-        } else {
-          const SolverHint warm = SolverHint::from(analytic);
-          const Allocation rewarmed =
-              Solver::solve_analytic_n(groups, supply, &warm);
-          if (rewarmed.ratios != analytic.ratios ||
-              rewarmed.predicted_perf != analytic.predicted_perf) {
-            disagree("warm-started analytic solve diverged from the cold "
-                     "solve",
-                     rewarmed.predicted_perf, analytic.predicted_perf);
-          }
-        }
-      } catch (const std::exception& e) {
-        disagree(std::string("analytic solver rejected a valid instance: ") +
                      e.what(),
                  0.0, reference.perf);
       }

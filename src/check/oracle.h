@@ -33,8 +33,8 @@ namespace greenhetero::check {
 struct OracleConfig {
   /// Ratio-simplex step of the brute-force enumeration.
   double granularity = 0.02;
-  /// Relative slack when comparing objective values (absorbs the coarse
-  /// grid and the backends' refinement precision).
+  /// Relative slack when comparing against the brute-force optimum
+  /// (absorbs the coarse grid; the self-consistency audit is exact).
   double rel_tolerance = 0.02;
   /// Absolute slack in objective units (dominates near-zero objectives).
   double abs_tolerance = 1.0;
@@ -109,13 +109,10 @@ using SolveFn =
 /// The differential harness: `runs` random instances, each checked for
 /// (a) structural validity of the fast solution, (b) agreement between the
 /// fast solver's claimed objective and the oracle's independent evaluation
-/// of its ratios, (c) the fast solver not falling below the brute-force
-/// grid optimum, (d) the subset-activation solver dominating the
-/// whole-group optimum, (e) EpuMeter matching the reference accumulator,
-/// and (f) the closed-form analytic backend (Solver::solve_analytic_n)
-/// matching the oracle to near machine precision, dominating both the
-/// grid-refine solver and the brute-force optimum, and reproducing its own
-/// solution bit for bit under a warm-start hint.
+/// of its ratios to near machine precision (1e-6 relative), (c) the fast
+/// solver not falling below the brute-force grid optimum, (d) the
+/// subset-activation solver dominating the whole-group optimum, and (e)
+/// EpuMeter matching the reference accumulator.
 [[nodiscard]] OracleReport run_oracle(std::uint64_t seed, int runs,
                                       const OracleConfig& config = {},
                                       const SolveFn& solve_fn = {});

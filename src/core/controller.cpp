@@ -48,18 +48,8 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
                                             Minutes now, Watts demand_hint) {
   GH_PROBE("gh_plan_epoch_ns");
   GH_SPAN("plan");
-  // A batch presolve is single-shot: whatever this epoch decides, it must
-  // not leak into the next one.
-  std::optional<PresolvedSolve> presolved = std::move(presolved_);
-  presolved_.reset();
-  const auto count_batch = [](const char* name) {
-    if (telemetry::Telemetry* t = telemetry::current()) {
-      t->metrics().counter(name).increment();
-    }
-  };
   EpochPlan plan;
   if (needs_training(rack)) {
-    if (presolved) count_batch("gh_solver_batch_misses_total");
     // Algorithm 1 lines 3-5: unseen pair -> training run under ample power.
     plan.training_run = true;
     plan.source.source_case = PowerCase::kGridFallback;  // grid stands by
@@ -94,17 +84,13 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
                                    plan.predicted_demand, plant, config_.epoch);
   }
   last_solver_failed_ = false;
-  const bool solver_driven = policy_->kind() == PolicyKind::kGreenHetero ||
-                             policy_->kind() == PolicyKind::kGreenHeteroA;
   if (plan.source.server_budget.value() > 1e-6) {
     if (health_.safe_mode()) {
       // Safe mode: feedback is implausible, so the solver's inputs cannot
       // be trusted — hold the last-known-good split instead of chasing
       // poisoned fits.
-      if (presolved) count_batch("gh_solver_batch_misses_total");
       plan.allocation = safe_allocation(rack);
       plan.safe_mode = true;
-      solver_hint_ = SolverHint{};
       if (telemetry::Telemetry* t = telemetry::current()) {
         t->metrics().counter("gh_safe_mode_epochs_total").increment();
       }
@@ -112,40 +98,12 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
       GH_PROBE("gh_policy_allocate_ns");
       GH_SPAN("solve");
       try {
-        // Verify-then-accept: a batch presolve stands in for the inline
-        // solve only when nothing it was computed from has changed — same
-        // budget to the bit, same database-derived models.  Otherwise it
-        // is discarded and the epoch solves inline, so batched and
-        // unbatched runs produce identical allocations.
-        bool used_presolve = false;
-        if (presolved && solver_driven &&
-            config_.solver_backend == SolverBackend::kAnalyticN &&
-            presolved->budget.value() == plan.source.server_budget.value() &&
-            group_models_from_db(rack, db_) == presolved->models) {
-          plan.allocation = std::move(presolved->allocation);
-          used_presolve = true;
-        }
-        if (presolved) {
-          count_batch(used_presolve ? "gh_solver_batch_hits_total"
-                                    : "gh_solver_batch_misses_total");
-        }
-        if (!used_presolve) {
-          SolveContext ctx;
-          ctx.backend = config_.solver_backend;
-          if (config_.solver_warm_start && solver_hint_.engaged) {
-            ctx.hint = &solver_hint_;
-          }
-          plan.allocation =
-              policy_->allocate(rack, db_, plan.source.server_budget, ctx);
-        }
-        if (solver_driven && config_.solver_warm_start) {
-          solver_hint_ = SolverHint::from(plan.allocation);
-        }
+        plan.allocation =
+            policy_->allocate(rack, db_, plan.source.server_budget);
       } catch (const SolverError& e) {
         last_solver_failed_ = true;
         plan.allocation = safe_allocation(rack);
         plan.safe_mode = true;
-        solver_hint_ = SolverHint{};
         GH_WARN << "solver failed (" << e.what()
                 << "); using safe allocation";
         if (telemetry::Telemetry* t = telemetry::current()) {
@@ -155,7 +113,6 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
         last_solver_failed_ = true;
         plan.allocation = safe_allocation(rack);
         plan.safe_mode = true;
-        solver_hint_ = SolverHint{};
         GH_WARN << "database lookup failed (" << e.what()
                 << "); using safe allocation";
         if (telemetry::Telemetry* t = telemetry::current()) {
@@ -163,10 +120,6 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
         }
       }
     }
-  } else if (presolved) {
-    // The budget collapsed between the peek and the plan (e.g. a fault at
-    // the epoch boundary): nothing to allocate, the presolve is wasted.
-    count_batch("gh_solver_batch_misses_total");
   }
   last_budget_ = plan.source.server_budget;
   last_allocation_ = plan.allocation;
@@ -190,49 +143,6 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
                    {"budget_w", plan.source.server_budget.value()},
                    {"ratios", plan.allocation.ratios}});
   return plan;
-}
-
-SolveRequest GreenHeteroController::peek_solve_request(
-    const Rack& rack, const RackPowerPlant& plant, Minutes now,
-    Watts demand_hint) const {
-  SolveRequest request;
-  if (config_.solver_backend != SolverBackend::kAnalyticN) return request;
-  const PolicyKind kind = policy_->kind();
-  if (kind != PolicyKind::kGreenHetero && kind != PolicyKind::kGreenHeteroA) {
-    return request;
-  }
-  if (health_.safe_mode() || needs_training(rack)) return request;
-  // The peek replays the prediction and source-selection passes whose real
-  // runs happen (and emit) inside plan_epoch — mute telemetry so the replay
-  // leaves no trace and batched runs stay event-identical to unbatched.
-  const telemetry::TelemetryScope mute(nullptr);
-  const Watts predicted_renewable =
-      supply_predictor_->ready()
-          ? Watts{std::max(0.0, supply_predictor_->predict())}
-          : plant.renewable_available(now);
-  Watts predicted_demand =
-      demand_predictor_->ready()
-          ? Watts{std::max(0.0, demand_predictor_->predict())}
-          : demand_hint;
-  predicted_demand = min(predicted_demand, rack.peak_demand());
-  const SourceDecision source = selector_.decide(
-      predicted_renewable, predicted_demand, plant, config_.epoch);
-  if (source.server_budget.value() <= 1e-6) return request;
-  try {
-    request.models = group_models_from_db(rack, db_);
-  } catch (const DatabaseError&) {
-    return request;  // plan_epoch will hit the same error and handle it
-  }
-  request.budget = source.server_budget;
-  if (config_.solver_warm_start && solver_hint_.engaged) {
-    request.hint = solver_hint_;
-  }
-  request.valid = true;
-  return request;
-}
-
-void GreenHeteroController::offer_presolved(PresolvedSolve presolved) {
-  presolved_ = std::move(presolved);
 }
 
 std::vector<double> GreenHeteroController::training_sweep() const {
@@ -479,8 +389,6 @@ void GreenHeteroController::save_state(checkpoint::Writer& w) const {
   save_allocation(w, last_allocation_);
   w.boolean(last_solver_failed_);
   save_allocation(w, last_good_allocation_);
-  w.u64(solver_hint_.active_mask);
-  w.boolean(solver_hint_.engaged);
 }
 
 void GreenHeteroController::load_state(checkpoint::Reader& r) {
@@ -496,9 +404,6 @@ void GreenHeteroController::load_state(checkpoint::Reader& r) {
   load_allocation(r, last_allocation_);
   last_solver_failed_ = r.boolean();
   load_allocation(r, last_good_allocation_);
-  solver_hint_.active_mask = r.u64();
-  solver_hint_.engaged = r.boolean();
-  presolved_.reset();
 }
 
 }  // namespace greenhetero

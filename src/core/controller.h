@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/database.h"
@@ -55,39 +54,6 @@ struct ControllerConfig {
   /// Graceful degradation: feedback plausibility thresholds and the
   /// safe-mode state machine's hysteresis.
   HealthConfig health;
-  /// Which Solver backend the solver-driven policies (GreenHetero /
-  /// GreenHetero-a) run each epoch.  grid_refine is the historical default;
-  /// analytic_n is the closed-form KKT path (exact on concave fits, ~40x
-  /// cheaper per epoch).
-  SolverBackend solver_backend = SolverBackend::kGridRefine;
-  /// Carry the previous epoch's active set into the next solve as a
-  /// SolverHint (analytic_n only).  Advisory: results are bit-identical to
-  /// cold solves, the hint only reduces search cost.
-  bool solver_warm_start = true;
-};
-
-/// An epoch's solve, described before it runs: what peek_solve_request()
-/// returns and what the fleet coordinator feeds into Solver::solve_batch.
-/// `valid` is false when the upcoming epoch will not run the analytic
-/// solver (training run, safe mode, empty budget, non-solver policy, or a
-/// missing database record).
-struct SolveRequest {
-  bool valid = false;
-  std::vector<GroupModel> models;
-  Watts budget{0.0};
-  SolverHint hint;
-};
-
-/// A solve computed out-of-band (by the fleet's batched pre-pass) and
-/// offered to the controller for its next plan_epoch.  The controller
-/// verifies budget and models still match what it would solve before
-/// accepting — a stale presolve (workload switched, database updated,
-/// budget changed) is discarded and the epoch solves inline, so results
-/// are bit-identical with or without batching.
-struct PresolvedSolve {
-  Allocation allocation;
-  Watts budget{0.0};
-  std::vector<GroupModel> models;
 };
 
 /// What the controller decided for one epoch.
@@ -133,22 +99,6 @@ class GreenHeteroController {
   [[nodiscard]] EpochPlan plan_epoch(const Rack& rack,
                                      const RackPowerPlant& plant,
                                      Minutes now, Watts demand_hint);
-
-  /// Describe the solve plan_epoch would run next, without mutating any
-  /// state or emitting telemetry (the prediction and source-selection
-  /// passes are const).  Only meaningful for solver-driven policies on the
-  /// analytic backend; every other configuration returns valid = false.
-  /// The fleet coordinator uses this to assemble a SolverBatch before the
-  /// epoch's rack steps.
-  [[nodiscard]] SolveRequest peek_solve_request(const Rack& rack,
-                                                const RackPowerPlant& plant,
-                                                Minutes now,
-                                                Watts demand_hint) const;
-
-  /// Offer a batch-computed solve for the next plan_epoch.  Consumed (and
-  /// cleared) by that call whether or not it is accepted; see
-  /// PresolvedSolve for the verify-then-accept contract.
-  void offer_presolved(PresolvedSolve presolved);
 
   /// Lowest fraction of the operating range the training run's ondemand
   /// governor visits (a loaded machine stays in the upper states).
@@ -214,13 +164,6 @@ class GreenHeteroController {
   bool last_solver_failed_ = false;
   /// Snapshot of the last allocation observed under healthy feedback.
   Allocation last_good_allocation_;
-  /// Warm start carried across epochs (analytic backend only): the previous
-  /// successful solve's active set.  Reset whenever the solver fails or the
-  /// plan comes from safe mode, so a poisoned epoch never seeds the next.
-  SolverHint solver_hint_;
-  /// Pending batch-computed solve for the next plan_epoch (transient:
-  /// consumed every epoch, so it is never part of a checkpoint).
-  std::optional<PresolvedSolve> presolved_;
 };
 
 }  // namespace greenhetero

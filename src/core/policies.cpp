@@ -175,16 +175,6 @@ class SolverPolicy final : public AllocationPolicy {
     return Solver::solve(group_models_from_db(rack, db), budget);
   }
 
-  [[nodiscard]] Allocation allocate(const Rack& rack,
-                                    const PerfPowerDatabase& db, Watts budget,
-                                    const SolveContext& ctx) const override {
-    const std::vector<GroupModel> models = group_models_from_db(rack, db);
-    if (ctx.backend == SolverBackend::kAnalyticN) {
-      return Solver::solve_analytic_n(models, budget, ctx.hint);
-    }
-    return Solver::solve(models, budget);
-  }
-
  private:
   PolicyKind kind_;
   bool updates_;

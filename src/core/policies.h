@@ -39,15 +39,6 @@ inline constexpr PolicyKind kAllPolicies[] = {
 
 [[nodiscard]] std::string_view to_string(PolicyKind kind);
 
-/// Per-epoch solver context the controller threads through allocate():
-/// which backend a solver-driven policy should run and an optional
-/// warm-start hint (advisory — see SolverHint; it never changes results).
-/// Policies that do not run the Solver ignore it.
-struct SolveContext {
-  SolverBackend backend = SolverBackend::kGridRefine;
-  const SolverHint* hint = nullptr;
-};
-
 class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;
@@ -58,16 +49,6 @@ class AllocationPolicy {
   [[nodiscard]] virtual Allocation allocate(const Rack& rack,
                                             const PerfPowerDatabase& db,
                                             Watts budget) const = 0;
-
-  /// Context-aware overload the controller calls; the default forwards to
-  /// the plain form so existing policies stay source-compatible.
-  [[nodiscard]] virtual Allocation allocate(const Rack& rack,
-                                            const PerfPowerDatabase& db,
-                                            Watts budget,
-                                            const SolveContext& ctx) const {
-    (void)ctx;
-    return allocate(rack, db, budget);
-  }
 
   /// Does the policy consult the performance-power database?  (Triggers a
   /// training run for unseen (server, workload) pairs — Algorithm 1.)

@@ -104,14 +104,6 @@ double group_perf(const GroupModel& g, double ratio, Watts total) {
   return static_cast<double>(g.count) * g.perf_at(per_server);
 }
 
-/// The interesting kink ratios of a group: entering the operating range and
-/// saturating.  The optimum frequently sits exactly on one of these.
-std::vector<double> kink_ratios(const GroupModel& g, Watts total) {
-  return {0.0, ratio_for(g, g.min_power, total),
-          ratio_for(g, g.saturation_power(), total),
-          ratio_for(g, g.max_power, total)};
-}
-
 }  // namespace
 
 double Solver::evaluate(std::span<const GroupModel> groups,
@@ -129,9 +121,9 @@ double Solver::evaluate(std::span<const GroupModel> groups,
 namespace {
 
 /// Counter + trace event for one solver entry-point call (no-op outside a
-/// telemetry scope; benches hammering the backends directly stay clean).
-/// `iterations` is the backend's unit of search work — objective /
-/// marginal-gain evaluations — so gh_solver_iterations_total divided by
+/// telemetry scope; benches hammering the solver directly stay clean).
+/// `iterations` is the entry point's unit of search work — objective /
+/// candidate evaluations — so gh_solver_iterations_total divided by
 /// gh_solver_calls_total exposes each path's per-call search cost.
 void report_solve(const char* backend, std::span<const GroupModel> groups,
                   Watts total_supply, const Allocation& result,
@@ -189,90 +181,6 @@ void sanitize_allocation(std::span<const GroupModel> groups, Watts total,
 }
 
 }  // namespace
-
-/// The grid-refine production backend behind Solver::solve.  `evals`
-/// counts objective evaluations for gh_solver_iterations_total.
-static Allocation solve_grid_refine(std::span<const GroupModel> groups,
-                                    Watts total_supply,
-                                    std::uint64_t& evals) {
-  validate_inputs(groups, total_supply);
-  const Watts total = total_supply;
-
-  if (groups.size() == 1) {
-    const double r = cap_ratio(groups[0], total);
-    Allocation best{{r}, group_perf(groups[0], r, total), {}};
-    ++evals;
-    return best;
-  }
-
-  if (groups.size() == 2) {
-    const GroupModel& g0 = groups[0];
-    const GroupModel& g1 = groups[1];
-    const double cap0 = cap_ratio(g0, total);
-    const double cap1 = cap_ratio(g1, total);
-    const auto objective = [&](double r0) {
-      ++evals;
-      const double r1 = std::min(1.0 - r0, cap1);
-      return group_perf(g0, r0, total) + group_perf(g1, r1, total);
-    };
-    ScalarOptimum opt = grid_refine_maximize(objective, 0.0, cap0, 128);
-    // Check kink candidates of both groups (including each group's kinks
-    // reflected through the budget constraint).
-    auto consider = [&](double r0) {
-      r0 = std::clamp(r0, 0.0, cap0);
-      const double value = objective(r0);
-      if (value > opt.value) opt = ScalarOptimum{r0, value};
-    };
-    for (double k : kink_ratios(g0, total)) consider(k);
-    for (double k : kink_ratios(g1, total)) consider(1.0 - k);
-    // Analytic interior candidate (fast path oracle).  Near-degenerate
-    // curvature pairs have no usable interior solution (nullopt) and the
-    // scan above already covers them.
-    if (g0.fit.a < 0.0 && g1.fit.a < 0.0) {
-      if (const auto analytic = Solver::solve_analytic_2(groups, total)) {
-        consider(analytic->ratios[0]);
-      }
-    }
-    const double r0 = opt.x;
-    const double r1 = std::min(1.0 - r0, cap1);
-    return Allocation{{r0, r1}, opt.value, {}};
-  }
-
-  // Three groups: search (r0, r1) with r2 taking the capped remainder.
-  const double cap0 = cap_ratio(groups[0], total);
-  const double cap1 = cap_ratio(groups[1], total);
-  const double cap2 = cap_ratio(groups[2], total);
-  const auto objective = [&](double r0, double r1) {
-    ++evals;
-    const double r2 = std::min(std::max(0.0, 1.0 - r0 - r1), cap2);
-    return group_perf(groups[0], r0, total) +
-           group_perf(groups[1], r1, total) +
-           group_perf(groups[2], r2, total);
-  };
-  PlanarOptimum opt =
-      grid_refine_maximize_2d(objective, 0.0, cap0, 0.0, cap1, 1.0, 48, 5);
-  // Kink-seeded candidates.
-  for (double k0 : kink_ratios(groups[0], total)) {
-    for (double k1 : kink_ratios(groups[1], total)) {
-      const double r0 = std::clamp(k0, 0.0, cap0);
-      const double r1 = std::clamp(std::min(k1, 1.0 - r0), 0.0, cap1);
-      const double value = objective(r0, r1);
-      if (value > opt.value) opt = PlanarOptimum{r0, r1, value};
-    }
-  }
-  const double r2 = std::min(std::max(0.0, 1.0 - opt.x - opt.y), cap2);
-  return Allocation{{opt.x, opt.y, r2}, opt.value, {}};
-}
-
-Allocation Solver::solve(std::span<const GroupModel> groups,
-                         Watts total_supply) {
-  GH_PROBE("gh_solver_solve_ns");
-  std::uint64_t evals = 0;
-  Allocation result = solve_grid_refine(groups, total_supply, evals);
-  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
-  report_solve("grid_refine", groups, total_supply, result, evals);
-  return result;
-}
 
 double Solver::best_subset_perf(const GroupModel& group, Watts group_budget,
                                 int* active_out) {
@@ -389,164 +297,6 @@ Allocation Solver::solve_subset(std::span<const GroupModel> groups,
   return best;
 }
 
-Allocation Solver::solve_n(std::span<const GroupModel> groups,
-                           Watts total_supply, int quanta) {
-  if (groups.empty()) {
-    throw SolverError("solver: needs at least one group");
-  }
-  if (groups.size() <= 3) {
-    return solve(groups, total_supply);
-  }
-  GH_PROBE("gh_solver_solve_n_ns");
-  if (groups.size() <= kMaxAnalyticGroups) {
-    // The closed-form KKT sweep is exact wherever its mask width allows;
-    // the greedy water-filling below survives only for wider instances.
-    // (The greedy path can lose real performance on activation missteps a
-    // pairwise exchange cannot repair — e.g. spending the supply on two
-    // small groups when one large group's all-or-nothing floor was the
-    // optimum — so it must not be preferred when exactness is available.)
-    return solve_analytic_n(groups, total_supply);
-  }
-  if (total_supply.value() <= 0.0) {
-    throw SolverError("solver: total supply must be positive");
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    validate_group(groups[i], i);
-  }
-  quanta = std::max(quanta, 20);
-  const double quantum = 1.0 / quanta;
-  const Watts total = total_supply;
-
-  std::vector<double> ratios(groups.size(), 0.0);
-  double remaining = 1.0;
-  std::uint64_t evals = 0;
-
-  // Greedy water-filling: each step gives one quantum (or, for a sleeping
-  // group, the whole activation chunk up to its floor) to the group with
-  // the best performance gain per ratio spent.
-  while (remaining > 1e-9) {
-    double best_gain_rate = 0.0;
-    std::size_t best = groups.size();
-    double best_spend = 0.0;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const GroupModel& g = groups[i];
-      const double cap = cap_ratio(g, total);
-      if (ratios[i] >= cap - 1e-12) continue;
-      const double floor_ratio = ratio_for(g, g.min_power, total);
-      double spend;
-      if (ratios[i] < floor_ratio) {
-        // Activation is all-or-nothing: spend up to the floor at once.
-        spend = floor_ratio - ratios[i] + quantum;
-      } else {
-        spend = quantum;
-      }
-      spend = std::min({spend, remaining, cap - ratios[i]});
-      if (spend <= 1e-12) continue;
-      ++evals;
-      const double gain = group_perf(g, ratios[i] + spend, total) -
-                          group_perf(g, ratios[i], total);
-      const double rate = gain / spend;
-      if (rate > best_gain_rate) {
-        best_gain_rate = rate;
-        best = i;
-        best_spend = spend;
-      }
-    }
-    if (best == groups.size()) break;  // nobody gains: leave it for charging
-    ratios[best] += best_spend;
-    remaining -= best_spend;
-  }
-
-  // The greedy loop can strand the final residual: when every unsaturated
-  // group is within one quantum of its cap, the per-group `spend` shrinks
-  // until the gain cancels to zero in float and the loop exits with
-  // `remaining` unspent even though an unclamped group could still use it.
-  // Hand the whole residual to the group that gains most from it (ties and
-  // zero-gain cancellation go to the first unclamped group).
-  if (remaining > 1e-12) {
-    std::size_t best = groups.size();
-    double best_gain = -1.0;
-    double best_spend = 0.0;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const GroupModel& g = groups[i];
-      const double spend =
-          std::min(remaining, cap_ratio(g, total) - ratios[i]);
-      if (spend <= 1e-12) continue;
-      // Skip groups the residual cannot activate (still below the floor).
-      const double floor_ratio = ratio_for(g, g.min_power, total);
-      if (ratios[i] + spend < floor_ratio - 1e-12) continue;
-      ++evals;
-      const double gain = group_perf(g, ratios[i] + spend, total) -
-                          group_perf(g, ratios[i], total);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = i;
-        best_spend = spend;
-      }
-    }
-    if (best != groups.size() && best_gain >= 0.0) {
-      ratios[best] += best_spend;
-      remaining -= best_spend;
-    }
-  }
-
-  // Pairwise-exchange refinement: greedy activation can strand a high-floor
-  // group; jointly re-optimising every pair's combined share (plus the
-  // unallocated remainder) with the 2-group machinery fixes the classic
-  // greedy mis-steps and cleans up sub-floor residue.
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      for (std::size_t j = i + 1; j < groups.size(); ++j) {
-        const GroupModel& gi = groups[i];
-        const GroupModel& gj = groups[j];
-        const double pool = ratios[i] + ratios[j] + remaining;
-        if (pool <= 1e-12) continue;
-        const double cap_i = std::min(pool, cap_ratio(gi, total));
-        const double cap_j = cap_ratio(gj, total);
-        const auto objective = [&](double ri) {
-          ++evals;
-          const double rj = std::min(pool - ri, cap_j);
-          return group_perf(gi, ri, total) + group_perf(gj, rj, total);
-        };
-        ScalarOptimum opt{0.0, objective(0.0)};
-        const ScalarOptimum scanned =
-            grid_refine_maximize(objective, 0.0, cap_i, 64);
-        if (scanned.value > opt.value) opt = scanned;
-        for (double k : kink_ratios(gi, total)) {
-          const double r = std::clamp(k, 0.0, cap_i);
-          const double value = objective(r);
-          if (value > opt.value) opt = ScalarOptimum{r, value};
-        }
-        for (double k : kink_ratios(gj, total)) {
-          const double r = std::clamp(pool - k, 0.0, cap_i);
-          const double value = objective(r);
-          if (value > opt.value) opt = ScalarOptimum{r, value};
-        }
-        const double ri = opt.x;
-        const double rj = std::min(pool - ri, cap_j);
-        ratios[i] = ri;
-        ratios[j] = rj;
-        remaining = pool - ri - rj;
-      }
-    }
-  }
-
-  // Clean up residue a group cannot use (below its activation floor).
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const double floor_ratio = ratio_for(groups[i], groups[i].min_power, total);
-    if (ratios[i] > 0.0 && ratios[i] < floor_ratio - 1e-12) {
-      remaining += ratios[i];
-      ratios[i] = 0.0;
-    }
-  }
-
-  Allocation result{std::move(ratios), 0.0, {}};
-  result.predicted_perf = evaluate(groups, result.ratios, total);
-  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
-  report_solve("waterfill", groups, total_supply, result, evals);
-  return result;
-}
-
 Allocation Solver::solve_grid(std::span<const GroupModel> groups,
                               Watts total_supply, double granularity) {
   GH_PROBE("gh_solver_solve_grid_ns");
@@ -588,7 +338,7 @@ Allocation Solver::solve_grid(std::span<const GroupModel> groups,
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form KKT / water-filling backend (solve_analytic_n, solve_batch).
+// Closed-form KKT / water-filling engine behind Solver::solve.
 //
 // Each group's feasible per-server power is {0} ∪ [lo, hi]: the idle cliff
 // makes the problem non-convex, but once an *active set* is fixed (which
@@ -616,9 +366,7 @@ constexpr double kEdgeCurvature = -1e-6;
 /// (the candidate is still validated against the clamped objective).
 constexpr int kMaxEdgeBits = 8;
 
-/// Raw scalars of one group.  Both entry points (GroupModel spans and the
-/// SoA batch) convert into this, so their float arithmetic — and therefore
-/// their results — are bit-identical.
+/// Raw scalars of one group, unpacked once from its GroupModel.
 struct RawGroup {
   double n;      ///< server count
   double a, b, c;
@@ -640,35 +388,27 @@ double group_perf_scalar(const RawGroup& g, double ratio, double total) {
   return g.n * perf_scalar(g, per_server);
 }
 
-/// Mirror of Solver::evaluate over raw scalars.
-double evaluate_scalar(std::span<const RawGroup> raw,
-                       std::span<const double> ratios, double total) {
-  double perf = 0.0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    perf += group_perf_scalar(raw[i], ratios[i], total);
-  }
-  return perf;
-}
-
-/// One group's precomputed analytic view.
+/// One group's precomputed analytic view.  Trivially default-constructible,
+/// so the solve's fixed-capacity array costs nothing until
+/// analytic_precompute value-initialises an entry.
 struct AnalyticGroup {
-  RawGroup raw{};
-  double lo = 0.0;    ///< effective floor: cliff, lifted to the fit's first
-                      ///< zero when Perf(min_w) clamps to 0
-  double hi = 0.0;    ///< saturation: beyond this more watts buy nothing
-  double w_lo = 0.0;  ///< n * lo
-  double w_hi = 0.0;  ///< n * hi
-  double f_lo = 0.0;  ///< clamped per-server Perf at lo
-  double f_hi = 0.0;  ///< clamped per-server Perf at hi
-  double d_lo = 0.0;  ///< fit slope at lo (the marginal entering the range)
-  double d_hi = 0.0;  ///< fit slope at hi
-  double na = 0.0;     ///< n / (2a) (0 when the curvature vanishes)
-  double nb = 0.0;     ///< n * b / (2a)
-  double inv_2a = 0.0; ///< 1 / (2a) — the water-filling response slope
-  double z = 0.0;     ///< n * Perf at 0 W (non-zero only when min_w == 0)
-  double u = 0.0;     ///< n * max(f_lo, f_hi) - z: crude subset bound term
-  std::size_t index = 0;  ///< position in the caller's group list
-  bool edge = false;      ///< degenerate curvature: endpoint treatment
+  RawGroup raw;
+  double lo;      ///< effective floor: cliff, lifted to the fit's first zero
+                  ///< when Perf(min_w) clamps to 0
+  double hi;      ///< saturation: beyond this more watts buy nothing
+  double w_lo;    ///< n * lo
+  double w_hi;    ///< n * hi
+  double f_lo;    ///< clamped per-server Perf at lo
+  double f_hi;    ///< clamped per-server Perf at hi
+  double d_lo;    ///< fit slope at lo (the marginal entering the range)
+  double d_hi;    ///< fit slope at hi
+  double na;      ///< n / (2a) (0 when the curvature vanishes)
+  double nb;      ///< n * b / (2a)
+  double inv_2a;  ///< 1 / (2a) — the water-filling response slope
+  double z;       ///< n * Perf at 0 W (non-zero only when min_w == 0)
+  double u;       ///< n * max(f_lo, f_hi) - z: crude subset bound term
+  std::size_t index;  ///< position in the caller's group list
+  bool edge;          ///< degenerate curvature: endpoint treatment
 };
 
 /// Build the analytic view of one (already validated) group.  Returns false
@@ -736,23 +476,18 @@ bool analytic_precompute(const RawGroup& raw, std::size_t index,
   return true;
 }
 
+/// A ratio vector indexed like the caller's group list.  Fixed capacity
+/// keeps every solve buffer on the stack: the solve allocates nothing but
+/// the returned Allocation, on any thread.
+using RatioBuffer = std::array<double, kMaxAnalyticGroups>;
+
 /// The best candidate seen so far: its clamped-objective value, its ratio
-/// vector (sized for the caller's full group list), and the multiplier of
-/// the configuration that produced it (used for the dual pruning bound).
+/// vector, and the multiplier of the configuration that produced it (used
+/// for the dual pruning bound).
 struct BestCandidate {
   double value = -std::numeric_limits<double>::infinity();
-  std::vector<double> ratios;
+  RatioBuffer ratios{};
   double lambda = 0.0;
-};
-
-/// Reusable buffers so a fleet-sized batch allocates O(max groups), not
-/// O(total groups).
-struct AnalyticScratch {
-  std::vector<AnalyticGroup> groups;  ///< useful groups only
-  std::vector<double> cand_ratios;
-  BestCandidate best;
-  BestCandidate probe;  ///< throwaway target for the warm-start evaluation
-  std::vector<std::uint32_t> solved;  ///< masks solved by the enumeration
 };
 
 /// Convert a per-server candidate (indexed like `gs`, 0 = inactive) into
@@ -761,11 +496,11 @@ struct AnalyticScratch {
 /// can land one ULP below it after the round trip, which the idle cliff
 /// would punish with the whole group's performance — nudge such ratios up
 /// until the round trip clears the cliff.
-double assemble_candidate(const std::vector<AnalyticGroup>& gs,
+double assemble_candidate(std::span<const AnalyticGroup> gs,
                           std::size_t total_groups, double P,
                           std::span<const double> per_server,
-                          std::vector<double>& ratios) {
-  ratios.assign(total_groups, 0.0);
+                          RatioBuffer& ratios) {
+  std::fill_n(ratios.begin(), total_groups, 0.0);
   for (std::size_t j = 0; j < gs.size(); ++j) {
     const AnalyticGroup& g = gs[j];
     const double p = per_server[j];
@@ -791,9 +526,9 @@ double assemble_candidate(const std::vector<AnalyticGroup>& gs,
 /// and merge improvements into `best` (strict >, so the first achiever of
 /// the optimum wins regardless of what pruning skipped).  Returns the best
 /// value this mask achieved, or -inf when its floors alone blow the budget.
-double solve_mask(const std::vector<AnalyticGroup>& gs,
+double solve_mask(std::span<const AnalyticGroup> gs,
                   std::size_t total_groups, double P, std::uint32_t mask,
-                  std::uint64_t& evals, std::vector<double>& cand_ratios,
+                  std::uint64_t& evals, RatioBuffer& cand_ratios,
                   BestCandidate& best) {
   std::array<std::uint8_t, kMaxAnalyticGroups> concave{};
   std::array<std::uint8_t, kMaxAnalyticGroups> edge{};
@@ -943,8 +678,7 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
       }
       // Insertion sort: n_bps <= 2 * kMaxAnalyticGroups and typically < 8,
       // where this beats std::sort.  The (lam, j, kind) key is unique per
-      // entry, so any correct sort yields the same sequence (bit-identity
-      // across warm/cold/batched runs is preserved).
+      // entry, so any correct sort yields the same sequence.
       const auto bp_before = [](const Breakpoint& x, const Breakpoint& y) {
         if (x.lam != y.lam) return x.lam > y.lam;
         if (x.j != y.j) return x.j < y.j;
@@ -1064,21 +798,18 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
   return mask_best;
 }
 
-/// The shared core behind solve_analytic_n and solve_batch.
+/// Solve one validated instance; `evals` counts candidate evaluations.
 Allocation analytic_solve(std::span<const RawGroup> raw, double P,
-                          const SolverHint* hint, AnalyticScratch& s,
                           std::uint64_t& evals) {
-  std::vector<AnalyticGroup>& gs = s.groups;
-  gs.clear();
+  std::array<AnalyticGroup, kMaxAnalyticGroups> useful;
+  std::size_t m = 0;
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    AnalyticGroup g;
-    if (analytic_precompute(raw[i], i, g)) gs.push_back(g);
+    if (analytic_precompute(raw[i], i, useful[m])) ++m;
   }
-  const std::size_t m = gs.size();
+  const std::span<const AnalyticGroup> gs{useful.data(), m};
 
-  BestCandidate& best = s.best;
-  best.value = -std::numeric_limits<double>::infinity();
-  best.lambda = 0.0;
+  BestCandidate best;
+  RatioBuffer cand_ratios{};
 
   // Baseline candidate: everything off (it is the only feasible point when
   // every floor exceeds the budget, and it anchors comparisons when groups
@@ -1086,8 +817,8 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
   std::array<double, kMaxAnalyticGroups> p{};
   ++evals;
   best.value = assemble_candidate(gs, raw.size(), P, {p.data(), m},
-                                  s.cand_ratios);
-  std::swap(best.ratios, s.cand_ratios);
+                                  cand_ratios);
+  std::swap(best.ratios, cand_ratios);
 
   if (m > 0) {
     double sum_w_hi = 0.0;
@@ -1114,15 +845,15 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
       }
       ++evals;
       const double value = assemble_candidate(gs, raw.size(), P,
-                                              {p.data(), m}, s.cand_ratios);
+                                              {p.data(), m}, cand_ratios);
       if (value > best.value) {
         best.value = value;
-        std::swap(best.ratios, s.cand_ratios);
+        std::swap(best.ratios, cand_ratios);
       }
     } else {
       const std::uint32_t full = (std::uint32_t{1} << m) - 1;
       const double full_value = solve_mask(gs, raw.size(), P, full, evals,
-                                           s.cand_ratios, best);
+                                           cand_ratios, best);
 
       // Weak-duality pruning bound.  For any λ >= 0 and any candidate of
       // any mask:  value <= λ·P + Σ_{i∉mask} z_i + Σ_{i∈mask} score_i(λ),
@@ -1156,28 +887,6 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
       };
       if (have_dual) rebuild_dual(std::max(best.lambda, 0.0));
 
-      // Warm start: the hinted active set is solved up front and its value
-      // used *only* as a pruning bound.  It never seeds `best`, and the
-      // skip test below is strict, so the first enumerated achiever of the
-      // optimum wins in both warm and cold runs — bit-identical results.
-      double prune = best.value;
-      if (hint != nullptr && hint->engaged) {
-        std::uint32_t hm = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          if (gs[j].index < 64 &&
-              ((hint->active_mask >> gs[j].index) & 1) != 0) {
-            hm |= std::uint32_t{1} << j;
-          }
-        }
-        if (hm != 0 && hm != full) {
-          BestCandidate& probe = s.probe;
-          probe.value = -std::numeric_limits<double>::infinity();
-          const double hv = solve_mask(gs, raw.size(), P, hm, evals,
-                                       s.cand_ratios, probe);
-          prune = std::max(prune, hv);
-        }
-      }
-
       // Exact bound test for one mask — identical to what a full 2^m
       // enumeration would compute, used on the few masks that survive the
       // droppable-set filter below (and on every mask when no dual bound
@@ -1195,9 +904,9 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
         }
         if (floors > P) return false;
         const double bound = have_dual ? std::min(ub, dual) : ub;
-        if (bound < std::max(best.value, prune)) return false;
+        if (bound < best.value) return false;
         const double before = best.value;
-        (void)solve_mask(gs, raw.size(), P, mask, evals, s.cand_ratios,
+        (void)solve_mask(gs, raw.size(), P, mask, evals, cand_ratios,
                          best);
         return best.value > before;
       };
@@ -1216,10 +925,13 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
         // Only subsets of that droppable set D are enumerated — typically
         // a handful of masks instead of 2^m.  When a solve improves the
         // incumbent, the dual is rebuilt around it and the (now smaller)
-        // family is re-derived; solved masks are remembered so every mask
-        // is solved at most once and the rounds terminate.
-        std::vector<std::uint32_t>& done = s.solved;
-        done.clear();
+        // family is re-derived.  The rounds terminate because a round only
+        // restarts on a strict improvement; the first kDoneCap masks tried
+        // are remembered so a restart does not test them again (a mask past
+        // the cap may be tested twice, which costs time only).
+        constexpr std::size_t kDoneCap = 64;
+        std::array<std::uint32_t, kDoneCap> done{};
+        std::size_t n_done = 0;
         for (bool improved = true; improved;) {
           improved = false;
           double sum_adj = 0.0;
@@ -1230,7 +942,7 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
           }
           const double bound_full = dual_base + sum_adj;
           const double slack =
-              bound_full - std::max(best.value, prune) - neg_sum + 1e-6;
+              bound_full - best.value - neg_sum + 1e-6;
           std::uint32_t droppable = 0;
           for (std::size_t j = 0; j < m; ++j) {
             if (std::max(adj[j], 0.0) <= slack) {
@@ -1238,16 +950,14 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
             }
           }
           // Non-empty subsets of `droppable` in ascending order (single
-          // drops come before their unions), a deterministic order shared
-          // by warm, cold and batched runs.
+          // drops come before their unions).
           for (std::uint32_t comp = (0u - droppable) & droppable; comp != 0;
                comp = (comp - droppable) & droppable) {
             const std::uint32_t mask = full ^ comp;
             if (mask == 0) continue;
-            if (std::find(done.begin(), done.end(), mask) != done.end()) {
-              continue;
-            }
-            done.push_back(mask);
+            const auto done_end = done.begin() + n_done;
+            if (std::find(done.begin(), done_end, mask) != done_end) continue;
+            if (n_done < kDoneCap) done[n_done++] = mask;
             if (test_and_solve(mask)) {
               rebuild_dual(std::max(best.lambda, 0.0));
               improved = true;
@@ -1259,111 +969,19 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
     }
   }
 
-  Allocation result{best.ratios, 0.0, {}};
   // best.value was computed by assemble_candidate through the exact ratio
-  // round-trip evaluate_scalar performs (excluded groups contribute an
-  // exact 0.0), so it already *is* the validated objective — no second
-  // evaluation pass.
-  result.predicted_perf = best.value;
-  // Scalar twin of sanitize_allocation so batched and individual solves
-  // repair (never, for this constructive backend) identically.
-  int repairs = 0;
-  for (double& r : result.ratios) {
-    if (!std::isfinite(r) || r < 0.0) {
-      r = 0.0;
-      ++repairs;
-    }
-  }
-  const double sum = result.ratio_sum();
-  if (sum > 1.0 + 1e-9) {
-    for (double& r : result.ratios) r /= sum;
-    ++repairs;
-  }
-  if (!std::isfinite(result.predicted_perf)) {
-    result.predicted_perf = 0.0;
-    ++repairs;
-  }
-  if (repairs > 0) {
-    result.predicted_perf = evaluate_scalar(raw, result.ratios, P);
-    if (!std::isfinite(result.predicted_perf)) result.predicted_perf = 0.0;
-    if (telemetry::Telemetry* t = telemetry::current()) {
-      t->metrics().counter("gh_solver_repairs_total").increment(repairs);
-    }
-  }
-  return result;
-}
-
-/// Counters only, no "solve" trace event: warm, cold, batched and inline
-/// analytic solves must stay byte-identical at the trace level (the fuzzer
-/// compares them), and per-rack events from a coordinator-side batch would
-/// land in a different stream than inline ones.
-void report_analytic_n(double calls, double iterations) {
-  telemetry::Telemetry* t = telemetry::current();
-  if (t == nullptr) return;
-  t->metrics()
-      .counter("gh_solver_calls_total", {{"backend", "analytic_n"}})
-      .increment(calls);
-  t->metrics()
-      .counter("gh_solver_iterations_total", {{"backend", "analytic_n"}})
-      .increment(iterations);
+  // round-trip evaluate() performs (excluded groups contribute an exact
+  // 0.0), so it already *is* the validated objective.
+  return Allocation{{best.ratios.begin(), best.ratios.begin() + raw.size()},
+                    best.value,
+                    {}};
 }
 
 }  // namespace
 
-SolverHint SolverHint::from(const Allocation& allocation) {
-  SolverHint hint;
-  hint.engaged = true;
-  const std::size_t limit =
-      std::min<std::size_t>(allocation.ratios.size(), 64);
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (allocation.ratios[i] > 0.0) {
-      hint.active_mask |= std::uint64_t{1} << i;
-    }
-  }
-  return hint;
-}
-
-void SolverBatch::add(std::span<const GroupModel> groups, Watts total_supply,
-                      const SolverHint& hint) {
-  if (groups.empty() || groups.size() > kMaxAnalyticGroups) {
-    throw SolverError("solver batch: group count out of range");
-  }
-  if (total_supply.value() <= 0.0) {
-    throw SolverError("solver batch: total supply must be positive");
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    validate_group(groups[i], i);
-  }
-  if (offsets_.empty()) offsets_.push_back(0);
-  for (const GroupModel& g : groups) {
-    count_.push_back(static_cast<double>(g.count));
-    a_.push_back(g.fit.a);
-    b_.push_back(g.fit.b);
-    c_.push_back(g.fit.c);
-    min_w_.push_back(g.min_power.value());
-    max_w_.push_back(g.max_power.value());
-  }
-  offsets_.push_back(static_cast<std::uint32_t>(count_.size()));
-  supplies_.push_back(total_supply.value());
-  hints_.push_back(hint);
-}
-
-void SolverBatch::clear() {
-  count_.clear();
-  a_.clear();
-  b_.clear();
-  c_.clear();
-  min_w_.clear();
-  max_w_.clear();
-  offsets_.clear();
-  supplies_.clear();
-  hints_.clear();
-}
-
-Allocation Solver::solve_analytic_n(std::span<const GroupModel> groups,
-                                    Watts total_supply,
-                                    const SolverHint* hint) {
-  GH_PROBE("gh_solver_solve_analytic_n_ns");
+Allocation Solver::solve(std::span<const GroupModel> groups,
+                         Watts total_supply) {
+  GH_PROBE("gh_solver_solve_ns");
   validate_inputs(groups, total_supply, kMaxAnalyticGroups);
   std::array<RawGroup, kMaxAnalyticGroups> raw;
   for (std::size_t i = 0; i < groups.size(); ++i) {
@@ -1372,115 +990,11 @@ Allocation Solver::solve_analytic_n(std::span<const GroupModel> groups,
                       groups[i].min_power.value(),
                       groups[i].max_power.value()};
   }
-  // Reused across calls so the per-epoch hot path performs no heap
-  // allocation beyond the returned Allocation itself.  Every field is
-  // cleared or overwritten before use, so carried capacity never carries
-  // state between solves.
-  thread_local AnalyticScratch scratch;
   std::uint64_t evals = 0;
   Allocation result =
-      analytic_solve({raw.data(), groups.size()}, total_supply.value(),
-                     hint != nullptr && hint->engaged ? hint : nullptr,
-                     scratch, evals);
-  report_analytic_n(1.0, static_cast<double>(evals));
-  return result;
-}
-
-std::vector<Allocation> Solver::solve_batch(const SolverBatch& batch) {
-  GH_PROBE("gh_solver_solve_batch_ns");
-  std::vector<Allocation> results;
-  results.reserve(batch.size());
-  AnalyticScratch scratch;
-  std::uint64_t evals = 0;
-  std::array<RawGroup, kMaxAnalyticGroups> raw;
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    const std::uint32_t begin = batch.offsets_[r];
-    const std::size_t m = batch.offsets_[r + 1] - begin;
-    for (std::size_t j = 0; j < m; ++j) {
-      raw[j] = RawGroup{batch.count_[begin + j], batch.a_[begin + j],
-                        batch.b_[begin + j],     batch.c_[begin + j],
-                        batch.min_w_[begin + j], batch.max_w_[begin + j]};
-    }
-    const SolverHint& hint = batch.hints_[r];
-    results.push_back(analytic_solve({raw.data(), m}, batch.supplies_[r],
-                                     hint.engaged ? &hint : nullptr, scratch,
-                                     evals));
-  }
-  if (!batch.empty()) {
-    if (telemetry::Telemetry* t = telemetry::current()) {
-      t->metrics().counter("gh_solver_batch_calls_total").increment();
-    }
-    report_analytic_n(static_cast<double>(batch.size()),
-                      static_cast<double>(evals));
-  }
-  return results;
-}
-
-std::optional<Allocation> Solver::solve_analytic_2(
-    std::span<const GroupModel> groups, Watts total_supply) {
-  validate_inputs(groups, total_supply);
-  if (groups.size() != 2) {
-    throw SolverError("analytic solver: exactly 2 groups required");
-  }
-  const GroupModel& g0 = groups[0];
-  const GroupModel& g1 = groups[1];
-  if (g0.fit.a >= 0.0 || g1.fit.a >= 0.0) {
-    throw SolverError("analytic solver: fits must be strictly concave");
-  }
-  // Near-degenerate curvature (the generators' near-linear fits draw
-  // |a| down to ~0): the interior stationary system divides by 2a and the
-  // candidate overflows long before any clamp can help.  There is no
-  // meaningful interior solution — signal the caller to use its own search.
-  constexpr double kMinCurvature = 1e-9;
-  if (std::fabs(g0.fit.a) < kMinCurvature ||
-      std::fabs(g1.fit.a) < kMinCurvature) {
-    return std::nullopt;
-  }
-  // Equal marginal utility: 2*a0*p0 + b0 = 2*a1*p1 + b1, with the budget
-  // c0*p0 + c1*p1 = P (p_i = per-server power of group i).
-  const double c0 = g0.count;
-  const double c1 = g1.count;
-  const double P = total_supply.value();
-  // From the marginal condition: p1 = (2*a0*p0 + b0 - b1) / (2*a1).
-  // Substitute into the budget:
-  //   c0*p0 + c1*(2*a0*p0 + b0 - b1)/(2*a1) = P.
-  const double denom = c0 + c1 * g0.fit.a / g1.fit.a;
-  if (std::fabs(denom) < 1e-12) {
-    return std::nullopt;  // degenerate curvature ratio: no interior solution
-  }
-  const double p0 =
-      (P - c1 * (g0.fit.b - g1.fit.b) / (2.0 * g1.fit.a)) / denom;
-  const double p1 = (2.0 * g0.fit.a * p0 + g0.fit.b - g1.fit.b) /
-                    (2.0 * g1.fit.a);
-  if (!std::isfinite(p0) || !std::isfinite(p1)) {
-    return std::nullopt;  // the interior system blew up numerically
-  }
-  // Clamp each group's per-server power into its useful range, then express
-  // as ratios.  The caller re-validates against the full clamped objective.
-  const double p0c =
-      std::clamp(p0, g0.min_power.value(), g0.saturation_power().value());
-  const double p1c =
-      std::clamp(p1, g1.min_power.value(), g1.saturation_power().value());
-  double r0 = c0 * p0c / P;
-  double r1 = c1 * p1c / P;
-  const double sum = r0 + r1;
-  if (sum > 1.0) {
-    r0 /= sum;
-    r1 /= sum;
-  }
-  Allocation result{{r0, r1}, 0.0, {}};
-  result.predicted_perf = evaluate(groups, result.ratios, total_supply);
-  // Counters only, no "solve" trace event: the analytic path also runs as
-  // an inner candidate of grid_refine, and a nested event would change the
-  // golden traces.  One closed-form evaluation = one iteration.
-  if (telemetry::Telemetry* t = telemetry::current()) {
-    t->metrics()
-        .counter("gh_solver_calls_total", {{"backend", "analytic_2"}})
-        .increment();
-    t->metrics()
-        .counter("gh_solver_iterations_total", {{"backend", "analytic_2"}})
-        .increment();
-  }
+      analytic_solve({raw.data(), groups.size()}, total_supply.value(), evals);
+  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
+  report_solve("analytic_n", groups, total_supply, result, evals);
   return result;
 }
 

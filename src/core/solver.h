@@ -10,18 +10,14 @@
 // range, flat above it) and servers of one type share their group's power
 // equally.  The surplus ratio 1 - sum(ratio_i) is left for battery charging.
 //
-// Three solver backends are provided and cross-checked in tests:
-//  - grid_refine (default): coarse scan + golden-section refinement, robust
-//    to the projection's kinks (the off-below-idle cliff);
-//  - analytic_n: closed-form KKT active-set water-filling for any group
-//    count — exhaustive over active sets, exact per-set Lagrangian, every
-//    candidate validated against the full clamped objective;
-//  - analytic_2: the historical 2-group interior closed form, kept as an
-//    inner candidate of grid_refine and as a micro-bench reference.
+// Solver::solve is the one exact engine: a closed-form KKT active-set
+// sweep for any group count up to 16 — exhaustive over active sets, exact
+// per-set Lagrangian, every candidate validated against the full clamped
+// objective.  solve_grid (an exhaustive simplex scan) is the reference
+// the tests and benches measure it against; solve_subset is the
+// subset-activation extension.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -54,15 +50,6 @@ struct GroupModel {
   [[nodiscard]] static GroupModel from_record(const ProfileRecord& record,
                                               int count);
 
-  /// Exact (bitwise) equality — the controller's verify-then-accept check
-  /// for batch-presolved allocations: a presolve is only valid when the
-  /// models it was computed from match the epoch's models to the last bit.
-  [[nodiscard]] friend bool operator==(const GroupModel& x,
-                                       const GroupModel& y) {
-    return x.fit.a == y.fit.a && x.fit.b == y.fit.b && x.fit.c == y.fit.c &&
-           x.min_power.value() == y.min_power.value() &&
-           x.max_power.value() == y.max_power.value() && x.count == y.count;
-  }
 };
 
 /// A solved allocation: one ratio per group (of the total supply), summing
@@ -79,75 +66,18 @@ struct Allocation {
   [[nodiscard]] double ratio_sum() const;
 };
 
-/// Which backend a solver-driven policy runs per epoch.
-enum class SolverBackend {
-  kGridRefine,  ///< coarse scan + refinement (the historical default)
-  kAnalyticN,   ///< closed-form KKT active-set sweep (solve_analytic_n)
-};
-
-/// Advisory warm-start carried across epochs: the previous solution's active
-/// set (bit i set = group i received power).  The solver only uses it to
-/// order/prune its active-set sweep after verifying the hinted set against
-/// the full clamped objective, so a hinted solve returns results
-/// bit-identical to a cold solve — a stale, wrong or garbage hint can only
-/// cost time, never change the answer.
-struct SolverHint {
-  std::uint64_t active_mask = 0;
-  bool engaged = false;
-
-  /// Derive the hint for the next epoch from a solved allocation.
-  [[nodiscard]] static SolverHint from(const Allocation& allocation);
-};
-
-/// SoA-packed batch of per-rack solve instances for Solver::solve_batch.
-/// Group scalars across all racks live in parallel arrays (one pass touches
-/// them sequentially); `offsets_` marks each rack's [begin, end) slice.
-class SolverBatch {
- public:
-  /// Append one rack's instance.  Validates the groups exactly like
-  /// solve_analytic_n would (throws SolverError on a malformed instance, so
-  /// a poisoned rack is rejected before the batch runs).
-  void add(std::span<const GroupModel> groups, Watts total_supply,
-           const SolverHint& hint = {});
-  [[nodiscard]] std::size_t size() const { return supplies_.size(); }
-  [[nodiscard]] bool empty() const { return supplies_.empty(); }
-  void clear();
-
- private:
-  friend class Solver;
-  // One entry per group, racks concatenated.
-  std::vector<double> count_;
-  std::vector<double> a_;
-  std::vector<double> b_;
-  std::vector<double> c_;
-  std::vector<double> min_w_;
-  std::vector<double> max_w_;
-  // One entry per rack.
-  std::vector<std::uint32_t> offsets_;  ///< size() + 1 fence posts
-  std::vector<double> supplies_;
-  std::vector<SolverHint> hints_;
-};
-
 class Solver {
  public:
-  /// Main entry: supports 1..3 groups (the paper's per-rack limit).
+  /// Main entry: the closed-form KKT/water-filling engine for 1..16 groups.
+  /// Sweeps active sets with each group clamped at its idle floor or
+  /// saturation cap, solves the interior Lagrangian in closed form per set,
+  /// and validates every candidate against the full clamped objective.
+  /// Exact on concave fits; degenerate (near-linear / convex) fits are
+  /// handled by endpoint enumeration plus a residual absorber and stay
+  /// within the differential oracle's tolerance.  Emits the "solve" trace
+  /// event and counters under the backend label "analytic_n".
   [[nodiscard]] static Allocation solve(std::span<const GroupModel> groups,
                                         Watts total_supply);
-
-  /// General N-group solver (the paper's "more complex cases" future work):
-  /// marginal-utility water-filling over the clamped piecewise objective —
-  /// repeatedly hand a small power quantum to the group whose projected
-  /// performance gains most, treating a group's idle floor as an
-  /// all-or-nothing activation — followed by coordinate-ascent refinement.
-  /// For <= 3 groups, delegate to solve(); for 4..16 groups, delegate to
-  /// the exact closed-form backend (solve_analytic_n) — greedy
-  /// water-filling can strand a large group's all-or-nothing activation
-  /// and lose real performance.  Only wider instances than the analytic
-  /// mask width run the greedy path, validated against the oracle in
-  /// tests.
-  [[nodiscard]] static Allocation solve_n(std::span<const GroupModel> groups,
-                                          Watts total_supply,
-                                          int quanta = 200);
 
   /// Subset-activation extension (beyond the paper): like solve(), but each
   /// group may concentrate its share on k <= count servers and sleep the
@@ -168,38 +98,6 @@ class Solver {
   [[nodiscard]] static Allocation solve_grid(std::span<const GroupModel> groups,
                                              Watts total_supply,
                                              double granularity);
-
-  /// Closed-form KKT/water-filling backend for any group count (1..16):
-  /// sweeps active sets with each group clamped at its idle floor or
-  /// saturation cap, solves the interior Lagrangian in closed form per set,
-  /// and validates every candidate against the full clamped objective.
-  /// Exact on concave fits; degenerate (near-linear / convex) fits are
-  /// handled by endpoint enumeration plus a residual absorber and stay
-  /// within the differential oracle's tolerance.  `hint` is an optional
-  /// warm start (see SolverHint) — it never changes the result, only the
-  /// search cost.  Emits counters only (backend label "analytic_n"), no
-  /// trace event, so warm/cold/batched solves stay byte-identical at the
-  /// trace level.
-  [[nodiscard]] static Allocation solve_analytic_n(
-      std::span<const GroupModel> groups, Watts total_supply,
-      const SolverHint* hint = nullptr);
-
-  /// Solve every rack of a fleet epoch in one pass over the SoA-packed
-  /// batch.  Result i is bit-identical to solve_analytic_n on instance i
-  /// with the same hint; the scratch buffers are reused across racks so a
-  /// large fleet allocates O(max groups per rack), not O(total groups).
-  [[nodiscard]] static std::vector<Allocation> solve_batch(
-      const SolverBatch& batch);
-
-  /// Analytic KKT solution assuming every group operates in the interior of
-  /// its range with a concave fit; returns an unclamped candidate that
-  /// solve() validates.  Exposed for tests and the solver micro-bench.
-  /// Only defined for 2 strictly concave groups; throws otherwise.  Returns
-  /// nullopt when the curvature ratio is too degenerate for the interior
-  /// system to be solvable (near-linear pairs): there is no interior
-  /// solution, and the caller falls back to its own search.
-  [[nodiscard]] static std::optional<Allocation> solve_analytic_2(
-      std::span<const GroupModel> groups, Watts total_supply);
 
   /// Model-predicted performance of an arbitrary ratio vector.
   [[nodiscard]] static double evaluate(std::span<const GroupModel> groups,

@@ -253,48 +253,6 @@ FleetReport Fleet::run(Minutes duration) {
     for (std::size_t i = 0; i < racks_.size(); ++i) {
       allocated += shares[i];
     }
-    if (config_.batch_solve) {
-      // Batched solver pre-pass at the grid-share barrier: shares must be
-      // assigned first (the peeked budget depends on the grid budget), then
-      // every analytic-backend rack's upcoming solve runs in one SoA pass.
-      // The solver's counters land on the coordinator's metrics (rack -1);
-      // each controller verifies its presolve before accepting, so the
-      // racks' own outputs are bit-identical to the unbatched path.
-      for (std::size_t i = 0; i < racks_.size(); ++i) {
-        racks_[i].set_grid_budget(shares[i]);
-      }
-      const TelemetryScope scope(
-          config_.telemetry.enabled ? telemetry_.get() : nullptr);
-      SolverBatch batch;
-      std::vector<std::size_t> who;
-      std::vector<SolveRequest> requests;
-      for (std::size_t i = 0; i < racks_.size(); ++i) {
-        SolveRequest request = racks_[i].peek_epoch_solve();
-        if (!request.valid) continue;
-        try {
-          batch.add(request.models, request.budget, request.hint);
-        } catch (const SolverError&) {
-          continue;  // malformed instance: that rack solves (and fails) inline
-        }
-        who.push_back(i);
-        requests.push_back(std::move(request));
-      }
-      if (!batch.empty()) {
-        try {
-          std::vector<Allocation> solved = Solver::solve_batch(batch);
-          for (std::size_t k = 0; k < who.size(); ++k) {
-            PresolvedSolve presolved;
-            presolved.allocation = std::move(solved[k]);
-            presolved.budget = requests[k].budget;
-            presolved.models = std::move(requests[k].models);
-            racks_[who[k]].set_presolved(std::move(presolved));
-          }
-        } catch (const SolverError&) {
-          // An instance slipped past add()'s validation: drop the whole
-          // batch; every rack simply solves inline this epoch.
-        }
-      }
-    }
     // Two-level fan-out: the coordinator runs one task per shard; each
     // shard steps its own racks behind its local barrier.  Which pool a
     // rack lands on never changes its arithmetic, so the records are

@@ -473,6 +473,20 @@ TEST(Snapshot, RejectsForeignMagicAndFutureVersion) {
   write_file(files[0], future);
   EXPECT_THROW((void)checkpoint::load_snapshot(files[0]),
                checkpoint::CheckpointError);
+
+  // A snapshot from the previous layout must be refused by its version,
+  // not misread field by field.
+  std::string previous = bytes;
+  previous[8] = static_cast<char>(checkpoint::kSnapshotVersion - 1);
+  write_file(files[0], previous);
+  try {
+    (void)checkpoint::load_snapshot(files[0]);
+    FAIL() << "expected CheckpointError for a previous-version snapshot";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Snapshot, RejectsTrailingGarbage) {

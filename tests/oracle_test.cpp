@@ -71,13 +71,12 @@ TEST(OracleHarness, CleanOnRandomInstancesAcrossSeeds) {
 }
 
 TEST(OracleHarness, AnalyticBackendExactOnManyRandomInstances) {
-  // Acceptance gate for the closed-form N-group backend: 1000 randomized
+  // Acceptance gate for the closed-form N-group solver: 1000 randomized
   // instances with group counts up to 5, degenerate fits (near-linear,
-  // convex, idle~peak) included.  Check (f) inside run_oracle holds
-  // solve_analytic_n to near machine precision against the oracle's
-  // independent evaluation of its ratios, to dominance over both the fast
-  // solver and the brute-force grid optimum, and to warm-start
-  // bit-identity with its own cold solution.
+  // convex, idle~peak) included.  Checks (b) and (c) inside run_oracle hold
+  // Solver::solve to near machine precision against the oracle's
+  // independent evaluation of its ratios and to dominance over the
+  // brute-force grid optimum.
   OracleConfig config;
   config.max_groups = 5;
   const OracleReport report = check::run_oracle(20260809, 1000, config);

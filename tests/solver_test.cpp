@@ -151,23 +151,10 @@ TEST(SolverAnalytic, MatchesGridOnInteriorProblem) {
       concave_group(-0.01, 6.0, -100.0, Watts{20.0}, Watts{260.0}, 2),
       concave_group(-0.02, 8.0, -120.0, Watts{20.0}, Watts{190.0}, 3),
   };
-  const std::optional<Allocation> analytic =
-      Solver::solve_analytic_2(groups, Watts{700.0});
-  ASSERT_TRUE(analytic.has_value());
+  const Allocation analytic = Solver::solve(groups, Watts{700.0});
   const Allocation brute = Solver::solve_grid(groups, Watts{700.0}, 0.001);
-  EXPECT_NEAR(analytic->predicted_perf, brute.predicted_perf,
+  EXPECT_NEAR(analytic.predicted_perf, brute.predicted_perf,
               brute.predicted_perf * 0.002);
-}
-
-TEST(SolverAnalytic, RequiresTwoConcaveGroups) {
-  auto groups = xeon_i5_pair();
-  groups.push_back(groups[0]);
-  EXPECT_THROW((void)Solver::solve_analytic_2(groups, Watts{700.0}),
-               SolverError);
-  std::vector<GroupModel> convex = xeon_i5_pair();
-  convex[0].fit.a = 0.01;
-  EXPECT_THROW((void)Solver::solve_analytic_2(convex, Watts{700.0}),
-               SolverError);
 }
 
 TEST(Solver, EvaluateChecksSizes) {
@@ -188,17 +175,10 @@ std::vector<GroupModel> five_groups() {
   };
 }
 
-TEST(SolverN, DelegatesForSmallGroupCounts) {
-  const auto groups = xeon_i5_pair();
-  const Allocation direct = Solver::solve(groups, Watts{700.0});
-  const Allocation via_n = Solver::solve_n(groups, Watts{700.0});
-  EXPECT_DOUBLE_EQ(via_n.predicted_perf, direct.predicted_perf);
-}
-
 TEST(SolverN, FiveGroupsNearBruteForce) {
   const auto groups = five_groups();
   for (double supply : {1200.0, 2000.0, 3000.0}) {
-    const Allocation fast = Solver::solve_n(groups, Watts{supply});
+    const Allocation fast = Solver::solve(groups, Watts{supply});
     const Allocation brute = Solver::solve_grid(groups, Watts{supply}, 0.05);
     EXPECT_LE(fast.ratio_sum(), 1.0 + 1e-6);
     for (double r : fast.ratios) EXPECT_GE(r, -1e-9);
@@ -211,7 +191,7 @@ TEST(SolverN, BeatsUniformOnFiveGroups) {
   const auto groups = five_groups();
   const Watts supply{1500.0};
   const std::vector<double> uniform(5, 0.2);
-  const Allocation a = Solver::solve_n(groups, supply);
+  const Allocation a = Solver::solve(groups, supply);
   EXPECT_GE(a.predicted_perf,
             Solver::evaluate(groups, uniform, supply) - 1e-6);
 }
@@ -220,7 +200,7 @@ TEST(SolverN, ScarcityActivatesOnlyAffordableGroups) {
   const auto groups = five_groups();
   // 450 W cannot wake the 5x88 W-floor Xeons; the solver must not strand
   // power on sleeping groups.
-  const Allocation a = Solver::solve_n(groups, Watts{450.0});
+  const Allocation a = Solver::solve(groups, Watts{450.0});
   EXPECT_GT(a.predicted_perf, 0.0);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (a.ratios[g] < 1e-9) continue;
@@ -233,23 +213,11 @@ TEST(SolverN, ScarcityActivatesOnlyAffordableGroups) {
 
 TEST(SolverN, ValidatesInputs) {
   const std::vector<GroupModel> none;
-  EXPECT_THROW((void)Solver::solve_n(none, Watts{100.0}), SolverError);
+  EXPECT_THROW((void)Solver::solve(none, Watts{100.0}), SolverError);
   auto groups = five_groups();
-  EXPECT_THROW((void)Solver::solve_n(groups, Watts{0.0}), SolverError);
+  EXPECT_THROW((void)Solver::solve(groups, Watts{0.0}), SolverError);
   groups[2].count = 0;
-  EXPECT_THROW((void)Solver::solve_n(groups, Watts{1000.0}), SolverError);
-}
-
-TEST(SolverN, DelegatesToAnalyticForMidWidths) {
-  // 4..16 groups: solve_n is the exact closed-form backend, bit for bit.
-  const auto groups = five_groups();
-  for (double supply : {450.0, 1500.0, 2600.0}) {
-    const Allocation via_n = Solver::solve_n(groups, Watts{supply});
-    const Allocation direct = Solver::solve_analytic_n(groups, Watts{supply});
-    EXPECT_EQ(via_n.ratios, direct.ratios) << "supply " << supply;
-    EXPECT_EQ(via_n.predicted_perf, direct.predicted_perf)
-        << "supply " << supply;
-  }
+  EXPECT_THROW((void)Solver::solve(groups, Watts{1000.0}), SolverError);
 }
 
 TEST(SolverN, FuzzerLostPerfInstanceStaysOptimal) {
@@ -258,7 +226,7 @@ TEST(SolverN, FuzzerLostPerfInstanceStaysOptimal) {
   // group's all-or-nothing floor (532 W of the 543 W supply) — the true
   // optimum — losing ~10% of the objective.  Pairwise exchange cannot
   // repair it either: no two-group pool is large enough to stage the
-  // three-way move.  solve_n must stay at the brute-force optimum here.
+  // three-way move.  The solver must stay at the brute-force optimum here.
   const std::vector<GroupModel> groups = {
       concave_group(-0.00982267, 13.5428, 17.8723, Watts{88.6642},
                     Watts{162.152}, 6),
@@ -270,42 +238,23 @@ TEST(SolverN, FuzzerLostPerfInstanceStaysOptimal) {
                     Watts{171.745}, 1),
   };
   const Watts supply{542.948};
-  const Allocation a = Solver::solve_n(groups, supply);
+  const Allocation a = Solver::solve(groups, supply);
   const check::OracleSolution ref = check::oracle_solve(groups, supply, 0.02);
   // The greedy path returned ~6253 against a brute-force 6978; the exact
   // backend must not fall below the grid lower bound at all.
   EXPECT_GE(a.predicted_perf, ref.perf - 1e-6);
 }
 
-TEST(SolverN, GreedyPathBeyondAnalyticWidthSpendsResidual) {
-  // 17 groups exceed the analytic mask width, forcing the greedy
-  // water-filling path.  Supply below total saturation: the optimum spends
-  // everything, and the stranded-residual repair must hand the final
-  // sub-quantum slice to an unclamped group instead of exiting with
-  // `remaining` unspent.
-  const std::vector<GroupModel> groups(
-      17, concave_group(-0.02, 8.0, -50.0, Watts{40.0}, Watts{120.0}, 2));
-  const Watts supply{3800.0};
-  const Allocation a = Solver::solve_n(groups, supply);
-  EXPECT_GE(a.ratio_sum(), 1.0 - 1e-6);
-  // Identical concave groups: the equal split is the exact optimum.
-  const std::vector<double> equal(17, 1.0 / 17.0);
-  const double optimum = Solver::evaluate(groups, equal, supply);
-  EXPECT_GE(a.predicted_perf, optimum * 0.995);
-}
-
-TEST(SolverAnalytic, NearLinearPairReturnsSentinel) {
-  // Both curvatures below the 1e-9 sentinel: the interior stationary
-  // system divides by 2a and would overflow long before the caller's clamp
-  // could help.  The analytic path must decline explicitly (nullopt, not a
-  // garbage candidate) and the production solver falls through to grid
-  // refinement, staying at the oracle's brute-force optimum.
+TEST(SolverAnalytic, NearLinearPairMatchesOracle) {
+  // Both curvatures are far below the water-filling threshold: an interior
+  // stationary point would divide by 2a and overflow, so both groups take
+  // the endpoint-enumeration path and the solve must still reach the
+  // oracle's brute-force optimum with a self-consistent objective.
   const std::vector<GroupModel> groups = {
       concave_group(-1e-10, 5.0, -50.0, Watts{40.0}, Watts{160.0}, 3),
       concave_group(-3e-10, 6.0, -60.0, Watts{50.0}, Watts{170.0}, 2),
   };
   const Watts supply{700.0};
-  EXPECT_FALSE(Solver::solve_analytic_2(groups, supply).has_value());
   const Allocation fast = Solver::solve(groups, supply);
   const check::OracleSolution ref =
       check::oracle_solve(groups, supply, 0.005);
@@ -345,7 +294,7 @@ TEST(SolverAnalyticN, MatchesFineBruteForceOnFixtures) {
   three.push_back(
       concave_group(-0.05, 7.0, -100.0, Watts{58.0}, Watts{79.0}, 5));
   for (double supply : {500.0, 900.0, 1500.0, 2600.0}) {
-    const Allocation a = Solver::solve_analytic_n(three, Watts{supply});
+    const Allocation a = Solver::solve(three, Watts{supply});
     const Allocation brute = Solver::solve_grid(three, Watts{supply}, 0.01);
     EXPECT_LE(a.ratio_sum(), 1.0 + 1e-6);
     EXPECT_GE(a.predicted_perf, brute.predicted_perf - 1e-6)
@@ -353,7 +302,7 @@ TEST(SolverAnalyticN, MatchesFineBruteForceOnFixtures) {
   }
   const auto five = five_groups();
   for (double supply : {450.0, 1200.0, 2000.0, 3500.0}) {
-    const Allocation a = Solver::solve_analytic_n(five, Watts{supply});
+    const Allocation a = Solver::solve(five, Watts{supply});
     const Allocation brute = Solver::solve_grid(five, Watts{supply}, 0.05);
     EXPECT_LE(a.ratio_sum(), 1.0 + 1e-6);
     EXPECT_GE(a.predicted_perf, brute.predicted_perf - 1e-6)
@@ -364,93 +313,44 @@ TEST(SolverAnalyticN, MatchesFineBruteForceOnFixtures) {
                 std::max(1e-6, 1e-9 * std::fabs(a.predicted_perf)))
         << "5 groups, supply " << supply;
   }
-}
-
-TEST(SolverAnalyticN, WarmHintNeverChangesTheResult) {
-  // The warm-start contract: a hint — derived from the previous solution,
-  // stale, or outright garbage — may only change the search cost, never
-  // the answer.  Bitwise comparison across random instances, including the
-  // generator's degenerate fits.
-  Rng rng(20260809);
-  for (int i = 0; i < 200; ++i) {
-    Rng instance = rng.fork(static_cast<std::uint64_t>(i));
-    const std::vector<GroupModel> groups =
-        check::random_group_models(instance, 5);
-    const Watts supply = check::random_supply(instance);
-    const Allocation cold = Solver::solve_analytic_n(groups, supply);
-
-    const SolverHint own = SolverHint::from(cold);
-    const Allocation warm = Solver::solve_analytic_n(groups, supply, &own);
-    EXPECT_EQ(warm.ratios, cold.ratios) << "instance " << i;
-    EXPECT_EQ(warm.predicted_perf, cold.predicted_perf) << "instance " << i;
-
-    SolverHint garbage;
-    garbage.active_mask = 0xDEADBEEFULL;
-    garbage.engaged = true;
-    const Allocation junk = Solver::solve_analytic_n(groups, supply, &garbage);
-    EXPECT_EQ(junk.ratios, cold.ratios) << "instance " << i;
-    EXPECT_EQ(junk.predicted_perf, cold.predicted_perf) << "instance " << i;
-
-    const SolverHint disengaged;  // engaged = false: must behave like cold
-    const Allocation none =
-        Solver::solve_analytic_n(groups, supply, &disengaged);
-    EXPECT_EQ(none.ratios, cold.ratios) << "instance " << i;
-    EXPECT_EQ(none.predicted_perf, cold.predicted_perf) << "instance " << i;
-  }
-}
-
-TEST(SolverAnalyticN, BatchMatchesIndividualSolves) {
-  // solve_batch over SoA-packed instances must reproduce per-instance
-  // solve_analytic_n bit for bit, hints included.
-  Rng rng(424242);
-  SolverBatch batch;
-  std::vector<std::vector<GroupModel>> instances;
-  std::vector<Watts> supplies;
-  std::vector<SolverHint> hints;
-  for (int i = 0; i < 32; ++i) {
-    Rng instance = rng.fork(static_cast<std::uint64_t>(i));
-    instances.push_back(check::random_group_models(instance, 5));
-    supplies.push_back(check::random_supply(instance));
-    SolverHint hint;
-    if (i % 3 == 1) {
-      hint = SolverHint::from(
-          Solver::solve_analytic_n(instances.back(), supplies.back()));
-    } else if (i % 3 == 2) {
-      hint.active_mask = 0b1010101;  // deliberately wrong for most instances
-      hint.engaged = true;
-    }
-    hints.push_back(hint);
-    batch.add(instances.back(), supplies.back(), hint);
-  }
-  const std::vector<Allocation> batched = Solver::solve_batch(batch);
-  ASSERT_EQ(batched.size(), instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Allocation single = Solver::solve_analytic_n(
-        instances[i], supplies[i],
-        hints[i].engaged ? &hints[i] : nullptr);
-    EXPECT_EQ(batched[i].ratios, single.ratios) << "instance " << i;
-    EXPECT_EQ(batched[i].predicted_perf, single.predicted_perf)
-        << "instance " << i;
-  }
+  // A convex narrow-range member next to a steep concave one, where the
+  // full set cannot pay its floors.  The optimum runs groups 1 and 2 at
+  // their peak power and leaves group 0 off, so its value equals that
+  // mask's crude subset bound: a pruning test that compares the bound
+  // against anything but an achieved incumbent can round the optimum away.
+  const std::vector<GroupModel> narrow = {
+      concave_group(-0.056473479348623484, 14.032303815114981,
+                    -468.21167826934578, Watts{66.0},
+                    Watts{107.40000000000001}, 5),
+      concave_group(-25.111152122886786, 2167.6563311442446,
+                    -45898.207874733474, Watts{39.0},
+                    Watts{41.204999999999998}, 3),
+      concave_group(0.95366555825760491, -59.979699828893615,
+                    978.5147920847603, Watts{47.0}, Watts{49.204999999999998},
+                    4),
+  };
+  const Watts narrow_supply{375.55037641425196};
+  const Allocation a = Solver::solve(narrow, narrow_supply);
+  const Allocation brute = Solver::solve_grid(narrow, narrow_supply, 0.01);
+  EXPECT_NEAR(brute.predicted_perf, 3699.807849, 1e-6);
+  EXPECT_LE(a.ratio_sum(), 1.0 + 1e-6);
+  EXPECT_GE(a.predicted_perf, brute.predicted_perf - 1e-6);
 }
 
 TEST(SolverAnalyticN, ValidatesInputs) {
   const std::vector<GroupModel> none;
-  EXPECT_THROW((void)Solver::solve_analytic_n(none, Watts{100.0}),
+  EXPECT_THROW((void)Solver::solve(none, Watts{100.0}),
                SolverError);
   const std::vector<GroupModel> wide(
       17, concave_group(-0.02, 8.0, -50.0, Watts{40.0}, Watts{120.0}, 2));
-  EXPECT_THROW((void)Solver::solve_analytic_n(wide, Watts{1000.0}),
+  EXPECT_THROW((void)Solver::solve(wide, Watts{1000.0}),
                SolverError);
   auto groups = five_groups();
-  EXPECT_THROW((void)Solver::solve_analytic_n(groups, Watts{0.0}),
+  EXPECT_THROW((void)Solver::solve(groups, Watts{0.0}),
                SolverError);
   groups[1].count = 0;
-  EXPECT_THROW((void)Solver::solve_analytic_n(groups, Watts{1000.0}),
+  EXPECT_THROW((void)Solver::solve(groups, Watts{1000.0}),
                SolverError);
-  SolverBatch batch;
-  EXPECT_THROW(batch.add(wide, Watts{1000.0}), SolverError);
-  EXPECT_THROW(batch.add(five_groups(), Watts{0.0}), SolverError);
 }
 
 TEST(Solver, SurvivesConvexFitsFromNoise) {
