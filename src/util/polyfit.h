@@ -60,7 +60,8 @@ struct Quadratic {
   [[nodiscard]] static Quadratic from_polynomial(const Polynomial& p);
 };
 
-/// Quadratic least squares over (x, y); needs >= 3 samples.
+/// Quadratic least squares over (x, y); needs >= 3 samples.  Bitwise equal
+/// to `polyfit(x, y, 2)`, without allocating.
 [[nodiscard]] Quadratic quadratic_fit(std::span<const double> x,
                                       std::span<const double> y);
 

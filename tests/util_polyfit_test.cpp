@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -93,6 +95,54 @@ TEST(FitRmse, ZeroForExactFit) {
   for (double xi : x) y.push_back(1.0 + xi);
   const Polynomial p = polyfit(x, y, 1);
   EXPECT_NEAR(fit_rmse(p, x, y), 0.0, 1e-10);
+}
+
+TEST(QuadraticFit, MatchesPolyfitBitwise) {
+  // quadratic_fit is polyfit(x, y, 2) on fixed-size arrays; the two must
+  // agree to the last bit on any sample set, including the database's
+  // (server power in watts, throughput) shape and far-off scales.
+  Rng rng{20240517};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  int singular = 0;
+  for (int fit = 0; fit < 20000; ++fit) {
+    const int n = rng.uniform_int(3, 64);
+    const double scale = fit % 3 == 0 ? 1.0 : (fit % 3 == 1 ? 1e3 : 1e-3);
+    const double lo = rng.uniform(-2.0, 2.0) * scale;
+    const double hi = lo + rng.uniform(0.01, 4.0) * scale;
+    const double a = rng.uniform(-1.0, 1.0);
+    const double b = rng.uniform(-10.0, 10.0);
+    const double c = rng.uniform(-100.0, 100.0);
+    std::vector<double> x(static_cast<std::size_t>(n));
+    std::vector<double> y(x.size());
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      x[k] = rng.uniform(lo, hi);
+      y[k] = (a * x[k] + b) * x[k] + c + rng.uniform(-1.0, 1.0);
+    }
+    SCOPED_TRACE("fit " + std::to_string(fit));
+    Polynomial p;
+    try {
+      p = polyfit(x, y, 2);
+    } catch (const FitError&) {
+      // Tiny spreads hit the absolute singularity threshold: both paths
+      // must refuse alike.
+      ASSERT_THROW((void)quadratic_fit(x, y), FitError);
+      ++singular;
+      continue;
+    }
+    const Quadratic q = quadratic_fit(x, y);
+    ASSERT_EQ(p.coefficients.size(), 3u);
+    ASSERT_EQ(bits(q.c), bits(p.coefficients[0]));
+    ASSERT_EQ(bits(q.b), bits(p.coefficients[1]));
+    ASSERT_EQ(bits(q.a), bits(p.coefficients[2]));
+  }
+  EXPECT_LT(singular, 20000 / 3);  // most fits must reach the comparison
+  // Degenerate inputs fail the same way on both paths.
+  const std::vector<double> same_x(5, 2.0);
+  const std::vector<double> ys = {1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_THROW((void)polyfit(same_x, ys, 2), FitError);
+  EXPECT_THROW((void)quadratic_fit(same_x, ys), FitError);
+  const std::vector<double> two = {1.0, 2.0};
+  EXPECT_THROW((void)quadratic_fit(two, two), FitError);
 }
 
 TEST(Quadratic, Operations) {
