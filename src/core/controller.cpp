@@ -279,8 +279,7 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
                        {"reason", signals.reason()}});
       if (telemetry::Telemetry* t = telemetry::current()) {
         t->metrics()
-            .counter("gh_health_transitions_total",
-                     {{"to", to_string(transition->to)}})
+            .counter("gh_health_transitions_total", transition->to)
             .increment();
       }
     }

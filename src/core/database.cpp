@@ -12,11 +12,12 @@ namespace greenhetero {
 
 namespace {
 
-void count_db_event(const char* kind) {
+/// gh_db_samples_total's `kind` label, in catalog order.
+enum class SampleKind { kTraining, kRuntime };
+
+void count_db_event(SampleKind kind) {
   if (telemetry::Telemetry* t = telemetry::current()) {
-    t->metrics()
-        .counter("gh_db_samples_total", {{"kind", kind}})
-        .increment();
+    t->metrics().counter("gh_db_samples_total", kind).increment();
   }
 }
 
@@ -74,7 +75,7 @@ void PerfPowerDatabase::add_training_samples(
   record.pinned = record.powers.size();
   refit(record);
   records_[key] = std::move(record);
-  count_db_event("training");
+  count_db_event(SampleKind::kTraining);
 }
 
 void PerfPowerDatabase::add_runtime_sample(ProfileKey key,
@@ -84,7 +85,7 @@ void PerfPowerDatabase::add_runtime_sample(ProfileKey key,
     throw DatabaseError("database: runtime sample for unknown key");
   }
   ProfileRecord& record = it->second;
-  count_db_event("runtime");
+  count_db_event(SampleKind::kRuntime);
 
   // Merge into a nearby existing *runtime* sample when one exists.
   const double range = record.max_power.value() - record.min_power.value();

@@ -120,23 +120,29 @@ double Solver::evaluate(std::span<const GroupModel> groups,
 
 namespace {
 
+/// Solver entry points, in the catalog's `backend` label order.
+enum class Backend { kAnalyticN, kGrid, kSubset };
+constexpr telemetry::CounterId kSolverCalls = "gh_solver_calls_total";
+static_assert(kSolverCalls.label_value(Backend::kAnalyticN) == "analytic_n" &&
+              kSolverCalls.label_value(Backend::kGrid) == "grid" &&
+              kSolverCalls.label_value(Backend::kSubset) == "subset");
+
 /// Counter + trace event for one solver entry-point call (no-op outside a
 /// telemetry scope; benches hammering the solver directly stay clean).
 /// `iterations` is the entry point's unit of search work — objective /
 /// candidate evaluations — so gh_solver_iterations_total divided by
 /// gh_solver_calls_total exposes each path's per-call search cost.
-void report_solve(const char* backend, std::span<const GroupModel> groups,
+
+void report_solve(Backend backend, std::span<const GroupModel> groups,
                   Watts total_supply, const Allocation& result,
                   std::uint64_t iterations) {
   telemetry::Telemetry* t = telemetry::current();
   if (t == nullptr) return;
+  t->metrics().counter(kSolverCalls, backend).increment();
   t->metrics()
-      .counter("gh_solver_calls_total", {{"backend", backend}})
-      .increment();
-  t->metrics()
-      .counter("gh_solver_iterations_total", {{"backend", backend}})
+      .counter("gh_solver_iterations_total", backend)
       .increment(static_cast<double>(iterations));
-  t->emit("solve", {{"backend", backend},
+  t->emit("solve", {{"backend", kSolverCalls.label_value(backend)},
                     {"groups", groups.size()},
                     {"supply_w", total_supply.value()},
                     {"ratios", result.ratios},
@@ -293,7 +299,7 @@ Allocation Solver::solve_subset(std::span<const GroupModel> groups,
   // Subset performance is computed against activation counts, so a repair
   // must not overwrite it with the whole-group estimate.
   sanitize_allocation(groups, total_supply, /*recompute_perf=*/false, best);
-  report_solve("subset", groups, total_supply, best, evals);
+  report_solve(Backend::kSubset, groups, total_supply, best, evals);
   return best;
 }
 
@@ -333,7 +339,7 @@ Allocation Solver::solve_grid(std::span<const GroupModel> groups,
   };
   enumerate(enumerate, 0, steps);
   sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, best);
-  report_solve("grid", groups, total_supply, best, evals);
+  report_solve(Backend::kGrid, groups, total_supply, best, evals);
   return best;
 }
 
@@ -994,7 +1000,7 @@ Allocation Solver::solve(std::span<const GroupModel> groups,
   Allocation result =
       analytic_solve({raw.data(), groups.size()}, total_supply.value(), evals);
   sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
-  report_solve("analytic_n", groups, total_supply, result, evals);
+  report_solve(Backend::kAnalyticN, groups, total_supply, result, evals);
   return result;
 }
 

@@ -17,8 +17,7 @@ SourceDecision PowerSourceSelector::decide(Watts predicted_renewable,
       decide_impl(predicted_renewable, predicted_demand, plant, dt);
   if (telemetry::Telemetry* t = telemetry::current()) {
     t->metrics()
-        .counter("gh_source_decisions_total",
-                 {{"case", to_string(decision.source_case)}})
+        .counter("gh_source_decisions_total", decision.source_case)
         .increment();
     t->emit("source_select",
             {{"case", to_string(decision.source_case)},

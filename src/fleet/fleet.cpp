@@ -290,13 +290,13 @@ FleetReport Fleet::run(Minutes duration) {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         const tel::Labels label{{"shard", std::to_string(s)}};
         telemetry_->metrics()
-            .gauge("gh_shard_grant_w", label)
+            .named_gauge("gh_shard_grant_w", label)
             .set(decision.grants[s].value());
         telemetry_->metrics()
-            .gauge("gh_shard_deficit_w", label)
+            .named_gauge("gh_shard_deficit_w", label)
             .set(summaries[s].deficit_sum);
         telemetry_->metrics()
-            .gauge("gh_shard_racks", label)
+            .named_gauge("gh_shard_racks", label)
             .set(static_cast<double>(shards_[s].racks()));
       }
     }

@@ -310,10 +310,7 @@ void RackSimulator::apply_fault_action(const FaultAction& action,
                              {"value", action.value}});
     t->set_now(stamp);
     if (action.begin) {
-      t->metrics()
-          .counter("gh_faults_injected_total",
-                   {{"kind", to_string(action.kind)}})
-          .increment();
+      t->metrics().counter("gh_faults_injected_total", action.kind).increment();
     }
   }
 }
@@ -393,13 +390,12 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
   Telemetry* t = tel::current();
   if (t == nullptr) return;
   tel::MetricsRegistry& m = t->metrics();
-  m.counter("gh_epochs_total", {{"case", std::string(to_string(record.source_case))}})
-      .increment();
+  m.counter("gh_epochs_total", record.source_case).increment();
   if (record.training) m.counter("gh_training_epochs_total").increment();
   m.counter("gh_substeps_total")
       .increment(static_cast<double>(clock_.substeps_per_epoch()));
   if (!record.training) {
-    m.histogram("gh_renewable_prediction_error_w", tel::watt_buckets())
+    m.histogram("gh_renewable_prediction_error_w")
         .observe(std::fabs(record.predicted_renewable.value() -
                            record.actual_renewable.value()));
   }
@@ -428,9 +424,8 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
                             {"epu", epoch.epu()}};
     for (tel::LossBucket b : tel::all_loss_buckets()) {
       const double watts = epoch.bucket(b);
-      m.gauge("gh_loss_w", {{"bucket", std::string(tel::to_string(b))}})
-          .set(watts);
-      fields.emplace_back(std::string(tel::to_string(b)) + "_w", watts);
+      m.gauge("gh_loss_w", b).set(watts);
+      fields.emplace_back(tel::watts_key(b), watts);
     }
     t->emit("loss_ledger", std::move(fields));
   }

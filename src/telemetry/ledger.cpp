@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace greenhetero::telemetry {
 
@@ -41,6 +42,18 @@ std::string_view to_string(LossBucket bucket) {
 }
 
 std::span<const LossBucket> all_loss_buckets() { return kAllBuckets; }
+
+TraceKey watts_key(LossBucket bucket) {
+  static const std::array<TraceKey, kLossBucketCount> kKeys = [] {
+    std::array<TraceKey, kLossBucketCount> keys;
+    for (LossBucket b : kAllBuckets) {
+      keys[static_cast<std::size_t>(b)] =
+          TraceKey::intern(std::string(to_string(b)) + "_w");
+    }
+    return keys;
+  }();
+  return kKeys[static_cast<std::size_t>(bucket)];
+}
 
 double EpochLossRecord::bucket_sum_w() const {
   double sum = 0.0;

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "checkpoint/serializer.h"
+#include "telemetry/tracing.h"
 
 namespace greenhetero::telemetry {
 
@@ -61,6 +62,8 @@ inline constexpr std::size_t kLossBucketCount = 9;
 [[nodiscard]] std::string_view to_string(LossBucket bucket);
 /// All buckets in enum order (iteration helper for exports and tests).
 [[nodiscard]] std::span<const LossBucket> all_loss_buckets();
+/// The `<bucket>_w` trace field key of `loss_ledger` and `rollup` events.
+[[nodiscard]] TraceKey watts_key(LossBucket bucket);
 
 /// Per-group enforcement-gap candidates for one substep (watts), attributed
 /// by the Enforcer from budget-vs-draw per group.  These are *candidates*:

@@ -73,39 +73,6 @@ void Histogram::restore(const std::vector<std::uint64_t>& buckets,
   sum_ = sum;
 }
 
-std::span<const double> latency_buckets_ns() {
-  static const std::array<double, 23> kBuckets = [] {
-    std::array<double, 23> b{};
-    double edge = 1000.0;  // 1 us
-    for (double& v : b) {
-      v = edge;
-      edge *= 2.0;
-    }
-    return b;
-  }();
-  return kBuckets;
-}
-
-std::span<const double> watt_buckets() {
-  static constexpr std::array<double, 12> kBuckets = {
-      1.0,   2.0,   5.0,    10.0,   20.0,   50.0,
-      100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
-  return kBuckets;
-}
-
-std::span<const double> queue_depth_buckets() {
-  static const std::array<double, 17> kBuckets = [] {
-    std::array<double, 17> b{};
-    double edge = 1.0;
-    for (double& v : b) {
-      v = edge;
-      edge *= 2.0;
-    }
-    return b;
-  }();
-  return kBuckets;
-}
-
 double histogram_quantile(std::span<const double> bounds,
                           std::span<const std::uint64_t> buckets, double q) {
   std::uint64_t total = 0;
@@ -133,57 +100,6 @@ double histogram_quantile(std::span<const double> bounds,
 
 double Histogram::quantile(double q) const {
   return histogram_quantile(bounds_, counts_, q);
-}
-
-std::span<const std::string_view> builtin_metrics() {
-  static constexpr std::array<std::string_view, 45> kCatalog = {
-      "gh_battery_soc",
-      "gh_db_quarantined_total",
-      "gh_db_refit_ns",
-      "gh_db_samples_total",
-      "gh_degraded_substeps_total",
-      "gh_enforcements_total",
-      "gh_epochs_total",
-      "gh_faults_injected_total",
-      "gh_finish_epoch_ns",
-      "gh_fleet_epochs_total",
-      "gh_fleet_shards",
-      "gh_flightrec_dumps_total",
-      "gh_health_state",
-      "gh_health_transitions_total",
-      "gh_holt_retrain_ns",
-      "gh_loss_epochs_total",
-      "gh_loss_invariant_error_w",
-      "gh_loss_w",
-      "gh_plan_epoch_ns",
-      "gh_policy_allocate_ns",
-      "gh_predict_ns",
-      "gh_predictor_retrains_total",
-      "gh_pretrain_ns",
-      "gh_renewable_prediction_error_w",
-      "gh_rollup_windows_total",
-      "gh_safe_mode_epochs_total",
-      "gh_shard_deficit_w",
-      "gh_shard_grant_w",
-      "gh_shard_racks",
-      "gh_solver_calls_total",
-      "gh_solver_failures_total",
-      "gh_solver_repairs_total",
-      "gh_solver_solve_grid_ns",
-      "gh_solver_solve_ns",
-      "gh_solver_solve_subset_ns",
-      "gh_source_decisions_total",
-      "gh_spans_dropped_total",
-      "gh_step_epoch_ns",
-      "gh_substep_loop_ns",
-      "gh_substeps_total",
-      "gh_trace_buffer_bytes",
-      "gh_trace_events_streamed_total",
-      "gh_trace_queue_depth",
-      "gh_trace_stalls_total",
-      "gh_training_epochs_total",
-  };
-  return kCatalog;
 }
 
 std::string_view to_string(MetricKind kind) {
@@ -396,70 +312,80 @@ std::uint32_t MetricsRegistry::intern(std::string_view s) {
   return id;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name, const Labels& labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+MetricsRegistry::SeriesKey MetricsRegistry::key_for(std::string_view name,
+                                                    const Labels& labels) {
   SeriesKey key{intern(name), {}};
   for (const auto& [k, v] : labels) {
     key.second.push_back(intern(k));
     key.second.push_back(intern(v));
   }
-  auto [it, inserted] = series_.try_emplace(std::move(key));
-  if (inserted) {
-    it->second.kind = MetricKind::kCounter;
-  } else if (it->second.kind != MetricKind::kCounter) {
-    throw TelemetryError("metric '" + std::string(name) +
-                         "' already registered with a different kind");
-  }
-  return it->second.counter;
+  return key;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name, const Labels& labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  SeriesKey key{intern(name), {}};
-  for (const auto& [k, v] : labels) {
-    key.second.push_back(intern(k));
-    key.second.push_back(intern(v));
-  }
+MetricsRegistry::Series& MetricsRegistry::fetch_or_create(
+    SeriesKey key, std::string_view name, MetricKind kind,
+    std::span<const double> bounds) {
   auto [it, inserted] = series_.try_emplace(std::move(key));
+  Series& series = it->second;
   if (inserted) {
-    it->second.kind = MetricKind::kGauge;
-  } else if (it->second.kind != MetricKind::kGauge) {
+    series.kind = kind;
+    if (kind == MetricKind::kHistogram) series.histogram.emplace_back(bounds);
+  } else if (series.kind != kind) {
     throw TelemetryError("metric '" + std::string(name) +
                          "' already registered with a different kind");
-  }
-  return it->second.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::span<const double> upper_bounds,
-                                      const Labels& labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  SeriesKey key{intern(name), {}};
-  for (const auto& [k, v] : labels) {
-    key.second.push_back(intern(k));
-    key.second.push_back(intern(v));
-  }
-  auto [it, inserted] = series_.try_emplace(std::move(key));
-  if (inserted) {
-    it->second.kind = MetricKind::kHistogram;
-    it->second.histogram.emplace_back(upper_bounds);
-  } else if (it->second.kind != MetricKind::kHistogram) {
-    throw TelemetryError("metric '" + std::string(name) +
-                         "' already registered with a different kind");
-  } else {
-    const std::vector<double>& have = it->second.histogram.front().upper_bounds();
-    if (!std::equal(have.begin(), have.end(), upper_bounds.begin(),
-                    upper_bounds.end())) {
+  } else if (kind == MetricKind::kHistogram) {
+    const std::vector<double>& have = series.histogram.front().upper_bounds();
+    if (!std::equal(have.begin(), have.end(), bounds.begin(), bounds.end())) {
       throw TelemetryError("histogram '" + std::string(name) +
                            "' re-registered with different bucket bounds");
     }
   }
-  return it->second.histogram.front();
+  return series;
 }
 
-Histogram& MetricsRegistry::latency(std::string_view name,
+Counter& MetricsRegistry::named_counter(std::string_view name,
+                                        const Labels& labels) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return fetch_or_create(key_for(name, labels), name, MetricKind::kCounter, {})
+      .counter;
+}
+
+Gauge& MetricsRegistry::named_gauge(std::string_view name,
                                     const Labels& labels) {
-  return histogram(name, latency_buckets_ns(), labels);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return fetch_or_create(key_for(name, labels), name, MetricKind::kGauge, {})
+      .gauge;
+}
+
+Histogram& MetricsRegistry::named_histogram(
+    std::string_view name, std::span<const double> upper_bounds,
+    const Labels& labels) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return fetch_or_create(key_for(name, labels), name, MetricKind::kHistogram,
+                         upper_bounds)
+      .histogram.front();
+}
+
+MetricsRegistry::Series& MetricsRegistry::resolve(std::size_t metric,
+                                                  std::size_t label) {
+  const MetricDef& def = kBuiltinMetrics[metric];
+  const std::lock_guard<std::mutex> lock(mutex_);
+  SeriesKey key{intern(def.name), {}};
+  if (!def.label_key.empty()) {
+    key.second = {intern(def.label_key), intern(def.label_values[label])};
+  }
+  Series& series = fetch_or_create(std::move(key), def.name, def.kind,
+                                   def.bounds);
+  slots_[catalog::kSlotOffsets[metric] + label].store(
+      &series, std::memory_order_release);
+  return series;
+}
+
+void MetricsRegistry::bad_label(std::size_t metric, std::size_t label) {
+  throw TelemetryError("metric '" +
+                       std::string(kBuiltinMetrics[metric].name) +
+                       "': label position " + std::to_string(label) +
+                       " outside its label set");
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -538,13 +464,13 @@ void MetricsRegistry::restore(const MetricsSnapshot& snapshot) {
   for (const SnapshotEntry& entry : snapshot.entries) {
     switch (entry.kind) {
       case MetricKind::kCounter:
-        counter(entry.name, entry.labels).restore(entry.value);
+        named_counter(entry.name, entry.labels).restore(entry.value);
         break;
       case MetricKind::kGauge:
-        gauge(entry.name, entry.labels).set(entry.value);
+        named_gauge(entry.name, entry.labels).set(entry.value);
         break;
       case MetricKind::kHistogram:
-        histogram(entry.name, entry.bounds, entry.labels)
+        named_histogram(entry.name, entry.bounds, entry.labels)
             .restore(entry.buckets, entry.count, entry.sum);
         break;
     }

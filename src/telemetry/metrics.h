@@ -1,9 +1,24 @@
 // Metrics registry (counters, gauges, histograms).
 //
-// The runtime surface the control loop reports into: every subsystem grabs a
-// series by (name, labels) and bumps it.  Names and label strings are
-// interned once, so steady-state updates are a map lookup and a double add —
-// cheap enough for per-epoch paths (per-substep paths should batch).
+// Every metric the stack reports is declared once, in the builtin catalog
+// (kBuiltinMetrics below): name, kind, histogram bounds and, for labelled
+// metrics, the label key with its closed set of values.  Hot-path sites name
+// a series by its catalog entry:
+//
+//   t->metrics().counter("gh_epochs_total", record.source_case).increment();
+//
+// The literal resolves to a catalog index at compile time — a misspelt
+// name, or a gauge name passed to counter(), does not compile — and the
+// label is a position in the closed value set (an enum whose order the
+// catalog mirrors, or a plain index).  The registry keeps one slot per
+// (metric, label position): the first touch fills it through the string-
+// keyed fetch-or-create path, every later update is one slot load plus an
+// atomic add.  Untouched series stay absent, so exports list exactly the
+// series a run touched.
+//
+// The string-keyed named_*() calls are that resolver, and the cold path
+// for series the catalog cannot enumerate (per-shard gauges), checkpoint
+// restore and tests.  Names and label strings are interned once.
 //
 // Histograms use *fixed, deterministic* bucket bounds chosen at registration
 // (no adaptive resizing), so two runs of the same scenario always export the
@@ -16,12 +31,16 @@
 // principle be shared.  Counter/gauge updates are lock-free relaxed atomics
 // (a plain add in the uncontended single-threaded case), histogram bins are
 // guarded by a per-histogram mutex, and series registration/snapshotting by
-// a registry mutex.  Series references returned by counter()/gauge()/
-// histogram() stay valid for the registry's lifetime (std::map nodes never
-// move), so steady-state updates never touch the registry lock.
+// a registry mutex.  Slots are atomic pointers published after the series
+// exists; two threads racing on an empty slot both resolve, under the
+// registry lock, to the same series.  Series are never erased (reset() and
+// restore() keep every registration), so a slot, like a reference returned
+// by named_*(), stays valid for the registry's lifetime.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -31,6 +50,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -137,16 +157,44 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Default bounds for wall-clock probes: 1 us to ~4 s in powers of two
+/// Bounds for wall-clock probes: 1 us to ~4 s in powers of two
 /// (nanoseconds).  Fixed so latency exports are comparable across runs.
-[[nodiscard]] std::span<const double> latency_buckets_ns();
+inline constexpr std::array<double, 23> kLatencyBucketsNs = [] {
+  std::array<double, 23> b{};
+  double edge = 1000.0;  // 1 us
+  for (double& v : b) {
+    v = edge;
+    edge *= 2.0;
+  }
+  return b;
+}();
 
-/// Default bounds for power prediction errors (watts, decade steps).
-[[nodiscard]] std::span<const double> watt_buckets();
+/// Bounds for power prediction errors (watts, decade steps).
+inline constexpr std::array<double, 12> kWattBuckets = {
+    1.0,   2.0,   5.0,    10.0,   20.0,   50.0,
+    100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
 
-/// Default bounds for queue-occupancy histograms (events, powers of two up
-/// to the streaming sink's default capacity).
-[[nodiscard]] std::span<const double> queue_depth_buckets();
+/// Bounds for queue-occupancy histograms (events, powers of two up to the
+/// streaming sink's default capacity).
+inline constexpr std::array<double, 17> kQueueDepthBuckets = [] {
+  std::array<double, 17> b{};
+  double edge = 1.0;
+  for (double& v : b) {
+    v = edge;
+    edge *= 2.0;
+  }
+  return b;
+}();
+
+[[nodiscard]] inline std::span<const double> latency_buckets_ns() {
+  return kLatencyBucketsNs;
+}
+[[nodiscard]] inline std::span<const double> watt_buckets() {
+  return kWattBuckets;
+}
+[[nodiscard]] inline std::span<const double> queue_depth_buckets() {
+  return kQueueDepthBuckets;
+}
 
 /// The interpolation underlying Histogram::quantile, usable on snapshot
 /// payloads (bounds + per-bucket counts) after the live histogram is gone.
@@ -158,14 +206,198 @@ class Histogram {
 /// duration, shared by the human metrics dump and the analyzer tables.
 [[nodiscard]] std::string format_duration_ns(double ns);
 
-/// Names of every metric the stack itself registers (sorted).  `greenhetero
-/// info` reports the catalog size so users can tell a quiet run from a
-/// -DGH_TELEMETRY=OFF build.
-[[nodiscard]] std::span<const std::string_view> builtin_metrics();
-
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 [[nodiscard]] std::string_view to_string(MetricKind kind);
+
+/// One catalog entry.  A labelled metric names its label key; its closed
+/// value set lists every value in label-position order.  A key with no
+/// values is an open set (the per-shard gauges): those series exist only
+/// through the string-keyed registry calls.
+struct MetricDef {
+  std::string_view name;
+  MetricKind kind = MetricKind::kCounter;
+  std::span<const double> bounds;  ///< histograms only
+  std::string_view label_key;
+  std::span<const std::string_view> label_values;
+
+  /// Registry slots the entry owns: one per label value, one when
+  /// unlabelled, none for an open label set.
+  [[nodiscard]] constexpr std::size_t slots() const {
+    if (label_key.empty()) return 1;
+    return label_values.size();
+  }
+};
+
+namespace catalog {
+// Closed label sets, in the order of the enum each one mirrors
+// (telemetry_test pins every value against that enum's to_string).
+inline constexpr std::array<std::string_view, 4> kPowerCases = {
+    "A(renewable)", "B(renewable+battery)", "C(battery)", "grid"};
+inline constexpr std::array<std::string_view, 9> kFaultKinds = {
+    "server_crash", "server_recover", "dvfs_stuck",
+    "dvfs_offset",  "solar_dropout",  "solar_stuck",
+    "grid_outage",  "battery_derate", "monitor_dropout"};
+inline constexpr std::array<std::string_view, 4> kHealthStates = {
+    "normal", "degraded", "safe", "recovering"};
+inline constexpr std::array<std::string_view, 9> kLossBuckets = {
+    "fault",          "idle_floor",         "solver_clamp",
+    "dvfs_quantization", "prediction_error", "curtailed",
+    "grid_cap",       "battery_stored",     "battery_round_trip"};
+inline constexpr std::array<std::string_view, 2> kDbSampleKinds = {
+    "training", "runtime"};
+inline constexpr std::array<std::string_view, 3> kSolverBackends = {
+    "analytic_n", "grid", "subset"};
+
+constexpr MetricDef counter(std::string_view name) {
+  return {name, MetricKind::kCounter, {}, {}, {}};
+}
+constexpr MetricDef counter(std::string_view name, std::string_view key,
+                            std::span<const std::string_view> values) {
+  return {name, MetricKind::kCounter, {}, key, values};
+}
+constexpr MetricDef gauge(std::string_view name) {
+  return {name, MetricKind::kGauge, {}, {}, {}};
+}
+constexpr MetricDef gauge(std::string_view name, std::string_view key,
+                          std::span<const std::string_view> values = {}) {
+  return {name, MetricKind::kGauge, {}, key, values};
+}
+constexpr MetricDef histogram(std::string_view name,
+                              std::span<const double> bounds) {
+  return {name, MetricKind::kHistogram, bounds, {}, {}};
+}
+constexpr MetricDef latency(std::string_view name) {
+  return histogram(name, kLatencyBucketsNs);
+}
+}  // namespace catalog
+
+/// Every metric the stack itself registers, sorted by name.  `greenhetero
+/// info` reports the catalog size so users can tell a quiet run from a
+/// -DGH_TELEMETRY=OFF build.
+inline constexpr std::array<MetricDef, 50> kBuiltinMetrics = {
+    catalog::gauge("gh_battery_soc"),
+    catalog::counter("gh_db_quarantined_total"),
+    catalog::latency("gh_db_refit_ns"),
+    catalog::counter("gh_db_samples_total", "kind", catalog::kDbSampleKinds),
+    catalog::latency("gh_db_update_ns"),
+    catalog::counter("gh_degraded_substeps_total"),
+    catalog::counter("gh_dvfs_quantization_passes_total"),
+    catalog::counter("gh_enforcements_total"),
+    catalog::counter("gh_epochs_total", "case", catalog::kPowerCases),
+    catalog::counter("gh_faults_injected_total", "kind",
+                     catalog::kFaultKinds),
+    catalog::latency("gh_finish_epoch_ns"),
+    catalog::counter("gh_fleet_epochs_total"),
+    catalog::gauge("gh_fleet_shards"),
+    catalog::counter("gh_flightrec_dumps_total"),
+    catalog::gauge("gh_health_state"),
+    catalog::counter("gh_health_transitions_total", "to",
+                     catalog::kHealthStates),
+    catalog::latency("gh_holt_retrain_ns"),
+    catalog::counter("gh_loss_epochs_total"),
+    catalog::gauge("gh_loss_invariant_error_w"),
+    catalog::gauge("gh_loss_w", "bucket", catalog::kLossBuckets),
+    catalog::latency("gh_plan_epoch_ns"),
+    catalog::latency("gh_policy_allocate_ns"),
+    catalog::latency("gh_predict_ns"),
+    catalog::counter("gh_predictor_retrains_total"),
+    catalog::latency("gh_pretrain_ns"),
+    catalog::gauge("gh_rack_epochs_per_sec"),
+    catalog::histogram("gh_renewable_prediction_error_w", kWattBuckets),
+    catalog::counter("gh_rollup_windows_total"),
+    catalog::counter("gh_safe_mode_epochs_total"),
+    catalog::gauge("gh_shard_deficit_w", "shard"),
+    catalog::gauge("gh_shard_grant_w", "shard"),
+    catalog::gauge("gh_shard_racks", "shard"),
+    catalog::counter("gh_solver_calls_total", "backend",
+                     catalog::kSolverBackends),
+    catalog::counter("gh_solver_failures_total"),
+    catalog::counter("gh_solver_iterations_total", "backend",
+                     catalog::kSolverBackends),
+    catalog::counter("gh_solver_repairs_total"),
+    catalog::latency("gh_solver_solve_grid_ns"),
+    catalog::latency("gh_solver_solve_ns"),
+    catalog::latency("gh_solver_solve_subset_ns"),
+    catalog::counter("gh_source_decisions_total", "case",
+                     catalog::kPowerCases),
+    catalog::counter("gh_spans_dropped_total"),
+    catalog::latency("gh_step_epoch_ns"),
+    catalog::latency("gh_substep_loop_ns"),
+    catalog::counter("gh_substeps_total"),
+    catalog::gauge("gh_trace_buffer_bytes"),
+    catalog::counter("gh_trace_events_streamed_total"),
+    catalog::gauge("gh_trace_queue_depth"),
+    catalog::histogram("gh_trace_queue_residency", kQueueDepthBuckets),
+    catalog::counter("gh_trace_stalls_total"),
+    catalog::counter("gh_training_epochs_total"),
+};
+
+[[nodiscard]] inline std::span<const MetricDef> builtin_metrics() {
+  return kBuiltinMetrics;
+}
+
+namespace catalog {
+/// First registry slot of each catalog entry, and the slot total.
+inline constexpr std::array<std::size_t, kBuiltinMetrics.size() + 1>
+    kSlotOffsets = [] {
+      std::array<std::size_t, kBuiltinMetrics.size() + 1> offsets{};
+      for (std::size_t i = 0; i < kBuiltinMetrics.size(); ++i) {
+        offsets[i + 1] = offsets[i] + kBuiltinMetrics[i].slots();
+      }
+      return offsets;
+    }();
+inline constexpr std::size_t kSlotCount = kSlotOffsets.back();
+}  // namespace catalog
+
+/// A position in a metric's closed label set: an index, or an enum whose
+/// enumerators follow the catalog's value order.  0 for unlabelled metrics.
+struct LabelIndex {
+  constexpr LabelIndex(std::size_t index = 0) : value(index) {}
+  template <typename Enum>
+    requires std::is_enum_v<Enum>
+  constexpr LabelIndex(Enum e) : value(static_cast<std::size_t>(e)) {}
+  std::size_t value;
+};
+
+/// A catalog entry of kind `Kind`, found from its name at compile time:
+/// an unknown name, a name of another kind or a metric with an open label
+/// set fails to compile.
+template <MetricKind Kind>
+class MetricId {
+ public:
+  template <std::size_t N>
+  consteval MetricId(const char (&name)[N]) : index_(find(name)) {}
+
+  [[nodiscard]] constexpr std::size_t index() const { return index_; }
+  [[nodiscard]] constexpr const MetricDef& def() const {
+    return kBuiltinMetrics[index_];
+  }
+  /// The label value at `label` (empty for unlabelled metrics).
+  [[nodiscard]] constexpr std::string_view label_value(
+      LabelIndex label) const {
+    return def().label_key.empty() ? std::string_view{}
+                                   : def().label_values[label.value];
+  }
+
+ private:
+  static consteval std::size_t find(std::string_view name) {
+    for (std::size_t i = 0; i < kBuiltinMetrics.size(); ++i) {
+      const MetricDef& def = kBuiltinMetrics[i];
+      if (def.name != name) continue;
+      if (def.kind != Kind) throw "metric registered with another kind";
+      if (def.slots() == 0) throw "open label set: use the named_* calls";
+      return i;
+    }
+    throw "not in the builtin metric catalog (kBuiltinMetrics)";
+  }
+
+  std::size_t index_;
+};
+
+using CounterId = MetricId<MetricKind::kCounter>;
+using GaugeId = MetricId<MetricKind::kGauge>;
+using HistogramId = MetricId<MetricKind::kHistogram>;
 
 /// One exported series, value(s) frozen at snapshot time.
 struct SnapshotEntry {
@@ -219,16 +451,27 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Fetch-or-create.  A series keeps its identity for the registry's
-  /// lifetime; re-requesting with a different kind (or different histogram
-  /// bounds) throws TelemetryError.
-  Counter& counter(std::string_view name, const Labels& labels = {});
-  Gauge& gauge(std::string_view name, const Labels& labels = {});
-  Histogram& histogram(std::string_view name,
-                       std::span<const double> upper_bounds,
-                       const Labels& labels = {});
-  /// Wall-clock probe histogram (latency_buckets_ns bounds).
-  Histogram& latency(std::string_view name, const Labels& labels = {});
+  /// Hot path: a builtin series by catalog id and label position.  Throws
+  /// TelemetryError for a label position outside the closed set, or when
+  /// the name was registered through named_*() with another kind/bounds.
+  Counter& counter(CounterId id, LabelIndex label = {}) {
+    return slot(id.index(), label.value).counter;
+  }
+  Gauge& gauge(GaugeId id, LabelIndex label = {}) {
+    return slot(id.index(), label.value).gauge;
+  }
+  Histogram& histogram(HistogramId id, LabelIndex label = {}) {
+    return slot(id.index(), label.value).histogram.front();
+  }
+
+  /// Cold path: fetch-or-create any series by name and labels.  A series
+  /// keeps its identity for the registry's lifetime; re-requesting with a
+  /// different kind (or different histogram bounds) throws TelemetryError.
+  Counter& named_counter(std::string_view name, const Labels& labels = {});
+  Gauge& named_gauge(std::string_view name, const Labels& labels = {});
+  Histogram& named_histogram(std::string_view name,
+                             std::span<const double> upper_bounds,
+                             const Labels& labels = {});
 
   [[nodiscard]] std::size_t series_count() const {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -259,8 +502,23 @@ class MetricsRegistry {
   /// (interned name id, interned label ids) — cheap ordered map key.
   using SeriesKey = std::pair<std::uint32_t, std::vector<std::uint32_t>>;
 
-  /// Caller must hold mutex_.
+  Series& slot(std::size_t metric, std::size_t label) {
+    if (label >= kBuiltinMetrics[metric].slots()) bad_label(metric, label);
+    const std::size_t index = catalog::kSlotOffsets[metric] + label;
+    Series* series = slots_[index].load(std::memory_order_acquire);
+    return series != nullptr ? *series : resolve(metric, label);
+  }
+  /// First touch of a slot: fetch-or-create its series and publish it.
+  Series& resolve(std::size_t metric, std::size_t label);
+  [[noreturn]] static void bad_label(std::size_t metric, std::size_t label);
+
+  /// Callers of these three must hold mutex_.
   [[nodiscard]] std::uint32_t intern(std::string_view s);
+  [[nodiscard]] SeriesKey key_for(std::string_view name, const Labels& labels);
+  /// Find or create the series at `key` with the given kind (and bounds,
+  /// for histograms).
+  Series& fetch_or_create(SeriesKey key, std::string_view name,
+                          MetricKind kind, std::span<const double> bounds);
 
   /// Guards registration (the maps) and snapshotting; series *updates* go
   /// through the atomic/mutexed series objects and never take this lock.
@@ -268,6 +526,8 @@ class MetricsRegistry {
   std::vector<std::string> interned_;  ///< id -> string (stable storage)
   std::map<std::string, std::uint32_t, std::less<>> intern_table_;
   std::map<SeriesKey, Series> series_;
+  /// One per (catalog entry, label position); null until first touch.
+  std::array<std::atomic<Series*>, catalog::kSlotCount> slots_{};
 };
 
 }  // namespace greenhetero::telemetry

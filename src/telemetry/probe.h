@@ -6,6 +6,10 @@
 //     ...
 //   }
 //
+// The name is a builtin catalog entry (metrics.h), resolved at compile
+// time: a misspelt probe name does not compile, and the observation goes
+// straight to the histogram's pre-resolved registry slot.
+//
 // Probes are the one place wall time enters telemetry; traces never carry
 // it.  Configure with the CMake option GH_TELEMETRY (default ON):
 // -DGH_TELEMETRY=OFF compiles every GH_PROBE to a no-op, so hot paths carry
@@ -22,14 +26,14 @@ namespace greenhetero::telemetry {
 
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char* histogram_name)
-      : sink_(current()), name_(histogram_name) {
+  explicit ScopedTimer(HistogramId histogram)
+      : sink_(current()), histogram_(histogram) {
     if (sink_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() {
     if (sink_ == nullptr) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    sink_->metrics().latency(name_).observe(static_cast<double>(
+    sink_->metrics().histogram(histogram_).observe(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count()));
   }
@@ -38,7 +42,7 @@ class ScopedTimer {
 
  private:
   Telemetry* sink_;
-  const char* name_;
+  HistogramId histogram_;
   std::chrono::steady_clock::time_point start_;
 };
 

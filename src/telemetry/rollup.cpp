@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "telemetry/metrics.h"
 
@@ -11,12 +12,22 @@ namespace greenhetero::telemetry {
 
 namespace {
 
-/// HealthState names in enum order.  Spelled out here rather than pulling
-/// in core/health.h: telemetry sits *below* core (the controller emits
-/// through it), so this file must not include upward.  health_test pins
-/// these against core's to_string so they cannot drift silently.
-constexpr const char* kHealthStateNames[] = {"normal", "degraded", "safe",
-                                             "recovering"};
+/// The `health_<state>` occupancy keys, in HealthState order.  The names
+/// come from the metric catalog's HealthState label set rather than from
+/// core/health.h: telemetry sits *below* core (the controller emits through
+/// it), so this file must not include upward.  telemetry_test pins the
+/// catalog against core's to_string so they cannot drift silently.
+TraceKey health_key(std::size_t state) {
+  static const std::array<TraceKey, catalog::kHealthStates.size()> kKeys = [] {
+    std::array<TraceKey, catalog::kHealthStates.size()> keys;
+    for (std::size_t s = 0; s < keys.size(); ++s) {
+      keys[s] = TraceKey::intern("health_" +
+                                 std::string(catalog::kHealthStates[s]));
+    }
+    return keys;
+  }();
+  return kKeys[state];
+}
 
 /// Exact-sample percentile (same convention as the trace analyzer): the
 /// ceil(q*n)-th smallest value of a sorted sample set.
@@ -40,19 +51,18 @@ TraceFields RollupWindow::to_trace_fields() const {
       {"grid_w", grid_sum_w / n},
   };
   for (std::size_t s = 0; s < health_occupancy.size(); ++s) {
-    fields.emplace_back(std::string("health_") + kHealthStateNames[s],
-                        health_occupancy[s]);
+    fields.emplace_back(health_key(s), health_occupancy[s]);
   }
   if (has_loss) {
     for (LossBucket b : all_loss_buckets()) {
-      fields.emplace_back(std::string(to_string(b)) + "_w",
+      fields.emplace_back(watts_key(b),
                           loss_sums_w[static_cast<std::size_t>(b)] / n);
     }
   }
   if (span_count > 0) {
-    fields.emplace_back("span_count", span_count);
-    fields.emplace_back("span_p50_ns", span_p50_ns);
-    fields.emplace_back("span_p99_ns", span_p99_ns);
+    fields.emplace_back(TraceKey("span_count"), span_count);
+    fields.emplace_back(TraceKey("span_p50_ns"), span_p50_ns);
+    fields.emplace_back(TraceKey("span_p99_ns"), span_p99_ns);
   }
   return fields;
 }

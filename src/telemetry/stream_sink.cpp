@@ -112,7 +112,7 @@ void StreamingTraceSink::enqueue(std::vector<TraceEvent> events) {
       // the simulation, is the bottleneck.  Wall-clock-dependent (the
       // writer drains asynchronously), so excluded from byte-identity
       // comparisons like the stall/depth series.
-      metrics_->histogram("gh_trace_queue_residency", queue_depth_buckets())
+      metrics_->histogram("gh_trace_queue_residency")
           .observe(static_cast<double>(queue_.size()));
     }
     lock.unlock();

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 
 #include <sstream>
@@ -54,33 +55,78 @@ void append_json_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
+static_assert(sizeof(TraceValue) <= 40, "TraceValue: keep the field compact");
+static_assert(sizeof(TraceField) <= 56, "TraceField: keep the field compact");
+
+TraceKey TraceKey::intern(std::string_view key) {
+  // Leaked on purpose: interned keys must outlive every static that may
+  // still hold events (flight recorders, rings) during shutdown.
+  static auto* const mutex = new std::mutex;
+  static auto* const keys = new std::set<std::string, std::less<>>;
+  const std::lock_guard<std::mutex> lock(*mutex);
+  auto it = keys->find(key);
+  if (it == keys->end()) it = keys->emplace(key).first;
+  return TraceKey(std::string_view(*it));
+}
+
 void TraceValue::append_json(std::string& out) const {
-  switch (kind_) {
-    case Kind::kDouble:
-      out += format_number(number_);
-      break;
-    case Kind::kInt: {
+  struct Append {
+    std::string& out;
+    void operator()(double v) const { out += format_number(v); }
+    void operator()(std::int64_t v) const {
       char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(integer_));
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
       out += buf;
-      break;
     }
-    case Kind::kBool:
-      out += boolean_ ? "true" : "false";
-      break;
-    case Kind::kString:
-      append_json_escaped(out, string_);
-      break;
-    case Kind::kArray:
+    void operator()(bool v) const { out += v ? "true" : "false"; }
+    void operator()(const std::string& v) const {
+      append_json_escaped(out, v);
+    }
+    void operator()(const std::vector<double>& v) const {
       out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
         if (i > 0) out += ',';
-        out += format_number(array_[i]);
+        out += format_number(v[i]);
       }
       out += ']';
-      break;
+    }
+  };
+  std::visit(Append{out}, value_);
+}
+
+std::size_t TraceValue::approx_bytes() const {
+  if (const auto* str = std::get_if<std::string>(&value_)) return str->size();
+  if (const auto* array = std::get_if<std::vector<double>>(&value_)) {
+    return array->size() * sizeof(double);
   }
+  return 0;
+}
+
+double TraceValue::as_double() const {
+  const auto* v = std::get_if<double>(&value_);
+  return v != nullptr ? *v : 0.0;
+}
+
+std::int64_t TraceValue::as_int() const {
+  const auto* v = std::get_if<std::int64_t>(&value_);
+  return v != nullptr ? *v : 0;
+}
+
+bool TraceValue::as_bool() const {
+  const auto* v = std::get_if<bool>(&value_);
+  return v != nullptr && *v;
+}
+
+const std::string& TraceValue::as_string() const {
+  static const std::string kEmpty;
+  const auto* v = std::get_if<std::string>(&value_);
+  return v != nullptr ? *v : kEmpty;
+}
+
+const std::vector<double>& TraceValue::as_array() const {
+  static const std::vector<double> kEmpty;
+  const auto* v = std::get_if<std::vector<double>>(&value_);
+  return v != nullptr ? *v : kEmpty;
 }
 
 std::string TraceEvent::to_json() const {
@@ -92,7 +138,7 @@ std::string TraceEvent::to_json() const {
   append_json_escaped(out, phase);
   for (const auto& [key, value] : fields) {
     out += ',';
-    append_json_escaped(out, key);
+    append_json_escaped(out, key.view());
     out += ':';
     value.append_json(out);
   }
@@ -112,8 +158,8 @@ std::size_t TraceEvent::approx_bytes() const {
   // estimate (allocator slack is ignored) but a *stable* one: the bounded-
   // memory CI cap and the bench high-water mark are measured in it.
   std::size_t bytes = sizeof(TraceEvent) + phase.size();
-  for (const auto& [key, value] : fields) {
-    bytes += sizeof(fields.front()) + key.size() + value.approx_bytes();
+  for (const TraceField& field : fields) {
+    bytes += sizeof(TraceField) + field.value.approx_bytes();
   }
   return bytes;
 }
@@ -124,7 +170,7 @@ TraceEvent make_truncation_footer(double last_sim_minutes,
   footer.sim_minutes = last_sim_minutes;
   footer.rack_id = -1;  // whole-trace marker, not any one rack
   footer.phase = "trace_truncated";
-  footer.fields.emplace_back("dropped",
+  footer.fields.emplace_back(TraceKey("dropped"),
                              static_cast<std::int64_t>(dropped));
   return footer;
 }
@@ -206,52 +252,45 @@ void TraceRing::clear() {
 }
 
 void TraceValue::save_state(checkpoint::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(kind_));
-  switch (kind_) {
-    case Kind::kDouble:
-      w.f64(number_);
+  w.u8(static_cast<std::uint8_t>(value_.index()));
+  switch (value_.index()) {
+    case 0:
+      w.f64(std::get<0>(value_));
       break;
-    case Kind::kInt:
-      w.i64(integer_);
+    case 1:
+      w.i64(std::get<1>(value_));
       break;
-    case Kind::kBool:
-      w.boolean(boolean_);
+    case 2:
+      w.boolean(std::get<2>(value_));
       break;
-    case Kind::kString:
-      w.str(string_);
+    case 3:
+      w.str(std::get<3>(value_));
       break;
-    case Kind::kArray:
-      checkpoint::save(w, array_);
+    case 4:
+      checkpoint::save(w, std::get<4>(value_));
       break;
   }
 }
 
 TraceValue TraceValue::load_state(checkpoint::Reader& r) {
-  TraceValue value;
   const std::uint8_t tag = r.u8();
-  if (tag > static_cast<std::uint8_t>(Kind::kArray)) {
-    throw checkpoint::CheckpointError("trace value: bad kind tag " +
-                                      std::to_string(tag));
+  switch (tag) {
+    case 0:
+      return TraceValue(r.f64());
+    case 1:
+      return TraceValue(r.i64());
+    case 2:
+      return TraceValue(r.boolean());
+    case 3:
+      return TraceValue(r.str());
+    case 4: {
+      std::vector<double> array;
+      checkpoint::load(r, array);
+      return TraceValue(std::move(array));
+    }
   }
-  value.kind_ = static_cast<Kind>(tag);
-  switch (value.kind_) {
-    case Kind::kDouble:
-      value.number_ = r.f64();
-      break;
-    case Kind::kInt:
-      value.integer_ = r.i64();
-      break;
-    case Kind::kBool:
-      value.boolean_ = r.boolean();
-      break;
-    case Kind::kString:
-      value.string_ = r.str();
-      break;
-    case Kind::kArray:
-      checkpoint::load(r, value.array_);
-      break;
-  }
-  return value;
+  throw checkpoint::CheckpointError("trace value: bad kind tag " +
+                                    std::to_string(tag));
 }
 
 void TraceEvent::save_state(checkpoint::Writer& w) const {
@@ -260,7 +299,7 @@ void TraceEvent::save_state(checkpoint::Writer& w) const {
   w.str(phase);
   w.seq(fields.size());
   for (const auto& [key, value] : fields) {
-    w.str(key);
+    w.str(key.view());
     value.save_state(w);
   }
 }
@@ -273,8 +312,8 @@ void TraceEvent::load_state(checkpoint::Reader& r) {
   fields.clear();
   fields.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    std::string key = r.str();
-    fields.emplace_back(std::move(key), TraceValue::load_state(r));
+    const TraceKey key = TraceKey::intern(r.str());
+    fields.push_back({key, TraceValue::load_state(r)});
   }
 }
 

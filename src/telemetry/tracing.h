@@ -5,6 +5,10 @@
 // Events are buffered in a fixed-capacity ring (oldest evicted, drops
 // counted) and export as one JSON object per line (JSONL).
 //
+// Field keys are TraceKeys: views of static storage, never owned per event,
+// so a field costs 56 bytes (16-byte key + 40-byte value) and no allocation
+// unless its value is a long string or an array.
+//
 // Events are keyed on the *simulation* clock and never carry wall time, so a
 // trace is a pure function of (scenario, seed): two runs of the same
 // configuration are byte-identical and goldens stay diffable.
@@ -18,6 +22,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace greenhetero::checkpoint {
@@ -41,52 +46,79 @@ inline constexpr int kTraceSchemaVersion = 2;
 ///   {"schema":"greenhetero-trace","version":2}
 [[nodiscard]] std::string trace_header_json();
 
+/// A trace field key: a view of a string with static storage duration.
+///
+/// Built from a string literal (checked at compile time: the consteval
+/// constructor rejects anything that is not a constant array with static
+/// storage), or through intern() for keys assembled at runtime — the
+/// `<bucket>_w` / `health_<state>` rollup and ledger keys and keys read
+/// back from a checkpoint.  Interned strings live for the rest of the
+/// process.  There is deliberately no constructor from std::string or
+/// std::string_view, so a key can never dangle.
+class TraceKey {
+ public:
+  constexpr TraceKey() = default;
+  template <std::size_t N>
+  consteval TraceKey(const char (&literal)[N]) : view_(literal) {}
+
+  /// The process-wide copy of `key` (created on first use; thread-safe).
+  [[nodiscard]] static TraceKey intern(std::string_view key);
+
+  [[nodiscard]] constexpr std::string_view view() const { return view_; }
+  friend constexpr bool operator==(TraceKey a, std::string_view b) {
+    return a.view_ == b;
+  }
+
+ private:
+  constexpr explicit TraceKey(std::string_view interned) : view_(interned) {}
+  std::string_view view_;
+};
+
 /// One payload value: double, integer, boolean, string or double array.
+/// The alternatives' indices are the checkpoint tags (0..4), so they keep
+/// their order.
 class TraceValue {
  public:
-  TraceValue(double v) : kind_(Kind::kDouble), number_(v) {}
-  TraceValue(int v) : kind_(Kind::kInt), integer_(v) {}
-  TraceValue(std::int64_t v) : kind_(Kind::kInt), integer_(v) {}
-  TraceValue(std::size_t v)
-      : kind_(Kind::kInt), integer_(static_cast<std::int64_t>(v)) {}
-  TraceValue(bool v) : kind_(Kind::kBool), boolean_(v) {}
-  TraceValue(std::string v) : kind_(Kind::kString), string_(std::move(v)) {}
-  TraceValue(std::string_view v) : kind_(Kind::kString), string_(v) {}
-  TraceValue(const char* v) : kind_(Kind::kString), string_(v) {}
-  TraceValue(std::vector<double> v)
-      : kind_(Kind::kArray), array_(std::move(v)) {}
+  TraceValue(double v) : value_(v) {}
+  TraceValue(int v) : value_(std::int64_t{v}) {}
+  TraceValue(std::int64_t v) : value_(v) {}
+  TraceValue(std::size_t v) : value_(static_cast<std::int64_t>(v)) {}
+  TraceValue(bool v) : value_(v) {}
+  TraceValue(std::string v) : value_(std::move(v)) {}
+  TraceValue(std::string_view v) : value_(std::string(v)) {}
+  TraceValue(const char* v) : value_(std::string(v)) {}
+  TraceValue(std::vector<double> v) : value_(std::move(v)) {}
 
   void append_json(std::string& out) const;
 
   /// Approximate heap footprint of the payload (string/array contents);
   /// the ring's byte accounting adds the fixed per-event overhead itself.
-  [[nodiscard]] std::size_t approx_bytes() const {
-    return string_.size() + array_.size() * sizeof(double);
-  }
+  [[nodiscard]] std::size_t approx_bytes() const;
 
-  [[nodiscard]] double as_double() const { return number_; }
-  [[nodiscard]] std::int64_t as_int() const { return integer_; }
-  [[nodiscard]] bool as_bool() const { return boolean_; }
-  [[nodiscard]] const std::string& as_string() const { return string_; }
-  [[nodiscard]] const std::vector<double>& as_array() const { return array_; }
+  /// The payload when it holds that alternative; 0 / false / empty
+  /// otherwise.
+  [[nodiscard]] double as_double() const;
+  [[nodiscard]] std::int64_t as_int() const;
+  [[nodiscard]] bool as_bool() const;
+  [[nodiscard]] const std::string& as_string() const;
+  [[nodiscard]] const std::vector<double>& as_array() const;
 
-  /// Checkpoint support (the Kind discriminant is private, so the value
-  /// serializes itself).
+  /// Checkpoint support: one tag byte (the alternative index), then the
+  /// payload.
   void save_state(checkpoint::Writer& w) const;
   [[nodiscard]] static TraceValue load_state(checkpoint::Reader& r);
 
  private:
-  enum class Kind { kDouble, kInt, kBool, kString, kArray };
-  TraceValue() : kind_(Kind::kDouble) {}
-  Kind kind_;
-  double number_ = 0.0;
-  std::int64_t integer_ = 0;
-  bool boolean_ = false;
-  std::string string_;
-  std::vector<double> array_;
+  std::variant<double, std::int64_t, bool, std::string, std::vector<double>>
+      value_;
 };
 
-using TraceFields = std::vector<std::pair<std::string, TraceValue>>;
+struct TraceField {
+  TraceKey key;
+  TraceValue value;
+};
+
+using TraceFields = std::vector<TraceField>;
 
 struct TraceEvent {
   double sim_minutes = 0.0;
@@ -97,9 +129,10 @@ struct TraceEvent {
   /// Single-line JSON object: {"t":..,"rack":..,"phase":..,<fields>}.
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] const TraceValue* field(std::string_view key) const;
-  /// Approximate memory held by this event (fixed overhead + payloads);
-  /// the basis of gh_trace_buffer_bytes and the streaming sink's queue
-  /// accounting, so "bounded memory" means bounded in these units.
+  /// Approximate memory held by this event (fixed overhead + payloads;
+  /// keys are shared static strings and count only through the field
+  /// size); the basis of gh_trace_buffer_bytes and the streaming sink's
+  /// queue accounting, so "bounded memory" means bounded in these units.
   [[nodiscard]] std::size_t approx_bytes() const;
 
   void save_state(checkpoint::Writer& w) const;

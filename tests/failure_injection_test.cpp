@@ -422,7 +422,8 @@ TEST(ScheduledFaults, EveryKindRunsThroughAndConservesEnergy) {
     EXPECT_EQ(sim.checker()->epochs_checked(), report.epochs.size());
     // Begin and end edges both surface in the trace.
     EXPECT_EQ(count_events(sim, "fault_inject"), 2u);
-    const auto* injected = sim.metrics_snapshot().find(
+    const MetricsSnapshot snapshot = sim.metrics_snapshot();
+    const auto* injected = snapshot.find(
         "gh_faults_injected_total",
         {{"kind", std::string(to_string(event.kind))}});
     ASSERT_NE(injected, nullptr);

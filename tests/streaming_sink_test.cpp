@@ -534,7 +534,7 @@ TEST(MetricsFlush, RunLeavesACompleteSnapshotAndNoTempFile) {
 TEST(MetricsFlush, HumanSiblingRidesAlongWithMachineFormats) {
   ScratchDir scratch;
   telemetry::MetricsRegistry registry;
-  registry.counter("gh_test_total").increment();
+  registry.named_counter("gh_test_total").increment();
   const MetricsSnapshot snapshot = registry.snapshot();
 
   // Machine-readable flush also refreshes the human-readable .txt sibling.
@@ -576,7 +576,7 @@ TEST(MetricsFlush, RunRefreshesTheHumanSibling) {
 TEST(MetricsFlush, SaveMetricsPicksTheFormatByExtension) {
   ScratchDir scratch;
   telemetry::MetricsRegistry registry;
-  registry.counter("gh_test_total").increment();
+  registry.named_counter("gh_test_total").increment();
   const MetricsSnapshot snapshot = registry.snapshot();
 
   const fs::path as_json = scratch / "m.json";

@@ -2,8 +2,19 @@
 // and the ambient context scope.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
+#include "checkpoint/serializer.h"
+#include "core/health.h"
+#include "faults/fault_plan.h"
+#include "power/power_bus.h"
+#include "telemetry/ledger.h"
 #include "telemetry/metrics.h"
 #include "telemetry/probe.h"
 #include "telemetry/telemetry.h"
@@ -26,12 +37,12 @@ TEST(FormatNumber, IntegersAndDecimalsAndSpecials) {
 
 TEST(Counter, AccumulatesAndResets) {
   MetricsRegistry registry;
-  Counter& c = registry.counter("epochs");
+  Counter& c = registry.named_counter("epochs");
   c.increment();
   c.increment(2.5);
   EXPECT_DOUBLE_EQ(c.value(), 3.5);
   // Re-fetch returns the same series.
-  EXPECT_DOUBLE_EQ(registry.counter("epochs").value(), 3.5);
+  EXPECT_DOUBLE_EQ(registry.named_counter("epochs").value(), 3.5);
   registry.reset();
   EXPECT_DOUBLE_EQ(c.value(), 0.0);
   EXPECT_EQ(registry.series_count(), 1u);
@@ -39,10 +50,10 @@ TEST(Counter, AccumulatesAndResets) {
 
 TEST(Gauge, HoldsLastValue) {
   MetricsRegistry registry;
-  Gauge& g = registry.gauge("soc");
+  Gauge& g = registry.named_gauge("soc");
   g.set(0.7);
   g.set(0.4);
-  EXPECT_DOUBLE_EQ(registry.gauge("soc").value(), 0.4);
+  EXPECT_DOUBLE_EQ(registry.named_gauge("soc").value(), 0.4);
 }
 
 TEST(Histogram, BucketsValuesAgainstUpperBounds) {
@@ -117,9 +128,9 @@ TEST(FormatDurationNs, ScalesUnitsForHumans) {
 
 TEST(Registry, HumanDumpShowsHistogramQuantiles) {
   MetricsRegistry registry;
-  registry.gauge("gh_battery_soc").set(0.75);
+  registry.named_gauge("gh_battery_soc").set(0.75);
   const double bounds[] = {1e3, 1e6};
-  Histogram& h = registry.histogram("gh_plan_epoch_ns", bounds);
+  Histogram& h = registry.named_histogram("gh_plan_epoch_ns", bounds);
   h.observe(500.0);
   h.observe(2'500.0);
   const std::string text = registry.snapshot().to_human();
@@ -135,41 +146,41 @@ TEST(Registry, HumanDumpShowsHistogramQuantiles) {
 
 TEST(Registry, LabelsSplitSeriesAndInterningIsShared) {
   MetricsRegistry registry;
-  registry.counter("epochs", {{"case", "A"}}).increment();
-  registry.counter("epochs", {{"case", "B"}}).increment(2.0);
+  registry.named_counter("epochs", {{"case", "A"}}).increment();
+  registry.named_counter("epochs", {{"case", "B"}}).increment(2.0);
   EXPECT_EQ(registry.series_count(), 2u);
   // "epochs", "case", "A", "B" — repeated strings are interned once.
   EXPECT_EQ(registry.interned_strings(), 4u);
-  registry.counter("epochs", {{"case", "A"}}).increment();
+  registry.named_counter("epochs", {{"case", "A"}}).increment();
   EXPECT_EQ(registry.series_count(), 2u);
   EXPECT_EQ(registry.interned_strings(), 4u);
-  EXPECT_DOUBLE_EQ(registry.counter("epochs", {{"case", "A"}}).value(), 2.0);
+  EXPECT_DOUBLE_EQ(registry.named_counter("epochs", {{"case", "A"}}).value(), 2.0);
 }
 
 TEST(Registry, KindConflictThrows) {
   MetricsRegistry registry;
-  registry.counter("x");
-  EXPECT_THROW(registry.gauge("x"), TelemetryError);
-  EXPECT_THROW(registry.latency("x"), TelemetryError);
+  registry.named_counter("x");
+  EXPECT_THROW(registry.named_gauge("x"), TelemetryError);
+  EXPECT_THROW(registry.named_histogram("x", latency_buckets_ns()), TelemetryError);
   // Same name with different labels is a different series: allowed.
-  EXPECT_NO_THROW(registry.gauge("x", {{"k", "v"}}));
+  EXPECT_NO_THROW(registry.named_gauge("x", {{"k", "v"}}));
 }
 
 TEST(Registry, HistogramBoundsConflictThrows) {
   MetricsRegistry registry;
   const double a[] = {1.0, 2.0};
   const double b[] = {1.0, 3.0};
-  registry.histogram("h", a);
-  EXPECT_NO_THROW(registry.histogram("h", a));
-  EXPECT_THROW(registry.histogram("h", b), TelemetryError);
+  registry.named_histogram("h", a);
+  EXPECT_NO_THROW(registry.named_histogram("h", a));
+  EXPECT_THROW(registry.named_histogram("h", b), TelemetryError);
 }
 
 TEST(Registry, SnapshotIsSortedAndFindable) {
   MetricsRegistry registry;
-  registry.counter("zeta").increment(3.0);
-  registry.gauge("alpha").set(1.5);
-  registry.counter("mid", {{"case", "B"}}).increment();
-  registry.counter("mid", {{"case", "A"}}).increment();
+  registry.named_counter("zeta").increment(3.0);
+  registry.named_gauge("alpha").set(1.5);
+  registry.named_counter("mid", {{"case", "B"}}).increment();
+  registry.named_counter("mid", {{"case", "A"}}).increment();
   const MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.entries.size(), 4u);
   EXPECT_EQ(snap.entries[0].name, "alpha");
@@ -186,9 +197,9 @@ TEST(Registry, SnapshotIsSortedAndFindable) {
 
 TEST(Registry, PrometheusExport) {
   MetricsRegistry registry;
-  registry.counter("gh_epochs_total", {{"case", "A"}}).increment(3.0);
+  registry.named_counter("gh_epochs_total", {{"case", "A"}}).increment(3.0);
   const double bounds[] = {1.0, 10.0};
-  Histogram& h = registry.histogram("gh_err", bounds);
+  Histogram& h = registry.named_histogram("gh_err", bounds);
   h.observe(0.5);
   h.observe(5.0);
   h.observe(50.0);
@@ -206,11 +217,226 @@ TEST(Registry, PrometheusExport) {
 
 TEST(Registry, JsonExport) {
   MetricsRegistry registry;
-  registry.gauge("soc", {{"rack", "0"}}).set(0.25);
+  registry.named_gauge("soc", {{"rack", "0"}}).set(0.25);
   const std::string json = registry.snapshot().to_json();
   EXPECT_EQ(json,
             "{\"metrics\":[{\"name\":\"soc\",\"kind\":\"gauge\","
             "\"labels\":{\"rack\":\"0\"},\"value\":0.25}]}");
+}
+
+// ---------------------------------------------------------------------------
+// The builtin catalog and its pre-resolved slots.
+
+TEST(Catalog, SortedUniqueAndWellFormed) {
+  const std::span<const MetricDef> catalog = builtin_metrics();
+  ASSERT_EQ(catalog.size(), 50u);
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    SCOPED_TRACE(std::string(catalog[i].name));
+    if (i > 0) {
+      EXPECT_LT(catalog[i - 1].name, catalog[i].name);
+    }
+    EXPECT_TRUE(catalog[i].name.starts_with("gh_"));
+    EXPECT_EQ(catalog[i].kind == MetricKind::kHistogram,
+              !catalog[i].bounds.empty());
+    if (catalog[i].name.ends_with("_ns")) {
+      EXPECT_TRUE(std::equal(catalog[i].bounds.begin(),
+                             catalog[i].bounds.end(),
+                             latency_buckets_ns().begin(),
+                             latency_buckets_ns().end()));
+    }
+    const std::set<std::string_view> values(catalog[i].label_values.begin(),
+                                            catalog[i].label_values.end());
+    EXPECT_EQ(values.size(), catalog[i].label_values.size());
+  }
+}
+
+TEST(Catalog, LabelSetsMirrorTheirEnums) {
+  constexpr CounterId kEpochs = "gh_epochs_total";
+  constexpr CounterId kDecisions = "gh_source_decisions_total";
+  const PowerCase cases[] = {PowerCase::kRenewableSufficient,
+                             PowerCase::kJointSupply, PowerCase::kBatteryOnly,
+                             PowerCase::kGridFallback};
+  ASSERT_EQ(kEpochs.def().label_values.size(), std::size(cases));
+  for (PowerCase c : cases) {
+    EXPECT_EQ(kEpochs.label_value(c), to_string(c));
+    EXPECT_EQ(kDecisions.label_value(c), to_string(c));
+  }
+
+  constexpr GaugeId kLoss = "gh_loss_w";
+  ASSERT_EQ(kLoss.def().label_values.size(), all_loss_buckets().size());
+  for (LossBucket b : all_loss_buckets()) {
+    EXPECT_EQ(kLoss.label_value(b), to_string(b));
+  }
+
+  constexpr CounterId kFaults = "gh_faults_injected_total";
+  const FaultKind kinds[] = {
+      FaultKind::kServerCrash,   FaultKind::kServerRecover,
+      FaultKind::kDvfsStuck,     FaultKind::kDvfsOffset,
+      FaultKind::kSolarDropout,  FaultKind::kSolarStuck,
+      FaultKind::kGridOutage,    FaultKind::kBatteryDerate,
+      FaultKind::kMonitorDropout};
+  ASSERT_EQ(kFaults.def().label_values.size(), std::size(kinds));
+  for (FaultKind k : kinds) {
+    EXPECT_EQ(kFaults.label_value(k), to_string(k));
+    EXPECT_EQ(fault_kind_from_string(kFaults.label_value(k)), k);
+  }
+
+  constexpr CounterId kTransitions = "gh_health_transitions_total";
+  const HealthState states[] = {HealthState::kNormal, HealthState::kDegraded,
+                                HealthState::kSafe, HealthState::kRecovering};
+  ASSERT_EQ(kTransitions.def().label_values.size(), std::size(states));
+  for (HealthState h : states) {
+    EXPECT_EQ(kTransitions.label_value(h), to_string(h));
+  }
+}
+
+TEST(Slots, FirstTouchRegistersOnlyTheTouchedSeries) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.series_count(), 0u);
+  registry.counter("gh_epochs_total", PowerCase::kJointSupply).increment();
+  registry.counter("gh_epochs_total", PowerCase::kJointSupply).increment();
+  registry.histogram("gh_plan_epoch_ns").observe(2'000.0);
+  EXPECT_EQ(registry.series_count(), 2u);
+  const MetricsSnapshot snap = registry.snapshot();
+  const SnapshotEntry* epochs =
+      snap.find("gh_epochs_total", {{"case", "B(renewable+battery)"}});
+  ASSERT_NE(epochs, nullptr);
+  EXPECT_DOUBLE_EQ(epochs->value, 2.0);
+  // A slot and the string-keyed resolver name the same series.
+  EXPECT_EQ(&registry.counter("gh_epochs_total", PowerCase::kJointSupply),
+            &registry.named_counter("gh_epochs_total",
+                                    {{"case", "B(renewable+battery)"}}));
+  const SnapshotEntry* plan = snap.find("gh_plan_epoch_ns");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->bounds, std::vector<double>(latency_buckets_ns().begin(),
+                                              latency_buckets_ns().end()));
+  // Label positions outside the closed set are refused.
+  EXPECT_THROW(registry.counter("gh_epochs_total", 4), TelemetryError);
+  EXPECT_THROW(registry.counter("gh_substeps_total", 1), TelemetryError);
+}
+
+TEST(Slots, SlotHonoursAnEarlierNamedRegistrationOfAnotherKind) {
+  MetricsRegistry registry;
+  registry.named_gauge("gh_substeps_total").set(1.0);
+  EXPECT_THROW(registry.counter("gh_substeps_total"), TelemetryError);
+}
+
+TEST(Slots, HandleTakenBeforeResetStillUpdatesTheExportedSeries) {
+  MetricsRegistry registry;
+  Counter& handle = registry.counter("gh_substeps_total");
+  handle.increment(5.0);
+  registry.reset();
+  handle.increment(2.0);
+  registry.counter("gh_substeps_total").increment();
+  const MetricsSnapshot snap = registry.snapshot();
+  const SnapshotEntry* entry = snap.find("gh_substeps_total");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_DOUBLE_EQ(entry->value, 3.0);
+}
+
+TEST(Slots, HandleTakenBeforeRestoreStillUpdatesTheExportedSeries) {
+  MetricsRegistry source;
+  source.counter("gh_faults_injected_total", FaultKind::kGridOutage)
+      .increment(4.0);
+  source.gauge("gh_battery_soc").set(0.5);
+  const MetricsSnapshot saved = source.snapshot();
+
+  MetricsRegistry registry;
+  Counter& faults =
+      registry.counter("gh_faults_injected_total", FaultKind::kGridOutage);
+  Gauge& soc = registry.gauge("gh_battery_soc");
+  faults.increment(100.0);
+  registry.restore(saved);
+  faults.increment();
+  registry.counter("gh_faults_injected_total", FaultKind::kGridOutage)
+      .increment();
+  const MetricsSnapshot snap = registry.snapshot();
+  const SnapshotEntry* entry =
+      snap.find("gh_faults_injected_total", {{"kind", "grid_outage"}});
+  ASSERT_NE(entry, nullptr);
+  EXPECT_DOUBLE_EQ(entry->value, 6.0);
+  EXPECT_DOUBLE_EQ(soc.value(), 0.5);
+  EXPECT_EQ(snap.entries.size(), 2u);
+}
+
+TEST(Slots, ConcurrentFirstTouchesResolveToOneSeries) {
+  MetricsRegistry registry;
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 20'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry] {
+      for (int i = 0; i < kIncrements; ++i) {
+        registry.counter("gh_epochs_total", PowerCase::kBatteryOnly)
+            .increment();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(registry.series_count(), 1u);
+  const MetricsSnapshot snap = registry.snapshot();
+  const SnapshotEntry* entry =
+      snap.find("gh_epochs_total", {{"case", "C(battery)"}});
+  ASSERT_NE(entry, nullptr);
+  EXPECT_DOUBLE_EQ(entry->value, double{kThreads} * kIncrements);
+}
+
+// ---------------------------------------------------------------------------
+// Trace keys and the compact field layout.
+
+static_assert(!std::is_constructible_v<TraceKey, std::string>);
+static_assert(!std::is_constructible_v<TraceKey, std::string_view>);
+static_assert(!std::is_constructible_v<TraceKey, const char*>);
+static_assert(sizeof(TraceValue) <= 40);
+static_assert(sizeof(TraceField) <= 56);
+
+TEST(TraceKey, InternReturnsOneStablePerProcessCopy) {
+  std::string built = "health_";
+  built += "safe";
+  const TraceKey a = TraceKey::intern(built);
+  built.assign("overwritten");
+  const TraceKey b = TraceKey::intern("health_safe");
+  EXPECT_EQ(a.view(), "health_safe");
+  EXPECT_EQ(a.view().data(), b.view().data());
+  EXPECT_EQ(watts_key(LossBucket::kGridCap).view(), "grid_cap_w");
+}
+
+TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
+  TraceRing ring{16};
+  for (int i = 0; i < 3; ++i) {
+    TraceEvent event;
+    event.sim_minutes = 15.0 * i;
+    event.rack_id = i;
+    event.phase = "loss_ledger";
+    event.fields = {{"supply_w", 100.5 + i},
+                    {"a_key_longer_than_fifteen_chars", i},
+                    {"case", "B(renewable+battery)"},
+                    {"flag", i % 2 == 0},
+                    {"ratios", std::vector<double>{0.25, 0.75}}};
+    event.fields.emplace_back(watts_key(LossBucket::kCurtailed), 1.5 * i);
+    ring.push(std::move(event));
+  }
+  std::ostringstream before;
+  ring.write_jsonl(before);
+
+  TraceRing restored{16};
+  {
+    checkpoint::Writer w;
+    ring.save_state(w);
+    auto buffer = std::make_unique<std::string>(w.buffer());
+    checkpoint::Reader r{*buffer};
+    restored.load_state(r);
+    // Overwrite, then free, every byte the keys were read from.
+    buffer->assign(buffer->size(), '\xff');
+    buffer.reset();
+  }
+  std::ostringstream after;
+  restored.write_jsonl(after);
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_EQ(restored.approx_bytes(), ring.approx_bytes());
+  ASSERT_NE(restored.events().back().field("curtailed_w"), nullptr);
+  EXPECT_DOUBLE_EQ(restored.events().back().field("curtailed_w")->as_double(),
+                   3.0);
 }
 
 TEST(TraceEvent, JsonShapeAndEscaping) {
@@ -329,11 +555,11 @@ TEST(Probe, RecordsIntoLatencyHistogramOfAmbientContext) {
   Telemetry ctx;
   {
     TelemetryScope scope(&ctx);
-    { GH_PROBE("probe_test_ns"); }
-    { GH_PROBE("probe_test_ns"); }
+    { GH_PROBE("gh_pretrain_ns"); }
+    { GH_PROBE("gh_pretrain_ns"); }
   }
   const MetricsSnapshot snap = ctx.metrics().snapshot();
-  const SnapshotEntry* entry = snap.find("probe_test_ns");
+  const SnapshotEntry* entry = snap.find("gh_pretrain_ns");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->kind, MetricKind::kHistogram);
   EXPECT_EQ(entry->count, 2u);
@@ -342,7 +568,7 @@ TEST(Probe, RecordsIntoLatencyHistogramOfAmbientContext) {
 
 TEST(Probe, NoopWithoutContext) {
   // Must not crash or allocate a registry when no scope is installed.
-  GH_PROBE("unscoped_probe_ns");
+  GH_PROBE("gh_pretrain_ns");
   SUCCEED();
 }
 #endif  // GH_TELEMETRY_ENABLED
