@@ -3,6 +3,11 @@
 // feedback are the per-epoch cost paid once per 15 minutes per rack; the
 // plant substep (step planning + flow execution) is paid every minute.
 //
+// Plan and feedback are timed twice: bare (no telemetry context, so every
+// metric and trace call is skipped) and traced, under an installed
+// TelemetryScope the way a simulated rack runs them — the difference is
+// what the hot-path telemetry costs.
+//
 // A custom main runs the google-benchmark suite and then re-times plan,
 // feedback and the near-floor plant substep to emit the machine-readable
 // BENCH_controller_micro.json via BenchReport.
@@ -18,6 +23,7 @@
 #include "core/enforcer.h"
 #include "server/combinations.h"
 #include "sim/rack_simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace {
 
@@ -51,6 +57,21 @@ struct Fixture {
   Rack rack;
   RackPowerPlant plant;
   GreenHeteroController controller;
+};
+
+/// An installed telemetry context for the traced timings.  tick() runs
+/// once per timed epoch and clears the trace ring every 192 epochs (two
+/// simulated days), as a streaming run drains it, so ring growth stays out
+/// of the figure.
+struct Traced {
+  Traced() : scope(&telemetry) {}
+  void tick() {
+    if (++epochs % 192 == 0) telemetry.trace().clear();
+  }
+
+  Telemetry telemetry;
+  TelemetryScope scope;
+  int epochs = 0;
 };
 
 /// One substep at night with the paper battery about 20 Wh above its DoD
@@ -121,6 +142,27 @@ void BM_FinishEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_FinishEpoch);
 
+void BM_PlanEpochTraced(benchmark::State& state) {
+  Fixture f;
+  Traced traced;
+  for (auto _ : state) {
+    traced.tick();
+    benchmark::DoNotOptimize(
+        f.controller.plan_epoch(f.rack, f.plant, Minutes{0.0}, Watts{900.0}));
+  }
+}
+BENCHMARK(BM_PlanEpochTraced);
+
+void BM_FinishEpochTraced(benchmark::State& state) {
+  Fixture f;
+  Traced traced;
+  for (auto _ : state) {
+    traced.tick();
+    f.controller.finish_epoch(f.rack, Watts{800.0}, Watts{900.0});
+  }
+}
+BENCHMARK(BM_FinishEpochTraced);
+
 void BM_PlantSubstep(benchmark::State& state) {
   PlantSubstep p;
   for (auto _ : state) {
@@ -177,6 +219,26 @@ int main(int argc, char** argv) {
   {
     Fixture f;
     report.set("finish_epoch_ns", greenhetero::bench::time_ns_per_op([&] {
+                 f.controller.finish_epoch(f.rack, Watts{800.0},
+                                           Watts{900.0});
+                 return 0;
+               }));
+  }
+  {
+    Fixture f;
+    Traced traced;
+    report.set("plan_epoch_traced_ns", greenhetero::bench::time_ns_per_op([&] {
+                 traced.tick();
+                 return f.controller.plan_epoch(f.rack, f.plant, Minutes{0.0},
+                                                Watts{900.0});
+               }));
+  }
+  {
+    Fixture f;
+    Traced traced;
+    report.set("finish_epoch_traced_ns",
+               greenhetero::bench::time_ns_per_op([&] {
+                 traced.tick();
                  f.controller.finish_epoch(f.rack, Watts{800.0},
                                            Watts{900.0});
                  return 0;
