@@ -28,10 +28,9 @@ namespace {
 
 /// One fully-derived crash scenario (all from (seed, run index)).
 struct CrashScenario {
-  int racks = 2;
-  int hours = 48;
-  int threads = 1;
-  bool proportional = true;
+  /// The subcommand and its scenario flags, e.g. {"simulate", "--days",
+  /// "3"}; the outputs and checkpoint flags are appended per run.
+  std::vector<std::string> args;
   int kills = 1;
 };
 
@@ -39,33 +38,37 @@ CrashScenario derive_scenario(std::uint64_t seed, int run_index,
                               int max_kills) {
   Rng rng = Rng{seed}.fork(static_cast<std::uint64_t>(run_index) + 1);
   CrashScenario s;
-  s.racks = rng.uniform_int(2, 4);
-  s.hours = rng.uniform_int(48, 120);
-  s.threads = rng.bernoulli(0.5) ? 4 : 1;
-  s.proportional = rng.bernoulli(0.75);
+  if (rng.bernoulli(0.25)) {
+    s.args = {"simulate", "--days", std::to_string(rng.uniform_int(2, 5))};
+  } else {
+    const int racks = rng.uniform_int(2, 4);
+    const int hours = rng.uniform_int(48, 120);
+    const int threads = rng.bernoulli(0.5) ? 4 : 1;
+    const bool proportional = rng.bernoulli(0.75);
+    s.args = {"fleet", "--racks", std::to_string(racks),
+              "--hours", std::to_string(hours),
+              "--threads", std::to_string(threads),
+              "--mode", proportional ? "proportional" : "static",
+              "--rollup-window", "60"};
+  }
   s.kills = rng.uniform_int(1, std::max(1, max_kills));
   return s;
 }
 
-std::vector<std::string> fleet_argv(const CrashFuzzOptions& options,
+std::vector<std::string> child_argv(const CrashFuzzOptions& options,
                                     const CrashScenario& s,
                                     const std::filesystem::path& dir,
                                     bool resume) {
-  std::vector<std::string> argv{
-      options.binary,
-      "fleet",
-      "--racks", std::to_string(s.racks),
-      "--hours", std::to_string(s.hours),
-      "--threads", std::to_string(s.threads),
-      "--mode", s.proportional ? "proportional" : "static",
+  std::vector<std::string> argv{options.binary};
+  argv.insert(argv.end(), s.args.begin(), s.args.end());
+  argv.insert(argv.end(), {
       "--stream", "on",
       "--trace-out", (dir / "trace.jsonl").string(),
       "--rollup-out", (dir / "rollup.jsonl").string(),
-      "--rollup-window", "60",
       "--metrics-out", (dir / "metrics.prom").string(),
       "--checkpoint-dir", (dir / "ckpt").string(),
       "--checkpoint-every", "1",
-  };
+  });
   if (resume) {
     argv.push_back("--resume");
     argv.push_back((dir / "ckpt").string());
@@ -190,11 +193,9 @@ CrashFuzzReport run_crash_fuzzer(const CrashFuzzOptions& options) {
     std::filesystem::create_directories(ref_dir);
     std::filesystem::create_directories(crash_dir);
     if (options.log) {
-      *options.log << "crash run " << run << ": " << scenario.racks
-                   << " racks, " << scenario.hours << " h, "
-                   << scenario.threads << " thread(s), "
-                   << (scenario.proportional ? "proportional" : "static")
-                   << " shares, up to " << scenario.kills << " kill(s)\n"
+      *options.log << "crash run " << run << ":";
+      for (const std::string& arg : scenario.args) *options.log << ' ' << arg;
+      *options.log << ", up to " << scenario.kills << " kill(s)\n"
                    << std::flush;
     }
 
@@ -211,7 +212,7 @@ CrashFuzzReport run_crash_fuzzer(const CrashFuzzOptions& options) {
     // Reference: uninterrupted, same flags (checkpointing on) so the only
     // difference the crash side adds is the kills and --resume.
     {
-      const pid_t pid = spawn(fleet_argv(options, scenario, ref_dir, false),
+      const pid_t pid = spawn(child_argv(options, scenario, ref_dir, false),
                               ref_dir / "child.log");
       const int code = wait_child(pid);
       if (code != 0) {
@@ -226,7 +227,7 @@ CrashFuzzReport run_crash_fuzzer(const CrashFuzzOptions& options) {
     bool first = true;
     while (true) {
       const pid_t pid =
-          spawn(fleet_argv(options, scenario, crash_dir, !first),
+          spawn(child_argv(options, scenario, crash_dir, !first),
                 crash_dir / "child.log");
       if (!first) ++report.resumes;
       first = false;

@@ -1,9 +1,11 @@
-// Crash-recovery fuzzer: SIGKILL a real fleet run mid-flight, resume it
-// from its checkpoints, and prove the outputs come out byte-identical.
+// Crash-recovery fuzzer: SIGKILL a real fleet or simulate run mid-flight,
+// resume it from its checkpoints, and prove the outputs come out
+// byte-identical.
 //
-// Each run derives a fleet scenario (rack count, duration, thread count,
-// grid-share mode) from (seed, run index), then executes it twice through
-// the actual `greenhetero fleet` binary:
+// Each run derives a scenario from (seed, run index) — a fleet (rack count,
+// duration, thread count, grid-share mode) or, about a quarter of the time,
+// a standalone 2-5 day `simulate` run — then executes it twice through the
+// actual `greenhetero` binary:
 //
 //   reference  — uninterrupted, checkpointing enabled, to completion;
 //   crash      — same scenario in its own directory, SIGKILLed after a

@@ -1,7 +1,6 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -50,14 +49,8 @@ void FleetConfig::validate() const {
       total_grid_budget.value() < 0.0) {
     throw FleetError("fleet: grid budget must be finite and non-negative");
   }
-  if (metrics_flush_every < 1) {
-    throw FleetError("fleet: metrics flush cadence must be at least 1 epoch");
-  }
-  if (trace_stream && trace_stream->queue_capacity == 0) {
-    throw FleetError("fleet: stream queue capacity must be positive");
-  }
-  if (!checkpoint_dir.empty() && checkpoint_every < 1) {
-    throw FleetError("fleet: checkpoint cadence must be at least 1 epoch");
+  if (const std::string_view reason = invalid_reason(); !reason.empty()) {
+    throw FleetError("fleet: " + std::string(reason));
   }
 }
 
@@ -98,18 +91,19 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   for (std::size_t i = 0; i < racks_.size(); ++i) {
     racks_[i].telemetry().set_rack_id(static_cast<int>(i));
   }
-  if (config_.trace_stream) {
-    stream_ = std::make_unique<tel::StreamingTraceSink>(
-        *config_.trace_stream, &telemetry_->metrics());
-  }
+  driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
+  records_.resize(racks_.size());
+  shares_.resize(racks_.size());
 }
 
 Fleet::Fleet(std::vector<RackSimulator> racks, Watts total_grid_budget,
              GridShareMode mode)
-    : Fleet(std::move(racks),
-            FleetConfig{.total_grid_budget = total_grid_budget,
-                        .mode = mode,
-                        .telemetry = {}}) {}
+    : Fleet(std::move(racks), [&] {
+        FleetConfig config;
+        config.total_grid_budget = total_grid_budget;
+        config.mode = mode;
+        return config;
+      }()) {}
 
 RackSimulator& Fleet::rack(std::size_t i) {
   if (i >= racks_.size()) {
@@ -177,169 +171,12 @@ RebalanceDecision Fleet::plan_rebalance(std::vector<double>& deficits,
 
 FleetReport Fleet::run(Minutes duration) {
   const Minutes epoch = racks_.front().controller().config().epoch;
-  const auto epochs = static_cast<std::size_t>(
-      std::llround(duration.value() / epoch.value()));
-  const auto flush_every =
-      static_cast<std::size_t>(config_.metrics_flush_every);
-  const auto checkpoint_every =
-      static_cast<std::size_t>(std::max(1, config_.checkpoint_every));
-
   FleetReport report;
-  report.racks.resize(racks_.size());
-
-  // The per-rack epoch histories and the peak allocation live on the fleet
-  // so checkpoints capture them; a resumed run continues from the restored
-  // epoch with the completed records already in place.
-  std::size_t start_epoch = 0;
-  if (resumed_) {
-    start_epoch = racks_.front().epoch_index();
-    resumed_ = false;
-  } else {
-    history_.reset(racks_.size());
-    peak_grid_allocation_ = Watts{0.0};
-  }
-  if (history_.racks() != racks_.size()) {
-    history_.reset(racks_.size());
-  }
-
-  // Scratch reused every epoch: rack i's step lands in records[i] and its
-  // deficit in deficits[i], so pool threads never touch a shared structure,
-  // and the merge below runs in ascending rack order on this thread once
-  // the epoch barrier clears.
-  std::vector<EpochRecord> records(racks_.size());
-  std::vector<double> deficits;
-  std::vector<ShardSummary> summaries;
-  std::vector<Watts> shares(racks_.size());
-
-  // Fleet throughput gauge: rack-epochs stepped this run() over its wall
-  // time.  Wall-clock, so excluded from byte-identity comparisons like the
-  // gh_*_ns series.
-  const std::chrono::steady_clock::time_point run_begin =
-      std::chrono::steady_clock::now();
-  std::size_t rack_epochs_stepped = 0;
-  const auto update_throughput = [&] {
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - run_begin)
-                            .count();
-    if (rack_epochs_stepped == 0 || secs <= 0.0 ||
-        !config_.telemetry.enabled) {
-      return;
-    }
-    telemetry_->metrics()
-        .gauge("gh_rack_epochs_per_sec")
-        .set(static_cast<double>(rack_epochs_stepped) / secs);
-  };
-
-  for (std::size_t e = start_epoch; e < epochs; ++e) {
-    // Planning happens strictly between epochs: every rack has finished the
-    // previous step (the per-shard barriers have all cleared), so the
-    // decision is computed from a consistent fleet snapshot no matter how
-    // many threads or shards run.  The per-rack shares derive from the one
-    // shared decision — its equal_share is hoisted per epoch, so shares can
-    // never drift within an epoch even if the rack count changes mid-run.
-    const RebalanceDecision decision = plan_rebalance(deficits, summaries);
-    for (std::size_t i = 0; i < racks_.size(); ++i) {
-      shares[i] = rack_share(decision, deficits.empty() ? 0.0 : deficits[i]);
-    }
-    if (config_.check) {
-      check::InvariantChecker::check_grid_shares(
-          shares, config_.total_grid_budget, racks_.front().now().value(),
-          static_cast<long>(e));
-      check::InvariantChecker::check_shard_grants(
-          decision.grants, config_.total_grid_budget,
-          racks_.front().now().value(), static_cast<long>(e));
-    }
-    Watts allocated{0.0};
-    for (std::size_t i = 0; i < racks_.size(); ++i) {
-      allocated += shares[i];
-    }
-    // Two-level fan-out: the coordinator runs one task per shard; each
-    // shard steps its own racks behind its local barrier.  Which pool a
-    // rack lands on never changes its arithmetic, so the records are
-    // byte-identical at any --threads/--shards combination.
-    const auto step_shard = [&](std::size_t s) {
-      shards_[s].step(racks_, shares, records);
-    };
-    if (shard_pool_) {
-      shard_pool_->parallel_for(shards_.size(), step_shard);
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) step_shard(s);
-    }
-    history_.append_epoch(records);
-    rack_epochs_stepped += racks_.size();
-    peak_grid_allocation_ = max(peak_grid_allocation_, allocated);
-    if (config_.telemetry.enabled) {
-      telemetry_->set_now(racks_.front().now() - epoch);
-      telemetry_->metrics().counter("gh_fleet_epochs_total").increment();
-      std::vector<double> share_w;
-      share_w.reserve(shares.size());
-      for (Watts w : shares) share_w.push_back(w.value());
-      telemetry_->emit("grid_share",
-                       {{"mode", to_string(config_.mode)},
-                        {"total_budget_w", config_.total_grid_budget.value()},
-                        {"allocated_w", allocated.value()},
-                        {"shares_w", std::move(share_w)}});
-      // Topology gauges: deterministic for a given --shards value (and at
-      // any --threads), but — like the wall-clock series — outside the
-      // cross-shard byte-identity contract, since they describe the
-      // execution topology itself.  Traces and rollups carry no shard ids
-      // and stay strictly byte-identical.
-      telemetry_->metrics()
-          .gauge("gh_fleet_shards")
-          .set(static_cast<double>(shards_.size()));
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const tel::Labels label{{"shard", std::to_string(s)}};
-        telemetry_->metrics()
-            .named_gauge("gh_shard_grant_w", label)
-            .set(decision.grants[s].value());
-        telemetry_->metrics()
-            .named_gauge("gh_shard_deficit_w", label)
-            .set(summaries[s].deficit_sum);
-        telemetry_->metrics()
-            .named_gauge("gh_shard_racks", label)
-            .set(static_cast<double>(shards_[s].racks()));
-      }
-    }
-    // Epoch barrier: every event of epoch e (stamped < the next epoch's
-    // start) is now in the rings, so the merge can flush up to that
-    // watermark.  No pool thread is running, so the rings are quiescent.
-    drain_to_stream(racks_.front().now().value());
-    if (!config_.metrics_out.empty() && (e + 1) % flush_every == 0 &&
-        e + 1 < epochs) {
-      update_throughput();
-      tel::save_metrics(metrics_snapshot(), config_.metrics_out,
-                        /*human_sibling=*/true);
-    }
-    // Checkpoint at the epoch barrier: no pool thread is running, every
-    // ring has been drained into the sink, and no finalization has
-    // happened yet — the snapshot plus the truncated stream file
-    // reconstruct this exact moment at any thread count.  A stop request
-    // forces a final checkpoint, then falls through to normal finalization
-    // so the outputs stay standalone-valid; resume discards that tail.
-    const bool stop = config_.stop_flag &&
-                      config_.stop_flag->load(std::memory_order_relaxed);
-    if (!config_.checkpoint_dir.empty() &&
-        (stop || (e + 1) % checkpoint_every == 0)) {
-      write_checkpoint();
-    }
-    if (stop) {
-      report.interrupted = true;
-      break;
-    }
-  }
-
-  // Close trailing rollup windows (their events are stamped with the run's
-  // end time), then flush the merge tail past every timestamp.
-  for (RackSimulator& rack : racks_) rack.flush_rollup();
-  drain_to_stream(std::numeric_limits<double>::infinity());
-  if (stream_) stream_->flush();
-  update_throughput();
-  if (!config_.metrics_out.empty()) {
-    tel::save_metrics(metrics_snapshot(), config_.metrics_out,
-                      /*human_sibling=*/true);
-  }
-
+  report.interrupted = driver_.run(
+      *this,
+      static_cast<std::size_t>(std::llround(duration.value() / epoch.value())));
   report.peak_grid_allocation = peak_grid_allocation_;
+  report.racks.resize(racks_.size());
   for (std::size_t i = 0; i < racks_.size(); ++i) {
     RunReport& r = report.racks[i];
     history_.fill_report(i, r.epochs);
@@ -357,6 +194,88 @@ FleetReport Fleet::run(Minutes duration) {
   }
   report.metrics = telemetry_->metrics().snapshot();
   return report;
+}
+
+std::size_t Fleet::advance_epoch(std::size_t e) {
+  const Minutes epoch = racks_.front().controller().config().epoch;
+  // Planning happens strictly between epochs: every rack has finished the
+  // previous step (the per-shard barriers have all cleared), so the
+  // decision is computed from a consistent fleet snapshot no matter how
+  // many threads or shards run.  The per-rack shares derive from the one
+  // shared decision — its equal_share is hoisted per epoch, so shares can
+  // never drift within an epoch even if the rack count changes mid-run.
+  const RebalanceDecision decision = plan_rebalance(deficits_, summaries_);
+  for (std::size_t i = 0; i < racks_.size(); ++i) {
+    shares_[i] = rack_share(decision, deficits_.empty() ? 0.0 : deficits_[i]);
+  }
+  if (config_.check) {
+    check::InvariantChecker::check_grid_shares(
+        shares_, config_.total_grid_budget, racks_.front().now().value(),
+        static_cast<long>(e));
+    check::InvariantChecker::check_shard_grants(
+        decision.grants, config_.total_grid_budget,
+        racks_.front().now().value(), static_cast<long>(e));
+  }
+  Watts allocated{0.0};
+  for (std::size_t i = 0; i < racks_.size(); ++i) {
+    allocated += shares_[i];
+  }
+  // Two-level fan-out: the coordinator runs one task per shard; each
+  // shard steps its own racks behind its local barrier.  Which pool a
+  // rack lands on never changes its arithmetic, so the records are
+  // byte-identical at any --threads/--shards combination.
+  const auto step_shard = [&](std::size_t s) {
+    shards_[s].step(racks_, shares_, records_);
+  };
+  if (shard_pool_) {
+    shard_pool_->parallel_for(shards_.size(), step_shard);
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) step_shard(s);
+  }
+  history_.append_epoch(records_);
+  peak_grid_allocation_ = max(peak_grid_allocation_, allocated);
+  if (config_.telemetry.enabled) {
+    telemetry_->set_now(racks_.front().now() - epoch);
+    telemetry_->metrics().counter("gh_fleet_epochs_total").increment();
+    std::vector<double> share_w;
+    share_w.reserve(shares_.size());
+    for (Watts w : shares_) share_w.push_back(w.value());
+    telemetry_->emit("grid_share",
+                     {{"mode", to_string(config_.mode)},
+                      {"total_budget_w", config_.total_grid_budget.value()},
+                      {"allocated_w", allocated.value()},
+                      {"shares_w", std::move(share_w)}});
+    // Topology gauges: deterministic for a given --shards value (and at
+    // any --threads), but — like the wall-clock series — outside the
+    // cross-shard byte-identity contract, since they describe the
+    // execution topology itself.  Traces and rollups carry no shard ids
+    // and stay strictly byte-identical.
+    telemetry_->metrics()
+        .gauge("gh_fleet_shards")
+        .set(static_cast<double>(shards_.size()));
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const tel::Labels label{{"shard", std::to_string(s)}};
+      telemetry_->metrics()
+          .named_gauge("gh_shard_grant_w", label)
+          .set(decision.grants[s].value());
+      telemetry_->metrics()
+          .named_gauge("gh_shard_deficit_w", label)
+          .set(summaries_[s].deficit_sum);
+      telemetry_->metrics()
+          .named_gauge("gh_shard_racks", label)
+          .set(static_cast<double>(shards_[s].racks()));
+    }
+  }
+  return racks_.size();
+}
+
+void Fleet::restart_history() {
+  history_.reset(racks_.size());
+  peak_grid_allocation_ = Watts{0.0};
+}
+
+void Fleet::flush_rollup() {
+  for (RackSimulator& rack : racks_) rack.flush_rollup();
 }
 
 MetricsSnapshot Fleet::metrics_snapshot() const {
@@ -516,7 +435,6 @@ void Fleet::save_state(checkpoint::Writer& w) const {
   w.seq(racks_.size());
   telemetry_->save_state(w);
   w.f64(peak_grid_allocation_.value());
-  w.u64(streamed_dropped_);
   for (const RackSimulator& rack : racks_) rack.save_state(w);
   // The history's SoA columns are topology-agnostic (rack-major within each
   // epoch row, no shard geometry), so a snapshot taken under any --shards
@@ -533,7 +451,6 @@ void Fleet::load_state(checkpoint::Reader& r) {
   }
   telemetry_->load_state(r);
   peak_grid_allocation_ = Watts{r.f64()};
-  streamed_dropped_ = r.u64();
   for (RackSimulator& rack : racks_) rack.load_state(r);
   history_.load_state(r);
   if (history_.racks() != racks_.size()) {
@@ -544,68 +461,28 @@ void Fleet::load_state(checkpoint::Reader& r) {
   }
 }
 
-void Fleet::write_checkpoint() {
-  if (config_.checkpoint_dir.empty()) return;
-  // Flush first so the writer thread is idle and the sink's tellp() is the
-  // exact durable watermark of everything streamed so far.
-  if (stream_) stream_->flush();
-  checkpoint::Writer w;
-  w.u8(2);  // payload kind: fleet run
-  save_state(w);
-  w.boolean(static_cast<bool>(stream_));
-  if (stream_) stream_->save_state(w);
-  checkpoint::write_snapshot(config_.checkpoint_dir,
-                             racks_.front().epoch_index(), config_.config_hash,
-                             w.buffer(), config_.checkpoint_keep);
-}
-
-void Fleet::load_checkpoint(const checkpoint::Snapshot& snapshot) {
-  if (snapshot.config_hash != config_.config_hash) {
-    throw checkpoint::CheckpointError(
-        "checkpoint was taken under a different scenario configuration "
-        "(fingerprint mismatch); refusing to resume");
-  }
-  checkpoint::Reader r{snapshot.payload};
-  const std::uint8_t kind = r.u8();
-  if (kind != 2) {
-    throw checkpoint::CheckpointError(
-        "snapshot holds a standalone simulation, not a fleet run");
-  }
-  load_state(r);
-  const bool streamed = r.boolean();
-  if (streamed != static_cast<bool>(stream_)) {
-    throw checkpoint::CheckpointError(
-        streamed ? "checkpointed fleet streamed its trace; resume needs the "
-                   "same --trace-out stream configuration"
-                 : "checkpointed fleet did not stream; resume must not add "
-                   "a streaming sink");
-  }
-  if (stream_) stream_->load_state(r);
-  if (!r.done()) {
-    throw checkpoint::CheckpointError("snapshot has trailing bytes");
-  }
-  resumed_ = true;
-}
-
-void Fleet::drain_to_stream(double watermark) {
-  if (!stream_) return;
+std::uint64_t Fleet::trace_dropped() const {
   std::uint64_t dropped = telemetry_->trace().dropped();
   for (const RackSimulator& rack : racks_) {
     dropped += rack.telemetry().trace().dropped();
   }
-  if (dropped > streamed_dropped_) {
-    stream_->note_dropped(dropped - streamed_dropped_);
-    streamed_dropped_ = dropped;
-  }
-  // Epoch-major, coordinator first — exactly the buffered writer's
-  // concatenation order, which the stable merge sort relies on.
+  return dropped;
+}
+
+void Fleet::push_trace(tel::StreamingTraceSink& sink, bool final) {
   std::vector<tel::TraceEvent> batch = telemetry_->trace().drain();
   for (RackSimulator& rack : racks_) {
     std::vector<tel::TraceEvent> events = rack.telemetry().trace().drain();
     batch.insert(batch.end(), std::make_move_iterator(events.begin()),
                  std::make_move_iterator(events.end()));
   }
-  stream_->push_merge(std::move(batch), watermark);
+  // At an epoch barrier every event of the finished epoch is stamped before
+  // the next epoch's start, so the merge can flush up to that watermark; the
+  // final drain flushes the tail past every timestamp.  No pool thread is
+  // running, so the rings are quiescent.
+  sink.push_merge(std::move(batch),
+                  final ? std::numeric_limits<double>::infinity()
+                        : racks_.front().now().value());
 }
 
 }  // namespace greenhetero

@@ -16,13 +16,11 @@
 //                        supply cede their grid share to starved ones.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -58,7 +56,10 @@ enum class GridShareMode { kStatic, kDemandProportional };
 [[nodiscard]] std::vector<Watts> divide_grid_budget(
     Watts budget, std::span<const double> deficits);
 
-struct FleetConfig {
+/// The run-loop knobs (streamed merged trace, merged metrics flush, whole-
+/// fleet checkpoints, scenario fingerprint, stop flag) are RunConfig's
+/// (sim/epoch_driver.h).
+struct FleetConfig : RunConfig {
   Watts total_grid_budget{0.0};
   GridShareMode mode = GridShareMode::kStatic;
   /// Worker threads for the per-epoch rack stepping: 1 = sequential (the
@@ -84,35 +85,8 @@ struct FleetConfig {
   /// the total budget) via check::InvariantChecker::check_grid_shares.
   /// Per-rack invariants are enabled separately via SimConfig::check.
   bool check = false;
-  /// Streaming trace sink: when set, run() drains the coordinator's and
-  /// every rack's ring at each epoch barrier and watermark-merges them into
-  /// this file (byte-identical to save_trace_jsonl at any thread count),
-  /// capping trace memory for arbitrarily long runs.
-  std::optional<telemetry::StreamSinkConfig> trace_stream;
-  /// When non-empty, run() writes the merged fleet metrics snapshot here
-  /// every `metrics_flush_every` epochs (temp file + rename) and once more
-  /// at the end, so a long run's metrics survive an abort.
-  std::string metrics_out;
-  int metrics_flush_every = 128;
-  /// Durable checkpointing: when checkpoint_dir is non-empty, run() writes a
-  /// versioned, checksummed snapshot of the whole fleet (every rack's state,
-  /// the coordinator's telemetry, the merged sink's durable watermark) every
-  /// checkpoint_every epochs.  `greenhetero fleet --resume DIR` reloads the
-  /// latest valid snapshot and continues to byte-identical final outputs at
-  /// any thread count.
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;
-  /// Snapshots retained after each write; <= 0 keeps every snapshot.
-  int checkpoint_keep = 2;
-  /// Scenario fingerprint stored in every snapshot and verified on resume.
-  std::uint64_t config_hash = 0;
-  /// Cooperative stop flag (the CLI's SIGINT/SIGTERM handler sets it).
-  /// Checked at each epoch barrier: run() writes a final checkpoint (when
-  /// configured), finalizes outputs for the completed epochs and returns
-  /// with FleetReport::interrupted set.
-  const std::atomic<bool>* stop_flag = nullptr;
-
-  /// Fail fast on out-of-range knobs (negative or non-finite grid budget).
+  /// Fail fast on out-of-range knobs (negative or non-finite grid budget,
+  /// run-loop knobs).
   /// Throws FleetError; rack-dependent invariants (matching epoch lengths)
   /// are checked by the Fleet constructor.
   void validate() const;
@@ -134,7 +108,7 @@ struct FleetReport {
   MetricsSnapshot metrics;
 };
 
-class Fleet {
+class Fleet final : private EpochClient {
  public:
   /// Takes ownership of the rack simulators.  Every simulator must use the
   /// same epoch length (lockstep requires it).
@@ -171,7 +145,8 @@ class Fleet {
   /// steps run on the worker pool; the coordinator waits for every rack
   /// before replanning shares, so plan_grid_shares() always sees a
   /// consistent fleet snapshot and the report is byte-identical to the
-  /// sequential path.
+  /// sequential path.  A fresh call runs `duration` more; after
+  /// load_checkpoint, `duration` is the absolute horizon (EpochDriver::run).
   FleetReport run(Minutes duration);
 
   /// The share each rack would receive right now (exposed for tests).
@@ -183,7 +158,7 @@ class Fleet {
 
   /// Fleet-wide metrics: the coordinator's own series plus every rack's,
   /// the latter tagged with a "rack" label; re-sorted by (name, labels).
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const override;
 
   /// Merged trace across the coordinator and every rack, ordered by
   /// (sim time, rack id) — a schema header line, then one JSON object per
@@ -217,34 +192,43 @@ class Fleet {
 
   /// The streaming sink (null unless FleetConfig::trace_stream was set).
   [[nodiscard]] telemetry::StreamingTraceSink* stream() {
-    return stream_.get();
+    return driver_.stream();
   }
   [[nodiscard]] const telemetry::StreamingTraceSink* stream() const {
-    return stream_.get();
+    return driver_.stream();
   }
 
   /// Serialize the complete resumable fleet state: every rack's state, the
   /// coordinator's telemetry, the per-rack epoch histories and the peak
   /// grid allocation.  The streaming sink is handled by write_checkpoint /
   /// load_checkpoint alongside.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  void save_state(checkpoint::Writer& w) const override;
+  void load_state(checkpoint::Reader& r) override;
 
-  /// Write one snapshot of the whole fleet (including the merged sink's
-  /// durable watermark) to FleetConfig::checkpoint_dir.  Called by run() at
-  /// the configured cadence; callable directly at any epoch barrier.
-  void write_checkpoint();
-  /// Restore from a loaded snapshot: validates the payload kind and config
-  /// fingerprint, restores every rack and (in streaming mode) truncates +
-  /// reopens the merged sink file at its durable watermark.  The next run()
-  /// continues from the restored epoch.
-  void load_checkpoint(const checkpoint::Snapshot& snapshot);
+  /// EpochDriver::write_checkpoint / load_checkpoint for the whole fleet.
+  /// Called by run() at the configured cadence; callable at any epoch
+  /// barrier, at any thread count.
+  void write_checkpoint() { driver_.write_checkpoint(*this); }
+  void load_checkpoint(const checkpoint::Snapshot& snapshot) {
+    driver_.load_checkpoint(*this, snapshot);
+  }
 
  private:
+  // EpochClient: what run() hands the driver.
+  [[nodiscard]] const RunConfig& run_config() const override {
+    return config_;
+  }
+  std::size_t advance_epoch(std::size_t epoch) override;
+  [[nodiscard]] std::size_t epoch_index() const override {
+    return racks_.front().epoch_index();
+  }
+  void restart_history() override;
+  [[nodiscard]] std::uint64_t trace_dropped() const override;
   /// Drain the coordinator's + every rack's ring (epoch-major, coordinator
-  /// first — the buffered writer's concatenation order) into the sink,
-  /// flushing events strictly below `watermark`.
-  void drain_to_stream(double watermark);
+  /// first — the buffered writer's concatenation order) into the sink's
+  /// watermark merge.
+  void push_trace(telemetry::StreamingTraceSink& sink, bool final) override;
+  void flush_rollup() override;
   /// One epoch's budget division: collect per-shard summaries (parallel
   /// over shards in demand-proportional mode, pure geometry in static
   /// mode), fold the canonical normalizer, and return the decision.
@@ -263,18 +247,21 @@ class Fleet {
   /// both shards_ and threads_ exceed one; otherwise the shard loop runs
   /// inline (and a one-thread fleet costs nothing extra).
   std::unique_ptr<util::ThreadPool> shard_pool_;
-  /// Engaged only when FleetConfig::trace_stream is set.
-  std::unique_ptr<telemetry::StreamingTraceSink> stream_;
-  /// Ring evictions (all rings) already reported via note_dropped().
-  std::uint64_t streamed_dropped_ = 0;
+  /// The run() loop; owns the merged sink when FleetConfig::trace_stream is
+  /// set.
+  EpochDriver driver_;
+  /// Per-epoch scratch: rack i's step lands in records_[i], its deficit in
+  /// deficits_[i] and its share in shares_[i], so pool threads never touch
+  /// a shared structure.
+  std::vector<EpochRecord> records_;
+  std::vector<double> deficits_;
+  std::vector<ShardSummary> summaries_;
+  std::vector<Watts> shares_;
   /// Completed-epoch history, all racks, as SoA columns (epoch-major).  A
   /// member (not a run()-local) so checkpoints capture it and a resumed run
   /// reassembles the full report, first epoch to last.
   EpochRecordStore history_;
   Watts peak_grid_allocation_{0.0};
-  /// Set by load_checkpoint(); the next run() continues from the restored
-  /// epoch instead of starting a fresh report.
-  bool resumed_ = false;
 };
 
 }  // namespace greenhetero

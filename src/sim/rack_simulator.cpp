@@ -1,7 +1,6 @@
 #include "sim/rack_simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "telemetry/probe.h"
@@ -81,17 +80,8 @@ void SimConfig::validate() const {
     throw std::invalid_argument(
         "sim config: Holt retrain cadence must be at least 1 epoch");
   }
-  if (metrics_flush_every < 1) {
-    throw std::invalid_argument(
-        "sim config: metrics flush cadence must be at least 1 epoch");
-  }
-  if (trace_stream && trace_stream->queue_capacity == 0) {
-    throw std::invalid_argument(
-        "sim config: stream queue capacity must be positive");
-  }
-  if (!checkpoint_dir.empty() && checkpoint_every < 1) {
-    throw std::invalid_argument(
-        "sim config: checkpoint cadence must be at least 1 epoch");
+  if (const std::string_view reason = invalid_reason(); !reason.empty()) {
+    throw std::invalid_argument("sim config: " + std::string(reason));
   }
 }
 
@@ -146,10 +136,7 @@ RackSimulator::RackSimulator(Rack rack, RackPowerPlant plant, SimConfig config)
   if (config_.check) {
     checker_ = std::make_unique<check::InvariantChecker>();
   }
-  if (config_.trace_stream) {
-    stream_ = std::make_unique<tel::StreamingTraceSink>(
-        *config_.trace_stream, &telemetry_->metrics());
-  }
+  driver_ = EpochDriver{PayloadKind::kRack, config_, *telemetry_};
   if (config_.rapl_enforcement) {
     if (config_.controller.policy == PolicyKind::kGreenHeteroS) {
       // The feedback caps act per group; they cannot express waking only a
@@ -452,15 +439,9 @@ void RackSimulator::set_grid_budget(Watts budget) {
   plant_.set_grid_budget(budget);
 }
 
-void RackSimulator::drain_trace_to_stream() {
-  if (!stream_) return;
-  tel::TraceRing& ring = telemetry_->trace();
-  const std::uint64_t dropped = ring.dropped();
-  if (dropped > streamed_dropped_) {
-    stream_->note_dropped(dropped - streamed_dropped_);
-    streamed_dropped_ = dropped;
-  }
-  stream_->push(ring.drain());
+void RackSimulator::push_trace(tel::StreamingTraceSink& sink,
+                               bool /*final*/) {
+  sink.push(telemetry_->trace().drain());
 }
 
 void RackSimulator::flush_rollup() {
@@ -506,76 +487,9 @@ std::filesystem::path RackSimulator::dump_flight_record(
 
 RunReport RackSimulator::run(Minutes duration) {
   RunReport report;
-  const auto total_epochs = static_cast<std::size_t>(
-      std::llround(duration.value() / clock_.epoch_length().value()));
-  const auto flush_every =
-      static_cast<std::size_t>(config_.metrics_flush_every);
-  const auto checkpoint_every =
-      static_cast<std::size_t>(std::max(1, config_.checkpoint_every));
-  // The epoch history lives on the simulator so checkpoints capture it; a
-  // resumed run continues from the restored epoch with the completed
-  // records already in place, a fresh run starts over.
-  std::size_t start_epoch = 0;
-  if (resumed_) {
-    start_epoch = clock_.epoch_index();
-    resumed_ = false;
-  } else {
-    epochs_.reset(1);
-  }
-  // Throughput gauge: epochs stepped in *this* run() over its wall time.
-  // Wall-clock, so — like the gh_*_ns series — it sits outside the
-  // byte-identity comparisons (the crash fuzzer and the parallel-fleet
-  // test filter it out).
-  const std::chrono::steady_clock::time_point run_begin =
-      std::chrono::steady_clock::now();
-  std::size_t stepped = 0;
-  const auto update_throughput = [&] {
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - run_begin)
-                            .count();
-    if (stepped == 0 || secs <= 0.0 || !telemetry_->config().enabled) return;
-    telemetry_->metrics()
-        .gauge("gh_rack_epochs_per_sec")
-        .set(static_cast<double>(stepped) / secs);
-  };
-  for (std::size_t e = start_epoch; e < total_epochs; ++e) {
-    epochs_.append(step_epoch());
-    ++stepped;
-    drain_trace_to_stream();
-    if (!config_.metrics_out.empty() && (e + 1) % flush_every == 0 &&
-        e + 1 < total_epochs) {
-      update_throughput();
-      tel::save_metrics(telemetry_->metrics().snapshot(), config_.metrics_out,
-                        /*human_sibling=*/true);
-    }
-    // Checkpoint at the epoch barrier: the ring is drained, the sink is
-    // about to be flushed, and no finalization has happened yet, so the
-    // snapshot plus the truncated stream file reconstruct this exact
-    // moment.  A stop request forces a final checkpoint regardless of
-    // cadence, then falls through to normal finalization — the outputs
-    // stay standalone-valid and resume discards that tail anyway.
-    const bool stop = config_.stop_flag &&
-                      config_.stop_flag->load(std::memory_order_relaxed);
-    if (!config_.checkpoint_dir.empty() &&
-        (stop || (e + 1) % checkpoint_every == 0)) {
-      write_checkpoint();
-    }
-    if (stop) {
-      report.interrupted = true;
-      GH_WARN << "stop requested; run interrupted after epoch " << e + 1
-              << " of " << total_epochs;
-      break;
-    }
-  }
-  flush_rollup();
-  drain_trace_to_stream();
-  if (stream_) stream_->flush();
-  update_throughput();
-  if (!config_.metrics_out.empty()) {
-    tel::save_metrics(telemetry_->metrics().snapshot(), config_.metrics_out,
-                      /*human_sibling=*/true);
-  }
-
+  report.interrupted = driver_.run(
+      *this, static_cast<std::size_t>(std::llround(
+                 duration.value() / clock_.epoch_length().value())));
   epochs_.fill_report(0, report.epochs);
   report.ledger = ledger_;
   report.total_work = rack_.total_work();
@@ -603,7 +517,6 @@ void RackSimulator::save_state(checkpoint::Writer& w) const {
                           ? std::optional<double>{solar_sensor_stuck_->value()}
                           : std::nullopt);
   w.u8(static_cast<std::uint8_t>(last_health_));
-  w.u64(streamed_dropped_);
   if (checker_) checker_->save_state(w);
   telemetry_->save_state(w);
   epochs_.save_state(w);
@@ -633,7 +546,6 @@ void RackSimulator::load_state(checkpoint::Reader& r) {
                                       std::to_string(health));
   }
   last_health_ = static_cast<HealthState>(health);
-  streamed_dropped_ = r.u64();
   if (checker_) checker_->load_state(r);
   telemetry_->load_state(r);
   epochs_.load_state(r);
@@ -643,47 +555,9 @@ void RackSimulator::load_state(checkpoint::Reader& r) {
   }
 }
 
-void RackSimulator::write_checkpoint() {
-  if (config_.checkpoint_dir.empty()) return;
-  // Flush first so the writer thread is idle and the sink's tellp() is the
-  // exact durable watermark of everything streamed so far.
-  if (stream_) stream_->flush();
-  checkpoint::Writer w;
-  w.u8(1);  // payload kind: standalone rack simulation
-  save_state(w);
-  w.boolean(static_cast<bool>(stream_));
-  if (stream_) stream_->save_state(w);
-  checkpoint::write_snapshot(config_.checkpoint_dir, clock_.epoch_index(),
-                             config_.config_hash, w.buffer(),
-                             config_.checkpoint_keep);
-}
-
-void RackSimulator::load_checkpoint(const checkpoint::Snapshot& snapshot) {
-  if (snapshot.config_hash != config_.config_hash) {
-    throw checkpoint::CheckpointError(
-        "checkpoint was taken under a different scenario configuration "
-        "(fingerprint mismatch); refusing to resume");
-  }
-  checkpoint::Reader r{snapshot.payload};
-  const std::uint8_t kind = r.u8();
-  if (kind != 1) {
-    throw checkpoint::CheckpointError(
-        "snapshot holds a fleet run, not a standalone simulation");
-  }
-  load_state(r);
-  const bool streamed = r.boolean();
-  if (streamed != static_cast<bool>(stream_)) {
-    throw checkpoint::CheckpointError(
-        streamed ? "checkpointed run streamed its trace; resume needs the "
-                   "same --trace-out stream configuration"
-                 : "checkpointed run did not stream; resume must not add a "
-                   "streaming sink");
-  }
-  if (stream_) stream_->load_state(r);
-  if (!r.done()) {
-    throw checkpoint::CheckpointError("snapshot has trailing bytes");
-  }
-  resumed_ = true;
+std::size_t RackSimulator::advance_epoch(std::size_t /*epoch*/) {
+  epochs_.append(step_epoch());
+  return 1;
 }
 
 void RackSimulator::run_training_epoch(const EpochPlan& plan,

@@ -13,7 +13,6 @@
 // and 10.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -31,6 +30,7 @@
 #include "power/energy_ledger.h"
 #include "power/power_bus.h"
 #include "server/rack.h"
+#include "sim/epoch_driver.h"
 #include "sim/epoch_store.h"
 #include "sim/run_report.h"
 #include "sim/sim_clock.h"
@@ -63,7 +63,9 @@ struct WorkloadSwitch {
   Workload workload = Workload::kSpecJbb;
 };
 
-struct SimConfig {
+/// The run-loop knobs (streamed trace, metrics flush, checkpointing, scenario
+/// fingerprint, stop flag) are RunConfig's (sim/epoch_driver.h).
+struct SimConfig : RunConfig {
   ControllerConfig controller;
   Minutes substep{1.0};
   /// Optional rack power-demand trace (watts); when absent the rack always
@@ -79,17 +81,6 @@ struct SimConfig {
   bool rapl_enforcement = false;
   /// Metrics + trace configuration for this simulator's Telemetry instance.
   TelemetryConfig telemetry;
-  /// Streaming trace sink: when set, run() drains the trace ring into this
-  /// file after every epoch instead of letting events pile up for a final
-  /// save_jsonl, capping trace memory at the sink's queue bound.  The file
-  /// is byte-identical to the buffered writer's.  (Fleet-driven racks leave
-  /// this unset; the coordinator owns the merged sink.)
-  std::optional<telemetry::StreamSinkConfig> trace_stream;
-  /// When non-empty, run() writes a metrics snapshot to this path every
-  /// `metrics_flush_every` epochs (crash-safe: temp file + rename) and once
-  /// more at the end, so a long run's metrics survive an abort.
-  std::string metrics_out;
-  int metrics_flush_every = 128;
   /// Deterministic fault schedule replayed against this rack (empty = no
   /// faults and exactly the fault-free behaviour, bit for bit).
   FaultPlan faults;
@@ -99,34 +90,14 @@ struct SimConfig {
   /// state or emits telemetry), so results are byte-identical either way;
   /// off (the default) costs one null-pointer test per substep.
   bool check = false;
-  /// Durable checkpointing: when checkpoint_dir is non-empty, run() writes a
-  /// versioned, checksummed snapshot of the complete resumable state every
-  /// checkpoint_every epochs (temp file + rename, so a crash never leaves a
-  /// torn checkpoint).  `greenhetero simulate --resume DIR` reloads the
-  /// latest valid snapshot and continues to a byte-identical final report.
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;
-  /// Snapshots retained after each write (older ones pruned); <= 0 keeps
-  /// every snapshot (the kill-at-every-epoch test matrix needs them all).
-  int checkpoint_keep = 2;
-  /// Fingerprint of the scenario configuration, stored in every snapshot and
-  /// verified on resume so a checkpoint cannot silently resume a different
-  /// scenario.  The CLI hashes its scenario-affecting flags; 0 skips none —
-  /// the check always runs, 0 simply has to match 0.
-  std::uint64_t config_hash = 0;
-  /// Cooperative stop flag (the CLI's SIGINT/SIGTERM handler sets it).
-  /// Checked at each epoch barrier: run() writes a final checkpoint (when
-  /// configured), finalizes outputs for the completed epochs and returns
-  /// with RunReport::interrupted set.
-  const std::atomic<bool>* stop_flag = nullptr;
-
   /// Fail fast on configurations the engine cannot honour: non-positive
   /// substep, substep longer than the epoch, an unsorted workload schedule,
-  /// out-of-range controller knobs.  Throws std::invalid_argument.
+  /// out-of-range controller knobs or run-loop knobs.  Throws
+  /// std::invalid_argument.
   void validate() const;
 };
 
-class RackSimulator {
+class RackSimulator final : private EpochClient {
  public:
   RackSimulator(Rack rack, RackPowerPlant plant, SimConfig config);
 
@@ -143,7 +114,9 @@ class RackSimulator {
   void pretrain();
 
   /// Simulate `duration` minutes and return the report.  May be called
-  /// repeatedly; state (battery, database, predictors) carries over.
+  /// repeatedly; state (battery, database, predictors) carries over.  After
+  /// load_checkpoint, `duration` is the absolute horizon the resumed run
+  /// completes (EpochDriver::run).
   RunReport run(Minutes duration);
 
   /// Advance exactly one scheduling epoch and return its record.  The fleet
@@ -161,7 +134,7 @@ class RackSimulator {
   [[nodiscard]] double overall_epu() const { return run_epu_.epu(); }
   [[nodiscard]] Minutes now() const { return clock_.now(); }
   /// Completed epochs since construction (the checkpoint cadence index).
-  [[nodiscard]] std::size_t epoch_index() const {
+  [[nodiscard]] std::size_t epoch_index() const override {
     return clock_.epoch_index();
   }
 
@@ -170,16 +143,16 @@ class RackSimulator {
   [[nodiscard]] const Telemetry& telemetry() const { return *telemetry_; }
   /// The streaming sink (null unless SimConfig::trace_stream was set).
   [[nodiscard]] telemetry::StreamingTraceSink* stream() {
-    return stream_.get();
+    return driver_.stream();
   }
   [[nodiscard]] const telemetry::StreamingTraceSink* stream() const {
-    return stream_.get();
+    return driver_.stream();
   }
 
   /// Close the trailing partial rollup window (if the aggregator is on) and
   /// emit it as a final "rollup" event.  run() calls this at the end; the
   /// fleet coordinator calls it per rack before writing artifacts.
-  void flush_rollup();
+  void flush_rollup() override;
 
   /// Dump the flight recorder: ring contents + a metrics snapshot + the
   /// fault plan rendered as "fault_plan_row" context rows (delivered/pending
@@ -189,7 +162,7 @@ class RackSimulator {
   /// directly for run-abort hooks.
   std::filesystem::path dump_flight_record(std::string_view reason);
   /// Snapshot of all metrics accumulated so far.
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const {
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const override {
     return telemetry_->metrics().snapshot();
   }
 
@@ -204,18 +177,15 @@ class RackSimulator {
   /// rack/plant/controller state, fault cursor, telemetry, completed-epoch
   /// history.  The streaming sink is NOT included; write_checkpoint /
   /// load_checkpoint handle it alongside.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  void save_state(checkpoint::Writer& w) const override;
+  void load_state(checkpoint::Reader& r) override;
 
-  /// Write one snapshot of the full state (including the streaming sink's
-  /// durable watermark) to SimConfig::checkpoint_dir.  Called by run() at
-  /// the configured cadence; callable directly at any epoch barrier.
-  void write_checkpoint();
-  /// Restore from a loaded snapshot: validates the payload kind and the
-  /// config fingerprint, restores the state and (in streaming mode)
-  /// truncates + reopens the sink file at its durable watermark.  The next
-  /// run() continues from the restored epoch.
-  void load_checkpoint(const checkpoint::Snapshot& snapshot);
+  /// EpochDriver::write_checkpoint / load_checkpoint for this rack.  Called
+  /// by run() at the configured cadence; callable at any epoch barrier.
+  void write_checkpoint() { driver_.write_checkpoint(*this); }
+  void load_checkpoint(const checkpoint::Snapshot& snapshot) {
+    driver_.load_checkpoint(*this, snapshot);
+  }
 
  private:
   struct EpochStats;  // defined in the .cpp
@@ -239,9 +209,16 @@ class RackSimulator {
   /// RAPL mode: apply per-group caps through the feedback controllers.
   void enforce_with_rapl(std::span<const Watts> group_power);
 
-  /// Hand the ring's events (and any new evictions) to the streaming sink;
-  /// no-op without one.
-  void drain_trace_to_stream();
+  // EpochClient: what run() hands the driver.
+  [[nodiscard]] const RunConfig& run_config() const override {
+    return config_;
+  }
+  std::size_t advance_epoch(std::size_t epoch) override;
+  void restart_history() override { epochs_.reset(1); }
+  [[nodiscard]] std::uint64_t trace_dropped() const override {
+    return telemetry_->trace().dropped();
+  }
+  void push_trace(telemetry::StreamingTraceSink& sink, bool final) override;
 
   Rack rack_;
   RackPowerPlant plant_;
@@ -249,10 +226,9 @@ class RackSimulator {
   /// unique_ptr: the registry is non-copyable and the fleet stores
   /// simulators in a vector, so the context must stay movable.
   std::unique_ptr<Telemetry> telemetry_;
-  /// Engaged only when SimConfig::trace_stream is set (run()-driven path).
-  std::unique_ptr<telemetry::StreamingTraceSink> stream_;
-  /// Ring evictions already reported to the sink via note_dropped().
-  std::uint64_t streamed_dropped_ = 0;
+  /// The run() loop; owns the streaming sink when SimConfig::trace_stream
+  /// is set.
+  EpochDriver driver_;
   /// Previous epoch's health state, for the flight-recorder trigger edge.
   HealthState last_health_ = HealthState::kNormal;
   GreenHeteroController controller_;
@@ -277,9 +253,6 @@ class RackSimulator {
   /// checkpoints capture it and a resumed run reproduces the full report,
   /// first epoch to last.
   EpochRecordStore epochs_;
-  /// Set by load_checkpoint(); tells the next run() to continue from the
-  /// restored epoch instead of starting a fresh report.
-  bool resumed_ = false;
 };
 
 }  // namespace greenhetero

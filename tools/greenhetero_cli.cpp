@@ -110,10 +110,11 @@
 // a last checkpoint is written, outputs are finalized for the completed
 // epochs and the process exits 5.
 //
-// fuzz --crash drives real `fleet` child processes, SIGKILLs them at random
-// points, resumes them via --resume and byte-compares the outputs against
-// an uninterrupted reference; exits 4 on any divergence.
+// fuzz --crash drives real `fleet` and `simulate` child processes, SIGKILLs
+// them at random points, resumes them via --resume and byte-compares the
+// outputs against an uninterrupted reference; exits 4 on any divergence.
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -159,9 +160,22 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// The whole value must parse as a finite number; anything else exits 2
+  /// with a message naming the flag.
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error != std::errc{} || end != text.data() + text.size() ||
+        !std::isfinite(value)) {
+      std::fprintf(stderr, "--%s: '%s' is not a finite number\n",
+                   key.c_str(), text.c_str());
+      std::exit(2);
+    }
+    return value;
   }
 };
 
@@ -223,45 +237,9 @@ extern "C" void handle_stop_signal(int) {
   g_stop.store(true, std::memory_order_relaxed);
 }
 
-void install_stop_handlers() {
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-}
-
 /// Exit code for a run cut short by SIGINT/SIGTERM (outputs are finalized
 /// for the completed epochs and a last checkpoint was written).
 constexpr int kExitInterrupted = 5;
-
-/// Shared by simulate and fleet: resolve --checkpoint-dir / --resume into
-/// (directory, latest snapshot).  --resume DIR implies checkpointing into
-/// DIR; an empty or invalid directory warns and starts fresh (a crash may
-/// land before the first checkpoint ever gets written).
-struct ResumeOptions {
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;
-  int checkpoint_keep = 2;
-  std::optional<checkpoint::Snapshot> snapshot;
-};
-
-ResumeOptions parse_resume_options(const Args& args) {
-  ResumeOptions opt;
-  opt.checkpoint_dir = args.get("checkpoint-dir", "");
-  opt.checkpoint_every =
-      static_cast<int>(args.number("checkpoint-every", 1.0));
-  opt.checkpoint_keep =
-      static_cast<int>(args.number("checkpoint-keep", 2.0));
-  const std::string resume_dir = args.get("resume", "");
-  if (resume_dir.empty()) return opt;
-  if (opt.checkpoint_dir.empty()) opt.checkpoint_dir = resume_dir;
-  opt.snapshot = checkpoint::load_latest(resume_dir);
-  if (!opt.snapshot) {
-    std::fprintf(stderr,
-                 "resume: no valid snapshot in %s; starting fresh (will "
-                 "checkpoint into it)\n",
-                 resume_dir.c_str());
-  }
-  return opt;
-}
 
 /// The path of this very binary (for the crash fuzzer's re-exec); falls
 /// back to argv[0] where /proc/self/exe is unavailable.
@@ -284,7 +262,6 @@ struct StreamOptions {
   double rollup_window_min = 0.0;
   std::string flightrec_dir;
   std::string metrics_out;
-  int metrics_every = 128;
 };
 
 StreamOptions parse_stream_options(const Args& args) {
@@ -302,8 +279,97 @@ StreamOptions parse_stream_options(const Args& args) {
       args.number("rollup-window", opt.rollup_out.empty() ? 0.0 : 60.0);
   opt.flightrec_dir = args.get("flightrec-dir", "");
   opt.metrics_out = args.get("metrics-out", "");
-  opt.metrics_every = static_cast<int>(args.number("metrics-every", 128.0));
   return opt;
+}
+
+/// What configure_run resolved: the --resume snapshot to load (if any) and
+/// whether the run checkpoints at all.
+struct RunSetup {
+  std::optional<checkpoint::Snapshot> snapshot;
+  bool checkpointing = false;
+};
+
+/// Shared by simulate and fleet: fill the run-loop knobs and install the
+/// stop handlers.  --resume DIR implies checkpointing into DIR; an empty or
+/// invalid directory warns and starts fresh (a crash may land before the
+/// first checkpoint ever gets written).
+RunSetup configure_run(const Args& args, const StreamOptions& stream_opt,
+                       RunConfig& cfg) {
+  RunSetup setup;
+  cfg.checkpoint_dir = args.get("checkpoint-dir", "");
+  cfg.checkpoint_every = static_cast<int>(args.number("checkpoint-every", 1.0));
+  cfg.checkpoint_keep = static_cast<int>(args.number("checkpoint-keep", 2.0));
+  if (const std::string resume_dir = args.get("resume", "");
+      !resume_dir.empty()) {
+    if (cfg.checkpoint_dir.empty()) cfg.checkpoint_dir = resume_dir;
+    setup.snapshot = checkpoint::load_latest(resume_dir);
+    if (!setup.snapshot) {
+      std::fprintf(stderr,
+                   "resume: no valid snapshot in %s; starting fresh (will "
+                   "checkpoint into it)\n",
+                   resume_dir.c_str());
+    }
+  }
+  setup.checkpointing = !cfg.checkpoint_dir.empty();
+  if (stream_opt.stream) {
+    telemetry::StreamSinkConfig sink_cfg{stream_opt.trace_out};
+    // Resume mode defers the open/header; load_checkpoint truncates the
+    // existing file to the durable watermark and reopens it for append.
+    sink_cfg.resume = setup.snapshot.has_value();
+    cfg.trace_stream = sink_cfg;
+  }
+  cfg.metrics_out = stream_opt.metrics_out;
+  cfg.metrics_flush_every =
+      static_cast<int>(args.number("metrics-every", 128.0));
+  cfg.config_hash = scenario_hash(args);
+  cfg.stop_flag = &g_stop;
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+  return setup;
+}
+
+void dump_flight_records(RackSimulator& sim, std::string_view reason) {
+  sim.dump_flight_record(reason);
+}
+void dump_flight_records(Fleet& fleet, std::string_view reason) {
+  fleet.dump_flight_records(reason);
+}
+
+/// Shared by simulate and fleet: pretrain, resume from the snapshot (if
+/// any) and run, dumping the flight recorders when the run aborts.
+/// pretrain() always runs: load_checkpoint overwrites its effects (the
+/// database, RNG streams and rack state all come from the snapshot), so
+/// fresh and resumed runs take the identical construction path.
+template <typename Runner>
+auto resume_and_run(Runner& runner, const RunSetup& setup, Minutes duration) {
+  runner.pretrain();
+  if (setup.snapshot) {
+    runner.load_checkpoint(*setup.snapshot);
+    std::printf("resumed from %s (epoch %llu)\n",
+                setup.snapshot->path.string().c_str(),
+                static_cast<unsigned long long>(setup.snapshot->epoch_index));
+  }
+  try {
+    return runner.run(duration);
+  } catch (const check::InvariantViolation&) {
+    throw;  // the offending rack already dumped its flight record
+  } catch (const std::exception&) {
+    dump_flight_records(runner, "run_abort");
+    throw;
+  }
+}
+
+/// Shared by simulate and fleet: the exit code.  A stopped run dumps the
+/// flight recorders and exits 5.
+template <typename Runner>
+int epilogue(Runner& runner, bool interrupted, std::size_t epochs,
+             const RunSetup& setup) {
+  if (!interrupted) return 0;
+  dump_flight_records(runner, "interrupted");
+  std::printf("interrupted after %zu epoch(s); outputs cover the completed "
+              "prefix%s\n",
+              epochs, setup.checkpointing ? ", resume with --resume" : "");
+  return kExitInterrupted;
 }
 
 void print_stream_stats(const telemetry::StreamingTraceSink& sink) {
@@ -398,22 +464,7 @@ int cmd_simulate(const Args& args) {
   const StreamOptions stream_opt = parse_stream_options(args);
   cfg.telemetry.rollup_window_min = stream_opt.rollup_window_min;
   cfg.telemetry.flightrec_dir = stream_opt.flightrec_dir;
-  const ResumeOptions resume_opt = parse_resume_options(args);
-  if (stream_opt.stream) {
-    telemetry::StreamSinkConfig sink_cfg{stream_opt.trace_out};
-    // Resume mode defers the open/header; load_checkpoint truncates the
-    // existing file to the durable watermark and reopens it for append.
-    sink_cfg.resume = resume_opt.snapshot.has_value();
-    cfg.trace_stream = sink_cfg;
-  }
-  cfg.checkpoint_dir = resume_opt.checkpoint_dir;
-  cfg.checkpoint_every = resume_opt.checkpoint_every;
-  cfg.checkpoint_keep = resume_opt.checkpoint_keep;
-  cfg.config_hash = scenario_hash(args);
-  cfg.stop_flag = &g_stop;
-  install_stop_handlers();
-  cfg.metrics_out = stream_opt.metrics_out;
-  cfg.metrics_flush_every = stream_opt.metrics_every;
+  const RunSetup setup = configure_run(args, stream_opt, cfg);
   const std::string faults = args.get("faults", "");
   if (!faults.empty()) {
     cfg.faults = FaultPlan::load_csv(faults);
@@ -442,26 +493,8 @@ int cmd_simulate(const Args& args) {
                     RackPowerPlant{SolarArray{solar}, Battery{battery},
                                    GridSupply{grid}},
                     std::move(cfg)};
-  // pretrain() always runs: load_checkpoint overwrites its effects (the
-  // database, RNG streams and rack state all come from the snapshot), so
-  // fresh and resumed runs take the identical construction path.
-  sim.pretrain();
-  if (resume_opt.snapshot) {
-    sim.load_checkpoint(*resume_opt.snapshot);
-    std::printf("resumed from %s (epoch %llu)\n",
-                resume_opt.snapshot->path.string().c_str(),
-                static_cast<unsigned long long>(
-                    resume_opt.snapshot->epoch_index));
-  }
-  RunReport report;
-  try {
-    report = sim.run(Minutes{days * 24.0 * 60.0});
-  } catch (const check::InvariantViolation&) {
-    throw;  // step_epoch already dumped the flight record for this one
-  } catch (const std::exception&) {
-    sim.dump_flight_record("run_abort");
-    throw;
-  }
+  const RunReport report =
+      resume_and_run(sim, setup, Minutes{days * 24.0 * 60.0});
 
   std::printf("policy %s, workload %s, %d day(s), %s trace\n",
               std::string(to_string(policy)).c_str(),
@@ -532,17 +565,7 @@ int cmd_simulate(const Args& args) {
     std::printf("  metrics (%zu series) written to %s\n",
                 report.metrics.entries.size(), stream_opt.metrics_out.c_str());
   }
-  if (report.interrupted) {
-    sim.dump_flight_record("interrupted");
-    std::printf("interrupted after %zu epoch(s); outputs cover the completed "
-                "prefix%s\n",
-                report.epochs.size(),
-                resume_opt.checkpoint_dir.empty()
-                    ? ""
-                    : ", resume with --resume");
-    return kExitInterrupted;
-  }
-  return 0;
+  return epilogue(sim, report.interrupted, report.epochs.size(), setup);
 }
 
 int cmd_analyze(const Args& args) {
@@ -737,40 +760,10 @@ int cmd_fleet(const Args& args) {
   fleet_cfg.shards = static_cast<std::size_t>(args.number("shards", 1.0));
   fleet_cfg.check = check;
   fleet_cfg.telemetry.profile = !profile_out.empty();
-  const ResumeOptions resume_opt = parse_resume_options(args);
-  if (stream_opt.stream) {
-    telemetry::StreamSinkConfig sink_cfg{stream_opt.trace_out};
-    sink_cfg.resume = resume_opt.snapshot.has_value();
-    fleet_cfg.trace_stream = sink_cfg;
-  }
-  fleet_cfg.checkpoint_dir = resume_opt.checkpoint_dir;
-  fleet_cfg.checkpoint_every = resume_opt.checkpoint_every;
-  fleet_cfg.checkpoint_keep = resume_opt.checkpoint_keep;
-  fleet_cfg.config_hash = scenario_hash(args);
-  fleet_cfg.stop_flag = &g_stop;
-  install_stop_handlers();
-  fleet_cfg.metrics_out = stream_opt.metrics_out;
-  fleet_cfg.metrics_flush_every = stream_opt.metrics_every;
+  const RunSetup setup = configure_run(args, stream_opt, fleet_cfg);
   Fleet fleet{std::move(sims), fleet_cfg};
-  // pretrain() always runs: a snapshot overwrites its effects, keeping the
-  // fresh and resumed construction paths identical.
-  fleet.pretrain();
-  if (resume_opt.snapshot) {
-    fleet.load_checkpoint(*resume_opt.snapshot);
-    std::printf("resumed from %s (epoch %llu)\n",
-                resume_opt.snapshot->path.string().c_str(),
-                static_cast<unsigned long long>(
-                    resume_opt.snapshot->epoch_index));
-  }
-  FleetReport report;
-  try {
-    report = fleet.run(Minutes{hours * 60.0});
-  } catch (const check::InvariantViolation&) {
-    throw;  // the offending rack already dumped its flight record
-  } catch (const std::exception&) {
-    fleet.dump_flight_records("run_abort");
-    throw;
-  }
+  const FleetReport report =
+      resume_and_run(fleet, setup, Minutes{hours * 60.0});
   std::printf("fleet of %d racks, %s grid sharing, %.0f W total grid, "
               "%zu thread(s), %zu shard(s), %.0f h\n",
               racks, to_string(mode).c_str(), total_grid.value(),
@@ -856,14 +849,8 @@ int cmd_fleet(const Args& args) {
     // run() already wrote the merged snapshot (and the periodic ones).
     std::printf("  metrics written to %s\n", stream_opt.metrics_out.c_str());
   }
-  if (report.interrupted) {
-    fleet.dump_flight_records("interrupted");
-    std::printf("interrupted; outputs cover the completed epochs%s\n",
-                resume_opt.checkpoint_dir.empty() ? ""
-                                                  : ", resume with --resume");
-    return kExitInterrupted;
-  }
-  return 0;
+  return epilogue(fleet, report.interrupted,
+                  report.racks.front().epochs.size(), setup);
 }
 
 int cmd_fuzz(const Args& args) {
