@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "checkpoint/serializer.h"
-#include "telemetry/probe.h"
 #include "telemetry/span.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
@@ -46,7 +45,6 @@ bool GreenHeteroController::needs_training(const Rack& rack) const {
 EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
                                             const RackPowerPlant& plant,
                                             Minutes now, Watts demand_hint) {
-  GH_PROBE("gh_plan_epoch_ns");
   GH_SPAN("plan");
   EpochPlan plan;
   if (needs_training(rack)) {
@@ -64,7 +62,6 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
   }
 
   {
-    GH_PROBE("gh_predict_ns");
     GH_SPAN("predict");
     plan.predicted_renewable =
         supply_predictor_->ready()
@@ -95,7 +92,6 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
         t->metrics().counter("gh_safe_mode_epochs_total").increment();
       }
     } else {
-      GH_PROBE("gh_policy_allocate_ns");
       GH_SPAN("solve");
       try {
         plan.allocation =
@@ -177,7 +173,6 @@ void GreenHeteroController::record_training(
 
 void GreenHeteroController::finish_epoch(const Rack& rack,
                                          const EpochFeedback& feedback) {
-  GH_PROBE("gh_finish_epoch_ns");
   GH_SPAN("feedback");
   supply_history_.push_back(feedback.observed_renewable.value());
   demand_history_.push_back(feedback.observed_demand.value());
@@ -214,7 +209,7 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
   int feedback_samples = 0;
   int quarantined_samples = 0;
   if (policy_->updates_database()) {
-    GH_PROBE("gh_db_update_ns");
+    GH_SPAN("db_update");
     // Algorithm 1 lines 8-10: fold runtime feedback into the fits.
     for (std::size_t i = 0; i < rack.group_count(); ++i) {
       const ProfileKey key{rack.group(i).model, rack.group_workload(i)};
@@ -341,7 +336,7 @@ void GreenHeteroController::maybe_retrain_holt() {
   const bool due = epochs_seen_ % std::max(1, config_.holt_retrain_every) == 0;
   const bool first = epochs_seen_ == 3;
   if (!due && !first) return;
-  GH_PROBE("gh_holt_retrain_ns");
+  GH_SPAN("holt_retrain");
   if (telemetry::Telemetry* t = telemetry::current()) {
     t->metrics().counter("gh_predictor_retrains_total").increment();
   }

@@ -5,7 +5,6 @@
 #include <set>
 #include <string>
 
-#include "telemetry/probe.h"
 #include "telemetry/telemetry.h"
 
 namespace greenhetero {
@@ -177,7 +176,6 @@ PerfPowerDatabase PerfPowerDatabase::load(
 }
 
 void PerfPowerDatabase::refit(ProfileRecord& record) const {
-  GH_PROBE("gh_db_refit_ns");
   record.fit = quadratic_fit(record.powers, record.perfs);
   record.min_power = Watts{*std::min_element(record.powers.begin(),
                                              record.powers.end())};

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "telemetry/probe.h"
 #include "telemetry/telemetry.h"
 #include "util/optimize.h"
 
@@ -222,7 +221,6 @@ double Solver::best_subset_perf(const GroupModel& group, Watts group_budget,
 
 Allocation Solver::solve_subset(std::span<const GroupModel> groups,
                                 Watts total_supply) {
-  GH_PROBE("gh_solver_solve_subset_ns");
   validate_inputs(groups, total_supply);
   const Watts total = total_supply;
   std::uint64_t evals = 0;
@@ -305,7 +303,6 @@ Allocation Solver::solve_subset(std::span<const GroupModel> groups,
 
 Allocation Solver::solve_grid(std::span<const GroupModel> groups,
                               Watts total_supply, double granularity) {
-  GH_PROBE("gh_solver_solve_grid_ns");
   validate_inputs(groups, total_supply, /*max_groups=*/8);
   if (granularity <= 0.0 || granularity > 0.5) {
     throw SolverError("solver: granularity must be in (0, 0.5]");
@@ -987,7 +984,6 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
 
 Allocation Solver::solve(std::span<const GroupModel> groups,
                          Watts total_supply) {
-  GH_PROBE("gh_solver_solve_ns");
   validate_inputs(groups, total_supply, kMaxAnalyticGroups);
   std::array<RawGroup, kMaxAnalyticGroups> raw;
   for (std::size_t i = 0; i < groups.size(); ++i) {

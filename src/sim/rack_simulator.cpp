@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "telemetry/probe.h"
 #include "telemetry/span.h"
 #include "util/logging.h"
 
@@ -172,7 +171,7 @@ void RackSimulator::pretrain() {
   if (!controller_.policy().needs_database()) return;
   const TelemetryScope scope(config_.telemetry.enabled ? telemetry_.get()
                                                        : nullptr);
-  GH_PROBE("gh_pretrain_ns");
+  GH_SPAN("pretrain");
   const std::vector<double> sweep = controller_.training_sweep();
   for (std::size_t g = 0; g < rack_.group_count(); ++g) {
     const ProfileKey key{rack_.group(g).model, rack_.group_workload(g)};
@@ -316,7 +315,6 @@ EpochRecord RackSimulator::step_epoch() {
 EpochRecord RackSimulator::step_epoch_impl() {
   const TelemetryScope scope(config_.telemetry.enabled ? telemetry_.get()
                                                        : nullptr);
-  GH_PROBE("gh_step_epoch_ns");
   GH_SPAN("epoch");
   const Minutes epoch_start = clock_.now();
   telemetry_->set_now(epoch_start);
@@ -583,7 +581,6 @@ void RackSimulator::run_training_epoch(const EpochPlan& plan,
   }
 
   EpochStats stats;
-  GH_PROBE("gh_substep_loop_ns");
   {
     GH_SPAN("substeps");
     const auto substeps = clock_.substeps_per_epoch();
@@ -678,7 +675,6 @@ void RackSimulator::run_normal_epoch(const EpochPlan& plan, Watts demand_hint,
   }
 
   EpochStats stats;
-  GH_PROBE("gh_substep_loop_ns");
   {
     GH_SPAN("substeps");
     const auto substeps = clock_.substeps_per_epoch();

@@ -157,7 +157,7 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Bounds for wall-clock probes: 1 us to ~4 s in powers of two
+/// Bounds for wall-clock spans: 1 us to ~4 s in powers of two
 /// (nanoseconds).  Fixed so latency exports are comparable across runs.
 inline constexpr std::array<double, 23> kLatencyBucketsNs = [] {
   std::array<double, 23> b{};
@@ -248,6 +248,12 @@ inline constexpr std::array<std::string_view, 2> kDbSampleKinds = {
     "training", "runtime"};
 inline constexpr std::array<std::string_view, 3> kSolverBackends = {
     "analytic_n", "grid", "subset"};
+/// The GH_SPAN phase tags (span.h), in rack-epoch order; pretrain runs
+/// once per rack before the first epoch.
+inline constexpr std::array<std::string_view, 11> kSpanTags = {
+    "epoch",   "plan",     "predict",  "select_source", "solve",
+    "enforce", "substeps", "feedback", "db_update",     "holt_retrain",
+    "pretrain"};
 
 constexpr MetricDef counter(std::string_view name) {
   return {name, MetricKind::kCounter, {}, {}, {}};
@@ -264,45 +270,36 @@ constexpr MetricDef gauge(std::string_view name, std::string_view key,
   return {name, MetricKind::kGauge, {}, key, values};
 }
 constexpr MetricDef histogram(std::string_view name,
-                              std::span<const double> bounds) {
-  return {name, MetricKind::kHistogram, bounds, {}, {}};
-}
-constexpr MetricDef latency(std::string_view name) {
-  return histogram(name, kLatencyBucketsNs);
+                              std::span<const double> bounds,
+                              std::string_view key = {},
+                              std::span<const std::string_view> values = {}) {
+  return {name, MetricKind::kHistogram, bounds, key, values};
 }
 }  // namespace catalog
 
 /// Every metric the stack itself registers, sorted by name.  `greenhetero
 /// info` reports the catalog size so users can tell a quiet run from a
 /// -DGH_TELEMETRY=OFF build.
-inline constexpr std::array<MetricDef, 50> kBuiltinMetrics = {
+inline constexpr std::array<MetricDef, 38> kBuiltinMetrics = {
     catalog::gauge("gh_battery_soc"),
     catalog::counter("gh_db_quarantined_total"),
-    catalog::latency("gh_db_refit_ns"),
     catalog::counter("gh_db_samples_total", "kind", catalog::kDbSampleKinds),
-    catalog::latency("gh_db_update_ns"),
     catalog::counter("gh_degraded_substeps_total"),
     catalog::counter("gh_dvfs_quantization_passes_total"),
     catalog::counter("gh_enforcements_total"),
     catalog::counter("gh_epochs_total", "case", catalog::kPowerCases),
     catalog::counter("gh_faults_injected_total", "kind",
                      catalog::kFaultKinds),
-    catalog::latency("gh_finish_epoch_ns"),
     catalog::counter("gh_fleet_epochs_total"),
     catalog::gauge("gh_fleet_shards"),
     catalog::counter("gh_flightrec_dumps_total"),
     catalog::gauge("gh_health_state"),
     catalog::counter("gh_health_transitions_total", "to",
                      catalog::kHealthStates),
-    catalog::latency("gh_holt_retrain_ns"),
     catalog::counter("gh_loss_epochs_total"),
     catalog::gauge("gh_loss_invariant_error_w"),
     catalog::gauge("gh_loss_w", "bucket", catalog::kLossBuckets),
-    catalog::latency("gh_plan_epoch_ns"),
-    catalog::latency("gh_policy_allocate_ns"),
-    catalog::latency("gh_predict_ns"),
     catalog::counter("gh_predictor_retrains_total"),
-    catalog::latency("gh_pretrain_ns"),
     catalog::gauge("gh_rack_epochs_per_sec"),
     catalog::histogram("gh_renewable_prediction_error_w", kWattBuckets),
     catalog::counter("gh_rollup_windows_total"),
@@ -316,14 +313,11 @@ inline constexpr std::array<MetricDef, 50> kBuiltinMetrics = {
     catalog::counter("gh_solver_iterations_total", "backend",
                      catalog::kSolverBackends),
     catalog::counter("gh_solver_repairs_total"),
-    catalog::latency("gh_solver_solve_grid_ns"),
-    catalog::latency("gh_solver_solve_ns"),
-    catalog::latency("gh_solver_solve_subset_ns"),
     catalog::counter("gh_source_decisions_total", "case",
                      catalog::kPowerCases),
+    catalog::histogram("gh_span_ns", kLatencyBucketsNs, "span",
+                       catalog::kSpanTags),
     catalog::counter("gh_spans_dropped_total"),
-    catalog::latency("gh_step_epoch_ns"),
-    catalog::latency("gh_substep_loop_ns"),
     catalog::counter("gh_substeps_total"),
     catalog::gauge("gh_trace_buffer_bytes"),
     catalog::counter("gh_trace_events_streamed_total"),

@@ -1,6 +1,5 @@
 #include "telemetry/profiler.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <ctime>
 #include <new>
@@ -18,12 +17,6 @@ namespace {
 // touch them at any point, including during static initialisation.
 thread_local std::uint64_t g_alloc_bytes = 0;
 thread_local std::uint64_t g_alloc_count = 0;
-
-std::int64_t wall_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::int64_t thread_cpu_now_ns() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
@@ -49,7 +42,7 @@ ThreadAllocCounters thread_alloc_counters() {
   return ThreadAllocCounters{g_alloc_bytes, g_alloc_count};
 }
 
-void Profiler::begin(const char* name) {
+void Profiler::begin(std::string_view name) {
   if (!enabled_) return;
   Frame frame;
   frame.path_len = path_.size();
@@ -63,25 +56,22 @@ void Profiler::begin(const char* name) {
   f.bytes_begin = g_alloc_bytes;
   f.count_begin = g_alloc_count;
   f.cpu_begin = thread_cpu_now_ns();
-  f.wall_begin = wall_now_ns();
 }
 
-void Profiler::end() {
+void Profiler::end(std::int64_t wall_ns) {
   if (!enabled_ || stack_.empty()) return;
-  const std::int64_t wall_end = wall_now_ns();
   const std::int64_t cpu_end = thread_cpu_now_ns();
   const Frame f = stack_.back();
-  const std::int64_t dw = wall_end - f.wall_begin;
   const std::int64_t dc = cpu_end - f.cpu_begin;
   const std::uint64_t db = g_alloc_bytes - f.bytes_begin;
   const std::uint64_t dn = g_alloc_count - f.count_begin;
   ProfileNode& node = *f.node;
   node.calls += 1;
-  node.wall_ns += dw;
+  node.wall_ns += wall_ns;
   node.cpu_ns += dc;
   node.alloc_bytes += db;
   node.alloc_count += dn;
-  node.self_wall_ns += dw - f.child_wall;
+  node.self_wall_ns += wall_ns - f.child_wall;
   node.self_cpu_ns += dc - f.child_cpu;
   node.self_alloc_bytes += db - f.child_bytes;
   node.self_alloc_count += dn - f.child_count;
@@ -89,7 +79,7 @@ void Profiler::end() {
   path_.resize(f.path_len);
   if (!stack_.empty()) {
     Frame& parent = stack_.back();
-    parent.child_wall += dw;
+    parent.child_wall += wall_ns;
     parent.child_cpu += dc;
     parent.child_bytes += db;
     parent.child_count += dn;

@@ -1,11 +1,12 @@
 // Scoped in-process profiler riding the GH_SPAN phase tags.
 //
-// Every GH_SPAN scope already names a control-loop phase ("epoch", "plan",
+// Every GH_SPAN scope (span.h) names a control-loop phase ("epoch", "plan",
 // "solve", ...).  When TelemetryConfig::profile is on, the ambient
 // Telemetry's Profiler attributes three costs to the *path* of the open
 // spans (tags joined by '/', e.g. "epoch/plan/solve"):
 //
-//   - wall nanoseconds (steady clock),
+//   - wall nanoseconds (the span's own steady-clock reading, the same
+//     duration its gh_span_ns histogram observes),
 //   - thread-CPU nanoseconds (CLOCK_THREAD_CPUTIME_ID; 0 where the clock
 //     is unavailable), and
 //   - heap allocations (bytes + counts, via the global operator new
@@ -18,19 +19,20 @@
 // order — so every field except the *_ns timings is byte-identical at any
 // --threads N.  The *_ns fields are wall-clock measurements and sit
 // outside the byte-identity guarantees, exactly like "span" events and the
-// gh_*_ns latency histograms.
+// gh_span_ns latency histogram.
 //
 // Cost model: with -DGH_TELEMETRY=OFF, GH_SPAN compiles to (void)0 and the
 // allocation hooks are not compiled, so the profiler is zero-cost.  With
 // telemetry compiled in but profile=false, ScopedSpan pays one enabled()
 // check and the allocation hooks two thread-local increments per
-// allocation; the clocks are only read while profiling.
+// allocation; the thread-CPU clock is only read while profiling.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace greenhetero::telemetry {
@@ -71,11 +73,13 @@ class Profiler {
 
   /// Open a frame for `name` under the currently open path.  Baselines are
   /// captured after the path/node bookkeeping so a frame's own setup cost
-  /// is charged to its parent, not to itself.
-  void begin(const char* name);
-  /// Close the innermost frame and fold its deltas into the path's node
-  /// (no-op when nothing is open — a stray end() must not corrupt).
-  void end();
+  /// is charged to its parent, not to itself; the caller reads the wall
+  /// clock after this returns.
+  void begin(std::string_view name);
+  /// Close the innermost frame, whose caller measured `wall_ns` of wall
+  /// time, and fold its deltas into the path's node (no-op when nothing is
+  /// open — a stray end() must not corrupt).
+  void end(std::int64_t wall_ns);
 
   [[nodiscard]] std::size_t open_depth() const { return stack_.size(); }
   [[nodiscard]] const ProfileReport& report() const { return nodes_; }
@@ -85,7 +89,6 @@ class Profiler {
   struct Frame {
     ProfileNode* node = nullptr;
     std::size_t path_len = 0;  ///< path_ length before this frame opened
-    std::int64_t wall_begin = 0;
     std::int64_t cpu_begin = 0;
     std::uint64_t bytes_begin = 0;
     std::uint64_t count_begin = 0;

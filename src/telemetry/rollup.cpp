@@ -1,6 +1,5 @@
 #include "telemetry/rollup.h"
 
-#include <algorithm>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
@@ -29,15 +28,6 @@ TraceKey health_key(std::size_t state) {
   return kKeys[state];
 }
 
-/// Exact-sample percentile (same convention as the trace analyzer): the
-/// ceil(q*n)-th smallest value of a sorted sample set.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(sorted.size() - 1, rank > 0 ? rank - 1 : 0)];
-}
-
 }  // namespace
 
 TraceFields RollupWindow::to_trace_fields() const {
@@ -58,11 +48,6 @@ TraceFields RollupWindow::to_trace_fields() const {
       fields.emplace_back(watts_key(b),
                           loss_sums_w[static_cast<std::size_t>(b)] / n);
     }
-  }
-  if (span_count > 0) {
-    fields.emplace_back(TraceKey("span_count"), span_count);
-    fields.emplace_back(TraceKey("span_p50_ns"), span_p50_ns);
-    fields.emplace_back(TraceKey("span_p99_ns"), span_p99_ns);
   }
   return fields;
 }
@@ -87,15 +72,10 @@ void Rollup::open_window(double start_min) {
   current_ = RollupWindow{};
   current_.start_min = start_min;
   current_.end_min = start_min + window_min_;
-  span_durs_ns_.clear();
   window_open_ = true;
 }
 
 RollupWindow Rollup::close_window(double emitted_t) {
-  std::sort(span_durs_ns_.begin(), span_durs_ns_.end());
-  current_.span_count = span_durs_ns_.size();
-  current_.span_p50_ns = percentile(span_durs_ns_, 0.50);
-  current_.span_p99_ns = percentile(span_durs_ns_, 0.99);
   current_.emitted_t_min = emitted_t;
   window_open_ = false;
   windows_.push_back(current_);
@@ -138,11 +118,6 @@ std::optional<RollupWindow> Rollup::observe_epoch(
   return closed;
 }
 
-void Rollup::observe_span(double dur_ns) {
-  if (!enabled() || !window_open_) return;
-  span_durs_ns_.push_back(dur_ns);
-}
-
 std::optional<RollupWindow> Rollup::flush(double now_min) {
   if (!enabled() || !window_open_ || current_.epochs == 0) {
     return std::nullopt;
@@ -174,9 +149,6 @@ void save_window(checkpoint::Writer& w, const RollupWindow& window) {
   for (std::size_t occ : window.health_occupancy) w.u64(occ);
   w.boolean(window.has_loss);
   for (double v : window.loss_sums_w) w.f64(v);
-  w.u64(window.span_count);
-  w.f64(window.span_p50_ns);
-  w.f64(window.span_p99_ns);
 }
 
 void load_window(checkpoint::Reader& r, RollupWindow& window) {
@@ -192,9 +164,6 @@ void load_window(checkpoint::Reader& r, RollupWindow& window) {
   }
   window.has_loss = r.boolean();
   for (double& v : window.loss_sums_w) v = r.f64();
-  window.span_count = static_cast<std::size_t>(r.u64());
-  window.span_p50_ns = r.f64();
-  window.span_p99_ns = r.f64();
 }
 
 }  // namespace
@@ -202,7 +171,6 @@ void load_window(checkpoint::Reader& r, RollupWindow& window) {
 void Rollup::save_state(checkpoint::Writer& w) const {
   w.boolean(window_open_);
   save_window(w, current_);
-  checkpoint::save(w, span_durs_ns_);
   w.seq(windows_.size());
   for (const RollupWindow& window : windows_) save_window(w, window);
 }
@@ -210,7 +178,6 @@ void Rollup::save_state(checkpoint::Writer& w) const {
 void Rollup::load_state(checkpoint::Reader& r) {
   window_open_ = r.boolean();
   load_window(r, current_);
-  checkpoint::load(r, span_durs_ns_);
   const std::size_t count = r.seq();
   windows_.clear();
   windows_.reserve(count);

@@ -5,10 +5,8 @@
 // samples into consecutive [k*W, (k+1)*W) windows of the configured width
 // and, when a sample crosses into the next window, closes the previous one
 // into a WindowRecord: epoch count, mean EPU / shortfall / grid watts,
-// health-state occupancy (epochs spent in each state), per-bucket loss-
-// ledger means (when the ledger ran) and span duration p50/p99 (when spans
-// ran — wall-clock, so rollups lose byte-determinism exactly like "span"
-// events do).
+// health-state occupancy (epochs spent in each state) and per-bucket loss-
+// ledger means (when the ledger ran).
 //
 // Each closed window is emitted as a "rollup" trace event stamped with the
 // *closing* epoch's time (never a past timestamp, so the streaming sink's
@@ -55,9 +53,6 @@ struct RollupWindow {
   std::array<std::size_t, 4> health_occupancy{};
   bool has_loss = false;
   std::array<double, kLossBucketCount> loss_sums_w{};
-  std::size_t span_count = 0;
-  double span_p50_ns = 0.0;
-  double span_p99_ns = 0.0;
 
   /// The "rollup" event payload (means, not sums).
   [[nodiscard]] TraceFields to_trace_fields() const;
@@ -65,7 +60,8 @@ struct RollupWindow {
 
 class Rollup {
  public:
-  /// window_min <= 0 disables the aggregator (observe_* become no-ops).
+  /// window_min <= 0 disables the aggregator (observe_epoch becomes a
+  /// no-op).
   explicit Rollup(double window_min = 0.0);
 
   [[nodiscard]] bool enabled() const { return window_min_ > 0.0; }
@@ -78,9 +74,6 @@ class Rollup {
   /// emitted as a "rollup" trace event stamped `emitted_t_min`), if any.
   std::optional<RollupWindow> observe_epoch(const RollupSample& sample);
 
-  /// Feed one completed span's wall duration (current window).
-  void observe_span(double dur_ns);
-
   /// Close the trailing partial window at end of run (emitted_t stamped
   /// with `now_min`); returns it for emission, or nullopt if empty.
   std::optional<RollupWindow> flush(double now_min);
@@ -89,8 +82,8 @@ class Rollup {
   /// --rollup-out SERIES.jsonl format, itself a valid analyzer input.
   void write_jsonl(std::ostream& out, int rack_id) const;
 
-  /// Checkpoint the open window's running sums, its pending span samples
-  /// and the closed-window history (window_min comes from configuration).
+  /// Checkpoint the open window's running sums and the closed-window
+  /// history (window_min comes from configuration).
   void save_state(checkpoint::Writer& w) const;
   void load_state(checkpoint::Reader& r);
 
@@ -101,7 +94,6 @@ class Rollup {
   double window_min_;
   bool window_open_ = false;
   RollupWindow current_;
-  std::vector<double> span_durs_ns_;  ///< current window, sorted at close
   std::vector<RollupWindow> windows_;
 };
 

@@ -104,50 +104,56 @@ void SpanCollector::save_chrome_trace(
 
 #if GH_TELEMETRY_ENABLED
 
-ScopedSpan::ScopedSpan(const char* name) : name_(name) {
-  Telemetry* t = current();
-  if (t == nullptr) return;
-  if (t->config().spans) {
-    sink_ = t;
-    depth_ = t->spans().begin();
-    sim_begin_min_ = t->now().value();
-    wall_begin_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now().time_since_epoch())
-                         .count();
+namespace {
+
+std::int64_t wall_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
+ScopedSpan::ScopedSpan(SpanTag tag) : tag_(tag) {
+  sink_ = current();
+  if (sink_ == nullptr) return;
+  if (sink_->config().spans) {
+    record_ = true;
+    depth_ = sink_->spans().begin();
+    sim_begin_min_ = sink_->now().value();
   }
-  // The profiler frame opens last (and closes first in the destructor) so
-  // the span bookkeeping above stays outside the frame's measurements.
-  if (t->profiler().enabled()) {
-    profiler_ = &t->profiler();
-    profiler_->begin(name_);
+  if (sink_->profiler().enabled()) {
+    profiler_ = &sink_->profiler();
+    profiler_->begin(tag_.name());
   }
+  // The clock is read last (and first in the destructor), so the
+  // bookkeeping above and below lands outside the measured duration.
+  wall_begin_ns_ = wall_now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (profiler_ != nullptr) profiler_->end();
   if (sink_ == nullptr) return;
-  const std::int64_t wall_end_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
+  const std::int64_t wall_dur_ns = wall_now_ns() - wall_begin_ns_;
+  if (profiler_ != nullptr) profiler_->end(wall_dur_ns);
+  sink_->metrics()
+      .histogram("gh_span_ns", tag_.index())
+      .observe(static_cast<double>(wall_dur_ns));
+  if (!record_) return;
   SpanRecord record;
-  record.name = name_;
+  record.name = tag_.name();
   record.rack_id = sink_->rack_id();
   record.depth = depth_;
   record.sim_begin_min = sim_begin_min_;
   record.sim_end_min = sink_->now().value();
   record.wall_begin_ns = wall_begin_ns_;
-  record.wall_dur_ns = wall_end_ns - wall_begin_ns_;
+  record.wall_dur_ns = wall_dur_ns;
   // Mirror into the JSONL trace so the analyzer sees one merged stream
-  // (spans are opt-in precisely because wall time is non-deterministic).
-  sink_->emit("span", {{"name", name_},
+  // (span records are opt-in precisely because wall time is
+  // non-deterministic).
+  sink_->emit("span", {{"name", tag_.name()},
                        {"depth", depth_},
                        {"t0", sim_begin_min_},
-                       {"dur_ns", record.wall_dur_ns}});
-  // The rollup's span p50/p99 come from the same wall durations (only
-  // meaningful when both features are on — and wall time keeps rollups
-  // non-deterministic exactly like "span" events).
-  sink_->rollup().observe_span(static_cast<double>(record.wall_dur_ns));
+                       {"dur_ns", wall_dur_ns}});
   const std::uint64_t dropped_before = sink_->spans().dropped();
   sink_->spans().end(std::move(record));
   if (sink_->spans().dropped() > dropped_before) {

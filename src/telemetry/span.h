@@ -1,34 +1,68 @@
-// Nested span tracing for the control loop.
+// The one instrumentation primitive: nested, tagged control-loop spans.
 //
 //   void GreenHeteroController::plan_epoch(...) {
 //     GH_SPAN("plan");
 //     ...
 //   }
 //
-// A span records both clocks: simulation minutes (when in the scenario the
-// phase ran) and wall nanoseconds (how long it took), plus its nesting
-// depth, so the predict -> select-source -> solve -> enforce -> substeps
-// hierarchy reconstructs as a flamegraph.  Completed spans are appended to
-// the ambient Telemetry's SpanCollector and mirrored into the JSONL trace
-// as "span" events; the collector exports the whole stream in the Chrome
-// trace_event JSON format, loadable in chrome://tracing or Perfetto.
+// The tag is a catalog::kSpanTags entry (metrics.h), resolved at compile
+// time: a misspelt tag does not compile.  A span reads the steady clock
+// once when it opens and once when it closes, and hands that wall duration
+// to up to three consumers of the ambient Telemetry:
 //
-// Spans are opt-in at runtime (TelemetryConfig::spans, default off — wall
-// time would break golden-trace byte-determinism) and compile to (void)0
-// under -DGH_TELEMETRY=OFF, exactly like GH_PROBE.
+//   - the latency histogram gh_span_ns{span=tag}, whenever a telemetry
+//     scope is installed (one slot load plus the observation);
+//   - a SpanRecord and a mirrored "span" trace event, when
+//     TelemetryConfig::spans is on.  A record carries both clocks
+//     (simulation minutes and wall nanoseconds) plus its nesting depth, so
+//     the predict -> select-source -> solve -> enforce -> substeps
+//     hierarchy reconstructs as a flamegraph; the collector exports it in
+//     the Chrome trace_event JSON format (chrome://tracing, Perfetto);
+//   - the profiler frame, when TelemetryConfig::profile is on
+//     (profiler.h), so a histogram's count and sum equal the calls and
+//     wall_ns summed over the profile paths ending in its tag, exactly.
+//
+// Span records stay opt-in (default off) because wall time would break
+// golden-trace byte-determinism.  -DGH_TELEMETRY=OFF compiles every GH_SPAN
+// to (void)0, so hot paths carry no clock reads at all in stripped builds.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
+
+#include "telemetry/metrics.h"
 
 namespace greenhetero::telemetry {
 
+/// A span tag, found in catalog::kSpanTags at compile time: its position
+/// is the gh_span_ns label position, its name a view of the static tag.
+class SpanTag {
+ public:
+  template <std::size_t N>
+  consteval SpanTag(const char (&name)[N]) : index_(find(name)) {}
+
+  [[nodiscard]] constexpr std::size_t index() const { return index_; }
+  [[nodiscard]] constexpr std::string_view name() const {
+    return catalog::kSpanTags[index_];
+  }
+
+ private:
+  static consteval std::size_t find(std::string_view name) {
+    for (std::size_t i = 0; i < catalog::kSpanTags.size(); ++i) {
+      if (catalog::kSpanTags[i] == name) return i;
+    }
+    throw "not a span tag (catalog::kSpanTags)";
+  }
+
+  std::size_t index_;
+};
+
 struct SpanRecord {
-  std::string name;
+  std::string_view name;  ///< a span tag (static storage)
   int rack_id = 0;
   int depth = 0;  ///< nesting level at begin (0 = root)
   double sim_begin_min = 0.0;
@@ -81,13 +115,12 @@ class Telemetry;  // defined in telemetry/telemetry.h
 class Profiler;   // defined in telemetry/profiler.h
 
 /// RAII span tied to the ambient Telemetry; inert when there is no ambient
-/// context or both spans and the profiler are disabled in its config.  The
-/// two features are independent: `sink_` is set only when span records are
-/// on, `profiler_` only when profiling is — either alone activates the
-/// scope.
+/// context.  Span records and the profiler frame are independent: `record_`
+/// is set only when span records are on, `profiler_` only when profiling
+/// is; the histogram is fed either way.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  explicit ScopedSpan(SpanTag tag);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -95,7 +128,8 @@ class ScopedSpan {
  private:
   Telemetry* sink_ = nullptr;
   Profiler* profiler_ = nullptr;
-  const char* name_;
+  SpanTag tag_;
+  bool record_ = false;
   int depth_ = 0;
   double sim_begin_min_ = 0.0;
   std::int64_t wall_begin_ns_ = 0;
@@ -105,12 +139,12 @@ class ScopedSpan {
 
 #define GH_SPAN_CONCAT2(a, b) a##b
 #define GH_SPAN_CONCAT(a, b) GH_SPAN_CONCAT2(a, b)
-#define GH_SPAN(name)                                 \
+#define GH_SPAN(tag)                                  \
   ::greenhetero::telemetry::ScopedSpan GH_SPAN_CONCAT( \
-      gh_span_, __LINE__) { name }
+      gh_span_, __LINE__) { tag }
 
 #else  // !GH_TELEMETRY_ENABLED
 
-#define GH_SPAN(name) ((void)0)
+#define GH_SPAN(tag) ((void)0)
 
 #endif

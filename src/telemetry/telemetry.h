@@ -11,8 +11,8 @@
 //
 // Timestamps are *simulation* minutes: the owner calls set_now() as the sim
 // clock advances and emit() stamps events with it.  Wall time never enters
-// the trace (goldens stay byte-stable); wall time only lands in latency
-// histograms via the GH_PROBE timing probes (probe.h).
+// the trace (goldens stay byte-stable); wall time only lands in the
+// gh_span_ns latency histogram via the GH_SPAN spans (span.h).
 #pragma once
 
 #include <memory>
@@ -42,10 +42,11 @@ struct TelemetryConfig {
   /// events + gh_loss_* metrics).  Off by default so the fault-free golden
   /// traces change only when the feature is requested.
   bool loss_ledger = false;
-  /// Opt-in: nested control-loop spans (GH_SPAN), mirrored into the trace
-  /// as "span" events and exportable as a Chrome trace_event file.  Off by
-  /// default: span events carry wall nanoseconds, which would break the
-  /// byte-determinism of golden traces.
+  /// Opt-in: keep every GH_SPAN as a span record, mirrored into the trace
+  /// as a "span" event and exportable as a Chrome trace_event file (the
+  /// gh_span_ns histogram is fed either way).  Off by default: span events
+  /// carry wall nanoseconds, which would break the byte-determinism of
+  /// golden traces.
   bool spans = false;
   /// Completed spans kept per context (~9 spans/epoch).
   std::size_t span_capacity = std::size_t{1} << 16;
@@ -70,7 +71,9 @@ struct TelemetryConfig {
 /// Compile/runtime facts `greenhetero info` reports so users can tell why
 /// --trace-out/--spans-out produce nothing in a -DGH_TELEMETRY=OFF build.
 struct BuildInfo {
-  bool probes_enabled = false;  ///< GH_PROBE/GH_SPAN compiled in?
+  /// GH_SPAN compiled in?  (Keeps its historical name: the JSON key is
+  /// carried by committed bench/TRAJECTORY.jsonl rows.)
+  bool probes_enabled = false;
   int trace_schema_version = 0;
   std::size_t builtin_metric_count = 0;
 };

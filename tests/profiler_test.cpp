@@ -11,6 +11,7 @@
 #include <cctype>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -27,7 +28,7 @@ TEST(Profiler, DisabledIsInert) {
   tel::Profiler profiler{false};
   profiler.begin("epoch");
   EXPECT_EQ(profiler.open_depth(), 0u);
-  profiler.end();
+  profiler.end(0);
   EXPECT_TRUE(profiler.report().empty());
 }
 
@@ -37,11 +38,11 @@ TEST(Profiler, NestingBuildsSlashPaths) {
   profiler.begin("plan");
   profiler.begin("solve");
   EXPECT_EQ(profiler.open_depth(), 3u);
-  profiler.end();
-  profiler.end();
+  profiler.end(0);
+  profiler.end(0);
   profiler.begin("enforce");
-  profiler.end();
-  profiler.end();
+  profiler.end(0);
+  profiler.end(0);
   EXPECT_EQ(profiler.open_depth(), 0u);
 
   const tel::ProfileReport& report = profiler.report();
@@ -59,8 +60,8 @@ TEST(Profiler, RepeatedTagsAccumulateOnePath) {
   for (int i = 0; i < 5; ++i) {
     profiler.begin("epoch");
     profiler.begin("solve");
-    profiler.end();
-    profiler.end();
+    profiler.end(0);
+    profiler.end(0);
   }
   EXPECT_EQ(profiler.report().at("epoch").calls, 5u);
   EXPECT_EQ(profiler.report().at("epoch/solve").calls, 5u);
@@ -70,14 +71,10 @@ TEST(Profiler, SelfExcludesChildren) {
   tel::Profiler profiler{true};
   profiler.begin("epoch");
   profiler.begin("solve");
-  // Burn a little wall time inside the child so the parent's inclusive and
-  // self costs visibly diverge.
-  const auto begin = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() - begin <
-         std::chrono::milliseconds(2)) {
-  }
-  profiler.end();
-  profiler.end();
+  // The span measures the wall time; give the child 2 ms of the parent's
+  // 2.5 ms so the parent's inclusive and self costs visibly diverge.
+  profiler.end(2'000'000);
+  profiler.end(2'500'000);
 
   const tel::ProfileNode& epoch = profiler.report().at("epoch");
   const tel::ProfileNode& solve = profiler.report().at("epoch/solve");
@@ -90,22 +87,22 @@ TEST(Profiler, SelfExcludesChildren) {
 
 TEST(Profiler, StrayEndIsHarmless) {
   tel::Profiler profiler{true};
-  profiler.end();  // nothing open
+  profiler.end(0);  // nothing open
   profiler.begin("epoch");
-  profiler.end();
-  profiler.end();  // once more past empty
+  profiler.end(0);
+  profiler.end(0);  // once more past empty
   EXPECT_EQ(profiler.report().at("epoch").calls, 1u);
 }
 
 TEST(Profiler, ClearResets) {
   tel::Profiler profiler{true};
   profiler.begin("epoch");
-  profiler.end();
+  profiler.end(0);
   profiler.clear();
   EXPECT_TRUE(profiler.report().empty());
   EXPECT_EQ(profiler.open_depth(), 0u);
   profiler.begin("plan");
-  profiler.end();
+  profiler.end(0);
   EXPECT_EQ(profiler.report().count("plan"), 1u);  // path restarts at root
 }
 
@@ -113,13 +110,13 @@ TEST(Profiler, MergeSumsNodesByPath) {
   tel::Profiler a{true};
   a.begin("epoch");
   a.begin("solve");
-  a.end();
-  a.end();
+  a.end(0);
+  a.end(0);
   tel::Profiler b{true};
   b.begin("epoch");
-  b.end();
+  b.end(0);
   b.begin("feedback");
-  b.end();
+  b.end(0);
 
   tel::ProfileReport merged = a.report();
   tel::merge_profile(merged, b.report());
@@ -146,8 +143,8 @@ TEST(Profiler, AttributesAllocationsToOpenFrame) {
   profiler.begin("epoch");
   profiler.begin("solve");
   std::string spill(4096, 'y');
-  profiler.end();
-  profiler.end();
+  profiler.end(0);
+  profiler.end(0);
   const tel::ProfileNode& solve = profiler.report().at("epoch/solve");
   EXPECT_GE(solve.self_alloc_bytes, 4096u);
   EXPECT_GE(solve.self_alloc_count, 1u);
@@ -163,9 +160,9 @@ TEST(ProfileJson, EncodesTreeAndFlatViews) {
   profiler.begin("epoch");
   profiler.begin("plan");
   profiler.begin("solve");
-  profiler.end();
-  profiler.end();
-  profiler.end();
+  profiler.end(0);
+  profiler.end(0);
+  profiler.end(0);
   const std::string json = tel::profile_to_json(profiler.report());
   EXPECT_NE(json.find("\"schema\":\"greenhetero.profile\""),
             std::string::npos);
@@ -250,6 +247,42 @@ TEST(ProfilerDeterminism, ByteIdenticalAcrossThreadCountsUnderChaos) {
     EXPECT_EQ(sequential, normalize_timings(profiled_fleet_json(threads, plan)));
   }
 }
+
+#if GH_TELEMETRY_ENABLED
+TEST(ProfilerAgreement, SpanHistogramEqualsProfileForEveryTag) {
+  // One primitive: each GH_SPAN hands the same clock readings to its
+  // gh_span_ns{span=tag} series and to the profiler, so per tag the
+  // histogram's count and sum equal the calls and wall_ns summed over the
+  // profile paths ending in that tag, exactly.  A timer wider or narrower
+  // than its span breaks the equality.
+  RackSimulator sim = make_profiled_rack(Watts{2400.0}, 51, FaultPlan{});
+  sim.pretrain();
+  sim.run(Minutes{24.0 * 60.0});
+  const tel::ProfileReport& report = sim.telemetry().profiler().report();
+  const tel::MetricsSnapshot snapshot = sim.telemetry().metrics().snapshot();
+  for (const std::string_view tag : tel::catalog::kSpanTags) {
+    SCOPED_TRACE(std::string(tag));
+    std::uint64_t calls = 0;
+    std::int64_t wall_ns = 0;
+    for (const auto& [path, node] : report) {
+      const std::size_t slash = path.rfind('/');
+      const std::string_view leaf =
+          std::string_view(path).substr(slash == std::string::npos ? 0
+                                                                   : slash + 1);
+      if (leaf != tag) continue;
+      calls += node.calls;
+      wall_ns += node.wall_ns;
+    }
+    const tel::SnapshotEntry* entry =
+        snapshot.find("gh_span_ns", {{"span", std::string(tag)}});
+    ASSERT_NE(entry, nullptr) << "every tag runs in a trained, retraining "
+                                 "GreenHetero rack";
+    EXPECT_GT(calls, 0u);
+    EXPECT_EQ(entry->count, calls);
+    EXPECT_EQ(entry->sum, static_cast<double>(wall_ns));
+  }
+}
+#endif  // GH_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------------
 // Overhead guard.

@@ -1,22 +1,25 @@
 // Span tracing: the SpanCollector's bounded store and depth bookkeeping,
 // the Chrome trace_event export shape, and the ScopedSpan/GH_SPAN RAII
 // path through the ambient Telemetry (record + mirrored "span" trace
-// event when enabled, fully inert when spans are off or no scope exists).
+// event when enabled, only the gh_span_ns histogram when span records are
+// off, fully inert when no scope exists).
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "telemetry/telemetry.h"
 
 namespace greenhetero::telemetry {
 namespace {
 
-SpanRecord make_record(std::string name, int depth, std::int64_t begin_ns,
+/// `name` must outlive the record (span names are views of static tags).
+SpanRecord make_record(std::string_view name, int depth, std::int64_t begin_ns,
                        std::int64_t dur_ns) {
   SpanRecord record;
-  record.name = std::move(name);
+  record.name = name;
   record.depth = depth;
   record.wall_begin_ns = begin_ns;
   record.wall_dur_ns = dur_ns;
@@ -29,25 +32,25 @@ TEST(SpanCollector, TracksNestingDepth) {
   EXPECT_EQ(spans.begin(), 0);
   EXPECT_EQ(spans.begin(), 1);
   EXPECT_EQ(spans.open_depth(), 2);
-  spans.end(make_record("inner", 1, 10, 5));
+  spans.end(make_record("plan", 1, 10, 5));
   EXPECT_EQ(spans.open_depth(), 1);
-  spans.end(make_record("outer", 0, 0, 20));
+  spans.end(make_record("epoch", 0, 0, 20));
   EXPECT_EQ(spans.open_depth(), 0);
   ASSERT_EQ(spans.records().size(), 2u);
-  EXPECT_EQ(spans.records()[0].name, "inner");
-  EXPECT_EQ(spans.records()[1].name, "outer");
+  EXPECT_EQ(spans.records()[0].name, "plan");
+  EXPECT_EQ(spans.records()[1].name, "epoch");
 }
 
 TEST(SpanCollector, DropsBeyondCapacityAndCounts) {
   SpanCollector spans{2};
   for (int i = 0; i < 5; ++i) {
     spans.begin();
-    spans.end(make_record("s" + std::to_string(i), 0, i, 1));
+    spans.end(make_record(catalog::kSpanTags[i], 0, i, 1));
   }
   ASSERT_EQ(spans.records().size(), 2u);
   // Oldest kept, overflow counted.
-  EXPECT_EQ(spans.records()[0].name, "s0");
-  EXPECT_EQ(spans.records()[1].name, "s1");
+  EXPECT_EQ(spans.records()[0].name, "epoch");
+  EXPECT_EQ(spans.records()[1].name, "plan");
   EXPECT_EQ(spans.dropped(), 3u);
   spans.clear();
   EXPECT_TRUE(spans.records().empty());
@@ -89,16 +92,16 @@ TEST(ScopedSpan, RecordsAndMirrorsIntoTraceWhenEnabled) {
   telemetry.set_now(Minutes{42.0});
   {
     TelemetryScope scope{&telemetry};
-    GH_SPAN("outer");
-    { GH_SPAN("inner"); }
+    GH_SPAN("epoch");
+    { GH_SPAN("plan"); }
   }
   ASSERT_EQ(telemetry.spans().records().size(), 2u);
   // Spans complete innermost-first.
   const SpanRecord& inner = telemetry.spans().records()[0];
   const SpanRecord& outer = telemetry.spans().records()[1];
-  EXPECT_EQ(inner.name, "inner");
+  EXPECT_EQ(inner.name, "plan");
   EXPECT_EQ(inner.depth, 1);
-  EXPECT_EQ(outer.name, "outer");
+  EXPECT_EQ(outer.name, "epoch");
   EXPECT_EQ(outer.depth, 0);
   EXPECT_DOUBLE_EQ(outer.sim_begin_min, 42.0);
   EXPECT_GE(inner.wall_dur_ns, 0);
@@ -111,15 +114,20 @@ TEST(ScopedSpan, RecordsAndMirrorsIntoTraceWhenEnabled) {
 }
 
 TEST(ScopedSpan, InertWithoutScopeOrWhenDisabled) {
-  { GH_SPAN("orphan"); }  // no ambient context: must not crash
+  { GH_SPAN("epoch"); }  // no ambient context: must not crash
 
   Telemetry telemetry;  // spans default off
   {
     TelemetryScope scope{&telemetry};
-    GH_SPAN("ignored");
+    GH_SPAN("plan");
   }
   EXPECT_TRUE(telemetry.spans().records().empty());
   EXPECT_TRUE(telemetry.trace().events().empty());
+  // The latency histogram is fed whenever a scope is installed.
+  const auto snapshot = telemetry.metrics().snapshot();
+  const auto* histogram = snapshot.find("gh_span_ns", {{"span", "plan"}});
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_EQ(histogram->count, 1u);
 }
 
 TEST(ScopedSpan, OverflowBumpsDroppedCounter) {
@@ -129,8 +137,8 @@ TEST(ScopedSpan, OverflowBumpsDroppedCounter) {
   Telemetry telemetry{cfg};
   {
     TelemetryScope scope{&telemetry};
-    { GH_SPAN("kept"); }
-    { GH_SPAN("dropped"); }
+    { GH_SPAN("predict"); }
+    { GH_SPAN("solve"); }
   }
   EXPECT_EQ(telemetry.spans().records().size(), 1u);
   EXPECT_EQ(telemetry.spans().dropped(), 1u);

@@ -62,7 +62,7 @@ TEST(TelemetryGolden, OneEpochPlanEventPerEpochWithPlanAndOutcome) {
 
   // The run report carries the same registry's snapshot.
 #if GH_TELEMETRY_ENABLED
-  EXPECT_NE(report.metrics.find("gh_plan_epoch_ns"), nullptr);
+  EXPECT_NE(report.metrics.find("gh_span_ns", {{"span", "plan"}}), nullptr);
 #endif
   const auto* epochs_entry = report.metrics.find(
       "gh_epochs_total", {{"case", std::string(to_string(

@@ -16,7 +16,6 @@
 #include "power/power_bus.h"
 #include "telemetry/ledger.h"
 #include "telemetry/metrics.h"
-#include "telemetry/probe.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/tracing.h"
 #include "util/logging.h"
@@ -229,7 +228,7 @@ TEST(Registry, JsonExport) {
 
 TEST(Catalog, SortedUniqueAndWellFormed) {
   const std::span<const MetricDef> catalog = builtin_metrics();
-  ASSERT_EQ(catalog.size(), 50u);
+  ASSERT_EQ(catalog.size(), 38u);
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     SCOPED_TRACE(std::string(catalog[i].name));
     if (i > 0) {
@@ -295,7 +294,7 @@ TEST(Slots, FirstTouchRegistersOnlyTheTouchedSeries) {
   EXPECT_EQ(registry.series_count(), 0u);
   registry.counter("gh_epochs_total", PowerCase::kJointSupply).increment();
   registry.counter("gh_epochs_total", PowerCase::kJointSupply).increment();
-  registry.histogram("gh_plan_epoch_ns").observe(2'000.0);
+  registry.histogram("gh_span_ns", SpanTag("plan").index()).observe(2'000.0);
   EXPECT_EQ(registry.series_count(), 2u);
   const MetricsSnapshot snap = registry.snapshot();
   const SnapshotEntry* epochs =
@@ -306,7 +305,7 @@ TEST(Slots, FirstTouchRegistersOnlyTheTouchedSeries) {
   EXPECT_EQ(&registry.counter("gh_epochs_total", PowerCase::kJointSupply),
             &registry.named_counter("gh_epochs_total",
                                     {{"case", "B(renewable+battery)"}}));
-  const SnapshotEntry* plan = snap.find("gh_plan_epoch_ns");
+  const SnapshotEntry* plan = snap.find("gh_span_ns", {{"span", "plan"}});
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->bounds, std::vector<double>(latency_buckets_ns().begin(),
                                               latency_buckets_ns().end()));
@@ -551,24 +550,25 @@ TEST(Scope, EmitStampsRackId) {
 }
 
 #if GH_TELEMETRY_ENABLED
-TEST(Probe, RecordsIntoLatencyHistogramOfAmbientContext) {
-  Telemetry ctx;
+TEST(SpanHistogram, RecordsIntoLatencyHistogramOfAmbientContext) {
+  Telemetry ctx;  // span records and the profiler default off
   {
     TelemetryScope scope(&ctx);
-    { GH_PROBE("gh_pretrain_ns"); }
-    { GH_PROBE("gh_pretrain_ns"); }
+    { GH_SPAN("pretrain"); }
+    { GH_SPAN("pretrain"); }
   }
   const MetricsSnapshot snap = ctx.metrics().snapshot();
-  const SnapshotEntry* entry = snap.find("gh_pretrain_ns");
+  const SnapshotEntry* entry = snap.find("gh_span_ns", {{"span", "pretrain"}});
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->kind, MetricKind::kHistogram);
   EXPECT_EQ(entry->count, 2u);
   EXPECT_GT(entry->sum, 0.0);
+  EXPECT_EQ(snap.entries.size(), 1u);  // no other tag's series
 }
 
-TEST(Probe, NoopWithoutContext) {
+TEST(SpanHistogram, NoopWithoutContext) {
   // Must not crash or allocate a registry when no scope is installed.
-  GH_PROBE("gh_pretrain_ns");
+  GH_SPAN("pretrain");
   SUCCEED();
 }
 #endif  // GH_TELEMETRY_ENABLED

@@ -435,7 +435,7 @@ int cmd_info(const Args& args) {
   std::printf("\n");
   const telemetry::BuildInfo build = telemetry::build_info();
   std::printf("\nTelemetry build:\n");
-  std::printf("  probes/spans:     %s\n",
+  std::printf("  spans:            %s\n",
               build.probes_enabled ? "enabled"
                                    : "compiled out (-DGH_TELEMETRY=OFF)");
   std::printf("  trace schema:     v%d\n", build.trace_schema_version);
