@@ -1,19 +1,60 @@
-# Byte-identity checks through the real `greenhetero` binary.
+# Byte-identity and argument checks through the real `greenhetero` binary.
 #
-#   cmake -DCLI=<greenhetero> -DCASE=simulate|fleet -DWORK_DIR=<dir>
-#         [-DGOLDEN=<trace_cli_sim.jsonl>] -P cli_byte_identity.cmake
+#   cmake -DCLI=<greenhetero> -DCASE=simulate|fleet|reject|accept
+#         -DWORK_DIR=<dir> [-DGOLDEN=<trace_cli_sim.jsonl>]
+#         -P cli_byte_identity.cmake
 #
 # simulate: `simulate --days 1 --seed 42 --trace-out` must reproduce the
 #           committed golden byte for byte (the analyze gate only catches
 #           drift beyond 1%).
 # fleet:    a 6-rack, 24 h fleet's streamed trace (--stream on) must equal
 #           its buffered trace byte for byte.
+# reject:   every bad command line of a fixed list exits 2, names the flag
+#           on stderr and writes no file.
+# accept:   explicit defaults and bare switches keep the golden bytes, the
+#           fuzzer's repro line runs, and --resume accepts exactly the
+#           command lines that describe the same scenario.
 
 function(run_cli)
   execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
                   OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT code EQUAL 0)
     message(FATAL_ERROR "greenhetero ${ARGN} exited ${code}: ${err}")
+  endif()
+endfunction()
+
+# Runs `greenhetero ARGN` in an empty directory of its own; it must exit 2
+# with `want` in the first stderr line (the usage text that follows lists
+# every flag) and leave the directory empty.
+function(expect_rejected want)
+  string(MD5 tag "${ARGN}")
+  set(dir ${WORK_DIR}/${tag})
+  file(MAKE_DIRECTORY ${dir})
+  execute_process(COMMAND ${CLI} ${ARGN} WORKING_DIRECTORY ${dir}
+                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "greenhetero ${ARGN} exited ${code}, want 2: ${err}")
+  endif()
+  string(REGEX MATCH "^[^\n]*" message "${err}")
+  string(FIND "${message}" "${want}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "greenhetero ${ARGN}: stderr lacks '${want}': ${err}")
+  endif()
+  file(GLOB_RECURSE left LIST_DIRECTORIES true ${dir}/*)
+  if(left)
+    message(FATAL_ERROR "greenhetero ${ARGN} wrote ${left}")
+  endif()
+endfunction()
+
+# `greenhetero ARGN` must exit non-zero with `want` on stderr.
+function(expect_failure want)
+  execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "${want}" at)
+  if(code EQUAL 0 OR at EQUAL -1)
+    message(FATAL_ERROR
+            "greenhetero ${ARGN} exited ${code}, want failure with '${want}': "
+            "${err}")
   endif()
 endfunction()
 
@@ -35,6 +76,59 @@ elseif(CASE STREQUAL "fleet")
           --trace-out ${WORK_DIR}/streamed.jsonl)
   run_cli(fleet --racks 6 --hours 24 --trace-out ${WORK_DIR}/buffered.jsonl)
   expect_same_bytes(${WORK_DIR}/buffered.jsonl ${WORK_DIR}/streamed.jsonl)
+elseif(CASE STREQUAL "reject")
+  # Unknown flags, --help included.
+  expect_rejected(--bogus fleet --bogus 1)
+  expect_rejected("did you mean --checkpoint-dir?" fleet --chekpoint-dir d)
+  expect_rejected(--help fleet --help)
+  expect_rejected(--solver simulate --solver grid)
+  expect_rejected(--telemetry simulate --telemetry off)
+  expect_rejected(--hours simulate --hours 6)
+  # Numbers of the wrong type or out of range.
+  expect_rejected(--racks fleet --racks -5)
+  expect_rejected(--racks fleet --racks 2.5)
+  expect_rejected(--days simulate --days 0)
+  expect_rejected(--seed simulate --seed -1)
+  expect_rejected(--seed simulate --seed 1.5)
+  # Values outside the choices.
+  expect_rejected(--chemistry simulate --chemistry nimh)
+  expect_rejected(--mode fleet --mode statc)
+  expect_rejected(--trace simulate --trace hgh)
+  expect_rejected(--workload simulate --workload Foo)
+  expect_rejected(--comb simulate --comb Foo)
+  # A switch takes a bare flag, on or off.
+  expect_rejected(--check simulate --check maybe)
+  # Rejected while parsing, before any worker pool exists.
+  expect_rejected(--threads fleet --threads 99999999999)
+elseif(CASE STREQUAL "accept")
+  # Explicit defaults and explicit "off" switches keep the golden bytes.
+  run_cli(simulate --days 1 --seed 42 --ledger off --check off --stream off
+          --trace-out ${WORK_DIR}/sim.jsonl)
+  expect_same_bytes(${GOLDEN} ${WORK_DIR}/sim.jsonl)
+  # A bare --check is --check on: the checker reports its counts.
+  execute_process(COMMAND ${CLI} simulate --days 1 --check
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${out}" "invariants:" at)
+  if(NOT code EQUAL 0 OR at EQUAL -1)
+    message(FATAL_ERROR "simulate --check exited ${code}: ${out}${err}")
+  endif()
+  # The fuzzer's shrunk repro line is a valid command line.
+  run_cli(fuzz --seed 9 --runs 1 --run 3 --racks 2 --epochs 5 --shards 2
+          --max-faults 1 --solver on)
+  # --resume accepts what describes the same scenario and refuses the rest.
+  set(ckpt ${WORK_DIR}/sim-ckpt)
+  run_cli(simulate --days 2 --checkpoint-dir ${ckpt} --checkpoint-every 48)
+  run_cli(simulate --days 2 --seed 42 --resume ${ckpt})
+  expect_failure(fingerprint simulate --days 2 --seed 43 --resume ${ckpt})
+  expect_failure(fingerprint simulate --days 2 --resume ${ckpt}
+                 --rollup-out ${WORK_DIR}/rollup.jsonl)
+  # --threads is execution topology (fleet is the subcommand that has it).
+  set(fleet_ckpt ${WORK_DIR}/fleet-ckpt)
+  run_cli(fleet --racks 2 --hours 12 --threads 1
+          --checkpoint-dir ${fleet_ckpt} --checkpoint-every 16)
+  run_cli(fleet --racks 2 --hours 12 --threads 2 --resume ${fleet_ckpt})
+  expect_failure(fingerprint fleet --racks 2 --hours 12 --mode static
+                 --resume ${fleet_ckpt})
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

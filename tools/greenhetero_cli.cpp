@@ -1,50 +1,12 @@
 // greenhetero — command-line front end to the library.
 //
-//   greenhetero simulate  [--policy P] [--workload W] [--comb CombN]
-//                         [--days N] [--trace high|low] [--capacity W]
-//                         [--grid W] [--battery-kwh K] [--chemistry lead|li]
-//                         [--seed S] [--csv FILE] [--faults PLAN.csv]
-//                         [--trace-out FILE.jsonl] [--stream on]
-//                         [--metrics-out FILE] [--metrics-every N]
-//                         [--rollup-out FILE.jsonl] [--rollup-window MIN]
-//                         [--flightrec-dir DIR] [--ledger on]
-//                         [--spans-out FILE.json] [--profile-out FILE.json]
-//                         [--check on]
-//                         [--checkpoint-dir DIR] [--checkpoint-every N]
-//                         [--checkpoint-keep K] [--resume DIR]
-//   greenhetero analyze   [--trace RUN.jsonl] [--diff BASELINE.jsonl]
-//                         [--threshold T] [--perf PROF.json] [--top N]
-//   greenhetero policies  [--workload W] [--budget W] [--comb CombN]
-//   greenhetero solve     [--workload W] [--budget W] [--comb CombN]
-//   greenhetero traces    [--trace high|low|load|wind] [--days N]
-//                         [--capacity W] [--out FILE]
-//   greenhetero fleet     [--racks N] [--asymmetry A] [--grid W]
-//                         [--mode static|proportional] [--threads N]
-//                         [--shards N]
-//                         [--hours H] [--faults PLAN.csv]
-//                         [--trace-out FILE.jsonl] [--stream on]
-//                         [--metrics-out FILE] [--metrics-every N]
-//                         [--rollup-out FILE.jsonl] [--rollup-window MIN]
-//                         [--flightrec-dir DIR] [--ledger on]
-//                         [--spans-out FILE.json] [--profile-out FILE.json]
-//                         [--check on]
-//                         [--checkpoint-dir DIR] [--checkpoint-every N]
-//                         [--checkpoint-keep K] [--resume DIR]
-//   greenhetero fuzz      [--seed S] [--runs N] [--run R] [--racks N]
-//                         [--epochs E] [--shards N] [--max-faults F]
-//                         [--solver on]
-//   greenhetero fuzz      --crash [--seed S] [--runs N] [--max-kills K]
-//                         [--crash-dir DIR]
-//   greenhetero benchdiff CURRENT.json BASELINE.json [--threshold T]
-//                         [--trajectory FILE.jsonl] [--date YYYY-MM-DD]
-//   greenhetero info      [--json]  (servers, workloads, combinations,
-//                         telemetry/build flags)
+// Any unknown flag, `--help` included, prints the usage and exits 2.
 //
 // --metrics-out picks its format by extension: ".json" exports JSON, ".txt"
 // a human-readable table (histograms with p50/p90/p99), anything else
 // Prometheus text exposition.  The file is also rewritten mid-run every
-// --metrics-every epochs (default 128; crash-safe temp-file + rename), so a
-// long run's metrics survive an abort.
+// --metrics-every epochs (crash-safe temp-file + rename), so a long run's
+// metrics survive an abort.
 //
 // --stream on (with --trace-out) drains trace events to the file as the run
 // progresses through a bounded queue instead of buffering the whole run —
@@ -53,8 +15,8 @@
 //
 // --rollup-out writes a compact fixed-window per-rack series (mean EPU,
 // shortfall, grid, health occupancy, loss buckets; --rollup-window minutes
-// per window, default 60) that `analyze` renders as a rollup trend table;
-// the same events are also embedded in the main trace.
+// per window) that `analyze` renders as a rollup trend table; the same
+// events are also embedded in the main trace.
 //
 // --flightrec-dir keeps a small always-on ring of recent full-detail events
 // per rack and dumps it (plus a metrics snapshot and the fault plan) into
@@ -66,8 +28,8 @@
 // tracing and writes a Chrome trace_event JSON (chrome://tracing,
 // Perfetto).  Both are off by default to keep traces byte-deterministic.
 //
-// fleet --threads N steps the racks on N worker threads per epoch (0, the
-// default, uses one per hardware thread; 1 forces the sequential path).
+// fleet --threads N steps the racks on N worker threads per epoch (0 uses
+// one per hardware thread; 1 forces the sequential path).
 // --shards S splits the fleet into S contiguous rack groups, each stepping
 // on its own slice of the worker pool with one cheap top-level budget
 // exchange per epoch (0 derives one shard per worker thread); at 10k-rack
@@ -88,19 +50,19 @@
 // wall ns, thread-CPU ns and allocation bytes/counts attributed to its span
 // path, and the merged phase tree lands in FILE.json at the end of the run.
 // Everything except the *_ns timings is byte-identical at any --threads;
-// `analyze --perf FILE.json` renders it (--top N hot phases, default 10).
+// `analyze --perf FILE.json` renders it (--top N hot phases).
 //
-// analyze exits 0 when --diff stays within --threshold (default 0.01) and
-// 3 when it drifts beyond it — the CI trace gate keys off that.
+// analyze exits 0 when --diff stays within --threshold and 3 when it drifts
+// beyond it — the CI trace gate keys off that.
 //
 // benchdiff applies the same exit-code contract to performance: it compares
 // the *_ns (lower better) and *_per_sec (higher better) figures of a fresh
 // BENCH_*.json against a committed baseline and exits 3 when any drifts past
-// --threshold (default 10%; accepts "0.15" or "15%").  --trajectory appends
-// one dated row (metrics + build info) to the committed history log.
+// --threshold ("0.15" or "15%").  --trajectory appends one dated row
+// (metrics + build info) to the committed history log.
 //
 // --checkpoint-dir enables durable checkpointing: every --checkpoint-every
-// epochs (default 1) the complete resumable state — RNG streams, clock,
+// epochs the complete resumable state — RNG streams, clock,
 // battery/server/controller state, fault cursors, telemetry, streamed-file
 // watermarks — is written as a versioned, checksummed snapshot (temp file +
 // rename; the newest --checkpoint-keep are retained).  --resume DIR reloads
@@ -113,22 +75,21 @@
 // fuzz --crash drives real `fleet` and `simulate` child processes, SIGKILLs
 // them at random points, resumes them via --resume and byte-compares the
 // outputs against an uninterrupted reference; exits 4 on any divergence.
+#include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <map>
 #include <ctime>
+#include <filesystem>
+#include <iostream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "analysis/benchdiff.h"
 #include "analysis/perf_report.h"
@@ -136,6 +97,7 @@
 #include "check/crash.h"
 #include "check/fuzzer.h"
 #include "checkpoint/checkpoint.h"
+#include "cli_tables.h"
 #include "core/policies.h"
 #include "faults/fault_plan.h"
 #include "fleet/fleet.h"
@@ -152,82 +114,7 @@
 namespace {
 
 using namespace greenhetero;
-
-struct Args {
-  std::map<std::string, std::string> options;
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  /// The whole value must parse as a finite number; anything else exits 2
-  /// with a message naming the flag.
-  [[nodiscard]] double number(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    double value = 0.0;
-    const auto [end, error] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (error != std::errc{} || end != text.data() + text.size() ||
-        !std::isfinite(value)) {
-      std::fprintf(stderr, "--%s: '%s' is not a finite number\n",
-                   key.c_str(), text.c_str());
-      std::exit(2);
-    }
-    return value;
-  }
-};
-
-Args parse_args(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", key.c_str());
-      std::exit(2);
-    }
-    key = key.substr(2);
-    // A flag followed by another flag (or by nothing) is a bare switch:
-    // `--check` reads as `--check on`.  No value ever starts with "--".
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      args.options[key] = "on";
-      continue;
-    }
-    args.options[key] = argv[++i];
-  }
-  return args;
-}
-
-/// Scenario fingerprint: FNV-1a over every (sorted) option that shapes the
-/// simulation itself.  Output destinations, checkpoint knobs and the thread
-/// count are excluded — changing where results land (or how many workers
-/// compute them; results are byte-identical by contract) must not
-/// invalidate a resume, while changing the scenario must.
-std::uint64_t scenario_hash(const Args& args) {
-  static const char* kExcluded[] = {
-      "trace-out",  "rollup-out",     "metrics-out",      "metrics-every",
-      "spans-out",  "csv",            "flightrec-dir",    "stream",
-      "out",        "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
-      "resume",     "threads",        "repro-out",        "profile-out",
-      "shards"};  // execution topology only; outputs are byte-identical
-  std::string canon;
-  for (const auto& [key, value] : args.options) {
-    bool excluded = false;
-    for (const char* e : kExcluded) {
-      if (key == e) {
-        excluded = true;
-        break;
-      }
-    }
-    if (excluded) continue;
-    canon += key;
-    canon += '=';
-    canon += value;
-    canon += '\n';
-  }
-  return checkpoint::fnv1a(canon);
-}
+using util::Options;
 
 /// Set by the SIGINT/SIGTERM handler; the simulator/fleet polls it at every
 /// epoch barrier, writes a final checkpoint and finalizes what completed.
@@ -253,33 +140,25 @@ std::string self_exe_path() {
   return g_argv0;
 }
 
-/// Shared by simulate and fleet: the streaming / rollup / flight-recorder
-/// knobs that configure a TelemetryConfig and the run's sink.
-struct StreamOptions {
-  bool stream = false;
-  std::string trace_out;
-  std::string rollup_out;
-  double rollup_window_min = 0.0;
-  std::string flightrec_dir;
-  std::string metrics_out;
-};
-
-StreamOptions parse_stream_options(const Args& args) {
-  StreamOptions opt;
-  opt.trace_out = args.get("trace-out", "");
-  opt.stream = !args.get("stream", "").empty();
-  if (opt.stream && opt.trace_out.empty()) {
-    std::fprintf(stderr, "--stream on requires --trace-out FILE.jsonl\n");
-    std::exit(2);
-  }
-  opt.rollup_out = args.get("rollup-out", "");
+/// Shared by simulate and fleet: one rack's fault plan, telemetry and
+/// invariant-checker knobs.
+SimConfig rack_config(Options& options) {
+  SimConfig cfg;
+  cfg.check = options.flag("check");
+  cfg.telemetry.loss_ledger = options.flag("ledger");
+  cfg.telemetry.spans = !options.text("spans-out").empty();
+  cfg.telemetry.profile = !options.text("profile-out").empty();
   // --rollup-window alone also enables the aggregator (events land in the
   // main trace); --rollup-out alone defaults to hourly windows.
-  opt.rollup_window_min =
-      args.number("rollup-window", opt.rollup_out.empty() ? 0.0 : 60.0);
-  opt.flightrec_dir = args.get("flightrec-dir", "");
-  opt.metrics_out = args.get("metrics-out", "");
-  return opt;
+  cfg.telemetry.rollup_window_min = options.derive(
+      "rollup-window", options.text("rollup-out").empty() ? 0.0 : 60.0);
+  cfg.telemetry.flightrec_dir = options.text("flightrec-dir");
+  if (const std::string& faults = options.text("faults"); !faults.empty()) {
+    cfg.faults = FaultPlan::load_csv(faults);
+    std::printf("fault plan: %zu event(s) from %s\n", cfg.faults.size(),
+                faults.c_str());
+  }
+  return cfg;
 }
 
 /// What configure_run resolved: the --resume snapshot to load (if any) and
@@ -292,14 +171,18 @@ struct RunSetup {
 /// Shared by simulate and fleet: fill the run-loop knobs and install the
 /// stop handlers.  --resume DIR implies checkpointing into DIR; an empty or
 /// invalid directory warns and starts fresh (a crash may land before the
-/// first checkpoint ever gets written).
-RunSetup configure_run(const Args& args, const StreamOptions& stream_opt,
-                       RunConfig& cfg) {
+/// first checkpoint ever gets written).  Every derived scenario row must be
+/// settled before this call: it fingerprints the scenario.
+RunSetup configure_run(const Options& options, RunConfig& cfg) {
+  const bool stream = options.flag("stream");
+  if (stream && options.text("trace-out").empty()) {
+    throw util::OptionError("--stream on requires --trace-out FILE.jsonl");
+  }
   RunSetup setup;
-  cfg.checkpoint_dir = args.get("checkpoint-dir", "");
-  cfg.checkpoint_every = static_cast<int>(args.number("checkpoint-every", 1.0));
-  cfg.checkpoint_keep = static_cast<int>(args.number("checkpoint-keep", 2.0));
-  if (const std::string resume_dir = args.get("resume", "");
+  cfg.checkpoint_dir = options.text("checkpoint-dir");
+  cfg.checkpoint_every = options.integer<int>("checkpoint-every");
+  cfg.checkpoint_keep = options.integer<int>("checkpoint-keep");
+  if (const std::string& resume_dir = options.text("resume");
       !resume_dir.empty()) {
     if (cfg.checkpoint_dir.empty()) cfg.checkpoint_dir = resume_dir;
     setup.snapshot = checkpoint::load_latest(resume_dir);
@@ -311,17 +194,16 @@ RunSetup configure_run(const Args& args, const StreamOptions& stream_opt,
     }
   }
   setup.checkpointing = !cfg.checkpoint_dir.empty();
-  if (stream_opt.stream) {
-    telemetry::StreamSinkConfig sink_cfg{stream_opt.trace_out};
+  if (stream) {
+    telemetry::StreamSinkConfig sink_cfg{options.text("trace-out")};
     // Resume mode defers the open/header; load_checkpoint truncates the
     // existing file to the durable watermark and reopens it for append.
     sink_cfg.resume = setup.snapshot.has_value();
     cfg.trace_stream = sink_cfg;
   }
-  cfg.metrics_out = stream_opt.metrics_out;
-  cfg.metrics_flush_every =
-      static_cast<int>(args.number("metrics-every", 128.0));
-  cfg.config_hash = scenario_hash(args);
+  cfg.metrics_out = options.text("metrics-out");
+  cfg.metrics_flush_every = options.integer<int>("metrics-every");
+  cfg.config_hash = checkpoint::fnv1a(options.scenario_key());
   cfg.stop_flag = &g_stop;
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
@@ -333,6 +215,15 @@ void dump_flight_records(RackSimulator& sim, std::string_view reason) {
 }
 void dump_flight_records(Fleet& fleet, std::string_view reason) {
   fleet.dump_flight_records(reason);
+}
+
+template <typename F>
+void for_each_rack(RackSimulator& sim, F&& f) {
+  f(sim);
+}
+template <typename F>
+void for_each_rack(Fleet& fleet, F&& f) {
+  for (std::size_t i = 0; i < fleet.size(); ++i) f(fleet.rack(i));
 }
 
 /// Shared by simulate and fleet: pretrain, resume from the snapshot (if
@@ -359,11 +250,84 @@ auto resume_and_run(Runner& runner, const RunSetup& setup, Minutes duration) {
   }
 }
 
-/// Shared by simulate and fleet: the exit code.  A stopped run dumps the
-/// flight recorders and exits 5.
+/// Shared by simulate and fleet: the invariant counts, the output files and
+/// the exit code.  A stopped run dumps the flight recorders and exits 5.
 template <typename Runner>
-int epilogue(Runner& runner, bool interrupted, std::size_t epochs,
-             const RunSetup& setup) {
+int finish_run(Runner& runner, const Options& options, const RunSetup& setup,
+               bool interrupted, std::size_t epochs) {
+  constexpr bool kFleet = std::is_same_v<Runner, Fleet>;
+  unsigned long long checks = 0;
+  unsigned long long substeps = 0;
+  unsigned long long checked_epochs = 0;
+  int dumps = 0;
+  for_each_rack(runner, [&](const RackSimulator& rack) {
+    if (const check::InvariantChecker* checker = rack.checker()) {
+      checks += checker->checks_passed();
+      substeps += checker->substeps_checked();
+      checked_epochs += checker->epochs_checked();
+    }
+    dumps += rack.telemetry().flightrec().dumps();
+  });
+  if (options.flag("check")) {
+    std::printf("  invariants:       %llu checks over %llu substeps / %llu "
+                "rack-epochs, all passed\n",
+                checks, substeps, checked_epochs);
+  }
+  const std::string& trace_out = options.text("trace-out");
+  if (telemetry::StreamingTraceSink* sink = runner.stream()) {
+    sink->close();
+    std::printf("  trace streamed to %s (%llu events, %llu stall(s), peak "
+                "queue %zu)\n",
+                sink->config().path.string().c_str(),
+                static_cast<unsigned long long>(sink->events_written()),
+                static_cast<unsigned long long>(sink->stalls()),
+                sink->peak_queue_depth());
+  } else if (!trace_out.empty()) {
+    if constexpr (kFleet) {
+      runner.save_trace_jsonl(trace_out);
+    } else {
+      runner.telemetry().trace().save_jsonl(trace_out);
+    }
+    std::printf("  trace written to %s\n", trace_out.c_str());
+  }
+  if (const std::string& path = options.text("rollup-out"); !path.empty()) {
+    if constexpr (kFleet) {
+      runner.save_rollup_jsonl(path);
+    } else {
+      std::ostringstream out;
+      runner.telemetry().rollup().write_jsonl(out, runner.telemetry().rack_id());
+      util::write_file_atomic(path, out.str());
+    }
+    std::printf("  rollup series written to %s\n", path.c_str());
+  }
+  if (const std::string& dir = options.text("flightrec-dir"); !dir.empty()) {
+    std::printf("  flight recorder: %d dump(s) in %s\n", dumps, dir.c_str());
+  }
+  if (const std::string& path = options.text("spans-out"); !path.empty()) {
+    if constexpr (kFleet) {
+      runner.save_chrome_spans(path);
+    } else {
+      runner.telemetry().spans().save_chrome_trace(path);
+    }
+    std::printf("  spans written to %s (load in chrome://tracing)\n",
+                path.c_str());
+  }
+  if (const std::string& path = options.text("profile-out"); !path.empty()) {
+    telemetry::ProfileReport profile;
+    if constexpr (kFleet) {
+      profile = runner.profile_report();
+    } else {
+      profile = runner.telemetry().profiler().report();
+    }
+    telemetry::save_profile_json(profile, path);
+    std::printf("  profile (%zu phases) written to %s (inspect with "
+                "`greenhetero analyze --perf`)\n",
+                profile.size(), path.c_str());
+  }
+  if (const std::string& path = options.text("metrics-out"); !path.empty()) {
+    // run() already wrote the final snapshot (and the periodic ones).
+    std::printf("  metrics written to %s\n", path.c_str());
+  }
   if (!interrupted) return 0;
   dump_flight_records(runner, "interrupted");
   std::printf("interrupted after %zu epoch(s); outputs cover the completed "
@@ -372,36 +336,8 @@ int epilogue(Runner& runner, bool interrupted, std::size_t epochs,
   return kExitInterrupted;
 }
 
-void print_stream_stats(const telemetry::StreamingTraceSink& sink) {
-  std::printf("  trace streamed to %s (%llu events, %llu stall(s), peak "
-              "queue %zu)\n",
-              sink.config().path.string().c_str(),
-              static_cast<unsigned long long>(sink.events_written()),
-              static_cast<unsigned long long>(sink.stalls()),
-              sink.peak_queue_depth());
-}
-
-PolicyKind parse_policy(const std::string& name) {
-  for (PolicyKind kind : kAllPolicies) {
-    if (name == to_string(kind)) return kind;
-  }
-  std::fprintf(stderr, "unknown policy '%s' (try GreenHetero, Uniform, "
-               "Manual, GreenHetero-p, GreenHetero-a)\n", name.c_str());
-  std::exit(2);
-}
-
-std::vector<ServerGroup> parse_groups(const Args& args) {
-  const std::string comb = args.get("comb", "");
-  if (comb.empty()) return default_runtime_rack();
-  return combination_by_name(comb).groups;
-}
-
-Workload parse_workload(const Args& args) {
-  return workload_by_name(args.get("workload", "SPECjbb"));
-}
-
-int cmd_info(const Args& args) {
-  if (!args.get("json", "").empty()) {
+int cmd_info(Options& options) {
+  if (options.flag("json")) {
     // Machine-readable build/feature flags; benchdiff --trajectory embeds
     // the same object so every history row records its build.
     std::printf("%s\n", telemetry::build_info_json().c_str());
@@ -443,51 +379,38 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-int cmd_simulate(const Args& args) {
-  const std::vector<ServerGroup> groups = parse_groups(args);
-  const Workload workload = parse_workload(args);
-  const PolicyKind policy = parse_policy(args.get("policy", "GreenHetero"));
-  const int days = static_cast<int>(args.number("days", 1.0));
-  const Watts capacity{args.number("capacity", 2500.0)};
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 42.0));
+int cmd_simulate(Options& options) {
+  const std::string& policy_name = options.text("policy");
+  PolicyKind policy = kAllPolicies[0];
+  for (PolicyKind kind : kAllPolicies) {
+    if (to_string(kind) == policy_name) policy = kind;
+  }
+  const Workload workload = workload_by_name(options.text("workload"));
+  const int days = options.integer<int>("days");
+  const Watts capacity{options.number("capacity")};
+  const auto seed = options.integer<std::uint64_t>("seed");
 
-  Rack rack{groups, workload};
-  SimConfig cfg;
+  Rack rack{combination_by_name(options.text("comb")).groups, workload};
+  SimConfig cfg = rack_config(options);
   cfg.controller.policy = policy;
   cfg.controller.seed = seed;
-  cfg.telemetry.loss_ledger = !args.get("ledger", "").empty();
-  cfg.check = !args.get("check", "").empty();
-  const std::string spans_out = args.get("spans-out", "");
-  cfg.telemetry.spans = !spans_out.empty();
-  const std::string profile_out = args.get("profile-out", "");
-  cfg.telemetry.profile = !profile_out.empty();
-  const StreamOptions stream_opt = parse_stream_options(args);
-  cfg.telemetry.rollup_window_min = stream_opt.rollup_window_min;
-  cfg.telemetry.flightrec_dir = stream_opt.flightrec_dir;
-  const RunSetup setup = configure_run(args, stream_opt, cfg);
-  const std::string faults = args.get("faults", "");
-  if (!faults.empty()) {
-    cfg.faults = FaultPlan::load_csv(faults);
-    std::printf("fault plan: %zu event(s) from %s\n", cfg.faults.size(),
-                faults.c_str());
-  }
+  const RunSetup setup = configure_run(options, cfg);
   cfg.demand_trace =
       generate_load_trace(LoadPatternModel{}, rack.peak_demand(),
                           days + 1, seed);
   GridSpec grid;
-  grid.budget = Watts{args.number("grid", 1000.0)};
+  grid.budget = Watts{options.number("grid")};
 
-  const std::string trace_kind = args.get("trace", "high");
+  const std::string& trace_kind = options.text("trace");
   const PowerTrace solar =
       trace_kind == "low"
           ? generate_solar_trace(low_solar_model(capacity), days + 1, seed)
           : generate_solar_trace(high_solar_model(capacity), days + 1, seed);
 
-  BatterySpec battery =
-      args.get("chemistry", "lead") == "li"
-          ? li_ion_spec(WattHours{args.number("battery-kwh", 12.0) * 1000.0})
-          : lead_acid_spec(
-                WattHours{args.number("battery-kwh", 12.0) * 1000.0});
+  const WattHours pack{options.number("battery-kwh") * 1000.0};
+  const BatterySpec battery = options.text("chemistry") == "li"
+                                  ? li_ion_spec(pack)
+                                  : lead_acid_spec(pack);
 
   RackSimulator sim{std::move(rack),
                     RackPowerPlant{SolarArray{solar}, Battery{battery},
@@ -497,7 +420,7 @@ int cmd_simulate(const Args& args) {
       resume_and_run(sim, setup, Minutes{days * 24.0 * 60.0});
 
   std::printf("policy %s, workload %s, %d day(s), %s trace\n",
-              std::string(to_string(policy)).c_str(),
+              policy_name.c_str(),
               std::string(workload_spec(workload).name).c_str(), days,
               trace_kind.c_str());
   std::printf("  mean throughput:  %.0f\n", report.mean_throughput());
@@ -509,73 +432,25 @@ int cmd_simulate(const Args& args) {
   std::printf("  grid energy:      %.1f kWh  (cost $%.2f)\n",
               report.grid_energy.value() / 1000.0, report.grid_cost);
   std::printf("  battery cycles:   %.2f\n", report.battery_cycles);
-  if (const check::InvariantChecker* checker = sim.checker()) {
-    std::printf("  invariants:       %llu checks over %llu substeps / %llu "
-                "epochs, all passed\n",
-                static_cast<unsigned long long>(checker->checks_passed()),
-                static_cast<unsigned long long>(checker->substeps_checked()),
-                static_cast<unsigned long long>(checker->epochs_checked()));
-  }
   const CarbonReport carbon = carbon_report(report.ledger);
   std::printf("  CO2e:             %.1f kg (%.0f g/kWh; %.1f kg saved vs "
               "all-grid)\n",
               carbon.total_kg, carbon.effective_g_per_kwh, carbon.saved_kg);
 
-  const std::string csv = args.get("csv", "");
-  if (!csv.empty()) {
+  if (const std::string& csv = options.text("csv"); !csv.empty()) {
     report.to_csv().save(csv);
     std::printf("  per-epoch trail written to %s\n", csv.c_str());
   }
-  if (telemetry::StreamingTraceSink* sink = sim.stream()) {
-    sink->close();
-    print_stream_stats(*sink);
-  } else if (!stream_opt.trace_out.empty()) {
-    sim.telemetry().trace().save_jsonl(stream_opt.trace_out);
-    std::printf("  trace (%zu events) written to %s\n",
-                sim.telemetry().trace().size(), stream_opt.trace_out.c_str());
-  }
-  if (!stream_opt.rollup_out.empty()) {
-    std::ostringstream out;
-    sim.telemetry().rollup().write_jsonl(out, sim.telemetry().rack_id());
-    util::write_file_atomic(stream_opt.rollup_out, out.str());
-    std::printf("  rollup series (%zu windows) written to %s\n",
-                sim.telemetry().rollup().windows().size(),
-                stream_opt.rollup_out.c_str());
-  }
-  if (!stream_opt.flightrec_dir.empty()) {
-    std::printf("  flight recorder: %d dump(s) in %s\n",
-                sim.telemetry().flightrec().dumps(),
-                stream_opt.flightrec_dir.c_str());
-  }
-  if (!spans_out.empty()) {
-    sim.telemetry().spans().save_chrome_trace(spans_out);
-    std::printf("  spans (%zu) written to %s (load in chrome://tracing)\n",
-                sim.telemetry().spans().records().size(), spans_out.c_str());
-  }
-  if (!profile_out.empty()) {
-    telemetry::save_profile_json(sim.telemetry().profiler().report(),
-                                 profile_out);
-    std::printf("  profile (%zu phases) written to %s (inspect with "
-                "`greenhetero analyze --perf`)\n",
-                sim.telemetry().profiler().report().size(),
-                profile_out.c_str());
-  }
-  if (!stream_opt.metrics_out.empty()) {
-    // run() already wrote the final snapshot (and the periodic ones).
-    std::printf("  metrics (%zu series) written to %s\n",
-                report.metrics.entries.size(), stream_opt.metrics_out.c_str());
-  }
-  return epilogue(sim, report.interrupted, report.epochs.size(), setup);
+  return finish_run(sim, options, setup, report.interrupted,
+                    report.epochs.size());
 }
 
-int cmd_analyze(const Args& args) {
-  const std::string trace_path = args.get("trace", "");
-  const std::string perf_path = args.get("perf", "");
+int cmd_analyze(Options& options) {
+  const std::string& trace_path = options.text("trace");
+  const std::string& perf_path = options.text("perf");
   if (trace_path.empty() && perf_path.empty()) {
-    std::fprintf(stderr,
-                 "analyze: --trace FILE.jsonl or --perf PROF.json is "
-                 "required\n");
-    return 2;
+    throw util::OptionError("--trace FILE.jsonl or --perf PROF.json is "
+                            "required");
   }
   std::optional<analysis::TraceAnalysis> run;
   if (!trace_path.empty()) {
@@ -585,29 +460,28 @@ int cmd_analyze(const Args& args) {
   if (!perf_path.empty()) {
     const analysis::PerfProfile profile = analysis::load_profile(perf_path);
     if (run) std::cout << "\n";
-    analysis::print_perf_report(
-        std::cout, profile,
-        static_cast<std::size_t>(args.number("top", 10.0)));
+    analysis::print_perf_report(std::cout, profile,
+                                options.integer<std::size_t>("top"));
   }
 
-  const std::string baseline_path = args.get("diff", "");
+  const std::string& baseline_path = options.text("diff");
   if (baseline_path.empty() || !run) return 0;
   const analysis::TraceAnalysis baseline =
       analysis::analyze(analysis::load_trace(baseline_path));
-  const double threshold = args.number("threshold", 0.01);
+  const double threshold = options.number("threshold");
   const analysis::DiffResult result = analysis::diff(baseline, *run);
   std::cout << "\n";
   print_diff(std::cout, result, threshold);
   return analysis::exceeds_threshold(result, threshold) ? 3 : 0;
 }
 
-int cmd_policies(const Args& args) {
-  const std::vector<ServerGroup> groups = parse_groups(args);
-  const Workload workload = parse_workload(args);
+int cmd_policies(Options& options) {
+  const std::vector<ServerGroup> groups =
+      combination_by_name(options.text("comb")).groups;
+  const Workload workload = workload_by_name(options.text("workload"));
   Rack probe{groups, workload};
   const Watts budget{
-      args.number("budget", probe.peak_demand().value() * 0.55)};
-
+      options.derive("budget", probe.peak_demand().value() * 0.55)};
   std::printf("workload %s, green budget %.0f W\n\n",
               std::string(workload_spec(workload).name).c_str(),
               budget.value());
@@ -629,13 +503,11 @@ int cmd_policies(const Args& args) {
   return 0;
 }
 
-int cmd_solve(const Args& args) {
-  const std::vector<ServerGroup> groups = parse_groups(args);
-  const Workload workload = parse_workload(args);
-  Rack rack{groups, workload};
+int cmd_solve(Options& options) {
+  Rack rack{combination_by_name(options.text("comb")).groups,
+            workload_by_name(options.text("workload"))};
   const Watts budget{
-      args.number("budget", rack.peak_demand().value() * 0.55)};
-
+      options.derive("budget", rack.peak_demand().value() * 0.55)};
   // Noise-free training database, then one Solver call.
   PerfPowerDatabase db;
   for (std::size_t g = 0; g < rack.group_count(); ++g) {
@@ -664,12 +536,11 @@ int cmd_solve(const Args& args) {
   return 0;
 }
 
-int cmd_traces(const Args& args) {
-  const std::string kind = args.get("trace", "high");
-  const int days = static_cast<int>(args.number("days", 7.0));
-  const Watts capacity{args.number("capacity", 2500.0)};
-  const std::string out = args.get("out", "trace.csv");
-
+int cmd_traces(Options& options) {
+  const std::string& kind = options.text("trace");
+  const int days = options.integer<int>("days");
+  const Watts capacity{options.number("capacity")};
+  const std::string& out = options.text("out");
   PowerTrace trace = [&] {
     if (kind == "low") {
       return generate_solar_trace(low_solar_model(capacity), days, 3);
@@ -700,32 +571,16 @@ int cmd_traces(const Args& args) {
   return 0;
 }
 
-int cmd_fleet(const Args& args) {
-  const int racks = static_cast<int>(args.number("racks", 3.0));
-  const double asymmetry = args.number("asymmetry", 0.5);
-  const double hours = args.number("hours", 24.0);
-  if (hours <= 0.0) {
-    std::fprintf(stderr, "fleet: --hours must be positive\n");
-    return 2;
-  }
-  const Watts total_grid{args.number("grid", 800.0 * racks)};
-  const GridShareMode mode = args.get("mode", "proportional") == "static"
+int cmd_fleet(Options& options) {
+  const int racks = options.integer<int>("racks");
+  const double asymmetry = options.number("asymmetry");
+  const double hours = options.number("hours");
+  const Watts total_grid{options.derive("grid", 800.0 * racks)};
+  const GridShareMode mode = options.text("mode") == "static"
                                  ? GridShareMode::kStatic
                                  : GridShareMode::kDemandProportional;
 
-  FaultPlan fault_plan;
-  const std::string faults = args.get("faults", "");
-  if (!faults.empty()) {
-    fault_plan = FaultPlan::load_csv(faults);
-    std::printf("fault plan: %zu event(s) from %s (every rack)\n",
-                fault_plan.size(), faults.c_str());
-  }
-
-  const std::string spans_out = args.get("spans-out", "");
-  const std::string profile_out = args.get("profile-out", "");
-  const bool ledger = !args.get("ledger", "").empty();
-  const bool check = !args.get("check", "").empty();
-  const StreamOptions stream_opt = parse_stream_options(args);
+  const SimConfig rack_cfg = rack_config(options);
   // Enough solar-trace days to cover the whole run, plus one of slack.
   const int solar_days = static_cast<int>(std::ceil(hours / 24.0)) + 1;
   std::vector<RackSimulator> sims;
@@ -735,16 +590,9 @@ int cmd_fleet(const Args& args) {
         racks > 1 ? -1.0 + 2.0 * i / (racks - 1.0) : 0.0;
     const Watts solar_capacity{1800.0 * (1.0 + asymmetry * spread)};
     Rack rack{default_runtime_rack(), Workload::kSpecJbb};
-    SimConfig cfg;
+    SimConfig cfg = rack_cfg;
     cfg.controller.policy = PolicyKind::kGreenHetero;
     cfg.controller.seed = 40 + static_cast<std::uint64_t>(i);
-    cfg.telemetry.loss_ledger = ledger;
-    cfg.telemetry.spans = !spans_out.empty();
-    cfg.telemetry.profile = !profile_out.empty();
-    cfg.telemetry.rollup_window_min = stream_opt.rollup_window_min;
-    cfg.telemetry.flightrec_dir = stream_opt.flightrec_dir;
-    cfg.check = check;
-    cfg.faults = fault_plan;
     sims.emplace_back(
         std::move(rack),
         make_standard_plant(
@@ -756,11 +604,11 @@ int cmd_fleet(const Args& args) {
   FleetConfig fleet_cfg;
   fleet_cfg.total_grid_budget = total_grid;
   fleet_cfg.mode = mode;
-  fleet_cfg.threads = static_cast<std::size_t>(args.number("threads", 0.0));
-  fleet_cfg.shards = static_cast<std::size_t>(args.number("shards", 1.0));
-  fleet_cfg.check = check;
-  fleet_cfg.telemetry.profile = !profile_out.empty();
-  const RunSetup setup = configure_run(args, stream_opt, fleet_cfg);
+  fleet_cfg.threads = options.integer<std::size_t>("threads");
+  fleet_cfg.shards = options.integer<std::size_t>("shards");
+  fleet_cfg.check = rack_cfg.check;
+  fleet_cfg.telemetry.profile = rack_cfg.telemetry.profile;
+  const RunSetup setup = configure_run(options, fleet_cfg);
   Fleet fleet{std::move(sims), fleet_cfg};
   const FleetReport report =
       resume_and_run(fleet, setup, Minutes{hours * 60.0});
@@ -800,112 +648,64 @@ int cmd_fleet(const Args& args) {
                 epu / static_cast<double>(report.racks.size() - shown) *
                     100.0);
   }
-  if (check) {
-    unsigned long long checks = 0;
-    unsigned long long substeps = 0;
-    for (std::size_t i = 0; i < report.racks.size(); ++i) {
-      if (const check::InvariantChecker* checker = fleet.rack(i).checker()) {
-        checks += checker->checks_passed();
-        substeps += checker->substeps_checked();
-      }
-    }
-    std::printf("  invariants:       %llu checks over %llu substeps, all "
-                "passed\n",
-                checks, substeps);
-  }
-  if (telemetry::StreamingTraceSink* sink = fleet.stream()) {
-    sink->close();
-    print_stream_stats(*sink);
-  } else if (!stream_opt.trace_out.empty()) {
-    fleet.save_trace_jsonl(stream_opt.trace_out);
-    std::printf("  merged trace written to %s\n",
-                stream_opt.trace_out.c_str());
-  }
-  if (!stream_opt.rollup_out.empty()) {
-    fleet.save_rollup_jsonl(stream_opt.rollup_out);
-    std::printf("  merged rollup series written to %s\n",
-                stream_opt.rollup_out.c_str());
-  }
-  if (!stream_opt.flightrec_dir.empty()) {
-    std::size_t dumps = 0;
-    for (std::size_t i = 0; i < report.racks.size(); ++i) {
-      dumps += fleet.rack(i).telemetry().flightrec().dumps();
-    }
-    std::printf("  flight recorder: %zu dump(s) in %s\n", dumps,
-                stream_opt.flightrec_dir.c_str());
-  }
-  if (!spans_out.empty()) {
-    fleet.save_chrome_spans(spans_out);
-    std::printf("  merged spans written to %s (one pid per rack)\n",
-                spans_out.c_str());
-  }
-  if (!profile_out.empty()) {
-    fleet.save_profile_json(profile_out);
-    std::printf("  merged profile (%zu phases) written to %s (inspect with "
-                "`greenhetero analyze --perf`)\n",
-                fleet.profile_report().size(), profile_out.c_str());
-  }
-  if (!stream_opt.metrics_out.empty()) {
-    // run() already wrote the merged snapshot (and the periodic ones).
-    std::printf("  metrics written to %s\n", stream_opt.metrics_out.c_str());
-  }
-  return epilogue(fleet, report.interrupted,
-                  report.racks.front().epochs.size(), setup);
+  return finish_run(fleet, options, setup, report.interrupted,
+                    report.racks.front().epochs.size());
 }
 
-int cmd_fuzz(const Args& args) {
-  if (!args.get("crash", "").empty()) {
-    // Crash-recovery mode: SIGKILL real fleet child processes mid-run,
-    // resume them from their checkpoints and byte-compare the outputs
-    // against an uninterrupted reference.
-    check::CrashFuzzOptions options;
-    options.binary = self_exe_path();
-    options.work_dir = args.get("crash-dir", "crash-fuzz");
-    options.seed = static_cast<std::uint64_t>(args.number("seed", 1.0));
-    options.runs = static_cast<int>(args.number("runs", 5.0));
-    options.max_kills = static_cast<int>(args.number("max-kills", 3.0));
-    options.log = &std::cout;
-    const check::CrashFuzzReport report = check::run_crash_fuzzer(options);
-    if (report.ok() && report.runs_executed > 0) {
-      std::printf("crash fuzz: %d run(s) clean, %d kill(s) delivered, %d "
-                  "resume(s) (seed %llu)\n",
-                  report.runs_executed, report.kills_delivered,
-                  report.resumes,
-                  static_cast<unsigned long long>(options.seed));
-      return 0;
-    }
-    if (report.runs_executed == 0) {
-      std::printf("crash fuzz: skipped (platform unsupported)\n");
-      return 0;
-    }
-    for (const std::string& failure : report.failures) {
-      std::printf("crash fuzz: %s\n", failure.c_str());
-    }
-    std::printf("crash fuzz: %d of %d run(s) FAILED; outputs kept under %s\n",
-                report.runs_failed, report.runs_executed,
-                options.work_dir.string().c_str());
-    return 4;
+/// Crash-recovery mode: SIGKILL real fleet and simulate child processes
+/// mid-run, resume them from their checkpoints and byte-compare the outputs
+/// against an uninterrupted reference.
+int cmd_crash_fuzz(Options& options) {
+  check::CrashFuzzOptions crash;
+  crash.binary = self_exe_path();
+  crash.work_dir = options.text("crash-dir");
+  crash.seed = options.integer<std::uint64_t>("seed");
+  crash.runs = options.integer<int>("runs");
+  crash.max_kills = options.integer<int>("max-kills");
+  crash.log = &std::cout;
+  const check::CrashFuzzReport report = check::run_crash_fuzzer(crash);
+  if (report.ok() && report.runs_executed > 0) {
+    std::printf("crash fuzz: %d run(s) clean, %d kill(s) delivered, %d "
+                "resume(s) (seed %llu)\n",
+                report.runs_executed, report.kills_delivered, report.resumes,
+                static_cast<unsigned long long>(crash.seed));
+    return 0;
   }
+  if (report.runs_executed == 0) {
+    std::printf("crash fuzz: skipped (platform unsupported)\n");
+    return 0;
+  }
+  for (const std::string& failure : report.failures) {
+    std::printf("crash fuzz: %s\n", failure.c_str());
+  }
+  std::printf("crash fuzz: %d of %d run(s) FAILED; outputs kept under %s\n",
+              report.runs_failed, report.runs_executed,
+              crash.work_dir.string().c_str());
+  return 4;
+}
+
+int cmd_fuzz(Options& options) {
   // Fault begin/end warnings from randomized plans would drown the per-run
   // progress lines; failures surface through the fuzz report instead.
   Logger::instance().set_level(LogLevel::kError);
-  check::FuzzOptions options;
-  options.seed = static_cast<std::uint64_t>(args.number("seed", 1.0));
-  options.runs = static_cast<int>(args.number("runs", 25.0));
-  options.only_run = static_cast<int>(args.number("run", -1.0));
-  options.racks = static_cast<int>(args.number("racks", -1.0));
-  options.epochs = static_cast<int>(args.number("epochs", -1.0));
-  options.max_faults = static_cast<int>(args.number("max-faults", -1.0));
-  options.shards = static_cast<int>(args.number("shards", -1.0));
-  // --solver on: solver-focused mode — every rack runs a solver-driven
-  // policy and the oracle spot checks use heavier 4-group instances.
-  options.solver = !args.get("solver", "").empty();
-  options.log = &std::cout;
+  check::FuzzOptions fuzz;
+  fuzz.seed = options.integer<std::uint64_t>("seed");
+  fuzz.runs = options.integer<int>("runs");
+  // Unset rows keep the fuzzer's "random per run" (-1) defaults.
+  if (options.given("run")) fuzz.only_run = options.integer<int>("run");
+  if (options.given("racks")) fuzz.racks = options.integer<int>("racks");
+  if (options.given("epochs")) fuzz.epochs = options.integer<int>("epochs");
+  if (options.given("shards")) fuzz.shards = options.integer<int>("shards");
+  if (options.given("max-faults")) {
+    fuzz.max_faults = options.integer<int>("max-faults");
+  }
+  fuzz.solver = options.flag("solver");
+  fuzz.log = &std::cout;
 
-  const check::FuzzReport report = check::run_fuzzer(options);
+  const check::FuzzReport report = check::run_fuzzer(fuzz);
   if (report.ok()) {
     std::printf("fuzz: %d run(s) clean (seed %llu)\n", report.runs_executed,
-                static_cast<unsigned long long>(options.seed));
+                static_cast<unsigned long long>(fuzz.seed));
     return 0;
   }
   std::printf("fuzz: run %d FAILED: %s\n",
@@ -913,8 +713,8 @@ int cmd_fuzz(const Args& args) {
               report.first_failure->what.c_str());
   std::printf("fuzz: minimal repro: %s\n",
               report.shrunk->scenario.command_line().c_str());
-  const std::string repro_out = args.get("repro-out", "");
-  if (!repro_out.empty()) {
+  if (const std::string& repro_out = options.text("repro-out");
+      !repro_out.empty()) {
     util::write_file_atomic(repro_out,
                             report.shrunk->scenario.command_line() + "\n" +
                                 report.shrunk->what + "\n");
@@ -923,29 +723,21 @@ int cmd_fuzz(const Args& args) {
   return 4;
 }
 
-/// Dispatched before parse_args (which rejects positional arguments): the
-/// two report paths are positionals, everything after them is ordinary
-/// --flag parsing.
-int cmd_benchdiff(int argc, char** argv) {
-  if (argc < 4 || std::strncmp(argv[2], "--", 2) == 0 ||
-      std::strncmp(argv[3], "--", 2) == 0) {
-    std::fprintf(stderr,
-                 "usage: greenhetero benchdiff CURRENT.json BASELINE.json "
-                 "[--threshold T] [--trajectory FILE.jsonl] "
-                 "[--date YYYY-MM-DD]\n");
-    return 2;
+int cmd_benchdiff(Options& options) {
+  double threshold = 0.0;
+  try {
+    threshold = analysis::parse_bench_threshold(options.text("threshold"));
+  } catch (const analysis::AnalyzerError& e) {
+    throw util::OptionError(std::string("--threshold: ") + e.what());
   }
-  const Args args = parse_args(argc, argv, 4);
-  const double threshold =
-      analysis::parse_bench_threshold(args.get("threshold", "10%"));
   const analysis::BenchComparison comparison = analysis::compare_bench(
-      analysis::load_bench_report(argv[2]),
-      analysis::load_bench_report(argv[3]), threshold);
+      analysis::load_bench_report(options.text("CURRENT.json")),
+      analysis::load_bench_report(options.text("BASELINE.json")), threshold);
   analysis::print_benchdiff(std::cout, comparison);
 
-  const std::string trajectory = args.get("trajectory", "");
-  if (!trajectory.empty()) {
-    std::string date = args.get("date", "");
+  if (const std::string& trajectory = options.text("trajectory");
+      !trajectory.empty()) {
+    std::string date = options.text("date");
     if (date.empty()) {
       const std::time_t now = std::time(nullptr);
       std::tm tm{};
@@ -966,39 +758,78 @@ int cmd_benchdiff(int argc, char** argv) {
   return comparison.drifted() ? 3 : 0;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: greenhetero "
-               "<simulate|fleet|fuzz|analyze|benchdiff|policies|solve|traces|"
-               "info> [--option value ...]\n");
+using Handler = int (*)(Options&);
+
+Handler handler_for(const util::CommandSpec* spec) {
+  static const std::pair<const util::CommandSpec*, Handler> kHandlers[] = {
+      {&cli::kSimulate, cmd_simulate}, {&cli::kFleet, cmd_fleet},
+      {&cli::kFuzz, cmd_fuzz},         {&cli::kCrashFuzz, cmd_crash_fuzz},
+      {&cli::kAnalyze, cmd_analyze},   {&cli::kBenchdiff, cmd_benchdiff},
+      {&cli::kPolicies, cmd_policies}, {&cli::kSolve, cmd_solve},
+      {&cli::kTraces, cmd_traces},     {&cli::kInfo, cmd_info}};
+  for (const auto& [command, handler] : kHandlers) {
+    if (command == spec) return handler;
+  }
+  throw std::logic_error("no handler for " + std::string(spec->name));
+}
+
+/// The table selected by argv[1] (and argv[2] for a mode such as
+/// `fuzz --crash`), or null for an unknown subcommand.
+const util::CommandSpec* find_command(int argc, char** argv) {
+  if (argc < 2) return nullptr;
+  const util::CommandSpec* plain = nullptr;
+  for (const util::CommandSpec* spec : cli::kCommands) {
+    if (spec->name != argv[1]) continue;
+    if (spec->mode.empty()) {
+      plain = spec;
+    } else if (argc > 2 && spec->mode == argv[2]) {
+      return spec;
+    }
+  }
+  return plain;
+}
+
+/// Usage of every table of `name` (both fuzz modes), or the subcommand
+/// list when `name` is unknown.
+void print_usage(std::string_view name) {
+  bool known = false;
+  for (const util::CommandSpec* spec : cli::kCommands) {
+    if (spec->name != name) continue;
+    std::fprintf(stderr, "%s%s", known ? "\n" : "",
+                 util::usage_text(*spec).c_str());
+    known = true;
+  }
+  if (known) return;
+  std::fprintf(stderr, "usage: greenhetero <command> [--flag value ...]\n");
+  for (const util::CommandSpec* spec : cli::kCommands) {
+    const std::string command =
+        std::string(spec->name) +
+        (spec->mode.empty() ? "" : " " + std::string(spec->mode));
+    std::fprintf(stderr, "  %-14s %s\n", command.c_str(),
+                 std::string(spec->summary).c_str());
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
+  g_argv0 = argv[0];
+  const util::CommandSpec* spec = find_command(argc, argv);
+  if (spec == nullptr) {
+    print_usage(argc < 2 ? "" : argv[1]);
     return 2;
   }
-  g_argv0 = argv[0];
-  const std::string command = argv[1];
+  const int first = spec->mode.empty() ? 2 : 3;
   try {
-    // benchdiff takes positional file arguments, so it dispatches before
-    // the --flag-only parse below.
-    if (command == "benchdiff") return cmd_benchdiff(argc, argv);
-    const Args args = parse_args(argc, argv, 2);
-    if (command == "info") return cmd_info(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "policies") return cmd_policies(args);
-    if (command == "solve") return cmd_solve(args);
-    if (command == "traces") return cmd_traces(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "fuzz") return cmd_fuzz(args);
+    Options options = util::parse_options(
+        *spec, {argv + first, static_cast<std::size_t>(argc - first)});
+    return handler_for(spec)(options);
+  } catch (const util::OptionError& e) {
+    std::fprintf(stderr, "greenhetero %s: %s\n\n", argv[1], e.what());
+    print_usage(spec->name);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
 }
