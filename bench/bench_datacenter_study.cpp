@@ -60,8 +60,7 @@ std::vector<ServerGroup> pick_groups(int configs, Rng& rng) {
 
 struct DcResult {
   double work = 0.0;
-  std::size_t epochs = 0;            ///< rack-epochs simulated
-  std::size_t peak_trace_bytes = 0;  ///< gh_trace_buffer_bytes high-water
+  std::size_t epochs = 0;  ///< rack-epochs simulated
 };
 
 DcResult run_dc(const std::vector<ServerGroup>& groups, PolicyKind policy,
@@ -86,7 +85,6 @@ DcResult run_dc(const std::vector<ServerGroup>& groups, PolicyKind policy,
   const RunReport report = sim.run(Minutes{24.0 * 60.0});
   result.work = report.total_work;
   result.epochs = report.epochs.size();
-  result.peak_trace_bytes = sim.telemetry().trace().peak_bytes();
   return result;
 }
 
@@ -226,25 +224,18 @@ int main(int argc, char** argv) {
                      sum / gains.size());
   }
 
-  // Simulation throughput and peak trace-buffer footprint: the numbers the
-  // bounded-memory streaming work is judged against (committed reference in
+  // Simulation throughput (committed reference in
   // bench/baselines/BENCH_datacenter_study.json).
   std::size_t rack_epochs = 0;
-  std::size_t peak_trace_bytes = 0;
-  for (const DcResult& result : results) {
-    rack_epochs += result.epochs;
-    peak_trace_bytes = std::max(peak_trace_bytes, result.peak_trace_bytes);
-  }
+  for (const DcResult& result : results) rack_epochs += result.epochs;
   const double rack_epochs_per_sec =
       sim_seconds > 0.0 ? static_cast<double>(rack_epochs) / sim_seconds : 0.0;
   std::printf("\nThroughput: %zu rack-epochs in %.2fs (%.0f rack-epochs/s, "
-              "%zu threads); peak gh_trace_buffer_bytes %zu per rack\n",
+              "%zu threads)\n",
               rack_epochs, sim_seconds, rack_epochs_per_sec,
-              pool.thread_count(), peak_trace_bytes);
+              pool.thread_count());
   bench_report.set("rack_epochs", static_cast<double>(rack_epochs));
   bench_report.set("rack_epochs_per_sec", rack_epochs_per_sec);
-  bench_report.set("trace_buffer_peak_bytes",
-                   static_cast<double>(peak_trace_bytes));
 
   // Fleet-scale section: flat vs sharded execution of one fleet.  Outputs
   // are byte-identical by contract (tests/fleet_shard_test.cpp); here only

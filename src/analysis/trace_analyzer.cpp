@@ -416,7 +416,7 @@ void print_report(std::ostream& out, const TraceAnalysis& analysis) {
         << " event" << (analysis.truncated_dropped == 1 ? "" : "s")
         << " dropped by the bounded ring buffer ***\n"
         << "*** every figure below is computed from a PARTIAL trace"
-           " (raise the ring capacity or re-run with --stream on) ***\n\n";
+           " (raise the trace ring capacity) ***\n\n";
   }
   if (analysis.torn_tail_lines > 0) {
     out << "*** WARNING: " << analysis.torn_tail_lines << " torn final line"

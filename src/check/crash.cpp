@@ -62,7 +62,6 @@ std::vector<std::string> child_argv(const CrashFuzzOptions& options,
   std::vector<std::string> argv{options.binary};
   argv.insert(argv.end(), s.args.begin(), s.args.end());
   argv.insert(argv.end(), {
-      "--stream", "on",
       "--trace-out", (dir / "trace.jsonl").string(),
       "--rollup-out", (dir / "rollup.jsonl").string(),
       "--metrics-out", (dir / "metrics.prom").string(),

@@ -1,7 +1,12 @@
 #include "check/fuzzer.h"
 
+#include <unistd.h>
+
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -170,14 +175,21 @@ ExecutionArtifacts execute(const FuzzScenario& scenario, std::size_t threads,
   cfg.threads = threads;
   cfg.shards = shards;
   cfg.check = true;
+  // The merged trace streams to a temp file private to this process; the
+  // two executions run one after the other, so they can share it.
+  const std::filesystem::path trace_path =
+      std::filesystem::temp_directory_path() /
+      ("greenhetero-fuzz-" + std::to_string(::getpid()) + ".jsonl");
+  cfg.trace_stream = telemetry::StreamSinkConfig{trace_path};
   Fleet fleet{std::move(racks), cfg};
   if (params.pretrain) fleet.pretrain();
 
   ExecutionArtifacts artifacts;
   artifacts.report = fleet.run(Minutes{scenario.epochs * kEpochMinutes});
-  std::ostringstream trace;
-  fleet.write_trace_jsonl(trace);
-  artifacts.trace = trace.str();
+  fleet.stream()->close();
+  std::ifstream trace(trace_path, std::ios::binary);
+  artifacts.trace.assign(std::istreambuf_iterator<char>(trace), {});
+  std::filesystem::remove(trace_path);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     artifacts.conservation_error.push_back(
         fleet.rack(i).ledger().conservation_error());

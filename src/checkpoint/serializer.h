@@ -135,6 +135,20 @@ inline void load(Reader& r, std::optional<double>& v) {
   }
 }
 
+/// An enum stored as i64, checked against [0, count): a snapshot can carry an
+/// out-of-range value under a valid checksum, and the enums index fixed
+/// tables.  `what` names the field in the error.
+template <typename Enum>
+[[nodiscard]] Enum load_enum(Reader& r, int count, std::string_view what) {
+  const std::int64_t v = r.i64();
+  if (v < 0 || v >= count) {
+    throw CheckpointError(std::string(what) + " " + std::to_string(v) +
+                          " is out of range [0, " + std::to_string(count) +
+                          ")");
+  }
+  return static_cast<Enum>(v);
+}
+
 /// FNV-1a over a byte range; the checkpoint container's payload checksum.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view data);
 

@@ -54,10 +54,12 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
     plan.source.server_budget = rack.peak_demand();
     GH_INFO << "epoch @" << now.value() << "min: training run for workload '"
             << workload_spec(rack.workload()).name << "'";
-    telemetry::emit("controller_plan",
-                    {{"training", true},
-                     {"workload", workload_spec(rack.workload()).name},
-                     {"budget_w", plan.source.server_budget.value()}});
+    if (telemetry::Telemetry* t = telemetry::tracer()) {
+      t->emit("controller_plan",
+              {{"training", true},
+               {"workload", workload_spec(rack.workload()).name},
+               {"budget_w", plan.source.server_budget.value()}});
+    }
     return plan;
   }
 
@@ -131,13 +133,15 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
   GH_DEBUG << "epoch @" << now.value() << "min: case "
            << to_string(plan.source.source_case) << ", budget "
            << plan.source.server_budget.value() << "W";
-  telemetry::emit("controller_plan",
-                  {{"training", false},
-                   {"case", to_string(plan.source.source_case)},
-                   {"predicted_renewable_w", plan.predicted_renewable.value()},
-                   {"predicted_demand_w", plan.predicted_demand.value()},
-                   {"budget_w", plan.source.server_budget.value()},
-                   {"ratios", plan.allocation.ratios}});
+  if (telemetry::Telemetry* t = telemetry::tracer()) {
+    t->emit("controller_plan",
+            {{"training", false},
+             {"case", to_string(plan.source.source_case)},
+             {"predicted_renewable_w", plan.predicted_renewable.value()},
+             {"predicted_demand_w", plan.predicted_demand.value()},
+             {"budget_w", plan.source.server_budget.value()},
+             {"ratios", plan.allocation.ratios}});
+  }
   return plan;
 }
 
@@ -268,10 +272,12 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
                              transition->to == HealthState::kSafe;
       GH_WARN << "health: " << to_string(transition->from) << " -> "
               << to_string(transition->to) << " (" << signals.reason() << ")";
-      telemetry::emit(degrading ? "degrade" : "recover",
-                      {{"from", to_string(transition->from)},
-                       {"to", to_string(transition->to)},
-                       {"reason", signals.reason()}});
+      if (telemetry::Telemetry* t = telemetry::tracer()) {
+        t->emit(degrading ? "degrade" : "recover",
+                {{"from", to_string(transition->from)},
+                 {"to", to_string(transition->to)},
+                 {"reason", signals.reason()}});
+      }
       if (telemetry::Telemetry* t = telemetry::current()) {
         t->metrics()
             .counter("gh_health_transitions_total", transition->to)
@@ -292,10 +298,12 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
     }
   }
 
-  telemetry::emit("feedback",
-                  {{"observed_renewable_w", feedback.observed_renewable.value()},
-                   {"observed_demand_w", feedback.observed_demand.value()},
-                   {"db_samples", feedback_samples}});
+  if (telemetry::Telemetry* t = telemetry::tracer()) {
+    t->emit("feedback",
+            {{"observed_renewable_w", feedback.observed_renewable.value()},
+             {"observed_demand_w", feedback.observed_demand.value()},
+             {"db_samples", feedback_samples}});
+  }
 }
 
 void GreenHeteroController::finish_epoch(const Rack& rack,

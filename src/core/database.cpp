@@ -207,8 +207,10 @@ void PerfPowerDatabase::load_state(checkpoint::Reader& r) {
   records_.clear();
   const std::size_t count = r.seq();
   for (std::size_t i = 0; i < count; ++i) {
-    ProfileKey key{static_cast<ServerModel>(r.i64()),
-                   static_cast<Workload>(r.i64())};
+    ProfileKey key{checkpoint::load_enum<ServerModel>(
+                       r, kServerModelCount, "database: server model"),
+                   checkpoint::load_enum<Workload>(r, kWorkloadCount,
+                                                   "database: workload")};
     ProfileRecord record;
     checkpoint::load(r, record.powers);
     checkpoint::load(r, record.perfs);

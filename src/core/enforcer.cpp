@@ -31,6 +31,7 @@ std::vector<Watts> Enforcer::apply_allocation(Rack& rack,
     t->metrics()
         .counter("gh_dvfs_quantization_passes_total")
         .increment(static_cast<double>(group_power.size()));
+    if (!t->traced()) return group_power;
     std::vector<double> group_w;
     group_w.reserve(group_power.size());
     for (Watts w : group_power) group_w.push_back(w.value());

@@ -141,6 +141,7 @@ void report_solve(Backend backend, std::span<const GroupModel> groups,
   t->metrics()
       .counter("gh_solver_iterations_total", backend)
       .increment(static_cast<double>(iterations));
+  if (!t->traced()) return;
   t->emit("solve", {{"backend", kSolverCalls.label_value(backend)},
                     {"groups", groups.size()},
                     {"supply_w", total_supply.value()},

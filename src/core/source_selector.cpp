@@ -19,6 +19,7 @@ SourceDecision PowerSourceSelector::decide(Watts predicted_renewable,
     t->metrics()
         .counter("gh_source_decisions_total", decision.source_case)
         .increment();
+    if (!t->traced()) return decision;
     t->emit("source_select",
             {{"case", to_string(decision.source_case)},
              {"predicted_renewable_w", predicted_renewable.value()},

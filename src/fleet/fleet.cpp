@@ -88,8 +88,13 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   }
   config_.telemetry.rack_id = -1;  // coordinator events
   telemetry_ = std::make_unique<Telemetry>(config_.telemetry);
+  // The merged sink reads every rack's events; without it only a flight
+  // recorder does (each rack derived that from its own config).
+  const bool streamed = config_.trace_stream.has_value();
+  telemetry_->set_traced(streamed || !config_.telemetry.flightrec_dir.empty());
   for (std::size_t i = 0; i < racks_.size(); ++i) {
     racks_[i].telemetry().set_rack_id(static_cast<int>(i));
+    if (streamed) racks_[i].telemetry().set_traced(true);
   }
   driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
   records_.resize(racks_.size());
@@ -237,14 +242,16 @@ std::size_t Fleet::advance_epoch(std::size_t e) {
   if (config_.telemetry.enabled) {
     telemetry_->set_now(racks_.front().now() - epoch);
     telemetry_->metrics().counter("gh_fleet_epochs_total").increment();
-    std::vector<double> share_w;
-    share_w.reserve(shares_.size());
-    for (Watts w : shares_) share_w.push_back(w.value());
-    telemetry_->emit("grid_share",
-                     {{"mode", to_string(config_.mode)},
-                      {"total_budget_w", config_.total_grid_budget.value()},
-                      {"allocated_w", allocated.value()},
-                      {"shares_w", std::move(share_w)}});
+    if (telemetry_->traced()) {
+      std::vector<double> share_w;
+      share_w.reserve(shares_.size());
+      for (Watts w : shares_) share_w.push_back(w.value());
+      telemetry_->emit("grid_share",
+                       {{"mode", to_string(config_.mode)},
+                        {"total_budget_w", config_.total_grid_budget.value()},
+                        {"allocated_w", allocated.value()},
+                        {"shares_w", std::move(share_w)}});
+    }
     // Topology gauges: deterministic for a given --shards value (and at
     // any --threads), but — like the wall-clock series — outside the
     // cross-shard byte-identity contract, since they describe the
@@ -293,52 +300,6 @@ MetricsSnapshot Fleet::metrics_snapshot() const {
               return a.labels < b.labels;
             });
   return merged;
-}
-
-void Fleet::write_trace_jsonl(std::ostream& out) const {
-  out << tel::trace_header_json() << '\n';
-  // Gather (time, rack, event pointer) and stable-sort so events within one
-  // rack keep their emission order.
-  std::vector<const tel::TraceEvent*> events;
-  for (const tel::TraceEvent& e : telemetry_->trace().events()) {
-    events.push_back(&e);
-  }
-  for (const RackSimulator& rack : racks_) {
-    for (const tel::TraceEvent& e : rack.telemetry().trace().events()) {
-      events.push_back(&e);
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const tel::TraceEvent* a, const tel::TraceEvent* b) {
-                     if (a->sim_minutes != b->sim_minutes) {
-                       return a->sim_minutes < b->sim_minutes;
-                     }
-                     return a->rack_id < b->rack_id;
-                   });
-  for (const tel::TraceEvent* e : events) {
-    out << e->to_json() << '\n';
-  }
-  // Ring evictions lose the oldest events; make the survivors' file say so
-  // (the analyzer warns loudly on this footer).
-  std::uint64_t dropped = telemetry_->trace().dropped();
-  for (const RackSimulator& rack : racks_) {
-    dropped += rack.telemetry().trace().dropped();
-  }
-  if (dropped > 0) {
-    const double last = events.empty() ? 0.0 : events.back()->sim_minutes;
-    out << tel::make_truncation_footer(last, dropped).to_json() << '\n';
-  }
-}
-
-void Fleet::save_trace_jsonl(const std::filesystem::path& path) const {
-  std::ostringstream out;
-  write_trace_jsonl(out);
-  try {
-    util::write_file_atomic(path, out.str());
-  } catch (const util::AtomicWriteError& e) {
-    throw FleetError("fleet: cannot write trace output file: " +
-                     std::string(e.what()));
-  }
 }
 
 tel::ProfileReport Fleet::profile_report() const {
@@ -469,20 +430,21 @@ std::uint64_t Fleet::trace_dropped() const {
   return dropped;
 }
 
-void Fleet::push_trace(tel::StreamingTraceSink& sink, bool final) {
+void Fleet::push_trace(tel::StreamingTraceSink* sink, bool final) {
   std::vector<tel::TraceEvent> batch = telemetry_->trace().drain();
   for (RackSimulator& rack : racks_) {
     std::vector<tel::TraceEvent> events = rack.telemetry().trace().drain();
     batch.insert(batch.end(), std::make_move_iterator(events.begin()),
                  std::make_move_iterator(events.end()));
   }
+  if (sink == nullptr) return;
   // At an epoch barrier every event of the finished epoch is stamped before
   // the next epoch's start, so the merge can flush up to that watermark; the
   // final drain flushes the tail past every timestamp.  No pool thread is
   // running, so the rings are quiescent.
-  sink.push_merge(std::move(batch),
-                  final ? std::numeric_limits<double>::infinity()
-                        : racks_.front().now().value());
+  sink->push_merge(std::move(batch),
+                   final ? std::numeric_limits<double>::infinity()
+                         : racks_.front().now().value());
 }
 
 }  // namespace greenhetero

@@ -160,12 +160,6 @@ class Fleet final : private EpochClient {
   /// the latter tagged with a "rack" label; re-sorted by (name, labels).
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const override;
 
-  /// Merged trace across the coordinator and every rack, ordered by
-  /// (sim time, rack id) — a schema header line, then one JSON object per
-  /// line.
-  void write_trace_jsonl(std::ostream& out) const;
-  void save_trace_jsonl(const std::filesystem::path& path) const;
-
   /// Merged control-loop spans from every rack (and the coordinator) as one
   /// Chrome trace_event JSON file; each rack renders as its own process row.
   void write_chrome_spans(std::ostream& out) const;
@@ -225,9 +219,9 @@ class Fleet final : private EpochClient {
   void restart_history() override;
   [[nodiscard]] std::uint64_t trace_dropped() const override;
   /// Drain the coordinator's + every rack's ring (epoch-major, coordinator
-  /// first — the buffered writer's concatenation order) into the sink's
-  /// watermark merge.
-  void push_trace(telemetry::StreamingTraceSink& sink, bool final) override;
+  /// first) into the sink's watermark merge, which orders the merged trace
+  /// by (sim time, rack id).
+  void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
   void flush_rollup() override;
   /// One epoch's budget division: collect per-shard summaries (parallel
   /// over shards in demand-proportional mode, pure geometry in static

@@ -266,7 +266,8 @@ void Rack::load_state(checkpoint::Reader& r) {
     throw checkpoint::CheckpointError("rack: group count mismatch");
   }
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    const auto workload = static_cast<Workload>(r.i64());
+    const auto workload =
+        checkpoint::load_enum<Workload>(r, kWorkloadCount, "rack: workload");
     if (workload != workloads_[i]) {
       set_group_workload(i, workload);
     }

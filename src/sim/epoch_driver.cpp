@@ -70,11 +70,12 @@ bool EpochDriver::run(EpochClient& client, std::size_t epochs) {
       flush_metrics();
     }
     // Checkpoint at the epoch barrier: no worker thread is running, every
-    // ring has been drained into the sink and no finalization has happened
-    // yet, so the snapshot plus the truncated stream file reconstruct this
-    // exact moment at any thread count.  A stop request forces a final
-    // checkpoint, then falls through to normal finalization so the outputs
-    // stay standalone-valid; resume discards that tail anyway.
+    // ring has been drained (into the sink, if any) and no finalization has
+    // happened yet, so the snapshot plus the truncated stream file
+    // reconstruct this exact moment at any thread count.  A stop request
+    // forces a final checkpoint, then falls through to normal finalization
+    // so the outputs stay standalone-valid; resume discards that tail
+    // anyway.
     stop = config.stop_flag &&
            config.stop_flag->load(std::memory_order_relaxed);
     if (stop || (e + 1) % checkpoint_every == 0) write_checkpoint(client);
@@ -92,13 +93,16 @@ bool EpochDriver::run(EpochClient& client, std::size_t epochs) {
 }
 
 void EpochDriver::drain(EpochClient& client, bool final) {
-  if (!stream_) return;
+  if (!stream_) {
+    client.push_trace(nullptr, final);
+    return;
+  }
   const std::uint64_t dropped = client.trace_dropped();
   if (dropped > streamed_dropped_) {
     stream_->note_dropped(dropped - streamed_dropped_);
     streamed_dropped_ = dropped;
   }
-  client.push_trace(*stream_, final);
+  client.push_trace(stream_.get(), final);
 }
 
 void EpochDriver::write_checkpoint(const EpochClient& client) {

@@ -1,8 +1,9 @@
 // Epoch driver: the one barrier loop behind RackSimulator::run and
 // Fleet::run.  Both runners step one scheduling epoch at a time and do the
 // same work at every epoch barrier: drain the trace rings into the streaming
-// sink, flush the metrics file and checkpoint on their cadences, and stop
-// when asked; then finalize the outputs.  EpochDriver owns that sequence,
+// sink (or empty them when the run has none), flush the metrics file and
+// checkpoint on their cadences, and stop when asked; then finalize the
+// outputs.  EpochDriver owns that sequence,
 // the streaming sink and the checkpoint envelope; a runner supplies only
 // what differs (EpochClient).
 #pragma once
@@ -23,10 +24,9 @@ namespace greenhetero {
 
 /// The run-loop knobs SimConfig and FleetConfig share.
 struct RunConfig {
-  /// Streaming trace sink: when set, run() drains every trace ring into this
-  /// file at each epoch barrier instead of buffering the whole run, capping
-  /// trace memory at the sink's queue bound.  The file is byte-identical to
-  /// the buffered writer's at any thread count.  (Fleet-driven racks leave
+  /// Streaming trace sink, the only way trace events leave a run: run()
+  /// drains every trace ring into this file at each epoch barrier.  Unset,
+  /// the run keeps no trace (Telemetry::traced).  (Fleet-driven racks leave
   /// this unset; the coordinator owns the merged sink.)
   std::optional<telemetry::StreamSinkConfig> trace_stream;
   /// When non-empty, run() writes a metrics snapshot to this path every
@@ -75,8 +75,9 @@ class EpochClient {
   virtual void restart_history() = 0;
   /// Ring evictions so far, summed over every ring that feeds the sink.
   [[nodiscard]] virtual std::uint64_t trace_dropped() const = 0;
-  /// Drain the rings into `sink`; `final` flushes every buffered event.
-  virtual void push_trace(telemetry::StreamingTraceSink& sink,
+  /// Drain the rings into `sink`, or discard their events when it is null;
+  /// `final` flushes every buffered event.
+  virtual void push_trace(telemetry::StreamingTraceSink* sink,
                           bool final) = 0;
   /// Close the trailing rollup windows (stamped with the run's end time).
   virtual void flush_rollup() = 0;
@@ -123,7 +124,8 @@ class EpochDriver {
   }
 
  private:
-  /// Report new ring evictions to the sink, then hand it the events.
+  /// Report new ring evictions to the sink, then hand it the events (or
+  /// empty the rings when there is no sink).
   void drain(EpochClient& client, bool final);
 
   PayloadKind kind_ = PayloadKind::kRack;

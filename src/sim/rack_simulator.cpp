@@ -136,6 +136,10 @@ RackSimulator::RackSimulator(Rack rack, RackPowerPlant plant, SimConfig config)
     checker_ = std::make_unique<check::InvariantChecker>();
   }
   driver_ = EpochDriver{PayloadKind::kRack, config_, *telemetry_};
+  // Events are read only by the streaming sink and the flight recorder; a
+  // run with neither builds none.
+  telemetry_->set_traced(config_.trace_stream ||
+                         !config_.telemetry.flightrec_dir.empty());
   if (config_.rapl_enforcement) {
     if (config_.controller.policy == PolicyKind::kGreenHeteroS) {
       // The feedback caps act per group; they cannot express waking only a
@@ -288,13 +292,15 @@ void RackSimulator::apply_fault_action(const FaultAction& action,
   GH_WARN << "fault @" << now.value() << "min: " << to_string(action.kind)
           << (action.begin ? " begins" : " ends");
   if (Telemetry* t = tel::current()) {
-    const Minutes stamp = t->now();
-    t->set_now(now);
-    t->emit("fault_inject", {{"kind", to_string(action.kind)},
-                             {"phase", action.begin ? "begin" : "end"},
-                             {"target", action.target},
-                             {"value", action.value}});
-    t->set_now(stamp);
+    if (t->traced()) {
+      const Minutes stamp = t->now();
+      t->set_now(now);
+      t->emit("fault_inject", {{"kind", to_string(action.kind)},
+                               {"phase", action.begin ? "begin" : "end"},
+                               {"target", action.target},
+                               {"value", action.value}});
+      t->set_now(stamp);
+    }
     if (action.begin) {
       t->metrics().counter("gh_faults_injected_total", action.kind).increment();
     }
@@ -385,18 +391,20 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
                            record.actual_renewable.value()));
   }
   m.gauge("gh_battery_soc").set(record.battery_soc);
-  t->emit("epoch_plan",
-          {{"training", record.training},
-           {"case", to_string(record.source_case)},
-           {"predicted_renewable_w", record.predicted_renewable.value()},
-           {"actual_renewable_w", record.actual_renewable.value()},
-           {"budget_w", record.budget.value()},
-           {"ratios", record.ratios},
-           {"throughput", record.throughput},
-           {"epu", record.epu},
-           {"battery_soc", record.battery_soc},
-           {"grid_w", record.grid_power.value()},
-           {"shortfall_w", record.shortfall.value()}});
+  if (t->traced()) {
+    t->emit("epoch_plan",
+            {{"training", record.training},
+             {"case", to_string(record.source_case)},
+             {"predicted_renewable_w", record.predicted_renewable.value()},
+             {"actual_renewable_w", record.actual_renewable.value()},
+             {"budget_w", record.budget.value()},
+             {"ratios", record.ratios},
+             {"throughput", record.throughput},
+             {"epu", record.epu},
+             {"battery_soc", record.battery_soc},
+             {"grid_w", record.grid_power.value()},
+             {"shortfall_w", record.shortfall.value()}});
+  }
   tel::LossLedger* loss = tel::loss_ledger();
   std::optional<tel::EpochLossRecord> loss_epoch;
   if (loss != nullptr && loss->epoch_open()) {
@@ -404,15 +412,18 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
     const tel::EpochLossRecord& epoch = *loss_epoch;
     m.counter("gh_loss_epochs_total").increment();
     m.gauge("gh_loss_invariant_error_w").set(epoch.invariant_error_w());
-    tel::TraceFields fields{{"supply_w", epoch.supply_w},
-                            {"useful_w", epoch.useful_w},
-                            {"epu", epoch.epu()}};
     for (tel::LossBucket b : tel::all_loss_buckets()) {
-      const double watts = epoch.bucket(b);
-      m.gauge("gh_loss_w", b).set(watts);
-      fields.emplace_back(tel::watts_key(b), watts);
+      m.gauge("gh_loss_w", b).set(epoch.bucket(b));
     }
-    t->emit("loss_ledger", std::move(fields));
+    if (t->traced()) {
+      tel::TraceFields fields{{"supply_w", epoch.supply_w},
+                              {"useful_w", epoch.useful_w},
+                              {"epu", epoch.epu()}};
+      for (tel::LossBucket b : tel::all_loss_buckets()) {
+        fields.emplace_back(tel::watts_key(b), epoch.bucket(b));
+      }
+      t->emit("loss_ledger", std::move(fields));
+    }
   }
   if (t->rollup().enabled()) {
     tel::RollupSample sample;
@@ -424,7 +435,7 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
     sample.loss = loss_epoch ? &*loss_epoch : nullptr;
     if (auto window = t->rollup().observe_epoch(sample)) {
       m.counter("gh_rollup_windows_total").increment();
-      t->emit("rollup", window->to_trace_fields());
+      if (t->traced()) t->emit("rollup", window->to_trace_fields());
     }
   }
   // Last so it counts this epoch's own events; what a streaming drain (or
@@ -437,9 +448,10 @@ void RackSimulator::set_grid_budget(Watts budget) {
   plant_.set_grid_budget(budget);
 }
 
-void RackSimulator::push_trace(tel::StreamingTraceSink& sink,
+void RackSimulator::push_trace(tel::StreamingTraceSink* sink,
                                bool /*final*/) {
-  sink.push(telemetry_->trace().drain());
+  std::vector<tel::TraceEvent> events = telemetry_->trace().drain();
+  if (sink != nullptr) sink->push(std::move(events));
 }
 
 void RackSimulator::flush_rollup() {
@@ -451,7 +463,9 @@ void RackSimulator::flush_rollup() {
     // already emitted, which the streaming watermark merge relies on.
     telemetry_->set_now(end);
     telemetry_->metrics().counter("gh_rollup_windows_total").increment();
-    telemetry_->emit("rollup", window->to_trace_fields());
+    if (telemetry_->traced()) {
+      telemetry_->emit("rollup", window->to_trace_fields());
+    }
   }
 }
 

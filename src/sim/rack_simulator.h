@@ -218,7 +218,7 @@ class RackSimulator final : private EpochClient {
   [[nodiscard]] std::uint64_t trace_dropped() const override {
     return telemetry_->trace().dropped();
   }
-  void push_trace(telemetry::StreamingTraceSink& sink, bool final) override;
+  void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
 
   Rack rack_;
   RackPowerPlant plant_;

@@ -150,10 +150,12 @@ ScopedSpan::~ScopedSpan() {
   // Mirror into the JSONL trace so the analyzer sees one merged stream
   // (span records are opt-in precisely because wall time is
   // non-deterministic).
-  sink_->emit("span", {{"name", tag_.name()},
-                       {"depth", depth_},
-                       {"t0", sim_begin_min_},
-                       {"dur_ns", wall_dur_ns}});
+  if (sink_->traced()) {
+    sink_->emit("span", {{"name", tag_.name()},
+                         {"depth", depth_},
+                         {"t0", sim_begin_min_},
+                         {"dur_ns", wall_dur_ns}});
+  }
   const std::uint64_t dropped_before = sink_->spans().dropped();
   sink_->spans().end(std::move(record));
   if (sink_->spans().dropped() > dropped_before) {

@@ -60,7 +60,7 @@ void StreamingTraceSink::push_merge(std::vector<TraceEvent> batch,
   }
   // Stable: (t, rack) ties are same-source events in emission order, and
   // epoch-major arrival keeps each source's events consecutive, so this
-  // incremental sort reproduces the buffered writer's whole-run sort.
+  // incremental sort reproduces a stable sort of the whole run.
   std::stable_sort(pending_.begin(), pending_.end(), event_before);
   const auto split = std::lower_bound(
       pending_.begin(), pending_.end(), watermark,

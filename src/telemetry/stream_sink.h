@@ -1,33 +1,34 @@
-// Bounded-memory streaming trace sink.
+// Bounded-memory streaming trace sink: the only way trace events leave a
+// run.
 //
-// The buffered path (TraceRing::save_jsonl / Fleet::write_trace_jsonl)
-// holds the whole run in memory and writes once at exit — fine for a day,
-// hopeless for the ROADMAP's 10k-rack runs.  StreamingTraceSink instead
-// drains events to the JSONL file as the run progresses: producers hand
-// over batches at epoch barriers, a dedicated writer thread serializes and
-// writes them, and a bounded queue between the two provides backpressure
-// (a full queue blocks the producer and counts a stall) so memory stays
-// capped at queue_capacity events no matter how long the run is.
+// Producers hand over batches at epoch barriers, a dedicated writer thread
+// serializes and writes them to the JSONL file, and a bounded queue between
+// the two provides backpressure (a full queue blocks the producer and counts
+// a stall), so memory stays capped at one epoch's events plus
+// queue_capacity no matter how long the run is.
 //
-// Byte-identity contract: the streamed file is byte-identical to what the
-// buffered writer would have produced (header, event order, truncation
-// footer) for any thread count.
+// Ordering contract: the file holds the schema header, then every event
+// in (sim time, rack id) order with ties in emission order, then a
+// truncation footer when rings evicted events — at any thread or shard
+// count.
 //
-//  - Single rack (RackSimulator::run): save_jsonl never sorts, so the sink
-//    receives each epoch's events in emission order via push() and writes
-//    them unmodified.
-//  - Fleet: write_trace_jsonl stable-sorts the concatenation (coordinator
-//    events, then racks 0..N-1) by (sim time, rack id).  The incremental
-//    equivalent is push_merge(): at every epoch barrier the coordinator
-//    drains all rings in that same order, appends to a pending buffer,
-//    stable-sorts it and flushes the prefix strictly below the watermark
-//    (the next epoch's start time).  Every event emitted while stepping
-//    epoch e is stamped within [e_start, e_end) — fault events at substep
-//    times, epoch_plan/loss_ledger/rollup at now(), the coordinator's
-//    grid_share at e_start — so nothing older can arrive later, and rack
-//    ids are unique per source, so (t, rack) ties are always same-source
-//    and the stable sort preserves their emission order.  The incremental
-//    merge therefore reproduces the whole-run sort exactly.
+//  - Single rack (RackSimulator::run): one source, already in emission
+//    order, so push() writes each epoch's events unmodified.
+//  - Fleet: push_merge().  At every epoch barrier the coordinator drains
+//    all rings (coordinator events, then racks 0..N-1), appends them to a
+//    pending buffer, stable-sorts it and flushes the prefix strictly below
+//    the watermark (the next epoch's start time).  Every event emitted
+//    while stepping epoch e is stamped within [e_start, e_end) — fault
+//    events at substep times, epoch_plan/loss_ledger/rollup at now(), the
+//    coordinator's grid_share at e_start — so nothing older can arrive
+//    later, and rack ids are unique per source, so (t, rack) ties are
+//    always same-source and the stable sort preserves their emission
+//    order.  The incremental merge therefore equals a stable sort of the
+//    whole run's concatenation.
+//
+// The contract is pinned by the golden traces (tests/golden/) and by
+// streaming_sink_test, which checks push_merge against std::stable_sort of
+// seeded random multi-source batches.
 //
 // Events are serialized on the writer thread, off the simulation's critical
 // path; close() (or destruction) flushes the queue, appends a truncation
@@ -91,8 +92,8 @@ class StreamingTraceSink {
   void push_merge(std::vector<TraceEvent> batch, double watermark);
 
   /// Record ring evictions reported by the producer; a final
-  /// trace_truncated footer (matching the buffered writer's) is appended
-  /// at close when the total is non-zero.
+  /// trace_truncated footer is appended at close when the total is
+  /// non-zero.
   void note_dropped(std::uint64_t dropped);
 
   /// Block until every queued event reached the ofstream and flush it, so

@@ -39,6 +39,7 @@ std::string build_info_json() {
 }
 
 void Telemetry::emit(std::string phase, TraceFields fields) {
+  if (!traced_) return;
   TraceEvent event;
   event.sim_minutes = now_.value();
   event.rack_id = config_.rack_id;
@@ -75,14 +76,15 @@ LossLedger* loss_ledger() {
   return t != nullptr && t->config().loss_ledger ? &t->loss() : nullptr;
 }
 
+Telemetry* tracer() {
+  Telemetry* t = g_current;
+  return t != nullptr && t->traced() ? t : nullptr;
+}
+
 TelemetryScope::TelemetryScope(Telemetry* telemetry) : previous_(g_current) {
   g_current = telemetry;
 }
 
 TelemetryScope::~TelemetryScope() { g_current = previous_; }
-
-void emit(std::string phase, TraceFields fields) {
-  if (Telemetry* t = g_current) t->emit(std::move(phase), std::move(fields));
-}
 
 }  // namespace greenhetero::telemetry

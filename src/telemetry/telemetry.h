@@ -33,8 +33,8 @@ struct TelemetryConfig {
   /// Master switch: when false the owner installs no scope and every
   /// telemetry call in library code is a no-op.
   bool enabled = true;
-  /// Trace ring capacity in events (~6 events/epoch; the default holds a
-  /// month of 15-minute epochs).
+  /// Trace ring capacity in events.  The run loop drains the ring at every
+  /// epoch barrier, so it holds one epoch's events (~6 per rack).
   std::size_t trace_capacity = 1 << 15;
   /// Stamped on every event; the fleet coordinator overrides it per rack.
   int rack_id = 0;
@@ -114,8 +114,17 @@ class Telemetry {
   void set_now(Minutes now) { now_ = now; }
   [[nodiscard]] Minutes now() const { return now_; }
 
+  /// Whether emitted events have a reader.  A bare context keeps its
+  /// events; RackSimulator and Fleet clear this unless the run streams its
+  /// trace or mirrors it into a flight recorder.  Emit sites test it (via
+  /// tracer()) before building an event, so a run nothing will read builds
+  /// and keeps no trace.
+  [[nodiscard]] bool traced() const { return traced_; }
+  void set_traced(bool traced) { traced_ = traced; }
+
   /// Append a trace event stamped with now() and rack_id() (mirrored into
-  /// the flight-recorder ring when that feature is on).
+  /// the flight-recorder ring when that feature is on); dropped when the
+  /// context is not traced().
   void emit(std::string phase, TraceFields fields);
 
   /// Checkpoint every sim-clock-driven component: metrics (as a snapshot),
@@ -136,6 +145,7 @@ class Telemetry {
   FlightRecorder flightrec_;
   Profiler profiler_;
   Minutes now_{0.0};
+  bool traced_ = true;
 };
 
 /// The ambient context, or nullptr outside any TelemetryScope.
@@ -145,6 +155,10 @@ class Telemetry {
 /// (TelemetryConfig::loss_ledger), else nullptr — the one-line guard every
 /// contributing layer uses before posting.
 [[nodiscard]] LossLedger* loss_ledger();
+
+/// The ambient context when its events have a reader (Telemetry::traced),
+/// else nullptr — the guard every emit site uses before building an event.
+[[nodiscard]] Telemetry* tracer();
 
 /// RAII installer for the ambient context.  Nestable; installing nullptr
 /// masks any outer context (callees see telemetry disabled).
@@ -158,9 +172,6 @@ class TelemetryScope {
  private:
   Telemetry* previous_;
 };
-
-/// emit() on the ambient context; no-op without one.
-void emit(std::string phase, TraceFields fields);
 
 }  // namespace greenhetero::telemetry
 

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <ostream>
 #include <set>
 #include <stdexcept>
 
-#include <sstream>
-
 #include "checkpoint/serializer.h"
 #include "telemetry/metrics.h"
-#include "util/atomic_file.h"
 #include "util/logging.h"
 
 namespace greenhetero::telemetry {
@@ -211,36 +206,6 @@ std::vector<TraceEvent> TraceRing::drain() {
 std::mutex& trace_writer_mutex() {
   static std::mutex mutex;
   return mutex;
-}
-
-void TraceRing::write_jsonl(std::ostream& out) const {
-  // Assemble whole lines first, then emit everything in one locked write —
-  // concurrent flushes from two racks serialize instead of interleaving
-  // partial lines (byte-identical to the old streaming path sequentially).
-  std::string buffer = trace_header_json();
-  buffer += '\n';
-  for (const TraceEvent& event : events_) {
-    buffer += event.to_json();
-    buffer += '\n';
-  }
-  if (dropped_ > 0) {
-    const double last =
-        events_.empty() ? 0.0 : events_.back().sim_minutes;
-    buffer += make_truncation_footer(last, dropped_).to_json();
-    buffer += '\n';
-  }
-  const std::lock_guard<std::mutex> lock(trace_writer_mutex());
-  out << buffer;
-}
-
-void TraceRing::save_jsonl(const std::filesystem::path& path) const {
-  std::ostringstream out;
-  write_jsonl(out);
-  try {
-    util::write_file_atomic(path, out.str());
-  } catch (const util::AtomicWriteError& e) {
-    throw std::runtime_error("trace ring: " + std::string(e.what()));
-  }
 }
 
 void TraceRing::clear() {

@@ -3,7 +3,8 @@
 // TraceEvent is one decision record: sim-clock timestamp (minutes), rack id,
 // a phase name ("epoch_plan", "source_select", ...) and a key/value payload.
 // Events are buffered in a fixed-capacity ring (oldest evicted, drops
-// counted) and export as one JSON object per line (JSONL).
+// counted) until the epoch barrier hands them to the streaming sink
+// (stream_sink.h), which writes one JSON object per line (JSONL).
 //
 // Field keys are TraceKeys: views of static storage, never owned per event,
 // so a field costs 56 bytes (16-byte key + 40-byte value) and no allocation
@@ -16,8 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <filesystem>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -139,8 +138,8 @@ struct TraceEvent {
   void load_state(checkpoint::Reader& r);
 };
 
-/// The `trace_truncated` footer appended to exports whose ring evicted
-/// events: {"t":..,"rack":-1,"phase":"trace_truncated","dropped":N}.
+/// The `trace_truncated` footer the streaming sink appends when a ring
+/// evicted events: {"t":..,"rack":-1,"phase":"trace_truncated","dropped":N}.
 /// `greenhetero analyze` prints a loud warning (and fails a --diff gate)
 /// when it sees one — drops used to be counted but invisible in the file.
 [[nodiscard]] TraceEvent make_truncation_footer(double last_sim_minutes,
@@ -162,21 +161,14 @@ class TraceRing {
   }
   /// Approximate bytes currently buffered, and the high-water mark since
   /// construction/clear() — drain() resets the former but not the latter,
-  /// so a streaming run's peak shows what buffered mode would have held
-  /// *per epoch*, not per run.
+  /// so a run's peak is its largest epoch's events.
   [[nodiscard]] std::size_t approx_bytes() const { return approx_bytes_; }
   [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
 
   /// Move all buffered events out (oldest to newest) and empty the ring.
-  /// The drop counter is cumulative and survives; the streaming sink uses
+  /// The drop counter is cumulative and survives; the epoch driver calls
   /// this at every epoch barrier so the ring never grows past one epoch.
   [[nodiscard]] std::vector<TraceEvent> drain();
-
-  /// When events were evicted the export ends with a `trace_truncated`
-  /// footer carrying the drop count (goldens never overflow, so their
-  /// bytes are unchanged).
-  void write_jsonl(std::ostream& out) const;
-  void save_jsonl(const std::filesystem::path& path) const;
   void clear();
 
   /// Checkpoint buffered events plus the cumulative drop/byte accounting
@@ -196,7 +188,7 @@ class TraceRing {
 /// JSON string escaping shared with the metrics exporters.
 void append_json_escaped(std::string& out, std::string_view s);
 
-/// Process-wide lock every trace/span exporter takes around its final
+/// Process-wide lock the span and rollup exporters take around their final
 /// stream write.  Exporters assemble their complete output in memory first
 /// and emit it in one locked write, so two racks flushing concurrently (to
 /// the same stream or interleaved stdio) can never tear a line in half.

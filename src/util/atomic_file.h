@@ -1,7 +1,7 @@
 // Atomic file replacement.
 //
 // Every file artifact the simulator produces non-incrementally (metrics
-// snapshots, buffered trace exports, Chrome spans, rollup series, fuzzer
+// snapshots, Chrome spans, rollup series, fuzzer
 // repro files, checkpoints) goes through the same temp-and-rename dance: a
 // process killed mid-write must leave either the previous complete file or
 // no file — never a torn one.  Extracted from the `--metrics-out` flush

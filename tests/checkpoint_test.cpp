@@ -24,6 +24,7 @@
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "power/battery.h"
+#include "server/rack.h"
 #include "sim/epoch_store.h"
 #include "util/rng.h"
 
@@ -339,6 +340,45 @@ TEST(Checkpoint, DatabaseRestoresSamplesAndExactFit) {
   EXPECT_EQ(b.fit.b, a.fit.b);
   EXPECT_EQ(b.fit.c, a.fit.c);
   EXPECT_EQ(b.projected_perf(Watts{133.0}), a.projected_perf(Watts{133.0}));
+}
+
+/// Loads `w` with `load`, which must refuse it with a CheckpointError that
+/// names the out-of-range value 99.
+template <typename Load>
+void expect_refuses_99(const checkpoint::Writer& w, Load load) {
+  checkpoint::Reader r(w.buffer());
+  try {
+    load(r);
+    ADD_FAILURE() << "out-of-range enum accepted";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("99"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, LoadersRejectOutOfRangeEnums) {
+  // A snapshot can carry an out-of-range enum under a valid checksum; the
+  // loaders must refuse it before it indexes a per-workload or per-model
+  // table.
+  Rack rack{{{ServerModel::kXeonE5_2620, 2}}, Workload::kSpecJbb};
+  checkpoint::Writer rack_payload;
+  rack_payload.seq(1);   // groups
+  rack_payload.i64(99);  // group 0's workload
+  expect_refuses_99(rack_payload,
+                    [&rack](checkpoint::Reader& r) { rack.load_state(r); });
+
+  for (const auto& [model, workload] : {std::pair{99, 0}, std::pair{0, 99}}) {
+    SCOPED_TRACE("model " + std::to_string(model) + ", workload " +
+                 std::to_string(workload));
+    checkpoint::Writer db_payload;
+    db_payload.u64(64);  // max samples
+    db_payload.seq(1);   // records
+    db_payload.i64(model);
+    db_payload.i64(workload);
+    PerfPowerDatabase db;
+    expect_refuses_99(db_payload,
+                      [&db](checkpoint::Reader& r) { db.load_state(r); });
+  }
 }
 
 TEST(Checkpoint, FaultInjectorResumesDeliveryCursor) {

@@ -7,8 +7,9 @@
 # simulate: `simulate --days 1 --seed 42 --trace-out` must reproduce the
 #           committed golden byte for byte (the analyze gate only catches
 #           drift beyond 1%).
-# fleet:    a 6-rack, 24 h fleet's streamed trace (--stream on) must equal
-#           its buffered trace byte for byte.
+# fleet:    a 6-rack, 24 h fleet with the ledger and hourly rollups writes
+#           the same trace and rollup series byte for byte on one thread and
+#           one shard as on four threads and three shards.
 # reject:   every bad command line of a fixed list exits 2, names the flag
 #           on stderr and writes no file.
 # accept:   explicit defaults and bare switches keep the golden bytes, the
@@ -72,10 +73,16 @@ if(CASE STREQUAL "simulate")
   run_cli(simulate --days 1 --seed 42 --trace-out ${WORK_DIR}/sim.jsonl)
   expect_same_bytes(${GOLDEN} ${WORK_DIR}/sim.jsonl)
 elseif(CASE STREQUAL "fleet")
-  run_cli(fleet --racks 6 --hours 24 --stream on
-          --trace-out ${WORK_DIR}/streamed.jsonl)
-  run_cli(fleet --racks 6 --hours 24 --trace-out ${WORK_DIR}/buffered.jsonl)
-  expect_same_bytes(${WORK_DIR}/buffered.jsonl ${WORK_DIR}/streamed.jsonl)
+  foreach(topology "1;1" "4;3")
+    list(GET topology 0 threads)
+    list(GET topology 1 shards)
+    run_cli(fleet --racks 6 --hours 24 --threads ${threads} --shards ${shards}
+            --ledger on --rollup-window 60
+            --trace-out ${WORK_DIR}/trace-${threads}x${shards}.jsonl
+            --rollup-out ${WORK_DIR}/rollup-${threads}x${shards}.jsonl)
+  endforeach()
+  expect_same_bytes(${WORK_DIR}/trace-1x1.jsonl ${WORK_DIR}/trace-4x3.jsonl)
+  expect_same_bytes(${WORK_DIR}/rollup-1x1.jsonl ${WORK_DIR}/rollup-4x3.jsonl)
 elseif(CASE STREQUAL "reject")
   # Unknown flags, --help included.
   expect_rejected(--bogus fleet --bogus 1)
@@ -100,9 +107,11 @@ elseif(CASE STREQUAL "reject")
   expect_rejected(--check simulate --check maybe)
   # Rejected while parsing, before any worker pool exists.
   expect_rejected(--threads fleet --threads 99999999999)
+  # Removed flags: --trace-out always streams.
+  expect_rejected(--stream fleet --stream on)
 elseif(CASE STREQUAL "accept")
   # Explicit defaults and explicit "off" switches keep the golden bytes.
-  run_cli(simulate --days 1 --seed 42 --ledger off --check off --stream off
+  run_cli(simulate --days 1 --seed 42 --ledger off --check off
           --trace-out ${WORK_DIR}/sim.jsonl)
   expect_same_bytes(${GOLDEN} ${WORK_DIR}/sim.jsonl)
   # A bare --check is --check on: the checker reports its counts.

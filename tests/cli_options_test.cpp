@@ -171,7 +171,7 @@ TEST(OptionParser, ReadsTypedValues) {
                         "--days", "007"});
   EXPECT_TRUE(options.flag("check"));
   EXPECT_FALSE(options.flag("ledger"));
-  EXPECT_FALSE(options.flag("stream"));
+  EXPECT_FALSE(parse(kSimulate, {}).flag("check"));  // an absent switch
   EXPECT_EQ(options.integer<std::uint64_t>("seed"), 18446744073709551615ULL);
   EXPECT_EQ(options.number("capacity"), 2500.0);
   EXPECT_EQ(options.integer<int>("days"), 7);

@@ -13,9 +13,7 @@
 // resumes, including a resume landing after the final epoch (only the
 // finalization tail re-runs).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -32,6 +30,7 @@
 #include "sim/rack_simulator.h"
 #include "telemetry/stream_sink.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 
 namespace greenhetero {
 namespace {
@@ -40,36 +39,8 @@ namespace fs = std::filesystem;
 
 constexpr double kWeekMinutes = 7.0 * 24.0 * 60.0;
 
-/// Unique per-process scratch directory, removed on destruction (ctest may
-/// run several processes of this binary concurrently).
-class ScratchDir {
- public:
-  ScratchDir() {
-    static std::atomic<int> counter{0};
-    dir_ = fs::temp_directory_path() /
-           ("gh-crash-resume-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] fs::path operator/(const std::string& name) const {
-    return dir_ / name;
-  }
-
- private:
-  fs::path dir_;
-};
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using testtrace::read_file;
+using testtrace::ScratchDir;
 
 void write_file(const fs::path& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

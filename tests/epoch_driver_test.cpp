@@ -8,14 +8,12 @@
 // the wall-clock series.  Runs for a standalone RackSimulator and for a
 // Fleet at 1 and 4 worker threads.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,6 +25,7 @@
 #include "server/combinations.h"
 #include "sim/rack_simulator.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 
 namespace greenhetero {
 namespace {
@@ -35,36 +34,8 @@ namespace fs = std::filesystem;
 
 constexpr Minutes kDuration{12.0 * 60.0};
 
-/// Unique per-process scratch directory, removed on destruction (ctest may
-/// run several processes of this binary concurrently).
-class ScratchDir {
- public:
-  ScratchDir() {
-    static std::atomic<int> counter{0};
-    dir_ = fs::temp_directory_path() /
-           ("gh-epoch-driver-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] fs::path operator/(const std::string& name) const {
-    return dir_ / name;
-  }
-
- private:
-  fs::path dir_;
-};
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using testtrace::read_file;
+using testtrace::ScratchDir;
 
 /// Drop the wall-clock-dependent series (latency histograms, the sink's
 /// backpressure gauges, the throughput gauge); the rest must match exactly.

@@ -19,17 +19,17 @@
 #include "server/combinations.h"
 #include "sim/rack_simulator.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 
 namespace greenhetero {
 namespace {
 
-/// Count trace events with the given phase.
-std::size_t count_events(const RackSimulator& sim, std::string_view phase) {
-  std::size_t n = 0;
-  for (const auto& e : sim.telemetry().trace().events()) {
-    if (e.phase == phase) ++n;
-  }
-  return n;
+using testtrace::streamed_events;
+using testtrace::streamed_trace;
+
+/// Count the streamed trace's events with the given phase.
+std::size_t count_events(RackSimulator& sim, std::string_view phase) {
+  return testtrace::count_phase(streamed_events(sim), phase);
 }
 
 TEST(FaultInjection, MonitorDropoutValidation) {
@@ -376,9 +376,15 @@ TEST(FleetConfigValidation, RejectsBadGridBudget) {
 // Scheduled faults end-to-end: every kind runs through, conserves energy,
 // and surfaces its telemetry.
 
+/// Every faulted sim streams its trace to a file of its own, so the tests
+/// can read the events back.
 RackSimulator make_faulted_sim(FaultPlan plan, std::uint64_t seed = 42) {
+  static const testtrace::ScratchDir scratch("gh-faults");
+  static int sims = 0;
   Rack rack{default_runtime_rack(), Workload::kSpecJbb};
   SimConfig cfg;
+  cfg.trace_stream = telemetry::StreamSinkConfig{
+      scratch / ("trace-" + std::to_string(sims++) + ".jsonl")};
   cfg.controller.policy = PolicyKind::kGreenHetero;
   cfg.controller.seed = seed;
   // Fault scenarios are where conservation and SoC bounds are most likely to
@@ -492,15 +498,16 @@ TEST(ScheduledFaults, StuckSolarSensorPoisonsTheFeedbackNotTheArray) {
 
   // ...while the controller's observation is frozen at the latched value.
   double first = -1.0;
-  for (const auto& e : sim.telemetry().trace().events()) {
-    if (e.phase != "feedback") continue;
-    if (e.sim_minutes < 8.0 * 60.0 || e.sim_minutes >= 11.0 * 60.0) continue;
-    const auto* observed = e.field("observed_renewable_w");
+  for (const json::Value& e : streamed_events(sim)) {
+    if (e.string_or("phase", "") != "feedback") continue;
+    const double t = e.number_or("t", -1.0);
+    if (t < 8.0 * 60.0 || t >= 11.0 * 60.0) continue;
+    const json::Value* observed = e.find("observed_renewable_w");
     ASSERT_NE(observed, nullptr);
     if (first < 0.0) {
-      first = observed->as_double();
+      first = observed->as_number();
     } else {
-      EXPECT_DOUBLE_EQ(observed->as_double(), first);
+      EXPECT_DOUBLE_EQ(observed->as_number(), first);
     }
   }
   EXPECT_GE(first, 0.0);
@@ -585,9 +592,7 @@ std::string run_faulted_trace() {
   plan.add({Minutes{75.0}, FaultKind::kGridOutage, Minutes{60.0}});
   RackSimulator sim = make_faulted_sim(std::move(plan));
   sim.run(Minutes{3.0 * 60.0});
-  std::ostringstream out;
-  sim.telemetry().trace().write_jsonl(out);
-  return out.str();
+  return streamed_trace(sim);
 }
 
 TEST(FaultDeterminism, SamePlanAndSeedProduceIdenticalTraces) {
@@ -624,8 +629,7 @@ TEST(FaultDeterminism, EmptyPlanMatchesTheFaultFreeGolden) {
   // fault-free golden trace byte for byte.
   RackSimulator sim = make_faulted_sim(FaultPlan{});
   sim.run(Minutes{3.0 * 60.0});
-  std::ostringstream out;
-  sim.telemetry().trace().write_jsonl(out);
+  const std::string trace = streamed_trace(sim);
 
   const std::string golden_path =
       std::string(GH_TEST_DATA_DIR) + "/golden/trace_short.jsonl";
@@ -633,7 +637,7 @@ TEST(FaultDeterminism, EmptyPlanMatchesTheFaultFreeGolden) {
   ASSERT_TRUE(in) << "missing golden file " << golden_path;
   std::ostringstream golden;
   golden << in.rdbuf();
-  EXPECT_EQ(out.str(), golden.str());
+  EXPECT_EQ(trace, golden.str());
 }
 
 // ---------------------------------------------------------------------------

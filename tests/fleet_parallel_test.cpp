@@ -1,19 +1,20 @@
 // Determinism contract of the parallel fleet path: the same fleet stepped
 // with 1, 2 or 8 worker threads must produce byte-identical reports, merged
-// traces and metric snapshots (wall-clock latency series excluded — those
-// are non-deterministic even sequentially).  The TSan CI job runs this same
+// traces and metric snapshots (wall-clock latency series and the streaming
+// sink's queue gauges excluded — those are non-deterministic even
+// sequentially).  The TSan CI job runs this same
 // binary to prove the parallel path is also race-free.
 #include "fleet/fleet.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "faults/fault_plan.h"
 #include "server/combinations.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 
 namespace greenhetero {
 namespace {
@@ -45,14 +46,16 @@ struct RunArtifacts {
 };
 
 /// Prometheus rendering of the snapshot minus wall-clock series (the *_ns
-/// latency histograms, the *_per_sec throughput gauges and the async
-/// queue-residency histogram depend on machine timing, not the simulation).
+/// latency histograms, the *_per_sec throughput gauges and the streaming
+/// sink's queue depth, residency and stall series depend on machine timing,
+/// not the simulation).
 std::string deterministic_prometheus(const MetricsSnapshot& snapshot) {
   MetricsSnapshot filtered;
   for (const telemetry::SnapshotEntry& entry : snapshot.entries) {
     if (entry.name.ends_with("_ns")) continue;
     if (entry.name.ends_with("_per_sec")) continue;
-    if (entry.name == "gh_trace_queue_residency") continue;
+    if (entry.name.starts_with("gh_trace_queue_")) continue;
+    if (entry.name == "gh_trace_stalls_total") continue;
     filtered.entries.push_back(entry);
   }
   return filtered.to_prometheus();
@@ -72,15 +75,15 @@ RunArtifacts run_fleet(std::size_t threads, const FaultPlan& faults = {}) {
   cfg.mode = GridShareMode::kDemandProportional;
   cfg.check = true;  // exercises divide_grid_budget's over-commit invariant
   cfg.threads = threads;
+  const testtrace::ScratchDir scratch;
+  cfg.trace_stream = telemetry::StreamSinkConfig{scratch / "trace.jsonl"};
   Fleet fleet{std::move(racks), cfg};
   EXPECT_EQ(fleet.threads(), threads);
   fleet.pretrain();
 
   RunArtifacts artifacts;
   artifacts.report = fleet.run(Minutes{6.0 * 60.0});
-  std::ostringstream trace;
-  fleet.write_trace_jsonl(trace);
-  artifacts.trace = trace.str();
+  artifacts.trace = testtrace::streamed_trace(fleet);
   artifacts.metrics = deterministic_prometheus(fleet.metrics_snapshot());
   return artifacts;
 }

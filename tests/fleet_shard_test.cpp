@@ -1,10 +1,10 @@
 // Scale-invariance contract of the sharded fleet hierarchy: the same fleet
 // run with any --shards / --threads combination must produce byte-identical
-// reports, merged traces and metric snapshots (wall-clock and shard-topology
-// series excluded — the latter describe the execution layout, not the
-// simulation).  Also pins the rebalancer's conservation and equal-split
-// guarantees and that a checkpoint taken under one shard count restores
-// into any other.
+// reports, merged traces and metric snapshots (wall-clock, streaming-queue
+// and shard-topology series excluded — the latter describe the execution
+// layout, not the simulation).  Also pins the rebalancer's conservation
+// and equal-split guarantees and that a checkpoint taken under one shard
+// count restores into any other.
 #include "fleet/fleet.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,15 +22,17 @@
 #include "fleet/shard.h"
 #include "server/combinations.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 #include "util/rng.h"
 
 namespace greenhetero {
 namespace {
 
 RackSimulator make_rack_sim(Watts solar_capacity, std::uint64_t seed,
-                            const FaultPlan& faults) {
+                            const FaultPlan& faults, bool telemetry = true) {
   Rack rack{default_runtime_rack(), Workload::kSpecJbb};
   SimConfig cfg;
+  cfg.telemetry.enabled = telemetry;
   cfg.controller.policy = PolicyKind::kGreenHetero;
   cfg.controller.seed = seed;
   cfg.controller.epoch = Minutes{15.0};
@@ -59,7 +61,8 @@ std::string deterministic_prometheus(const MetricsSnapshot& snapshot) {
   for (const telemetry::SnapshotEntry& entry : snapshot.entries) {
     if (entry.name.ends_with("_ns")) continue;
     if (entry.name.ends_with("_per_sec")) continue;
-    if (entry.name == "gh_trace_queue_residency") continue;
+    if (entry.name.starts_with("gh_trace_queue_")) continue;
+    if (entry.name == "gh_trace_stalls_total") continue;
     if (entry.name == "gh_fleet_shards") continue;
     if (entry.name.starts_with("gh_shard_")) continue;
     filtered.entries.push_back(entry);
@@ -83,15 +86,15 @@ RunArtifacts run_fleet(std::size_t shards, std::size_t threads,
   cfg.check = true;  // enforces shard-grant conservation every epoch
   cfg.threads = threads;
   cfg.shards = shards;
+  const testtrace::ScratchDir scratch;
+  cfg.trace_stream = telemetry::StreamSinkConfig{scratch / "trace.jsonl"};
   Fleet fleet{std::move(racks), cfg};
   EXPECT_EQ(fleet.shards(), std::min<std::size_t>(shards, 4));
   fleet.pretrain();
 
   RunArtifacts artifacts;
   artifacts.report = fleet.run(Minutes{6.0 * 60.0});
-  std::ostringstream trace;
-  fleet.write_trace_jsonl(trace);
-  artifacts.trace = trace.str();
+  artifacts.trace = testtrace::streamed_trace(fleet);
   artifacts.metrics = deterministic_prometheus(fleet.metrics_snapshot());
   return artifacts;
 }
@@ -324,32 +327,21 @@ TEST(Rebalancer, MakeShardsCoversEveryRackExactlyOnce) {
 
 // --- checkpoint portability across shard counts --------------------------
 
-class ScratchDir {
- public:
-  ScratchDir() {
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    path_ = std::filesystem::temp_directory_path() /
-            ("gh_shard_" + std::string(info->name()));
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~ScratchDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+using testtrace::ScratchDir;
 
- private:
-  std::filesystem::path path_;
-};
-
-Fleet make_ckpt_fleet(std::size_t shards, const std::filesystem::path& dir,
-                      int every) {
+Fleet make_ckpt_fleet(
+    std::size_t shards, const std::filesystem::path& dir, int every,
+    std::optional<telemetry::StreamSinkConfig> stream = std::nullopt,
+    bool telemetry = true) {
   const double capacities[] = {300.0, 1200.0, 2400.0, 4800.0};
   std::vector<RackSimulator> racks;
   for (std::size_t i = 0; i < 4; ++i) {
     racks.push_back(make_rack_sim(Watts{capacities[i]},
-                                  50 + static_cast<std::uint64_t>(i), {}));
+                                  50 + static_cast<std::uint64_t>(i), {},
+                                  telemetry));
   }
   FleetConfig cfg;
+  cfg.telemetry.enabled = telemetry;
   cfg.total_grid_budget = Watts{2000.0};
   cfg.mode = GridShareMode::kDemandProportional;
   cfg.shards = shards;
@@ -357,6 +349,7 @@ Fleet make_ckpt_fleet(std::size_t shards, const std::filesystem::path& dir,
   cfg.checkpoint_every = every;
   cfg.checkpoint_keep = 0;  // keep everything; the test picks its snapshot
   cfg.config_hash = 0xfeed;
+  cfg.trace_stream = std::move(stream);
   Fleet fleet{std::move(racks), cfg};
   fleet.pretrain();
   return fleet;
@@ -367,37 +360,45 @@ TEST(FleetShard, CheckpointRestoresIntoDifferentShardCount) {
   // Snapshots carry no shard topology, so a checkpoint written under
   // --shards 4 must restore into --shards 2 (and any other count) and
   // finish byte-identical to the uninterrupted flat run.
-  Fleet writer = make_ckpt_fleet(4, scratch.path(), 8);
+  const std::filesystem::path reference_path = scratch / "reference.jsonl";
+  const std::filesystem::path replay_path = scratch / "replay.jsonl";
+  Fleet writer = make_ckpt_fleet(4, scratch.path() / "ckpt", 8,
+                                 telemetry::StreamSinkConfig{reference_path});
   const FleetReport reference = writer.run(Minutes{6.0 * 60.0});
-  std::ostringstream reference_trace;
-  writer.write_trace_jsonl(reference_trace);
+  const std::string reference_trace = testtrace::streamed_trace(writer);
 
   const std::vector<std::filesystem::path> snapshots =
-      checkpoint::list_snapshots(scratch.path());
+      checkpoint::list_snapshots(scratch.path() / "ckpt");
   ASSERT_GE(snapshots.size(), 2u);
   // A strictly mid-run snapshot: epochs remain after it.
   const checkpoint::Snapshot snapshot =
       checkpoint::load_snapshot(snapshots[snapshots.size() - 2]);
   ASSERT_LT(snapshot.epoch_index, 24u);  // 6 h of 15-min epochs
 
-  Fleet resumed = make_ckpt_fleet(2, scratch.path(), 8);
+  // The resumed sink truncates its file back to the snapshot's watermark
+  // and continues from there.
+  std::filesystem::copy_file(reference_path, replay_path);
+  telemetry::StreamSinkConfig replay_stream{replay_path};
+  replay_stream.resume = true;
+  Fleet resumed =
+      make_ckpt_fleet(2, scratch.path() / "ckpt", 8, replay_stream);
   resumed.load_checkpoint(snapshot);
   const FleetReport replay = resumed.run(Minutes{6.0 * 60.0});
-  std::ostringstream replay_trace;
-  resumed.write_trace_jsonl(replay_trace);
 
   expect_identical_reports(reference, replay);
-  EXPECT_EQ(reference_trace.str(), replay_trace.str());
+  EXPECT_EQ(reference_trace, testtrace::streamed_trace(resumed));
 }
 
 TEST(FleetShard, CheckpointBytesIdenticalAcrossShardCounts) {
   // Stronger than restorability: the snapshot payload itself must not
   // mention the topology, so the files written under different --shards
-  // values are byte-for-byte the same.
+  // values are byte-for-byte the same.  Telemetry is off: the metrics in a
+  // snapshot carry wall-clock span histograms and, by design, the
+  // shard-topology gauges.
   ScratchDir a;
   ScratchDir b;
-  Fleet one = make_ckpt_fleet(1, a.path(), 8);
-  Fleet four = make_ckpt_fleet(4, b.path(), 8);
+  Fleet one = make_ckpt_fleet(1, a.path(), 8, std::nullopt, false);
+  Fleet four = make_ckpt_fleet(4, b.path(), 8, std::nullopt, false);
   (void)one.run(Minutes{6.0 * 60.0});
   (void)four.run(Minutes{6.0 * 60.0});
   const std::vector<std::filesystem::path> lhs =

@@ -17,6 +17,7 @@
 #include "telemetry/ledger.h"
 #include "trace/load_pattern.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 
 namespace greenhetero {
 namespace {
@@ -252,10 +253,12 @@ TEST(LossLedgerEndToEnd, FaultsChargeTheFaultBucketAndKeepTheInvariant) {
 }
 
 TEST(LossLedgerEndToEnd, DisabledLedgerRecordsNothing) {
+  const testtrace::ScratchDir scratch;
   Rack rack{default_runtime_rack(), Workload::kSpecJbb};
   SimConfig cfg;
   cfg.controller.policy = PolicyKind::kGreenHetero;
   cfg.controller.seed = 42;  // loss_ledger stays default-off
+  cfg.trace_stream = tel::StreamSinkConfig{scratch / "trace.jsonl"};
   GridSpec grid;
   grid.budget = Watts{800.0};
   RackSimulator sim{
@@ -267,9 +270,9 @@ TEST(LossLedgerEndToEnd, DisabledLedgerRecordsNothing) {
   const RunReport report = sim.run(Minutes{2.0 * 60.0});
   EXPECT_TRUE(sim.telemetry().loss().epochs().empty());
   EXPECT_EQ(report.metrics.find("gh_loss_epochs_total"), nullptr);
-  for (const auto& event : sim.telemetry().trace().events()) {
-    EXPECT_NE(event.phase, "loss_ledger");
-  }
+  const std::vector<json::Value> events = testtrace::streamed_events(sim);
+  EXPECT_FALSE(events.empty());
+  EXPECT_EQ(testtrace::count_phase(events, "loss_ledger"), 0u);
 }
 
 }  // namespace

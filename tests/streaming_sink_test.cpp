@@ -1,16 +1,15 @@
-// Streaming telemetry pipeline: the byte-identity contract of the
-// streaming trace sink against the buffered writers (single rack and fleet,
-// at any thread count, with and without chaos faults), rollup window
-// aggregation and its analyzer round-trip, truncation footers and the
-// analyze/--diff gate, flight-recorder dumps on forced health degradation,
-// and the periodic metrics flush.
+// Streaming telemetry pipeline: the streaming trace sink's ordering
+// contract (its watermark merge against a reference stable sort, fleet
+// traces byte-identical at any thread count, with and without chaos
+// faults), rings that keep no history, rollup window aggregation and its
+// analyzer round-trip, truncation footers and the analyze/--diff gate,
+// flight-recorder dumps on forced health degradation, and the periodic
+// metrics flush.
 #include "telemetry/stream_sink.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -28,42 +27,15 @@
 #include "telemetry/metrics.h"
 #include "telemetry/rollup.h"
 #include "trace/solar.h"
+#include "trace_file.h"
+#include "util/rng.h"
 
 namespace greenhetero {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Unique per-process scratch directory, removed on destruction (ctest may
-/// run several processes of this binary concurrently).
-class ScratchDir {
- public:
-  ScratchDir() {
-    static std::atomic<int> counter{0};
-    dir_ = fs::temp_directory_path() /
-           ("gh-streaming-sink-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] fs::path operator/(const std::string& name) const {
-    return dir_ / name;
-  }
-
- private:
-  fs::path dir_;
-};
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using testtrace::read_file;
+using testtrace::ScratchDir;
 
 telemetry::TraceEvent make_event(double t, int rack, int index) {
   telemetry::TraceEvent event;
@@ -108,6 +80,14 @@ TEST(StreamingSink, WritesInOrderUnderBackpressureAndAppendsFooter) {
   EXPECT_EQ(read_file(path), expected);
 }
 
+/// The sink's order, spelled out independently of stream_sink.cpp: sim
+/// time, then rack id.
+bool event_before(const telemetry::TraceEvent& a,
+                  const telemetry::TraceEvent& b) {
+  if (a.sim_minutes != b.sim_minutes) return a.sim_minutes < b.sim_minutes;
+  return a.rack_id < b.rack_id;
+}
+
 TEST(StreamingSink, PushMergeReproducesTheBufferedSortAtWatermarks) {
   ScratchDir scratch;
   const fs::path path = scratch / "merge.jsonl";
@@ -125,14 +105,7 @@ TEST(StreamingSink, PushMergeReproducesTheBufferedSortAtWatermarks) {
   std::vector<telemetry::TraceEvent> all;
   all.insert(all.end(), epoch0.begin(), epoch0.end());
   all.insert(all.end(), epoch1.begin(), epoch1.end());
-  std::stable_sort(all.begin(), all.end(),
-                   [](const telemetry::TraceEvent& a,
-                      const telemetry::TraceEvent& b) {
-                     if (a.sim_minutes != b.sim_minutes) {
-                       return a.sim_minutes < b.sim_minutes;
-                     }
-                     return a.rack_id < b.rack_id;
-                   });
+  std::stable_sort(all.begin(), all.end(), event_before);
   std::string expected = telemetry::trace_header_json() + "\n";
   for (const telemetry::TraceEvent& event : all) {
     expected += event.to_json() + "\n";
@@ -148,6 +121,55 @@ TEST(StreamingSink, PushMergeReproducesTheBufferedSortAtWatermarks) {
     sink.close();
   }
   EXPECT_EQ(read_file(path), expected);
+}
+
+TEST(StreamingSink, PushMergeMatchesStableSortOfRandomBatches) {
+  // The merge's independent reference.  Each barrier hands over one batch
+  // per epoch, sources in coordinator-then-racks order, every event stamped
+  // within [epoch start, watermark]: timestamps come from a coarse grid so
+  // (t, rack) ties are common, and some land exactly on the watermark,
+  // which the merge must hold back to the next barrier.  After a final
+  // +inf flush the file must equal std::stable_sort of the concatenation.
+  ScratchDir scratch;
+  constexpr double kEpoch = 15.0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int sources = rng.uniform_int(1, 5);  // rack ids -1 .. sources-2
+    const int epochs = rng.uniform_int(1, 6);
+    std::vector<std::vector<telemetry::TraceEvent>> batches;
+    std::vector<telemetry::TraceEvent> all;
+    int index = 0;
+    for (int e = 0; e < epochs; ++e) {
+      std::vector<telemetry::TraceEvent>& batch = batches.emplace_back();
+      for (int source = 0; source < sources; ++source) {
+        const int count = rng.uniform_int(0, 6);
+        for (int i = 0; i < count; ++i) {
+          const double t = (e + rng.uniform_int(0, 3) / 3.0) * kEpoch;
+          batch.push_back(make_event(t, source - 1, index++));
+        }
+      }
+      all.insert(all.end(), batch.begin(), batch.end());
+    }
+    std::stable_sort(all.begin(), all.end(), event_before);
+    std::string expected = telemetry::trace_header_json() + "\n";
+    for (const telemetry::TraceEvent& event : all) {
+      expected += event.to_json() + "\n";
+    }
+
+    const fs::path path = scratch / ("merge-" + std::to_string(seed));
+    {
+      telemetry::StreamingTraceSink sink({path});
+      for (int e = 0; e < epochs; ++e) {
+        sink.push_merge(std::move(batches[static_cast<std::size_t>(e)]),
+                        (e + 1) * kEpoch);
+      }
+      sink.push_merge({}, std::numeric_limits<double>::infinity());
+      sink.close();
+      EXPECT_EQ(sink.events_written(), all.size());
+    }
+    EXPECT_EQ(read_file(path), expected);
+  }
 }
 
 TEST(StreamingSink, RejectsInvalidConfiguration) {
@@ -191,34 +213,49 @@ RackSimulator make_sim(SimConfig cfg, Watts solar_capacity = Watts{2400.0},
                        std::move(cfg)};
 }
 
-TEST(StreamingSink, SingleRackStreamMatchesBufferedWriter) {
+TEST(StreamingSink, SingleRackRingKeepsNoHistory) {
+  // Streamed: every barrier hands the ring's events to the sink, so the ring
+  // ends the run empty.
   ScratchDir scratch;
-  SimConfig buffered_cfg;
-  buffered_cfg.check = true;
-  buffered_cfg.telemetry.loss_ledger = true;
-  RackSimulator buffered = make_sim(std::move(buffered_cfg));
-  buffered.pretrain();
-  buffered.run(Minutes{6.0 * 60.0});
-  std::ostringstream expected;
-  buffered.telemetry().trace().write_jsonl(expected);
-
-  const fs::path path = scratch / "stream.jsonl";
   SimConfig streamed_cfg;
-  streamed_cfg.check = true;
-  streamed_cfg.telemetry.loss_ledger = true;
-  streamed_cfg.trace_stream = telemetry::StreamSinkConfig{path, 8};
+  streamed_cfg.trace_stream =
+      telemetry::StreamSinkConfig{scratch / "stream.jsonl", 8};
   RackSimulator streamed = make_sim(std::move(streamed_cfg));
   streamed.pretrain();
   streamed.run(Minutes{6.0 * 60.0});
   ASSERT_NE(streamed.stream(), nullptr);
-  streamed.stream()->close();
+  EXPECT_GT(testtrace::streamed_events(streamed).size(), 24u);
+  EXPECT_EQ(streamed.telemetry().trace().size(), 0u);
+  EXPECT_GT(streamed.telemetry().trace().peak_bytes(), 0u);
 
-  EXPECT_GT(streamed.stream()->events_written(), 0u);
-  // The ring was drained every epoch, so streaming capped the buffer at one
-  // epoch's events instead of the whole run's.
-  EXPECT_LT(streamed.telemetry().trace().peak_bytes(),
-            buffered.telemetry().trace().approx_bytes());
-  EXPECT_EQ(read_file(path), expected.str());
+  // Nothing reads the trace: no event is built, so checkpoints carry no
+  // trace history and grow by the epoch store alone.
+  RackSimulator unread = make_sim(SimConfig{});
+  unread.pretrain();
+  EXPECT_EQ(unread.stream(), nullptr);
+  const auto snapshot_bytes = [&unread] {
+    checkpoint::Writer w;
+    unread.save_state(w);
+    return w.buffer().size();
+  };
+  unread.run(Minutes{60.0});
+  const std::size_t after_4 = snapshot_bytes();
+  unread.run(Minutes{6.0 * 60.0});
+  EXPECT_EQ(unread.telemetry().trace().size(), 0u);
+  EXPECT_EQ(unread.telemetry().trace().peak_bytes(), 0u);
+  // A fresh run() restarts the report, so the second run holds 24 epochs.
+  EXPECT_LT(snapshot_bytes(), after_4 + 20 * 256);
+
+  // A flight recorder is a reader too: it sees the events, while the ring
+  // is still emptied at every barrier.
+  SimConfig recorded_cfg;
+  recorded_cfg.telemetry.flightrec_dir = (scratch / "flightrec").string();
+  RackSimulator recorded = make_sim(std::move(recorded_cfg));
+  recorded.pretrain();
+  recorded.run(Minutes{6.0 * 60.0});
+  EXPECT_EQ(recorded.telemetry().trace().size(), 0u);
+  EXPECT_GT(recorded.telemetry().trace().peak_bytes(), 0u);
+  EXPECT_FALSE(recorded.telemetry().flightrec().ring().empty());
 }
 
 RackSimulator make_fleet_rack(Watts solar_capacity, std::uint64_t seed,
@@ -231,12 +268,11 @@ RackSimulator make_fleet_rack(Watts solar_capacity, std::uint64_t seed,
 }
 
 struct FleetRun {
-  std::string buffered_trace;  ///< write_trace_jsonl after the run
-  std::string rollups;         ///< write_rollup_jsonl after the run
-  std::string streamed;        ///< streamed file bytes (streaming runs only)
+  std::string trace;    ///< the streamed file's bytes
+  std::string rollups;  ///< write_rollup_jsonl after the run
 };
 
-FleetRun run_fleet(std::size_t threads, const fs::path* stream_path,
+FleetRun run_fleet(std::size_t threads, const fs::path& stream_path,
                    const FaultPlan& faults = {}) {
   const double capacities[] = {300.0, 1200.0, 2400.0, 4800.0};
   std::vector<RackSimulator> racks;
@@ -250,40 +286,29 @@ FleetRun run_fleet(std::size_t threads, const fs::path* stream_path,
   cfg.mode = GridShareMode::kDemandProportional;
   cfg.check = true;
   cfg.threads = threads;
-  if (stream_path != nullptr) {
-    cfg.trace_stream = telemetry::StreamSinkConfig{*stream_path, 64};
-  }
+  cfg.trace_stream = telemetry::StreamSinkConfig{stream_path, 64};
   Fleet fleet{std::move(racks), cfg};
   fleet.pretrain();
   fleet.run(Minutes{6.0 * 60.0});
 
   FleetRun artifacts;
-  std::ostringstream trace;
-  fleet.write_trace_jsonl(trace);
-  artifacts.buffered_trace = trace.str();
+  artifacts.trace = testtrace::streamed_trace(fleet);
   std::ostringstream rollups;
   fleet.write_rollup_jsonl(rollups);
   artifacts.rollups = rollups.str();
-  if (stream_path != nullptr) {
-    fleet.stream()->close();
-    artifacts.streamed = read_file(*stream_path);
-  }
   return artifacts;
 }
 
-TEST(StreamingSink, FleetStreamMatchesBufferedAtEveryThreadCount) {
+TEST(StreamingSink, FleetStreamIdenticalAtEveryThreadCount) {
   ScratchDir scratch;
-  const FleetRun reference = run_fleet(1, nullptr);
-  ASSERT_FALSE(reference.buffered_trace.empty());
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  const FleetRun reference = run_fleet(1, scratch / "fleet-1.jsonl");
+  ASSERT_FALSE(reference.trace.empty());
+  for (const std::size_t threads : {2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const fs::path path =
-        scratch / ("fleet-" + std::to_string(threads) + ".jsonl");
-    const FleetRun streamed = run_fleet(threads, &path);
-    // Byte identity of the streamed file against the buffered writer's
-    // whole-run merge, and of the rollup series across runs.
-    EXPECT_EQ(streamed.streamed, reference.buffered_trace);
-    EXPECT_EQ(streamed.rollups, reference.rollups);
+    const FleetRun run = run_fleet(
+        threads, scratch / ("fleet-" + std::to_string(threads) + ".jsonl"));
+    EXPECT_EQ(run.trace, reference.trace);
+    EXPECT_EQ(run.rollups, reference.rollups);
   }
 }
 
@@ -291,11 +316,10 @@ TEST(StreamingSink, FleetStreamStaysIdenticalUnderChaosFaults) {
   ScratchDir scratch;
   const FaultPlan plan = make_random_plan(23, Minutes{6.0 * 60.0},
                                           default_runtime_rack().size());
-  const FleetRun reference = run_fleet(1, nullptr, plan);
-  const fs::path path = scratch / "chaos.jsonl";
-  const FleetRun streamed = run_fleet(4, &path, plan);
-  EXPECT_EQ(streamed.streamed, reference.buffered_trace);
-  EXPECT_EQ(streamed.rollups, reference.rollups);
+  const FleetRun reference = run_fleet(1, scratch / "chaos-1.jsonl", plan);
+  const FleetRun parallel = run_fleet(4, scratch / "chaos-4.jsonl", plan);
+  EXPECT_EQ(parallel.trace, reference.trace);
+  EXPECT_EQ(parallel.rollups, reference.rollups);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,8 +400,10 @@ TEST(Rollup, HealthFieldNamesPinCoreHealthStateNames) {
 
 TEST(Rollup, SeriesFileRoundTripsThroughTheAnalyzer) {
   ScratchDir scratch;
+  const fs::path trace = scratch / "trace.jsonl";
   SimConfig cfg;
   cfg.telemetry.rollup_window_min = 60.0;
+  cfg.trace_stream = telemetry::StreamSinkConfig{trace};
   RackSimulator sim = make_sim(std::move(cfg));
   sim.pretrain();
   sim.run(Minutes{6.0 * 60.0});  // run() flushes the trailing window
@@ -390,8 +416,7 @@ TEST(Rollup, SeriesFileRoundTripsThroughTheAnalyzer) {
     std::ofstream out(series);
     sim.telemetry().rollup().write_jsonl(out, sim.telemetry().rack_id());
   }
-  const fs::path trace = scratch / "trace.jsonl";
-  sim.telemetry().trace().save_jsonl(trace);
+  sim.stream()->close();
 
   const analysis::TraceAnalysis from_series =
       analysis::analyze(analysis::load_trace(series));
@@ -421,17 +446,18 @@ TEST(Rollup, SeriesFileRoundTripsThroughTheAnalyzer) {
 
 TEST(Truncation, FooterLandsInExportsAndFailsTheDiffGate) {
   ScratchDir scratch;
+  const fs::path path = scratch / "truncated.jsonl";
   SimConfig cfg;
-  cfg.telemetry.trace_capacity = 8;  // guaranteed evictions over 24 epochs
+  cfg.telemetry.trace_capacity = 2;  // fewer than one epoch's events
+  cfg.trace_stream = telemetry::StreamSinkConfig{path};
   RackSimulator sim = make_sim(std::move(cfg));
   sim.pretrain();
   sim.run(Minutes{6.0 * 60.0});
   const std::uint64_t dropped = sim.telemetry().trace().dropped();
   ASSERT_GT(dropped, 0u);
 
-  const fs::path path = scratch / "truncated.jsonl";
-  sim.telemetry().trace().save_jsonl(path);
-  EXPECT_NE(read_file(path).find("trace_truncated"), std::string::npos);
+  EXPECT_NE(testtrace::streamed_trace(sim).find("trace_truncated"),
+            std::string::npos);
 
   const analysis::TraceAnalysis truncated =
       analysis::analyze(analysis::load_trace(path));

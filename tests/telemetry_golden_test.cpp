@@ -13,17 +13,20 @@
 #include "server/combinations.h"
 #include "sim/rack_simulator.h"
 #include "trace/solar.h"
+#include "trace_file.h"
 
 namespace greenhetero {
 namespace {
 
 constexpr double kHours = 3.0;
 
-RackSimulator make_sim() {
+/// Streams its trace to `trace`.
+RackSimulator make_sim(const std::filesystem::path& trace) {
   Rack rack{default_runtime_rack(), Workload::kSpecJbb};
   SimConfig cfg;
   cfg.controller.policy = PolicyKind::kGreenHetero;
   cfg.controller.seed = 42;
+  cfg.trace_stream = telemetry::StreamSinkConfig{trace};
   GridSpec grid;
   grid.budget = Watts{800.0};
   RackSimulator sim{
@@ -36,26 +39,26 @@ RackSimulator make_sim() {
 }
 
 std::string run_and_dump_trace() {
-  RackSimulator sim = make_sim();
+  const testtrace::ScratchDir scratch;
+  RackSimulator sim = make_sim(scratch / "trace.jsonl");
   sim.run(Minutes{kHours * 60.0});
-  std::ostringstream out;
-  sim.telemetry().trace().write_jsonl(out);
-  return out.str();
+  return testtrace::streamed_trace(sim);
 }
 
 TEST(TelemetryGolden, OneEpochPlanEventPerEpochWithPlanAndOutcome) {
-  RackSimulator sim = make_sim();
+  const testtrace::ScratchDir scratch;
+  RackSimulator sim = make_sim(scratch / "trace.jsonl");
   const RunReport report = sim.run(Minutes{kHours * 60.0});
 
   std::size_t epoch_plans = 0;
-  for (const auto& event : sim.telemetry().trace().events()) {
-    if (event.phase != "epoch_plan") continue;
+  for (const json::Value& event : testtrace::streamed_events(sim)) {
+    if (event.string_or("phase", "") != "epoch_plan") continue;
     ++epoch_plans;
-    EXPECT_NE(event.field("case"), nullptr);
-    EXPECT_NE(event.field("predicted_renewable_w"), nullptr);
-    EXPECT_NE(event.field("actual_renewable_w"), nullptr);
-    ASSERT_NE(event.field("ratios"), nullptr);
-    EXPECT_NE(event.field("budget_w"), nullptr);
+    EXPECT_NE(event.find("case"), nullptr);
+    EXPECT_NE(event.find("predicted_renewable_w"), nullptr);
+    EXPECT_NE(event.find("actual_renewable_w"), nullptr);
+    ASSERT_NE(event.find("ratios"), nullptr);
+    EXPECT_NE(event.find("budget_w"), nullptr);
   }
   EXPECT_EQ(epoch_plans, report.epochs.size());
   EXPECT_EQ(sim.telemetry().trace().dropped(), 0u);

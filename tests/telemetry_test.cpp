@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -16,8 +15,10 @@
 #include "power/power_bus.h"
 #include "telemetry/ledger.h"
 #include "telemetry/metrics.h"
+#include "telemetry/stream_sink.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/tracing.h"
+#include "trace_file.h"
 #include "util/logging.h"
 
 namespace greenhetero::telemetry {
@@ -400,6 +401,13 @@ TEST(TraceKey, InternReturnsOneStablePerProcessCopy) {
   EXPECT_EQ(watts_key(LossBucket::kGridCap).view(), "grid_cap_w");
 }
 
+/// The ring's events as JSONL lines, oldest first.
+std::string ring_lines(const TraceRing& ring) {
+  std::string out;
+  for (const TraceEvent& event : ring.events()) out += event.to_json() + "\n";
+  return out;
+}
+
 TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
   TraceRing ring{16};
   for (int i = 0; i < 3; ++i) {
@@ -415,8 +423,7 @@ TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
     event.fields.emplace_back(watts_key(LossBucket::kCurtailed), 1.5 * i);
     ring.push(std::move(event));
   }
-  std::ostringstream before;
-  ring.write_jsonl(before);
+  const std::string before = ring_lines(ring);
 
   TraceRing restored{16};
   {
@@ -429,9 +436,7 @@ TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
     buffer->assign(buffer->size(), '\xff');
     buffer.reset();
   }
-  std::ostringstream after;
-  restored.write_jsonl(after);
-  EXPECT_EQ(after.str(), before.str());
+  EXPECT_EQ(ring_lines(restored), before);
   EXPECT_EQ(restored.approx_bytes(), ring.approx_bytes());
   ASSERT_NE(restored.events().back().field("curtailed_w"), nullptr);
   EXPECT_DOUBLE_EQ(restored.events().back().field("curtailed_w")->as_double(),
@@ -486,6 +491,8 @@ TEST(TraceRing, EvictsOldestAndWarnsOnce) {
 }
 
 TEST(TraceRing, WritesJsonl) {
+  // Drained into the streaming sink, the ring's events land as JSONL after
+  // the schema header, and the ring is left empty.
   TraceRing ring{8};
   for (int i = 0; i < 2; ++i) {
     TraceEvent event;
@@ -493,9 +500,14 @@ TEST(TraceRing, WritesJsonl) {
     event.phase = "tick";
     ring.push(std::move(event));
   }
-  std::ostringstream out;
-  ring.write_jsonl(out);
-  EXPECT_EQ(out.str(),
+  const testtrace::ScratchDir scratch;
+  const std::filesystem::path path = scratch / "ring.jsonl";
+  {
+    StreamingTraceSink sink({path});
+    sink.push(ring.drain());
+  }
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(testtrace::read_file(path),
             "{\"schema\":\"greenhetero-trace\",\"version\":2}\n"
             "{\"t\":0,\"rack\":0,\"phase\":\"tick\"}\n"
             "{\"t\":15,\"rack\":0,\"phase\":\"tick\"}\n");
@@ -507,14 +519,15 @@ TEST(TraceRing, RejectsZeroCapacity) {
 
 TEST(Scope, AmbientContextInstallsNestsAndMasks) {
   EXPECT_EQ(current(), nullptr);
-  emit("ignored", {});  // no context: a safe no-op
+  EXPECT_EQ(tracer(), nullptr);  // no context: emit sites skip
 
   Telemetry outer_ctx;
   {
     TelemetryScope outer(&outer_ctx);
     EXPECT_EQ(current(), &outer_ctx);
     outer_ctx.set_now(Minutes{30.0});
-    emit("seen", {{"v", 1}});
+    ASSERT_EQ(tracer(), &outer_ctx);  // a bare context keeps its events
+    tracer()->emit("seen", {{"v", 1}});
 
     Telemetry inner_ctx;
     {
@@ -526,7 +539,7 @@ TEST(Scope, AmbientContextInstallsNestsAndMasks) {
       // nullptr masks the outer context: callees see telemetry disabled.
       TelemetryScope masked(nullptr);
       EXPECT_EQ(current(), nullptr);
-      emit("masked", {});
+      EXPECT_EQ(tracer(), nullptr);
     }
     EXPECT_EQ(current(), &outer_ctx);
   }
@@ -536,6 +549,19 @@ TEST(Scope, AmbientContextInstallsNestsAndMasks) {
   const TraceEvent& event = outer_ctx.trace().events().front();
   EXPECT_EQ(event.phase, "seen");
   EXPECT_DOUBLE_EQ(event.sim_minutes, 30.0);
+}
+
+TEST(Scope, UntracedContextBuildsAndKeepsNoEvents) {
+  Telemetry ctx;
+  ctx.set_traced(false);
+  TelemetryScope scope(&ctx);
+  // Metrics still record; trace emit sites see no tracer.
+  EXPECT_EQ(current(), &ctx);
+  EXPECT_EQ(tracer(), nullptr);
+  ctx.emit("dropped", {{"v", 1}});
+  EXPECT_EQ(ctx.trace().size(), 0u);
+  ctx.set_traced(true);
+  EXPECT_EQ(tracer(), &ctx);
 }
 
 TEST(Scope, EmitStampsRackId) {

@@ -76,9 +76,7 @@ inline constexpr OptionSpec kRunRows[] = {
            "rollup window in minutes (default 60 with --rollup-out, else "
            "0 = off)")
         .shapes(),
-    text("trace-out", "trace file (JSONL)"),
-    switch_option("stream", "off",
-                  "drain the trace to --trace-out while the run goes"),
+    text("trace-out", "trace file (JSONL), streamed while the run goes"),
     text("metrics-out", "metrics file (.json, .txt, else Prometheus text)"),
     integer("metrics-every", "128", 1, kIntMax,
             "epochs between metrics rewrites"),

@@ -8,10 +8,10 @@
 // --metrics-every epochs (crash-safe temp-file + rename), so a long run's
 // metrics survive an abort.
 //
-// --stream on (with --trace-out) drains trace events to the file as the run
-// progresses through a bounded queue instead of buffering the whole run —
-// byte-identical output, flat memory.  gh_trace_queue_depth /
-// gh_trace_stalls_total expose the backpressure.
+// --trace-out streams trace events to the file as the run progresses,
+// through a bounded queue, so trace memory stays flat however long the run.
+// gh_trace_queue_depth / gh_trace_stalls_total expose the backpressure.
+// Without --trace-out (or --flightrec-dir) the run builds no trace events.
 //
 // --rollup-out writes a compact fixed-window per-rack series (mean EPU,
 // shortfall, grid, health occupancy, loss buckets; --rollup-window minutes
@@ -174,10 +174,6 @@ struct RunSetup {
 /// first checkpoint ever gets written).  Every derived scenario row must be
 /// settled before this call: it fingerprints the scenario.
 RunSetup configure_run(const Options& options, RunConfig& cfg) {
-  const bool stream = options.flag("stream");
-  if (stream && options.text("trace-out").empty()) {
-    throw util::OptionError("--stream on requires --trace-out FILE.jsonl");
-  }
   RunSetup setup;
   cfg.checkpoint_dir = options.text("checkpoint-dir");
   cfg.checkpoint_every = options.integer<int>("checkpoint-every");
@@ -194,8 +190,9 @@ RunSetup configure_run(const Options& options, RunConfig& cfg) {
     }
   }
   setup.checkpointing = !cfg.checkpoint_dir.empty();
-  if (stream) {
-    telemetry::StreamSinkConfig sink_cfg{options.text("trace-out")};
+  if (const std::string& trace_out = options.text("trace-out");
+      !trace_out.empty()) {
+    telemetry::StreamSinkConfig sink_cfg{trace_out};
     // Resume mode defers the open/header; load_checkpoint truncates the
     // existing file to the durable watermark and reopens it for append.
     sink_cfg.resume = setup.snapshot.has_value();
@@ -273,7 +270,6 @@ int finish_run(Runner& runner, const Options& options, const RunSetup& setup,
                 "rack-epochs, all passed\n",
                 checks, substeps, checked_epochs);
   }
-  const std::string& trace_out = options.text("trace-out");
   if (telemetry::StreamingTraceSink* sink = runner.stream()) {
     sink->close();
     std::printf("  trace streamed to %s (%llu events, %llu stall(s), peak "
@@ -282,13 +278,6 @@ int finish_run(Runner& runner, const Options& options, const RunSetup& setup,
                 static_cast<unsigned long long>(sink->events_written()),
                 static_cast<unsigned long long>(sink->stalls()),
                 sink->peak_queue_depth());
-  } else if (!trace_out.empty()) {
-    if constexpr (kFleet) {
-      runner.save_trace_jsonl(trace_out);
-    } else {
-      runner.telemetry().trace().save_jsonl(trace_out);
-    }
-    std::printf("  trace written to %s\n", trace_out.c_str());
   }
   if (const std::string& path = options.text("rollup-out"); !path.empty()) {
     if constexpr (kFleet) {
