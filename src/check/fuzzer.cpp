@@ -4,18 +4,21 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "check/invariants.h"
 #include "check/oracle.h"
 #include "faults/fault_plan.h"
 #include "fleet/fleet.h"
+#include "power/battery.h"
 #include "server/server_spec.h"
 #include "trace/load_pattern.h"
 #include "trace/solar.h"
@@ -43,6 +46,30 @@ constexpr std::array<ServerModel, 5> kCpuModels = {
     ServerModel::kXeonE5_2620, ServerModel::kXeonE5_2650,
     ServerModel::kXeonE5_2603, ServerModel::kCoreI7_8700K,
     ServerModel::kCoreI5_4460};
+
+/// A rack's battery pack: the paper's 12 kWh lead-acid pack, or a small
+/// lead-acid or Li-ion pack (with Peukert, fade and standing loss) that a
+/// few epochs can drain to its DoD floor.
+struct FuzzPack {
+  std::string name;
+  BatterySpec spec;
+};
+
+/// Drawn from its own fork of the run RNG: the rack's other derivations
+/// never depend on it, and the pack replays from (seed, run).
+FuzzPack draw_pack(const FuzzScenario& scenario, int rack_index) {
+  Rng rng = Rng(scenario.seed)
+                .fork(static_cast<std::uint64_t>(scenario.run_index))
+                .fork(4000 + static_cast<std::uint64_t>(rack_index));
+  const int chemistry = rng.uniform_int(0, 2);
+  if (chemistry == 0) return {"paper", paper_battery_spec()};
+  const WattHours capacity{rng.uniform(1500.0, 4000.0)};
+  char name[32];
+  std::snprintf(name, sizeof(name), "%s-%.1fkWh",
+                chemistry == 1 ? "lead" : "li-ion", capacity.value() / 1000.0);
+  return {name, chemistry == 1 ? lead_acid_spec(capacity)
+                               : li_ion_spec(capacity)};
+}
 
 /// Everything derived for one rack.  Derivation draws only from the rack's
 /// own fork of the run RNG, so racks are independent and prefix-stable.
@@ -130,9 +157,12 @@ RackSimulator make_rack_sim(const FuzzScenario& scenario, int rack_index) {
 
   GridSpec grid;
   grid.budget = Watts{500.0};  // overwritten by the fleet each epoch
-  return RackSimulator{std::move(rack),
-                       make_standard_plant(std::move(solar), grid),
-                       std::move(cfg)};
+  return RackSimulator{
+      std::move(rack),
+      RackPowerPlant{SolarArray{std::move(solar)},
+                     Battery{draw_pack(scenario, rack_index).spec},
+                     GridSupply{grid}},
+      std::move(cfg)};
 }
 
 struct FleetParams {
@@ -440,8 +470,11 @@ FuzzReport run_fuzzer(const FuzzOptions& options) {
     if (options.log) {
       *options.log << "fuzz: run " << run_index << " (racks="
                    << scenario.racks << ", epochs=" << scenario.epochs
-                   << ", shards=" << scenario.shards
-                   << (scenario.solver ? ", solver mode" : "") << ")\n";
+                   << ", shards=" << scenario.shards << ", packs=";
+      for (int r = 0; r < scenario.racks; ++r) {
+        *options.log << (r > 0 ? "/" : "") << draw_pack(scenario, r).name;
+      }
+      *options.log << (scenario.solver ? ", solver mode" : "") << ")\n";
     }
     ++report.runs_executed;
     const std::optional<std::string> failure =

@@ -1,8 +1,9 @@
 // Seed-replayable scenario fuzzer with greedy shrinking.
 //
 // Each run derives a complete random scenario — rack composition, workload
-// mix, solar traces, policies, substep length, demand pattern and fault
-// plan — purely from (seed, run index), builds the same fleet twice, and
+// mix, solar traces, battery pack (the paper's, or a small lead-acid or
+// Li-ion pack), policies, substep length, demand pattern and fault plan —
+// purely from (seed, run index), builds the same fleet twice, and
 // executes it sequentially (1 thread, 1 shard) and in parallel (4 threads,
 // a derived 1-3 shard hierarchy) with the runtime invariant checker enabled
 // on every rack and on the coordinator.

@@ -47,9 +47,6 @@ constexpr InvariantInfo kRegistry[] = {
      "1e-6 W"},
     {"epoch-record-finite",
      "every numeric field of the epoch record is finite with the right sign"},
-    {"epoch-shard-grant-conservation",
-     "per-shard grid grants are finite, non-negative and never sum past the "
-     "fleet budget"},
 };
 
 [[noreturn]] void raise(std::string_view name, std::string details,
@@ -258,29 +255,6 @@ void InvariantChecker::check_grid_shares(std::span<const Watts> shares,
         << total.value() << " W";
     raise("substep-grid-within-budget", msg.str(), sim_minutes, epoch_index,
           -1);
-  }
-}
-
-void InvariantChecker::check_shard_grants(std::span<const Watts> grants,
-                                          Watts total, double sim_minutes,
-                                          long epoch_index) {
-  double sum = 0.0;
-  for (std::size_t s = 0; s < grants.size(); ++s) {
-    const double grant = grants[s].value();
-    if (!std::isfinite(grant) || grant < -kWattTol) {
-      std::ostringstream msg;
-      msg << "shard grant[" << s << "] = " << grant << " W";
-      raise("epoch-shard-grant-conservation", msg.str(), sim_minutes,
-            epoch_index, -1);
-    }
-    sum += grant;
-  }
-  if (sum > total.value() + rel_tol(total.value())) {
-    std::ostringstream msg;
-    msg << "shard grants sum to " << sum << " W, fleet budget "
-        << total.value() << " W";
-    raise("epoch-shard-grant-conservation", msg.str(), sim_minutes,
-          epoch_index, -1);
   }
 }
 

@@ -119,13 +119,6 @@ class InvariantChecker {
                                 double sim_minutes = 0.0,
                                 long epoch_index = -1);
 
-  /// Sharded-fleet invariant on the rebalancer's per-shard grants: every
-  /// grant finite and non-negative, and the grants must conserve the fleet
-  /// budget (their sum never exceeds it).
-  static void check_shard_grants(std::span<const Watts> grants, Watts total,
-                                 double sim_minutes = 0.0,
-                                 long epoch_index = -1);
-
   [[nodiscard]] std::uint64_t checks_passed() const { return checks_; }
   [[nodiscard]] std::uint64_t substeps_checked() const { return substeps_; }
   [[nodiscard]] std::uint64_t epochs_checked() const { return epochs_; }

@@ -270,8 +270,8 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
     if (auto transition = health_.observe_epoch(signals)) {
       const bool degrading = transition->to == HealthState::kDegraded ||
                              transition->to == HealthState::kSafe;
-      GH_WARN << "health: " << to_string(transition->from) << " -> "
-              << to_string(transition->to) << " (" << signals.reason() << ")";
+      GH_DEBUG << "health: " << to_string(transition->from) << " -> "
+               << to_string(transition->to) << " (" << signals.reason() << ")";
       if (telemetry::Telemetry* t = telemetry::tracer()) {
         t->emit(degrading ? "degrade" : "recover",
                 {{"from", to_string(transition->from)},

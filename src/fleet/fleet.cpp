@@ -30,17 +30,27 @@ std::string to_string(GridShareMode mode) {
 
 std::vector<Watts> divide_grid_budget(Watts budget,
                                       std::span<const double> deficits) {
-  // One implicit shard covering the whole fleet: the rebalancer's canonical
-  // fold and fallback rules ARE this function's historical arithmetic, so
-  // expressing it this way keeps the flat helper and the sharded epoch loop
-  // from ever drifting apart.
   if (deficits.empty()) return {};
-  const ShardSummary whole = summarize_shard(0, 0, deficits);
-  const RebalanceDecision decision =
-      rebalance_grid_budget(budget, deficits, {&whole, 1});
+  // Hoisted: every rack of an equal split gets the same bit pattern.
+  const Watts equal_share = budget / static_cast<double>(deficits.size());
+  // The normalizer is the rack-order fold of the clamped deficits, so the
+  // shares never depend on how the deficit vector was filled.
+  bool proportional = true;
+  double total = 0.0;
+  for (double d : deficits) {
+    if (!std::isfinite(d)) {
+      proportional = false;
+      break;
+    }
+    total += std::max(0.0, d);
+  }
+  if (!std::isfinite(total) || total <= 1e-9) proportional = false;
   std::vector<Watts> shares;
   shares.reserve(deficits.size());
-  for (double d : deficits) shares.push_back(rack_share(decision, d));
+  for (double d : deficits) {
+    shares.push_back(proportional ? budget * (std::max(0.0, d) / total)
+                                  : equal_share);
+  }
   return shares;
 }
 
@@ -82,10 +92,8 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
           ? std::min(racks_.size(), std::max<std::size_t>(1, threads_))
           : config_.shards;
   shards_ = make_shards(racks_.size(), shard_count, threads_);
-  if (shards_.size() > 1 && threads_ > 1) {
-    shard_pool_ = std::make_unique<util::ThreadPool>(
-        std::min(shards_.size(), threads_));
-  }
+  shard_pool_ = std::make_unique<util::ThreadPool>(
+      std::min(shards_.size(), threads_));
   config_.telemetry.rack_id = -1;  // coordinator events
   telemetry_ = std::make_unique<Telemetry>(config_.telemetry);
   // The merged sink reads every rack's events; without it only a flight
@@ -98,7 +106,6 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   }
   driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
   records_.resize(racks_.size());
-  shares_.resize(racks_.size());
 }
 
 Fleet::Fleet(std::vector<RackSimulator> racks, Watts total_grid_budget,
@@ -122,56 +129,19 @@ void Fleet::pretrain() {
 }
 
 std::vector<Watts> Fleet::plan_grid_shares() const {
-  const double n = static_cast<double>(racks_.size());
-  std::vector<Watts> shares(racks_.size(), config_.total_grid_budget / n);
+  const Watts budget = config_.total_grid_budget;
   if (config_.mode == GridShareMode::kStatic) {
-    return shares;
+    return std::vector<Watts>(racks_.size(),
+                              budget / static_cast<double>(racks_.size()));
   }
-
-  // Demand-proportional: weight by each rack's current green deficit.
+  // Demand-proportional: each shard fills its slice of the per-rack deficit
+  // vector on its own pool; the division runs once, on the whole vector.
   const Minutes epoch = racks_.front().controller().config().epoch;
-  std::vector<double> deficits(racks_.size(), 0.0);
-  for (std::size_t i = 0; i < racks_.size(); ++i) {
-    const RackSimulator& sim = racks_[i];
-    const Watts demand = sim.rack().peak_demand();
-    const Watts green = sim.plant().renewable_available(sim.now()) +
-                        sim.plant().battery_discharge_available(epoch);
-    deficits[i] = (demand - green).value();
-  }
-  return divide_grid_budget(config_.total_grid_budget, deficits);
-}
-
-RebalanceDecision Fleet::plan_rebalance(std::vector<double>& deficits,
-                                        std::vector<ShardSummary>& summaries) {
-  summaries.resize(shards_.size());
-  if (config_.mode == GridShareMode::kStatic) {
-    // Static mode needs no deficit pass: the summaries are pure geometry
-    // and the decision is the (hoisted) equal split.
-    deficits.clear();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      summaries[s] = ShardSummary{};
-      summaries[s].shard = shards_[s].index();
-      summaries[s].first_rack = shards_[s].first_rack();
-      summaries[s].racks = shards_[s].racks();
-    }
-    return rebalance_grid_budget(config_.total_grid_budget, {}, summaries);
-  }
-  // Each shard fills its slice of the per-rack deficit vector on its own
-  // pool and reports its partial fold; the rebalancer then folds the full
-  // vector once in canonical rack order (the cheap top-level exchange that
-  // keeps the result bitwise-equal to the flat fleet).
-  deficits.resize(racks_.size());
-  const Minutes epoch = racks_.front().controller().config().epoch;
-  const auto collect = [&](std::size_t s) {
-    summaries[s] = shards_[s].collect_deficits(racks_, epoch, deficits);
-  };
-  if (shard_pool_) {
-    shard_pool_->parallel_for(shards_.size(), collect);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) collect(s);
-  }
-  return rebalance_grid_budget(config_.total_grid_budget, deficits,
-                               summaries);
+  std::vector<double> deficits(racks_.size());
+  shard_pool_->parallel_for(shards_.size(), [&](std::size_t s) {
+    shards_[s].fill_deficits(racks_, epoch, deficits);
+  });
+  return divide_grid_budget(budget, deficits);
 }
 
 FleetReport Fleet::run(Minutes duration) {
@@ -204,22 +174,14 @@ FleetReport Fleet::run(Minutes duration) {
 std::size_t Fleet::advance_epoch(std::size_t e) {
   const Minutes epoch = racks_.front().controller().config().epoch;
   // Planning happens strictly between epochs: every rack has finished the
-  // previous step (the per-shard barriers have all cleared), so the
-  // decision is computed from a consistent fleet snapshot no matter how
-  // many threads or shards run.  The per-rack shares derive from the one
-  // shared decision — its equal_share is hoisted per epoch, so shares can
-  // never drift within an epoch even if the rack count changes mid-run.
-  const RebalanceDecision decision = plan_rebalance(deficits_, summaries_);
-  for (std::size_t i = 0; i < racks_.size(); ++i) {
-    shares_[i] = rack_share(decision, deficits_.empty() ? 0.0 : deficits_[i]);
-  }
+  // previous step (the per-shard barriers have all cleared), so the shares
+  // are computed from a consistent fleet snapshot no matter how many
+  // threads or shards run.
+  shares_ = plan_grid_shares();
   if (config_.check) {
     check::InvariantChecker::check_grid_shares(
         shares_, config_.total_grid_budget, racks_.front().now().value(),
         static_cast<long>(e));
-    check::InvariantChecker::check_shard_grants(
-        decision.grants, config_.total_grid_budget,
-        racks_.front().now().value(), static_cast<long>(e));
   }
   Watts allocated{0.0};
   for (std::size_t i = 0; i < racks_.size(); ++i) {
@@ -229,14 +191,9 @@ std::size_t Fleet::advance_epoch(std::size_t e) {
   // shard steps its own racks behind its local barrier.  Which pool a
   // rack lands on never changes its arithmetic, so the records are
   // byte-identical at any --threads/--shards combination.
-  const auto step_shard = [&](std::size_t s) {
+  shard_pool_->parallel_for(shards_.size(), [&](std::size_t s) {
     shards_[s].step(racks_, shares_, records_);
-  };
-  if (shard_pool_) {
-    shard_pool_->parallel_for(shards_.size(), step_shard);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) step_shard(s);
-  }
+  });
   history_.append_epoch(records_);
   peak_grid_allocation_ = max(peak_grid_allocation_, allocated);
   if (config_.telemetry.enabled) {
@@ -251,26 +208,6 @@ std::size_t Fleet::advance_epoch(std::size_t e) {
                         {"total_budget_w", config_.total_grid_budget.value()},
                         {"allocated_w", allocated.value()},
                         {"shares_w", std::move(share_w)}});
-    }
-    // Topology gauges: deterministic for a given --shards value (and at
-    // any --threads), but — like the wall-clock series — outside the
-    // cross-shard byte-identity contract, since they describe the
-    // execution topology itself.  Traces and rollups carry no shard ids
-    // and stay strictly byte-identical.
-    telemetry_->metrics()
-        .gauge("gh_fleet_shards")
-        .set(static_cast<double>(shards_.size()));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const tel::Labels label{{"shard", std::to_string(s)}};
-      telemetry_->metrics()
-          .named_gauge("gh_shard_grant_w", label)
-          .set(decision.grants[s].value());
-      telemetry_->metrics()
-          .named_gauge("gh_shard_deficit_w", label)
-          .set(summaries_[s].deficit_sum);
-      telemetry_->metrics()
-          .named_gauge("gh_shard_racks", label)
-          .set(static_cast<double>(shards_[s].racks()));
     }
   }
   return racks_.size();

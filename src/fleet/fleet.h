@@ -27,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fleet/rebalancer.h"
 #include "fleet/shard.h"
 #include "sim/epoch_store.h"
 #include "sim/rack_simulator.h"
@@ -65,17 +64,15 @@ struct FleetConfig : RunConfig {
   /// Worker threads for the per-epoch rack stepping: 1 = sequential (the
   /// historical path), 0 = one per hardware thread, N = exactly N.  Results
   /// are byte-identical regardless of the value — each rack owns its own
-  /// RNG/telemetry/fault state and the coordinator rebalances grid shares
+  /// RNG/telemetry/fault state and the coordinator re-divides grid shares
   /// only at the epoch barrier.
   std::size_t threads = 1;
   /// Two-level hierarchy: racks are partitioned into this many contiguous
-  /// shards, each stepping its racks on its own slice of the worker
-  /// threads; the coordinator only folds per-shard summaries at the epoch
-  /// barrier (see fleet/rebalancer.h).  1 = the flat fleet, 0 = one shard
-  /// per worker thread (capped at the rack count).  Like `threads`, this is
-  /// pure execution topology: every output is byte-identical at any value,
-  /// only the gh_shard_* / gh_fleet_shards gauges describe the topology
-  /// itself.
+  /// shards, each filling its racks' deficits and stepping its racks on its
+  /// own slice of the worker threads (see fleet/shard.h).  1 = the flat
+  /// fleet, 0 = one shard per worker thread (capped at the rack count).
+  /// Like `threads`, this is pure execution topology: every output except
+  /// the wall-clock metric series is byte-identical at any value.
   std::size_t shards = 1;
   /// Coordinator-level telemetry (the coordinator stamps its events with
   /// rack id -1; each rack's own telemetry is configured via its SimConfig).
@@ -127,9 +124,6 @@ class Fleet final : private EpochClient {
   /// Resolved shard count (config value clamped to [1, racks]; 0 becomes
   /// one shard per worker thread).
   [[nodiscard]] std::size_t shards() const { return shards_.size(); }
-  [[nodiscard]] const Shard& shard(std::size_t i) const {
-    return shards_.at(i);
-  }
   /// Bytes reserved by the SoA epoch history (the bench-gated peak-buffer
   /// figure for long runs).
   [[nodiscard]] std::size_t epoch_store_bytes() const {
@@ -149,7 +143,10 @@ class Fleet final : private EpochClient {
   /// load_checkpoint, `duration` is the absolute horizon (EpochDriver::run).
   FleetReport run(Minutes duration);
 
-  /// The share each rack would receive right now (exposed for tests).
+  /// The share each rack receives in the coming epoch: the equal split in
+  /// static mode, else divide_grid_budget over the racks' green deficits
+  /// (filled shard by shard on the shard pools).  Call only between
+  /// epochs; run() uses it at every barrier.
   [[nodiscard]] std::vector<Watts> plan_grid_shares() const;
 
   /// Coordinator-level telemetry context (rack id -1).
@@ -223,12 +220,6 @@ class Fleet final : private EpochClient {
   /// by (sim time, rack id).
   void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
   void flush_rollup() override;
-  /// One epoch's budget division: collect per-shard summaries (parallel
-  /// over shards in demand-proportional mode, pure geometry in static
-  /// mode), fold the canonical normalizer, and return the decision.
-  /// `deficits` and `summaries` are caller-owned scratch (resized here).
-  RebalanceDecision plan_rebalance(std::vector<double>& deficits,
-                                   std::vector<ShardSummary>& summaries);
   std::vector<RackSimulator> racks_;
   FleetConfig config_;
   std::size_t threads_;
@@ -237,19 +228,15 @@ class Fleet final : private EpochClient {
   /// range and its own worker-pool slice.  Always at least one shard; with
   /// --shards 1 the single shard's pool is exactly the old flat fleet pool.
   std::vector<Shard> shards_;
-  /// Fans run()'s per-epoch work out over the shards.  Created only when
-  /// both shards_ and threads_ exceed one; otherwise the shard loop runs
-  /// inline (and a one-thread fleet costs nothing extra).
+  /// Fans each epoch's deficit pass and stepping out over the shards; with
+  /// one shard or one thread it spawns no workers and runs inline.
   std::unique_ptr<util::ThreadPool> shard_pool_;
   /// The run() loop; owns the merged sink when FleetConfig::trace_stream is
   /// set.
   EpochDriver driver_;
-  /// Per-epoch scratch: rack i's step lands in records_[i], its deficit in
-  /// deficits_[i] and its share in shares_[i], so pool threads never touch
-  /// a shared structure.
+  /// Per-epoch scratch: rack i's step lands in records_[i] and its share
+  /// in shares_[i], so pool threads never touch a shared structure.
   std::vector<EpochRecord> records_;
-  std::vector<double> deficits_;
-  std::vector<ShardSummary> summaries_;
   std::vector<Watts> shares_;
   /// Completed-epoch history, all racks, as SoA columns (epoch-major).  A
   /// member (not a run()-local) so checkpoints capture it and a resumed run

@@ -4,50 +4,34 @@
 
 namespace greenhetero {
 
-Shard::Shard(std::size_t index, std::size_t first_rack, std::size_t racks,
-             std::size_t threads)
-    : index_(index),
-      first_(first_rack),
-      count_(racks),
-      threads_(std::max<std::size_t>(1, threads)) {
-  if (threads_ > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(threads_);
-  }
+double green_deficit(const RackSimulator& rack, Minutes epoch) {
+  const Watts demand = rack.rack().peak_demand();
+  const Watts green = rack.plant().renewable_available(rack.now()) +
+                      rack.plant().battery_discharge_available(epoch);
+  return (demand - green).value();
 }
 
-ShardSummary Shard::collect_deficits(
-    std::span<const RackSimulator> fleet_racks, Minutes epoch,
-    std::span<double> deficits) {
-  const auto fill = [&](std::size_t k) {
-    const std::size_t i = first_ + k;
-    const RackSimulator& sim = fleet_racks[i];
-    const Watts demand = sim.rack().peak_demand();
-    const Watts green = sim.plant().renewable_available(sim.now()) +
-                        sim.plant().battery_discharge_available(epoch);
-    deficits[i] = (demand - green).value();
-  };
-  if (pool_) {
-    pool_->parallel_for(count_, fill);
-  } else {
-    for (std::size_t k = 0; k < count_; ++k) fill(k);
-  }
-  return summarize_shard(index_, first_,
-                         deficits.subspan(first_, count_));
+Shard::Shard(std::size_t first_rack, std::size_t racks, std::size_t threads)
+    : first_(first_rack),
+      count_(racks),
+      pool_(std::make_unique<util::ThreadPool>(
+          std::max<std::size_t>(1, threads))) {}
+
+void Shard::fill_deficits(std::span<const RackSimulator> fleet_racks,
+                          Minutes epoch, std::span<double> deficits) const {
+  pool_->parallel_for(count_, [&](std::size_t k) {
+    deficits[first_ + k] = green_deficit(fleet_racks[first_ + k], epoch);
+  });
 }
 
 void Shard::step(std::span<RackSimulator> fleet_racks,
                  std::span<const Watts> shares,
                  std::span<EpochRecord> records) {
-  const auto step_rack = [&](std::size_t k) {
+  pool_->parallel_for(count_, [&](std::size_t k) {
     const std::size_t i = first_ + k;
     fleet_racks[i].set_grid_budget(shares[i]);
     records[i] = fleet_racks[i].step_epoch();
-  };
-  if (pool_) {
-    pool_->parallel_for(count_, step_rack);
-  } else {
-    for (std::size_t k = 0; k < count_; ++k) step_rack(k);
-  }
+  });
 }
 
 std::vector<Shard> make_shards(std::size_t racks, std::size_t shards,
@@ -64,7 +48,7 @@ std::vector<Shard> make_shards(std::size_t racks, std::size_t shards,
     const std::size_t span = rack_base + (s < rack_rem ? 1 : 0);
     const std::size_t slice =
         std::max<std::size_t>(1, thread_base + (s < thread_rem ? 1 : 0));
-    result.emplace_back(s, first, span, slice);
+    result.emplace_back(first, span, slice);
     first += span;
   }
   return result;

@@ -4,17 +4,19 @@
 // The flat fleet ran one global parallel_for over every rack per epoch; at
 // 10k racks that single barrier (and its one contended claim counter) is the
 // scaling wall.  A shard replaces it with a local barrier over its own rack
-// range: the coordinator fans out over shards, each shard fans out over its
-// racks on its private pool, and only the per-shard summaries cross the
-// top level.  Every rack still owns its RNG, telemetry and fault state, and
-// the shard boundary adds no arithmetic of its own — which rack runs on
-// which pool can never change a single byte of output.
+// range: the coordinator fans out over shards and each shard fans out over
+// its racks on its private pool.  Every rack still owns its RNG, telemetry
+// and fault state, and the shard boundary adds no arithmetic of its own:
+// shards only fill their slices of the per-rack deficit vector, which the
+// coordinator divides with divide_grid_budget exactly as the flat fleet
+// does, so which rack runs on which pool never changes a byte of output.
 //
 // Thread budget: `threads` fleet threads are sliced across `shards` shards
 // (threads/shards each, the remainder spread over the leading shards, never
-// below one).  A one-thread slice spawns no pool and steps inline, so
-// --threads 1 remains the fully sequential historical path at any shard
-// count, and --shards 1 with N threads is exactly the flat fleet's pool.
+// below one).  A one-thread slice's pool spawns no workers and steps
+// inline, so --threads 1 remains the fully sequential historical path at
+// any shard count, and --shards 1 with N threads is exactly the flat
+// fleet's pool.
 #pragma once
 
 #include <cstddef>
@@ -22,43 +24,42 @@
 #include <span>
 #include <vector>
 
-#include "fleet/rebalancer.h"
 #include "sim/rack_simulator.h"
 #include "util/thread_pool.h"
 
 namespace greenhetero {
 
+/// A rack's green deficit for the coming epoch: peak demand minus the
+/// renewable and battery power it can draw.  The one input of the
+/// demand-proportional grid share.
+[[nodiscard]] double green_deficit(const RackSimulator& rack, Minutes epoch);
+
 class Shard {
  public:
   /// A shard over fleet racks [first_rack, first_rack + racks) with a pool
-  /// of `threads` workers (1 = step inline, no pool).
-  Shard(std::size_t index, std::size_t first_rack, std::size_t racks,
-        std::size_t threads);
+  /// of `threads` workers (1 = step inline).
+  Shard(std::size_t first_rack, std::size_t racks, std::size_t threads);
 
-  [[nodiscard]] std::size_t index() const { return index_; }
   [[nodiscard]] std::size_t first_rack() const { return first_; }
   [[nodiscard]] std::size_t racks() const { return count_; }
-  [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// Fill this shard's slice of the fleet-wide per-rack deficit vector
-  /// (demand minus green capability, the plan_grid_shares expression) and
-  /// return the shard's summary.  Rack i's deficit lands in deficits[i], so
-  /// concurrent shards never touch the same element.
-  ShardSummary collect_deficits(std::span<const RackSimulator> fleet_racks,
-                                Minutes epoch, std::span<double> deficits);
+  /// Fill this shard's slice of the fleet-wide per-rack deficit vector:
+  /// rack i's green_deficit lands in deficits[i], so concurrent shards
+  /// never touch the same element.
+  void fill_deficits(std::span<const RackSimulator> fleet_racks,
+                     Minutes epoch, std::span<double> deficits) const;
 
   /// Assign each member rack its share and step it one epoch; rack i's
   /// record lands in records[i].  Local barrier: returns only after every
   /// member rack finished.
   void step(std::span<RackSimulator> fleet_racks,
-            std::span<const Watts> shares, std::span<EpochRecord> records);
+            std::span<const Watts> shares,
+            std::span<EpochRecord> records);
 
  private:
-  std::size_t index_;
   std::size_t first_;
   std::size_t count_;
-  std::size_t threads_;
-  /// Engaged only for slices wider than one thread.
+  /// Behind a pointer so Shard stays movable.
   std::unique_ptr<util::ThreadPool> pool_;
 };
 

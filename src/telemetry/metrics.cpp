@@ -64,9 +64,6 @@ void Histogram::reset() {
 
 void Histogram::restore(const std::vector<std::uint64_t>& buckets,
                         std::uint64_t count, double sum) {
-  if (buckets.size() != bounds_.size() + 1) {
-    throw TelemetryError("histogram restore: bucket count mismatch");
-  }
   const std::lock_guard<std::mutex> lock(*mutex_);
   counts_ = buckets;
   count_ = count;
@@ -303,82 +300,24 @@ std::string MetricsSnapshot::to_human() const {
   return out;
 }
 
-std::uint32_t MetricsRegistry::intern(std::string_view s) {
-  const auto it = intern_table_.find(s);
-  if (it != intern_table_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(interned_.size());
-  interned_.emplace_back(s);
-  intern_table_.emplace(interned_.back(), id);
-  return id;
+namespace {
+
+/// The exported label set of slot `label` of a catalog row.
+Labels slot_labels(const MetricDef& def, std::size_t label) {
+  if (def.label_key.empty()) return {};
+  return {{std::string(def.label_key), std::string(def.label_values[label])}};
 }
 
-MetricsRegistry::SeriesKey MetricsRegistry::key_for(std::string_view name,
-                                                    const Labels& labels) {
-  SeriesKey key{intern(name), {}};
-  for (const auto& [k, v] : labels) {
-    key.second.push_back(intern(k));
-    key.second.push_back(intern(v));
-  }
-  return key;
-}
+}  // namespace
 
-MetricsRegistry::Series& MetricsRegistry::fetch_or_create(
-    SeriesKey key, std::string_view name, MetricKind kind,
-    std::span<const double> bounds) {
-  auto [it, inserted] = series_.try_emplace(std::move(key));
-  Series& series = it->second;
-  if (inserted) {
-    series.kind = kind;
-    if (kind == MetricKind::kHistogram) series.histogram.emplace_back(bounds);
-  } else if (series.kind != kind) {
-    throw TelemetryError("metric '" + std::string(name) +
-                         "' already registered with a different kind");
-  } else if (kind == MetricKind::kHistogram) {
-    const std::vector<double>& have = series.histogram.front().upper_bounds();
-    if (!std::equal(have.begin(), have.end(), bounds.begin(), bounds.end())) {
-      throw TelemetryError("histogram '" + std::string(name) +
-                           "' re-registered with different bucket bounds");
+MetricsRegistry::MetricsRegistry() {
+  for (std::size_t m = 0; m < kBuiltinMetrics.size(); ++m) {
+    const MetricDef& def = kBuiltinMetrics[m];
+    if (def.kind != MetricKind::kHistogram) continue;
+    for (std::size_t l = 0; l < def.slots(); ++l) {
+      slots_[catalog::kSlotOffsets[m] + l].histogram.emplace(def.bounds);
     }
   }
-  return series;
-}
-
-Counter& MetricsRegistry::named_counter(std::string_view name,
-                                        const Labels& labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return fetch_or_create(key_for(name, labels), name, MetricKind::kCounter, {})
-      .counter;
-}
-
-Gauge& MetricsRegistry::named_gauge(std::string_view name,
-                                    const Labels& labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return fetch_or_create(key_for(name, labels), name, MetricKind::kGauge, {})
-      .gauge;
-}
-
-Histogram& MetricsRegistry::named_histogram(
-    std::string_view name, std::span<const double> upper_bounds,
-    const Labels& labels) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return fetch_or_create(key_for(name, labels), name, MetricKind::kHistogram,
-                         upper_bounds)
-      .histogram.front();
-}
-
-MetricsRegistry::Series& MetricsRegistry::resolve(std::size_t metric,
-                                                  std::size_t label) {
-  const MetricDef& def = kBuiltinMetrics[metric];
-  const std::lock_guard<std::mutex> lock(mutex_);
-  SeriesKey key{intern(def.name), {}};
-  if (!def.label_key.empty()) {
-    key.second = {intern(def.label_key), intern(def.label_values[label])};
-  }
-  Series& series = fetch_or_create(std::move(key), def.name, def.kind,
-                                   def.bounds);
-  slots_[catalog::kSlotOffsets[metric] + label].store(
-      &series, std::memory_order_release);
-  return series;
 }
 
 void MetricsRegistry::bad_label(std::size_t metric, std::size_t label) {
@@ -389,33 +328,34 @@ void MetricsRegistry::bad_label(std::size_t metric, std::size_t label) {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
-  snap.entries.reserve(series_.size());
-  for (const auto& [key, series] : series_) {
-    SnapshotEntry entry;
-    entry.name = interned_[key.first];
-    for (std::size_t i = 0; i + 1 < key.second.size(); i += 2) {
-      entry.labels.emplace_back(interned_[key.second[i]],
-                                interned_[key.second[i + 1]]);
-    }
-    entry.kind = series.kind;
-    switch (series.kind) {
-      case MetricKind::kCounter:
-        entry.value = series.counter.value();
-        break;
-      case MetricKind::kGauge:
-        entry.value = series.gauge.value();
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = series.histogram.front();
-        entry.bounds = h.upper_bounds();
-        h.snapshot_into(entry.buckets, entry.count, entry.sum);
-        break;
+  for (std::size_t m = 0; m < kBuiltinMetrics.size(); ++m) {
+    const MetricDef& def = kBuiltinMetrics[m];
+    for (std::size_t l = 0; l < def.slots(); ++l) {
+      const Series& series = slots_[catalog::kSlotOffsets[m] + l];
+      if (!series.touched.load(std::memory_order_relaxed)) continue;
+      SnapshotEntry entry;
+      entry.name = def.name;
+      entry.labels = slot_labels(def, l);
+      entry.kind = def.kind;
+      switch (def.kind) {
+        case MetricKind::kCounter:
+          entry.value = series.counter.value();
+          break;
+        case MetricKind::kGauge:
+          entry.value = series.gauge.value();
+          break;
+        case MetricKind::kHistogram:
+          entry.bounds = series.histogram->upper_bounds();
+          series.histogram->snapshot_into(entry.buckets, entry.count,
+                                          entry.sum);
+          break;
       }
+      snap.entries.push_back(std::move(entry));
     }
-    snap.entries.push_back(std::move(entry));
   }
+  // Catalog order is by name; label positions follow their enums, not the
+  // label strings.
   std::sort(snap.entries.begin(), snap.entries.end(),
             [](const SnapshotEntry& a, const SnapshotEntry& b) {
               if (a.name != b.name) return a.name < b.name;
@@ -425,11 +365,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, series] : series_) {
+  for (Series& series : slots_) {
     series.counter.reset();
     series.gauge.reset();
-    for (Histogram& h : series.histogram) h.reset();
+    if (series.histogram) series.histogram->reset();
   }
 }
 
@@ -461,19 +400,56 @@ void save_metrics(const MetricsSnapshot& snapshot,
 }
 
 void MetricsRegistry::restore(const MetricsSnapshot& snapshot) {
+  // Map every entry to its series first, so a refused snapshot changes
+  // nothing.
+  std::vector<Series*> targets;
+  targets.reserve(snapshot.entries.size());
   for (const SnapshotEntry& entry : snapshot.entries) {
+    std::string series = entry.name;
+    append_label_set(series, entry.labels);
+    const auto refused = [&](const std::string& why) {
+      return checkpoint::CheckpointError("metrics snapshot: series " +
+                                         series + " " + why);
+    };
+    const MetricDef* def = nullptr;
+    Series* target = nullptr;
+    for (std::size_t m = 0; m < kBuiltinMetrics.size() && !target; ++m) {
+      if (kBuiltinMetrics[m].name != entry.name) continue;
+      for (std::size_t l = 0; l < kBuiltinMetrics[m].slots(); ++l) {
+        if (slot_labels(kBuiltinMetrics[m], l) != entry.labels) continue;
+        def = &kBuiltinMetrics[m];
+        target = &slots_[catalog::kSlotOffsets[m] + l];
+        break;
+      }
+    }
+    if (target == nullptr) throw refused("is not in the metric catalog");
+    if (entry.kind != def->kind) {
+      throw refused("is a " + std::string(to_string(entry.kind)) +
+                    ", the catalog's a " + std::string(to_string(def->kind)));
+    }
+    if (def->kind == MetricKind::kHistogram &&
+        (!std::equal(entry.bounds.begin(), entry.bounds.end(),
+                     def->bounds.begin(), def->bounds.end()) ||
+         entry.buckets.size() != def->bounds.size() + 1)) {
+      throw refused("has other histogram bounds or buckets than the catalog");
+    }
+    targets.push_back(target);
+  }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const SnapshotEntry& entry = snapshot.entries[i];
+    Series& series = *targets[i];
     switch (entry.kind) {
       case MetricKind::kCounter:
-        named_counter(entry.name, entry.labels).restore(entry.value);
+        series.counter.restore(entry.value);
         break;
       case MetricKind::kGauge:
-        named_gauge(entry.name, entry.labels).set(entry.value);
+        series.gauge.set(entry.value);
         break;
       case MetricKind::kHistogram:
-        named_histogram(entry.name, entry.bounds, entry.labels)
-            .restore(entry.buckets, entry.count, entry.sum);
+        series.histogram->restore(entry.buckets, entry.count, entry.sum);
         break;
     }
+    series.touched.store(true, std::memory_order_relaxed);
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // Every metric the stack reports is declared once, in the builtin catalog
 // (kBuiltinMetrics below): name, kind, histogram bounds and, for labelled
-// metrics, the label key with its closed set of values.  Hot-path sites name
+// metrics, the label key with its closed set of values.  Every site names
 // a series by its catalog entry:
 //
 //   t->metrics().counter("gh_epochs_total", record.source_case).increment();
@@ -10,32 +10,25 @@
 // The literal resolves to a catalog index at compile time — a misspelt
 // name, or a gauge name passed to counter(), does not compile — and the
 // label is a position in the closed value set (an enum whose order the
-// catalog mirrors, or a plain index).  The registry keeps one slot per
-// (metric, label position): the first touch fills it through the string-
-// keyed fetch-or-create path, every later update is one slot load plus an
-// atomic add.  Untouched series stay absent, so exports list exactly the
-// series a run touched.
+// catalog mirrors, or a plain index).  The registry is a fixed array with
+// one series per (metric, label position), sized by catalog::kSlotCount;
+// an update is one array index plus an atomic add.  Each series carries a
+// touched flag, so exports list exactly the series a run touched.
 //
-// The string-keyed named_*() calls are that resolver, and the cold path
-// for series the catalog cannot enumerate (per-shard gauges), checkpoint
-// restore and tests.  Names and label strings are interned once.
-//
-// Histograms use *fixed, deterministic* bucket bounds chosen at registration
-// (no adaptive resizing), so two runs of the same scenario always export the
+// Histograms use *fixed, deterministic* bucket bounds from the catalog (no
+// adaptive resizing), so two runs of the same scenario always export the
 // same bucket layout and snapshots diff cleanly.  Snapshots can be exported
-// as Prometheus text or JSON; `reset()` zeroes values but keeps the interned
-// registrations.
+// as Prometheus text or JSON; `reset()` zeroes values but keeps the touched
+// flags.
 //
 // Thread-safety: each rack owns its own Telemetry, but the fleet's worker
 // pool may step two racks on different threads — and any registry could in
-// principle be shared.  Counter/gauge updates are lock-free relaxed atomics
-// (a plain add in the uncontended single-threaded case), histogram bins are
-// guarded by a per-histogram mutex, and series registration/snapshotting by
-// a registry mutex.  Slots are atomic pointers published after the series
-// exists; two threads racing on an empty slot both resolve, under the
-// registry lock, to the same series.  Series are never erased (reset() and
-// restore() keep every registration), so a slot, like a reference returned
-// by named_*(), stays valid for the registry's lifetime.
+// principle be shared.  Counter/gauge updates and touched flags are lock-
+// free relaxed atomics (a plain add in the uncontended single-threaded
+// case) and histogram bins are guarded by a per-histogram mutex, so
+// snapshot() may run while other threads update.  Series live as long as
+// the registry, so a reference returned by counter()/gauge()/histogram()
+// stays valid across reset() and restore().
 #pragma once
 
 #include <array>
@@ -43,9 +36,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -142,8 +135,8 @@ class Histogram {
   /// largest finite bound.
   [[nodiscard]] double quantile(double q) const;
   void reset();
-  /// Checkpoint restore: overwrite bins/count/sum.  `buckets.size()` must
-  /// equal upper_bounds().size() + 1 (throws TelemetryError otherwise).
+  /// Checkpoint restore: overwrite bins/count/sum (MetricsRegistry::restore
+  /// has checked that `buckets` matches the bounds).
   void restore(const std::vector<std::uint64_t>& buckets, std::uint64_t count,
                double sum);
 
@@ -186,16 +179,6 @@ inline constexpr std::array<double, 17> kQueueDepthBuckets = [] {
   return b;
 }();
 
-[[nodiscard]] inline std::span<const double> latency_buckets_ns() {
-  return kLatencyBucketsNs;
-}
-[[nodiscard]] inline std::span<const double> watt_buckets() {
-  return kWattBuckets;
-}
-[[nodiscard]] inline std::span<const double> queue_depth_buckets() {
-  return kQueueDepthBuckets;
-}
-
 /// The interpolation underlying Histogram::quantile, usable on snapshot
 /// payloads (bounds + per-bucket counts) after the live histogram is gone.
 [[nodiscard]] double histogram_quantile(std::span<const double> bounds,
@@ -211,9 +194,7 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 [[nodiscard]] std::string_view to_string(MetricKind kind);
 
 /// One catalog entry.  A labelled metric names its label key; its closed
-/// value set lists every value in label-position order.  A key with no
-/// values is an open set (the per-shard gauges): those series exist only
-/// through the string-keyed registry calls.
+/// value set lists every value in label-position order.
 struct MetricDef {
   std::string_view name;
   MetricKind kind = MetricKind::kCounter;
@@ -222,10 +203,9 @@ struct MetricDef {
   std::span<const std::string_view> label_values;
 
   /// Registry slots the entry owns: one per label value, one when
-  /// unlabelled, none for an open label set.
+  /// unlabelled.
   [[nodiscard]] constexpr std::size_t slots() const {
-    if (label_key.empty()) return 1;
-    return label_values.size();
+    return label_key.empty() ? 1 : label_values.size();
   }
 };
 
@@ -266,7 +246,7 @@ constexpr MetricDef gauge(std::string_view name) {
   return {name, MetricKind::kGauge, {}, {}, {}};
 }
 constexpr MetricDef gauge(std::string_view name, std::string_view key,
-                          std::span<const std::string_view> values = {}) {
+                          std::span<const std::string_view> values) {
   return {name, MetricKind::kGauge, {}, key, values};
 }
 constexpr MetricDef histogram(std::string_view name,
@@ -280,7 +260,7 @@ constexpr MetricDef histogram(std::string_view name,
 /// Every metric the stack itself registers, sorted by name.  `greenhetero
 /// info` reports the catalog size so users can tell a quiet run from a
 /// -DGH_TELEMETRY=OFF build.
-inline constexpr std::array<MetricDef, 38> kBuiltinMetrics = {
+inline constexpr std::array<MetricDef, 34> kBuiltinMetrics = {
     catalog::gauge("gh_battery_soc"),
     catalog::counter("gh_db_quarantined_total"),
     catalog::counter("gh_db_samples_total", "kind", catalog::kDbSampleKinds),
@@ -291,7 +271,6 @@ inline constexpr std::array<MetricDef, 38> kBuiltinMetrics = {
     catalog::counter("gh_faults_injected_total", "kind",
                      catalog::kFaultKinds),
     catalog::counter("gh_fleet_epochs_total"),
-    catalog::gauge("gh_fleet_shards"),
     catalog::counter("gh_flightrec_dumps_total"),
     catalog::gauge("gh_health_state"),
     catalog::counter("gh_health_transitions_total", "to",
@@ -304,9 +283,6 @@ inline constexpr std::array<MetricDef, 38> kBuiltinMetrics = {
     catalog::histogram("gh_renewable_prediction_error_w", kWattBuckets),
     catalog::counter("gh_rollup_windows_total"),
     catalog::counter("gh_safe_mode_epochs_total"),
-    catalog::gauge("gh_shard_deficit_w", "shard"),
-    catalog::gauge("gh_shard_grant_w", "shard"),
-    catalog::gauge("gh_shard_racks", "shard"),
     catalog::counter("gh_solver_calls_total", "backend",
                      catalog::kSolverBackends),
     catalog::counter("gh_solver_failures_total"),
@@ -337,6 +313,7 @@ inline constexpr std::array<std::size_t, kBuiltinMetrics.size() + 1>
     kSlotOffsets = [] {
       std::array<std::size_t, kBuiltinMetrics.size() + 1> offsets{};
       for (std::size_t i = 0; i < kBuiltinMetrics.size(); ++i) {
+        if (kBuiltinMetrics[i].slots() == 0) throw "label key without values";
         offsets[i + 1] = offsets[i] + kBuiltinMetrics[i].slots();
       }
       return offsets;
@@ -355,8 +332,7 @@ struct LabelIndex {
 };
 
 /// A catalog entry of kind `Kind`, found from its name at compile time:
-/// an unknown name, a name of another kind or a metric with an open label
-/// set fails to compile.
+/// an unknown name or a name of another kind fails to compile.
 template <MetricKind Kind>
 class MetricId {
  public:
@@ -380,7 +356,6 @@ class MetricId {
       const MetricDef& def = kBuiltinMetrics[i];
       if (def.name != name) continue;
       if (def.kind != Kind) throw "metric registered with another kind";
-      if (def.slots() == 0) throw "open label set: use the named_* calls";
       return i;
     }
     throw "not in the builtin metric catalog (kBuiltinMetrics)";
@@ -441,87 +416,53 @@ void load_state(checkpoint::Reader& r, MetricsSnapshot& snapshot);
 
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Hot path: a builtin series by catalog id and label position.  Throws
-  /// TelemetryError for a label position outside the closed set, or when
-  /// the name was registered through named_*() with another kind/bounds.
+  /// A builtin series by catalog id and label position; marks it touched.
+  /// Throws TelemetryError for a label position outside the closed set.
   Counter& counter(CounterId id, LabelIndex label = {}) {
-    return slot(id.index(), label.value).counter;
+    return touch(id.index(), label.value).counter;
   }
   Gauge& gauge(GaugeId id, LabelIndex label = {}) {
-    return slot(id.index(), label.value).gauge;
+    return touch(id.index(), label.value).gauge;
   }
   Histogram& histogram(HistogramId id, LabelIndex label = {}) {
-    return slot(id.index(), label.value).histogram.front();
+    return *touch(id.index(), label.value).histogram;
   }
 
-  /// Cold path: fetch-or-create any series by name and labels.  A series
-  /// keeps its identity for the registry's lifetime; re-requesting with a
-  /// different kind (or different histogram bounds) throws TelemetryError.
-  Counter& named_counter(std::string_view name, const Labels& labels = {});
-  Gauge& named_gauge(std::string_view name, const Labels& labels = {});
-  Histogram& named_histogram(std::string_view name,
-                             std::span<const double> upper_bounds,
-                             const Labels& labels = {});
-
-  [[nodiscard]] std::size_t series_count() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return series_.size();
-  }
-  /// Distinct strings interned so far (names + label keys/values) — exposed
-  /// so tests can pin the interning behaviour.
-  [[nodiscard]] std::size_t interned_strings() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return intern_table_.size();
-  }
-
+  /// Every touched series, sorted by (name, labels).
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  /// Zero every series; registrations (and interned strings) survive.
+  /// Zero every series; touched series stay listed.
   void reset();
-  /// Checkpoint restore: re-register every series in `snapshot` (fetch-or-
-  /// create, so pre-registered series keep their identity) and overwrite its
-  /// value(s).  Series not present in the snapshot are left untouched.
+  /// Checkpoint restore: overwrite (and mark touched) the series of every
+  /// snapshot entry; series not in the snapshot are left untouched.  An
+  /// entry outside the catalog, of another kind, or a histogram whose
+  /// bounds or bucket count differ from its catalog row is refused with a
+  /// checkpoint::CheckpointError naming it, before any series changes.
   void restore(const MetricsSnapshot& snapshot);
 
  private:
   struct Series {
-    MetricKind kind = MetricKind::kCounter;
     Counter counter;
     Gauge gauge;
-    std::vector<Histogram> histogram;  ///< 0 or 1 entry (keeps Series movable)
+    std::optional<Histogram> histogram;  ///< engaged for histogram rows
+    std::atomic<bool> touched{false};
   };
-  /// (interned name id, interned label ids) — cheap ordered map key.
-  using SeriesKey = std::pair<std::uint32_t, std::vector<std::uint32_t>>;
 
-  Series& slot(std::size_t metric, std::size_t label) {
+  Series& touch(std::size_t metric, std::size_t label) {
     if (label >= kBuiltinMetrics[metric].slots()) bad_label(metric, label);
-    const std::size_t index = catalog::kSlotOffsets[metric] + label;
-    Series* series = slots_[index].load(std::memory_order_acquire);
-    return series != nullptr ? *series : resolve(metric, label);
+    Series& series = slots_[catalog::kSlotOffsets[metric] + label];
+    if (!series.touched.load(std::memory_order_relaxed)) {
+      series.touched.store(true, std::memory_order_relaxed);
+    }
+    return series;
   }
-  /// First touch of a slot: fetch-or-create its series and publish it.
-  Series& resolve(std::size_t metric, std::size_t label);
   [[noreturn]] static void bad_label(std::size_t metric, std::size_t label);
 
-  /// Callers of these three must hold mutex_.
-  [[nodiscard]] std::uint32_t intern(std::string_view s);
-  [[nodiscard]] SeriesKey key_for(std::string_view name, const Labels& labels);
-  /// Find or create the series at `key` with the given kind (and bounds,
-  /// for histograms).
-  Series& fetch_or_create(SeriesKey key, std::string_view name,
-                          MetricKind kind, std::span<const double> bounds);
-
-  /// Guards registration (the maps) and snapshotting; series *updates* go
-  /// through the atomic/mutexed series objects and never take this lock.
-  mutable std::mutex mutex_;
-  std::vector<std::string> interned_;  ///< id -> string (stable storage)
-  std::map<std::string, std::uint32_t, std::less<>> intern_table_;
-  std::map<SeriesKey, Series> series_;
-  /// One per (catalog entry, label position); null until first touch.
-  std::array<std::atomic<Series*>, catalog::kSlotCount> slots_{};
+  /// One per (catalog entry, label position), in catalog order.
+  std::array<Series, catalog::kSlotCount> slots_;
 };
 
 }  // namespace greenhetero::telemetry

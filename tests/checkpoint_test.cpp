@@ -24,8 +24,11 @@
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "power/battery.h"
+#include "server/combinations.h"
 #include "server/rack.h"
 #include "sim/epoch_store.h"
+#include "sim/rack_simulator.h"
+#include "trace/solar.h"
 #include "util/rng.h"
 
 namespace greenhetero {
@@ -553,6 +556,53 @@ TEST(Snapshot, LoadLatestSkipsCorruptAndPicksNewestValid) {
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->epoch_index, 10u);
   EXPECT_EQ(latest->payload, "older");
+}
+
+TEST(Snapshot, RefusesMetricsSeriesOutsideTheCatalog) {
+  // A well-formed, checksummed rack snapshot whose metrics section names a
+  // series the catalog does not know: restore must refuse it by name
+  // rather than invent the series.
+  ScratchDir scratch;
+  const auto make_sim = [&] {
+    SimConfig cfg;
+    cfg.checkpoint_dir = (scratch / "ckpt").string();
+    cfg.config_hash = 7;
+    return RackSimulator{
+        Rack{default_runtime_rack(), Workload::kSpecJbb},
+        make_standard_plant(
+            generate_solar_trace(high_solar_model(Watts{2500.0}), 1, 3)),
+        std::move(cfg)};
+  };
+  RackSimulator writer = make_sim();
+  writer.pretrain();
+  (void)writer.run(Minutes{30.0});
+  const auto written = checkpoint::load_latest(scratch / "ckpt");
+  ASSERT_TRUE(written.has_value());
+
+  std::string payload = written->payload;
+  const std::string known = "gh_substeps_total";
+  const std::string unknown = "gh_substeps_totax";  // same length
+  std::size_t renamed = 0;
+  for (std::size_t at = payload.find(known); at != std::string::npos;
+       at = payload.find(known, at)) {
+    payload.replace(at, known.size(), unknown);
+    ++renamed;
+  }
+  ASSERT_EQ(renamed, 1u);
+  checkpoint::write_snapshot(scratch / "forged", written->epoch_index,
+                             written->config_hash, payload);
+  const auto forged = checkpoint::load_latest(scratch / "forged");
+  ASSERT_TRUE(forged.has_value());  // the container itself is valid
+
+  RackSimulator reader = make_sim();
+  reader.pretrain();
+  try {
+    reader.load_checkpoint(*forged);
+    FAIL() << "a series outside the catalog was restored";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(unknown), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Snapshot, LoadLatestEmptyDirectory) {

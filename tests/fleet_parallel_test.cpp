@@ -45,22 +45,6 @@ struct RunArtifacts {
   std::string metrics;  ///< fleet-wide snapshot, wall-clock series removed
 };
 
-/// Prometheus rendering of the snapshot minus wall-clock series (the *_ns
-/// latency histograms, the *_per_sec throughput gauges and the streaming
-/// sink's queue depth, residency and stall series depend on machine timing,
-/// not the simulation).
-std::string deterministic_prometheus(const MetricsSnapshot& snapshot) {
-  MetricsSnapshot filtered;
-  for (const telemetry::SnapshotEntry& entry : snapshot.entries) {
-    if (entry.name.ends_with("_ns")) continue;
-    if (entry.name.ends_with("_per_sec")) continue;
-    if (entry.name.starts_with("gh_trace_queue_")) continue;
-    if (entry.name == "gh_trace_stalls_total") continue;
-    filtered.entries.push_back(entry);
-  }
-  return filtered.to_prometheus();
-}
-
 RunArtifacts run_fleet(std::size_t threads, const FaultPlan& faults = {}) {
   // Deliberately asymmetric solar provisioning so the proportional planner
   // makes non-trivial decisions that depend on every rack's state.
@@ -84,7 +68,8 @@ RunArtifacts run_fleet(std::size_t threads, const FaultPlan& faults = {}) {
   RunArtifacts artifacts;
   artifacts.report = fleet.run(Minutes{6.0 * 60.0});
   artifacts.trace = testtrace::streamed_trace(fleet);
-  artifacts.metrics = deterministic_prometheus(fleet.metrics_snapshot());
+  artifacts.metrics =
+      testtrace::deterministic_prometheus(fleet.metrics_snapshot());
   return artifacts;
 }
 

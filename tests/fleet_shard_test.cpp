@@ -1,10 +1,9 @@
 // Scale-invariance contract of the sharded fleet hierarchy: the same fleet
 // run with any --shards / --threads combination must produce byte-identical
-// reports, merged traces and metric snapshots (wall-clock, streaming-queue
-// and shard-topology series excluded — the latter describe the execution
-// layout, not the simulation).  Also pins the rebalancer's conservation
-// and equal-split guarantees and that a checkpoint taken under one shard
-// count restores into any other.
+// reports, merged traces and metric snapshots (wall-clock and streaming-
+// queue series excluded).  Also pins that the shards' parallel deficit pass
+// yields exactly the flat plan's shares, the shard geometry, and that a
+// checkpoint taken under one shard count restores into any other.
 #include "fleet/fleet.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 
 #include "checkpoint/checkpoint.h"
 #include "faults/fault_plan.h"
-#include "fleet/rebalancer.h"
 #include "fleet/shard.h"
 #include "server/combinations.h"
 #include "trace/solar.h"
@@ -50,29 +48,12 @@ RackSimulator make_rack_sim(Watts solar_capacity, std::uint64_t seed,
 struct RunArtifacts {
   FleetReport report;
   std::string trace;    ///< merged JSONL trace
-  std::string metrics;  ///< snapshot minus wall-clock and topology series
+  std::string metrics;  ///< snapshot minus wall-clock series
 };
-
-/// Prometheus rendering minus wall-clock series AND the shard-topology
-/// gauges (gh_fleet_shards, gh_shard_*): topology series legitimately
-/// differ between shard counts, everything else must not.
-std::string deterministic_prometheus(const MetricsSnapshot& snapshot) {
-  MetricsSnapshot filtered;
-  for (const telemetry::SnapshotEntry& entry : snapshot.entries) {
-    if (entry.name.ends_with("_ns")) continue;
-    if (entry.name.ends_with("_per_sec")) continue;
-    if (entry.name.starts_with("gh_trace_queue_")) continue;
-    if (entry.name == "gh_trace_stalls_total") continue;
-    if (entry.name == "gh_fleet_shards") continue;
-    if (entry.name.starts_with("gh_shard_")) continue;
-    filtered.entries.push_back(entry);
-  }
-  return filtered.to_prometheus();
-}
 
 RunArtifacts run_fleet(std::size_t shards, std::size_t threads,
                        const FaultPlan& faults = {}) {
-  // Asymmetric solar provisioning so the proportional rebalancer makes
+  // Asymmetric solar provisioning so the proportional division makes
   // non-trivial decisions that depend on every rack's state.
   const double capacities[] = {300.0, 1200.0, 2400.0, 4800.0};
   std::vector<RackSimulator> racks;
@@ -83,7 +64,7 @@ RunArtifacts run_fleet(std::size_t shards, std::size_t threads,
   FleetConfig cfg;
   cfg.total_grid_budget = Watts{2000.0};
   cfg.mode = GridShareMode::kDemandProportional;
-  cfg.check = true;  // enforces shard-grant conservation every epoch
+  cfg.check = true;  // checks the grid shares every epoch
   cfg.threads = threads;
   cfg.shards = shards;
   const testtrace::ScratchDir scratch;
@@ -95,7 +76,8 @@ RunArtifacts run_fleet(std::size_t shards, std::size_t threads,
   RunArtifacts artifacts;
   artifacts.report = fleet.run(Minutes{6.0 * 60.0});
   artifacts.trace = testtrace::streamed_trace(fleet);
-  artifacts.metrics = deterministic_prometheus(fleet.metrics_snapshot());
+  artifacts.metrics =
+      testtrace::deterministic_prometheus(fleet.metrics_snapshot());
   return artifacts;
 }
 
@@ -171,142 +153,51 @@ TEST(FleetShard, ZeroShardsDerivesFromThreadsCappedAtRacks) {
   EXPECT_EQ(fleet.shards(), 4u);
 }
 
-TEST(FleetShard, ShardGrantsSumToBudgetAndAreVisibleAsMetrics) {
-  const RunArtifacts run = run_fleet(3, 4);
-  // The coordinator exported one grant/deficit/racks gauge per shard; the
-  // grants from the final epoch must still conserve the fleet budget.
-  double grant_sum = 0.0;
-  std::size_t rack_sum = 0;
-  for (std::size_t s = 0; s < 3; ++s) {
-    const telemetry::Labels label{{"shard", std::to_string(s)}};
-    const telemetry::SnapshotEntry* grant =
-        run.report.metrics.find("gh_shard_grant_w", label);
-    const telemetry::SnapshotEntry* racks =
-        run.report.metrics.find("gh_shard_racks", label);
-    ASSERT_NE(grant, nullptr) << "shard " << s;
-    ASSERT_NE(racks, nullptr) << "shard " << s;
-    EXPECT_GE(grant->value, 0.0);
-    grant_sum += grant->value;
-    rack_sum += static_cast<std::size_t>(racks->value);
-  }
-  EXPECT_EQ(rack_sum, 4u);
-  EXPECT_LE(grant_sum, 2000.0 * (1.0 + 1e-9));
-  EXPECT_GE(grant_sum, 2000.0 * (1.0 - 1e-9));
-  const telemetry::SnapshotEntry* shards =
-      run.report.metrics.find("gh_fleet_shards");
-  ASSERT_NE(shards, nullptr);
-  EXPECT_EQ(shards->value, 3.0);
-}
-
-// --- rebalancer unit surface ---------------------------------------------
-
-std::vector<ShardSummary> summarize(const std::vector<double>& deficits,
-                                    std::size_t shards) {
-  const std::vector<Shard> topology =
-      make_shards(deficits.size(), shards, /*threads=*/1);
-  std::vector<ShardSummary> summaries;
-  for (const Shard& shard : topology) {
-    summaries.push_back(summarize_shard(
-        shard.index(), shard.first_rack(),
-        std::span<const double>{deficits}.subspan(shard.first_rack(),
-                                                  shard.racks())));
-  }
-  return summaries;
-}
-
-TEST(Rebalancer, GrantsConserveBudgetOverRandomTopologies) {
-  Rng rng{7};
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t racks = static_cast<std::size_t>(rng.uniform_int(1, 32));
-    const std::size_t shards = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    const Watts budget{rng.uniform(100.0, 5100.0)};
-    std::vector<double> deficits;
-    for (std::size_t r = 0; r < racks; ++r) {
-      // Mix of positive, zero and negative (surplus) deficits.
-      deficits.push_back(rng.uniform(-200.0, 1200.0));
+TEST(FleetShard, ShardedSharesMatchTheFlatPlan) {
+  // The shards fill the deficit vector in parallel; the shares must equal
+  // the flat one-thread fleet's bit for bit at every epoch, and each rack
+  // must receive the share planned for it.
+  const double capacities[] = {300.0, 1200.0, 2400.0, 4800.0, 600.0};
+  const auto make_fleet = [&](std::size_t shards, std::size_t threads) {
+    std::vector<RackSimulator> racks;
+    for (std::size_t i = 0; i < std::size(capacities); ++i) {
+      racks.push_back(make_rack_sim(Watts{capacities[i]},
+                                    60 + static_cast<std::uint64_t>(i), {},
+                                    /*telemetry=*/false));
     }
-    const std::vector<ShardSummary> summaries = summarize(deficits, shards);
-    const RebalanceDecision decision =
-        rebalance_grid_budget(budget, deficits, summaries);
-    ASSERT_EQ(decision.grants.size(), summaries.size());
-    double sum = 0.0;
-    for (const Watts grant : decision.grants) {
-      EXPECT_GE(grant.value(), 0.0);
-      sum += grant.value();
-    }
-    // Clamped: the rebalancer's running total never exceeds the budget; an
-    // independent re-sum like this one re-rounds, so allow one part in 1e12.
-    EXPECT_LE(sum, budget.value() * (1.0 + 1e-12));
-    // ...and conservative: the whole budget is handed out.
-    EXPECT_NEAR(sum, budget.value(), budget.value() * 1e-9);
-    // Rack shares must reproduce the flat divide_grid_budget bit for bit —
-    // the two code paths may never drift apart.
-    const std::vector<Watts> flat = divide_grid_budget(budget, deficits);
-    ASSERT_EQ(flat.size(), racks);
-    for (std::size_t r = 0; r < racks; ++r) {
-      EXPECT_EQ(rack_share(decision, deficits[r]).value(), flat[r].value())
-          << "rack " << r << " trial " << trial;
-    }
-  }
-}
-
-TEST(Rebalancer, DeficitMonotoneGrants) {
-  // A shard with a strictly larger deficit sum never receives less.
-  Rng rng{11};
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t racks = 8;
-    const std::size_t shards = 4;
-    std::vector<double> deficits;
-    for (std::size_t r = 0; r < racks; ++r) {
-      deficits.push_back(rng.uniform(0.0, 1500.0));
-    }
-    const std::vector<ShardSummary> summaries = summarize(deficits, shards);
-    const RebalanceDecision decision =
-        rebalance_grid_budget(Watts{3000.0}, deficits, summaries);
-    ASSERT_FALSE(decision.equal_split);
-    for (std::size_t a = 0; a < summaries.size(); ++a) {
-      for (std::size_t b = 0; b < summaries.size(); ++b) {
-        if (summaries[a].deficit_sum > summaries[b].deficit_sum) {
-          EXPECT_GE(decision.grants[a].value(), decision.grants[b].value());
+    FleetConfig cfg;
+    cfg.total_grid_budget = Watts{2500.0};
+    cfg.mode = GridShareMode::kDemandProportional;
+    cfg.threads = threads;
+    cfg.shards = shards;
+    Fleet fleet{std::move(racks), cfg};
+    fleet.pretrain();
+    return fleet;
+  };
+  for (const std::size_t shards : {2u, 3u, 5u}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      Fleet flat = make_fleet(1, 1);
+      Fleet sharded = make_fleet(shards, threads);
+      for (int epoch = 0; epoch < 8; ++epoch) {
+        const std::vector<Watts> plan = sharded.plan_grid_shares();
+        const std::vector<Watts> reference = flat.plan_grid_shares();
+        (void)flat.run(Minutes{15.0});
+        (void)sharded.run(Minutes{15.0});
+        for (std::size_t i = 0; i < sharded.size(); ++i) {
+          EXPECT_EQ(plan[i].value(), reference[i].value())
+              << "rack " << i << " epoch " << epoch;
+          EXPECT_EQ(sharded.rack(i).plant().grid_budget().value(),
+                    plan[i].value())
+              << "rack " << i << " epoch " << epoch;
         }
       }
     }
   }
 }
 
-TEST(Rebalancer, EqualSplitIsHoistedOncePerEpoch) {
-  // The equal-share fallback is computed once per rebalance, not per rack:
-  // every rack sees the exact same bit pattern, so a rack entering
-  // quarantine mid-epoch can never skew the shares handed out within that
-  // epoch.
-  const std::vector<double> zeros(7, 0.0);
-  const std::vector<ShardSummary> summaries = summarize(zeros, 3);
-  const RebalanceDecision decision =
-      rebalance_grid_budget(Watts{1234.5}, zeros, summaries);
-  EXPECT_TRUE(decision.equal_split);
-  EXPECT_EQ(decision.equal_share.value(), 1234.5 / 7.0);
-  const double first = rack_share(decision, 0.0).value();
-  for (double d : {0.0, 100.0, -5.0}) {
-    EXPECT_EQ(rack_share(decision, d).value(), first);
-  }
-}
-
-TEST(Rebalancer, DegenerateInputsFallBackToEqualSplit) {
-  const Watts budget{900.0};
-  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
-                              std::numeric_limits<double>::infinity(),
-                              -std::numeric_limits<double>::infinity()}) {
-    std::vector<double> deficits{100.0, poison, 300.0};
-    const std::vector<ShardSummary> summaries = summarize(deficits, 2);
-    const RebalanceDecision decision =
-        rebalance_grid_budget(budget, deficits, summaries);
-    EXPECT_TRUE(decision.equal_split);
-    EXPECT_EQ(rack_share(decision, deficits[0]).value(), 300.0);
-    double sum = 0.0;
-    for (const Watts grant : decision.grants) sum += grant.value();
-    EXPECT_NEAR(sum, 900.0, 1e-6);
-  }
-}
+// --- shard geometry --------------------------------------------------------
 
 TEST(Rebalancer, MakeShardsCoversEveryRackExactlyOnce) {
   for (const std::size_t racks : {1u, 7u, 64u, 1000u}) {
@@ -393,8 +284,7 @@ TEST(FleetShard, CheckpointBytesIdenticalAcrossShardCounts) {
   // Stronger than restorability: the snapshot payload itself must not
   // mention the topology, so the files written under different --shards
   // values are byte-for-byte the same.  Telemetry is off: the metrics in a
-  // snapshot carry wall-clock span histograms and, by design, the
-  // shard-topology gauges.
+  // snapshot carry wall-clock span histograms.
   ScratchDir a;
   ScratchDir b;
   Fleet one = make_ckpt_fleet(1, a.path(), 8, std::nullopt, false);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "server/combinations.h"
 #include "trace/solar.h"
@@ -133,6 +134,33 @@ TEST(Fleet, DivideGridBudgetNonFiniteDeficitFallsBackToEqualSplit) {
 
 TEST(Fleet, DivideGridBudgetEmptyInput) {
   EXPECT_TRUE(divide_grid_budget(Watts{1000.0}, {}).empty());
+}
+
+TEST(Rebalancer, EqualSplitIsHoistedOncePerEpoch) {
+  // The equal-share fallback is budget / n computed once per division, not
+  // per rack: every rack sees the exact same bit pattern.
+  const std::vector<double> zeros(7, 0.0);
+  const std::vector<Watts> shares = divide_grid_budget(Watts{1234.5}, zeros);
+  ASSERT_EQ(shares.size(), 7u);
+  for (const Watts share : shares) EXPECT_EQ(share.value(), 1234.5 / 7.0);
+}
+
+TEST(Rebalancer, DegenerateInputsFallBackToEqualSplit) {
+  // Bitwise, not approximately: a poisoned or all-surplus fleet gets the
+  // exact hoisted equal share.
+  const Watts budget{900.0};
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> deficits{100.0, poison, 300.0};
+    for (const Watts share : divide_grid_budget(budget, deficits)) {
+      EXPECT_EQ(share.value(), 300.0);
+    }
+  }
+  const std::vector<double> surplus{-50.0, 0.0, -1e-12};
+  for (const Watts share : divide_grid_budget(budget, surplus)) {
+    EXPECT_EQ(share.value(), 300.0);
+  }
 }
 
 TEST(Fleet, SingleRackMatchesStandaloneRun) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "fleet/rebalancer.h"
 #include "fleet/shard.h"
 #include "generators.h"
 #include "power/battery.h"
@@ -203,65 +202,18 @@ INSTANTIATE_TEST_SUITE_P(Pairs, ColocationProperty,
                                             ::testing::Range(0, 3)));
 
 // ---------------------------------------------------------------------------
-// Top-level shard rebalancer: for every (racks, shards) partition the grants
-// stay non-negative, never outrun the supply, follow the reported deficits
-// monotonically, and collapse to the hoisted equal split on degenerate
-// input — the same matrix divide_grid_budget is pinned to, one level up.
+// The per-epoch grid division on degenerate input: for every (racks, shards)
+// fleet geometry, divide_grid_budget collapses to the hoisted equal split,
+// and a sharded fleet whose racks all have a green surplus hands every rack
+// that same share.
 
 class RebalancerProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-namespace {
-std::vector<ShardSummary> summarize_partition(
-    const std::vector<double>& deficits, std::size_t shards) {
-  const std::vector<Shard> topology =
-      make_shards(deficits.size(), shards, /*threads=*/1);
-  std::vector<ShardSummary> summaries;
-  for (const Shard& shard : topology) {
-    summaries.push_back(summarize_shard(
-        shard.index(), shard.first_rack(),
-        std::span<const double>{deficits}.subspan(shard.first_rack(),
-                                                  shard.racks())));
-  }
-  return summaries;
-}
-}  // namespace
-
-TEST_P(RebalancerProperty, GrantsBoundedMonotoneAndConservative) {
-  const auto [racks, shards] = GetParam();
-  const Watts budget{1000.0};
-  std::vector<double> deficits;
-  for (int r = 0; r < racks; ++r) {
-    // Deterministic spread with zeros and surpluses mixed in.
-    deficits.push_back(r % 3 == 0 ? 0.0 : 150.0 * r - 200.0);
-  }
-  const std::vector<ShardSummary> summaries =
-      summarize_partition(deficits, static_cast<std::size_t>(shards));
-  const RebalanceDecision decision =
-      rebalance_grid_budget(budget, deficits, summaries);
-  ASSERT_EQ(decision.grants.size(), summaries.size());
-  double sum = 0.0;
-  for (std::size_t s = 0; s < decision.grants.size(); ++s) {
-    EXPECT_GE(decision.grants[s].value(), 0.0);
-    sum += decision.grants[s].value();
-    for (std::size_t t = 0; t < decision.grants.size(); ++t) {
-      if (summaries[s].deficit_sum > summaries[t].deficit_sum) {
-        EXPECT_GE(decision.grants[s].value(), decision.grants[t].value());
-      }
-    }
-  }
-  EXPECT_LE(sum, budget.value() * (1.0 + 1e-12));
-  EXPECT_NEAR(sum, budget.value(), budget.value() * 1e-9);
-  // Rack shares reproduce the flat divider bit for bit.
-  const std::vector<Watts> flat = divide_grid_budget(budget, deficits);
-  for (int r = 0; r < racks; ++r) {
-    EXPECT_EQ(rack_share(decision, deficits[r]).value(), flat[r].value());
-  }
-}
-
 TEST_P(RebalancerProperty, DegenerateDeficitsFallBackToEqualSplit) {
   const auto [racks, shards] = GetParam();
   const Watts budget{1000.0};
+  const double equal_share = budget.value() / racks;
   const std::vector<std::vector<double>> degenerate = {
       std::vector<double>(racks, 0.0),
       [&] {
@@ -275,25 +227,37 @@ TEST_P(RebalancerProperty, DegenerateDeficitsFallBackToEqualSplit) {
         return d;
       }()};
   for (const std::vector<double>& deficits : degenerate) {
-    const std::vector<ShardSummary> summaries =
-        summarize_partition(deficits, static_cast<std::size_t>(shards));
-    const RebalanceDecision decision =
-        rebalance_grid_budget(budget, deficits, summaries);
-    EXPECT_TRUE(decision.equal_split);
-    EXPECT_EQ(decision.equal_share.value(), budget.value() / racks);
     // Every rack sees the identical hoisted share regardless of its own
-    // (possibly poisoned) deficit...
-    for (double d : deficits) {
-      EXPECT_EQ(rack_share(decision, d).value(), decision.equal_share.value());
+    // (possibly poisoned) deficit.
+    for (const Watts share : divide_grid_budget(budget, deficits)) {
+      EXPECT_EQ(share.value(), equal_share);
     }
-    // ...and so does the flat divider.
-    const std::vector<Watts> flat = divide_grid_budget(budget, deficits);
-    for (const Watts share : flat) {
-      EXPECT_EQ(share.value(), decision.equal_share.value());
-    }
-    double sum = 0.0;
-    for (const Watts grant : decision.grants) sum += grant.value();
-    EXPECT_NEAR(sum, budget.value(), budget.value() * 1e-9);
+  }
+
+  // A full paper battery covers a rack's peak demand, so every deficit is
+  // negative at the first epoch: the sharded deficit pass must land on the
+  // same fallback.
+  std::vector<RackSimulator> sims;
+  for (int i = 0; i < racks; ++i) {
+    testgen::SolarSimParams params;
+    params.controller_seed = static_cast<std::uint64_t>(i);
+    params.solar_seed = static_cast<std::uint64_t>(i);
+    sims.push_back(testgen::make_solar_sim(params));
+  }
+  FleetConfig cfg;
+  cfg.total_grid_budget = budget;
+  cfg.mode = GridShareMode::kDemandProportional;
+  cfg.shards = static_cast<std::size_t>(shards);
+  cfg.threads = 2;
+  Fleet fleet{std::move(sims), cfg};
+  (void)fleet.run(Minutes{15.0});
+  for (int i = 0; i < racks; ++i) {
+    EXPECT_EQ(fleet.rack(static_cast<std::size_t>(i))
+                  .plant()
+                  .grid_budget()
+                  .value(),
+              equal_share)
+        << "rack " << i;
   }
 }
 

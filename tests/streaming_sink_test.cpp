@@ -560,7 +560,7 @@ TEST(MetricsFlush, RunLeavesACompleteSnapshotAndNoTempFile) {
 TEST(MetricsFlush, HumanSiblingRidesAlongWithMachineFormats) {
   ScratchDir scratch;
   telemetry::MetricsRegistry registry;
-  registry.named_counter("gh_test_total").increment();
+  registry.counter("gh_substeps_total").increment();
   const MetricsSnapshot snapshot = registry.snapshot();
 
   // Machine-readable flush also refreshes the human-readable .txt sibling.
@@ -569,7 +569,7 @@ TEST(MetricsFlush, HumanSiblingRidesAlongWithMachineFormats) {
   const fs::path sibling = scratch / "metrics.txt";
   ASSERT_TRUE(fs::exists(sibling));
   const std::string sibling_body = read_file(sibling);
-  EXPECT_NE(sibling_body.find("gh_test_total"), std::string::npos);
+  EXPECT_NE(sibling_body.find("gh_substeps_total"), std::string::npos);
   EXPECT_NE(sibling_body, read_file(as_prom));
   // Sibling writes go through the same temp-and-rename path.
   EXPECT_FALSE(fs::exists(sibling.string() + ".tmp"));
@@ -602,7 +602,7 @@ TEST(MetricsFlush, RunRefreshesTheHumanSibling) {
 TEST(MetricsFlush, SaveMetricsPicksTheFormatByExtension) {
   ScratchDir scratch;
   telemetry::MetricsRegistry registry;
-  registry.named_counter("gh_test_total").increment();
+  registry.counter("gh_substeps_total").increment();
   const MetricsSnapshot snapshot = registry.snapshot();
 
   const fs::path as_json = scratch / "m.json";
@@ -622,7 +622,7 @@ TEST(MetricsFlush, SaveMetricsPicksTheFormatByExtension) {
   EXPECT_NE(text_body, prom_body);
   // The JSON flavour must parse with the analyzer's reader.
   EXPECT_NO_THROW(json::parse(json_body));
-  EXPECT_NE(prom_body.find("gh_test_total"), std::string::npos);
+  EXPECT_NE(prom_body.find("gh_substeps_total"), std::string::npos);
 }
 
 }  // namespace

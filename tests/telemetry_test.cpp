@@ -2,6 +2,7 @@
 // and the ambient context scope.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -37,23 +38,24 @@ TEST(FormatNumber, IntegersAndDecimalsAndSpecials) {
 
 TEST(Counter, AccumulatesAndResets) {
   MetricsRegistry registry;
-  Counter& c = registry.named_counter("epochs");
+  Counter& c = registry.counter("gh_substeps_total");
   c.increment();
   c.increment(2.5);
   EXPECT_DOUBLE_EQ(c.value(), 3.5);
   // Re-fetch returns the same series.
-  EXPECT_DOUBLE_EQ(registry.named_counter("epochs").value(), 3.5);
+  EXPECT_EQ(&registry.counter("gh_substeps_total"), &c);
   registry.reset();
   EXPECT_DOUBLE_EQ(c.value(), 0.0);
-  EXPECT_EQ(registry.series_count(), 1u);
+  // A reset series stays listed.
+  EXPECT_EQ(registry.snapshot().entries.size(), 1u);
 }
 
 TEST(Gauge, HoldsLastValue) {
   MetricsRegistry registry;
-  Gauge& g = registry.named_gauge("soc");
+  Gauge& g = registry.gauge("gh_battery_soc");
   g.set(0.7);
   g.set(0.4);
-  EXPECT_DOUBLE_EQ(registry.named_gauge("soc").value(), 0.4);
+  EXPECT_DOUBLE_EQ(registry.gauge("gh_battery_soc").value(), 0.4);
 }
 
 TEST(Histogram, BucketsValuesAgainstUpperBounds) {
@@ -109,7 +111,7 @@ TEST(Histogram, QuantileOfEmptyHistogramIsNaN) {
 }
 
 TEST(Histogram, QuantileMatchesTheSnapshotLevelHelper) {
-  Histogram h{latency_buckets_ns()};
+  Histogram h{kLatencyBucketsNs};
   for (int i = 1; i <= 100; ++i) h.observe(1e3 * i);
   for (const double q : {0.5, 0.9, 0.99}) {
     EXPECT_DOUBLE_EQ(
@@ -128,9 +130,8 @@ TEST(FormatDurationNs, ScalesUnitsForHumans) {
 
 TEST(Registry, HumanDumpShowsHistogramQuantiles) {
   MetricsRegistry registry;
-  registry.named_gauge("gh_battery_soc").set(0.75);
-  const double bounds[] = {1e3, 1e6};
-  Histogram& h = registry.named_histogram("gh_plan_epoch_ns", bounds);
+  registry.gauge("gh_battery_soc").set(0.75);
+  Histogram& h = registry.histogram("gh_span_ns", SpanTag("plan").index());
   h.observe(500.0);
   h.observe(2'500.0);
   const std::string text = registry.snapshot().to_human();
@@ -144,66 +145,92 @@ TEST(Registry, HumanDumpShowsHistogramQuantiles) {
   EXPECT_NE(text.find("p99="), std::string::npos);
 }
 
-TEST(Registry, LabelsSplitSeriesAndInterningIsShared) {
+/// Restore one snapshot entry into a fresh registry.
+void restore_entry(SnapshotEntry entry) {
+  MetricsSnapshot snap;
+  snap.entries.push_back(std::move(entry));
   MetricsRegistry registry;
-  registry.named_counter("epochs", {{"case", "A"}}).increment();
-  registry.named_counter("epochs", {{"case", "B"}}).increment(2.0);
-  EXPECT_EQ(registry.series_count(), 2u);
-  // "epochs", "case", "A", "B" — repeated strings are interned once.
-  EXPECT_EQ(registry.interned_strings(), 4u);
-  registry.named_counter("epochs", {{"case", "A"}}).increment();
-  EXPECT_EQ(registry.series_count(), 2u);
-  EXPECT_EQ(registry.interned_strings(), 4u);
-  EXPECT_DOUBLE_EQ(registry.named_counter("epochs", {{"case", "A"}}).value(), 2.0);
+  registry.restore(snap);
 }
 
 TEST(Registry, KindConflictThrows) {
-  MetricsRegistry registry;
-  registry.named_counter("x");
-  EXPECT_THROW(registry.named_gauge("x"), TelemetryError);
-  EXPECT_THROW(registry.named_histogram("x", latency_buckets_ns()), TelemetryError);
-  // Same name with different labels is a different series: allowed.
-  EXPECT_NO_THROW(registry.named_gauge("x", {{"k", "v"}}));
+  // Hot-path kind conflicts do not compile (counter("gh_battery_soc") is a
+  // gauge); a restored snapshot is the one runtime source of a kind, and a
+  // mismatch is refused.
+  SnapshotEntry entry;
+  entry.name = "gh_substeps_total";
+  entry.kind = MetricKind::kGauge;
+  EXPECT_THROW(restore_entry(entry), checkpoint::CheckpointError);
+  entry.kind = MetricKind::kCounter;
+  EXPECT_NO_THROW(restore_entry(entry));
 }
 
 TEST(Registry, HistogramBoundsConflictThrows) {
-  MetricsRegistry registry;
-  const double a[] = {1.0, 2.0};
-  const double b[] = {1.0, 3.0};
-  registry.named_histogram("h", a);
-  EXPECT_NO_THROW(registry.named_histogram("h", a));
-  EXPECT_THROW(registry.named_histogram("h", b), TelemetryError);
+  SnapshotEntry entry;
+  entry.name = "gh_renewable_prediction_error_w";
+  entry.kind = MetricKind::kHistogram;
+  entry.bounds.assign(kWattBuckets.begin(), kWattBuckets.end());
+  entry.buckets.assign(kWattBuckets.size(), 0);  // one bucket short
+  EXPECT_THROW(restore_entry(entry), checkpoint::CheckpointError);
+  entry.buckets.push_back(0);
+  EXPECT_NO_THROW(restore_entry(entry));
+  entry.bounds.back() = 4000.0;
+  try {
+    restore_entry(entry);
+    ADD_FAILURE() << "foreign histogram bounds restored";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("gh_renewable_prediction_error_w"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Registry, SnapshotIsSortedAndFindable) {
   MetricsRegistry registry;
-  registry.named_counter("zeta").increment(3.0);
-  registry.named_gauge("alpha").set(1.5);
-  registry.named_counter("mid", {{"case", "B"}}).increment();
-  registry.named_counter("mid", {{"case", "A"}}).increment();
+  registry.counter("gh_training_epochs_total").increment(3.0);
+  registry.gauge("gh_battery_soc").set(1.5);
+  // Label positions follow the enum (normal, degraded, safe, recovering);
+  // the snapshot orders by the label strings.
+  registry.counter("gh_health_transitions_total", HealthState::kSafe)
+      .increment();
+  registry.counter("gh_health_transitions_total", HealthState::kDegraded)
+      .increment();
   const MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.entries.size(), 4u);
-  EXPECT_EQ(snap.entries[0].name, "alpha");
-  EXPECT_EQ(snap.entries[1].name, "mid");
-  EXPECT_EQ(snap.entries[1].labels, (Labels{{"case", "A"}}));
-  EXPECT_EQ(snap.entries[2].labels, (Labels{{"case", "B"}}));
-  EXPECT_EQ(snap.entries[3].name, "zeta");
+  EXPECT_EQ(snap.entries[0].name, "gh_battery_soc");
+  EXPECT_EQ(snap.entries[1].name, "gh_health_transitions_total");
+  EXPECT_EQ(snap.entries[1].labels, (Labels{{"to", "degraded"}}));
+  EXPECT_EQ(snap.entries[2].labels, (Labels{{"to", "safe"}}));
+  EXPECT_EQ(snap.entries[3].name, "gh_training_epochs_total");
 
-  const SnapshotEntry* found = snap.find("mid", {{"case", "B"}});
+  const SnapshotEntry* found =
+      snap.find("gh_health_transitions_total", {{"to", "safe"}});
   ASSERT_NE(found, nullptr);
   EXPECT_DOUBLE_EQ(found->value, 1.0);
   EXPECT_EQ(snap.find("missing"), nullptr);
 }
 
+/// A snapshot built directly: the exporters take any name, labels and
+/// bounds, only the registry is tied to the catalog.
 TEST(Registry, PrometheusExport) {
-  MetricsRegistry registry;
-  registry.named_counter("gh_epochs_total", {{"case", "A"}}).increment(3.0);
+  MetricsSnapshot snap;
+  SnapshotEntry counter;
+  counter.name = "gh_epochs_total";
+  counter.labels = {{"case", "A"}};
+  counter.value = 3.0;
+  snap.entries.push_back(counter);
   const double bounds[] = {1.0, 10.0};
-  Histogram& h = registry.named_histogram("gh_err", bounds);
+  Histogram h{bounds};
   h.observe(0.5);
   h.observe(5.0);
   h.observe(50.0);
-  const std::string text = registry.snapshot().to_prometheus();
+  SnapshotEntry histogram;
+  histogram.name = "gh_err";
+  histogram.kind = MetricKind::kHistogram;
+  histogram.bounds = h.upper_bounds();
+  h.snapshot_into(histogram.buckets, histogram.count, histogram.sum);
+  snap.entries.push_back(histogram);
+  const std::string text = snap.to_prometheus();
   EXPECT_NE(text.find("# TYPE gh_epochs_total counter"), std::string::npos);
   EXPECT_NE(text.find("gh_epochs_total{case=\"A\"} 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE gh_err histogram"), std::string::npos);
@@ -216,9 +243,14 @@ TEST(Registry, PrometheusExport) {
 }
 
 TEST(Registry, JsonExport) {
-  MetricsRegistry registry;
-  registry.named_gauge("soc", {{"rack", "0"}}).set(0.25);
-  const std::string json = registry.snapshot().to_json();
+  MetricsSnapshot snap;
+  SnapshotEntry gauge;
+  gauge.name = "soc";
+  gauge.labels = {{"rack", "0"}};
+  gauge.kind = MetricKind::kGauge;
+  gauge.value = 0.25;
+  snap.entries.push_back(gauge);
+  const std::string json = snap.to_json();
   EXPECT_EQ(json,
             "{\"metrics\":[{\"name\":\"soc\",\"kind\":\"gauge\","
             "\"labels\":{\"rack\":\"0\"},\"value\":0.25}]}");
@@ -229,7 +261,7 @@ TEST(Registry, JsonExport) {
 
 TEST(Catalog, SortedUniqueAndWellFormed) {
   const std::span<const MetricDef> catalog = builtin_metrics();
-  ASSERT_EQ(catalog.size(), 38u);
+  ASSERT_EQ(catalog.size(), 34u);
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     SCOPED_TRACE(std::string(catalog[i].name));
     if (i > 0) {
@@ -241,8 +273,8 @@ TEST(Catalog, SortedUniqueAndWellFormed) {
     if (catalog[i].name.ends_with("_ns")) {
       EXPECT_TRUE(std::equal(catalog[i].bounds.begin(),
                              catalog[i].bounds.end(),
-                             latency_buckets_ns().begin(),
-                             latency_buckets_ns().end()));
+                             kLatencyBucketsNs.begin(),
+                             kLatencyBucketsNs.end()));
     }
     const std::set<std::string_view> values(catalog[i].label_values.begin(),
                                             catalog[i].label_values.end());
@@ -292,33 +324,26 @@ TEST(Catalog, LabelSetsMirrorTheirEnums) {
 
 TEST(Slots, FirstTouchRegistersOnlyTheTouchedSeries) {
   MetricsRegistry registry;
-  EXPECT_EQ(registry.series_count(), 0u);
+  EXPECT_TRUE(registry.snapshot().entries.empty());
   registry.counter("gh_epochs_total", PowerCase::kJointSupply).increment();
   registry.counter("gh_epochs_total", PowerCase::kJointSupply).increment();
   registry.histogram("gh_span_ns", SpanTag("plan").index()).observe(2'000.0);
-  EXPECT_EQ(registry.series_count(), 2u);
   const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.entries.size(), 2u);
   const SnapshotEntry* epochs =
       snap.find("gh_epochs_total", {{"case", "B(renewable+battery)"}});
   ASSERT_NE(epochs, nullptr);
   EXPECT_DOUBLE_EQ(epochs->value, 2.0);
-  // A slot and the string-keyed resolver name the same series.
-  EXPECT_EQ(&registry.counter("gh_epochs_total", PowerCase::kJointSupply),
-            &registry.named_counter("gh_epochs_total",
-                                    {{"case", "B(renewable+battery)"}}));
+  // Each label position is its own series.
+  EXPECT_NE(&registry.counter("gh_epochs_total", PowerCase::kJointSupply),
+            &registry.counter("gh_epochs_total", PowerCase::kBatteryOnly));
   const SnapshotEntry* plan = snap.find("gh_span_ns", {{"span", "plan"}});
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->bounds, std::vector<double>(latency_buckets_ns().begin(),
-                                              latency_buckets_ns().end()));
+  EXPECT_EQ(plan->bounds, std::vector<double>(kLatencyBucketsNs.begin(),
+                                              kLatencyBucketsNs.end()));
   // Label positions outside the closed set are refused.
   EXPECT_THROW(registry.counter("gh_epochs_total", 4), TelemetryError);
   EXPECT_THROW(registry.counter("gh_substeps_total", 1), TelemetryError);
-}
-
-TEST(Slots, SlotHonoursAnEarlierNamedRegistrationOfAnotherKind) {
-  MetricsRegistry registry;
-  registry.named_gauge("gh_substeps_total").set(1.0);
-  EXPECT_THROW(registry.counter("gh_substeps_total"), TelemetryError);
 }
 
 TEST(Slots, HandleTakenBeforeResetStillUpdatesTheExportedSeries) {
@@ -373,12 +398,73 @@ TEST(Slots, ConcurrentFirstTouchesResolveToOneSeries) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(registry.series_count(), 1u);
   const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.entries.size(), 1u);
   const SnapshotEntry* entry =
       snap.find("gh_epochs_total", {{"case", "C(battery)"}});
   ASSERT_NE(entry, nullptr);
   EXPECT_DOUBLE_EQ(entry->value, double{kThreads} * kIncrements);
+}
+
+TEST(Slots, SnapshotDuringUpdatesSeesEveryTouchedSeries) {
+  // Writers touch and update counters, gauges and histograms while the
+  // main thread snapshots: nothing locks the registry, so this is the
+  // case a data race would show in.
+  MetricsRegistry registry;
+  constexpr int kThreads = 3;
+  constexpr int kUpdates = 5'000;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry, t] {
+      for (int i = 0; i < kUpdates; ++i) {
+        registry.counter("gh_solver_calls_total", std::size_t(t))
+            .increment();
+        registry.gauge("gh_loss_w", std::size_t(t)).set(i);
+        registry.histogram("gh_span_ns", std::size_t(t)).observe(1e3 * i);
+      }
+    });
+  }
+  std::thread reader([&registry, &done] {
+    while (!done.load()) {
+      const MetricsSnapshot snap = registry.snapshot();
+      for (const SnapshotEntry& entry : snap.entries) {
+        if (entry.kind != MetricKind::kHistogram) continue;
+        std::uint64_t bucketed = 0;
+        for (std::uint64_t c : entry.buckets) bucketed += c;
+        EXPECT_EQ(bucketed, entry.count);  // a consistent histogram copy
+      }
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  done.store(true);
+  reader.join();
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.entries.size(), 3u * kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const SnapshotEntry* calls = snap.find(
+        "gh_solver_calls_total",
+        {{"backend", std::string(catalog::kSolverBackends[t])}});
+    ASSERT_NE(calls, nullptr);
+    EXPECT_DOUBLE_EQ(calls->value, kUpdates);
+  }
+}
+
+TEST(Slots, RestoreRefusesSeriesOutsideTheCatalog) {
+  SnapshotEntry unknown;
+  unknown.name = "gh_rack_grant_w";
+  unknown.labels = {{"rack", "0"}};
+  unknown.kind = MetricKind::kGauge;
+  EXPECT_THROW(restore_entry(unknown), checkpoint::CheckpointError);
+
+  SnapshotEntry wrong_label;
+  wrong_label.name = "gh_epochs_total";
+  wrong_label.labels = {{"case", "Z"}};
+  EXPECT_THROW(restore_entry(wrong_label), checkpoint::CheckpointError);
+  wrong_label.labels = {{"kase", "grid"}};
+  EXPECT_THROW(restore_entry(wrong_label), checkpoint::CheckpointError);
+  wrong_label.labels = {{"case", "grid"}};
+  EXPECT_NO_THROW(restore_entry(wrong_label));
 }
 
 // ---------------------------------------------------------------------------

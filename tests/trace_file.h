@@ -1,4 +1,4 @@
-// Shared helpers for tests that read a run's trace.
+// Shared helpers for tests that read a run's trace or compare its metrics.
 //
 // The streaming sink is the only way trace events leave a run, and a run
 // without one builds no events, so a test that inspects a trace points
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/trace_analyzer.h"
+#include "telemetry/metrics.h"
 #include "telemetry/stream_sink.h"
 #include "util/json.h"
 
@@ -87,6 +88,24 @@ inline std::size_t count_phase(const std::vector<json::Value>& events,
     if (event.string_or("phase", "") == phase) ++n;
   }
   return n;
+}
+
+/// Prometheus rendering of a snapshot minus its wall-clock series: the
+/// *_ns latency histograms, the *_per_sec throughput gauges and the
+/// streaming sink's queue depth, residency and stall series depend on
+/// machine timing, not on the simulation.  Everything else must match
+/// across thread counts, shard counts and resumes.
+inline std::string deterministic_prometheus(
+    const telemetry::MetricsSnapshot& snapshot) {
+  telemetry::MetricsSnapshot filtered;
+  for (const telemetry::SnapshotEntry& entry : snapshot.entries) {
+    if (entry.name.ends_with("_ns")) continue;
+    if (entry.name.ends_with("_per_sec")) continue;
+    if (entry.name.starts_with("gh_trace_queue_")) continue;
+    if (entry.name == "gh_trace_stalls_total") continue;
+    filtered.entries.push_back(entry);
+  }
+  return filtered.to_prometheus();
 }
 
 }  // namespace greenhetero::testtrace

@@ -83,6 +83,7 @@
 #include <ctime>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -247,8 +248,9 @@ auto resume_and_run(Runner& runner, const RunSetup& setup, Minutes duration) {
   }
 }
 
-/// Shared by simulate and fleet: the invariant counts, the output files and
-/// the exit code.  A stopped run dumps the flight recorders and exits 5.
+/// Shared by simulate and fleet: the invariant counts, the health
+/// transitions, the output files and the exit code.  A stopped run dumps the
+/// flight recorders and exits 5.
 template <typename Runner>
 int finish_run(Runner& runner, const Options& options, const RunSetup& setup,
                bool interrupted, std::size_t epochs) {
@@ -257,6 +259,7 @@ int finish_run(Runner& runner, const Options& options, const RunSetup& setup,
   unsigned long long substeps = 0;
   unsigned long long checked_epochs = 0;
   int dumps = 0;
+  std::map<std::string, double> transitions;  // by target state
   for_each_rack(runner, [&](const RackSimulator& rack) {
     if (const check::InvariantChecker* checker = rack.checker()) {
       checks += checker->checks_passed();
@@ -264,7 +267,24 @@ int finish_run(Runner& runner, const Options& options, const RunSetup& setup,
       checked_epochs += checker->epochs_checked();
     }
     dumps += rack.telemetry().flightrec().dumps();
+    for (const auto& e : rack.telemetry().metrics().snapshot().entries) {
+      if (e.name == "gh_health_transitions_total") {
+        transitions[e.labels.front().second] += e.value;
+      }
+    }
   });
+  // Each transition is a degrade/recover trace event and a counter; the
+  // controllers log them at debug level, so the run reports them once here.
+  if (!transitions.empty()) {
+    double total = 0.0;
+    std::string by_state;
+    for (const auto& [state, count] : transitions) {
+      total += count;
+      by_state += " " + state + "=" + telemetry::format_number(count);
+    }
+    std::fprintf(stderr, "health: %s transition(s) by target state:%s\n",
+                 telemetry::format_number(total).c_str(), by_state.c_str());
+  }
   if (options.flag("check")) {
     std::printf("  invariants:       %llu checks over %llu substeps / %llu "
                 "rack-epochs, all passed\n",
