@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "util/atomic_file.h"
+#include "util/logging.h"
 
 namespace greenhetero::checkpoint {
 
@@ -140,8 +141,11 @@ std::optional<Snapshot> load_latest(const std::filesystem::path& dir) {
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
     try {
       return load_snapshot(*it);
-    } catch (const CheckpointError&) {
-      // Torn or corrupt — fall back to the previous snapshot.
+    } catch (const CheckpointError& e) {
+      // Torn, corrupt or of another version: fall back to the previous
+      // snapshot, and say why this one was passed over.
+      GH_WARN << "checkpoint: skipping " << it->filename().string() << ": "
+              << e.what();
     }
   }
   return std::nullopt;

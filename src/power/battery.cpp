@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace greenhetero {
 
@@ -99,6 +100,17 @@ Watts Battery::drain_rate(Watts power) const {
   return power * factor;
 }
 
+Watts Battery::invert_drain_rate(Watts drain) const {
+  if (spec_.peukert_exponent <= 1.0 ||
+      drain.value() <= spec_.nominal_discharge_power.value()) {
+    return drain;
+  }
+  // drain = P^k / nominal^(k-1)  =>  P = (drain * nominal^(k-1))^(1/k).
+  const double k = spec_.peukert_exponent;
+  const double nominal = spec_.nominal_discharge_power.value();
+  return Watts{std::pow(drain.value() * std::pow(nominal, k - 1.0), 1.0 / k)};
+}
+
 bool Battery::at_floor() const {
   return stored_.value() <= spec_.floor_energy().value() + 1e-9;
 }
@@ -125,14 +137,48 @@ Watts Battery::bisect_max_discharge(Minutes dt) const {
       std::max(0.0, stored_.value() - spec_.floor_energy().value())};
   // The highest deliverable power P satisfies drain_rate(P) * dt <=
   // available; drain_rate is monotone in P, so bisect.
+  const auto fits = [&](double p) {
+    return (drain_rate(Watts{p}) * dt).value() <= available.value();
+  };
   double lo = 0.0;
   double hi = spec_.max_discharge_power.value();
-  if ((drain_rate(Watts{hi}) * dt).value() <= available.value()) {
+  if (fits(hi)) {
     return Watts{hi};
+  }
+  // Certified bracket: fits(a) holds and fits(b) fails, so by monotonicity
+  // every midpoint <= a fits and every midpoint >= b does not.  The
+  // bisection below takes the same 48 steps as an uncertified one and
+  // evaluates the predicate only strictly inside (a, b); without a tighter
+  // certificate the bracket stays [0, hi] (0 always fits) and every
+  // midpoint is evaluated.
+  double a = 0.0;
+  double b = hi;
+  const double guess = invert_drain_rate(available / dt).value();
+  if (spec_.peukert_exponent <= 1.0) {
+    // Linear pack: fits(p) is p * dt / 60 <= available, monotone at every
+    // ulp in IEEE arithmetic, so the bracket closes to adjacent doubles.
+    // Probe the closed-form root (the least normal double when nothing is
+    // available: its drain is already positive), then step one ulp towards
+    // the side still uncertain.
+    double probe = std::max(guess, std::numeric_limits<double>::min());
+    for (int i = 0; i < 6 && probe > a && probe < b; ++i) {
+      const bool fit = fits(probe);
+      (fit ? a : b) = probe;
+      probe = fit ? std::nextafter(a, b) : std::nextafter(b, a);
+    }
+  } else {
+    // Peukert pack: std::pow is accurate to about an ulp but not certified
+    // monotone at every ulp, so certify edges a relative 1e-9 off the
+    // root and keep a 1e-12 guard band inside them: a midpoint beyond the
+    // band differs from the certified edge by far more than pow's error.
+    const double lower = guess * (1.0 - 1e-9);
+    const double upper = guess * (1.0 + 1e-9);
+    if (lower > a && lower < b && fits(lower)) a = lower * (1.0 - 1e-12);
+    if (upper > a && upper < b && !fits(upper)) b = upper * (1.0 + 1e-12);
   }
   for (int i = 0; i < 48; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if ((drain_rate(Watts{mid}) * dt).value() <= available.value()) {
+    if (mid <= a || (mid < b && fits(mid))) {
       lo = mid;
     } else {
       hi = mid;

@@ -151,8 +151,13 @@ class Battery {
   }
 
  private:
-  /// The uncached max_discharge(): bisection on the monotone drain rate.
+  /// The uncached max_discharge(): bisection on the monotone drain rate,
+  /// with the predicate skipped outside a certified bracket around the
+  /// closed-form root.
   [[nodiscard]] Watts bisect_max_discharge(Minutes dt) const;
+  /// Closed-form inverse of drain_rate: the power whose drain rate is
+  /// `drain` (exact in real arithmetic, within a few ulps in doubles).
+  [[nodiscard]] Watts invert_drain_rate(Watts drain) const;
 
   BatterySpec spec_;
   WattHours stored_;

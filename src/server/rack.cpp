@@ -37,6 +37,7 @@ Rack::Rack(std::vector<ServerGroup> groups, std::vector<Workload> workloads,
     }
   }
   group_offsets_.push_back(servers_.size());
+  refresh_demand();
 }
 
 const ServerGroup& Rack::group(std::size_t i) const {
@@ -84,28 +85,21 @@ void Rack::set_group_workload(std::size_t i, Workload workload) {
   for (ServerSim& server : group_servers(i)) {
     server.set_curve(curve);
   }
+  refresh_demand();
 }
 
 const PerfCurve& Rack::group_curve(std::size_t i) const {
   return group_representative(i).curve();
 }
 
-Watts Rack::peak_demand() const {
-  Watts total{0.0};
+void Rack::refresh_demand() {
+  peak_demand_ = Watts{0.0};
+  idle_demand_ = Watts{0.0};
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    total += group_curve(i).peak_power() *
-             static_cast<double>(groups_[i].count);
+    const double count = static_cast<double>(groups_[i].count);
+    peak_demand_ += group_curve(i).peak_power() * count;
+    idle_demand_ += group_curve(i).idle_power() * count;
   }
-  return total;
-}
-
-Watts Rack::idle_demand() const {
-  Watts total{0.0};
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    total += group_curve(i).idle_power() *
-             static_cast<double>(groups_[i].count);
-  }
-  return total;
 }
 
 void Rack::enforce_allocation(std::span<const Watts> group_power) {

@@ -73,9 +73,9 @@ class Rack {
   [[nodiscard]] const PerfCurve& group_curve(std::size_t i) const;
 
   /// Aggregate full-tilt demand of the whole rack.
-  [[nodiscard]] Watts peak_demand() const;
+  [[nodiscard]] Watts peak_demand() const { return peak_demand_; }
   /// Aggregate minimum-operate demand (every server at its lowest state).
-  [[nodiscard]] Watts idle_demand() const;
+  [[nodiscard]] Watts idle_demand() const { return idle_demand_; }
 
   /// Enforce a per-group total power budget (group i receives
   /// group_power[i], split evenly across its servers).  Size must equal
@@ -132,12 +132,17 @@ class Rack {
  private:
   [[nodiscard]] std::span<ServerSim> group_servers(std::size_t i);
   [[nodiscard]] std::span<const ServerSim> group_servers(std::size_t i) const;
+  /// Re-sum peak_demand_ and idle_demand_ over the groups' curves (run
+  /// whenever a group's workload moves).
+  void refresh_demand();
 
   std::vector<ServerGroup> groups_;
   std::vector<Workload> workloads_;  ///< one per group
   const WorkloadCatalog* catalog_;
   std::vector<ServerSim> servers_;       // grouped contiguously
   std::vector<std::size_t> group_offsets_;
+  Watts peak_demand_{0.0};
+  Watts idle_demand_{0.0};
 };
 
 }  // namespace greenhetero

@@ -1,6 +1,8 @@
 #include "server/server_sim.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 namespace greenhetero {
 
@@ -13,61 +15,92 @@ DvfsLadder make_ladder(const ServerSpec& spec, const PerfCurve& curve) {
 }  // namespace
 
 ServerSim::ServerSim(const ServerSpec& spec, PerfCurve curve)
-    : spec_(spec), curve_(curve), ladder_(make_ladder(spec, curve)) {}
+    : spec_(spec), curve_(curve), ladder_(make_ladder(spec, curve)) {
+  refresh_operating_point();
+}
 
 void ServerSim::set_curve(PerfCurve curve) {
   curve_ = curve;
   ladder_ = make_ladder(spec_, curve_);
   state_ = DvfsLadder::kOffState;
+  refresh_operating_point();
 }
 
 int ServerSim::enforce_budget(Watts budget) {
   if (!online_) {
-    state_ = DvfsLadder::kOffState;
+    move_to(DvfsLadder::kOffState);
   } else if (stuck_) {
-    state_ = *stuck_;
+    move_to(*stuck_);
   } else {
-    state_ = ladder_.state_for_budget(budget + actuation_offset_);
+    move_to(ladder_.state_for_budget(budget + actuation_offset_));
   }
   return state_;
 }
 
 void ServerSim::run_full_speed() {
   if (!online_) {
-    state_ = DvfsLadder::kOffState;
+    move_to(DvfsLadder::kOffState);
   } else if (stuck_) {
-    state_ = *stuck_;
+    move_to(*stuck_);
   } else {
-    state_ = ladder_.operating_states();
+    move_to(ladder_.operating_states());
   }
 }
 
-void ServerSim::power_off() { state_ = DvfsLadder::kOffState; }
+void ServerSim::power_off() { move_to(DvfsLadder::kOffState); }
 
 void ServerSim::set_online(bool online) {
   online_ = online;
-  if (!online_) state_ = DvfsLadder::kOffState;
+  if (!online_) move_to(DvfsLadder::kOffState);
 }
 
 void ServerSim::set_stuck_state(std::optional<int> state) {
   if (state) {
     stuck_ = std::clamp(*state, 0, ladder_.operating_states());
-    if (online_) state_ = *stuck_;
+    if (online_) move_to(*stuck_);
   } else {
     stuck_.reset();
   }
 }
 
-Watts ServerSim::draw() const { return ladder_.state_power(state_); }
+void ServerSim::move_to(int state) {
+  // RAPL re-enforces every server on every substep, mostly onto the state
+  // it already holds: the cached operating point still stands then.
+  if (state == state_) return;
+  state_ = state;
+  refresh_operating_point();
+}
 
-double ServerSim::throughput() const {
-  if (state_ == DvfsLadder::kOffState) return 0.0;
-  return curve_.throughput_at(draw());
+void ServerSim::refresh_operating_point() {
+  draw_ = ladder_.state_power(state_);
+  throughput_.reset();
 }
 
 void ServerSim::accumulate(Minutes dt) {
   energy_ += draw() * dt;
   work_ += throughput() * dt.value() / 60.0;
+}
+
+void ServerSim::load_state(checkpoint::Reader& r) {
+  const auto in_ladder = [&](std::int64_t state, const char* field) {
+    if (state < 0 || state > ladder_.operating_states()) {
+      throw checkpoint::CheckpointError(
+          std::string("server: ") + field + " " + std::to_string(state) +
+          " outside the ladder [0, " +
+          std::to_string(ladder_.operating_states()) + "]");
+    }
+    return static_cast<int>(state);
+  };
+  state_ = in_ladder(r.i64(), "state");
+  online_ = r.boolean();
+  const bool has_stuck = r.boolean();
+  const std::int64_t stuck = r.i64();
+  stuck_ = has_stuck ? std::optional<int>(in_ladder(stuck, "stuck state"))
+                     : std::nullopt;
+  actuation_offset_ = Watts{r.f64()};
+  energy_ = WattHours{r.f64()};
+  work_ = r.f64();
+  refresh_operating_point();
 }
 
 }  // namespace greenhetero

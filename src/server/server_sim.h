@@ -60,9 +60,15 @@ class ServerSim {
 
   [[nodiscard]] int state() const { return state_; }
   /// Wall power currently drawn.
-  [[nodiscard]] Watts draw() const;
+  [[nodiscard]] Watts draw() const { return draw_; }
   /// Throughput currently produced (metric units / s).
-  [[nodiscard]] double throughput() const;
+  [[nodiscard]] double throughput() const {
+    if (!throughput_) {
+      throughput_ =
+          state_ == DvfsLadder::kOffState ? 0.0 : curve_.throughput_at(draw_);
+    }
+    return *throughput_;
+  }
 
   /// Integrate the current operating point over `dt`.
   void accumulate(Minutes dt);
@@ -83,18 +89,19 @@ class ServerSim {
     w.f64(energy_.value());
     w.f64(work_);
   }
-  void load_state(checkpoint::Reader& r) {
-    state_ = static_cast<int>(r.i64());
-    online_ = r.boolean();
-    const bool has_stuck = r.boolean();
-    const int stuck = static_cast<int>(r.i64());
-    stuck_ = has_stuck ? std::optional<int>(stuck) : std::nullopt;
-    actuation_offset_ = Watts{r.f64()};
-    energy_ = WattHours{r.f64()};
-    work_ = r.f64();
-  }
+  /// Throws CheckpointError naming the field when the state or the stuck
+  /// state lies outside the ladder.
+  void load_state(checkpoint::Reader& r);
 
  private:
+  /// Re-derive the cached operating point after `state_`, `curve_` or
+  /// `ladder_` moved.  The draw is refreshed at once; the throughput (a
+  /// `pow`) waits for its first read, since pretraining re-enforces every
+  /// server at each sweep point but reads one per group.
+  void refresh_operating_point();
+  /// Enter `state`, refreshing the operating point only if it moved.
+  void move_to(int state);
+
   ServerSpec spec_;
   PerfCurve curve_;
   DvfsLadder ladder_;
@@ -104,6 +111,12 @@ class ServerSim {
   Watts actuation_offset_{0.0};
   WattHours energy_{0.0};
   double work_ = 0.0;
+  // The operating point of `state_`: bitwise ladder_.state_power(state_)
+  // and curve_.throughput_at(draw_).  Thread contract as for the battery's
+  // max_discharge memo: the lazy throughput makes a const read write, so
+  // one thread drives a server at a time.
+  Watts draw_{0.0};
+  mutable std::optional<double> throughput_;
 };
 
 }  // namespace greenhetero

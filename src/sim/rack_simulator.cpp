@@ -598,10 +598,11 @@ void RackSimulator::run_training_epoch(const EpochPlan& plan,
   {
     GH_SPAN("substeps");
     const auto substeps = clock_.substeps_per_epoch();
+    // Every substep rewrites each group's budget before using it.
+    std::vector<Watts> budgets(rack_.group_count());
     for (std::size_t s = 0; s < substeps; ++s) {
       const double elapsed =
           static_cast<double>(s) * clock_.substep_length().value();
-      std::vector<Watts> budgets(rack_.group_count());
       const bool in_training = elapsed < cc.training_duration.value();
       const auto sample_idx = std::min(
           sweep.size() - 1,

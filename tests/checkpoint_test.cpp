@@ -16,6 +16,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "checkpoint/serializer.h"
@@ -29,6 +30,7 @@
 #include "sim/epoch_store.h"
 #include "sim/rack_simulator.h"
 #include "trace/solar.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace greenhetero {
@@ -384,6 +386,40 @@ TEST(Checkpoint, LoadersRejectOutOfRangeEnums) {
   }
 }
 
+TEST(Checkpoint, ServerLoaderRejectsStatesOutsideTheLadder) {
+  // A checksummed rack snapshot whose server state (or latched stuck
+  // state) lies outside the DVFS ladder: the loader must refuse it by
+  // field, not leave a state the first draw() would trip over mid-run.
+  for (const auto& [state, stuck, field] :
+       {std::tuple{99, 0, "server: state 99"},
+        std::tuple{-1, 0, "server: state -1"},
+        std::tuple{1, 99, "server: stuck state 99"}}) {
+    SCOPED_TRACE(field);
+    Rack rack{{{ServerModel::kXeonE5_2620, 2}}, Workload::kSpecJbb};
+    checkpoint::Writer w;
+    w.seq(1);  // groups
+    w.i64(static_cast<std::int64_t>(Workload::kSpecJbb));
+    w.seq(2);  // servers
+    for (int s = 0; s < 2; ++s) {
+      w.i64(s == 0 ? state : 1);
+      w.boolean(true);  // online
+      w.boolean(s == 0 && stuck != 0);
+      w.i64(s == 0 ? stuck : 0);
+      w.f64(0.0);  // actuation offset
+      w.f64(0.0);  // energy
+      w.f64(0.0);  // work
+    }
+    checkpoint::Reader r(w.buffer());
+    try {
+      rack.load_state(r);
+      ADD_FAILURE() << "out-of-range server state accepted";
+    } catch (const checkpoint::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Checkpoint, FaultInjectorResumesDeliveryCursor) {
   const FaultPlan plan = make_random_plan(5, Minutes{24.0 * 60.0}, 4);
   ASSERT_GT(plan.size(), 0u);
@@ -556,6 +592,30 @@ TEST(Snapshot, LoadLatestSkipsCorruptAndPicksNewestValid) {
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->epoch_index, 10u);
   EXPECT_EQ(latest->payload, "older");
+}
+
+TEST(Snapshot, LoadLatestWarnsWhyEachSnapshotWasSkipped) {
+  // A directory holding only a snapshot of another layout version: resume
+  // starts fresh, and the log says which file was passed over and why.
+  ScratchDir scratch;
+  checkpoint::write_snapshot(scratch.path(), 12, 1, "payload", 0);
+  const auto files = checkpoint::list_snapshots(scratch.path());
+  ASSERT_EQ(files.size(), 1u);
+  std::string previous = read_file(files[0]);
+  previous[8] = static_cast<char>(checkpoint::kSnapshotVersion - 1);
+  write_file(files[0], previous);
+
+  ScopedLogCapture capture(LogLevel::kWarn);
+  EXPECT_FALSE(checkpoint::load_latest(scratch.path()).has_value());
+  ASSERT_EQ(capture.entries().size(), 1u);
+  const ScopedLogCapture::Entry& warning = capture.entries().front();
+  EXPECT_EQ(warning.level, LogLevel::kWarn);
+  EXPECT_NE(warning.message.find(files[0].filename().string()),
+            std::string::npos)
+      << warning.message;
+  EXPECT_NE(warning.message.find("unsupported checkpoint version"),
+            std::string::npos)
+      << warning.message;
 }
 
 TEST(Snapshot, RefusesMetricsSeriesOutsideTheCatalog) {

@@ -400,6 +400,37 @@ TEST(BatteryMemo, MaxDischargeMatchesBisectionBitwise) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+  // The bracket's edge states, on every chemistry and on a pack that may
+  // not discharge at all: stored exactly at the floor and a few ulps
+  // above it, nothing available at the longest dt, and dts far outside the
+  // substep range.
+  for (BatterySpec spec : specs) {
+    for (const double max_power : {spec.max_discharge_power.value(), 0.0}) {
+      spec.max_discharge_power = Watts{max_power};
+      const double floor = spec.floor_energy().value();
+      const double stored_values[] = {floor,
+                                      std::nextafter(floor, 1e300),
+                                      floor + 1e-9,
+                                      floor + 1e-3,
+                                      floor + 0.5,
+                                      floor + 250.0,
+                                      spec.capacity.value()};
+      for (const double stored : stored_values) {
+        checkpoint::Writer w;
+        w.f64(stored);
+        w.f64(0.0);  // fault derate
+        w.f64(0.0);  // discharged
+        w.f64(0.0);  // charged input
+        Battery b{spec};
+        checkpoint::Reader r{w.buffer()};
+        b.load_state(r);
+        for (const double dt : {1e-6, 0.25, 1.0, 15.0, 60.0, 1e4}) {
+          audit.expect_matches(b, Minutes{dt});
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
   EXPECT_GT(audit.compared, 100000);
   // The floor region, where the bisection runs, must be well covered.
   EXPECT_GT(audit.energy_limited, audit.compared / 10);

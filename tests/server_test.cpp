@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+#include <string>
+
 #include "server/dvfs.h"
 #include "server/perf_curve.h"
 #include "server/server_sim.h"
 #include "server/server_spec.h"
+#include "util/rng.h"
 
 namespace greenhetero {
 namespace {
@@ -192,6 +197,94 @@ TEST(ServerSim, SetCurveRebuildsLadder) {
   EXPECT_EQ(server.state(), DvfsLadder::kOffState);
   server.run_full_speed();
   EXPECT_DOUBLE_EQ(server.draw().value(), 80.0);
+}
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+/// The cached operating point must be bitwise what the ladder and the curve
+/// give for the current state, whatever mutator moved it last.
+void expect_operating_point_fresh(const ServerSim& server,
+                                  const std::string& after) {
+  const double want_draw = server.ladder().state_power(server.state()).value();
+  const double want_throughput =
+      server.state() == DvfsLadder::kOffState
+          ? 0.0
+          : server.curve().throughput_at(Watts{want_draw});
+  EXPECT_TRUE(same_bits(server.draw().value(), want_draw))
+      << "draw after " << after << ": " << server.draw().value() << " vs "
+      << want_draw;
+  EXPECT_TRUE(same_bits(server.throughput(), want_throughput))
+      << "throughput after " << after << ": " << server.throughput()
+      << " vs " << want_throughput;
+}
+
+TEST(ServerSim, CachedOperatingPointMatchesLadderAndCurveBitwise) {
+  PerfCurveParams alt = test_params();
+  alt.idle_power = Watts{35.0};
+  alt.peak_power = Watts{95.0};
+  alt.gamma = 0.55;
+  const PerfCurve curves[] = {PerfCurve{test_params()}, PerfCurve{alt}};
+  ServerSim server{server_spec(ServerModel::kCoreI5_4460), curves[0]};
+  expect_operating_point_fresh(server, "construction");
+  Rng rng{2024};
+  for (int step = 0; step < 4000; ++step) {
+    std::string op;
+    switch (rng.uniform_int(0, 8)) {
+      case 0:
+      case 1:
+        op = "enforce_budget";
+        server.enforce_budget(Watts{rng.uniform(0.0, 180.0)});
+        break;
+      case 2:
+        op = "run_full_speed";
+        server.run_full_speed();
+        break;
+      case 3:
+        op = "power_off";
+        server.power_off();
+        break;
+      case 4:
+        op = "set_online";
+        server.set_online(rng.bernoulli(0.6));
+        break;
+      case 5:
+        op = "set_stuck_state";
+        server.set_stuck_state(
+            rng.bernoulli(0.5) ? std::optional<int>(rng.uniform_int(-2, 20))
+                               : std::nullopt);
+        break;
+      case 6:
+        op = "set_actuation_offset + enforce_budget";
+        server.set_actuation_offset(Watts{rng.uniform(-20.0, 20.0)});
+        server.enforce_budget(Watts{rng.uniform(0.0, 180.0)});
+        break;
+      case 7:
+        op = "set_curve";
+        server.set_curve(curves[rng.uniform_int(0, 1)]);
+        break;
+      case 8: {
+        op = "save_state/load_state";
+        checkpoint::Writer w;
+        server.save_state(w);
+        // Restore into a server whose cache holds another operating point.
+        ServerSim restored{server.spec(), server.curve()};
+        restored.run_full_speed();
+        (void)restored.throughput();
+        checkpoint::Reader r{w.buffer()};
+        restored.load_state(r);
+        server = restored;
+        break;
+      }
+    }
+    // Skip some reads so a stale lazy throughput would survive into the
+    // next mutation.
+    if (rng.bernoulli(0.7)) {
+      expect_operating_point_fresh(server, op);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace
