@@ -1,6 +1,6 @@
 // Ablation A1 (google-benchmark): the exact KKT Solver against exhaustive
 // grids at several granularities, timed on representative 2-, 3- and
-// 5-group problems.
+// 5-group problems, plus the subset-activation search on 5/5/4 servers.
 //
 // A custom main runs the google-benchmark suite and then re-times the key
 // entry points with a plain steady_clock loop to emit the machine-readable
@@ -49,6 +49,23 @@ void BM_SolveThreeGroups(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveThreeGroups)->Arg(900)->Arg(1500);
+
+/// The three-group fits with 5/5/4 servers: 179 active-count vectors for
+/// the subset-activation search.
+std::vector<GroupModel> three_groups_554() {
+  auto groups = three_groups();
+  groups[2].count = 4;
+  return groups;
+}
+
+void BM_SolveSubsetThreeGroups(benchmark::State& state) {
+  const auto groups = three_groups_554();
+  const Watts supply{static_cast<double>(state.range(0))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Solver::solve_subset(groups, supply));
+  }
+}
+BENCHMARK(BM_SolveSubsetThreeGroups)->Arg(400)->Arg(900)->Arg(1500);
 
 std::vector<GroupModel> five_groups() {
   auto groups = three_groups();
@@ -123,6 +140,10 @@ int main(int argc, char** argv) {
              }));
   report.set("solve_5groups_ns", time_ns_per_op([&] {
                return Solver::solve(g5, Watts{2000.0});
+             }));
+  const auto g554 = three_groups_554();
+  report.set("solve_subset_3groups_ns", time_ns_per_op([&] {
+               return Solver::solve_subset(g554, Watts{900.0});
              }));
   report.set("solve_grid_10pct_ns", time_ns_per_op([&] {
                return Solver::solve_grid(g2, Watts{900.0}, 0.10);

@@ -139,12 +139,19 @@ RackSimulator make_rack_sim(const FuzzScenario& scenario, int rack_index) {
   }
 
   if (scenario.solver) {
-    // Solver-focused mode: force a solver-driven policy (alternating the
-    // two solver-driven kinds across racks) so every rack runs the Solver.
-    // The override consumes no RNG draws, so the rest of the derivation
-    // stays identical to the non-solver scenario with the same coordinates.
-    cfg.controller.policy = rack_index % 2 == 0 ? PolicyKind::kGreenHetero
-                                                : PolicyKind::kGreenHeteroA;
+    // Solver-focused mode: force a solver-driven policy (rotating the three
+    // solver-driven kinds across racks) so every rack runs the Solver.  A
+    // RAPL rack keeps GreenHetero: the simulator rejects RAPL enforcement
+    // under subset activation.  The override consumes no RNG draws, so the
+    // rest of the derivation stays identical to the non-solver scenario
+    // with the same coordinates.
+    constexpr std::array<PolicyKind, 3> kSolverPolicies = {
+        PolicyKind::kGreenHetero, PolicyKind::kGreenHeteroA,
+        PolicyKind::kGreenHeteroS};
+    cfg.controller.policy =
+        cfg.rapl_enforcement
+            ? PolicyKind::kGreenHetero
+            : kSolverPolicies[static_cast<std::size_t>(rack_index % 3)];
   }
 
   const Watts capacity{rack_rng.uniform(600.0, 3000.0)};
@@ -474,7 +481,17 @@ FuzzReport run_fuzzer(const FuzzOptions& options) {
       for (int r = 0; r < scenario.racks; ++r) {
         *options.log << (r > 0 ? "/" : "") << draw_pack(scenario, r).name;
       }
-      *options.log << (scenario.solver ? ", solver mode" : "") << ")\n";
+      if (scenario.solver) {
+        *options.log << ", solver mode, policies=";
+        for (int r = 0; r < scenario.racks; ++r) {
+          *options.log << (r > 0 ? "/" : "")
+                       << to_string(make_rack_sim(scenario, r)
+                                        .controller()
+                                        .config()
+                                        .policy);
+        }
+      }
+      *options.log << ")\n";
     }
     ++report.runs_executed;
     const std::optional<std::string> failure =

@@ -148,6 +148,41 @@ std::string structural_complaint(const Allocation& a, std::size_t expected) {
   return "";
 }
 
+/// The subset problem by definition: every active-count vector in
+/// lexicographic order (group 0 most significant), each solved by
+/// Solver::solve over the groups it wakes with count = k_g; the first
+/// strict improvement on the all-zero vector's 0 wins, and a group its
+/// solve leaves unpowered reports 0 active servers.
+Allocation subset_by_enumeration(std::span<const GroupModel> groups,
+                                 Watts supply) {
+  const std::size_t n = groups.size();
+  Allocation best{std::vector<double>(n, 0.0), 0.0, std::vector<int>(n, 0)};
+  std::vector<int> k(n, 0);
+  while (true) {
+    // Next vector: an odometer whose last group turns fastest.
+    std::size_t g = n;
+    while (g > 0 && k[g - 1] == groups[g - 1].count) k[--g] = 0;
+    if (g == 0) return best;
+    ++k[g - 1];
+    std::vector<GroupModel> awake;
+    std::vector<std::size_t> index;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (k[i] == 0) continue;
+      awake.push_back(groups[i]);
+      awake.back().count = k[i];
+      index.push_back(i);
+    }
+    const Allocation a = Solver::solve(awake, supply);
+    if (!(a.predicted_perf > best.predicted_perf)) continue;
+    best = Allocation{std::vector<double>(n, 0.0), a.predicted_perf,
+                      std::vector<int>(n, 0)};
+    for (std::size_t j = 0; j < index.size(); ++j) {
+      best.ratios[index[j]] = a.ratios[j];
+      best.active_counts[index[j]] = a.ratios[j] > 0.0 ? k[index[j]] : 0;
+    }
+  }
+}
+
 }  // namespace
 
 OracleReport run_oracle(std::uint64_t seed, int runs,
@@ -205,21 +240,22 @@ OracleReport run_oracle(std::uint64_t seed, int runs,
       continue;
     }
 
-    if (!solve_fn) {
-      // (d) subset-activation variant: waking every server is always one of
-      // its options, so it must dominate the whole-group optimum.  It only
-      // supports up to 3 groups.
-      if (groups.size() <= 3) try {
+    if (!solve_fn && groups.size() <= Solver::kMaxSubsetGroups) {
+      // (d) subset-activation variant: its pruned search must return
+      // exactly what the plain count-vector enumeration returns.
+      try {
         const Allocation subset = Solver::solve_subset(groups, supply);
+        const Allocation naive = subset_by_enumeration(groups, supply);
         const std::string subset_complaint =
             structural_complaint(subset, groups.size());
         if (!subset_complaint.empty()) {
           disagree("subset solution invalid: " + subset_complaint,
-                   subset.predicted_perf, reference.perf);
-        } else if (subset.predicted_perf <
-                   reference.perf - tolerance(config, reference.perf)) {
-          disagree("subset solver fell below the brute-force grid optimum",
-                   subset.predicted_perf, reference.perf);
+                   subset.predicted_perf, naive.predicted_perf);
+        } else if (subset.ratios != naive.ratios ||
+                   subset.predicted_perf != naive.predicted_perf ||
+                   subset.active_counts != naive.active_counts) {
+          disagree("subset solver differs from the count-vector enumeration",
+                   subset.predicted_perf, naive.predicted_perf);
         }
       } catch (const std::exception& e) {
         disagree(std::string("subset solver rejected a valid instance: ") +

@@ -12,10 +12,11 @@
 //
 // run_oracle() is the differential harness: randomized GroupModel sets —
 // deliberately including degenerate fits (curvature l ~ 0, inverted/convex
-// curvature, idle ~ peak) — are solved by Solver::solve and the
-// subset-activation variant and compared against the oracle; the reference
-// EPU accumulator is cross-checked against EpuMeter over random step
-// sequences in the same pass.
+// curvature, idle ~ peak) — are solved by Solver::solve and compared
+// against the oracle, and the subset-activation variant is compared with a
+// plain enumeration of its active-count vectors; the reference EPU
+// accumulator is cross-checked against EpuMeter over random step sequences
+// in the same pass.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,9 @@ struct OracleConfig {
   double rel_tolerance = 0.02;
   /// Absolute slack in objective units (dominates near-zero objectives).
   double abs_tolerance = 1.0;
-  /// Group sets per run (each also gets a subset-solver and an EPU check).
+  /// Largest group count drawn per instance (each instance also gets an
+  /// EPU check, and one of up to Solver::kMaxSubsetGroups groups a subset
+  /// check).
   int max_groups = 3;
 };
 
@@ -111,8 +114,10 @@ using SolveFn =
 /// fast solver's claimed objective and the oracle's independent evaluation
 /// of its ratios to near machine precision (1e-6 relative), (c) the fast
 /// solver not falling below the brute-force grid optimum, (d) the
-/// subset-activation solver dominating the whole-group optimum, and (e)
-/// EpuMeter matching the reference accumulator.
+/// subset-activation solver returning bit for bit what a lexicographic
+/// enumeration of every active-count vector through Solver::solve returns
+/// (instances up to Solver::kMaxSubsetGroups groups), and (e) EpuMeter
+/// matching the reference accumulator.
 [[nodiscard]] OracleReport run_oracle(std::uint64_t seed, int runs,
                                       const OracleConfig& config = {},
                                       const SolveFn& solve_fn = {});

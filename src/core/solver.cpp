@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "telemetry/telemetry.h"
-#include "util/optimize.h"
 
 namespace greenhetero {
 
@@ -74,8 +73,12 @@ void validate_group(const GroupModel& g, std::size_t index) {
 /// Active-set sweep budget: 2^16 subsets is the exhaustive-search cap.
 constexpr std::size_t kMaxAnalyticGroups = 16;
 
+/// solve_subset's search-space cap: 2^20 active-count vectors (four groups
+/// of 31 servers).  A larger rack is refused rather than enumerated.
+constexpr std::size_t kMaxCountVectors = std::size_t{1} << 20;
+
 void validate_inputs(std::span<const GroupModel> groups, Watts total_supply,
-                     std::size_t max_groups = 3) {
+                     std::size_t max_groups) {
   if (groups.empty() || groups.size() > max_groups) {
     throw SolverError("solver: group count out of range");
   }
@@ -85,16 +88,6 @@ void validate_inputs(std::span<const GroupModel> groups, Watts total_supply,
   for (std::size_t i = 0; i < groups.size(); ++i) {
     validate_group(groups[i], i);
   }
-}
-
-/// Ratio giving group `g` exactly `per_server` watts per server.
-double ratio_for(const GroupModel& g, Watts per_server, Watts total) {
-  return per_server.value() * static_cast<double>(g.count) / total.value();
-}
-
-/// Highest ratio worth giving to a group (beyond it, watts buy nothing).
-double cap_ratio(const GroupModel& g, Watts total) {
-  return std::min(1.0, ratio_for(g, g.saturation_power(), total));
 }
 
 /// Per-group performance when it receives `ratio` of the supply.
@@ -187,120 +180,6 @@ void sanitize_allocation(std::span<const GroupModel> groups, Watts total,
 }
 
 }  // namespace
-
-double Solver::best_subset_perf(const GroupModel& group, Watts group_budget,
-                                int* active_out) {
-  if (group.count <= 0) {
-    throw SolverError("subset solver: count must be positive");
-  }
-  double best = 0.0;
-  int best_k = 0;
-  // Tolerance for a candidate count that lands a hair below the idle floor:
-  // k * min_power divided back by k can dip one ULP under min_power, and
-  // perf_at's off-below-idle cliff would zero a feasible activation.  The
-  // snap window matches the invariant checker's power tolerance (1e-6 W),
-  // so enforcement accepts the snapped plan.  (The saturation boundary has
-  // no cliff — perf_at is flat there — so only the floor needs the snap.)
-  constexpr double kFloorSnapW = 1e-6;
-  for (int k = 1; k <= group.count; ++k) {
-    Watts per_server = group_budget / static_cast<double>(k);
-    if (per_server.value() < group.min_power.value() &&
-        group.min_power.value() - per_server.value() <= kFloorSnapW) {
-      per_server = group.min_power;
-    }
-    const double perf = static_cast<double>(k) * group.perf_at(per_server);
-    if (perf > best) {
-      best = perf;
-      best_k = k;
-    }
-  }
-  if (active_out != nullptr) {
-    *active_out = best_k;
-  }
-  return best;
-}
-
-Allocation Solver::solve_subset(std::span<const GroupModel> groups,
-                                Watts total_supply) {
-  validate_inputs(groups, total_supply);
-  const Watts total = total_supply;
-  std::uint64_t evals = 0;
-  const auto subset_perf = [&](std::size_t g, double ratio) {
-    ++evals;
-    return best_subset_perf(groups[g], total * std::max(0.0, ratio));
-  };
-
-  Allocation best;
-  best.predicted_perf = -1.0;
-  const auto consider = [&](std::vector<double> ratios) {
-    double perf = 0.0;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      perf += subset_perf(g, ratios[g]);
-    }
-    if (perf > best.predicted_perf) {
-      best = Allocation{std::move(ratios), perf, {}};
-    }
-  };
-
-  if (groups.size() == 1) {
-    consider({std::min(1.0, cap_ratio(groups[0], total))});
-  } else if (groups.size() == 2) {
-    const auto objective = [&](double r0) {
-      return subset_perf(0, r0) + subset_perf(1, 1.0 - r0);
-    };
-    ScalarOptimum opt = grid_refine_maximize(objective, 0.0, 1.0, 200);
-    // Kinks now exist at every per-server activation boundary of both
-    // groups (k servers at min or saturation power).
-    auto consider_r0 = [&](double r0) {
-      r0 = std::clamp(r0, 0.0, 1.0);
-      const double value = objective(r0);
-      if (value > opt.value) opt = ScalarOptimum{r0, value};
-    };
-    for (std::size_t g = 0; g < 2; ++g) {
-      for (int k = 1; k <= groups[g].count; ++k) {
-        for (const Watts p : {groups[g].min_power,
-                              groups[g].saturation_power()}) {
-          const double r = p.value() * k / total.value();
-          consider_r0(g == 0 ? r : 1.0 - r);
-        }
-      }
-    }
-    consider({opt.x, 1.0 - opt.x});
-  } else {
-    const auto objective = [&](double r0, double r1) {
-      const double r2 = std::max(0.0, 1.0 - r0 - r1);
-      return subset_perf(0, r0) + subset_perf(1, r1) + subset_perf(2, r2);
-    };
-    const PlanarOptimum opt =
-        grid_refine_maximize_2d(objective, 0.0, 1.0, 0.0, 1.0, 1.0, 64, 5);
-    consider({opt.x, opt.y, std::max(0.0, 1.0 - opt.x - opt.y)});
-  }
-
-  // Derive the activation counts and trim each ratio to what its subset can
-  // actually use (the surplus goes to battery charging).
-  best.active_counts.assign(groups.size(), 0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    int k = 0;
-    (void)best_subset_perf(groups[g], total * best.ratios[g], &k);
-    best.active_counts[g] = k;
-    if (k > 0) {
-      const double usable =
-          groups[g].saturation_power().value() * k / total.value();
-      best.ratios[g] = std::min(best.ratios[g], usable);
-    } else {
-      best.ratios[g] = 0.0;
-    }
-  }
-  best.predicted_perf = 0.0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    best.predicted_perf += subset_perf(g, best.ratios[g]);
-  }
-  // Subset performance is computed against activation counts, so a repair
-  // must not overwrite it with the whole-group estimate.
-  sanitize_allocation(groups, total_supply, /*recompute_perf=*/false, best);
-  report_solve(Backend::kSubset, groups, total_supply, best, evals);
-  return best;
-}
 
 Allocation Solver::solve_grid(std::span<const GroupModel> groups,
                               Watts total_supply, double granularity) {
@@ -803,8 +682,9 @@ double solve_mask(std::span<const AnalyticGroup> gs,
 }
 
 /// Solve one validated instance; `evals` counts candidate evaluations.
-Allocation analytic_solve(std::span<const RawGroup> raw, double P,
-                          std::uint64_t& evals) {
+/// The winner's ratios are indexed like `raw`.
+BestCandidate analytic_solve(std::span<const RawGroup> raw, double P,
+                             std::uint64_t& evals) {
   std::array<AnalyticGroup, kMaxAnalyticGroups> useful;
   std::size_t m = 0;
   for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -976,9 +856,28 @@ Allocation analytic_solve(std::span<const RawGroup> raw, double P,
   // best.value was computed by assemble_candidate through the exact ratio
   // round-trip evaluate() performs (excluded groups contribute an exact
   // 0.0), so it already *is* the validated objective.
-  return Allocation{{best.ratios.begin(), best.ratios.begin() + raw.size()},
-                    best.value,
-                    {}};
+  return best;
+}
+
+RawGroup raw_group(const GroupModel& g, int count) {
+  return RawGroup{static_cast<double>(count), g.fit.a, g.fit.b, g.fit.c,
+                  g.min_power.value(), g.max_power.value()};
+}
+
+/// A group's best Perf per watt it receives on [idle, peak]: Perf(p)/p =
+/// a·p + b + c/p peaks at an end or at its stationary point sqrt(c/a) (flat
+/// Perf beyond peak only lowers it).  Unbounded for a zero floor.
+double best_perf_per_watt(const GroupModel& g) {
+  const double lo = g.min_power.value();
+  const double hi = g.max_power.value();
+  if (lo <= 0.0) return std::numeric_limits<double>::infinity();
+  double best =
+      std::max(g.perf_at(g.min_power) / lo, g.perf_at(g.max_power) / hi);
+  if (g.fit.a != 0.0 && g.fit.c / g.fit.a > 0.0) {
+    const double p = std::sqrt(g.fit.c / g.fit.a);
+    if (p > lo && p < hi) best = std::max(best, g.perf_at(Watts{p}) / p);
+  }
+  return best;
 }
 
 }  // namespace
@@ -988,17 +887,135 @@ Allocation Solver::solve(std::span<const GroupModel> groups,
   validate_inputs(groups, total_supply, kMaxAnalyticGroups);
   std::array<RawGroup, kMaxAnalyticGroups> raw;
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    raw[i] = RawGroup{static_cast<double>(groups[i].count), groups[i].fit.a,
-                      groups[i].fit.b, groups[i].fit.c,
-                      groups[i].min_power.value(),
-                      groups[i].max_power.value()};
+    raw[i] = raw_group(groups[i], groups[i].count);
   }
   std::uint64_t evals = 0;
-  Allocation result =
+  const BestCandidate best =
       analytic_solve({raw.data(), groups.size()}, total_supply.value(), evals);
+  Allocation result{
+      {best.ratios.begin(), best.ratios.begin() + groups.size()},
+      best.value,
+      {}};
   sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
   report_solve(Backend::kAnalyticN, groups, total_supply, result, evals);
   return result;
+}
+
+Allocation Solver::solve_subset(std::span<const GroupModel> groups,
+                                Watts total_supply) {
+  validate_inputs(groups, total_supply, kMaxSubsetGroups);
+  const std::size_t n = groups.size();
+  const double P = total_supply.value();
+
+  // Count vectors are numbered in lexicographic order (group 0 most
+  // significant), so comparing numbers compares vectors.
+  std::size_t vectors = 1;
+  for (const GroupModel& g : groups) {
+    if (static_cast<std::size_t>(g.count) >= kMaxCountVectors / vectors) {
+      throw SolverError("subset solver: more than " +
+                        std::to_string(kMaxCountVectors) +
+                        " active-count vectors");
+    }
+    vectors *= static_cast<std::size_t>(g.count) + 1;
+  }
+  std::array<int, kMaxSubsetGroups> k{};
+  const auto decode = [&](std::size_t number) {
+    for (std::size_t g = n; g-- > 0;) {
+      const std::size_t radix = static_cast<std::size_t>(groups[g].count) + 1;
+      k[g] = static_cast<int>(number % radix);
+      number /= radix;
+    }
+  };
+
+  // Fractional-knapsack bound on any solve of `k`: group g yields at most
+  // k_g·best_perf_g (its best per-server Perf) and at most per_watt_g per
+  // watt, so filling P richest-per-watt first bounds the sum.  The margin
+  // covers rounding, so the bound holds for the solver's computed values.
+  std::array<double, kMaxSubsetGroups> best_perf{};
+  std::array<double, kMaxSubsetGroups> per_watt{};
+  std::array<std::size_t, kMaxSubsetGroups> by_rate{};
+  for (std::size_t g = 0; g < n; ++g) {
+    best_perf[g] = std::max(groups[g].perf_at(groups[g].min_power),
+                            groups[g].perf_at(groups[g].saturation_power()));
+    per_watt[g] = best_perf_per_watt(groups[g]);
+    // Insertion into by_rate[0..g], richest per watt first.
+    std::size_t j = g;
+    for (; j > 0 && per_watt[by_rate[j - 1]] < per_watt[g]; --j) {
+      by_rate[j] = by_rate[j - 1];
+    }
+    by_rate[j] = g;
+  }
+  const auto upper_bound = [&] {
+    double left = P;
+    double bound = 0.0;
+    for (std::size_t i = 0; i < n && left > 0.0; ++i) {
+      const std::size_t g = by_rate[i];
+      const double cap = k[g] * best_perf[g];
+      if (cap <= 0.0) continue;
+      const double need = cap / per_watt[g];
+      bound += need < left ? cap : left * per_watt[g];
+      left -= std::min(need, left);
+    }
+    return bound * (1.0 + 1e-9) + 1e-9;
+  };
+
+  // Every vector but the all-zero one, best bound first, ties in
+  // lexicographic order.
+  std::vector<std::pair<double, std::size_t>> order;
+  order.reserve(vectors - 1);
+  for (std::size_t number = 1; number < vectors; ++number) {
+    decode(number);
+    order.emplace_back(upper_bound(), number);
+  }
+  std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+    return x.first != y.first ? x.first > y.first : x.second < y.second;
+  });
+
+  // The incumbent starts as the all-zero vector (nobody woken, value 0).
+  // A vector replaces it when it scores more, or as much from earlier in
+  // lexicographic order: the result is the one a plain lexicographic scan
+  // keeping the first strict improvement finds.  A vector whose bound is
+  // below the incumbent cannot score as much, and neither can any vector
+  // after it in `order`.
+  double best_value = 0.0;
+  std::size_t best_number = 0;
+  RatioBuffer best_ratios{};
+  std::uint64_t solves = 0;
+  std::uint64_t evals = 0;
+  for (const auto& [bound, number] : order) {
+    if (bound < best_value) break;
+    decode(number);
+    std::array<RawGroup, kMaxSubsetGroups> raw;
+    std::array<std::size_t, kMaxSubsetGroups> index;
+    std::size_t m = 0;
+    for (std::size_t g = 0; g < n; ++g) {
+      if (k[g] == 0) continue;
+      raw[m] = raw_group(groups[g], k[g]);
+      index[m++] = g;
+    }
+    ++solves;
+    const BestCandidate c = analytic_solve({raw.data(), m}, P, evals);
+    if (c.value > best_value ||
+        (c.value == best_value && number < best_number)) {
+      best_value = c.value;
+      best_number = number;
+      best_ratios.fill(0.0);
+      for (std::size_t j = 0; j < m; ++j) best_ratios[index[j]] = c.ratios[j];
+    }
+  }
+
+  decode(best_number);
+  Allocation best{{best_ratios.begin(), best_ratios.begin() + n},
+                  best_value,
+                  std::vector<int>(n, 0)};
+  for (std::size_t g = 0; g < n; ++g) {
+    if (best.ratios[g] > 0.0) best.active_counts[g] = k[g];
+  }
+  // Subset performance is computed against activation counts, so a repair
+  // must not overwrite it with the whole-group estimate.
+  sanitize_allocation(groups, total_supply, /*recompute_perf=*/false, best);
+  report_solve(Backend::kSubset, groups, total_supply, best, solves);
+  return best;
 }
 
 }  // namespace greenhetero

@@ -11,10 +11,12 @@
 #           the same trace and rollup series byte for byte on one thread and
 #           one shard as on four threads and three shards.
 # reject:   every bad command line of a fixed list exits 2, names the flag
-#           on stderr and writes no file.
+#           on stderr and writes no file; a --resume whose snapshots all
+#           fail to load exits 2 and leaves --trace-out as it was.
 # accept:   explicit defaults and bare switches keep the golden bytes, the
-#           fuzzer's repro line runs, and --resume accepts exactly the
-#           command lines that describe the same scenario.
+#           fuzzer's repro line runs, --resume accepts exactly the
+#           command lines that describe the same scenario, and an empty
+#           --resume directory starts fresh.
 
 function(run_cli)
   execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
@@ -109,6 +111,34 @@ elseif(CASE STREQUAL "reject")
   expect_rejected(--threads fleet --threads 99999999999)
   # Removed flags: --trace-out always streams.
   expect_rejected(--stream fleet --stream on)
+  # --resume over snapshots that all fail to load (here: stamped one
+  # version older) refuses to start fresh: exit 2 naming the directory and
+  # the snapshot count, and the interrupted run's trace keeps its bytes.
+  set(stale ${WORK_DIR}/stale-ckpt)
+  set(trace ${WORK_DIR}/stale.jsonl)
+  run_cli(simulate --days 1 --checkpoint-dir ${stale} --checkpoint-every 48
+          --checkpoint-keep 1 --trace-out ${trace})
+  file(COPY_FILE ${trace} ${WORK_DIR}/stale-ref.jsonl)
+  file(GLOB snapshot ${stale}/ckpt-*.bin)
+  file(READ ${snapshot} version OFFSET 8 LIMIT 1 HEX)
+  math(EXPR older "0x${version} - 1" OUTPUT_FORMAT HEXADECIMAL)
+  string(REPLACE "0x" "\\x" older "${older}")
+  execute_process(COMMAND printf "${older}"
+                  COMMAND dd of=${snapshot} bs=1 seek=8 conv=notrunc
+                          status=none
+                  RESULT_VARIABLE patched)
+  if(NOT patched EQUAL 0)
+    message(FATAL_ERROR "could not restamp ${snapshot}")
+  endif()
+  execute_process(COMMAND ${CLI} simulate --days 1 --resume ${stale}
+                          --trace-out ${trace}
+                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "none of the 1 snapshot(s) in ${stale} loads" at)
+  if(NOT code EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "--resume over an unloadable snapshot exited ${code}, "
+                        "want 2 naming ${stale}: ${err}")
+  endif()
+  expect_same_bytes(${WORK_DIR}/stale-ref.jsonl ${trace})
 elseif(CASE STREQUAL "accept")
   # Explicit defaults and explicit "off" switches keep the golden bytes.
   run_cli(simulate --days 1 --seed 42 --ledger off --check off
@@ -138,6 +168,10 @@ elseif(CASE STREQUAL "accept")
   run_cli(fleet --racks 2 --hours 12 --threads 2 --resume ${fleet_ckpt})
   expect_failure(fingerprint fleet --racks 2 --hours 12 --mode static
                  --resume ${fleet_ckpt})
+  # An empty --resume directory starts fresh: a crash can land before the
+  # first checkpoint.
+  file(MAKE_DIRECTORY ${WORK_DIR}/empty-ckpt)
+  run_cli(simulate --days 1 --resume ${WORK_DIR}/empty-ckpt)
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

@@ -1,5 +1,5 @@
 // Extended property sweeps over the substrate extensions: wind traces,
-// battery chemistries, queueing-derived curves, fleets and colocation —
+// battery chemistries, fleets and colocation —
 // parameterised invariants complementing property_test.cpp's core sweeps.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "sim/rack_simulator.h"
 #include "trace/statistics.h"
 #include "trace/wind.h"
-#include "workload/queueing.h"
 
 namespace greenhetero {
 namespace {
@@ -83,30 +82,6 @@ TEST_P(BatteryDodProperty, DrainRespectsFloorAndRates) {
 INSTANTIATE_TEST_SUITE_P(ChemistryAndDod, BatteryDodProperty,
                          ::testing::Combine(::testing::Range(0, 2),
                                             ::testing::Range(0, 4)));
-
-// ---------------------------------------------------------------------------
-// Queueing-derived curves behave across SLA tightness.
-
-class QueueingSlaProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(QueueingSlaProperty, ThroughputMonotoneInServiceRate) {
-  const double bound = 0.005 * std::pow(2.0, GetParam());  // 5ms..160ms
-  const SlaSpec sla{0.95, bound};
-  double prev = -1.0;
-  for (double mu = 100.0; mu <= 5000.0; mu += 100.0) {
-    const double lambda = sla_throughput(mu, sla);
-    EXPECT_GE(lambda, prev);
-    EXPECT_GE(lambda, 0.0);
-    EXPECT_LT(lambda, mu);
-    if (lambda > 0.0) {
-      EXPECT_NEAR(mm1_percentile_latency(lambda, mu, sla.percentile), bound,
-                  1e-9);
-    }
-    prev = lambda;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bounds, QueueingSlaProperty, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
 // Every CPU pairing of Table II runs the full pipeline without violating

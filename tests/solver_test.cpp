@@ -267,26 +267,27 @@ TEST(SolverAnalytic, NearLinearPairMatchesOracle) {
 TEST(SolverSubset, FloorBoundaryActivationsSurviveRounding) {
   // k * min_power re-divided by k can land one ULP below the idle floor
   // (49.3 * 3 / 3 < 49.3 in double), and perf_at's off-below-idle cliff
-  // would zero a feasible activation; the snap window must absorb it.
+  // would zero a feasible activation; the per-count solve must still wake
+  // k servers at exactly the floor.
   const GroupModel g =
       concave_group(-0.01, 5.0, -20.0, Watts{49.3}, Watts{150.0}, 3);
+  const std::vector<GroupModel> one{g};
   const double per_floor = g.perf_at(g.min_power);
   ASSERT_GT(per_floor, 0.0);
 
   // k = 1 boundary: a budget of exactly one floor is a feasible activation.
-  int active = 0;
-  EXPECT_NEAR(Solver::best_subset_perf(g, g.min_power, &active), per_floor,
-              1e-9);
-  EXPECT_EQ(active, 1);
+  Allocation a = Solver::solve_subset(one, g.min_power);
+  EXPECT_NEAR(a.predicted_perf, per_floor, 1e-9);
+  EXPECT_EQ(a.active_counts[0], 1);
 
   // k = count boundary: the lossy budget (one ULP short of count floors)
   // must still activate all three servers — spreading beats concentrating
   // on this concave fit, so zeroing the k = 3 candidate loses real perf.
   const Watts lossy_budget{49.3 * 3.0};
   ASSERT_LT(lossy_budget.value() / 3.0, g.min_power.value());
-  EXPECT_NEAR(Solver::best_subset_perf(g, lossy_budget, &active),
-              3.0 * per_floor, 1e-6);
-  EXPECT_EQ(active, 3);
+  a = Solver::solve_subset(one, lossy_budget);
+  EXPECT_NEAR(a.predicted_perf, 3.0 * per_floor, 1e-6);
+  EXPECT_EQ(a.active_counts[0], 3);
 }
 
 TEST(SolverAnalyticN, MatchesFineBruteForceOnFixtures) {

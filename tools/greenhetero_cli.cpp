@@ -170,10 +170,12 @@ struct RunSetup {
 };
 
 /// Shared by simulate and fleet: fill the run-loop knobs and install the
-/// stop handlers.  --resume DIR implies checkpointing into DIR; an empty or
-/// invalid directory warns and starts fresh (a crash may land before the
-/// first checkpoint ever gets written).  Every derived scenario row must be
-/// settled before this call: it fingerprints the scenario.
+/// stop handlers.  --resume DIR implies checkpointing into DIR; a directory
+/// without snapshots warns and starts fresh (a crash may land before the
+/// first checkpoint ever gets written), but one whose snapshots all fail to
+/// load is refused before --trace-out is touched: starting fresh would
+/// truncate the interrupted run's trace.  Every derived scenario row must
+/// be settled before this call: it fingerprints the scenario.
 RunSetup configure_run(const Options& options, RunConfig& cfg) {
   RunSetup setup;
   cfg.checkpoint_dir = options.text("checkpoint-dir");
@@ -183,6 +185,14 @@ RunSetup configure_run(const Options& options, RunConfig& cfg) {
       !resume_dir.empty()) {
     if (cfg.checkpoint_dir.empty()) cfg.checkpoint_dir = resume_dir;
     setup.snapshot = checkpoint::load_latest(resume_dir);
+    const std::size_t unloadable =
+        setup.snapshot ? 0 : checkpoint::list_snapshots(resume_dir).size();
+    if (unloadable > 0) {
+      throw util::OptionError(
+          "--resume: none of the " + std::to_string(unloadable) +
+          " snapshot(s) in " + resume_dir +
+          " loads; refusing to start fresh over them");
+    }
     if (!setup.snapshot) {
       std::fprintf(stderr,
                    "resume: no valid snapshot in %s; starting fresh (will "
