@@ -41,16 +41,33 @@ OracleSolution oracle_solve(std::span<const GroupModel> groups,
   best.ratios.assign(groups.size(), 0.0);
   best.perf = oracle_objective(groups, best.ratios, total_supply);
 
+  // Each group's objective term at every grid ratio k * step, tabulated
+  // once with oracle_objective's own expression, so a grid point costs one
+  // add per group: the prefix sum carried down the recursion adds the terms
+  // in group order, as oracle_objective does, and is bitwise equal to it.
+  const auto width = static_cast<std::size_t>(steps) + 1;
+  std::vector<double> terms(groups.size() * width);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const double count = static_cast<double>(groups[i].count);
+    for (int k = 0; k <= steps; ++k) {
+      const double per_server =
+          std::max(0.0, k * step) * total_supply.value() / count;
+      terms[i * width + static_cast<std::size_t>(k)] =
+          count * oracle_perf_per_server(groups[i], per_server);
+    }
+  }
+
   // Enumerate every grid point of the simplex sum(r_i) <= 1 (the surplus is
   // the battery-charging share, so the last coordinate is NOT forced to take
   // the remainder).
-  const auto enumerate = [&](auto&& self, std::size_t index,
-                             int remaining) -> void {
+  const auto enumerate = [&](auto&& self, std::size_t index, int remaining,
+                             double prefix) -> void {
+    const double* term = &terms[index * width];
     if (index + 1 == groups.size()) {
       for (int k = 0; k <= remaining; ++k) {
-        current[index] = k * step;
-        const double perf = oracle_objective(groups, current, total_supply);
+        const double perf = prefix + term[k];
         if (perf > best.perf) {
+          current[index] = k * step;
           best.perf = perf;
           best.ratios = current;
         }
@@ -59,10 +76,10 @@ OracleSolution oracle_solve(std::span<const GroupModel> groups,
     }
     for (int k = 0; k <= remaining; ++k) {
       current[index] = k * step;
-      self(self, index + 1, remaining - k);
+      self(self, index + 1, remaining - k, prefix + term[k]);
     }
   };
-  enumerate(enumerate, 0, steps);
+  enumerate(enumerate, 0, steps, 0.0);
   return best;
 }
 

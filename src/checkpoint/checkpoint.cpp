@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "util/atomic_file.h"
@@ -42,6 +41,14 @@ std::optional<std::uint64_t> parse_epoch(const std::filesystem::path& path) {
 void write_snapshot(const std::filesystem::path& dir,
                     std::uint64_t epoch_index, std::uint64_t config_hash,
                     std::string_view payload, int keep_last) {
+  write_snapshot(dir, epoch_index, config_hash,
+                 std::span<const std::string_view>(&payload, 1), keep_last);
+}
+
+void write_snapshot(const std::filesystem::path& dir,
+                    std::uint64_t epoch_index, std::uint64_t config_hash,
+                    std::span<const std::string_view> payload,
+                    int keep_last) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -49,16 +56,24 @@ void write_snapshot(const std::filesystem::path& dir,
                           dir.string() + ": " + ec.message());
   }
 
+  std::uint64_t size = 0;
+  std::uint64_t checksum = kFnv1aBasis;
+  for (std::string_view chunk : payload) {
+    size += chunk.size();
+    checksum = fnv1a(chunk, checksum);
+  }
   Writer header;
   for (char c : kMagic) header.u8(static_cast<std::uint8_t>(c));
   header.u32(kSnapshotVersion);
   header.u64(epoch_index);
   header.u64(config_hash);
-  header.u64(payload.size());
-  header.u64(fnv1a(payload));
+  header.u64(size);
+  header.u64(checksum);
 
-  std::string body = header.buffer();
-  body.append(payload.data(), payload.size());
+  std::vector<std::string_view> body;
+  body.reserve(payload.size() + 1);
+  body.push_back(header.buffer());
+  body.insert(body.end(), payload.begin(), payload.end());
   try {
     util::write_file_atomic(dir / snapshot_name(epoch_index), body);
   } catch (const util::AtomicWriteError& e) {
@@ -97,19 +112,23 @@ Snapshot load_snapshot(const std::filesystem::path& path) {
   if (!in) {
     throw CheckpointError("cannot open checkpoint: " + path.string());
   }
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string bytes = raw.str();
-  if (bytes.size() < kHeaderBytes) {
+  // Header first, then the payload straight into its string: one
+  // allocation and one read, however large the snapshot.
+  in.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
+  if (file_size < kHeaderBytes) {
     throw CheckpointError("checkpoint too short: " + path.string() + " (" +
-                          std::to_string(bytes.size()) + " bytes)");
+                          std::to_string(file_size) + " bytes)");
   }
-  if (std::string_view(bytes.data(), kMagic.size()) != kMagic) {
+  char raw_header[kHeaderBytes];
+  in.read(raw_header, kHeaderBytes);
+  const std::string_view header_bytes(raw_header, kHeaderBytes);
+  if (header_bytes.substr(0, kMagic.size()) != kMagic) {
     throw CheckpointError("not a checkpoint file (bad magic): " +
                           path.string());
   }
-  Reader header(std::string_view(bytes).substr(kMagic.size(),
-                                               kHeaderBytes - kMagic.size()));
+  Reader header(header_bytes.substr(kMagic.size()));
   const std::uint32_t version = header.u32();
   if (version != kSnapshotVersion) {
     throw CheckpointError(
@@ -122,14 +141,15 @@ Snapshot load_snapshot(const std::filesystem::path& path) {
   snapshot.config_hash = header.u64();
   const std::uint64_t payload_size = header.u64();
   const std::uint64_t checksum = header.u64();
-  if (bytes.size() - kHeaderBytes != payload_size) {
+  if (file_size - kHeaderBytes != payload_size) {
     throw CheckpointError(
         "checkpoint payload size mismatch in " + path.string() + ": header " +
         std::to_string(payload_size) + ", file holds " +
-        std::to_string(bytes.size() - kHeaderBytes));
+        std::to_string(file_size - kHeaderBytes));
   }
-  snapshot.payload = bytes.substr(kHeaderBytes);
-  if (fnv1a(snapshot.payload) != checksum) {
+  snapshot.payload.resize(payload_size);
+  in.read(snapshot.payload.data(), static_cast<std::streamsize>(payload_size));
+  if (!in || fnv1a(snapshot.payload) != checksum) {
     throw CheckpointError("checkpoint checksum mismatch: " + path.string());
   }
   snapshot.path = path;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,7 +32,9 @@
 namespace greenhetero::checkpoint {
 
 /// Bump on any serialized-layout change; old snapshots are refused.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// v7: the streaming sink's pending tail holds encoded lines (t, rack,
+/// line bytes), not trace events.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// A validated snapshot read back from disk.
 struct Snapshot {
@@ -48,6 +51,13 @@ struct Snapshot {
 void write_snapshot(const std::filesystem::path& dir,
                     std::uint64_t epoch_index, std::uint64_t config_hash,
                     std::string_view payload, int keep_last = 2);
+/// The same snapshot for a payload given as consecutive chunks: the
+/// checksum folds over them in order and the file holds the header, then
+/// each chunk, with no whole-payload copy.
+void write_snapshot(const std::filesystem::path& dir,
+                    std::uint64_t epoch_index, std::uint64_t config_hash,
+                    std::span<const std::string_view> payload,
+                    int keep_last = 2);
 
 /// All `ckpt-*.bin` files in `dir`, sorted by ascending epoch index.
 [[nodiscard]] std::vector<std::filesystem::path> list_snapshots(

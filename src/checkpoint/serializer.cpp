@@ -1,24 +1,26 @@
 #include "checkpoint/serializer.h"
 
+#include <bit>
 #include <cstring>
 
 namespace greenhetero::checkpoint {
 
 namespace {
 
+// The format is little-endian, and so is every supported host: a value's
+// image is its memory, copied in or out with one memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint images are copied as little-endian memory");
+
 template <typename T>
 void append_le(std::string& buf, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
 template <typename T>
 T read_le(const std::uint8_t* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(p[i]) << (8 * i);
-  }
+  T v;
+  std::memcpy(&v, p, sizeof(T));
   return v;
 }
 
@@ -31,12 +33,7 @@ void Writer::i64(std::int64_t v) {
   append_le(buf_, static_cast<std::uint64_t>(v));
 }
 
-void Writer::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  append_le(buf_, bits);
-}
+void Writer::f64(double v) { append_le(buf_, v); }
 
 void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 
@@ -47,8 +44,8 @@ void Writer::str(std::string_view v) {
 
 void Writer::f64_array(std::span<const double> v) {
   u64(v.size());
-  buf_.reserve(buf_.size() + v.size() * sizeof(double));
-  for (double x : v) f64(x);
+  buf_.append(reinterpret_cast<const char*>(v.data()),
+              v.size() * sizeof(double));
 }
 
 void Writer::u8_array(std::span<const std::uint8_t> v) {
@@ -77,12 +74,7 @@ std::int64_t Reader::i64() {
   return static_cast<std::int64_t>(read_le<std::uint64_t>(take(8)));
 }
 
-double Reader::f64() {
-  const std::uint64_t bits = read_le<std::uint64_t>(take(8));
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+double Reader::f64() { return read_le<double>(take(8)); }
 
 bool Reader::boolean() {
   const std::uint8_t v = u8();
@@ -125,7 +117,8 @@ void Reader::f64_array(std::vector<double>& v) {
                           std::to_string(remaining()) + " bytes left");
   }
   v.resize(static_cast<std::size_t>(n));
-  for (double& x : v) x = f64();
+  if (n > 0) std::memcpy(v.data(), take(v.size() * sizeof(double)),
+                         v.size() * sizeof(double));
 }
 
 void Reader::u8_array(std::vector<std::uint8_t>& v) {
@@ -139,8 +132,7 @@ void Reader::u8_array(std::vector<std::uint8_t>& v) {
   v.assign(p, p + static_cast<std::size_t>(n));
 }
 
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a(std::string_view data, std::uint64_t hash) {
   for (char c : data) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001b3ULL;

@@ -1,9 +1,9 @@
 // Binary state serialization for checkpoints.
 //
 // A deliberately tiny, dependency-free format: little-endian fixed-size
-// integers, bit-exact doubles (the IEEE-754 image copied through a
-// uint64_t — round-tripping must not perturb a single mantissa bit, or the
-// resumed simulation diverges), and length-prefixed strings/sequences.
+// integers, bit-exact doubles (the IEEE-754 image, copied with memcpy —
+// round-tripping must not perturb a single mantissa bit, or the resumed
+// simulation diverges), and length-prefixed strings/sequences.
 // There is no schema or field tagging; the layout IS the contract, guarded
 // by the snapshot version number in the checkpoint container
 // (checkpoint.h).  Any layout change bumps kSnapshotVersion and old
@@ -83,8 +83,7 @@ class Reader {
 // Sequence helpers for the common element types.
 
 inline void save(Writer& w, const std::vector<double>& v) {
-  w.seq(v.size());
-  for (double x : v) w.f64(x);
+  w.f64_array(v);  // the same bytes: a u64 length, then the packed images
 }
 
 inline void load(Reader& r, std::vector<double>& v) {
@@ -149,7 +148,13 @@ template <typename Enum>
   return static_cast<Enum>(v);
 }
 
-/// FNV-1a over a byte range; the checkpoint container's payload checksum.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view data);
+/// FNV-1a's offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a over a byte range, continuing from `hash` (the hash of the bytes
+/// before it), so folding it over consecutive chunks equals one pass over
+/// their concatenation; the checkpoint container's payload checksum.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view data,
+                                  std::uint64_t hash = kFnv1aBasis);
 
 }  // namespace greenhetero::checkpoint

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -106,6 +105,13 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   }
   driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
   records_.resize(racks_.size());
+  trace_lines_.resize(racks_.size() + 1);
+  rack_label_order_.resize(racks_.size());
+  for (std::size_t i = 0; i < racks_.size(); ++i) rack_label_order_[i] = i;
+  std::sort(rack_label_order_.begin(), rack_label_order_.end(),
+            [](std::size_t a, std::size_t b) {
+              return std::to_string(a) < std::to_string(b);
+            });
 }
 
 Fleet::Fleet(std::vector<RackSimulator> racks, Watts total_grid_budget,
@@ -152,7 +158,7 @@ FleetReport Fleet::run(Minutes duration) {
       static_cast<std::size_t>(std::llround(duration.value() / epoch.value())));
   report.peak_grid_allocation = peak_grid_allocation_;
   report.racks.resize(racks_.size());
-  for (std::size_t i = 0; i < racks_.size(); ++i) {
+  for_each_rack([&](std::size_t i) {
     RunReport& r = report.racks[i];
     history_.fill_report(i, r.epochs);
     r.interrupted = report.interrupted;
@@ -163,6 +169,9 @@ FleetReport Fleet::run(Minutes duration) {
     r.grid_cost = racks_[i].plant().grid().total_cost();
     r.grid_energy = racks_[i].plant().grid().total_energy();
     r.metrics = racks_[i].metrics_snapshot();
+  });
+  // The fleet totals fold in rack order, as they always have.
+  for (const RunReport& r : report.racks) {
     report.total_work += r.total_work;
     report.grid_energy += r.grid_energy;
     report.grid_cost += r.grid_cost;
@@ -191,8 +200,13 @@ std::size_t Fleet::advance_epoch(std::size_t e) {
   // shard steps its own racks behind its local barrier.  Which pool a
   // rack lands on never changes its arithmetic, so the records are
   // byte-identical at any --threads/--shards combination.
+  // A streamed fleet also drains and encodes each rack's events on the
+  // thread that stepped it (trace_lines_[i + 1]); push_trace merges them.
+  const std::span<tel::TraceLines> lines =
+      driver_.stream() != nullptr ? std::span(trace_lines_).subspan(1)
+                                  : std::span<tel::TraceLines>{};
   shard_pool_->parallel_for(shards_.size(), [&](std::size_t s) {
-    shards_[s].step(racks_, shares_, records_);
+    shards_[s].step(racks_, shares_, records_, lines);
   });
   history_.append_epoch(records_);
   peak_grid_allocation_ = max(peak_grid_allocation_, allocated);
@@ -222,20 +236,56 @@ void Fleet::flush_rollup() {
   for (RackSimulator& rack : racks_) rack.flush_rollup();
 }
 
+void Fleet::for_each_rack(const std::function<void(std::size_t)>& fn) const {
+  shard_pool_->parallel_for(shards_.size(), [&](std::size_t s) {
+    const Shard& shard = shards_[s];
+    shard.run(shard.first_rack(), shard.first_rack() + shard.racks(), fn);
+  });
+}
+
+void Fleet::parallel_for(std::size_t n,
+                         const std::function<void(std::size_t)>& fn) const {
+  const std::size_t count = shards_.size();
+  shard_pool_->parallel_for(count, [&](std::size_t s) {
+    shards_[s].run(n * s / count, n * (s + 1) / count, fn);
+  });
+}
+
 MetricsSnapshot Fleet::metrics_snapshot() const {
-  MetricsSnapshot merged = telemetry_->metrics().snapshot();
-  for (std::size_t i = 0; i < racks_.size(); ++i) {
-    MetricsSnapshot rack = racks_[i].metrics_snapshot();
-    for (tel::SnapshotEntry& entry : rack.entries) {
-      entry.labels.emplace_back("rack", std::to_string(i));
-      merged.entries.push_back(std::move(entry));
+  // Snapshot every registry with each entry's rank in the catalog's
+  // (name, labels) order: the coordinator's ([0]) inline, the racks' ([i+1])
+  // on the shard pools, each rack entry tagged with its "rack" label.
+  const std::size_t sources = racks_.size() + 1;
+  std::vector<MetricsSnapshot> snaps(sources);
+  std::vector<std::vector<std::uint16_t>> ranks(sources);
+  snaps[0] = telemetry_->metrics().snapshot(&ranks[0]);
+  for_each_rack([&](std::size_t i) {
+    snaps[i + 1] = racks_[i].telemetry().metrics().snapshot(&ranks[i + 1]);
+    const std::string label = std::to_string(i);
+    for (tel::SnapshotEntry& entry : snaps[i + 1].entries) {
+      entry.labels.emplace_back("rack", label);
     }
+  });
+  // Merge by rank: within one catalog series the coordinator's entry (no
+  // rack label) sorts first, then the racks in the order of their label
+  // strings.  Keys are unique, so this is exactly the (name, labels) sort.
+  std::vector<std::size_t> offsets(tel::catalog::kSlotCount + 1, 0);
+  for (const std::vector<std::uint16_t>& r : ranks) {
+    for (std::uint16_t rank : r) ++offsets[rank + 1];
   }
-  std::sort(merged.entries.begin(), merged.entries.end(),
-            [](const tel::SnapshotEntry& a, const tel::SnapshotEntry& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.labels < b.labels;
-            });
+  for (std::size_t k = 1; k < offsets.size(); ++k) {
+    offsets[k] += offsets[k - 1];
+  }
+  MetricsSnapshot merged;
+  merged.entries.resize(offsets.back());
+  const auto place = [&](std::size_t source) {
+    for (std::size_t k = 0; k < ranks[source].size(); ++k) {
+      merged.entries[offsets[ranks[source][k]]++] =
+          std::move(snaps[source].entries[k]);
+    }
+  };
+  place(0);
+  for (std::size_t i : rack_label_order_) place(i + 1);
   return merged;
 }
 
@@ -329,15 +379,19 @@ std::vector<std::filesystem::path> Fleet::dump_flight_records(
   return paths;
 }
 
-void Fleet::save_state(checkpoint::Writer& w) const {
-  w.seq(racks_.size());
-  telemetry_->save_state(w);
-  w.f64(peak_grid_allocation_.value());
-  for (const RackSimulator& rack : racks_) rack.save_state(w);
+void Fleet::save_chunks(std::vector<checkpoint::Writer>& chunks) const {
+  checkpoint::Writer& head = chunks.emplace_back();
+  head.seq(racks_.size());
+  telemetry_->save_state(head);
+  head.f64(peak_grid_allocation_.value());
+  const std::size_t first = chunks.size();
+  chunks.resize(first + racks_.size());
+  for_each_rack(
+      [&](std::size_t i) { racks_[i].save_state(chunks[first + i]); });
   // The history's SoA columns are topology-agnostic (rack-major within each
   // epoch row, no shard geometry), so a snapshot taken under any --shards
   // value restores into any other.
-  history_.save_state(w);
+  history_.save_state(chunks.emplace_back());
 }
 
 void Fleet::load_state(checkpoint::Reader& r) {
@@ -368,20 +422,24 @@ std::uint64_t Fleet::trace_dropped() const {
 }
 
 void Fleet::push_trace(tel::StreamingTraceSink* sink, bool final) {
-  std::vector<tel::TraceEvent> batch = telemetry_->trace().drain();
-  for (RackSimulator& rack : racks_) {
-    std::vector<tel::TraceEvent> events = rack.telemetry().trace().drain();
-    batch.insert(batch.end(), std::make_move_iterator(events.begin()),
-                 std::make_move_iterator(events.end()));
+  // No pool thread is running, so the rings and line buffers are quiescent.
+  const auto drain_into = [sink](tel::TraceRing& ring, tel::TraceLines& out) {
+    for (const tel::TraceEvent& event : ring.drain()) {
+      if (sink != nullptr) out.append(event);
+    }
+  };
+  drain_into(telemetry_->trace(), trace_lines_[0]);
+  for (std::size_t i = 0; i < racks_.size(); ++i) {
+    drain_into(racks_[i].telemetry().trace(), trace_lines_[i + 1]);
   }
-  if (sink == nullptr) return;
-  // At an epoch barrier every event of the finished epoch is stamped before
-  // the next epoch's start, so the merge can flush up to that watermark; the
-  // final drain flushes the tail past every timestamp.  No pool thread is
-  // running, so the rings are quiescent.
-  sink->push_merge(std::move(batch),
-                   final ? std::numeric_limits<double>::infinity()
-                         : racks_.front().now().value());
+  if (sink != nullptr) {
+    // At an epoch barrier every event of the finished epoch is stamped
+    // before the next epoch's start, so the merge can flush up to that
+    // watermark; the final drain flushes the tail past every timestamp.
+    sink->push_merge(trace_lines_,
+                     final ? std::numeric_limits<double>::infinity()
+                           : racks_.front().now().value());
+  }
 }
 
 }  // namespace greenhetero

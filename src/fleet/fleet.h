@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -154,7 +155,9 @@ class Fleet final : private EpochClient {
   [[nodiscard]] const Telemetry& telemetry() const { return *telemetry_; }
 
   /// Fleet-wide metrics: the coordinator's own series plus every rack's,
-  /// the latter tagged with a "rack" label; re-sorted by (name, labels).
+  /// the latter tagged with a "rack" label, in (name, labels) order.  The
+  /// racks' snapshots are taken on the shard pools and merged by their
+  /// catalog rank, so the result is the same at any topology.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const override;
 
   /// Merged control-loop spans from every rack (and the coordinator) as one
@@ -191,9 +194,11 @@ class Fleet final : private EpochClient {
 
   /// Serialize the complete resumable fleet state: every rack's state, the
   /// coordinator's telemetry, the per-rack epoch histories and the peak
-  /// grid allocation.  The streaming sink is handled by write_checkpoint /
-  /// load_checkpoint alongside.
-  void save_state(checkpoint::Writer& w) const override;
+  /// grid allocation, as the coordinator's head chunk, one chunk per rack
+  /// (serialised on the shard pools), then the epoch history.  The
+  /// streaming sink is handled by write_checkpoint / load_checkpoint
+  /// alongside.
+  void save_chunks(std::vector<checkpoint::Writer>& chunks) const override;
   void load_state(checkpoint::Reader& r) override;
 
   /// EpochDriver::write_checkpoint / load_checkpoint for the whole fleet.
@@ -215,11 +220,19 @@ class Fleet final : private EpochClient {
   }
   void restart_history() override;
   [[nodiscard]] std::uint64_t trace_dropped() const override;
-  /// Drain the coordinator's + every rack's ring (epoch-major, coordinator
-  /// first) into the sink's watermark merge, which orders the merged trace
-  /// by (sim time, rack id).
+  /// Hand the sink every source's encoded lines (coordinator first, then
+  /// racks 0..N-1) for its watermark merge, which orders the merged trace
+  /// by (sim time, rack id).  The shards encoded each rack's epoch while
+  /// stepping it; whatever a ring gained since (the coordinator's events,
+  /// the final rollup flush) is encoded here, after it.
   void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
   void flush_rollup() override;
+  /// Two-level fan-out over the shards' pools: fn(i) for every rack i on
+  /// its own shard, or fn over n indices split evenly across the shards.
+  void for_each_rack(const std::function<void(std::size_t)>& fn) const;
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& fn) const override;
+
   std::vector<RackSimulator> racks_;
   FleetConfig config_;
   std::size_t threads_;
@@ -238,6 +251,13 @@ class Fleet final : private EpochClient {
   /// in shares_[i], so pool threads never touch a shared structure.
   std::vector<EpochRecord> records_;
   std::vector<Watts> shares_;
+  /// Encoded trace lines per source, filled between barriers and emptied
+  /// by push_trace: [0] the coordinator, [i + 1] rack i (written only by
+  /// the pool thread stepping rack i).
+  std::vector<telemetry::TraceLines> trace_lines_;
+  /// Rack indices in the order of their "rack" label strings ("0", "1",
+  /// "10", ...): the order metrics_snapshot lists one series' racks in.
+  std::vector<std::size_t> rack_label_order_;
   /// Completed-epoch history, all racks, as SoA columns (epoch-major).  A
   /// member (not a run()-local) so checkpoints capture it and a resumed run
   /// reassembles the full report, first epoch to last.

@@ -19,19 +19,29 @@ Shard::Shard(std::size_t first_rack, std::size_t racks, std::size_t threads)
 
 void Shard::fill_deficits(std::span<const RackSimulator> fleet_racks,
                           Minutes epoch, std::span<double> deficits) const {
-  pool_->parallel_for(count_, [&](std::size_t k) {
-    deficits[first_ + k] = green_deficit(fleet_racks[first_ + k], epoch);
+  run(first_, first_ + count_, [&](std::size_t i) {
+    deficits[i] = green_deficit(fleet_racks[i], epoch);
   });
 }
 
 void Shard::step(std::span<RackSimulator> fleet_racks,
-                 std::span<const Watts> shares,
-                 std::span<EpochRecord> records) {
-  pool_->parallel_for(count_, [&](std::size_t k) {
-    const std::size_t i = first_ + k;
+                 std::span<const Watts> shares, std::span<EpochRecord> records,
+                 std::span<telemetry::TraceLines> lines) {
+  run(first_, first_ + count_, [&](std::size_t i) {
     fleet_racks[i].set_grid_budget(shares[i]);
     records[i] = fleet_racks[i].step_epoch();
+    if (lines.empty()) return;
+    for (const telemetry::TraceEvent& event :
+         fleet_racks[i].telemetry().trace().drain()) {
+      lines[i].append(event);
+    }
   });
+}
+
+void Shard::run(std::size_t begin, std::size_t end,
+                const std::function<void(std::size_t)>& fn) const {
+  pool_->parallel_for(end - begin,
+                      [&](std::size_t k) { fn(begin + k); });
 }
 
 std::vector<Shard> make_shards(std::size_t racks, std::size_t shards,

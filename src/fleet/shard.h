@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -50,11 +51,18 @@ class Shard {
                      Minutes epoch, std::span<double> deficits) const;
 
   /// Assign each member rack its share and step it one epoch; rack i's
-  /// record lands in records[i].  Local barrier: returns only after every
-  /// member rack finished.
+  /// record lands in records[i].  When `lines` is non-empty (the fleet
+  /// streams its trace), rack i's ring is then drained and encoded into
+  /// lines[i] on the same pool thread.  Local barrier: returns only after
+  /// every member rack finished.
   void step(std::span<RackSimulator> fleet_racks,
-            std::span<const Watts> shares,
-            std::span<EpochRecord> records);
+            std::span<const Watts> shares, std::span<EpochRecord> records,
+            std::span<telemetry::TraceLines> lines);
+
+  /// Run fn(i) for every i in [begin, end) on this shard's pool; returns
+  /// after every call finished.
+  void run(std::size_t begin, std::size_t end,
+           const std::function<void(std::size_t)>& fn) const;
 
  private:
   std::size_t first_;

@@ -54,8 +54,12 @@ bool EpochDriver::run(EpochClient& client, std::size_t epochs) {
           .set(static_cast<double>(stepped) / secs);
     }
     if (config.metrics_out.empty()) return;
-    telemetry::save_metrics(client.metrics_snapshot(), config.metrics_out,
-                            /*human_sibling=*/true);
+    telemetry::save_metrics(
+        client.metrics_snapshot(), config.metrics_out,
+        /*human_sibling=*/true,
+        [&client](std::size_t n, const std::function<void(std::size_t)>& fn) {
+          client.parallel_for(n, fn);
+        });
   };
   const auto flush_every =
       static_cast<std::size_t>(config.metrics_flush_every);
@@ -111,16 +115,25 @@ void EpochDriver::write_checkpoint(const EpochClient& client) {
   // Flush first so the writer thread is idle and the sink's tellp() is the
   // exact durable watermark of everything streamed so far.
   if (stream_) stream_->flush();
-  checkpoint::Writer w;
-  w.u8(static_cast<std::uint8_t>(kind_));
-  client.save_state(w);
-  w.boolean(static_cast<bool>(stream_));
+  // The payload is the concatenation of its chunks; write_snapshot folds
+  // the checksum over them in order and writes them after the header, so
+  // the bytes never depend on how the client split its state.
+  std::vector<checkpoint::Writer> chunks(1);
+  chunks.front().u8(static_cast<std::uint8_t>(kind_));
+  client.save_chunks(chunks);
+  checkpoint::Writer& tail = chunks.emplace_back();
+  tail.boolean(static_cast<bool>(stream_));
   if (stream_) {
-    w.u64(streamed_dropped_);
-    stream_->save_state(w);
+    tail.u64(streamed_dropped_);
+    stream_->save_state(tail);
+  }
+  std::vector<std::string_view> payload;
+  payload.reserve(chunks.size());
+  for (const checkpoint::Writer& chunk : chunks) {
+    payload.push_back(chunk.buffer());
   }
   checkpoint::write_snapshot(config.checkpoint_dir, client.epoch_index(),
-                             config.config_hash, w.buffer(),
+                             config.config_hash, payload,
                              config.checkpoint_keep);
 }
 

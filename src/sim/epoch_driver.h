@@ -5,16 +5,20 @@
 // checkpoint on their cadences, and stop when asked; then finalize the
 // outputs.  EpochDriver owns that sequence,
 // the streaming sink and the checkpoint envelope; a runner supplies only
-// what differs (EpochClient).
+// what differs (EpochClient), including where the barrier's per-rack work
+// runs: the fleet encodes trace lines, metrics and checkpoint chunks on its
+// shard pools, and the driver only joins the results in a fixed order.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "checkpoint/checkpoint.h"
 #include "telemetry/stream_sink.h"
@@ -83,9 +87,18 @@ class EpochClient {
   virtual void flush_rollup() = 0;
   /// The snapshot metrics_out receives.
   [[nodiscard]] virtual MetricsSnapshot metrics_snapshot() const = 0;
-  /// The checkpoint payload between the kind byte and the sink state.
-  virtual void save_state(checkpoint::Writer& w) const = 0;
+  /// The checkpoint payload between the kind byte and the sink state, as
+  /// consecutive chunks appended to `chunks` (a rack writes one; the fleet
+  /// serialises each rack into its own chunk on its shard pools).
+  virtual void save_chunks(std::vector<checkpoint::Writer>& chunks) const = 0;
   virtual void load_state(checkpoint::Reader& r) = 0;
+  /// Run fn(i) for every i in [0, n) on the runner's worker threads and
+  /// return after every call finished (the metrics encoding fans out on
+  /// it); inline by default.
+  virtual void parallel_for(std::size_t n,
+                            const std::function<void(std::size_t)>& fn) const {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
 
  protected:
   ~EpochClient() = default;

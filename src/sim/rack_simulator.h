@@ -177,7 +177,7 @@ class RackSimulator final : private EpochClient {
   /// rack/plant/controller state, fault cursor, telemetry, completed-epoch
   /// history.  The streaming sink is NOT included; write_checkpoint /
   /// load_checkpoint handle it alongside.
-  void save_state(checkpoint::Writer& w) const override;
+  void save_state(checkpoint::Writer& w) const;
   void load_state(checkpoint::Reader& r) override;
 
   /// EpochDriver::write_checkpoint / load_checkpoint for this rack.  Called
@@ -219,6 +219,9 @@ class RackSimulator final : private EpochClient {
     return telemetry_->trace().dropped();
   }
   void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
+  void save_chunks(std::vector<checkpoint::Writer>& chunks) const override {
+    save_state(chunks.emplace_back());
+  }
 
   Rack rack_;
   RackPowerPlant plant_;

@@ -47,6 +47,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/thread_pool.h"
+
 namespace greenhetero::checkpoint {
 class Writer;
 class Reader;
@@ -62,8 +64,13 @@ class TelemetryError : public std::runtime_error {
 /// key=value pairs attached to one metric series (e.g. {{"case", "B"}}).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Deterministic double formatting shared by every exporter: integers print
-/// without a fraction, everything else as shortest round-trippable decimal.
+/// Deterministic double formatting shared by every exporter and the trace
+/// encoder: integral |v| < 1e15 prints without a fraction ("%.0f"),
+/// everything else with 10 significant digits ("%.10g"), NaN as "NaN" and
+/// infinities as "+Inf"/"-Inf".  Appends in place through std::to_chars,
+/// byte-identical to the printf spelling (FormatNumber.MatchesSnprintfBitwise).
+void append_number(std::string& out, double value);
+/// append_number into a fresh string.
 [[nodiscard]] std::string format_number(double value);
 
 class Counter {
@@ -187,6 +194,7 @@ inline constexpr std::array<double, 17> kQueueDepthBuckets = [] {
 
 /// "742ns" / "3.1us" / "12ms" / "1.5s" — scaled display of a nanosecond
 /// duration, shared by the human metrics dump and the analyzer tables.
+void append_duration_ns(std::string& out, double ns);
 [[nodiscard]] std::string format_duration_ns(double ns);
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
@@ -319,6 +327,41 @@ inline constexpr std::array<std::size_t, kBuiltinMetrics.size() + 1>
       return offsets;
     }();
 inline constexpr std::size_t kSlotCount = kSlotOffsets.back();
+
+/// Every registry slot in export order: by metric name, then by label value
+/// — the (name, labels) order of snapshot entries, whose label positions
+/// follow their enums rather than their strings.  Sorted once, at compile
+/// time, so a snapshot lists its series without sorting strings.
+inline constexpr std::array<std::uint16_t, kSlotCount> kSnapshotOrder = [] {
+  struct Key {
+    std::uint16_t slot;
+    std::string_view name;
+    std::string_view label;
+  };
+  std::array<Key, kSlotCount> keys{};
+  for (std::size_t m = 0; m < kBuiltinMetrics.size(); ++m) {
+    const MetricDef& def = kBuiltinMetrics[m];
+    for (std::size_t l = 0; l < def.slots(); ++l) {
+      const std::size_t slot = kSlotOffsets[m] + l;
+      keys[slot] = {static_cast<std::uint16_t>(slot), def.name,
+                    def.label_key.empty() ? std::string_view{}
+                                          : def.label_values[l]};
+    }
+  }
+  for (std::size_t i = 1; i < keys.size(); ++i) {  // insertion sort
+    for (std::size_t j = i; j > 0; --j) {
+      const Key& a = keys[j - 1];
+      const Key& b = keys[j];
+      const bool before =
+          a.name != b.name ? b.name < a.name : b.label < a.label;
+      if (!before) break;
+      std::swap(keys[j - 1], keys[j]);
+    }
+  }
+  std::array<std::uint16_t, kSlotCount> order{};
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = keys[i].slot;
+  return order;
+}();
 }  // namespace catalog
 
 /// A position in a metric's closed label set: an index, or an enum whose
@@ -386,12 +429,16 @@ struct MetricsSnapshot {
 
   [[nodiscard]] const SnapshotEntry* find(std::string_view name,
                                           const Labels& labels = {}) const;
+  // The encoders take an optional fan-out: runs of entries then encode
+  // concurrently and join in entry order, byte-identical to the inline
+  // encoding.
   /// Prometheus text exposition format.
-  [[nodiscard]] std::string to_prometheus() const;
+  [[nodiscard]] std::string to_prometheus(
+      const util::ForEach& for_each = {}) const;
   /// One JSON object per series under a top-level "metrics" array.
-  [[nodiscard]] std::string to_json() const;
+  [[nodiscard]] std::string to_json(const util::ForEach& for_each = {}) const;
   /// Aligned human-readable table; histograms show count/mean/p50/p90/p99.
-  [[nodiscard]] std::string to_human() const;
+  [[nodiscard]] std::string to_human(const util::ForEach& for_each = {}) const;
 };
 
 /// Write a snapshot to `path`, format chosen by extension: ".json" JSON,
@@ -404,10 +451,12 @@ struct MetricsSnapshot {
 /// `path` additionally refreshes the human-readable table at the same path
 /// with a ".txt" extension — same atomic-write discipline — so the dump a
 /// human tails mid-run never goes stale while the JSON snapshot advances.
-/// A `path` that is already ".txt" writes one file, not two.
+/// A `path` that is already ".txt" writes one file, not two.  `for_each`
+/// fans the encoding out (see MetricsSnapshot::to_json).
 void save_metrics(const MetricsSnapshot& snapshot,
                   const std::filesystem::path& path,
-                  bool human_sibling = false);
+                  bool human_sibling = false,
+                  const util::ForEach& for_each = {});
 
 /// Checkpoint serialization of a frozen snapshot (the registry itself
 /// round-trips as snapshot() -> save -> load -> restore()).
@@ -432,8 +481,11 @@ class MetricsRegistry {
     return *touch(id.index(), label.value).histogram;
   }
 
-  /// Every touched series, sorted by (name, labels).
-  [[nodiscard]] MetricsSnapshot snapshot() const;
+  /// Every touched series, in (name, labels) order (catalog::kSnapshotOrder).
+  /// With `ranks`, also each entry's position in that order: the key a merge
+  /// of several registries' snapshots orders on without comparing strings.
+  [[nodiscard]] MetricsSnapshot snapshot(
+      std::vector<std::uint16_t>* ranks = nullptr) const;
   /// Zero every series; touched series stay listed.
   void reset();
   /// Checkpoint restore: overwrite (and mark touched) the series of every

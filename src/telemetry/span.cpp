@@ -68,18 +68,18 @@ void write_chrome_trace(std::ostream& out,
     buffer += "\n{\"ph\":\"X\",\"cat\":\"greenhetero\",\"name\":";
     append_json_escaped(buffer, s->name);
     buffer += ",\"pid\":";
-    buffer += format_number(static_cast<double>(s->rack_id));
+    append_number(buffer, static_cast<double>(s->rack_id));
     buffer += ",\"tid\":0,\"ts\":";
-    buffer +=
-        format_number(static_cast<double>(s->wall_begin_ns - origin) / 1e3);
+    append_number(buffer,
+                  static_cast<double>(s->wall_begin_ns - origin) / 1e3);
     buffer += ",\"dur\":";
-    buffer += format_number(static_cast<double>(s->wall_dur_ns) / 1e3);
+    append_number(buffer, static_cast<double>(s->wall_dur_ns) / 1e3);
     buffer += ",\"args\":{\"depth\":";
-    buffer += format_number(static_cast<double>(s->depth));
+    append_number(buffer, static_cast<double>(s->depth));
     buffer += ",\"sim_begin_min\":";
-    buffer += format_number(s->sim_begin_min);
+    append_number(buffer, s->sim_begin_min);
     buffer += ",\"sim_end_min\":";
-    buffer += format_number(s->sim_end_min);
+    append_number(buffer, s->sim_end_min);
     buffer += "}}";
   }
   buffer += "\n]}\n";

@@ -11,15 +11,6 @@
 
 namespace greenhetero::telemetry {
 
-namespace {
-
-bool event_before(const TraceEvent& a, const TraceEvent& b) {
-  if (a.sim_minutes != b.sim_minutes) return a.sim_minutes < b.sim_minutes;
-  return a.rack_id < b.rack_id;
-}
-
-}  // namespace
-
 StreamingTraceSink::StreamingTraceSink(StreamSinkConfig config,
                                        MetricsRegistry* metrics)
     : config_(std::move(config)), metrics_(metrics) {
@@ -47,64 +38,94 @@ StreamingTraceSink::~StreamingTraceSink() {
 }
 
 void StreamingTraceSink::push(std::vector<TraceEvent> events) {
-  enqueue(std::move(events));
+  ready_.clear();
+  for (const TraceEvent& event : events) ready_.append(event);
+  enqueue(ready_);
 }
 
 void StreamingTraceSink::push_merge(std::vector<TraceEvent> batch,
                                     double watermark) {
-  if (pending_.empty()) {
-    pending_ = std::move(batch);
-  } else {
-    pending_.reserve(pending_.size() + batch.size());
-    for (TraceEvent& event : batch) pending_.push_back(std::move(event));
+  std::vector<TraceLines> sources(1);
+  for (const TraceEvent& event : batch) sources.front().append(event);
+  push_merge(sources, watermark);
+}
+
+void StreamingTraceSink::push_merge(std::vector<TraceLines>& sources,
+                                    double watermark) {
+  const auto source_of = [&](std::uint32_t source) -> const TraceLines& {
+    return source == 0 ? pending_ : sources[source - 1];
+  };
+  keys_.clear();
+  for (std::uint32_t source = 0; source <= sources.size(); ++source) {
+    const TraceLines& lines = source_of(source);
+    for (std::uint32_t i = 0; i < lines.lines.size(); ++i) {
+      keys_.push_back({lines.lines[i].t, lines.lines[i].rack, source, i});
+    }
   }
-  // Stable: (t, rack) ties are same-source events in emission order, and
-  // epoch-major arrival keeps each source's events consecutive, so this
-  // incremental sort reproduces a stable sort of the whole run.
-  std::stable_sort(pending_.begin(), pending_.end(), event_before);
-  const auto split = std::lower_bound(
-      pending_.begin(), pending_.end(), watermark,
-      [](const TraceEvent& e, double w) { return e.sim_minutes < w; });
-  if (split == pending_.begin()) return;
-  std::vector<TraceEvent> ready;
-  ready.reserve(static_cast<std::size_t>(split - pending_.begin()));
-  for (auto it = pending_.begin(); it != split; ++it) {
-    ready.push_back(std::move(*it));
+  // (t, rack), ties in arrival order: pending lines first (they are already
+  // merged), then each source in emission order — a stable sort of the
+  // concatenation.  (t, rack) ties are same-source lines, and epoch-major
+  // arrival keeps each source's lines consecutive, so this incremental
+  // merge reproduces a stable sort of the whole run.
+  std::sort(keys_.begin(), keys_.end(),
+            [](const MergeKey& a, const MergeKey& b) {
+              if (a.t != b.t) return a.t < b.t;
+              if (a.rack != b.rack) return a.rack < b.rack;
+              if (a.source != b.source) return a.source < b.source;
+              return a.line < b.line;
+            });
+  const auto split = std::partition_point(
+      keys_.begin(), keys_.end(),
+      [watermark](const MergeKey& key) { return key.t < watermark; });
+  ready_.clear();
+  TraceLines carry;
+  for (auto it = keys_.begin(); it != keys_.end(); ++it) {
+    const TraceLines& from = source_of(it->source);
+    (it < split ? ready_ : carry).append(from, from.lines[it->line]);
   }
-  pending_.erase(pending_.begin(), split);
-  enqueue(std::move(ready));
+  pending_ = std::move(carry);
+  for (TraceLines& lines : sources) lines.clear();
+  enqueue(ready_);
 }
 
 void StreamingTraceSink::note_dropped(std::uint64_t dropped) {
   dropped_total_ += dropped;
 }
 
-void StreamingTraceSink::enqueue(std::vector<TraceEvent> events) {
+void StreamingTraceSink::enqueue(TraceLines& batch) {
+  const std::size_t count = batch.lines.size();
   std::size_t offset = 0;
-  while (offset < events.size()) {
+  while (offset < count) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (queue_.size() >= config_.queue_capacity) {
+    if (queue_lines_ >= config_.queue_capacity) {
       // Backpressure: the producer (the simulation) waits for the writer,
-      // keeping sink memory capped at queue_capacity events.
+      // keeping sink memory capped at queue_capacity lines.
       ++stalls_;
       if (metrics_ != nullptr) {
         metrics_->counter("gh_trace_stalls_total").increment();
       }
       space_cv_.wait(lock, [this] {
-        return queue_.size() < config_.queue_capacity || failed_;
+        return queue_lines_ < config_.queue_capacity || failed_;
       });
     }
     throw_if_failed();
-    const std::size_t room = config_.queue_capacity - queue_.size();
-    const std::size_t take = std::min(room, events.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) {
-      queue_.push_back(std::move(events[offset + i]));
+    const std::size_t room = config_.queue_capacity - queue_lines_;
+    const std::size_t take = std::min(room, count - offset);
+    const TraceLines::Line& first = batch.lines[offset];
+    const TraceLines::Line& last = batch.lines[offset + take - 1];
+    if (queue_lines_ == 0 && take == count) {
+      queue_.swap(batch.bytes);  // the whole batch: hand the buffer over
+    } else {
+      queue_.append(batch.bytes, first.begin,
+                    last.begin + last.size - first.begin);
     }
+    queue_lines_ += take;
+    queue_last_t_ = last.t;
     offset += take;
-    peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
+    peak_queue_depth_ = std::max(peak_queue_depth_, queue_lines_);
     if (metrics_ != nullptr) {
       metrics_->gauge("gh_trace_queue_depth")
-          .set(static_cast<double>(queue_.size()));
+          .set(static_cast<double>(queue_lines_));
       metrics_->counter("gh_trace_events_streamed_total")
           .increment(static_cast<double>(take));
       // Residency: the depth each producer batch left behind.  A
@@ -113,7 +134,7 @@ void StreamingTraceSink::enqueue(std::vector<TraceEvent> events) {
       // writer drains asynchronously), so excluded from byte-identity
       // comparisons like the stall/depth series.
       metrics_->histogram("gh_trace_queue_residency")
-          .observe(static_cast<double>(queue_.size()));
+          .observe(static_cast<double>(queue_lines_));
     }
     lock.unlock();
     work_cv_.notify_one();
@@ -121,27 +142,30 @@ void StreamingTraceSink::enqueue(std::vector<TraceEvent> events) {
 }
 
 void StreamingTraceSink::writer_loop() {
+  // Reused across batches: swapping it with the queue recycles its
+  // capacity.
+  std::string batch;
   for (;;) {
-    std::vector<TraceEvent> batch;
+    std::size_t lines = 0;
+    double last_t = 0.0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return !queue_.empty() || stop_; });
-      if (queue_.empty() && stop_) return;
+      work_cv_.wait(lock, [this] { return queue_lines_ > 0 || stop_; });
+      if (queue_lines_ == 0 && stop_) return;
       batch.swap(queue_);
+      lines = queue_lines_;
+      last_t = queue_last_t_;
+      queue_lines_ = 0;
       writing_ = true;
     }
     space_cv_.notify_all();
-    std::string buffer;
-    for (const TraceEvent& event : batch) {
-      buffer += event.to_json();
-      buffer += '\n';
-      last_written_t_ = event.sim_minutes;
-    }
-    out_ << buffer;
+    out_.write(batch.data(), static_cast<std::streamsize>(batch.size()));
+    batch.clear();
+    last_written_t_ = last_t;
     const bool ok = static_cast<bool>(out_);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      events_written_ += batch.size();
+      events_written_ += lines;
       writing_ = false;
       if (!ok && !failed_) {
         failed_ = true;
@@ -158,8 +182,9 @@ void StreamingTraceSink::writer_loop() {
 void StreamingTraceSink::flush() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    space_cv_.wait(lock,
-                   [this] { return (queue_.empty() && !writing_) || failed_; });
+    space_cv_.wait(lock, [this] {
+      return (queue_lines_ == 0 && !writing_) || failed_;
+    });
     throw_if_failed();
   }
   // The writer is idle (queue empty and its last batch accounted), so the
@@ -184,14 +209,9 @@ void StreamingTraceSink::close() {
   if (!pending_.empty()) {
     // Callers always finish with watermark = +inf; a leftover means a bug
     // upstream, but losing events silently would be worse — write them.
-    std::string buffer;
-    for (const TraceEvent& event : pending_) {
-      buffer += event.to_json();
-      buffer += '\n';
-      last_written_t_ = event.sim_minutes;
-    }
+    out_ << pending_.bytes;
+    last_written_t_ = pending_.lines.back().t;
     pending_.clear();
-    out_ << buffer;
   }
   if (dropped_total_ > 0) {
     out_ << make_truncation_footer(last_written_t_, dropped_total_).to_json()
@@ -233,8 +253,12 @@ void StreamingTraceSink::save_state(checkpoint::Writer& w) {
   w.u64(static_cast<std::uint64_t>(std::streamoff(out_.tellp())));
   w.f64(last_written_t_);
   w.u64(dropped_total_);
-  w.seq(pending_.size());
-  for (const TraceEvent& event : pending_) event.save_state(w);
+  w.seq(pending_.lines.size());
+  for (const TraceLines::Line& line : pending_.lines) {
+    w.f64(line.t);
+    w.i64(line.rack);
+    w.str(std::string_view(pending_.bytes).substr(line.begin, line.size));
+  }
   const std::lock_guard<std::mutex> lock(mutex_);
   w.u64(stalls_);
   w.u64(events_written_);
@@ -247,9 +271,11 @@ void StreamingTraceSink::load_state(checkpoint::Reader& r) {
   const std::size_t count = r.seq();
   pending_.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    TraceEvent event;
-    event.load_state(r);
-    pending_.push_back(std::move(event));
+    const double t = r.f64();
+    const auto rack = static_cast<int>(r.i64());
+    const std::string line = r.str();
+    pending_.lines.push_back({t, rack, pending_.bytes.size(), line.size()});
+    pending_.bytes += line;
   }
   const std::uint64_t stalls = r.u64();
   const std::uint64_t written = r.u64();

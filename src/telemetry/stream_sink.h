@@ -1,10 +1,10 @@
 // Bounded-memory streaming trace sink: the only way trace events leave a
 // run.
 //
-// Producers hand over batches at epoch barriers, a dedicated writer thread
-// serializes and writes them to the JSONL file, and a bounded queue between
-// the two provides backpressure (a full queue blocks the producer and counts
-// a stall), so memory stays capped at one epoch's events plus
+// Producers hand over encoded JSONL lines (TraceLines) at epoch barriers, a
+// dedicated writer thread writes them to the file, and a bounded queue
+// between the two provides backpressure (a full queue blocks the producer
+// and counts a stall), so memory stays capped at one epoch's lines plus
 // queue_capacity no matter how long the run is.
 //
 // Ordering contract: the file holds the schema header, then every event
@@ -14,25 +14,28 @@
 //
 //  - Single rack (RackSimulator::run): one source, already in emission
 //    order, so push() writes each epoch's events unmodified.
-//  - Fleet: push_merge().  At every epoch barrier the coordinator drains
-//    all rings (coordinator events, then racks 0..N-1), appends them to a
-//    pending buffer, stable-sorts it and flushes the prefix strictly below
-//    the watermark (the next epoch's start time).  Every event emitted
-//    while stepping epoch e is stamped within [e_start, e_end) — fault
-//    events at substep times, epoch_plan/loss_ledger/rollup at now(), the
-//    coordinator's grid_share at e_start — so nothing older can arrive
-//    later, and rack ids are unique per source, so (t, rack) ties are
-//    always same-source and the stable sort preserves their emission
-//    order.  The incremental merge therefore equals a stable sort of the
-//    whole run's concatenation.
+//  - Fleet: push_merge().  Each shard drains its racks' rings right after
+//    stepping them and encodes the lines on its pool thread.  At every
+//    epoch barrier the coordinator hands over every source's lines
+//    (coordinator first, then racks 0..N-1); the sink stable-sorts their
+//    (t, rack) tags together with the pending lines and flushes the prefix
+//    strictly below the watermark (the next epoch's start time).  Every
+//    event emitted while stepping epoch e is stamped within
+//    [e_start, e_end) — fault events at substep times,
+//    epoch_plan/loss_ledger/rollup at now(), the coordinator's grid_share
+//    at e_start — so nothing older can arrive later, and rack ids are
+//    unique per source, so (t, rack) ties are always same-source and the
+//    stable sort preserves their emission order.  The incremental merge
+//    therefore equals a stable sort of the whole run's concatenation, and
+//    which thread encoded a line never changes a byte.
 //
 // The contract is pinned by the golden traces (tests/golden/) and by
 // streaming_sink_test, which checks push_merge against std::stable_sort of
 // seeded random multi-source batches.
 //
-// Events are serialized on the writer thread, off the simulation's critical
-// path; close() (or destruction) flushes the queue, appends a truncation
-// footer if the producer reported ring drops, and joins the writer.
+// Producers encode; the writer thread only writes bytes.  close() (or
+// destruction) flushes the queue, appends a truncation footer if the
+// producer reported ring drops, and joins the writer.
 #pragma once
 
 #include <condition_variable>
@@ -40,6 +43,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,10 +60,12 @@ class MetricsRegistry;
 
 struct StreamSinkConfig {
   std::filesystem::path path;
-  /// Queue bound in events; a producer handing over a batch that would
+  /// Queue bound in lines; a producer handing over a batch that would
   /// exceed it blocks until the writer catches up (one stall counted per
-  /// wait).  Peak sink memory ~= queue_capacity * mean event bytes.
-  std::size_t queue_capacity = 4096;
+  /// wait).  Peak sink memory ~= queue_capacity * mean line bytes (about
+  /// 220 B on a fleet trace, so ~3.5 MB): room for a few epochs of a
+  /// 512-rack fleet's ~4100 lines, so a barrier rarely waits.
+  std::size_t queue_capacity = 16384;
   /// Resume mode: the constructor neither opens the file nor writes the
   /// schema header; load_state() truncates the existing file back to the
   /// checkpointed durable offset and reopens it for append.  No events may
@@ -80,15 +86,20 @@ class StreamingTraceSink {
 
   [[nodiscard]] const StreamSinkConfig& config() const { return config_; }
 
-  /// Enqueue a batch in emission order (single-source path).  Blocks while
-  /// the queue is full; events are written in hand-off order.
+  /// Enqueue a batch in emission order (single-source path): encode it on
+  /// the calling thread, then block while the queue is full; lines are
+  /// written in hand-off order.
   void push(std::vector<TraceEvent> events);
 
-  /// Multi-source path: append `batch` to the pending reorder buffer,
-  /// stable-sort it by (sim time, rack id) and enqueue every event with
-  /// sim time < `watermark`.  Call with the epoch-major concatenation of
-  /// all sources' drains and watermark = next epoch start; finish with
-  /// watermark = +infinity to flush the tail.
+  /// Multi-source path: merge `sources` (each in emission order) with the
+  /// pending lines, stable-sorted by (sim time, rack id), and enqueue every
+  /// line with sim time < `watermark`; the rest stays pending.  Takes the
+  /// lines: every source is left empty (its capacity kept for reuse).
+  /// Call with every source of one epoch barrier, in a fixed source order,
+  /// and watermark = next epoch start; finish with watermark = +infinity
+  /// to flush the tail.
+  void push_merge(std::vector<TraceLines>& sources, double watermark);
+  /// push_merge of one source, encoded here from `batch`.
   void push_merge(std::vector<TraceEvent> batch, double watermark);
 
   /// Record ring evictions reported by the producer; a final
@@ -96,7 +107,7 @@ class StreamingTraceSink {
   /// non-zero.
   void note_dropped(std::uint64_t dropped);
 
-  /// Block until every queued event reached the ofstream and flush it, so
+  /// Block until every queued line reached the ofstream and flush it, so
   /// a reader opening the file sees everything handed over so far.
   void flush();
 
@@ -112,8 +123,8 @@ class StreamingTraceSink {
 
   /// Checkpoint the sink: the durable byte offset (caller MUST flush()
   /// immediately before, so the writer thread is idle and tellp() is the
-  /// exact watermark), the footer bookkeeping and the push_merge reorder
-  /// buffer.  Non-const because tellp() is not.
+  /// exact watermark), the footer bookkeeping and the pending lines of the
+  /// push_merge reorder buffer.  Non-const because tellp() is not.
   void save_state(checkpoint::Writer& w);
   /// Restore a resume-mode sink: truncate the file back to the recorded
   /// offset (a crash may have appended a torn tail past the checkpoint)
@@ -122,7 +133,9 @@ class StreamingTraceSink {
 
  private:
   void writer_loop();
-  void enqueue(std::vector<TraceEvent> events);
+  /// Queue the lines of `batch` (contiguous in its bytes, in order),
+  /// blocking while the queue is full.
+  void enqueue(TraceLines& batch);
   void throw_if_failed();
 
   StreamSinkConfig config_;
@@ -131,16 +144,29 @@ class StreamingTraceSink {
   double last_written_t_ = 0.0;  ///< writer thread only, for the footer
   std::uint64_t dropped_total_ = 0;  ///< producer thread only
 
-  /// Out-of-order buffer for push_merge (producer thread only); holds at
-  /// most the events of one epoch barrier that sort at/after the
-  /// watermark — in practice near-empty, since an epoch's events all
-  /// precede the next epoch's start.
-  std::vector<TraceEvent> pending_;
+  // Producer thread only.
+  /// push_merge's reorder buffer, in merged order: at most the lines of one
+  /// epoch barrier that sort at/after the watermark — in practice empty,
+  /// since an epoch's events all precede the next epoch's start.
+  TraceLines pending_;
+  /// Scratch reused across barriers: the merge's lines below the watermark
+  /// and its sort keys.
+  TraceLines ready_;
+  struct MergeKey {
+    double t;
+    int rack;
+    std::uint32_t source;  ///< 0 = pending_, s + 1 = sources[s]
+    std::uint32_t line;
+  };
+  std::vector<MergeKey> keys_;
 
   mutable std::mutex mutex_;
   std::condition_variable space_cv_;  ///< producer: queue has room again
-  std::condition_variable work_cv_;   ///< writer: events or stop arrived
-  std::vector<TraceEvent> queue_;     ///< guarded by mutex_
+  std::condition_variable work_cv_;   ///< writer: lines or stop arrived
+  // Guarded by mutex_: the queued bytes, their line count and last sim time.
+  std::string queue_;
+  std::size_t queue_lines_ = 0;
+  double queue_last_t_ = 0.0;
   bool writing_ = false;  ///< writer holds a swapped-out batch mid-write
   bool stop_ = false;
   bool failed_ = false;

@@ -1,7 +1,7 @@
 #include "telemetry/tracing.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <set>
 #include <stdexcept>
 
@@ -13,14 +13,21 @@ namespace greenhetero::telemetry {
 
 std::string trace_header_json() {
   std::string out = "{\"schema\":\"greenhetero-trace\",\"version\":";
-  out += format_number(static_cast<double>(kTraceSchemaVersion));
+  append_number(out, static_cast<double>(kTraceSchemaVersion));
   out += '}';
   return out;
 }
 
 void append_json_escaped(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending run that needs no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -37,16 +44,15 @@ void append_json_escaped(std::string& out, std::string_view s) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr std::string_view kHex = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[static_cast<unsigned char>(c) >> 4];
+        out += kHex[static_cast<unsigned char>(c) & 0xF];
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -67,11 +73,10 @@ TraceKey TraceKey::intern(std::string_view key) {
 void TraceValue::append_json(std::string& out) const {
   struct Append {
     std::string& out;
-    void operator()(double v) const { out += format_number(v); }
+    void operator()(double v) const { append_number(out, v); }
     void operator()(std::int64_t v) const {
       char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-      out += buf;
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
     }
     void operator()(bool v) const { out += v ? "true" : "false"; }
     void operator()(const std::string& v) const {
@@ -81,7 +86,7 @@ void TraceValue::append_json(std::string& out) const {
       out += '[';
       for (std::size_t i = 0; i < v.size(); ++i) {
         if (i > 0) out += ',';
-        out += format_number(v[i]);
+        append_number(out, v[i]);
       }
       out += ']';
     }
@@ -125,10 +130,16 @@ const std::vector<double>& TraceValue::as_array() const {
 }
 
 std::string TraceEvent::to_json() const {
-  std::string out = "{\"t\":";
-  out += format_number(sim_minutes);
+  std::string out;
+  append_json(out);
+  return out;
+}
+
+void TraceEvent::append_json(std::string& out) const {
+  out += "{\"t\":";
+  append_number(out, sim_minutes);
   out += ",\"rack\":";
-  out += format_number(static_cast<double>(rack_id));
+  append_number(out, static_cast<double>(rack_id));
   out += ",\"phase\":";
   append_json_escaped(out, phase);
   for (const auto& [key, value] : fields) {
@@ -138,7 +149,19 @@ std::string TraceEvent::to_json() const {
     value.append_json(out);
   }
   out += '}';
-  return out;
+}
+
+void TraceLines::append(const TraceEvent& event) {
+  const std::size_t begin = bytes.size();
+  event.append_json(bytes);
+  bytes += '\n';
+  lines.push_back({event.sim_minutes, event.rack_id, begin,
+                   bytes.size() - begin});
+}
+
+void TraceLines::append(const TraceLines& from, const Line& line) {
+  lines.push_back({line.t, line.rack, bytes.size(), line.size});
+  bytes.append(from.bytes, line.begin, line.size);
 }
 
 const TraceValue* TraceEvent::field(std::string_view key) const {

@@ -127,6 +127,8 @@ struct TraceEvent {
 
   /// Single-line JSON object: {"t":..,"rack":..,"phase":..,<fields>}.
   [[nodiscard]] std::string to_json() const;
+  /// to_json() appended to `out` in place.
+  void append_json(std::string& out) const;
   [[nodiscard]] const TraceValue* field(std::string_view key) const;
   /// Approximate memory held by this event (fixed overhead + payloads;
   /// keys are shared static strings and count only through the field
@@ -136,6 +138,31 @@ struct TraceEvent {
 
   void save_state(checkpoint::Writer& w) const;
   void load_state(checkpoint::Reader& r);
+};
+
+/// Encoded JSONL lines, each tagged with its event's merge key (sim time,
+/// rack id; its index here is its emission order).  The fleet's shards
+/// encode their racks' drained events into these on the pool threads, and
+/// the streaming sink orders the tags and writes the bytes.
+struct TraceLines {
+  struct Line {
+    double t = 0.0;
+    int rack = 0;
+    std::size_t begin = 0;  ///< offset of the line in `bytes`
+    std::size_t size = 0;   ///< line length, its '\n' included
+  };
+  std::string bytes;
+  std::vector<Line> lines;
+
+  /// Encode `event` as TraceEvent::to_json() plus '\n' and tag it.
+  void append(const TraceEvent& event);
+  /// Copy one line of `from`, bytes and tag.
+  void append(const TraceLines& from, const Line& line);
+  [[nodiscard]] bool empty() const { return lines.empty(); }
+  void clear() {
+    bytes.clear();
+    lines.clear();
+  }
 };
 
 /// The `trace_truncated` footer the streaming sink appends when a ring

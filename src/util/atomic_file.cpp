@@ -7,6 +7,11 @@ namespace greenhetero::util {
 
 void write_file_atomic(const std::filesystem::path& path,
                        std::string_view body) {
+  write_file_atomic(path, std::span<const std::string_view>(&body, 1));
+}
+
+void write_file_atomic(const std::filesystem::path& path,
+                       std::span<const std::string_view> body) {
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -14,7 +19,9 @@ void write_file_atomic(const std::filesystem::path& path,
       throw AtomicWriteError("cannot open temp file for atomic write: " +
                              tmp.string());
     }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    for (std::string_view piece : body) {
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+    }
     out.flush();
     if (!out) {
       throw AtomicWriteError("write to temp file failed: " + tmp.string());

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -26,5 +27,8 @@ class AtomicWriteError : public std::runtime_error {
 /// any point leaves the previous version of `path` intact.
 void write_file_atomic(const std::filesystem::path& path,
                        std::string_view body);
+/// The same for a body given as consecutive pieces, written in order.
+void write_file_atomic(const std::filesystem::path& path,
+                       std::span<const std::string_view> body);
 
 }  // namespace greenhetero::util

@@ -34,6 +34,13 @@
 
 namespace greenhetero::util {
 
+/// A fan-out over [0, n): runs fn(i) for every i, possibly on several
+/// threads, and returns after every call finished (ThreadPool::parallel_for,
+/// or the fleet's two-level shard fan-out).  fn(i) must touch only state of
+/// its own index.  An empty ForEach means "run inline".
+using ForEach = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& fn)>;
+
 class ThreadPool {
  public:
   /// `threads` counts the calling thread: a pool of N runs work on N-1

@@ -7,6 +7,8 @@
 #include "checkpoint/checkpoint.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 #include <unistd.h>
 
 #include <atomic>
@@ -111,6 +113,64 @@ TEST(Serializer, ReaderThrowsOnShortBuffer) {
   const std::string& buf = w.buffer();
   checkpoint::Reader r(std::string_view(buf.data(), buf.size() - 1));
   EXPECT_THROW((void)r.u64(), checkpoint::CheckpointError);
+}
+
+TEST(Serializer, WritesLittleEndianImagesAndKeepsReaderMessages) {
+  // The layout is the contract: fixed-width values are their little-endian
+  // images, a bulk array is a u64 length then the packed images, whether
+  // it was written element by element or in one copy.
+  checkpoint::Writer w;
+  w.u32(0x01020304u);
+  w.u64(0x0102030405060708ull);
+  w.i64(-2);
+  w.f64(1.0);
+  w.f64_array(std::vector<double>{-0.0});
+  checkpoint::save(w, std::vector<double>{2.0});
+  const std::string expected = std::string(
+      "\x04\x03\x02\x01"
+      "\x08\x07\x06\x05\x04\x03\x02\x01"
+      "\xfe\xff\xff\xff\xff\xff\xff\xff"
+      "\x00\x00\x00\x00\x00\x00\xf0\x3f"
+      "\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x80"
+      "\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x40",
+      60);
+  EXPECT_EQ(w.buffer(), expected);
+  checkpoint::Reader back(expected);
+  EXPECT_EQ(back.u32(), 0x01020304u);
+  EXPECT_EQ(back.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(back.i64(), -2);
+  EXPECT_EQ(back.f64(), 1.0);
+  std::vector<double> one;
+  back.f64_array(one);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_TRUE(std::signbit(one[0]));
+  checkpoint::load(back, one);
+  EXPECT_EQ(one, std::vector<double>{2.0});
+  EXPECT_TRUE(back.done());
+
+  // Truncation errors name the shortfall as before.
+  checkpoint::Reader r(std::string_view(expected).substr(0, 10));
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  try {
+    (void)r.f64();
+    FAIL() << "read past the end";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_STREQ(e.what(),
+                 "checkpoint payload truncated: need 8 bytes at offset 4, "
+                 "have 6");
+  }
+  checkpoint::Reader arrays(std::string_view(expected).substr(28, 12));
+  std::vector<double> out;
+  try {
+    arrays.f64_array(out);
+    FAIL() << "read a truncated array";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_STREQ(e.what(),
+                 "checkpoint payload truncated: f64 array of 1 elements "
+                 "with 4 bytes left");
+  }
 }
 
 TEST(Serializer, RoundTripsBulkArrays) {

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -223,7 +226,7 @@ using testtrace::ScratchDir;
 Fleet make_ckpt_fleet(
     std::size_t shards, const std::filesystem::path& dir, int every,
     std::optional<telemetry::StreamSinkConfig> stream = std::nullopt,
-    bool telemetry = true) {
+    bool telemetry = true, std::size_t threads = 1) {
   const double capacities[] = {300.0, 1200.0, 2400.0, 4800.0};
   std::vector<RackSimulator> racks;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -236,6 +239,7 @@ Fleet make_ckpt_fleet(
   cfg.total_grid_budget = Watts{2000.0};
   cfg.mode = GridShareMode::kDemandProportional;
   cfg.shards = shards;
+  cfg.threads = threads;
   cfg.checkpoint_dir = dir.string();
   cfg.checkpoint_every = every;
   cfg.checkpoint_keep = 0;  // keep everything; the test picks its snapshot
@@ -283,25 +287,124 @@ TEST(FleetShard, CheckpointRestoresIntoDifferentShardCount) {
 TEST(FleetShard, CheckpointBytesIdenticalAcrossShardCounts) {
   // Stronger than restorability: the snapshot payload itself must not
   // mention the topology, so the files written under different --shards
-  // values are byte-for-byte the same.  Telemetry is off: the metrics in a
-  // snapshot carry wall-clock span histograms.
-  ScratchDir a;
-  ScratchDir b;
-  Fleet one = make_ckpt_fleet(1, a.path(), 8, std::nullopt, false);
-  Fleet four = make_ckpt_fleet(4, b.path(), 8, std::nullopt, false);
-  (void)one.run(Minutes{6.0 * 60.0});
-  (void)four.run(Minutes{6.0 * 60.0});
+  // and --threads values are byte-for-byte the same, although each rack
+  // serialises its chunk on whichever pool thread the topology gives it.
+  // Telemetry is off: the metrics in a snapshot carry wall-clock span
+  // histograms.
+  ScratchDir reference_dir;
+  Fleet reference =
+      make_ckpt_fleet(1, reference_dir.path(), 8, std::nullopt, false, 1);
+  (void)reference.run(Minutes{6.0 * 60.0});
   const std::vector<std::filesystem::path> lhs =
-      checkpoint::list_snapshots(a.path());
-  const std::vector<std::filesystem::path> rhs =
-      checkpoint::list_snapshots(b.path());
-  ASSERT_EQ(lhs.size(), rhs.size());
+      checkpoint::list_snapshots(reference_dir.path());
   ASSERT_GE(lhs.size(), 1u);
-  for (std::size_t i = 0; i < lhs.size(); ++i) {
-    const checkpoint::Snapshot sa = checkpoint::load_snapshot(lhs[i]);
-    const checkpoint::Snapshot sb = checkpoint::load_snapshot(rhs[i]);
-    EXPECT_EQ(sa.epoch_index, sb.epoch_index);
-    EXPECT_EQ(sa.payload, sb.payload) << "snapshot " << i;
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      ScratchDir dir;
+      Fleet fleet =
+          make_ckpt_fleet(shards, dir.path(), 8, std::nullopt, false, threads);
+      (void)fleet.run(Minutes{6.0 * 60.0});
+      const std::vector<std::filesystem::path> rhs =
+          checkpoint::list_snapshots(dir.path());
+      ASSERT_EQ(lhs.size(), rhs.size());
+      for (std::size_t i = 0; i < lhs.size(); ++i) {
+        const checkpoint::Snapshot sa = checkpoint::load_snapshot(lhs[i]);
+        const checkpoint::Snapshot sb = checkpoint::load_snapshot(rhs[i]);
+        EXPECT_EQ(sa.epoch_index, sb.epoch_index);
+        EXPECT_EQ(sa.payload, sb.payload) << "snapshot " << i;
+      }
+    }
+  }
+}
+
+/// The series of a metrics file that are pure functions of the scenario:
+/// the wall-clock ones (latency histograms, throughput, the sink's queue
+/// and stall series) are dropped, as the crash fuzzer does.  A JSON dump is
+/// one line; its entries split at each `,{"name":`.
+std::vector<std::string> deterministic_series(const std::string& text,
+                                              bool json) {
+  const auto wall_clock = [](std::string_view item) {
+    for (std::string_view marker :
+         {"_ns", "gh_trace_stalls", "gh_trace_queue_depth",
+          "gh_trace_queue_residency", "gh_rack_epochs_per_sec"}) {
+      if (item.find(marker) != std::string_view::npos) return true;
+    }
+    return false;
+  };
+  const std::string_view separator = json ? ",{\"name\":" : "\n";
+  std::vector<std::string> kept;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find(separator, begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string_view item(text.data() + begin, end - begin);
+    if (!wall_clock(item)) kept.emplace_back(item);
+    begin = end + separator.size();
+  }
+  return kept;
+}
+
+TEST(FleetShard, MetricsFilesIdenticalAcrossThreadAndShardMatrix) {
+  // The flushed metrics.json and its metrics.txt sibling: the racks'
+  // snapshots are taken and encoded on the shard pools, and the merge and
+  // the table's column width must not depend on the topology.  A flush
+  // every 5 epochs plus the final one.
+  const auto run = [](std::size_t shards, std::size_t threads) {
+    std::vector<RackSimulator> racks;
+    for (std::size_t i = 0; i < 20; ++i) {
+      racks.push_back(make_rack_sim(Watts{300.0 + 300.0 * i}, 60 + i, {}));
+    }
+    FleetConfig cfg;
+    cfg.total_grid_budget = Watts{5000.0};
+    cfg.mode = GridShareMode::kDemandProportional;
+    cfg.threads = threads;
+    cfg.shards = shards;
+    const ScratchDir scratch;
+    cfg.trace_stream = telemetry::StreamSinkConfig{scratch / "trace.jsonl"};
+    cfg.metrics_out = (scratch / "metrics.json").string();
+    cfg.metrics_flush_every = 5;
+    Fleet fleet{std::move(racks), cfg};
+    fleet.pretrain();
+    (void)fleet.run(Minutes{4.0 * 60.0});
+    // The rank merge is the (name, labels) sort, "rack" labels compared as
+    // strings ("10" before "2").
+    const MetricsSnapshot snap = fleet.metrics_snapshot();
+    std::vector<telemetry::SnapshotEntry> sorted = snap.entries;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const telemetry::SnapshotEntry& a,
+                 const telemetry::SnapshotEntry& b) {
+                if (a.name != b.name) return a.name < b.name;
+                return a.labels < b.labels;
+              });
+    for (std::size_t k = 0; k < sorted.size(); ++k) {
+      EXPECT_EQ(snap.entries[k].name, sorted[k].name) << "entry " << k;
+      EXPECT_EQ(snap.entries[k].labels, sorted[k].labels) << "entry " << k;
+    }
+    return std::pair{testtrace::read_file(scratch / "metrics.json"),
+                     testtrace::read_file(scratch / "metrics.txt")};
+  };
+  const auto [json, human] = run(1, 1);
+  const std::vector<std::string> json_series = deterministic_series(json, true);
+  const std::vector<std::string> human_series =
+      deterministic_series(human, false);
+  // More than 256 entries in all: the encoding fans out in several pieces.
+  std::size_t entries = 0;
+  for (std::size_t at = json.find("{\"name\":"); at != std::string::npos;
+       at = json.find("{\"name\":", at + 1)) {
+    ++entries;
+  }
+  ASSERT_GT(entries, 2u * 256u);
+  ASSERT_EQ(json_series.size(), human_series.size());
+  for (const std::size_t shards : {1u, 2u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      const auto [other_json, other_human] = run(shards, threads);
+      EXPECT_EQ(deterministic_series(other_json, true), json_series);
+      EXPECT_EQ(deterministic_series(other_human, false), human_series);
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/epu.h"
@@ -58,6 +60,45 @@ TEST(OraclePrimitives, BruteForceFindsTheObviousOptimum) {
   // refinement tolerance — and must not fall below the grid lower bound.
   const Allocation fast = Solver::solve(one, Watts{400.0});
   EXPECT_GE(fast.predicted_perf, s.perf - 1e-6);
+}
+
+TEST(OraclePrimitives, TabulatedSweepMatchesDirectEvaluationBitwise) {
+  // oracle_solve adds tabulated per-group terms down its recursion; the
+  // plain sweep below evaluates oracle_objective at every grid point.  The
+  // best point and its objective must agree bit for bit.
+  Rng rng(0x0AC1E);
+  for (int instance = 0; instance < 200; ++instance) {
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    const std::vector<GroupModel> groups = check::random_group_models(rng, 4);
+    const Watts supply = check::random_supply(rng);
+    const double granularity = instance % 2 == 0 ? 0.05 : 0.1;
+    const int steps = static_cast<int>(std::lround(1.0 / granularity));
+    std::vector<double> current(groups.size(), 0.0);
+    check::OracleSolution naive;
+    naive.ratios = current;
+    naive.perf = check::oracle_objective(groups, current, supply);
+    const auto sweep = [&](auto&& self, std::size_t index,
+                           int remaining) -> void {
+      for (int k = 0; k <= remaining; ++k) {
+        current[index] = k * (1.0 / steps);
+        if (index + 1 < groups.size()) {
+          self(self, index + 1, remaining - k);
+          continue;
+        }
+        const double perf = check::oracle_objective(groups, current, supply);
+        if (perf > naive.perf) {
+          naive.perf = perf;
+          naive.ratios = current;
+        }
+      }
+    };
+    sweep(sweep, 0, steps);
+    const check::OracleSolution fast =
+        check::oracle_solve(groups, supply, granularity);
+    EXPECT_EQ(std::memcmp(&fast.perf, &naive.perf, sizeof(double)), 0)
+        << fast.perf << " vs " << naive.perf;
+    EXPECT_EQ(fast.ratios, naive.ratios);
+  }
 }
 
 TEST(OracleHarness, CleanOnRandomInstancesAcrossSeeds) {

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/trace_analyzer.h"
@@ -165,6 +166,76 @@ TEST(StreamingSink, PushMergeMatchesStableSortOfRandomBatches) {
                         (e + 1) * kEpoch);
       }
       sink.push_merge({}, std::numeric_limits<double>::infinity());
+      sink.close();
+      EXPECT_EQ(sink.events_written(), all.size());
+    }
+    EXPECT_EQ(read_file(path), expected);
+  }
+}
+
+TEST(StreamingSink, EncodedLineMergeMatchesToJsonOfStableSortedEvents) {
+  // The fleet's path: each source's events are encoded into its own
+  // TraceLines (by the shard thread that stepped the rack; here by one
+  // thread per source), and the sink merges only the (t, rack) tags.  The
+  // file must equal to_json of a stable sort of every event, with lines
+  // held back at a watermark crossing barriers, at any queue bound.
+  ScratchDir scratch;
+  constexpr double kEpoch = 15.0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919);
+    const int sources = rng.uniform_int(1, 6);  // rack ids -1 .. sources-2
+    const int epochs = rng.uniform_int(1, 6);
+    std::vector<std::vector<std::vector<telemetry::TraceEvent>>> per_epoch;
+    std::vector<telemetry::TraceEvent> all;
+    int index = 0;
+    for (int e = 0; e < epochs; ++e) {
+      auto& epoch = per_epoch.emplace_back(static_cast<std::size_t>(sources));
+      for (int source = 0; source < sources; ++source) {
+        const int count = rng.uniform_int(0, 8);
+        for (int i = 0; i < count; ++i) {
+          const double t = (e + rng.uniform_int(0, 3) / 3.0) * kEpoch;
+          telemetry::TraceEvent event = make_event(t, source - 1, index++);
+          event.fields.emplace_back(telemetry::TraceKey("text"),
+                                    std::string("q\"\\\n\x01"));
+          event.fields.emplace_back(telemetry::TraceKey("w"),
+                                    rng.uniform(-1e3, 1e3));
+          epoch[static_cast<std::size_t>(source)].push_back(event);
+          all.push_back(std::move(event));
+        }
+      }
+    }
+    std::stable_sort(all.begin(), all.end(), event_before);
+    std::string expected = telemetry::trace_header_json() + "\n";
+    for (const telemetry::TraceEvent& event : all) {
+      expected += event.to_json() + "\n";
+    }
+
+    const fs::path path = scratch / ("lines-" + std::to_string(seed));
+    {
+      telemetry::StreamSinkConfig config{path};
+      config.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 9));
+      telemetry::StreamingTraceSink sink(config);
+      std::vector<telemetry::TraceLines> lines(
+          static_cast<std::size_t>(sources));
+      for (int e = 0; e < epochs; ++e) {
+        std::vector<std::thread> encoders;
+        for (int source = 0; source < sources; ++source) {
+          encoders.emplace_back([&, e, source] {
+            for (const telemetry::TraceEvent& event :
+                 per_epoch[static_cast<std::size_t>(e)]
+                          [static_cast<std::size_t>(source)]) {
+              lines[static_cast<std::size_t>(source)].append(event);
+            }
+          });
+        }
+        for (std::thread& encoder : encoders) encoder.join();
+        sink.push_merge(lines, (e + 1) * kEpoch);
+        for (const telemetry::TraceLines& source : lines) {
+          EXPECT_TRUE(source.empty());  // the sink took every line
+        }
+      }
+      sink.push_merge(lines, std::numeric_limits<double>::infinity());
       sink.close();
       EXPECT_EQ(sink.events_written(), all.size());
     }

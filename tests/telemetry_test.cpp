@@ -2,8 +2,14 @@
 // and the ambient context scope.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +40,65 @@ TEST(FormatNumber, IntegersAndDecimalsAndSpecials) {
   EXPECT_EQ(format_number(std::numeric_limits<double>::infinity()), "+Inf");
   EXPECT_EQ(format_number(-std::numeric_limits<double>::infinity()), "-Inf");
   EXPECT_EQ(format_number(std::nan("")), "NaN");
+}
+
+/// The printf spelling append_number reproduces with std::to_chars.
+std::string snprintf_number(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0.0 ? "+Inf" : "-Inf";
+  char buf[40];
+  if (std::nearbyint(value) == value && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.10g", value);
+  }
+  return buf;
+}
+
+TEST(FormatNumber, MatchesSnprintfBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.5, 2.5, -2.5, 0.1, 1.0 / 3.0,
+      1e15, -1e15, std::nextafter(1e15, 0.0), std::nextafter(1e15, inf),
+      std::nextafter(-1e15, 0.0), std::nextafter(-1e15, -inf),
+      9007199254740992.0 - 1.0, 9007199254740992.0 + 2.0,  // 2^53 -/+ 1 ulp
+      -9007199254740991.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), 9999999999.5, 99999.999995,
+      1234567890.5, 0.00001234567891, 1e-5, 1e-4, 1e16, 1e300, -1e-300,
+      std::nan(""), -std::nan(""), inf, -inf};
+  for (double v : values) {
+    SCOPED_TRACE(snprintf_number(v));
+    EXPECT_EQ(format_number(v), snprintf_number(v));
+  }
+  // Appends in place, after what the string already holds.
+  std::string out = "x=";
+  append_number(out, 2.5);
+  EXPECT_EQ(out, "x=2.5");
+
+  // Seeded random bit patterns (every exponent, subnormals, NaN payloads),
+  // integers below 1e15 and plain fractions.
+  std::mt19937_64 rng(0x5EED);
+  std::uniform_real_distribution<double> fraction(-1e6, 1e6);
+  std::uniform_int_distribution<std::int64_t> integer(-999'999'999'999'999,
+                                                      999'999'999'999'999);
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (int i = 0; i < 1'200'000; ++i) {
+    double v = 0.0;
+    if (i % 6 == 4) {
+      v = static_cast<double>(integer(rng));
+    } else if (i % 6 == 5) {
+      v = fraction(rng);
+    } else {
+      const std::uint64_t bits = rng();
+      std::memcpy(&v, &bits, sizeof(v));
+    }
+    const std::string want = snprintf_number(v);
+    if (format_number(v) != want && mismatches++ == 0) first_mismatch = want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 }
 
 TEST(Counter, AccumulatesAndResets) {
@@ -128,6 +193,48 @@ TEST(FormatDurationNs, ScalesUnitsForHumans) {
   EXPECT_EQ(format_duration_ns(std::nan("")), "-");
 }
 
+/// The printf spelling append_duration_ns reproduces with std::to_chars.
+std::string snprintf_duration(double ns) {
+  if (std::isnan(ns)) return "-";
+  const double abs = std::fabs(ns);
+  char buf[48];
+  if (abs < 1e3) {
+    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
+  } else if (abs < 1e6) {
+    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
+  } else if (abs < 1e9) {
+    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.2fs", ns / 1e9);
+  }
+  return buf;
+}
+
+TEST(FormatDurationNs, MatchesSnprintfAtEveryUnitBoundary) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {0.0, -0.0, 0.5, 1.5, 999.5, 999.49,
+                                999.95e3, 999.95e6, 1e44, 1e50,
+                                std::numeric_limits<double>::max(), inf,
+                                -inf, std::nan("")};
+  for (double boundary : {1e3, 1e6, 1e9}) {
+    for (double v : {boundary, std::nextafter(boundary, 0.0),
+                     std::nextafter(boundary, inf), boundary - 0.5,
+                     boundary + 0.5, boundary * 10.0}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  std::mt19937_64 rng(0xD0);
+  std::uniform_real_distribution<double> exponent(-3.0, 13.0);
+  for (int i = 0; i < 20'000; ++i) {
+    values.push_back((i % 2 == 0 ? 1.0 : -1.0) * std::pow(10.0, exponent(rng)));
+  }
+  for (double v : values) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(format_duration_ns(v), snprintf_duration(v));
+  }
+}
+
 TEST(Registry, HumanDumpShowsHistogramQuantiles) {
   MetricsRegistry registry;
   registry.gauge("gh_battery_soc").set(0.75);
@@ -208,6 +315,43 @@ TEST(Registry, SnapshotIsSortedAndFindable) {
   ASSERT_NE(found, nullptr);
   EXPECT_DOUBLE_EQ(found->value, 1.0);
   EXPECT_EQ(snap.find("missing"), nullptr);
+}
+
+TEST(SnapshotOrder, MatchesAStringSortOfEverySlot) {
+  // Touch every series of the catalog (restore marks it touched), then the
+  // precomputed export order must be the (name, labels) string sort.
+  MetricsSnapshot every;
+  for (const MetricDef& def : kBuiltinMetrics) {
+    for (std::size_t l = 0; l < def.slots(); ++l) {
+      SnapshotEntry& entry = every.entries.emplace_back();
+      entry.name = def.name;
+      if (!def.label_key.empty()) {
+        entry.labels = {{std::string(def.label_key),
+                         std::string(def.label_values[l])}};
+      }
+      entry.kind = def.kind;
+      if (def.kind == MetricKind::kHistogram) {
+        entry.bounds.assign(def.bounds.begin(), def.bounds.end());
+        entry.buckets.assign(def.bounds.size() + 1, 0);
+      }
+    }
+  }
+  MetricsRegistry registry;
+  registry.restore(every);
+  std::vector<std::uint16_t> ranks;
+  const MetricsSnapshot snap = registry.snapshot(&ranks);
+  ASSERT_EQ(snap.entries.size(), catalog::kSlotCount);
+  std::vector<SnapshotEntry> sorted = snap.entries;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const SnapshotEntry& a, const SnapshotEntry& b) {
+              if (a.name != b.name) return a.name < b.name;
+              return a.labels < b.labels;
+            });
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    EXPECT_EQ(snap.entries[k].name, sorted[k].name) << "entry " << k;
+    EXPECT_EQ(snap.entries[k].labels, sorted[k].labels) << "entry " << k;
+    EXPECT_EQ(ranks[k], k);
+  }
 }
 
 /// A snapshot built directly: the exporters take any name, labels and
