@@ -16,12 +16,11 @@
 // the SoA epoch-store footprint.  Both throughput figures are perf-gated
 // against the committed baseline; the sharded one must not fall behind the
 // flat one.  `--racks 10000 --shards 8` reproduces the 10k-rack scale
-// configuration from the scale-invariance suite.
+// configuration from the scale-invariance suite.  A flag outside the table
+// below, or a value out of its range, exits 2 naming the flag.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,8 +30,8 @@
 #include "server/rack.h"
 #include "sim/rack_simulator.h"
 #include "trace/heterogeneity.h"
-#include "trace/load_pattern.h"
 #include "trace/solar.h"
+#include "util/options.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -65,27 +64,13 @@ struct DcResult {
 
 DcResult run_dc(const std::vector<ServerGroup>& groups, PolicyKind policy,
                 std::uint64_t seed) {
-  Rack rack{groups, Workload::kSpecJbb};
-  SimConfig cfg;
-  cfg.controller.policy = policy;
-  cfg.controller.seed = seed;
-  cfg.demand_trace =
-      generate_load_trace(LoadPatternModel{}, rack.peak_demand(), 2, seed);
-  GridSpec grid;
-  grid.budget = Watts{100.0 * rack.total_servers()};
-  const Watts solar_capacity{230.0 * rack.total_servers()};
-  RackSimulator sim{
-      std::move(rack),
-      make_standard_plant(
-          generate_solar_trace(high_solar_model(solar_capacity), 2, seed),
-          grid),
-      std::move(cfg)};
-  sim.pretrain();
-  DcResult result;
-  const RunReport report = sim.run(Minutes{24.0 * 60.0});
-  result.work = report.total_work;
-  result.epochs = report.epochs.size();
-  return result;
+  double servers = 0.0;
+  for (const ServerGroup& g : groups) servers += g.count;
+  const RunReport report = bench::run(
+      bench::Scenario{.policy = policy, .groups = groups, .seed = seed,
+                      .solar_w = 230.0 * servers, .solar_seed = seed,
+                      .grid_w = 100.0 * servers, .load_seed = seed});
+  return DcResult{report.total_work, report.epochs.size()};
 }
 
 /// A deliberately small rack (2 groups x 2 servers, hourly epochs) so the
@@ -144,23 +129,33 @@ FleetBenchResult run_fleet_bench(std::size_t racks, std::size_t shards,
   return result;
 }
 
+constexpr util::OptionSpec kRows[] = {
+    util::integer("threads", "0", 0, 1024,
+                  "worker threads (0 = one per hardware thread)"),
+    util::integer("racks", "256", 1, util::kIntMax, "fleet-scale racks"),
+    util::integer("shards", "8", 1, 1024, "shards of the sharded fleet run"),
+    util::above("hours", "24", 0, 24.0 * 36500, "fleet-scale hours"),
+};
+constexpr util::CommandSpec kCommand{"bench_datacenter_study", "", kRows,
+                                     "gain vs heterogeneity, fleet scale"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t threads = 0;  // one per hardware thread
-  std::size_t fleet_racks = 256;
-  std::size_t fleet_shards = 8;
-  double fleet_hours = 24.0;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--racks") == 0) {
-      fleet_racks = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      fleet_shards = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--hours") == 0) {
-      fleet_hours = std::atof(argv[i + 1]);
-    }
+  std::size_t threads = 0;
+  std::size_t fleet_racks = 0;
+  std::size_t fleet_shards = 0;
+  double fleet_hours = 0.0;
+  try {
+    const util::Options options = util::parse_options(
+        kCommand, {argv + 1, static_cast<std::size_t>(argc - 1)});
+    threads = options.integer<std::size_t>("threads");
+    fleet_racks = options.integer<std::size_t>("racks");
+    fleet_shards = options.integer<std::size_t>("shards");
+    fleet_hours = options.number("hours");
+  } catch (const util::OptionError& e) {
+    std::fprintf(stderr, "bench_datacenter_study: %s\n", e.what());
+    return 2;
   }
 
   std::printf("=== Datacenter study: gain vs heterogeneity level (Figure 1 "

@@ -17,6 +17,8 @@
 #           fuzzer's repro line runs, --resume accepts exactly the
 #           command lines that describe the same scenario, and an empty
 #           --resume directory starts fresh.
+# bench_reject: with CLI=bench_datacenter_study, a negative thread count,
+#           zero racks and an unknown flag each exit 2 naming the flag.
 
 function(run_cli)
   execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
@@ -139,6 +141,10 @@ elseif(CASE STREQUAL "reject")
                         "want 2 naming ${stale}: ${err}")
   endif()
   expect_same_bytes(${WORK_DIR}/stale-ref.jsonl ${trace})
+elseif(CASE STREQUAL "bench_reject")
+  expect_rejected(--threads --threads -1)
+  expect_rejected(--racks --racks 0)
+  expect_rejected(--bogus --bogus 1)
 elseif(CASE STREQUAL "accept")
   # Explicit defaults and explicit "off" switches keep the golden bytes.
   run_cli(simulate --days 1 --seed 42 --ledger off --check off

@@ -8,25 +8,19 @@
 
 #include "bench_common.h"
 #include "core/epu.h"
-#include "server/combinations.h"
-#include "sim/rack_simulator.h"
-#include "trace/load_pattern.h"
-#include "trace/solar.h"
 
 namespace greenhetero {
 namespace {
 
-using bench::compare_policies_share_sweep;
-using bench::FixedBudgetResult;
+using bench::PolicyResult;
 
-double gh_over_uniform_perf(const std::vector<FixedBudgetResult>& results) {
-  return results.front().mean_throughput > 0.0
-             ? results.back().mean_throughput /
-                   results.front().mean_throughput
+double gh_over_uniform_perf(const std::vector<PolicyResult>& results) {
+  return results.front().throughput > 0.0
+             ? results.back().throughput / results.front().throughput
              : 0.0;
 }
 
-double gh_over_uniform_epu(const std::vector<FixedBudgetResult>& results) {
+double gh_over_uniform_epu(const std::vector<PolicyResult>& results) {
   return results.front().epu > 0.0 ? results.back().epu / results.front().epu
                                    : 0.0;
 }
@@ -51,16 +45,9 @@ TEST(Reproduction, Figure3EpuAnchors) {
 
 class Figure9Band : public ::testing::Test {
  protected:
-  static const std::map<Workload, std::vector<FixedBudgetResult>>& results() {
-    static const auto kResults = [] {
-      std::map<Workload, std::vector<FixedBudgetResult>> map;
-      const auto groups = default_runtime_rack();
-      for (Workload w : figure9_workloads()) {
-        map[w] = compare_policies_share_sweep(groups, w);
-      }
-      return map;
-    }();
-    return kResults;
+  // The Figure 9/10 cells of the reproduction matrix.
+  static const std::map<Workload, std::vector<PolicyResult>>& results() {
+    return bench::workload_study();
   }
 };
 
@@ -108,7 +95,7 @@ TEST_F(Figure9Band, GreenHeteroNeverLosesToUniform) {
 TEST_F(Figure9Band, FullGreenHeteroAtLeastMatchesStaticVariant) {
   for (const auto& [w, r] : results()) {
     // r[3] = GreenHetero-a, r[4] = GreenHetero.
-    EXPECT_GE(r[4].mean_throughput, r[3].mean_throughput * 0.97)
+    EXPECT_GE(r[4].throughput, r[3].throughput * 0.97)
         << workload_spec(w).name;
   }
 }
@@ -131,7 +118,8 @@ TEST(Reproduction, Figure13CombinationContrast) {
   for (const auto& comb : table4_combinations()) {
     if (comb.name == "Comb6") continue;
     gains[std::string(comb.name)] = gh_over_uniform_perf(
-        compare_policies_share_sweep(comb.groups, Workload::kSpecJbb));
+        bench::sweep(bench::Scenario{.groups = comb.groups},
+                     bench::share_budgets(comb.groups)));
   }
   EXPECT_GT(gains["Comb1"], 1.25);  // paper ~1.5x
   EXPECT_GT(gains["Comb3"], 1.25);
@@ -149,7 +137,8 @@ TEST(Reproduction, Figure14GpuContrast) {
   std::map<Workload, double> gains;
   for (Workload w : comb6.workloads) {
     gains[w] = gh_over_uniform_perf(
-        bench::compare_policies_swept(comb6.groups, w));
+        bench::sweep(bench::Scenario{.groups = comb6.groups, .workload = w},
+                     bench::scarcity_budgets(comb6.groups, w)));
   }
   EXPECT_GT(gains[Workload::kSradV1], 2.5);  // paper: up to 4.6x
   for (Workload w : comb6.workloads) {
@@ -161,25 +150,8 @@ TEST(Reproduction, Figure14GpuContrast) {
 // --- Figure 8 runtime shape. ------------------------------------------------
 
 TEST(Reproduction, Figure8RuntimeShape) {
-  auto run_policy = [](PolicyKind policy) {
-    Rack rack{default_runtime_rack(), Workload::kSpecJbb};
-    SimConfig cfg;
-    cfg.controller.policy = policy;
-    cfg.controller.profiling_noise = 0.02;
-    cfg.controller.seed = 11;
-    cfg.demand_trace =
-        generate_load_trace(LoadPatternModel{}, rack.peak_demand(), 7, 5);
-    GridSpec grid;
-    grid.budget = Watts{1000.0};
-    RackSimulator sim{std::move(rack),
-                      make_standard_plant(high_solar_week(Watts{2500.0}, 3),
-                                          grid),
-                      std::move(cfg)};
-    sim.pretrain();
-    return sim.run(Minutes{24.0 * 60.0});
-  };
-  const RunReport gh = run_policy(PolicyKind::kGreenHetero);
-  const RunReport uni = run_policy(PolicyKind::kUniform);
+  const RunReport& gh = bench::paper_day(PolicyKind::kGreenHetero);
+  const RunReport& uni = bench::paper_day(PolicyKind::kUniform);
 
   // Paper: ~1.5x gain in insufficient epochs on the High trace.
   EXPECT_GT(gh.mean_throughput_insufficient(),
