@@ -3,7 +3,8 @@
 // Accuracy (mean absolute one-step error in watts) is reported as a counter.
 //
 // A custom main runs the google-benchmark suite and then re-times Holt
-// training on the 96-point window (one day of 15-minute epochs) to emit the
+// training on the 96-point window (one day of 15-minute epochs), on the
+// first high-solar and the first low-solar day, to emit the
 // machine-readable BENCH_predictor_micro.json via BenchReport.
 #include <benchmark/benchmark.h>
 
@@ -55,10 +56,10 @@ void BM_HoltObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HoltObserve);
 
-/// The first day of the high-solar week: the window size the controller
-/// retrains on.
-std::vector<double> training_window() {
-  const auto series = solar_series(false);
+/// The first day of the high-solar week (or of the low-solar week): the
+/// window size the controller retrains on.
+std::vector<double> training_window(bool low = false) {
+  const auto series = solar_series(low);
   return {series.begin(), series.begin() + 96};
 }
 
@@ -108,6 +109,13 @@ int main(int argc, char** argv) {
   const std::vector<double> window = training_window();
   report.set("train_holt_96_ns", greenhetero::bench::time_ns_per_op(
                                      [&] { return train_holt(window); }, 200));
+  // Informational (no baseline row): on the low-solar day the candidate
+  // blocks fall behind the incumbent at other points, so the replay's
+  // early abandon pays differently.
+  const std::vector<double> low_window = training_window(true);
+  report.set("train_holt_low_96_ns",
+             greenhetero::bench::time_ns_per_op(
+                 [&] { return train_holt(low_window); }, 200));
   report.write();
   return 0;
 }

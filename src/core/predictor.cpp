@@ -1,9 +1,9 @@
 #include "core/predictor.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "checkpoint/serializer.h"
+#include "core/holt_lanes.h"
 
 namespace greenhetero {
 
@@ -311,130 +311,8 @@ std::unique_ptr<SeriesPredictor> load_predictor(checkpoint::Reader& r) {
   return predictor;
 }
 
-namespace {
-
-// Candidates replayed in lockstep.  The Holt recurrence is a chain of
-// dependent FP operations, so one candidate at a time is bound by FP
-// latency; 16 independent chains keep the pipes busy on baseline SSE2.
-constexpr int kHoltLanes = 16;
-
-/// Up to kHoltLanes (alpha, beta) candidates and, after replay_lanes, the
-/// SSE of each.  Fixed-size, so training allocates nothing.
-struct HoltLaneBlock {
-  double alpha[kHoltLanes] = {};
-  double beta[kHoltLanes] = {};
-  double sse[kHoltLanes] = {};
-  int size = 0;
-
-  void add(HoltParams candidate) {
-    candidate.validate();
-    alpha[size] = candidate.alpha;
-    beta[size] = candidate.beta;
-    ++size;
-  }
-  [[nodiscard]] bool full() const { return size == kHoltLanes; }
-};
-
-/// holt_sse for every candidate in `block` at once.  Each lane performs
-/// HoltPredictor::observe/predict's arithmetic op for op (the first two
-/// observations seed level and trend identically for every candidate), so
-/// block.sse[k] is bitwise holt_sse(history, {alpha[k], beta[k]}).  Lanes
-/// past block.size replay a copy of lane 0 and are ignored.
-void replay_lanes(std::span<const double> history, HoltLaneBlock& block) {
-  double alpha[kHoltLanes];
-  double beta[kHoltLanes];
-  double keep_level[kHoltLanes];
-  double keep_trend[kHoltLanes];
-  double level[kHoltLanes];
-  double trend[kHoltLanes];
-  double sse[kHoltLanes];
-  for (int k = 0; k < kHoltLanes; ++k) {
-    const int src = k < block.size ? k : 0;
-    alpha[k] = block.alpha[src];
-    beta[k] = block.beta[src];
-    keep_level[k] = 1.0 - alpha[k];
-    keep_trend[k] = 1.0 - beta[k];
-    level[k] = history[1];
-    trend[k] = history[1] - history[0];
-    sse[k] = 0.0;
-  }
-  for (std::size_t i = 2; i < history.size(); ++i) {
-    const double value = history[i];
-    for (int k = 0; k < kHoltLanes; ++k) {
-      const double forecast = level[k] + trend[k];
-      const double err = forecast - value;
-      sse[k] += err * err;
-      const double prev_level = level[k];
-      level[k] = alpha[k] * value + keep_level[k] * forecast;
-      trend[k] = beta[k] * (level[k] - prev_level) + keep_trend[k] * trend[k];
-    }
-  }
-  std::copy_n(sse, block.size, block.sse);
-}
-
-}  // namespace
-
 HoltParams train_holt(std::span<const double> history, int grid_steps) {
-  if (history.size() < 3) {
-    throw PredictorError("holt training: need at least 3 observations");
-  }
-  grid_steps = std::max(grid_steps, 4);
-  // Start from the defaults: a candidate must *strictly* beat the incumbent
-  // to win.  On degenerate histories (e.g. a constant overnight-zero solar
-  // series) every (alpha, beta) ties at SSE 0 and the defaults must survive
-  // — alpha = 0 would freeze the predictor at its initial level forever.
-  HoltParams best{};
-  double best_sse = holt_sse(history, best);
-  const auto improves = [&](double sse) {
-    return sse < best_sse - 1e-12 * (1.0 + best_sse);
-  };
-  // Candidates are replayed a block at a time, but the incumbent is updated
-  // strictly in candidate order, so the result equals a one-at-a-time scan.
-  // The fold stops at the first lane whose beta fails `in_bounds` (checked
-  // against the live incumbent) and reports whether every lane was consumed.
-  HoltLaneBlock block;
-  const auto evaluate_and_fold = [&](auto in_bounds) {
-    replay_lanes(history, block);
-    int k = 0;
-    for (; k < block.size && in_bounds(block.beta[k]); ++k) {
-      if (improves(block.sse[k])) {
-        best_sse = block.sse[k];
-        best = HoltParams{block.alpha[k], block.beta[k]};
-      }
-    }
-    const bool consumed_all = k == block.size;
-    block.size = 0;
-    return consumed_all;
-  };
-  const auto unbounded = [](double) { return true; };
-  const double step = 1.0 / grid_steps;
-  for (int i = 0; i <= grid_steps; ++i) {
-    for (int j = 0; j <= grid_steps; ++j) {
-      block.add(HoltParams{i * step, j * step});
-      if (block.full()) evaluate_and_fold(unbounded);
-    }
-  }
-  if (block.size > 0) evaluate_and_fold(unbounded);
-  // Local refinement in steps of step/8.  The window follows the incumbent:
-  // both loop bounds re-read `best`, so every improvement re-centres the
-  // remaining rows (and the end of the current row) on the new winner.
-  // Rows with `a` outside [0, 1] evaluate nothing.
-  const double fine = step / 8.0;
-  const auto within_row = [&](double b) { return b <= best.beta + step; };
-  for (double a = best.alpha - step; a <= best.alpha + step; a += fine) {
-    if (a < 0.0 || a > 1.0) continue;
-    double b = best.beta - step;
-    for (;;) {
-      // Speculate on the row's next in-range values of b under the current
-      // bound; an improvement can move the bound either way, which the fold
-      // re-checks lane by lane.
-      for (; !block.full() && within_row(b); b += fine) {
-        if (b >= 0.0 && b <= 1.0) block.add(HoltParams{a, b});
-      }
-      if (block.size == 0 || !evaluate_and_fold(within_row)) break;
-    }
-  }
-  return best;
+  return holt_lanes::train(history, grid_steps, holt_lanes::dispatched());
 }
 
 }  // namespace greenhetero

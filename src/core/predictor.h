@@ -169,9 +169,11 @@ class HoltWintersPredictor final : public SeriesPredictor {
 /// to come.  Starting from the default parameters, a candidate replaces the
 /// incumbent, in scan order, only if its holt_sse is lower by more than a
 /// 1e-12 relative tolerance.
-/// Candidates are replayed in lockstep blocks whose per-lane arithmetic is
-/// holt_sse's, so the result is bitwise that of a one-at-a-time scan.  Needs
-/// at least 3 observations.
+/// Candidates are replayed in lockstep blocks (core/holt_lanes.h) whose
+/// per-lane arithmetic is holt_sse's, on the widest vector kernel the CPU
+/// supports, and a block is abandoned once none of its partial SSEs can
+/// still beat the incumbent; the result is bitwise that of a one-at-a-time
+/// scan.  Needs at least 3 observations.
 [[nodiscard]] HoltParams train_holt(std::span<const double> history,
                                     int grid_steps = 20);
 

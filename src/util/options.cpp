@@ -43,6 +43,15 @@ std::string join_choices(const std::vector<std::string>& names) {
   return out;
 }
 
+/// `text` in single quotes, for error messages.  Built with appends: GCC 12
+/// flags `"literal" + std::string` with a false -Wrestrict warning.
+std::string quote(std::string_view text) {
+  std::string out = "'";
+  out += text;
+  out += '\'';
+  return out;
+}
+
 template <typename T>
 bool parse_whole(std::string_view text, T& out) {
   const auto [end, error] =
@@ -52,7 +61,7 @@ bool parse_whole(std::string_view text, T& out) {
 
 std::string canonical_integer(const OptionSpec& row, std::string_view text) {
   const std::string flag = flag_name(row);
-  const std::string quoted = "'" + std::string(text) + "'";
+  const std::string quoted = quote(text);
   // Negative values parse signed, the rest unsigned, so the full uint64
   // range (seeds) and negative ranges both stay exact integers.
   bool in_range = false;
@@ -83,7 +92,7 @@ std::string canonical_integer(const OptionSpec& row, std::string_view text) {
 
 std::string canonical_number(const OptionSpec& row, std::string_view text) {
   const std::string flag = flag_name(row);
-  const std::string quoted = "'" + std::string(text) + "'";
+  const std::string quoted = quote(text);
   double value = 0.0;
   if (!parse_whole(text, value) || !std::isfinite(value)) {
     throw OptionError(flag + ": " + quoted + " is not a finite number");
@@ -310,26 +319,45 @@ Options parse_options(const CommandSpec& command,
 }
 
 std::string usage_text(const CommandSpec& command) {
-  std::string out = "usage: greenhetero " + std::string(command.name);
-  if (!command.mode.empty()) out += " " + std::string(command.mode);
-  for (const OptionSpec& row : command.rows) {
-    if (row.positional) out += " " + std::string(row.name);
+  // Appends only; see quote().
+  std::string out = "usage: greenhetero ";
+  out += command.name;
+  if (!command.mode.empty()) {
+    out += ' ';
+    out += command.mode;
   }
-  out += " [--flag value ...]\n  " + std::string(command.summary) + "\n";
   for (const OptionSpec& row : command.rows) {
-    std::string head = "  " + flag_name(row);
-    if (!row.positional) head += " " + std::string(metavar(row));
-    std::string line = std::string(row.help);
+    if (!row.positional) continue;
+    out += ' ';
+    out += row.name;
+  }
+  out += " [--flag value ...]\n  ";
+  out += command.summary;
+  out += '\n';
+  for (const OptionSpec& row : command.rows) {
+    std::string head = "  ";
+    head += flag_name(row);
+    if (!row.positional) {
+      head += ' ';
+      head += metavar(row);
+    }
+    std::string line(row.help);
     if (row.kind == OptionKind::kInteger || row.kind == OptionKind::kNumber) {
-      line += "; " + range_text(row);
+      line += "; ";
+      line += range_text(row);
     } else if (row.kind == OptionKind::kChoice) {
-      line += ": " + join_choices(row.choices());
+      line += ": ";
+      line += join_choices(row.choices());
     }
     if (!row.fallback.empty() && row.fallback != kDerived) {
-      line += " (default " + std::string(row.fallback) + ")";
+      line += " (default ";
+      line += row.fallback;
+      line += ')';
     }
     head.resize(std::max<std::size_t>(head.size(), 28), ' ');
-    out += head + line + "\n";
+    out += head;
+    out += line;
+    out += '\n';
   }
   return out;
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/holt_lanes.h"
 #include "trace/solar.h"
 #include "util/rng.h"
 
@@ -188,11 +189,9 @@ bool bitwise_equal(const HoltParams& x, const HoltParams& y) {
          std::memcmp(&x.beta, &y.beta, sizeof(double)) == 0;
 }
 
-// Seeded random walk with drift and noise, 3..200 points; every third one
-// is clamped at 0 like a solar series overnight.
-std::vector<double> random_walk(std::uint64_t seed) {
-  Rng rng(seed);
-  const int length = rng.uniform_int(3, 200);
+// Random walk of `length` points with drift and noise drawn from `rng`;
+// every third seed is clamped at 0 like a solar series overnight.
+std::vector<double> walk(Rng& rng, std::uint64_t seed, int length) {
   const double drift = rng.uniform(-20.0, 20.0);
   const double noise = rng.uniform(1.0, 100.0);
   double value = rng.uniform(0.0, 1000.0);
@@ -202,6 +201,19 @@ std::vector<double> random_walk(std::uint64_t seed) {
     series.push_back(seed % 3 == 0 ? std::max(value, 0.0) : value);
   }
   return series;
+}
+
+// Seeded random walk of 3..200 points.
+std::vector<double> random_walk(std::uint64_t seed) {
+  Rng rng(seed);
+  const int length = rng.uniform_int(3, 200);
+  return walk(rng, seed, length);
+}
+
+// Seeded random walk of exactly `length` points.
+std::vector<double> random_walk(std::uint64_t seed, int length) {
+  Rng rng(seed);
+  return walk(rng, seed, length);
 }
 
 std::vector<double> solar_week(bool low) {
@@ -218,6 +230,11 @@ TEST(HoltTraining, LaneKernelMatchesScalarScanBitwise) {
   std::vector<std::vector<double>> histories;
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     histories.push_back(random_walk(seed));
+  }
+  // Every length from 3 to 40, so the replay's abandon check lands on,
+  // before and after its last step.
+  for (int length = 3; length <= 40; ++length) {
+    histories.push_back(random_walk(1000 + length, length));
   }
   for (const bool low : {false, true}) {
     const std::vector<double> week = solar_week(low);
@@ -256,12 +273,131 @@ TEST(HoltTraining, LaneKernelMatchesScalarScanBitwise) {
     for (std::size_t h = 0; h < histories.size(); ++h) {
       const HoltParams expected =
           reference_train_holt(histories[h], grid_steps);
-      const HoltParams actual = train_holt(histories[h], grid_steps);
-      ASSERT_TRUE(bitwise_equal(actual, expected))
-          << "history " << h << " (" << histories[h].size()
-          << " points), grid_steps " << grid_steps << ": got ("
-          << actual.alpha << ", " << actual.beta << "), expected ("
-          << expected.alpha << ", " << expected.beta << ")";
+      ASSERT_TRUE(
+          bitwise_equal(train_holt(histories[h], grid_steps), expected))
+          << "history " << h << ", grid_steps " << grid_steps;
+      // Every kernel version this host runs, not only the dispatched one.
+      for (const holt_lanes::Isa isa : holt_lanes::supported()) {
+        const HoltParams actual =
+            holt_lanes::train(histories[h], grid_steps, isa);
+        ASSERT_TRUE(bitwise_equal(actual, expected))
+            << holt_lanes::to_string(isa) << ": history " << h << " ("
+            << histories[h].size() << " points), grid_steps " << grid_steps
+            << ": got (" << actual.alpha << ", " << actual.beta
+            << "), expected (" << expected.alpha << ", " << expected.beta
+            << ")";
+      }
+    }
+  }
+}
+
+TEST(HoltTraining, AbandonFiresOnTheSolarWindow) {
+  // The first day of the high-solar week (bench_predictor_micro's
+  // train_holt_96_ns window): most candidate blocks fall behind the
+  // incumbent well before the end of the window.  A kernel that never
+  // abandons still trains bitwise correctly, so only this count catches it.
+  const std::vector<double> week = solar_week(false);
+  const std::vector<double> window(week.begin(), week.begin() + 96);
+  for (const holt_lanes::Isa isa : holt_lanes::supported()) {
+    holt_lanes::Stats stats;
+    const HoltParams trained = holt_lanes::train(window, 20, isa, &stats);
+    EXPECT_TRUE(bitwise_equal(trained, reference_train_holt(window, 20)))
+        << holt_lanes::to_string(isa);
+    EXPECT_GT(stats.replays, 0) << holt_lanes::to_string(isa);
+    EXPECT_GT(stats.abandoned, 0) << holt_lanes::to_string(isa);
+  }
+}
+
+TEST(HoltLanes, DispatchedVersionIsSupported) {
+  const std::vector<holt_lanes::Isa> isas = holt_lanes::supported();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), holt_lanes::Isa::kBaseline);
+  EXPECT_EQ(isas.back(), holt_lanes::dispatched());
+}
+
+// A block of `size` candidates drawn from `rng`.
+holt_lanes::Block random_block(Rng& rng, int size) {
+  holt_lanes::Block block;
+  for (int k = 0; k < size; ++k) {
+    block.add(HoltParams{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)});
+  }
+  return block;
+}
+
+TEST(HoltLanes, CompleteReplayIsHoltSseBitwise) {
+  // An infinite limit keeps every finite lane live, so the replay runs to
+  // the end and each lane's SSE is holt_sse's, at every length, block size
+  // and kernel version.
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(77);
+  for (const holt_lanes::Isa isa : holt_lanes::supported()) {
+    for (int length = 3; length <= 40; ++length) {
+      const std::vector<double> history = random_walk(2000 + length, length);
+      for (const int size : {1, 5, holt_lanes::kLanes}) {
+        holt_lanes::Block block = random_block(rng, size);
+        EXPECT_EQ(holt_lanes::replay(isa, history, block, inf), length - 2);
+        for (int k = 0; k < size; ++k) {
+          const double expected =
+              holt_sse(history, HoltParams{block.alpha[k], block.beta[k]});
+          EXPECT_EQ(std::memcmp(&block.sse[k], &expected, sizeof(double)),
+                    0)
+              << holt_lanes::to_string(isa) << ": length " << length
+              << ", lane " << k << ": " << block.sse[k] << " vs "
+              << expected;
+        }
+      }
+    }
+  }
+}
+
+TEST(HoltLanes, LaneWhoseSseEqualsTheLimitNeverBeatsIt) {
+  // Noisy points, then a straight line that alpha = beta = 1 tracks
+  // exactly: that lane's partial SSE reaches its final value after a few
+  // steps.  A limit equal to that value leaves the lane dead, so the replay
+  // is abandoned at the first check after it, and the lane still does not
+  // beat the limit.  One ulp above, the lane stays live to the end.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const holt_lanes::Isa isa : holt_lanes::supported()) {
+    for (int length = 3; length <= 40; ++length) {
+      std::vector<double> history = {40.0, -3.0, 17.0, 2.0};
+      for (int i = 0; static_cast<int>(history.size()) < length; ++i) {
+        history.push_back(5.0 + 3.0 * i);
+      }
+      history.resize(static_cast<std::size_t>(length));
+      const HoltParams exact{1.0, 1.0};
+      const double final_sse = holt_sse(history, exact);
+      holt_lanes::Block block;
+      block.add(exact);
+      const int steps = holt_lanes::replay(isa, history, block, final_sse);
+      EXPECT_FALSE(block.sse[0] < final_sse)
+          << holt_lanes::to_string(isa) << ": length " << length;
+      // The line is tracked exactly from history[6] on, after four replayed
+      // steps, so the first check already sees the final SSE.
+      static_assert(holt_lanes::kCheckEvery >= 4);
+      EXPECT_EQ(steps, std::min(length - 2, holt_lanes::kCheckEvery))
+          << holt_lanes::to_string(isa) << ": length " << length;
+      block.sse[0] = 0.0;
+      EXPECT_EQ(holt_lanes::replay(isa, history, block,
+                                   std::nextafter(final_sse, inf)),
+                length - 2);
+      EXPECT_EQ(std::memcmp(&block.sse[0], &final_sse, sizeof(double)), 0)
+          << holt_lanes::to_string(isa) << ": length " << length;
+    }
+  }
+}
+
+TEST(HoltLanes, NanLimitAbandonsAtTheFirstCheck) {
+  // An incumbent whose SSE is NaN or infinite gives a NaN limit, which no
+  // SSE beats: the replay stops at its first check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(5);
+  for (const holt_lanes::Isa isa : holt_lanes::supported()) {
+    for (int length = 3; length <= 40; ++length) {
+      const std::vector<double> history = random_walk(3000 + length, length);
+      holt_lanes::Block block = random_block(rng, holt_lanes::kLanes);
+      EXPECT_EQ(holt_lanes::replay(isa, history, block, nan),
+                std::min(length - 2, holt_lanes::kCheckEvery))
+          << holt_lanes::to_string(isa) << ": length " << length;
     }
   }
 }
