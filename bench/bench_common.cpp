@@ -195,7 +195,8 @@ void add_mean_row(Table& t) {
   for (std::size_t c = 1; c < t.columns.size(); ++c) {
     double sum = 0.0;
     for (const auto& row : t.rows) sum += std::get<double>(row[c]);
-    mean.push_back(sum / static_cast<double>(t.rows.size()));
+    mean.emplace_back(std::in_place_type<double>,
+                      sum / static_cast<double>(t.rows.size()));
   }
   t.rows.push_back(mean);
 }

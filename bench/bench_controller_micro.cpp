@@ -96,7 +96,7 @@ struct PlantSubstep {
     plant.execute(drain, Minutes{0.0}, Minutes{95.6});
     for (std::string& snapshot : snapshots) {
       checkpoint::Writer w;
-      plant.save_state(w);
+      checkpoint::save(w, plant);
       snapshot = w.buffer();
       PowerFlows step;  // 1 Wh more for the second snapshot
       step.battery_to_load = Watts{60.0};
@@ -111,7 +111,7 @@ struct PlantSubstep {
   PowerFlows run() {
     next = 1 - next;
     checkpoint::Reader r{snapshots[next]};
-    plant.load_state(r);
+    checkpoint::load(r, plant);
     const StepPlan step =
         Enforcer::plan_step(decision, Watts{0.0}, draw, plant, dt);
     return plant.execute(step.flows, Minutes{120.0}, dt);

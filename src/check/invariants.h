@@ -23,7 +23,6 @@
 #include <string>
 #include <string_view>
 
-#include "checkpoint/serializer.h"
 #include "power/energy_ledger.h"
 #include "power/power_bus.h"
 #include "server/rack.h"
@@ -125,17 +124,12 @@ class InvariantChecker {
 
   /// Checkpoint the counters, so a resumed run's "invariants: N checks"
   /// report line matches the uninterrupted run's.
-  void save_state(checkpoint::Writer& w) const {
-    w.u64(checks_);
-    w.u64(substeps_);
-    w.u64(epochs_);
-    w.i64(substep_in_epoch_);
-  }
-  void load_state(checkpoint::Reader& r) {
-    checks_ = r.u64();
-    substeps_ = r.u64();
-    epochs_ = r.u64();
-    substep_in_epoch_ = static_cast<long>(r.i64());
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.u64(self.checks_);
+    io.u64(self.substeps_);
+    io.u64(self.epochs_);
+    io.i64(self.substep_in_epoch_);
   }
 
  private:

@@ -109,27 +109,57 @@ std::size_t Reader::seq() {
   return static_cast<std::size_t>(n);
 }
 
-void Reader::f64_array(std::vector<double>& v) {
+template <typename T>
+void Reader::array(std::vector<T>& v, std::string_view name) {
   const std::uint64_t n = u64();
-  if (n > remaining() / sizeof(double)) {
-    throw CheckpointError("checkpoint payload truncated: f64 array of " +
+  if (n > remaining() / sizeof(T)) {
+    throw CheckpointError("checkpoint payload truncated: " +
+                          std::string(name) + " array of " +
                           std::to_string(n) + " elements with " +
                           std::to_string(remaining()) + " bytes left");
   }
   v.resize(static_cast<std::size_t>(n));
-  if (n > 0) std::memcpy(v.data(), take(v.size() * sizeof(double)),
-                         v.size() * sizeof(double));
+  if (n > 0) {
+    std::memcpy(v.data(), take(v.size() * sizeof(T)), v.size() * sizeof(T));
+  }
 }
 
-void Reader::u8_array(std::vector<std::uint8_t>& v) {
-  const std::uint64_t n = u64();
-  if (n > remaining()) {
-    throw CheckpointError("checkpoint payload truncated: u8 array of " +
-                          std::to_string(n) + " bytes with " +
-                          std::to_string(remaining()) + " bytes left");
+void Reader::f64_array(std::vector<double>& v) { array(v, "f64"); }
+void Reader::u8_array(std::vector<std::uint8_t>& v) { array(v, "u8"); }
+
+std::int64_t Reader::in_range(std::int64_t v, std::int64_t lo,
+                              std::int64_t hi, std::string_view what) {
+  if (v < lo || v > hi) {
+    throw CheckpointError(std::string(what) + " " + std::to_string(v) +
+                          " is out of range [" + std::to_string(lo) + ", " +
+                          std::to_string(hi) + "]");
   }
-  const std::uint8_t* p = take(static_cast<std::size_t>(n));
-  v.assign(p, p + static_cast<std::size_t>(n));
+  return v;
+}
+
+void Reader::throw_above_capacity(std::string_view what, std::size_t n,
+                                  std::size_t max) {
+  throw CheckpointError(std::string(what) + " " + std::to_string(n) +
+                        " exceeds the capacity " + std::to_string(max));
+}
+
+void Reader::cursor(std::size_t& v, std::size_t bound, std::string_view what) {
+  const std::uint64_t stored = u64();
+  if (stored > bound) {
+    throw CheckpointError(std::string(what) + " " + std::to_string(stored) +
+                          " is out of range [0, " + std::to_string(bound) +
+                          "]");
+  }
+  v = static_cast<std::size_t>(stored);
+}
+
+void Reader::fixed_count(std::size_t n, std::string_view what) {
+  const std::uint64_t stored = u64();
+  if (stored != n) {
+    throw CheckpointError(std::string(what) + " " + std::to_string(stored) +
+                          " does not match the configured " +
+                          std::to_string(n));
+  }
 }
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t hash) {

@@ -362,50 +362,27 @@ void GreenHeteroController::maybe_retrain_holt() {
            << ",b=" << supply_params.beta << ")";
 }
 
-namespace {
-
-void save_allocation(checkpoint::Writer& w, const Allocation& a) {
-  checkpoint::save(w, a.ratios);
-  w.f64(a.predicted_perf);
-  checkpoint::save(w, a.active_counts);
+template <class Self, class Io>
+void GreenHeteroController::fields(Self& self, Io& io) {
+  io.object(self.db_);
+  io.object(self.monitor_);
+  if constexpr (Io::kLoading) {
+    self.supply_predictor_ = load_predictor(io);
+    self.demand_predictor_ = load_predictor(io);
+  } else {
+    save_predictor(io, *self.supply_predictor_);
+    save_predictor(io, *self.demand_predictor_);
+  }
+  io.f64_array(self.supply_history_);
+  io.f64_array(self.demand_history_);
+  io.i64(self.epochs_seen_);
+  io.object(self.health_);
+  io.f64(self.last_budget_);
+  io.object(self.last_allocation_);
+  io.boolean(self.last_solver_failed_);
+  io.object(self.last_good_allocation_);
 }
 
-void load_allocation(checkpoint::Reader& r, Allocation& a) {
-  checkpoint::load(r, a.ratios);
-  a.predicted_perf = r.f64();
-  checkpoint::load(r, a.active_counts);
-}
-
-}  // namespace
-
-void GreenHeteroController::save_state(checkpoint::Writer& w) const {
-  db_.save_state(w);
-  monitor_.save_state(w);
-  save_predictor(w, *supply_predictor_);
-  save_predictor(w, *demand_predictor_);
-  checkpoint::save(w, supply_history_);
-  checkpoint::save(w, demand_history_);
-  w.i64(epochs_seen_);
-  health_.save_state(w);
-  w.f64(last_budget_.value());
-  save_allocation(w, last_allocation_);
-  w.boolean(last_solver_failed_);
-  save_allocation(w, last_good_allocation_);
-}
-
-void GreenHeteroController::load_state(checkpoint::Reader& r) {
-  db_.load_state(r);
-  monitor_.load_state(r);
-  supply_predictor_ = load_predictor(r);
-  demand_predictor_ = load_predictor(r);
-  checkpoint::load(r, supply_history_);
-  checkpoint::load(r, demand_history_);
-  epochs_seen_ = static_cast<int>(r.i64());
-  health_.load_state(r);
-  last_budget_ = Watts{r.f64()};
-  load_allocation(r, last_allocation_);
-  last_solver_failed_ = r.boolean();
-  load_allocation(r, last_good_allocation_);
-}
+GH_CHECKPOINT_FIELDS(GreenHeteroController);
 
 }  // namespace greenhetero

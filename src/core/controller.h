@@ -134,8 +134,8 @@ class GreenHeteroController {
   /// monitor RNG/dropout, predictors (retraining replaces them, so each is
   /// saved polymorphically with its deployed parameters), histories, and
   /// the health/safe-mode state.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   void maybe_retrain_holt();

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "checkpoint/serializer.h"
 #include "telemetry/telemetry.h"
 
 namespace greenhetero {
@@ -184,45 +185,24 @@ void PerfPowerDatabase::refit(ProfileRecord& record) const {
   record.refit_count += 1;
 }
 
-void PerfPowerDatabase::save_state(checkpoint::Writer& w) const {
-  w.u64(max_samples_);
-  w.seq(records_.size());
-  for (const auto& [key, record] : records_) {
-    w.i64(static_cast<std::int64_t>(key.model));
-    w.i64(static_cast<std::int64_t>(key.workload));
-    checkpoint::save(w, record.powers);
-    checkpoint::save(w, record.perfs);
-    w.u64(record.pinned);
-    w.f64(record.fit.a);
-    w.f64(record.fit.b);
-    w.f64(record.fit.c);
-    w.f64(record.min_power.value());
-    w.f64(record.max_power.value());
-    w.i64(record.refit_count);
-  }
+template <class Self, class Io>
+void PerfPowerDatabase::fields(Self& self, Io& io) {
+  io.u64(self.max_samples_);
+  io.map(self.records_, [&io](auto& key, auto& record) {
+    io.enum_i64(key.model, kServerModelCount, "database: server model");
+    io.enum_i64(key.workload, kWorkloadCount, "database: workload");
+    io.f64_array(record.powers);
+    io.f64_array(record.perfs);
+    io.u64(record.pinned);
+    io.f64(record.fit.a);
+    io.f64(record.fit.b);
+    io.f64(record.fit.c);
+    io.f64(record.min_power);
+    io.f64(record.max_power);
+    io.i64(record.refit_count);
+  });
 }
 
-void PerfPowerDatabase::load_state(checkpoint::Reader& r) {
-  max_samples_ = static_cast<std::size_t>(r.u64());
-  records_.clear();
-  const std::size_t count = r.seq();
-  for (std::size_t i = 0; i < count; ++i) {
-    ProfileKey key{checkpoint::load_enum<ServerModel>(
-                       r, kServerModelCount, "database: server model"),
-                   checkpoint::load_enum<Workload>(r, kWorkloadCount,
-                                                   "database: workload")};
-    ProfileRecord record;
-    checkpoint::load(r, record.powers);
-    checkpoint::load(r, record.perfs);
-    record.pinned = static_cast<std::size_t>(r.u64());
-    record.fit.a = r.f64();
-    record.fit.b = r.f64();
-    record.fit.c = r.f64();
-    record.min_power = Watts{r.f64()};
-    record.max_power = Watts{r.f64()};
-    record.refit_count = static_cast<int>(r.i64());
-    records_.emplace(key, std::move(record));
-  }
-}
+GH_CHECKPOINT_FIELDS(PerfPowerDatabase);
 
 }  // namespace greenhetero

@@ -21,7 +21,6 @@
 
 #include "util/csv.h"
 
-#include "checkpoint/serializer.h"
 #include "core/monitor.h"
 #include "server/server_spec.h"
 #include "util/polyfit.h"
@@ -103,8 +102,8 @@ class PerfPowerDatabase {
   /// Binary checkpoint of every record, fit coefficients included (the CSV
   /// path re-fits on load; resume must restore the exact fit so the next
   /// allocation is bit-identical).
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   void refit(ProfileRecord& record) const;

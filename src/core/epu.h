@@ -11,7 +11,6 @@
 // 1 means every supplied green watt ran a server.
 #pragma once
 
-#include "checkpoint/serializer.h"
 #include "util/units.h"
 
 namespace greenhetero {
@@ -34,13 +33,10 @@ class EpuMeter {
   [[nodiscard]] static double instantaneous(Watts green_supply,
                                             Watts useful_draw);
 
-  void save_state(checkpoint::Writer& w) const {
-    w.f64(supplied_.value());
-    w.f64(useful_.value());
-  }
-  void load_state(checkpoint::Reader& r) {
-    supplied_ = WattHours{r.f64()};
-    useful_ = WattHours{r.f64()};
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.supplied_);
+    io.f64(self.useful_);
   }
 
  private:

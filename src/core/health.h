@@ -20,11 +20,11 @@
 
 #include <optional>
 
-#include "checkpoint/serializer.h"
 
 namespace greenhetero {
 
 enum class HealthState { kNormal, kDegraded, kSafe, kRecovering };
+inline constexpr int kHealthStateCount = 4;
 
 [[nodiscard]] const char* to_string(HealthState state);
 
@@ -90,19 +90,11 @@ class HealthTracker {
   /// changed.  Training epochs should not be fed (no meaningful feedback).
   std::optional<Transition> observe_epoch(const HealthSignals& signals);
 
-  void save_state(checkpoint::Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.i64(consecutive_bad_);
-    w.i64(consecutive_good_);
-  }
-  void load_state(checkpoint::Reader& r) {
-    const std::uint8_t state = r.u8();
-    if (state > static_cast<std::uint8_t>(HealthState::kRecovering)) {
-      throw checkpoint::CheckpointError("health: bad state tag");
-    }
-    state_ = static_cast<HealthState>(state);
-    consecutive_bad_ = static_cast<int>(r.i64());
-    consecutive_good_ = static_cast<int>(r.i64());
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.enum_u8(self.state_, kHealthStateCount, "health: state");
+    io.i64(self.consecutive_bad_);
+    io.i64(self.consecutive_good_);
   }
 
  private:

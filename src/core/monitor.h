@@ -56,13 +56,10 @@ class Monitor {
 
   /// Checkpoint the noise stream position and the fault-mutable dropout
   /// rate (noise_fraction comes from configuration).
-  void save_state(checkpoint::Writer& w) const {
-    w.f64(dropout_rate_);
-    rng_.save_state(w);
-  }
-  void load_state(checkpoint::Reader& r) {
-    dropout_rate_ = r.f64();
-    rng_.load_state(r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.dropout_rate_);
+    io.object(self.rng_);
   }
 
  private:

@@ -1,6 +1,9 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <type_traits>
 
 #include "checkpoint/serializer.h"
 #include "core/holt_lanes.h"
@@ -49,23 +52,13 @@ void HoltPredictor::reset() {
 
 PredictorKind HoltPredictor::kind() const { return PredictorKind::kHolt; }
 
-void HoltPredictor::save_state(checkpoint::Writer& w) const {
-  w.f64(params_.alpha);
-  w.f64(params_.beta);
-  w.f64(level_);
-  w.f64(trend_);
-  w.f64(previous_);
-  w.i64(count_);
-}
-
-void HoltPredictor::load_state(checkpoint::Reader& r) {
-  params_.alpha = r.f64();
-  params_.beta = r.f64();
-  params_.validate();
-  level_ = r.f64();
-  trend_ = r.f64();
-  previous_ = r.f64();
-  count_ = static_cast<int>(r.i64());
+template <class Self, class Io>
+void HoltPredictor::fields(Self& self, Io& io) {
+  io.object(self.params_);
+  io.f64(self.level_);
+  io.f64(self.trend_);
+  io.f64(self.previous_);
+  io.i64(self.count_);
 }
 
 void LastValuePredictor::observe(double value) {
@@ -89,14 +82,10 @@ PredictorKind LastValuePredictor::kind() const {
   return PredictorKind::kLastValue;
 }
 
-void LastValuePredictor::save_state(checkpoint::Writer& w) const {
-  w.f64(last_);
-  w.boolean(seen_);
-}
-
-void LastValuePredictor::load_state(checkpoint::Reader& r) {
-  last_ = r.f64();
-  seen_ = r.boolean();
+template <class Self, class Io>
+void LastValuePredictor::fields(Self& self, Io& io) {
+  io.f64(self.last_);
+  io.boolean(self.seen_);
 }
 
 MovingAveragePredictor::MovingAveragePredictor(int window) : window_(window) {
@@ -130,19 +119,12 @@ PredictorKind MovingAveragePredictor::kind() const {
   return PredictorKind::kMovingAverage;
 }
 
-void MovingAveragePredictor::save_state(checkpoint::Writer& w) const {
-  w.i64(window_);
-  checkpoint::save(w, values_);
-  w.f64(sum_);
-}
-
-void MovingAveragePredictor::load_state(checkpoint::Reader& r) {
-  window_ = static_cast<int>(r.i64());
-  if (window_ <= 0) {
-    throw checkpoint::CheckpointError("moving average: bad window");
-  }
-  checkpoint::load(r, values_);
-  sum_ = r.f64();
+template <class Self, class Io>
+void MovingAveragePredictor::fields(Self& self, Io& io) {
+  io.i64_in(self.window_, 1, std::numeric_limits<int>::max(),
+            "moving average: window");
+  io.seq(self.values_, [&io](auto& v) { io.f64(v); });
+  io.f64(self.sum_);
 }
 
 HoltWintersPredictor::HoltWintersPredictor(HoltParams params, int period,
@@ -206,30 +188,23 @@ PredictorKind HoltWintersPredictor::kind() const {
   return PredictorKind::kHoltWinters;
 }
 
-void HoltWintersPredictor::save_state(checkpoint::Writer& w) const {
-  w.f64(params_.alpha);
-  w.f64(params_.beta);
-  w.i64(period_);
-  w.f64(delta_);
-  w.f64(level_);
-  w.f64(trend_);
-  checkpoint::save(w, season_);
-  w.i64(count_);
-}
-
-void HoltWintersPredictor::load_state(checkpoint::Reader& r) {
-  params_.alpha = r.f64();
-  params_.beta = r.f64();
-  params_.validate();
-  period_ = static_cast<int>(r.i64());
-  delta_ = r.f64();
-  level_ = r.f64();
-  trend_ = r.f64();
-  checkpoint::load(r, season_);
-  count_ = static_cast<int>(r.i64());
-  if (period_ < 2 ||
-      season_.size() != static_cast<std::size_t>(period_)) {
-    throw checkpoint::CheckpointError("holt-winters: bad period/season");
+template <class Self, class Io>
+void HoltWintersPredictor::fields(Self& self, Io& io) {
+  io.object(self.params_);
+  io.i64_in(self.period_, 2, std::numeric_limits<int>::max(),
+            "holt-winters: period");
+  io.f64(self.delta_);
+  io.f64(self.level_);
+  io.f64(self.trend_);
+  io.f64_array(self.season_);
+  io.i64(self.count_);
+  if constexpr (Io::kLoading) {
+    if (self.season_.size() != static_cast<std::size_t>(self.period_)) {
+      throw checkpoint::CheckpointError(
+          "holt-winters: season length " +
+          std::to_string(self.season_.size()) + " is not the period " +
+          std::to_string(self.period_));
+    }
   }
 }
 
@@ -280,34 +255,41 @@ std::unique_ptr<SeriesPredictor> make_predictor(PredictorKind kind,
   throw PredictorError("unknown predictor kind");
 }
 
+namespace {
+
+/// `T`, const when `Base` is.
+template <class T, class Base>
+using Like = std::conditional_t<std::is_const_v<Base>, const T, T>;
+
+/// Calls fn with `predictor` cast to its concrete type.
+template <class Base, class Fn>
+void with_concrete(Base& predictor, Fn&& fn) {
+  switch (predictor.kind()) {
+    case PredictorKind::kHolt:
+      return fn(static_cast<Like<HoltPredictor, Base>&>(predictor));
+    case PredictorKind::kHoltWinters:
+      return fn(static_cast<Like<HoltWintersPredictor, Base>&>(predictor));
+    case PredictorKind::kLastValue:
+      return fn(static_cast<Like<LastValuePredictor, Base>&>(predictor));
+    case PredictorKind::kMovingAverage:
+      return fn(static_cast<Like<MovingAveragePredictor, Base>&>(predictor));
+  }
+}
+
+}  // namespace
+
 void save_predictor(checkpoint::Writer& w,
                     const SeriesPredictor& predictor) {
-  w.u8(static_cast<std::uint8_t>(predictor.kind()));
-  predictor.save_state(w);
+  w.enum_u8(predictor.kind(), kPredictorKindCount, "predictor: kind tag");
+  with_concrete(predictor, [&w](const auto& p) { checkpoint::save(w, p); });
 }
 
 std::unique_ptr<SeriesPredictor> load_predictor(checkpoint::Reader& r) {
-  const std::uint8_t tag = r.u8();
-  std::unique_ptr<SeriesPredictor> predictor;
-  switch (static_cast<PredictorKind>(tag)) {
-    case PredictorKind::kHolt:
-      predictor = std::make_unique<HoltPredictor>();
-      break;
-    case PredictorKind::kHoltWinters:
-      // Placeholder constructor arguments; load_state overwrites them.
-      predictor = std::make_unique<HoltWintersPredictor>(HoltParams{}, 2);
-      break;
-    case PredictorKind::kLastValue:
-      predictor = std::make_unique<LastValuePredictor>();
-      break;
-    case PredictorKind::kMovingAverage:
-      predictor = std::make_unique<MovingAveragePredictor>(1);
-      break;
-    default:
-      throw checkpoint::CheckpointError("predictor: bad kind tag " +
-                                        std::to_string(tag));
-  }
-  predictor->load_state(r);
+  PredictorKind kind{};
+  r.enum_u8(kind, kPredictorKindCount, "predictor: kind tag");
+  // Placeholder constructor arguments; the field list overwrites them.
+  std::unique_ptr<SeriesPredictor> predictor = make_predictor(kind, 2);
+  with_concrete(*predictor, [&r](auto& p) { checkpoint::load(r, p); });
   return predictor;
 }
 

@@ -47,15 +47,19 @@ class SeriesPredictor {
   /// (retraining replaces predictor objects, so the deployed parameters
   /// can differ from the configured ones).
   [[nodiscard]] virtual PredictorKind kind() const = 0;
-  /// Checkpoint everything, constructor parameters included.
-  virtual void save_state(checkpoint::Writer& w) const = 0;
-  virtual void load_state(checkpoint::Reader& r) = 0;
 };
 
 struct HoltParams {
   double alpha = 0.5;  ///< level smoothing, in [0, 1]
   double beta = 0.3;   ///< trend smoothing, in [0, 1]
   void validate() const;
+
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.alpha);
+    io.f64(self.beta);
+    if constexpr (Io::kLoading) self.validate();
+  }
 };
 
 class HoltPredictor final : public SeriesPredictor {
@@ -72,8 +76,8 @@ class HoltPredictor final : public SeriesPredictor {
   [[nodiscard]] double trend() const { return trend_; }
 
   [[nodiscard]] PredictorKind kind() const override;
-  void save_state(checkpoint::Writer& w) const override;
-  void load_state(checkpoint::Reader& r) override;
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   HoltParams params_;
@@ -92,8 +96,8 @@ class LastValuePredictor final : public SeriesPredictor {
   void reset() override;
 
   [[nodiscard]] PredictorKind kind() const override;
-  void save_state(checkpoint::Writer& w) const override;
-  void load_state(checkpoint::Reader& r) override;
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   double last_ = 0.0;
@@ -111,8 +115,8 @@ class MovingAveragePredictor final : public SeriesPredictor {
   void reset() override;
 
   [[nodiscard]] PredictorKind kind() const override;
-  void save_state(checkpoint::Writer& w) const override;
-  void load_state(checkpoint::Reader& r) override;
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   int window_;
@@ -143,8 +147,8 @@ class HoltWintersPredictor final : public SeriesPredictor {
   [[nodiscard]] int period() const { return period_; }
 
   [[nodiscard]] PredictorKind kind() const override;
-  void save_state(checkpoint::Writer& w) const override;
-  void load_state(checkpoint::Reader& r) override;
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   [[nodiscard]] double seasonal(int offset) const;
@@ -186,6 +190,7 @@ enum class PredictorKind {
   kLastValue,    ///< naive baseline
   kMovingAverage ///< short-window mean baseline
 };
+inline constexpr int kPredictorKindCount = 4;
 
 [[nodiscard]] std::string_view to_string(PredictorKind kind);
 
@@ -195,7 +200,7 @@ enum class PredictorKind {
     PredictorKind kind, int season_period, HoltParams params = {});
 
 /// Checkpoint a predictor polymorphically: a kind tag followed by the
-/// instance's save_state.  load_predictor reconstructs the concrete type
+/// concrete type's field list.  load_predictor reconstructs the concrete type
 /// and restores its full state (including constructor parameters, which
 /// retraining may have changed from the configured values).
 void save_predictor(checkpoint::Writer& w, const SeriesPredictor& predictor);

@@ -65,6 +65,13 @@ struct Allocation {
   std::vector<int> active_counts;
 
   [[nodiscard]] double ratio_sum() const;
+
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64_array(self.ratios);
+    io.f64(self.predicted_perf);
+    io.seq(self.active_counts, [&io](auto& n) { io.i64(n); });
+  }
 };
 
 class Solver {

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "checkpoint/serializer.h"
 #include "faults/fault_plan.h"
 #include "util/units.h"
 
@@ -37,21 +36,10 @@ class FaultInjector {
 
   /// Checkpoint the delivery cursor only — the action schedule itself is
   /// rebuilt deterministically from the configured plan on resume.
-  void save_state(checkpoint::Writer& w) const {
-    w.u64(actions_.size());
-    w.u64(next_);
-  }
-  void load_state(checkpoint::Reader& r) {
-    const auto count = static_cast<std::size_t>(r.u64());
-    if (count != actions_.size()) {
-      throw checkpoint::CheckpointError(
-          "fault injector: plan has " + std::to_string(actions_.size()) +
-          " actions, checkpoint recorded " + std::to_string(count));
-    }
-    next_ = static_cast<std::size_t>(r.u64());
-    if (next_ > actions_.size()) {
-      throw checkpoint::CheckpointError("fault injector: cursor out of range");
-    }
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.fixed_count(self.actions_.size(), "fault injector: action count");
+    io.cursor(self.next_, self.actions_.size(), "fault injector: cursor");
   }
 
  private:

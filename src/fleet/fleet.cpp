@@ -168,7 +168,6 @@ FleetReport Fleet::run(Minutes duration) {
     r.battery_cycles = racks_[i].plant().battery().equivalent_cycles();
     r.grid_cost = racks_[i].plant().grid().total_cost();
     r.grid_energy = racks_[i].plant().grid().total_energy();
-    r.metrics = racks_[i].metrics_snapshot();
   });
   // The fleet totals fold in rack order, as they always have.
   for (const RunReport& r : report.racks) {
@@ -381,30 +380,25 @@ std::vector<std::filesystem::path> Fleet::dump_flight_records(
 
 void Fleet::save_chunks(std::vector<checkpoint::Writer>& chunks) const {
   checkpoint::Writer& head = chunks.emplace_back();
-  head.seq(racks_.size());
-  telemetry_->save_state(head);
-  head.f64(peak_grid_allocation_.value());
+  head.fixed_count(racks_.size(), "fleet snapshot: rack count");
+  checkpoint::save(head, *telemetry_);
+  head.f64(peak_grid_allocation_);
   const std::size_t first = chunks.size();
   chunks.resize(first + racks_.size());
   for_each_rack(
-      [&](std::size_t i) { racks_[i].save_state(chunks[first + i]); });
+      [&](std::size_t i) { checkpoint::save(chunks[first + i], racks_[i]); });
   // The history's SoA columns are topology-agnostic (rack-major within each
   // epoch row, no shard geometry), so a snapshot taken under any --shards
   // value restores into any other.
-  history_.save_state(chunks.emplace_back());
+  checkpoint::save(chunks.emplace_back(), history_);
 }
 
 void Fleet::load_state(checkpoint::Reader& r) {
-  const std::size_t racks = r.seq();
-  if (racks != racks_.size()) {
-    throw checkpoint::CheckpointError(
-        "fleet snapshot holds " + std::to_string(racks) +
-        " racks but this fleet has " + std::to_string(racks_.size()));
-  }
-  telemetry_->load_state(r);
-  peak_grid_allocation_ = Watts{r.f64()};
-  for (RackSimulator& rack : racks_) rack.load_state(r);
-  history_.load_state(r);
+  r.fixed_count(racks_.size(), "fleet snapshot: rack count");
+  checkpoint::load(r, *telemetry_);
+  r.f64(peak_grid_allocation_);
+  for (RackSimulator& rack : racks_) checkpoint::load(r, rack);
+  checkpoint::load(r, history_);
   if (history_.racks() != racks_.size()) {
     throw checkpoint::CheckpointError(
         "fleet snapshot's epoch history covers " +

@@ -91,6 +91,8 @@ struct FleetConfig : RunConfig {
 };
 
 struct FleetReport {
+  /// Per-rack reports.  Their `metrics` stay empty: the racks' series reach
+  /// Fleet::metrics_snapshot() with a "rack" label.
   std::vector<RunReport> racks;
   /// True when the run was cut short by a stop request; the report covers
   /// only the completed epochs and a final checkpoint was written if

@@ -10,7 +10,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "checkpoint/serializer.h"
 #include "util/units.h"
 
 namespace greenhetero {
@@ -137,17 +136,12 @@ class Battery {
 
   /// Checkpoint the mutable charge/wear/fault state (the spec is rebuilt
   /// from configuration on resume; the max_discharge memo is not saved).
-  void save_state(checkpoint::Writer& w) const {
-    w.f64(stored_.value());
-    w.f64(fault_derate_);
-    w.f64(discharged_.value());
-    w.f64(charged_in_.value());
-  }
-  void load_state(checkpoint::Reader& r) {
-    stored_ = WattHours{r.f64()};
-    fault_derate_ = r.f64();
-    discharged_ = WattHours{r.f64()};
-    charged_in_ = WattHours{r.f64()};
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.stored_);
+    io.f64(self.fault_derate_);
+    io.f64(self.discharged_);
+    io.f64(self.charged_in_);
   }
 
  private:

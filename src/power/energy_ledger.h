@@ -10,7 +10,6 @@
 
 #include <cstddef>
 
-#include "checkpoint/serializer.h"
 #include "power/power_bus.h"
 #include "util/units.h"
 
@@ -61,27 +60,17 @@ class EnergyLedger {
   /// be numerically ~0 after any run.
   [[nodiscard]] double conservation_error() const;
 
-  void save_state(checkpoint::Writer& w) const {
-    w.u64(steps_);
-    w.f64(elapsed_.value());
-    w.f64(renewable_.value());
-    w.f64(ren_to_load_.value());
-    w.f64(bat_to_load_.value());
-    w.f64(grid_to_load_.value());
-    w.f64(ren_to_bat_.value());
-    w.f64(grid_to_bat_.value());
-    w.f64(curtailed_.value());
-  }
-  void load_state(checkpoint::Reader& r) {
-    steps_ = static_cast<std::size_t>(r.u64());
-    elapsed_ = Minutes{r.f64()};
-    renewable_ = WattHours{r.f64()};
-    ren_to_load_ = WattHours{r.f64()};
-    bat_to_load_ = WattHours{r.f64()};
-    grid_to_load_ = WattHours{r.f64()};
-    ren_to_bat_ = WattHours{r.f64()};
-    grid_to_bat_ = WattHours{r.f64()};
-    curtailed_ = WattHours{r.f64()};
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.u64(self.steps_);
+    io.f64(self.elapsed_);
+    io.f64(self.renewable_);
+    io.f64(self.ren_to_load_);
+    io.f64(self.bat_to_load_);
+    io.f64(self.grid_to_load_);
+    io.f64(self.ren_to_bat_);
+    io.f64(self.grid_to_bat_);
+    io.f64(self.curtailed_);
   }
 
  private:

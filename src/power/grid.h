@@ -9,7 +9,6 @@
 
 #include <stdexcept>
 
-#include "checkpoint/serializer.h"
 #include "util/units.h"
 
 namespace greenhetero {
@@ -73,19 +72,13 @@ class GridSupply {
   /// Checkpoint the metered totals, the fleet-set budget (set_budget
   /// mutates the spec) and the outage flag; tariff fields are rebuilt from
   /// configuration on resume.
-  void save_state(checkpoint::Writer& w) const {
-    w.f64(spec_.budget.value());
-    w.boolean(outage_);
-    w.f64(energy_.value());
-    w.f64(peak_energy_.value());
-    w.f64(peak_.value());
-  }
-  void load_state(checkpoint::Reader& r) {
-    spec_.budget = Watts{r.f64()};
-    outage_ = r.boolean();
-    energy_ = WattHours{r.f64()};
-    peak_energy_ = WattHours{r.f64()};
-    peak_ = Watts{r.f64()};
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.spec_.budget);
+    io.boolean(self.outage_);
+    io.f64(self.energy_);
+    io.f64(self.peak_energy_);
+    io.f64(self.peak_);
   }
 
  private:

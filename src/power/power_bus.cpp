@@ -39,8 +39,11 @@ PowerFlows RackPowerPlant::execute(PowerFlows plan, Minutes t, Minutes dt) {
   if (battery_in.value() > battery_.max_charge(dt).value() + kTol) {
     throw PowerPlanError("power plan: battery charge exceeds acceptance");
   }
-  if (plan.battery_to_load.value() >
-      battery_.max_discharge(dt).value() + kTol) {
+  // The limit is never negative, so a draw within kTol cannot exceed it:
+  // skip the lookup (a memo probe, or a bisection on a miss).
+  if (plan.battery_to_load.value() > kTol &&
+      plan.battery_to_load.value() >
+          battery_.max_discharge(dt).value() + kTol) {
     throw PowerPlanError("power plan: battery discharge exceeds limit");
   }
   if (plan.battery_to_load.value() > kTol && battery_in.value() > kTol) {

@@ -105,15 +105,11 @@ class RackPowerPlant {
   /// PowerPlanError is thrown (a planning bug, not an operating condition).
   PowerFlows execute(PowerFlows plan, Minutes t, Minutes dt);
 
-  void save_state(checkpoint::Writer& w) const {
-    solar_.save_state(w);
-    battery_.save_state(w);
-    grid_.save_state(w);
-  }
-  void load_state(checkpoint::Reader& r) {
-    solar_.load_state(r);
-    battery_.load_state(r);
-    grid_.load_state(r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.object(self.solar_);
+    io.object(self.battery_);
+    io.object(self.grid_);
   }
 
  private:

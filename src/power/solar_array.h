@@ -5,7 +5,6 @@
 // the battery is full).
 #pragma once
 
-#include "checkpoint/serializer.h"
 #include "trace/trace.h"
 #include "util/units.h"
 
@@ -36,15 +35,11 @@ class SolarArray {
 
   /// Checkpoint the metered totals and fault flag (the production trace is
   /// regenerated from configuration on resume).
-  void save_state(checkpoint::Writer& w) const {
-    w.boolean(outage_);
-    w.f64(produced_.value());
-    w.f64(used_.value());
-  }
-  void load_state(checkpoint::Reader& r) {
-    outage_ = r.boolean();
-    produced_ = WattHours{r.f64()};
-    used_ = WattHours{r.f64()};
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.boolean(self.outage_);
+    io.f64(self.produced_);
+    io.f64(self.used_);
   }
 
  private:

@@ -12,7 +12,6 @@
 
 #include <stdexcept>
 
-#include "checkpoint/serializer.h"
 #include "server/server_sim.h"
 #include "util/units.h"
 
@@ -40,13 +39,10 @@ class PowerCapController {
 
   void reset();
 
-  void save_state(checkpoint::Writer& w) const {
-    w.f64(average_.value());
-    w.boolean(seeded_);
-  }
-  void load_state(checkpoint::Reader& r) {
-    average_ = Watts{r.f64()};
-    seeded_ = r.boolean();
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.average_);
+    io.boolean(self.seeded_);
   }
 
  private:

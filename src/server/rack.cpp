@@ -245,32 +245,21 @@ std::span<const ServerSim> Rack::group_servers(std::size_t i) const {
           group_offsets_[i + 1] - group_offsets_[i]};
 }
 
-void Rack::save_state(checkpoint::Writer& w) const {
-  w.seq(groups_.size());
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    w.i64(static_cast<std::int64_t>(workloads_[i]));
-    const std::span<const ServerSim> servers = group_servers(i);
-    w.seq(servers.size());
-    for (const ServerSim& server : servers) server.save_state(w);
+template <class Self, class Io>
+void Rack::fields(Self& self, Io& io) {
+  io.fixed_count(self.groups_.size(), "rack: group count");
+  for (std::size_t i = 0; i < self.groups_.size(); ++i) {
+    Workload workload = self.workloads_[i];
+    io.enum_i64(workload, kWorkloadCount, "rack: workload");
+    if constexpr (Io::kLoading) {
+      if (workload != self.workloads_[i]) self.set_group_workload(i, workload);
+    }
+    const auto servers = self.group_servers(i);
+    io.fixed_count(servers.size(), "rack: server count");
+    for (auto& server : servers) io.object(server);
   }
 }
 
-void Rack::load_state(checkpoint::Reader& r) {
-  if (r.seq() != groups_.size()) {
-    throw checkpoint::CheckpointError("rack: group count mismatch");
-  }
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    const auto workload =
-        checkpoint::load_enum<Workload>(r, kWorkloadCount, "rack: workload");
-    if (workload != workloads_[i]) {
-      set_group_workload(i, workload);
-    }
-    const std::span<ServerSim> servers = group_servers(i);
-    if (r.seq() != servers.size()) {
-      throw checkpoint::CheckpointError("rack: server count mismatch");
-    }
-    for (ServerSim& server : servers) server.load_state(r);
-  }
-}
+GH_CHECKPOINT_FIELDS(Rack);
 
 }  // namespace greenhetero

@@ -18,11 +18,6 @@
 #include "workload/catalog.h"
 #include "workload/workload_spec.h"
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero {
 
 struct ServerGroup {
@@ -126,8 +121,8 @@ class Rack {
   /// Loading re-derives curves/ladders from the restored workloads (a
   /// workload-schedule switch may have moved a group off its configured
   /// workload) and then overwrites the server state the rebuild reset.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   [[nodiscard]] std::span<ServerSim> group_servers(std::size_t i);

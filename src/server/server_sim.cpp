@@ -1,8 +1,6 @@
 #include "server/server_sim.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <string>
 
 namespace greenhetero {
 
@@ -79,28 +77,6 @@ void ServerSim::refresh_operating_point() {
 void ServerSim::accumulate(Minutes dt) {
   energy_ += draw() * dt;
   work_ += throughput() * dt.value() / 60.0;
-}
-
-void ServerSim::load_state(checkpoint::Reader& r) {
-  const auto in_ladder = [&](std::int64_t state, const char* field) {
-    if (state < 0 || state > ladder_.operating_states()) {
-      throw checkpoint::CheckpointError(
-          std::string("server: ") + field + " " + std::to_string(state) +
-          " outside the ladder [0, " +
-          std::to_string(ladder_.operating_states()) + "]");
-    }
-    return static_cast<int>(state);
-  };
-  state_ = in_ladder(r.i64(), "state");
-  online_ = r.boolean();
-  const bool has_stuck = r.boolean();
-  const std::int64_t stuck = r.i64();
-  stuck_ = has_stuck ? std::optional<int>(in_ladder(stuck, "stuck state"))
-                     : std::nullopt;
-  actuation_offset_ = Watts{r.f64()};
-  energy_ = WattHours{r.f64()};
-  work_ = r.f64();
-  refresh_operating_point();
 }
 
 }  // namespace greenhetero

@@ -11,7 +11,6 @@
 
 #include <optional>
 
-#include "checkpoint/serializer.h"
 #include "server/dvfs.h"
 #include "server/perf_curve.h"
 #include "server/server_spec.h"
@@ -79,19 +78,25 @@ class ServerSim {
   [[nodiscard]] double work_done() const { return work_; }
 
   /// Checkpoint the operating state (spec/curve/ladder are rebuilt from the
-  /// restored workload before this is loaded).
-  void save_state(checkpoint::Writer& w) const {
-    w.i64(state_);
-    w.boolean(online_);
-    w.boolean(stuck_.has_value());
-    w.i64(stuck_.value_or(0));
-    w.f64(actuation_offset_.value());
-    w.f64(energy_.value());
-    w.f64(work_);
+  /// restored workload before this is loaded).  Loading refuses a state or
+  /// stuck state outside the ladder, naming the field.
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    const int top = self.ladder_.operating_states();
+    io.i64_in(self.state_, 0, top, "server: state");
+    io.boolean(self.online_);
+    bool stuck = self.stuck_.has_value();
+    int stuck_state = self.stuck_.value_or(0);
+    io.boolean(stuck);
+    io.i64_in(stuck_state, 0, top, "server: stuck state");
+    io.f64(self.actuation_offset_);
+    io.f64(self.energy_);
+    io.f64(self.work_);
+    if constexpr (Io::kLoading) {
+      self.stuck_ = stuck ? std::optional<int>(stuck_state) : std::nullopt;
+      self.refresh_operating_point();
+    }
   }
-  /// Throws CheckpointError naming the field when the state or the stuck
-  /// state lies outside the ladder.
-  void load_state(checkpoint::Reader& r);
 
  private:
   /// Re-derive the cached operating point after `state_`, `curve_` or

@@ -111,75 +111,60 @@ std::size_t EpochRecordStore::bytes() const {
   return total;
 }
 
-void EpochRecordStore::save_state(checkpoint::Writer& w) const {
-  w.seq(racks_);
-  w.f64_array(start_);
-  w.u8_array(training_);
-  w.u8_array(source_case_);
-  w.f64_array(predicted_);
-  w.f64_array(actual_);
-  w.f64_array(budget_);
-  w.f64_array(throughput_);
-  w.f64_array(epu_);
-  w.f64_array(soc_);
-  w.f64_array(discharge_);
-  w.f64_array(charge_);
-  w.f64_array(grid_);
-  w.f64_array(shortfall_);
-  w.f64_array(ratios_pool_);
-  checkpoint::save(w, ratio_end_);
-}
-
-void EpochRecordStore::load_state(checkpoint::Reader& r) {
-  racks_ = r.seq();
-  r.f64_array(start_);
-  r.u8_array(training_);
-  r.u8_array(source_case_);
-  r.f64_array(predicted_);
-  r.f64_array(actual_);
-  r.f64_array(budget_);
-  r.f64_array(throughput_);
-  r.f64_array(epu_);
-  r.f64_array(soc_);
-  r.f64_array(discharge_);
-  r.f64_array(charge_);
-  r.f64_array(grid_);
-  r.f64_array(shortfall_);
-  r.f64_array(ratios_pool_);
-  checkpoint::load(r, ratio_end_);
-
-  const std::size_t slots = start_.size();
-  const bool aligned =
-      (racks_ == 0 ? slots == 0 : slots % racks_ == 0) &&
-      training_.size() == slots && source_case_.size() == slots &&
-      predicted_.size() == slots && actual_.size() == slots &&
-      budget_.size() == slots && throughput_.size() == slots &&
-      epu_.size() == slots && soc_.size() == slots &&
-      discharge_.size() == slots && charge_.size() == slots &&
-      grid_.size() == slots && shortfall_.size() == slots &&
-      ratio_end_.size() == slots;
-  if (!aligned) {
-    throw checkpoint::CheckpointError(
-        "epoch store: column lengths disagree (corrupt snapshot)");
-  }
-  std::uint64_t prev = 0;
-  for (std::uint64_t end : ratio_end_) {
-    if (end < prev) {
+template <class Self, class Io>
+void EpochRecordStore::fields(Self& self, Io& io) {
+  io.u64(self.racks_);
+  io.f64_array(self.start_);
+  io.u8_array(self.training_);
+  io.u8_array(self.source_case_);
+  io.f64_array(self.predicted_);
+  io.f64_array(self.actual_);
+  io.f64_array(self.budget_);
+  io.f64_array(self.throughput_);
+  io.f64_array(self.epu_);
+  io.f64_array(self.soc_);
+  io.f64_array(self.discharge_);
+  io.f64_array(self.charge_);
+  io.f64_array(self.grid_);
+  io.f64_array(self.shortfall_);
+  io.f64_array(self.ratios_pool_);
+  io.seq(self.ratio_end_, [&io](auto& end) { io.u64(end); });
+  if constexpr (Io::kLoading) {
+    const std::size_t slots = self.start_.size();
+    const bool aligned =
+        (self.racks_ == 0 ? slots == 0 : slots % self.racks_ == 0) &&
+        self.training_.size() == slots && self.source_case_.size() == slots &&
+        self.predicted_.size() == slots && self.actual_.size() == slots &&
+        self.budget_.size() == slots && self.throughput_.size() == slots &&
+        self.epu_.size() == slots && self.soc_.size() == slots &&
+        self.discharge_.size() == slots && self.charge_.size() == slots &&
+        self.grid_.size() == slots && self.shortfall_.size() == slots &&
+        self.ratio_end_.size() == slots;
+    if (!aligned) {
       throw checkpoint::CheckpointError(
-          "epoch store: ratio extents are not monotone");
+          "epoch store: column lengths disagree (corrupt snapshot)");
     }
-    prev = end;
-  }
-  if (prev != ratios_pool_.size()) {
-    throw checkpoint::CheckpointError(
-        "epoch store: ratio pool length disagrees with the extents");
-  }
-  for (std::uint8_t c : source_case_) {
-    if (c > static_cast<std::uint8_t>(PowerCase::kGridFallback)) {
-      throw checkpoint::CheckpointError("epoch store: bad power case " +
-                                        std::to_string(c));
+    std::uint64_t prev = 0;
+    for (std::uint64_t end : self.ratio_end_) {
+      if (end < prev) {
+        throw checkpoint::CheckpointError(
+            "epoch store: ratio extents are not monotone");
+      }
+      prev = end;
+    }
+    if (prev != self.ratios_pool_.size()) {
+      throw checkpoint::CheckpointError(
+          "epoch store: ratio pool length disagrees with the extents");
+    }
+    for (std::uint8_t c : self.source_case_) {
+      if (c > static_cast<std::uint8_t>(PowerCase::kGridFallback)) {
+        throw checkpoint::CheckpointError("epoch store: bad power case " +
+                                          std::to_string(c));
+      }
     }
   }
 }
+
+GH_CHECKPOINT_FIELDS(EpochRecordStore);
 
 }  // namespace greenhetero

@@ -23,11 +23,6 @@
 
 #include "sim/run_report.h"
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero {
 
 class EpochRecordStore {
@@ -60,8 +55,8 @@ class EpochRecordStore {
   [[nodiscard]] std::size_t bytes() const;
 
   /// Checkpoint the full history as bulk column arrays.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   [[nodiscard]] std::size_t slot(std::size_t rack, std::size_t epoch) const {

@@ -483,7 +483,7 @@ std::filesystem::path RackSimulator::dump_flight_record(
     row.sim_minutes = now;
     row.rack_id = telemetry_->rack_id();
     row.phase = "fault_plan_row";
-    row.fields = {{"at_min", event.at.value()},
+    row.payload = {{"at_min", event.at.value()},
                   {"kind", to_string(event.kind)},
                   {"duration_min", event.duration.value()},
                   {"target", event.target},
@@ -513,59 +513,35 @@ RunReport RackSimulator::run(Minutes duration) {
   return report;
 }
 
-void RackSimulator::save_state(checkpoint::Writer& w) const {
-  clock_.save_state(w);
-  rack_.save_state(w);
-  plant_.save_state(w);
-  controller_.save_state(w);
-  ledger_.save_state(w);
-  run_epu_.save_state(w);
-  w.u64(static_cast<std::uint64_t>(next_switch_));
+template <class Self, class Io>
+void RackSimulator::fields(Self& self, Io& io) {
+  io.object(self.clock_);
+  io.object(self.rack_);
+  io.object(self.plant_);
+  io.object(self.controller_);
+  io.object(self.ledger_);
+  io.object(self.run_epu_);
+  io.cursor(self.next_switch_, self.config_.workload_schedule.size(),
+            "simulator state: workload-switch cursor");
   // rapl_ sizing, injector_ and checker_ engagement all derive from the
   // (identical) config, so only engaged state is written.
-  for (const PowerCapController& cap : rapl_) cap.save_state(w);
-  if (injector_) injector_->save_state(w);
-  checkpoint::save(w, solar_sensor_stuck_
-                          ? std::optional<double>{solar_sensor_stuck_->value()}
-                          : std::nullopt);
-  w.u8(static_cast<std::uint8_t>(last_health_));
-  if (checker_) checker_->save_state(w);
-  telemetry_->save_state(w);
-  epochs_.save_state(w);
+  for (auto& cap : self.rapl_) io.object(cap);
+  if (self.injector_) io.object(*self.injector_);
+  io.optional(self.solar_sensor_stuck_);
+  io.enum_u8(self.last_health_, kHealthStateCount,
+             "simulator state: health state");
+  if (self.checker_) io.object(*self.checker_);
+  io.object(*self.telemetry_);
+  io.object(self.epochs_);
+  if constexpr (Io::kLoading) {
+    if (self.epochs_.racks() != 1) {
+      throw checkpoint::CheckpointError(
+          "simulator state: epoch history is not single-rack");
+    }
+  }
 }
 
-void RackSimulator::load_state(checkpoint::Reader& r) {
-  clock_.load_state(r);
-  rack_.load_state(r);
-  plant_.load_state(r);
-  controller_.load_state(r);
-  ledger_.load_state(r);
-  run_epu_.load_state(r);
-  next_switch_ = static_cast<std::size_t>(r.u64());
-  if (next_switch_ > config_.workload_schedule.size()) {
-    throw checkpoint::CheckpointError(
-        "simulator state: workload-switch cursor out of range");
-  }
-  for (PowerCapController& cap : rapl_) cap.load_state(r);
-  if (injector_) injector_->load_state(r);
-  std::optional<double> stuck;
-  checkpoint::load(r, stuck);
-  solar_sensor_stuck_ =
-      stuck ? std::optional<Watts>{Watts{*stuck}} : std::nullopt;
-  const std::uint8_t health = r.u8();
-  if (health > static_cast<std::uint8_t>(HealthState::kRecovering)) {
-    throw checkpoint::CheckpointError("simulator state: bad health state " +
-                                      std::to_string(health));
-  }
-  last_health_ = static_cast<HealthState>(health);
-  if (checker_) checker_->load_state(r);
-  telemetry_->load_state(r);
-  epochs_.load_state(r);
-  if (epochs_.racks() != 1) {
-    throw checkpoint::CheckpointError(
-        "simulator state: epoch history is not single-rack");
-  }
-}
+GH_CHECKPOINT_FIELDS(RackSimulator);
 
 std::size_t RackSimulator::advance_epoch(std::size_t /*epoch*/) {
   epochs_.append(step_epoch());

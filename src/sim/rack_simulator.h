@@ -177,8 +177,8 @@ class RackSimulator final : private EpochClient {
   /// rack/plant/controller state, fault cursor, telemetry, completed-epoch
   /// history.  The streaming sink is NOT included; write_checkpoint /
   /// load_checkpoint handle it alongside.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r) override;
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
   /// EpochDriver::write_checkpoint / load_checkpoint for this rack.  Called
   /// by run() at the configured cadence; callable at any epoch barrier.
@@ -220,7 +220,10 @@ class RackSimulator final : private EpochClient {
   }
   void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
   void save_chunks(std::vector<checkpoint::Writer>& chunks) const override {
-    save_state(chunks.emplace_back());
+    checkpoint::save(chunks.emplace_back(), *this);
+  }
+  void load_state(checkpoint::Reader& r) override {
+    checkpoint::load(r, *this);
   }
 
   Rack rack_;

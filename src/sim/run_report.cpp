@@ -1,47 +1,6 @@
 #include "sim/run_report.h"
 
-#include "checkpoint/serializer.h"
-
 namespace greenhetero {
-
-void save_state(checkpoint::Writer& w, const EpochRecord& record) {
-  w.f64(record.start.value());
-  w.boolean(record.training);
-  w.u8(static_cast<std::uint8_t>(record.source_case));
-  w.f64(record.predicted_renewable.value());
-  w.f64(record.actual_renewable.value());
-  w.f64(record.budget.value());
-  checkpoint::save(w, record.ratios);
-  w.f64(record.throughput);
-  w.f64(record.epu);
-  w.f64(record.battery_soc);
-  w.f64(record.battery_discharge.value());
-  w.f64(record.battery_charge.value());
-  w.f64(record.grid_power.value());
-  w.f64(record.shortfall.value());
-}
-
-void load_state(checkpoint::Reader& r, EpochRecord& record) {
-  record.start = Minutes{r.f64()};
-  record.training = r.boolean();
-  const std::uint8_t source_case = r.u8();
-  if (source_case > static_cast<std::uint8_t>(PowerCase::kGridFallback)) {
-    throw checkpoint::CheckpointError("epoch record: bad power case " +
-                                      std::to_string(source_case));
-  }
-  record.source_case = static_cast<PowerCase>(source_case);
-  record.predicted_renewable = Watts{r.f64()};
-  record.actual_renewable = Watts{r.f64()};
-  record.budget = Watts{r.f64()};
-  checkpoint::load(r, record.ratios);
-  record.throughput = r.f64();
-  record.epu = r.f64();
-  record.battery_soc = r.f64();
-  record.battery_discharge = Watts{r.f64()};
-  record.battery_charge = Watts{r.f64()};
-  record.grid_power = Watts{r.f64()};
-  record.shortfall = Watts{r.f64()};
-}
 
 double RunReport::mean_throughput() const {
   double sum = 0.0;

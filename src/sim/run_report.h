@@ -12,11 +12,6 @@
 #include "util/csv.h"
 #include "util/units.h"
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero {
 
 struct EpochRecord {
@@ -35,11 +30,6 @@ struct EpochRecord {
   Watts grid_power{0.0};        ///< epoch-mean grid draw (load + charging)
   Watts shortfall{0.0};         ///< epoch-mean unmet planned load
 };
-
-/// Checkpoint serialization of one epoch record (the resumable run keeps
-/// the completed-epoch history so the final report matches byte for byte).
-void save_state(checkpoint::Writer& w, const EpochRecord& record);
-void load_state(checkpoint::Reader& r, EpochRecord& record);
 
 struct RunReport {
   std::vector<EpochRecord> epochs;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "checkpoint/serializer.h"
-
 namespace greenhetero {
 
 SimClock::SimClock(Minutes epoch, Minutes substep)
@@ -40,18 +38,6 @@ void SimClock::reset() {
   now_ = Minutes{0.0};
   substep_in_epoch_ = 0;
   epoch_index_ = 0;
-}
-
-void SimClock::save_state(checkpoint::Writer& w) const {
-  w.f64(now_.value());
-  w.u64(substep_in_epoch_);
-  w.u64(epoch_index_);
-}
-
-void SimClock::load_state(checkpoint::Reader& r) {
-  now_ = Minutes{r.f64()};
-  substep_in_epoch_ = static_cast<std::size_t>(r.u64());
-  epoch_index_ = static_cast<std::size_t>(r.u64());
 }
 
 }  // namespace greenhetero

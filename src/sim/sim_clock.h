@@ -6,11 +6,6 @@
 
 #include "util/units.h"
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero {
 
 class SimClock {
@@ -31,8 +26,15 @@ class SimClock {
 
   void reset();
 
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  /// Checkpoint the position (the epoch and substep lengths come from
+  /// configuration).
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.now_);
+    io.cursor(self.substep_in_epoch_, self.substeps_ - 1,
+              "sim clock: substep in epoch");
+    io.u64(self.epoch_index_);
+  }
 
  private:
   Minutes epoch_;

@@ -55,7 +55,7 @@ std::filesystem::path FlightRecorder::dump(
   trigger.sim_minutes = sim_minutes;
   trigger.rack_id = rack_id;
   trigger.phase = "flightrec";
-  trigger.fields = {{"reason", std::string(reason)},
+  trigger.payload = {{"reason", std::string(reason)},
                     {"events", ring_.size()},
                     {"context_rows", context_rows.size()},
                     {"dump_index", seq_ - 1}};

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "checkpoint/serializer.h"
 #include "telemetry/tracing.h"
 
 namespace greenhetero::telemetry {
@@ -54,21 +53,12 @@ class FlightRecorder {
                              const std::vector<TraceEvent>& context_rows);
 
   /// Checkpoint the ring contents and the dump sequence number (capacity
-  /// and directory come from configuration).
-  void save_state(checkpoint::Writer& w) const {
-    w.seq(ring_.size());
-    for (const TraceEvent& event : ring_) event.save_state(w);
-    w.i64(seq_);
-  }
-  void load_state(checkpoint::Reader& r) {
-    const std::size_t count = r.seq();
-    ring_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      TraceEvent event;
-      event.load_state(r);
-      ring_.push_back(std::move(event));
-    }
-    seq_ = static_cast<int>(r.i64());
+  /// and directory come from configuration).  Loading refuses more events
+  /// than the capacity: record() only evicts at exactly the capacity.
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.objects(self.ring_, self.capacity_, "flight recorder: event count");
+    io.i64(self.seq_);
   }
 
  private:

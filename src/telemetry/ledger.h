@@ -38,7 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "checkpoint/serializer.h"
 #include "telemetry/tracing.h"
 
 namespace greenhetero::telemetry {
@@ -93,6 +92,14 @@ struct EpochLossRecord {
   [[nodiscard]] double epu() const {
     return supply_w > 0.0 ? useful_w / supply_w : 1.0;
   }
+
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.start_min);
+    io.f64(self.supply_w);
+    io.f64(self.useful_w);
+    for (auto& v : self.buckets) io.f64(v);
+  }
 };
 
 /// Accumulates one epoch at a time; end_epoch() appends the epoch means to
@@ -141,45 +148,18 @@ class LossLedger {
   /// Checkpoint the full ledger: an epoch may be mid-accumulation when the
   /// snapshot lands (it never is at the epoch barrier, but the fields are
   /// cheap and the invariant is "resume = exact state").
-  void save_state(checkpoint::Writer& w) const {
-    w.boolean(open_);
-    w.i64(steps_);
-    w.f64(start_min_);
-    w.f64(rack_peak_w_);
-    w.f64(predicted_renewable_w_);
-    w.f64(planned_green_w_);
-    w.f64(supply_sum_);
-    w.f64(useful_sum_);
-    for (double v : bucket_sums_) w.f64(v);
-    w.seq(epochs_.size());
-    for (const EpochLossRecord& rec : epochs_) {
-      w.f64(rec.start_min);
-      w.f64(rec.supply_w);
-      w.f64(rec.useful_w);
-      for (double v : rec.buckets) w.f64(v);
-    }
-  }
-  void load_state(checkpoint::Reader& r) {
-    open_ = r.boolean();
-    steps_ = static_cast<int>(r.i64());
-    start_min_ = r.f64();
-    rack_peak_w_ = r.f64();
-    predicted_renewable_w_ = r.f64();
-    planned_green_w_ = r.f64();
-    supply_sum_ = r.f64();
-    useful_sum_ = r.f64();
-    for (double& v : bucket_sums_) v = r.f64();
-    const std::size_t count = r.seq();
-    epochs_.clear();
-    epochs_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      EpochLossRecord rec;
-      rec.start_min = r.f64();
-      rec.supply_w = r.f64();
-      rec.useful_w = r.f64();
-      for (double& v : rec.buckets) v = r.f64();
-      epochs_.push_back(rec);
-    }
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.boolean(self.open_);
+    io.i64(self.steps_);
+    io.f64(self.start_min_);
+    io.f64(self.rack_peak_w_);
+    io.f64(self.predicted_renewable_w_);
+    io.f64(self.planned_green_w_);
+    io.f64(self.supply_sum_);
+    io.f64(self.useful_sum_);
+    for (auto& v : self.bucket_sums_) io.f64(v);
+    io.objects(self.epochs_);
   }
 
  private:

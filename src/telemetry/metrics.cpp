@@ -548,50 +548,26 @@ void MetricsRegistry::restore(const MetricsSnapshot& snapshot) {
   }
 }
 
-void save_state(checkpoint::Writer& w, const MetricsSnapshot& snapshot) {
-  w.seq(snapshot.entries.size());
-  for (const SnapshotEntry& entry : snapshot.entries) {
-    w.str(entry.name);
-    w.seq(entry.labels.size());
-    for (const auto& [key, value] : entry.labels) {
-      w.str(key);
-      w.str(value);
-    }
-    w.u8(static_cast<std::uint8_t>(entry.kind));
-    w.f64(entry.value);
-    checkpoint::save(w, entry.bounds);
-    checkpoint::save(w, entry.buckets);
-    w.u64(entry.count);
-    w.f64(entry.sum);
-  }
+template <class Self, class Io>
+void SnapshotEntry::fields(Self& self, Io& io) {
+  io.str(self.name);
+  io.seq(self.labels, [&io](auto& label) {
+    io.str(label.first);
+    io.str(label.second);
+  });
+  io.enum_u8(self.kind, kMetricKindCount, "metrics snapshot: kind tag");
+  io.f64(self.value);
+  io.f64_array(self.bounds);
+  io.seq(self.buckets, [&io](auto& n) { io.u64(n); });
+  io.u64(self.count);
+  io.f64(self.sum);
 }
 
-void load_state(checkpoint::Reader& r, MetricsSnapshot& snapshot) {
-  const std::size_t entries = r.seq();
-  snapshot.entries.clear();
-  snapshot.entries.reserve(entries);
-  for (std::size_t i = 0; i < entries; ++i) {
-    SnapshotEntry entry;
-    entry.name = r.str();
-    const std::size_t labels = r.seq();
-    entry.labels.reserve(labels);
-    for (std::size_t j = 0; j < labels; ++j) {
-      std::string key = r.str();
-      entry.labels.emplace_back(std::move(key), r.str());
-    }
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(MetricKind::kHistogram)) {
-      throw checkpoint::CheckpointError("metrics snapshot: bad kind tag " +
-                                        std::to_string(kind));
-    }
-    entry.kind = static_cast<MetricKind>(kind);
-    entry.value = r.f64();
-    checkpoint::load(r, entry.bounds);
-    checkpoint::load(r, entry.buckets);
-    entry.count = r.u64();
-    entry.sum = r.f64();
-    snapshot.entries.push_back(std::move(entry));
-  }
+template <class Self, class Io>
+void MetricsSnapshot::fields(Self& self, Io& io) {
+  io.objects(self.entries);
 }
+
+GH_CHECKPOINT_FIELDS(MetricsSnapshot);
 
 }  // namespace greenhetero::telemetry

@@ -49,11 +49,6 @@
 
 #include "util/thread_pool.h"
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero::telemetry {
 
 class TelemetryError : public std::runtime_error {
@@ -198,6 +193,7 @@ void append_duration_ns(std::string& out, double ns);
 [[nodiscard]] std::string format_duration_ns(double ns);
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
+inline constexpr int kMetricKindCount = 3;
 
 [[nodiscard]] std::string_view to_string(MetricKind kind);
 
@@ -422,6 +418,9 @@ struct SnapshotEntry {
   std::vector<std::uint64_t> buckets;
   std::uint64_t count = 0;
   double sum = 0.0;
+
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 };
 
 struct MetricsSnapshot {
@@ -439,6 +438,11 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json(const util::ForEach& for_each = {}) const;
   /// Aligned human-readable table; histograms show count/mean/p50/p90/p99.
   [[nodiscard]] std::string to_human(const util::ForEach& for_each = {}) const;
+
+  /// Checkpoint serialization of a frozen snapshot (the registry itself
+  /// round-trips as snapshot() -> save -> load -> restore()).
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 };
 
 /// Write a snapshot to `path`, format chosen by extension: ".json" JSON,
@@ -457,11 +461,6 @@ void save_metrics(const MetricsSnapshot& snapshot,
                   const std::filesystem::path& path,
                   bool human_sibling = false,
                   const util::ForEach& for_each = {});
-
-/// Checkpoint serialization of a frozen snapshot (the registry itself
-/// round-trips as snapshot() -> save -> load -> restore()).
-void save_state(checkpoint::Writer& w, const MetricsSnapshot& snapshot);
-void load_state(checkpoint::Reader& r, MetricsSnapshot& snapshot);
 
 class MetricsRegistry {
  public:

@@ -271,7 +271,12 @@ void* operator new[](std::size_t size, std::align_val_t align,
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined into a caller's node teardown, this free()
+// would meet the replaced operator new there, and GCC 12 reports the pair
+// as -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);

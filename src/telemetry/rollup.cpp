@@ -57,7 +57,7 @@ TraceEvent make_rollup_event(const RollupWindow& window, int rack_id) {
   event.sim_minutes = window.emitted_t_min;
   event.rack_id = rack_id;
   event.phase = "rollup";
-  event.fields = window.to_trace_fields();
+  event.payload = window.to_trace_fields();
   return event;
 }
 
@@ -134,58 +134,6 @@ void Rollup::write_jsonl(std::ostream& out, int rack_id) const {
   }
   const std::lock_guard<std::mutex> lock(trace_writer_mutex());
   out << buffer;
-}
-
-namespace {
-
-void save_window(checkpoint::Writer& w, const RollupWindow& window) {
-  w.f64(window.start_min);
-  w.f64(window.end_min);
-  w.f64(window.emitted_t_min);
-  w.u64(window.epochs);
-  w.f64(window.epu_sum);
-  w.f64(window.shortfall_sum_w);
-  w.f64(window.grid_sum_w);
-  for (std::size_t occ : window.health_occupancy) w.u64(occ);
-  w.boolean(window.has_loss);
-  for (double v : window.loss_sums_w) w.f64(v);
-}
-
-void load_window(checkpoint::Reader& r, RollupWindow& window) {
-  window.start_min = r.f64();
-  window.end_min = r.f64();
-  window.emitted_t_min = r.f64();
-  window.epochs = static_cast<std::size_t>(r.u64());
-  window.epu_sum = r.f64();
-  window.shortfall_sum_w = r.f64();
-  window.grid_sum_w = r.f64();
-  for (std::size_t& occ : window.health_occupancy) {
-    occ = static_cast<std::size_t>(r.u64());
-  }
-  window.has_loss = r.boolean();
-  for (double& v : window.loss_sums_w) v = r.f64();
-}
-
-}  // namespace
-
-void Rollup::save_state(checkpoint::Writer& w) const {
-  w.boolean(window_open_);
-  save_window(w, current_);
-  w.seq(windows_.size());
-  for (const RollupWindow& window : windows_) save_window(w, window);
-}
-
-void Rollup::load_state(checkpoint::Reader& r) {
-  window_open_ = r.boolean();
-  load_window(r, current_);
-  const std::size_t count = r.seq();
-  windows_.clear();
-  windows_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RollupWindow window;
-    load_window(r, window);
-    windows_.push_back(window);
-  }
 }
 
 }  // namespace greenhetero::telemetry

@@ -56,6 +56,20 @@ struct RollupWindow {
 
   /// The "rollup" event payload (means, not sums).
   [[nodiscard]] TraceFields to_trace_fields() const;
+
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.f64(self.start_min);
+    io.f64(self.end_min);
+    io.f64(self.emitted_t_min);
+    io.u64(self.epochs);
+    io.f64(self.epu_sum);
+    io.f64(self.shortfall_sum_w);
+    io.f64(self.grid_sum_w);
+    for (auto& occ : self.health_occupancy) io.u64(occ);
+    io.boolean(self.has_loss);
+    for (auto& v : self.loss_sums_w) io.f64(v);
+  }
 };
 
 class Rollup {
@@ -84,8 +98,12 @@ class Rollup {
 
   /// Checkpoint the open window's running sums and the closed-window
   /// history (window_min comes from configuration).
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io) {
+    io.boolean(self.window_open_);
+    io.object(self.current_);
+    io.objects(self.windows_);
+  }
 
  private:
   [[nodiscard]] RollupWindow close_window(double emitted_t);

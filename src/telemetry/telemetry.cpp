@@ -1,5 +1,7 @@
 #include "telemetry/telemetry.h"
 
+#include "checkpoint/serializer.h"
+
 namespace greenhetero::telemetry {
 
 namespace {
@@ -44,30 +46,25 @@ void Telemetry::emit(std::string phase, TraceFields fields) {
   event.sim_minutes = now_.value();
   event.rack_id = config_.rack_id;
   event.phase = std::move(phase);
-  event.fields = std::move(fields);
+  event.payload = std::move(fields);
   flightrec_.record(event);  // no-op unless a dump directory is configured
   trace_.push(std::move(event));
 }
 
-void Telemetry::save_state(checkpoint::Writer& w) const {
-  telemetry::save_state(w, metrics_.snapshot());
-  trace_.save_state(w);
-  loss_.save_state(w);
-  rollup_.save_state(w);
-  flightrec_.save_state(w);
-  w.f64(now_.value());
+template <class Self, class Io>
+void Telemetry::fields(Self& self, Io& io) {
+  MetricsSnapshot metrics;
+  if constexpr (!Io::kLoading) metrics = self.metrics_.snapshot();
+  io.object(metrics);
+  if constexpr (Io::kLoading) self.metrics_.restore(metrics);
+  io.object(self.trace_);
+  io.object(self.loss_);
+  io.object(self.rollup_);
+  io.object(self.flightrec_);
+  io.f64(self.now_);
 }
 
-void Telemetry::load_state(checkpoint::Reader& r) {
-  MetricsSnapshot snapshot;
-  telemetry::load_state(r, snapshot);
-  metrics_.restore(snapshot);
-  trace_.load_state(r);
-  loss_.load_state(r);
-  rollup_.load_state(r);
-  flightrec_.load_state(r);
-  now_ = Minutes{r.f64()};
-}
+GH_CHECKPOINT_FIELDS(Telemetry);
 
 Telemetry* current() { return g_current; }
 

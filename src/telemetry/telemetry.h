@@ -132,8 +132,8 @@ class Telemetry {
   /// timestamp.  Spans and the profiler are deliberately skipped — both
   /// carry wall-clock nanoseconds and are excluded from byte-identity
   /// guarantees anyway.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   TelemetryConfig config_;

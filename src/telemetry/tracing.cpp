@@ -4,6 +4,7 @@
 #include <charconv>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 
 #include "checkpoint/serializer.h"
 #include "telemetry/metrics.h"
@@ -142,7 +143,7 @@ void TraceEvent::append_json(std::string& out) const {
   append_number(out, static_cast<double>(rack_id));
   out += ",\"phase\":";
   append_json_escaped(out, phase);
-  for (const auto& [key, value] : fields) {
+  for (const auto& [key, value] : payload) {
     out += ',';
     append_json_escaped(out, key.view());
     out += ':';
@@ -165,7 +166,7 @@ void TraceLines::append(const TraceLines& from, const Line& line) {
 }
 
 const TraceValue* TraceEvent::field(std::string_view key) const {
-  for (const auto& [k, v] : fields) {
+  for (const auto& [k, v] : payload) {
     if (k == key) return &v;
   }
   return nullptr;
@@ -176,7 +177,7 @@ std::size_t TraceEvent::approx_bytes() const {
   // estimate (allocator slack is ignored) but a *stable* one: the bounded-
   // memory CI cap and the bench high-water mark are measured in it.
   std::size_t bytes = sizeof(TraceEvent) + phase.size();
-  for (const TraceField& field : fields) {
+  for (const TraceField& field : payload) {
     bytes += sizeof(TraceField) + field.value.approx_bytes();
   }
   return bytes;
@@ -188,7 +189,7 @@ TraceEvent make_truncation_footer(double last_sim_minutes,
   footer.sim_minutes = last_sim_minutes;
   footer.rack_id = -1;  // whole-trace marker, not any one rack
   footer.phase = "trace_truncated";
-  footer.fields.emplace_back(TraceKey("dropped"),
+  footer.payload.emplace_back(TraceKey("dropped"),
                              static_cast<std::int64_t>(dropped));
   return footer;
 }
@@ -239,93 +240,67 @@ void TraceRing::clear() {
   peak_bytes_ = 0;
 }
 
-void TraceValue::save_state(checkpoint::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(value_.index()));
-  switch (value_.index()) {
+template <class Self, class Io>
+void TraceKey::fields(Self& self, Io& io) {
+  if constexpr (Io::kLoading) {
+    self = intern(io.str());
+  } else {
+    io.str(self.view());
+  }
+}
+
+namespace {
+
+/// Alternative I of `v`; a load (non-const `v`) first makes it the held one.
+template <std::size_t I, class Variant>
+auto& alternative(Variant& v) {
+  if constexpr (!std::is_const_v<Variant>) v.template emplace<I>();
+  return std::get<I>(v);
+}
+
+}  // namespace
+
+template <class Self, class Io>
+void TraceValue::fields(Self& self, Io& io) {
+  constexpr auto kinds = std::variant_size_v<decltype(self.value_)>;
+  auto kind = static_cast<std::uint8_t>(self.value_.index());
+  io.enum_u8(kind, kinds, "trace value: kind tag");
+  switch (kind) {
     case 0:
-      w.f64(std::get<0>(value_));
-      break;
+      return io.f64(alternative<0>(self.value_));
     case 1:
-      w.i64(std::get<1>(value_));
-      break;
+      return io.i64(alternative<1>(self.value_));
     case 2:
-      w.boolean(std::get<2>(value_));
-      break;
+      return io.boolean(alternative<2>(self.value_));
     case 3:
-      w.str(std::get<3>(value_));
-      break;
+      return io.str(alternative<3>(self.value_));
     case 4:
-      checkpoint::save(w, std::get<4>(value_));
-      break;
+      return io.f64_array(alternative<4>(self.value_));
   }
 }
 
-TraceValue TraceValue::load_state(checkpoint::Reader& r) {
-  const std::uint8_t tag = r.u8();
-  switch (tag) {
-    case 0:
-      return TraceValue(r.f64());
-    case 1:
-      return TraceValue(r.i64());
-    case 2:
-      return TraceValue(r.boolean());
-    case 3:
-      return TraceValue(r.str());
-    case 4: {
-      std::vector<double> array;
-      checkpoint::load(r, array);
-      return TraceValue(std::move(array));
-    }
-  }
-  throw checkpoint::CheckpointError("trace value: bad kind tag " +
-                                    std::to_string(tag));
+template <class Self, class Io>
+void TraceEvent::fields(Self& self, Io& io) {
+  io.f64(self.sim_minutes);
+  io.i64(self.rack_id);
+  io.str(self.phase);
+  io.seq(self.payload, [&io](auto& field) {
+    io.object(field.key);
+    io.object(field.value);
+  });
 }
 
-void TraceEvent::save_state(checkpoint::Writer& w) const {
-  w.f64(sim_minutes);
-  w.i64(rack_id);
-  w.str(phase);
-  w.seq(fields.size());
-  for (const auto& [key, value] : fields) {
-    w.str(key.view());
-    value.save_state(w);
-  }
+GH_CHECKPOINT_FIELDS(TraceEvent);
+
+template <class Self, class Io>
+void TraceRing::fields(Self& self, Io& io) {
+  io.objects(self.events_, self.capacity_, "trace ring: event count");
+  io.u64(self.dropped_);
+  io.boolean(self.warned_);
+  io.u64(self.approx_bytes_);
+  io.u64(self.peak_bytes_);
 }
 
-void TraceEvent::load_state(checkpoint::Reader& r) {
-  sim_minutes = r.f64();
-  rack_id = static_cast<int>(r.i64());
-  phase = r.str();
-  const std::size_t count = r.seq();
-  fields.clear();
-  fields.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const TraceKey key = TraceKey::intern(r.str());
-    fields.push_back({key, TraceValue::load_state(r)});
-  }
-}
-
-void TraceRing::save_state(checkpoint::Writer& w) const {
-  w.seq(events_.size());
-  for (const TraceEvent& event : events_) event.save_state(w);
-  w.u64(dropped_);
-  w.boolean(warned_);
-  w.u64(approx_bytes_);
-  w.u64(peak_bytes_);
-}
-
-void TraceRing::load_state(checkpoint::Reader& r) {
-  const std::size_t count = r.seq();
-  events_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    TraceEvent event;
-    event.load_state(r);
-    events_.push_back(std::move(event));
-  }
-  dropped_ = r.u64();
-  warned_ = r.boolean();
-  approx_bytes_ = static_cast<std::size_t>(r.u64());
-  peak_bytes_ = static_cast<std::size_t>(r.u64());
-}
+GH_CHECKPOINT_FIELDS(TraceRing);
 
 }  // namespace greenhetero::telemetry

@@ -24,11 +24,6 @@
 #include <variant>
 #include <vector>
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero::telemetry {
 
 /// Version of the JSONL trace schema.  Bumped when the header or the shape
@@ -64,6 +59,10 @@ class TraceKey {
   [[nodiscard]] static TraceKey intern(std::string_view key);
 
   [[nodiscard]] constexpr std::string_view view() const { return view_; }
+
+  /// Checkpointed as its text, re-interned on load.
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
   friend constexpr bool operator==(TraceKey a, std::string_view b) {
     return a.view_ == b;
   }
@@ -87,6 +86,8 @@ class TraceValue {
   TraceValue(std::string_view v) : value_(std::string(v)) {}
   TraceValue(const char* v) : value_(std::string(v)) {}
   TraceValue(std::vector<double> v) : value_(std::move(v)) {}
+  /// 0.0; a checkpoint load overwrites it.
+  TraceValue() = default;
 
   void append_json(std::string& out) const;
 
@@ -104,8 +105,9 @@ class TraceValue {
 
   /// Checkpoint support: one tag byte (the alternative index), then the
   /// payload.
-  void save_state(checkpoint::Writer& w) const;
-  [[nodiscard]] static TraceValue load_state(checkpoint::Reader& r);
+  /// Checkpointed as a kind tag (the alternative's index), then the value.
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   std::variant<double, std::int64_t, bool, std::string, std::vector<double>>
@@ -123,7 +125,7 @@ struct TraceEvent {
   double sim_minutes = 0.0;
   int rack_id = 0;
   std::string phase;
-  TraceFields fields;
+  TraceFields payload;  ///< the key/value fields
 
   /// Single-line JSON object: {"t":..,"rack":..,"phase":..,<fields>}.
   [[nodiscard]] std::string to_json() const;
@@ -136,8 +138,8 @@ struct TraceEvent {
   /// queue accounting, so "bounded memory" means bounded in these units.
   [[nodiscard]] std::size_t approx_bytes() const;
 
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 };
 
 /// Encoded JSONL lines, each tagged with its event's merge key (sim time,
@@ -200,8 +202,10 @@ class TraceRing {
 
   /// Checkpoint buffered events plus the cumulative drop/byte accounting
   /// (capacity comes from configuration).
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  /// Loading refuses more events than the capacity: push() only evicts at
+  /// exactly the capacity, so such a ring would grow for the whole run.
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   std::size_t capacity_;

@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <sstream>
+#include <string>
 
 #include "checkpoint/serializer.h"
 
@@ -36,22 +37,27 @@ Rng Rng::fork(std::uint64_t label) const {
   return Rng{z};
 }
 
-void Rng::save_state(checkpoint::Writer& w) const {
-  w.u64(seed_);
+template <class Self, class Io>
+void Rng::fields(Self& self, Io& io) {
+  io.u64(self.seed_);
   // The standard guarantees operator<< / operator>> round-trip the engine
   // exactly; the textual image is locale-independent digits and spaces.
-  std::ostringstream state;
-  state << engine_;
-  w.str(state.str());
-}
-
-void Rng::load_state(checkpoint::Reader& r) {
-  seed_ = r.u64();
-  std::istringstream state(r.str());
-  state >> engine_;
-  if (state.fail()) {
-    throw checkpoint::CheckpointError("rng: malformed engine state image");
+  std::string image;
+  if constexpr (!Io::kLoading) {
+    std::ostringstream state;
+    state << self.engine_;
+    image = state.str();
+  }
+  io.str(image);
+  if constexpr (Io::kLoading) {
+    std::istringstream state(image);
+    state >> self.engine_;
+    if (state.fail()) {
+      throw checkpoint::CheckpointError("rng: malformed engine state image");
+    }
   }
 }
+
+GH_CHECKPOINT_FIELDS(Rng);
 
 }  // namespace greenhetero

@@ -8,11 +8,6 @@
 #include <cstdint>
 #include <random>
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero {
 
 /// Seeded pseudo-random source.  A thin wrapper over std::mt19937_64 with the
@@ -40,8 +35,8 @@ class Rng {
 
   /// Checkpoint the engine state (the mt19937_64 textual state image plus
   /// the fork seed) so a resumed run continues the exact stream.
-  void save_state(checkpoint::Writer& w) const;
-  void load_state(checkpoint::Reader& r);
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
 
  private:
   std::mt19937_64 engine_;

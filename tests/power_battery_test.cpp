@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/serializer.h"
 #include "util/rng.h"
 
 namespace greenhetero {
@@ -355,17 +356,17 @@ void run_memo_sequence(const BatterySpec& spec, std::uint64_t seed,
         break;
       case 6: {  // checkpoint round trip: save now, restore some snapshot
         checkpoint::Writer w;
-        b.save_state(w);
+        checkpoint::save(w, b);
         snapshots.push_back(w.buffer());
         const std::string& pick = snapshots[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(snapshots.size()) - 1))];
         checkpoint::Reader r{pick};
-        b.load_state(r);
+        checkpoint::load(r, b);
         // A resume: a fresh battery whose memo answered for another state.
         Battery resumed{spec};
         (void)resumed.max_discharge(dt);
         checkpoint::Reader again{pick};
-        resumed.load_state(again);
+        checkpoint::load(again, resumed);
         audit.sweep(resumed, rng);
         break;
       }
@@ -423,7 +424,7 @@ TEST(BatteryMemo, MaxDischargeMatchesBisectionBitwise) {
         w.f64(0.0);  // charged input
         Battery b{spec};
         checkpoint::Reader r{w.buffer()};
-        b.load_state(r);
+        checkpoint::load(r, b);
         for (const double dt : {1e-6, 0.25, 1.0, 15.0, 60.0, 1e4}) {
           audit.expect_matches(b, Minutes{dt});
           if (::testing::Test::HasFatalFailure()) return;

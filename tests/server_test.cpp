@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 
+#include "checkpoint/serializer.h"
 #include "server/dvfs.h"
 #include "server/perf_curve.h"
 #include "server/server_sim.h"
@@ -265,15 +266,15 @@ TEST(ServerSim, CachedOperatingPointMatchesLadderAndCurveBitwise) {
         server.set_curve(curves[rng.uniform_int(0, 1)]);
         break;
       case 8: {
-        op = "save_state/load_state";
+        op = "checkpoint save/load";
         checkpoint::Writer w;
-        server.save_state(w);
+        checkpoint::save(w, server);
         // Restore into a server whose cache holds another operating point.
         ServerSim restored{server.spec(), server.curve()};
         restored.run_full_speed();
         (void)restored.throughput();
         checkpoint::Reader r{w.buffer()};
-        restored.load_state(r);
+        checkpoint::load(r, restored);
         server = restored;
         break;
       }

@@ -43,7 +43,7 @@ telemetry::TraceEvent make_event(double t, int rack, int index) {
   event.sim_minutes = t;
   event.rack_id = rack;
   event.phase = "unit";
-  event.fields = {{"i", index}};
+  event.payload = {{"i", index}};
   return event;
 }
 
@@ -196,9 +196,9 @@ TEST(StreamingSink, EncodedLineMergeMatchesToJsonOfStableSortedEvents) {
         for (int i = 0; i < count; ++i) {
           const double t = (e + rng.uniform_int(0, 3) / 3.0) * kEpoch;
           telemetry::TraceEvent event = make_event(t, source - 1, index++);
-          event.fields.emplace_back(telemetry::TraceKey("text"),
+          event.payload.emplace_back(telemetry::TraceKey("text"),
                                     std::string("q\"\\\n\x01"));
-          event.fields.emplace_back(telemetry::TraceKey("w"),
+          event.payload.emplace_back(telemetry::TraceKey("w"),
                                     rng.uniform(-1e3, 1e3));
           epoch[static_cast<std::size_t>(source)].push_back(event);
           all.push_back(std::move(event));
@@ -306,7 +306,7 @@ TEST(StreamingSink, SingleRackRingKeepsNoHistory) {
   EXPECT_EQ(unread.stream(), nullptr);
   const auto snapshot_bytes = [&unread] {
     checkpoint::Writer w;
-    unread.save_state(w);
+    checkpoint::save(w, unread);
     return w.buffer().size();
   };
   unread.run(Minutes{60.0});

@@ -20,6 +20,7 @@
 #include "core/health.h"
 #include "faults/fault_plan.h"
 #include "power/power_bus.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/ledger.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stream_sink.h"
@@ -645,12 +646,12 @@ TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
     event.sim_minutes = 15.0 * i;
     event.rack_id = i;
     event.phase = "loss_ledger";
-    event.fields = {{"supply_w", 100.5 + i},
+    event.payload = {{"supply_w", 100.5 + i},
                     {"a_key_longer_than_fifteen_chars", i},
                     {"case", "B(renewable+battery)"},
                     {"flag", i % 2 == 0},
                     {"ratios", std::vector<double>{0.25, 0.75}}};
-    event.fields.emplace_back(watts_key(LossBucket::kCurtailed), 1.5 * i);
+    event.payload.emplace_back(watts_key(LossBucket::kCurtailed), 1.5 * i);
     ring.push(std::move(event));
   }
   const std::string before = ring_lines(ring);
@@ -658,10 +659,10 @@ TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
   TraceRing restored{16};
   {
     checkpoint::Writer w;
-    ring.save_state(w);
+    checkpoint::save(w, ring);
     auto buffer = std::make_unique<std::string>(w.buffer());
     checkpoint::Reader r{*buffer};
-    restored.load_state(r);
+    checkpoint::load(r, restored);
     // Overwrite, then free, every byte the keys were read from.
     buffer->assign(buffer->size(), '\xff');
     buffer.reset();
@@ -673,12 +674,58 @@ TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
                    3.0);
 }
 
+/// Loads `w` into `ring`, which must refuse it with a CheckpointError whose
+/// message starts with `field`.
+template <class Ring>
+void expect_refused(const checkpoint::Writer& w, Ring& ring,
+                    const std::string& field) {
+  checkpoint::Reader r{w.buffer()};
+  try {
+    checkpoint::load(r, ring);
+    ADD_FAILURE() << "a ring above its capacity was restored";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(field, 0), 0u) << e.what();
+  }
+}
+
+TEST(TraceRing, CheckpointRefusesMoreEventsThanTheCapacity) {
+  // push() evicts only when the ring is exactly full, so a ring restored
+  // above its capacity would keep growing for the whole run.
+  TraceRing ring{8};
+  for (int i = 0; i < 5; ++i) ring.push(TraceEvent{15.0 * i, 0, "epoch", {}});
+  checkpoint::Writer w;
+  checkpoint::save(w, ring);
+
+  TraceRing small{4};
+  expect_refused(w, small, "trace ring: event count 5 exceeds the capacity 4");
+  TraceRing exact{5};
+  checkpoint::Reader r{w.buffer()};
+  checkpoint::load(r, exact);
+  EXPECT_EQ(exact.size(), 5u);
+}
+
+TEST(FlightRecorder, CheckpointRefusesMoreEventsThanTheCapacity) {
+  // record() evicts only when the ring is exactly full, as push() does.
+  FlightRecorder recorder{8, "flightrec-unused"};
+  for (int i = 0; i < 5; ++i) recorder.record(TraceEvent{15.0 * i, 0, "x", {}});
+  checkpoint::Writer w;
+  checkpoint::save(w, recorder);
+
+  FlightRecorder small{4, "flightrec-unused"};
+  expect_refused(w, small,
+                 "flight recorder: event count 5 exceeds the capacity 4");
+  FlightRecorder exact{5, "flightrec-unused"};
+  checkpoint::Reader r{w.buffer()};
+  checkpoint::load(r, exact);
+  EXPECT_EQ(exact.ring().size(), 5u);
+}
+
 TEST(TraceEvent, JsonShapeAndEscaping) {
   TraceEvent event;
   event.sim_minutes = 15.0;
   event.rack_id = 2;
   event.phase = "epoch_plan";
-  event.fields = {{"case", "A"},
+  event.payload = {{"case", "A"},
                   {"budget_w", 750.5},
                   {"training", false},
                   {"count", std::size_t{3}},
