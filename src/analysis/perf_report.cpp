@@ -16,7 +16,7 @@ namespace tel = telemetry;
 
 namespace {
 
-constexpr int kProfileVersion = 1;
+constexpr int kProfileVersion = 2;
 
 std::int64_t int_or(const json::Value& row, std::string_view key) {
   return static_cast<std::int64_t>(row.number_or(key, 0.0));
@@ -42,15 +42,13 @@ PerfPhase parse_phase(const json::Value& row, const std::string& context) {
   phase.depth = static_cast<int>(row.number_or("depth", 0.0));
   phase.calls = uint_or(row, "calls");
   phase.self_wall_ns = int_or(row, "self_wall_ns");
-  phase.self_cpu_ns = int_or(row, "self_cpu_ns");
+  phase.cpu_ns = int_or(row, "cpu_ns");
   phase.self_alloc_bytes = uint_or(row, "self_alloc_bytes");
   phase.self_alloc_count = uint_or(row, "self_alloc_count");
   // Flat rows carry self fields only; mirroring them into the inclusive
   // fields keeps every PerfPhase printable through one code path.
   phase.wall_ns = static_cast<std::int64_t>(
       row.number_or("wall_ns", static_cast<double>(phase.self_wall_ns)));
-  phase.cpu_ns = static_cast<std::int64_t>(
-      row.number_or("cpu_ns", static_cast<double>(phase.self_cpu_ns)));
   phase.alloc_bytes = static_cast<std::uint64_t>(row.number_or(
       "alloc_bytes", static_cast<double>(phase.self_alloc_bytes)));
   phase.alloc_count = static_cast<std::uint64_t>(row.number_or(
@@ -126,8 +124,7 @@ void print_perf_report(std::ostream& out, const PerfProfile& profile,
       << "  " << std::left << std::setw(34) << "phase" << std::right
       << std::setw(10) << "calls" << std::setw(11) << "wall"
       << std::setw(11) << "cpu" << std::setw(11) << "self wall"
-      << std::setw(11) << "self cpu" << std::setw(12) << "self alloc"
-      << "\n";
+      << std::setw(12) << "self alloc" << "\n";
   for (const PerfPhase& p : profile.phases) {
     std::string label(static_cast<std::size_t>(p.depth) * 2, ' ');
     label += p.name;
@@ -135,45 +132,45 @@ void print_perf_report(std::ostream& out, const PerfProfile& profile,
         << std::setw(10) << p.calls << std::setw(11)
         << tel::format_duration_ns(static_cast<double>(p.wall_ns))
         << std::setw(11)
-        << tel::format_duration_ns(static_cast<double>(p.cpu_ns))
+        << (p.cpu_ns != 0
+                ? tel::format_duration_ns(static_cast<double>(p.cpu_ns))
+                : std::string("-"))
         << std::setw(11)
         << tel::format_duration_ns(static_cast<double>(p.self_wall_ns))
-        << std::setw(11)
-        << tel::format_duration_ns(static_cast<double>(p.self_cpu_ns))
         << std::setw(12) << format_bytes(p.self_alloc_bytes) << "\n";
   }
 
   std::vector<PerfPhase> hot = profile.flat;
   std::sort(hot.begin(), hot.end(), [](const PerfPhase& a, const PerfPhase& b) {
-    if (a.self_cpu_ns != b.self_cpu_ns) return a.self_cpu_ns > b.self_cpu_ns;
-    return a.name < b.name;  // ties (e.g. all-zero CPU clocks): stable output
+    if (a.self_wall_ns != b.self_wall_ns) {
+      return a.self_wall_ns > b.self_wall_ns;
+    }
+    return a.name < b.name;  // ties: stable output
   });
-  std::int64_t total_cpu = 0;
-  for (const PerfPhase& p : hot) total_cpu += p.self_cpu_ns;
+  std::int64_t total_wall = 0;
+  for (const PerfPhase& p : hot) total_wall += p.self_wall_ns;
   if (top_n != 0 && hot.size() > top_n) hot.resize(top_n);
 
-  out << "\nHot phases by self CPU";
+  out << "\nHot phases by self wall";
   if (top_n != 0) out << " (top " << top_n << ")";
   out << "\n  " << std::left << std::setw(18) << "phase" << std::right
-      << std::setw(10) << "calls" << std::setw(11) << "self cpu"
-      << std::setw(8) << "share" << std::setw(11) << "self wall"
-      << std::setw(12) << "self alloc" << std::setw(12) << "allocs"
-      << "\n";
+      << std::setw(10) << "calls" << std::setw(11) << "self wall"
+      << std::setw(8) << "share" << std::setw(12) << "self alloc"
+      << std::setw(12) << "allocs" << "\n";
   for (const PerfPhase& p : hot) {
     std::string share = "-";
-    if (total_cpu > 0) {
+    if (total_wall > 0) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.1f%%",
-                    100.0 * static_cast<double>(p.self_cpu_ns) /
-                        static_cast<double>(total_cpu));
+                    100.0 * static_cast<double>(p.self_wall_ns) /
+                        static_cast<double>(total_wall));
       share = buf;
     }
     out << "  " << std::left << std::setw(18) << p.name << std::right
         << std::setw(10) << p.calls << std::setw(11)
-        << tel::format_duration_ns(static_cast<double>(p.self_cpu_ns))
-        << std::setw(8) << share << std::setw(11)
         << tel::format_duration_ns(static_cast<double>(p.self_wall_ns))
-        << std::setw(12) << format_bytes(p.self_alloc_bytes) << std::setw(12)
+        << std::setw(8) << share << std::setw(12)
+        << format_bytes(p.self_alloc_bytes) << std::setw(12)
         << p.self_alloc_count << "\n";
   }
 }

@@ -35,16 +35,4 @@ ServerSample Monitor::sample_group(const Rack& rack, std::size_t group) {
                       noisy(server.throughput())};
 }
 
-Watts Monitor::sample_renewable(const RackPowerPlant& plant, Minutes t) {
-  return Watts{noisy(plant.renewable_available(t).value())};
-}
-
-double Monitor::sample_battery_soc(const RackPowerPlant& plant) const {
-  return plant.battery().soc();
-}
-
-Watts Monitor::sample_rack_draw(const Rack& rack) {
-  return Watts{noisy(rack.total_draw().value())};
-}
-
 }  // namespace greenhetero

@@ -1,17 +1,16 @@
-// Monitor module (Figure 4): the controller's only window into the system.
+// Monitor module (Figure 4): the controller's window onto its servers.
 //
-// The Monitor reads sensors — renewable generation, battery state, and
-// per-server (power, performance) — and reports them to the Scheduler.  In
-// the paper these are physical meters; here they observe the simulator, and
-// the *measurement noise* of real profiling (the reason the database's
-// limited training-run fits are imperfect and online updating pays off) is
-// injected exactly here, so everything downstream of the Monitor sees the
-// same imperfect world the real controller would.
+// In the paper the Monitor reads renewable generation, battery state and
+// per-server (power, performance) meters.  Here the simulator hands the
+// plant readings to the controller as epoch feedback, and the Monitor
+// samples the servers: the *measurement noise* of real profiling (the
+// reason the database's limited training-run fits are imperfect and online
+// updating pays off) is injected exactly here, so everything downstream of
+// the Monitor sees the same imperfect world the real controller would.
 #pragma once
 
 #include <cstddef>
 
-#include "power/power_bus.h"
 #include "server/rack.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -43,16 +42,6 @@ class Monitor {
   /// are identical and share power equally, so one meter suffices).
   [[nodiscard]] ServerSample sample_group(const Rack& rack,
                                           std::size_t group);
-
-  /// Renewable generation currently available (noisy).
-  [[nodiscard]] Watts sample_renewable(const RackPowerPlant& plant,
-                                       Minutes t);
-
-  /// Battery state of charge — read from the BMS, treated as exact.
-  [[nodiscard]] double sample_battery_soc(const RackPowerPlant& plant) const;
-
-  /// Total rack draw (noisy) — the demand series fed to the predictor.
-  [[nodiscard]] Watts sample_rack_draw(const Rack& rack);
 
   /// Checkpoint the noise stream position and the fault-mutable dropout
   /// rate (noise_fraction comes from configuration).

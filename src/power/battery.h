@@ -68,11 +68,6 @@ class Battery {
   [[nodiscard]] double round_trip_efficiency() const {
     return spec_.round_trip_efficiency;
   }
-  /// Power lost to the round trip when charging at `input` — the loss the
-  /// EPU ledger books against the battery each charging step.
-  [[nodiscard]] Watts round_trip_loss(Watts input) const {
-    return input * (1.0 - spec_.round_trip_efficiency);
-  }
   [[nodiscard]] WattHours stored() const { return stored_; }
   /// State of charge as a fraction of nameplate capacity.
   [[nodiscard]] double soc() const { return stored_ / spec_.capacity; }

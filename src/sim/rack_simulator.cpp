@@ -107,6 +107,18 @@ struct RackSimulator::EpochStats {
   [[nodiscard]] double mean(double sum) const {
     return steps > 0 ? sum / steps : 0.0;
   }
+  /// The epoch's measured fields of `record`, from these sums and the
+  /// battery as the epoch leaves it.
+  void fill(EpochRecord& record, const Battery& battery) const {
+    record.actual_renewable = Watts{mean(renewable_sum)};
+    record.throughput = mean(throughput_sum);
+    record.epu = epu.epu();
+    record.battery_soc = battery.soc();
+    record.battery_discharge = Watts{mean(discharge_sum)};
+    record.battery_charge = Watts{mean(charge_sum)};
+    record.grid_power = Watts{mean(grid_sum)};
+    record.shortfall = Watts{mean(shortfall_sum)};
+  }
 };
 
 RackSimulator::RackSimulator(Rack rack, RackPowerPlant plant, SimConfig config)
@@ -631,14 +643,7 @@ void RackSimulator::run_training_epoch(const EpochPlan& plan,
     }
   }
 
-  record.actual_renewable = Watts{stats.mean(stats.renewable_sum)};
-  record.throughput = stats.mean(stats.throughput_sum);
-  record.epu = stats.epu.epu();
-  record.battery_soc = plant_.battery().soc();
-  record.battery_discharge = Watts{stats.mean(stats.discharge_sum)};
-  record.battery_charge = Watts{stats.mean(stats.charge_sum)};
-  record.grid_power = Watts{stats.mean(stats.grid_sum)};
-  record.shortfall = Watts{stats.mean(stats.shortfall_sum)};
+  stats.fill(record, plant_.battery());
   controller_.finish_epoch(rack_, record.actual_renewable,
                            rack_.peak_demand());
 }
@@ -675,14 +680,7 @@ void RackSimulator::run_normal_epoch(const EpochPlan& plan, Watts demand_hint,
     }
   }
 
-  record.actual_renewable = Watts{stats.mean(stats.renewable_sum)};
-  record.throughput = stats.mean(stats.throughput_sum);
-  record.epu = stats.epu.epu();
-  record.battery_soc = plant_.battery().soc();
-  record.battery_discharge = Watts{stats.mean(stats.discharge_sum)};
-  record.battery_charge = Watts{stats.mean(stats.charge_sum)};
-  record.grid_power = Watts{stats.mean(stats.grid_sum)};
-  record.shortfall = Watts{stats.mean(stats.shortfall_sum)};
+  stats.fill(record, plant_.battery());
   EpochFeedback feedback;
   // A stuck sensor lies to the controller (and through it to the Holt
   // predictor); the record keeps the ground truth.

@@ -42,54 +42,63 @@ ThreadAllocCounters thread_alloc_counters() {
   return ThreadAllocCounters{g_alloc_bytes, g_alloc_count};
 }
 
-void Profiler::begin(std::string_view name) {
-  if (!enabled_) return;
-  Frame frame;
-  frame.path_len = path_.size();
-  if (!path_.empty()) path_ += '/';
-  path_ += name;
-  frame.node = &nodes_[path_];
-  stack_.push_back(frame);
-  Frame& f = stack_.back();
-  // Baselines last: everything above (path growth, node insertion, the
-  // stack push) is charged to the parent frame, not this one.
-  f.bytes_begin = g_alloc_bytes;
-  f.count_begin = g_alloc_count;
-  f.cpu_begin = thread_cpu_now_ns();
+Profiler::Profiler(bool enabled) : enabled_(enabled) { clear(); }
+
+std::uint32_t Profiler::open(std::uint32_t parent, SpanTag tag) {
+  std::uint32_t node = nodes_[parent].children[tag.index()];
+  if (node == kRoot) {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_[parent].children[tag.index()] = node;
+    Node& created = nodes_.emplace_back();
+    created.parent = parent;
+    created.tag = tag.index();
+  }
+  if (parent == kRoot) root_cpu_begin_ = thread_cpu_now_ns();
+  return node;
 }
 
-void Profiler::end(std::int64_t wall_ns) {
-  if (!enabled_ || stack_.empty()) return;
-  const std::int64_t cpu_end = thread_cpu_now_ns();
-  const Frame f = stack_.back();
-  const std::int64_t dc = cpu_end - f.cpu_begin;
-  const std::uint64_t db = g_alloc_bytes - f.bytes_begin;
-  const std::uint64_t dn = g_alloc_count - f.count_begin;
-  ProfileNode& node = *f.node;
-  node.calls += 1;
-  node.wall_ns += wall_ns;
-  node.cpu_ns += dc;
-  node.alloc_bytes += db;
-  node.alloc_count += dn;
-  node.self_wall_ns += wall_ns - f.child_wall;
-  node.self_cpu_ns += dc - f.child_cpu;
-  node.self_alloc_bytes += db - f.child_bytes;
-  node.self_alloc_count += dn - f.child_count;
-  stack_.pop_back();
-  path_.resize(f.path_len);
-  if (!stack_.empty()) {
-    Frame& parent = stack_.back();
-    parent.child_wall += wall_ns;
-    parent.child_cpu += dc;
-    parent.child_bytes += db;
-    parent.child_count += dn;
+void Profiler::close(std::uint32_t node, std::int64_t wall_ns,
+                     ThreadAllocCounters allocs) {
+  if (node >= nodes_.size()) return;
+  Node& n = nodes_[node];
+  n.totals.calls += 1;
+  n.totals.wall_ns += wall_ns;
+  n.totals.alloc_bytes += allocs.bytes;
+  n.totals.alloc_count += allocs.count;
+  if (n.parent == kRoot) {
+    n.totals.cpu_ns += thread_cpu_now_ns() - root_cpu_begin_;
   }
 }
 
+ProfileReport Profiler::report() const {
+  ProfileReport report;
+  std::vector<std::string> paths(nodes_.size());
+  std::vector<ProfileNode*> rows(nodes_.size());
+  // A node is created after its parent, so one forward pass meets every
+  // parent's path and row before its children's.
+  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.parent != kRoot) paths[i] = paths[n.parent] + '/';
+    paths[i] += catalog::kSpanTags[n.tag];
+    ProfileNode& row = report[paths[i]];
+    row = n.totals;
+    row.self_wall_ns = row.wall_ns;
+    row.self_alloc_bytes = row.alloc_bytes;
+    row.self_alloc_count = row.alloc_count;
+    rows[i] = &row;
+    if (n.parent == kRoot) continue;
+    // A node's self cost is what its children's inclusive cost leaves.
+    ProfileNode& parent = *rows[n.parent];
+    parent.self_wall_ns -= row.wall_ns;
+    parent.self_alloc_bytes -= row.alloc_bytes;
+    parent.self_alloc_count -= row.alloc_count;
+  }
+  return report;
+}
+
 void Profiler::clear() {
-  nodes_.clear();
-  stack_.clear();
-  path_.clear();
+  // A disabled profiler is never opened, so it holds no root either.
+  nodes_.assign(enabled_ ? 1 : 0, Node{});
 }
 
 void merge_profile(ProfileReport& into, const ProfileReport& from) {
@@ -99,7 +108,6 @@ void merge_profile(ProfileReport& into, const ProfileReport& from) {
     dst.wall_ns += node.wall_ns;
     dst.cpu_ns += node.cpu_ns;
     dst.self_wall_ns += node.self_wall_ns;
-    dst.self_cpu_ns += node.self_cpu_ns;
     dst.alloc_bytes += node.alloc_bytes;
     dst.alloc_count += node.alloc_count;
     dst.self_alloc_bytes += node.self_alloc_bytes;
@@ -108,7 +116,7 @@ void merge_profile(ProfileReport& into, const ProfileReport& from) {
 }
 
 std::string profile_to_json(const ProfileReport& report) {
-  std::string out = "{\"schema\":\"greenhetero.profile\",\"version\":1,";
+  std::string out = "{\"schema\":\"greenhetero.profile\",\"version\":2,";
   out += "\"phases\":[";
   bool first = true;
   for (const auto& [path, node] : report) {
@@ -131,12 +139,12 @@ std::string profile_to_json(const ProfileReport& report) {
     append_u64(out, node.calls);
     out += ",\"wall_ns\":";
     append_i64(out, node.wall_ns);
-    out += ",\"cpu_ns\":";
-    append_i64(out, node.cpu_ns);
+    if (depth == 0) {
+      out += ",\"cpu_ns\":";
+      append_i64(out, node.cpu_ns);
+    }
     out += ",\"self_wall_ns\":";
     append_i64(out, node.self_wall_ns);
-    out += ",\"self_cpu_ns\":";
-    append_i64(out, node.self_cpu_ns);
     out += ",\"alloc_bytes\":";
     append_u64(out, node.alloc_bytes);
     out += ",\"alloc_count\":";
@@ -158,7 +166,6 @@ std::string profile_to_json(const ProfileReport& report) {
     ProfileNode& dst = flat[leaf];
     dst.calls += node.calls;
     dst.self_wall_ns += node.self_wall_ns;
-    dst.self_cpu_ns += node.self_cpu_ns;
     dst.self_alloc_bytes += node.self_alloc_bytes;
     dst.self_alloc_count += node.self_alloc_count;
   }
@@ -172,8 +179,6 @@ std::string profile_to_json(const ProfileReport& report) {
     append_u64(out, node.calls);
     out += ",\"self_wall_ns\":";
     append_i64(out, node.self_wall_ns);
-    out += ",\"self_cpu_ns\":";
-    append_i64(out, node.self_cpu_ns);
     out += ",\"self_alloc_bytes\":";
     append_u64(out, node.self_alloc_bytes);
     out += ",\"self_alloc_count\":";

@@ -14,7 +14,13 @@ Telemetry::Telemetry(TelemetryConfig config)
       spans_(config.span_capacity),
       rollup_(config.rollup_window_min),
       flightrec_(config.flightrec_capacity, config.flightrec_dir),
-      profiler_(config.profile) {}
+      profiler_(config.profile) {
+#if GH_TELEMETRY_ENABLED
+  // No tag nests inside itself, so one frame per tag is the deepest stack:
+  // the run itself never grows it.
+  open_spans_.reserve(catalog::kSpanTags.size());
+#endif
+}
 
 BuildInfo build_info() {
   BuildInfo info;

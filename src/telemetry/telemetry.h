@@ -15,8 +15,10 @@
 // gh_span_ns latency histogram via the GH_SPAN spans (span.h).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "telemetry/flight_recorder.h"
 #include "telemetry/ledger.h"
@@ -51,10 +53,10 @@ struct TelemetryConfig {
   /// Completed spans kept per context (~9 spans/epoch).
   std::size_t span_capacity = std::size_t{1} << 16;
   /// Opt-in: the in-process profiler (profiler.h).  Every GH_SPAN scope
-  /// then attributes wall ns, thread-CPU ns and allocation bytes/counts to
-  /// its phase path.  Independent of `spans` (profiling needs no span
-  /// records); off by default — the *_ns outputs are wall-clock and sit
-  /// outside byte-identity guarantees, like span events.
+  /// then attributes wall ns and allocation bytes/counts to its phase path,
+  /// and root spans thread-CPU ns.  Independent of `spans` (profiling
+  /// needs no span records); off by default — the *_ns outputs are
+  /// wall-clock and sit outside byte-identity guarantees, like span events.
   bool profile = false;
   /// Opt-in: fixed-window rollup aggregation in minutes (0 disables).
   /// Each closed window lands as a "rollup" trace event and is retained
@@ -127,6 +129,13 @@ class Telemetry {
   /// context is not traced().
   void emit(std::string phase, TraceFields fields);
 
+  /// Open span `tag` on this context's open-span stack (ScopedSpan's
+  /// constructor; span.h).
+  void open_span(SpanTag tag);
+  /// Close the innermost open span and feed its gh_span_ns series, its
+  /// span record and its profile node (ScopedSpan's destructor).
+  void close_span();
+
   /// Checkpoint every sim-clock-driven component: metrics (as a snapshot),
   /// trace ring, loss ledger, rollup, flight recorder and the current
   /// timestamp.  Spans and the profiler are deliberately skipped — both
@@ -146,6 +155,16 @@ class Telemetry {
   Profiler profiler_;
   Minutes now_{0.0};
   bool traced_ = true;
+
+  /// One open GH_SPAN: everything its close hands the three consumers.
+  struct OpenSpan {
+    SpanTag tag;
+    std::uint32_t node;  ///< profile node (Profiler::kRoot when off)
+    double sim_begin_min;
+    ThreadAllocCounters allocs_begin{};
+    std::int64_t wall_begin_ns = 0;
+  };
+  std::vector<OpenSpan> open_spans_;
 };
 
 /// The ambient context, or nullptr outside any TelemetryScope.

@@ -123,15 +123,6 @@ double fit_rmse(const Polynomial& poly, std::span<const double> x,
   return std::sqrt(sum_sq / static_cast<double>(x.size()));
 }
 
-Quadratic Quadratic::from_polynomial(const Polynomial& p) {
-  Quadratic q;
-  const auto& c = p.coefficients;
-  if (!c.empty()) q.c = c[0];
-  if (c.size() > 1) q.b = c[1];
-  if (c.size() > 2) q.a = c[2];
-  return q;
-}
-
 Quadratic quadratic_fit(std::span<const double> x, std::span<const double> y) {
   // polyfit(x, y, 2) on fixed-size arrays: the same operations in the same
   // order (centring, normal equations, partially pivoted elimination, the

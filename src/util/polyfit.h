@@ -56,8 +56,6 @@ struct Quadratic {
   [[nodiscard]] bool concave() const { return a <= 0.0; }
   /// x of the vertex; only meaningful when a != 0.
   [[nodiscard]] double vertex() const { return -b / (2.0 * a); }
-
-  [[nodiscard]] static Quadratic from_polynomial(const Polynomial& p);
 };
 
 /// Quadratic least squares over (x, y); needs >= 3 samples.  Bitwise equal

@@ -1,14 +1,15 @@
-// Span tracing: the SpanCollector's bounded store and depth bookkeeping,
-// the Chrome trace_event export shape, and the ScopedSpan/GH_SPAN RAII
-// path through the ambient Telemetry (record + mirrored "span" trace
-// event when enabled, only the gh_span_ns histogram when span records are
-// off, fully inert when no scope exists).
+// Span tracing: the SpanCollector's bounded store, the Chrome trace_event
+// export shape, and the ScopedSpan/GH_SPAN RAII path through the ambient
+// Telemetry's open-span stack (record depth = stack depth, record +
+// mirrored "span" trace event when enabled, only the gh_span_ns histogram
+// when span records are off, fully inert when no scope exists).
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "telemetry/telemetry.h"
 
@@ -26,26 +27,10 @@ SpanRecord make_record(std::string_view name, int depth, std::int64_t begin_ns,
   return record;
 }
 
-TEST(SpanCollector, TracksNestingDepth) {
-  SpanCollector spans;
-  EXPECT_EQ(spans.open_depth(), 0);
-  EXPECT_EQ(spans.begin(), 0);
-  EXPECT_EQ(spans.begin(), 1);
-  EXPECT_EQ(spans.open_depth(), 2);
-  spans.end(make_record("plan", 1, 10, 5));
-  EXPECT_EQ(spans.open_depth(), 1);
-  spans.end(make_record("epoch", 0, 0, 20));
-  EXPECT_EQ(spans.open_depth(), 0);
-  ASSERT_EQ(spans.records().size(), 2u);
-  EXPECT_EQ(spans.records()[0].name, "plan");
-  EXPECT_EQ(spans.records()[1].name, "epoch");
-}
-
 TEST(SpanCollector, DropsBeyondCapacityAndCounts) {
   SpanCollector spans{2};
   for (int i = 0; i < 5; ++i) {
-    spans.begin();
-    spans.end(make_record(catalog::kSpanTags[i], 0, i, 1));
+    spans.add(make_record(catalog::kSpanTags[i], 0, i, 1));
   }
   ASSERT_EQ(spans.records().size(), 2u);
   // Oldest kept, overflow counted.
@@ -64,10 +49,8 @@ TEST(SpanCollector, ZeroCapacityIsRejected) {
 
 TEST(SpanCollector, ChromeTraceExportNormalisesTimestamps) {
   SpanCollector spans;
-  spans.begin();
-  spans.end(make_record("plan", 0, 5'000'000, 2'000));
-  spans.begin();
-  spans.end(make_record("solve", 1, 5'001'000, 500));
+  spans.add(make_record("plan", 0, 5'000'000, 2'000));
+  spans.add(make_record("solve", 1, 5'001'000, 500));
   std::ostringstream out;
   spans.write_chrome_trace(out);
   const std::string text = out.str();
@@ -111,6 +94,31 @@ TEST(ScopedSpan, RecordsAndMirrorsIntoTraceWhenEnabled) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].phase, "span");
   EXPECT_EQ(events[1].phase, "span");
+}
+
+TEST(ScopedSpan, DepthIsTheOpenSpanStackDepth) {
+  TelemetryConfig cfg;
+  cfg.spans = true;
+  Telemetry telemetry{cfg};
+  {
+    TelemetryScope scope{&telemetry};
+    GH_SPAN("epoch");
+    {
+      GH_SPAN("plan");
+      { GH_SPAN("solve"); }
+    }
+    { GH_SPAN("substeps"); }
+  }
+  const std::vector<SpanRecord>& records = telemetry.spans().records();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].name, "solve");
+  EXPECT_EQ(records[0].depth, 2);
+  EXPECT_EQ(records[1].name, "plan");
+  EXPECT_EQ(records[1].depth, 1);
+  EXPECT_EQ(records[2].name, "substeps");
+  EXPECT_EQ(records[2].depth, 1);
+  EXPECT_EQ(records[3].name, "epoch");
+  EXPECT_EQ(records[3].depth, 0);
 }
 
 TEST(ScopedSpan, InertWithoutScopeOrWhenDisabled) {

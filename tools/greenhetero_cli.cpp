@@ -47,8 +47,9 @@
 // and on failure prints a shrunk repro command line; exits 4 on failure.
 //
 // --profile-out enables the in-process profiler: every GH_SPAN phase gets
-// wall ns, thread-CPU ns and allocation bytes/counts attributed to its span
-// path, and the merged phase tree lands in FILE.json at the end of the run.
+// wall ns and allocation bytes/counts attributed to its span path (root
+// spans thread-CPU ns too), and the merged phase tree lands in FILE.json at
+// the end of the run.
 // Everything except the *_ns timings is byte-identical at any --threads;
 // `analyze --perf FILE.json` renders it (--top N hot phases).
 //
