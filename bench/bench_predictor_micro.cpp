@@ -31,8 +31,8 @@ std::vector<double> solar_series(bool low) {
   return series;
 }
 
-double replay_mae(SeriesPredictor& predictor,
-                  const std::vector<double>& series) {
+template <class Predictor>
+double replay_mae(Predictor& predictor, const std::vector<double>& series) {
   double err = 0.0;
   int counted = 0;
   for (double v : series) {

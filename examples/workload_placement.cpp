@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/decision_output.h"
+#include "core/enforcer.h"
 #include "core/placement.h"
 #include "server/combinations.h"
 #include "sim/rack_simulator.h"
@@ -52,14 +52,17 @@ int main() {
   }
   std::printf("\npredicted rack performance: %.0f\n", best.predicted_perf);
 
-  // Apply the assignment and show the SPC instruction stream.
+  // Apply the assignment and show the DVFS state each group lands on.
   for (std::size_t g = 0; g < best.assignment.size(); ++g) {
     rack.set_group_workload(g, best.assignment[g]);
   }
-  std::printf("\nSPC instructions:\n");
-  for (const FrequencyInstruction& inst :
-       decision_output(rack, best.allocation, budget)) {
-    std::printf("  %s\n", inst.to_string().c_str());
+  (void)Enforcer::apply_allocation(rack, best.allocation, budget);
+  std::printf("\nenforced states:\n");
+  for (std::size_t g = 0; g < rack.group_count(); ++g) {
+    const ServerSim& server = rack.group_representative(g);
+    std::printf("  %dx %s -> state %d (%.1f W each)\n", rack.group(g).count,
+                std::string(server_spec(rack.group(g).model).name).c_str(),
+                server.state(), server.draw().value());
   }
   return 0;
 }

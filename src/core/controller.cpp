@@ -8,16 +8,19 @@
 #include "util/logging.h"
 
 namespace greenhetero {
+namespace {
+
+/// The predictor model tag a snapshot stores (see fields()).
+enum class PredictorTag : std::uint8_t { kHolt };
+
+}  // namespace
 
 GreenHeteroController::GreenHeteroController(ControllerConfig config)
     : config_(config),
       policy_(make_policy(config.policy)),
       db_(),
       monitor_(config.profiling_noise, Rng(config.seed).fork(0xA11CE)),
-      selector_(config.selector),
-      supply_predictor_(make_predictor(config.predictor, season_period())),
-      demand_predictor_(make_predictor(config.predictor, season_period())),
-      health_(config.health) {
+      selector_(config.selector) {
   if (config_.epoch.value() <= 0.0) {
     throw std::invalid_argument("controller: epoch must be positive");
   }
@@ -29,7 +32,6 @@ GreenHeteroController::GreenHeteroController(ControllerConfig config)
     throw std::invalid_argument(
         "controller: training sample interval must be positive");
   }
-  monitor_.set_dropout_rate(config_.monitor_dropout);
 }
 
 bool GreenHeteroController::needs_training(const Rack& rack) const {
@@ -66,12 +68,12 @@ EpochPlan GreenHeteroController::plan_epoch(const Rack& rack,
   {
     GH_SPAN("predict");
     plan.predicted_renewable =
-        supply_predictor_->ready()
-            ? Watts{std::max(0.0, supply_predictor_->predict())}
+        supply_predictor_.ready()
+            ? Watts{std::max(0.0, supply_predictor_.predict())}
             : plant.renewable_available(now);
     plan.predicted_demand =
-        demand_predictor_->ready()
-            ? Watts{std::max(0.0, demand_predictor_->predict())}
+        demand_predictor_.ready()
+            ? Watts{std::max(0.0, demand_predictor_.predict())}
             : demand_hint;
   }
   // Never plan beyond what the servers can use.
@@ -180,27 +182,20 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
   GH_SPAN("feedback");
   supply_history_.push_back(feedback.observed_renewable.value());
   demand_history_.push_back(feedback.observed_demand.value());
-  // Holt-Winters needs more than one full season replayed to be ready, so
-  // its window is stretched to two days.
-  auto window = static_cast<std::size_t>(config_.holt_training_window);
-  if (config_.predictor == PredictorKind::kHoltWinters) {
-    window = std::max(window, static_cast<std::size_t>(2 * season_period()));
-  }
-  if (supply_history_.size() > window) {
+  if (supply_history_.size() > kHoltTrainingWindow) {
     supply_history_.erase(supply_history_.begin());
     demand_history_.erase(demand_history_.begin());
   }
-  supply_predictor_->observe(feedback.observed_renewable.value());
-  demand_predictor_->observe(feedback.observed_demand.value());
+  supply_predictor_.observe(feedback.observed_renewable.value());
+  demand_predictor_.observe(feedback.observed_demand.value());
   ++epochs_seen_;
   maybe_retrain_holt();
 
   // Plausibility checks run against the plan this feedback answers.  The
   // divergence check is suppressed when the epoch saw real shortfall —
   // mid-epoch degradation legitimately pulls the draw below the plan.
-  const bool evaluate = feedback.evaluate_health &&
-                        health_.config().enabled &&
-                        last_budget_.value() > 1e-6;
+  const bool evaluate =
+      feedback.evaluate_health && last_budget_.value() > 1e-6;
   const bool check_divergence =
       evaluate &&
       feedback.shortfall.value() <= 0.02 * last_budget_.value() &&
@@ -238,7 +233,7 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
             ++zero_awake;
             ++divergent;
           } else if (sample.power.value() <
-                     health_.config().divergence_ratio * per_server.value()) {
+                     kDivergenceRatio * per_server.value()) {
             ++divergent;
           }
         }
@@ -262,7 +257,7 @@ void GreenHeteroController::finish_epoch(const Rack& rack,
     signals.solver_failed = last_solver_failed_;
     signals.excess_shortfall =
         feedback.shortfall.value() >
-        health_.config().shortfall_fraction * last_budget_.value();
+        kShortfallFraction * last_budget_.value();
     if (!signals.bad() && health_.state() == HealthState::kNormal &&
         !last_allocation_.ratios.empty()) {
       last_good_allocation_ = last_allocation_;
@@ -329,49 +324,39 @@ Allocation GreenHeteroController::safe_allocation(const Rack& rack) const {
   return alloc;
 }
 
-int GreenHeteroController::season_period() const {
-  return std::max(2, static_cast<int>(std::lround(24.0 * 60.0 /
-                                                  config_.epoch.value())));
-}
-
 void GreenHeteroController::maybe_retrain_holt() {
-  // Only the Holt variants have trainable smoothing parameters (Eq. 5).
-  if (config_.predictor != PredictorKind::kHolt &&
-      config_.predictor != PredictorKind::kHoltWinters) {
-    return;
-  }
   if (supply_history_.size() < 3) return;
-  const bool due = epochs_seen_ % std::max(1, config_.holt_retrain_every) == 0;
+  const bool due = epochs_seen_ % kHoltRetrainEvery == 0;
   const bool first = epochs_seen_ == 3;
   if (!due && !first) return;
   GH_SPAN("holt_retrain");
   if (telemetry::Telemetry* t = telemetry::current()) {
     t->metrics().counter("gh_predictor_retrains_total").increment();
   }
-  const HoltParams supply_params = train_holt(supply_history_);
-  const HoltParams demand_params = train_holt(demand_history_);
-  // Re-seed predictors with the trained parameters and replay the window so
-  // their internal state is consistent with the new smoothing.
-  supply_predictor_ =
-      make_predictor(config_.predictor, season_period(), supply_params);
-  for (double v : supply_history_) supply_predictor_->observe(v);
-  demand_predictor_ =
-      make_predictor(config_.predictor, season_period(), demand_params);
-  for (double v : demand_history_) demand_predictor_->observe(v);
-  GH_DEBUG << "predictor retrained: supply(a=" << supply_params.alpha
-           << ",b=" << supply_params.beta << ")";
+  // Re-seed each predictor with its trained parameters (Eq. 5) and replay
+  // the window so its state is consistent with the new smoothing.
+  const auto retrain = [](HoltPredictor& predictor,
+                          const std::vector<double>& history) {
+    predictor = HoltPredictor{train_holt(history)};
+    for (double v : history) predictor.observe(v);
+  };
+  retrain(supply_predictor_, supply_history_);
+  retrain(demand_predictor_, demand_history_);
+  GH_DEBUG << "predictor retrained: supply(a="
+           << supply_predictor_.params().alpha
+           << ",b=" << supply_predictor_.params().beta << ")";
 }
 
 template <class Self, class Io>
 void GreenHeteroController::fields(Self& self, Io& io) {
   io.object(self.db_);
   io.object(self.monitor_);
-  if constexpr (Io::kLoading) {
-    self.supply_predictor_ = load_predictor(io);
-    self.demand_predictor_ = load_predictor(io);
-  } else {
-    save_predictor(io, *self.supply_predictor_);
-    save_predictor(io, *self.demand_predictor_);
+  // Each predictor follows the model tag of the multi-model layout, so Holt
+  // payloads kept their bytes; Holt's 0 is the only tag left.
+  for (auto* predictor : {&self.supply_predictor_, &self.demand_predictor_}) {
+    PredictorTag tag = PredictorTag::kHolt;
+    io.enum_u8(tag, 1, "predictor: kind tag");
+    io.object(*predictor);
   }
   io.f64_array(self.supply_history_);
   io.f64_array(self.demand_history_);

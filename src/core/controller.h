@@ -38,22 +38,8 @@ struct ControllerConfig {
   Minutes training_sample_interval{2.0};
   /// Relative std-dev of Monitor measurement noise.
   double profiling_noise = 0.03;
-  /// Probability a server sample is a dropped reading (fault injection).
-  double monitor_dropout = 0.0;
   std::uint64_t seed = 42;
-  /// Forecasting model for renewable supply and rack demand.  Holt (the
-  /// paper's choice) is retrained periodically; Holt-Winters adds the
-  /// diurnal season (period = one day of epochs).
-  PredictorKind predictor = PredictorKind::kHolt;
-  /// Epochs of history used to (re)train Holt's alpha/beta.
-  int holt_training_window = 96;
-  /// Retrain cadence in epochs (first training happens as soon as the
-  /// window has at least 3 points).
-  int holt_retrain_every = 24;
   SelectorConfig selector;
-  /// Graceful degradation: feedback plausibility thresholds and the
-  /// safe-mode state machine's hysteresis.
-  HealthConfig health;
 };
 
 /// What the controller decided for one epoch.
@@ -104,6 +90,21 @@ class GreenHeteroController {
   /// governor visits (a loaded machine stays in the upper states).
   static constexpr double kTrainingSweepFloor = 0.4;
 
+  /// Epochs of history Holt's alpha/beta are (re)trained on: one day of
+  /// 15-minute epochs.
+  static constexpr std::size_t kHoltTrainingWindow = 96;
+  /// Retrain cadence in epochs (the first training happens at the third
+  /// epoch, as soon as the window holds 3 points).
+  static constexpr int kHoltRetrainEvery = 24;
+
+  /// Health thresholds.  A group sample below this fraction of its
+  /// allocated per-server power counts as divergent (normal DVFS
+  /// quantisation stays well above it).
+  static constexpr double kDivergenceRatio = 0.5;
+  /// Epoch-mean shortfall above this fraction of the planned budget counts
+  /// as a bad epoch (transient prediction error stays below it).
+  static constexpr double kShortfallFraction = 0.25;
+
   /// The DVFS sweep fractions of a training run: `sample_count` points
   /// spread over the upper [kTrainingSweepFloor, 1] of the operating range
   /// (the stand-in for the wandering ondemand governor — see DESIGN.md).
@@ -131,16 +132,13 @@ class GreenHeteroController {
   [[nodiscard]] PerfPowerDatabase& mutable_database() { return db_; }
 
   /// Checkpoint everything the controller mutates over a run: database,
-  /// monitor RNG/dropout, predictors (retraining replaces them, so each is
-  /// saved polymorphically with its deployed parameters), histories, and
-  /// the health/safe-mode state.
+  /// monitor RNG/dropout, both Holt predictors (with the parameters the
+  /// last retrain deployed), histories, and the health/safe-mode state.
   template <class Self, class Io>
   static void fields(Self& self, Io& io);
 
  private:
   void maybe_retrain_holt();
-
-  [[nodiscard]] int season_period() const;
 
   /// Safe-mode allocation: last-known-good ratios when they still fit the
   /// rack, otherwise a Uniform split (count_i / total_servers).
@@ -151,8 +149,8 @@ class GreenHeteroController {
   PerfPowerDatabase db_;
   Monitor monitor_;
   PowerSourceSelector selector_;
-  std::unique_ptr<SeriesPredictor> supply_predictor_;
-  std::unique_ptr<SeriesPredictor> demand_predictor_;
+  HoltPredictor supply_predictor_;
+  HoltPredictor demand_predictor_;
   std::vector<double> supply_history_;
   std::vector<double> demand_history_;
   int epochs_seen_ = 0;

@@ -1,7 +1,5 @@
 #include "core/health.h"
 
-#include <stdexcept>
-
 namespace greenhetero {
 
 const char* to_string(HealthState state) {
@@ -26,24 +24,8 @@ const char* HealthSignals::reason() const {
   return "ok";
 }
 
-HealthTracker::HealthTracker(HealthConfig config) : config_(config) {
-  if (config_.divergence_ratio < 0.0 || config_.divergence_ratio >= 1.0) {
-    throw std::invalid_argument(
-        "health: divergence_ratio must be in [0, 1)");
-  }
-  if (config_.shortfall_fraction <= 0.0 || config_.shortfall_fraction > 1.0) {
-    throw std::invalid_argument(
-        "health: shortfall_fraction must be in (0, 1]");
-  }
-  if (config_.safe_after < 1 || config_.recover_after < 1) {
-    throw std::invalid_argument(
-        "health: hysteresis counts must be at least 1");
-  }
-}
-
 std::optional<HealthTracker::Transition> HealthTracker::observe_epoch(
     const HealthSignals& signals) {
-  if (!config_.enabled) return std::nullopt;
   const HealthState from = state_;
   if (signals.bad()) {
     ++consecutive_bad_;
@@ -54,7 +36,7 @@ std::optional<HealthTracker::Transition> HealthTracker::observe_epoch(
         state_ = HealthState::kDegraded;
         break;
       case HealthState::kDegraded:
-        if (consecutive_bad_ >= config_.safe_after) {
+        if (consecutive_bad_ >= kSafeAfter) {
           state_ = HealthState::kSafe;
         }
         break;
@@ -72,7 +54,7 @@ std::optional<HealthTracker::Transition> HealthTracker::observe_epoch(
         state_ = HealthState::kRecovering;
         break;
       case HealthState::kRecovering:
-        if (consecutive_good_ >= config_.recover_after) {
+        if (consecutive_good_ >= kRecoverAfter) {
           state_ = HealthState::kNormal;
         }
         break;

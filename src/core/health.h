@@ -5,11 +5,11 @@
 // divergence, solver failure, persistent supply shortfall — and feeds them
 // to the HealthTracker:
 //
-//     normal ──bad──► degraded ──bad×safe_after──► safe
+//     normal ──bad──► degraded ──bad×kSafeAfter──► safe
 //        ▲               │  ▲                        │
 //        │             good │bad                   good
 //        │               ▼  │                        ▼
-//        └─good×recover_after── recovering ◄─────────┘
+//        └─good×kRecoverAfter── recovering ◄─────────┘
 //
 // While degraded or worse the controller *quarantines* feedback (poisoned
 // samples never merge into the PerfPowerDatabase); in safe mode it stops
@@ -28,21 +28,6 @@ inline constexpr int kHealthStateCount = 4;
 
 [[nodiscard]] const char* to_string(HealthState state);
 
-struct HealthConfig {
-  /// Master switch; disabled keeps the tracker pinned to kNormal.
-  bool enabled = true;
-  /// A group sample below this fraction of its allocated per-server power
-  /// counts as divergent (normal DVFS quantisation stays well above it).
-  double divergence_ratio = 0.5;
-  /// Epoch-mean shortfall above this fraction of the planned budget counts
-  /// as a bad epoch (transient prediction error stays below it).
-  double shortfall_fraction = 0.25;
-  /// Consecutive bad epochs (while degraded) before entering safe mode.
-  int safe_after = 3;
-  /// Consecutive good epochs (while recovering) before returning to normal.
-  int recover_after = 3;
-};
-
 /// One epoch's distilled health evidence.
 struct HealthSignals {
   bool stale_samples = false;      ///< all awake groups read zero power
@@ -60,9 +45,11 @@ struct HealthSignals {
 
 class HealthTracker {
  public:
-  explicit HealthTracker(HealthConfig config = {});
+  /// Consecutive bad epochs (while degraded) before entering safe mode.
+  static constexpr int kSafeAfter = 3;
+  /// Consecutive good epochs (while recovering) before returning to normal.
+  static constexpr int kRecoverAfter = 3;
 
-  [[nodiscard]] const HealthConfig& config() const { return config_; }
   [[nodiscard]] HealthState state() const { return state_; }
   /// Feedback is quarantined in every state but normal.
   [[nodiscard]] bool quarantine() const {
@@ -98,7 +85,6 @@ class HealthTracker {
   }
 
  private:
-  HealthConfig config_;
   HealthState state_ = HealthState::kNormal;
   int consecutive_bad_ = 0;
   int consecutive_good_ = 0;

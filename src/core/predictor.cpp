@@ -1,11 +1,7 @@
 #include "core/predictor.h"
 
 #include <algorithm>
-#include <limits>
-#include <string>
-#include <type_traits>
 
-#include "checkpoint/serializer.h"
 #include "core/holt_lanes.h"
 
 namespace greenhetero {
@@ -50,17 +46,6 @@ void HoltPredictor::reset() {
   count_ = 0;
 }
 
-PredictorKind HoltPredictor::kind() const { return PredictorKind::kHolt; }
-
-template <class Self, class Io>
-void HoltPredictor::fields(Self& self, Io& io) {
-  io.object(self.params_);
-  io.f64(self.level_);
-  io.f64(self.trend_);
-  io.f64(self.previous_);
-  io.i64(self.count_);
-}
-
 void LastValuePredictor::observe(double value) {
   last_ = value;
   seen_ = true;
@@ -76,16 +61,6 @@ double LastValuePredictor::predict() const {
 void LastValuePredictor::reset() {
   last_ = 0.0;
   seen_ = false;
-}
-
-PredictorKind LastValuePredictor::kind() const {
-  return PredictorKind::kLastValue;
-}
-
-template <class Self, class Io>
-void LastValuePredictor::fields(Self& self, Io& io) {
-  io.f64(self.last_);
-  io.boolean(self.seen_);
 }
 
 MovingAveragePredictor::MovingAveragePredictor(int window) : window_(window) {
@@ -113,18 +88,6 @@ double MovingAveragePredictor::predict() const {
 void MovingAveragePredictor::reset() {
   values_.clear();
   sum_ = 0.0;
-}
-
-PredictorKind MovingAveragePredictor::kind() const {
-  return PredictorKind::kMovingAverage;
-}
-
-template <class Self, class Io>
-void MovingAveragePredictor::fields(Self& self, Io& io) {
-  io.i64_in(self.window_, 1, std::numeric_limits<int>::max(),
-            "moving average: window");
-  io.seq(self.values_, [&io](auto& v) { io.f64(v); });
-  io.f64(self.sum_);
 }
 
 HoltWintersPredictor::HoltWintersPredictor(HoltParams params, int period,
@@ -184,30 +147,6 @@ void HoltWintersPredictor::reset() {
   count_ = 0;
 }
 
-PredictorKind HoltWintersPredictor::kind() const {
-  return PredictorKind::kHoltWinters;
-}
-
-template <class Self, class Io>
-void HoltWintersPredictor::fields(Self& self, Io& io) {
-  io.object(self.params_);
-  io.i64_in(self.period_, 2, std::numeric_limits<int>::max(),
-            "holt-winters: period");
-  io.f64(self.delta_);
-  io.f64(self.level_);
-  io.f64(self.trend_);
-  io.f64_array(self.season_);
-  io.i64(self.count_);
-  if constexpr (Io::kLoading) {
-    if (self.season_.size() != static_cast<std::size_t>(self.period_)) {
-      throw checkpoint::CheckpointError(
-          "holt-winters: season length " +
-          std::to_string(self.season_.size()) + " is not the period " +
-          std::to_string(self.period_));
-    }
-  }
-}
-
 double holt_sse(std::span<const double> history, HoltParams params) {
   params.validate();
   if (history.size() < 3) {
@@ -223,74 +162,6 @@ double holt_sse(std::span<const double> history, HoltParams params) {
     predictor.observe(history[i]);
   }
   return sse;
-}
-
-std::string_view to_string(PredictorKind kind) {
-  switch (kind) {
-    case PredictorKind::kHolt:
-      return "Holt";
-    case PredictorKind::kHoltWinters:
-      return "Holt-Winters";
-    case PredictorKind::kLastValue:
-      return "last-value";
-    case PredictorKind::kMovingAverage:
-      return "moving-average";
-  }
-  return "?";
-}
-
-std::unique_ptr<SeriesPredictor> make_predictor(PredictorKind kind,
-                                                int season_period,
-                                                HoltParams params) {
-  switch (kind) {
-    case PredictorKind::kHolt:
-      return std::make_unique<HoltPredictor>(params);
-    case PredictorKind::kHoltWinters:
-      return std::make_unique<HoltWintersPredictor>(params, season_period);
-    case PredictorKind::kLastValue:
-      return std::make_unique<LastValuePredictor>();
-    case PredictorKind::kMovingAverage:
-      return std::make_unique<MovingAveragePredictor>(4);
-  }
-  throw PredictorError("unknown predictor kind");
-}
-
-namespace {
-
-/// `T`, const when `Base` is.
-template <class T, class Base>
-using Like = std::conditional_t<std::is_const_v<Base>, const T, T>;
-
-/// Calls fn with `predictor` cast to its concrete type.
-template <class Base, class Fn>
-void with_concrete(Base& predictor, Fn&& fn) {
-  switch (predictor.kind()) {
-    case PredictorKind::kHolt:
-      return fn(static_cast<Like<HoltPredictor, Base>&>(predictor));
-    case PredictorKind::kHoltWinters:
-      return fn(static_cast<Like<HoltWintersPredictor, Base>&>(predictor));
-    case PredictorKind::kLastValue:
-      return fn(static_cast<Like<LastValuePredictor, Base>&>(predictor));
-    case PredictorKind::kMovingAverage:
-      return fn(static_cast<Like<MovingAveragePredictor, Base>&>(predictor));
-  }
-}
-
-}  // namespace
-
-void save_predictor(checkpoint::Writer& w,
-                    const SeriesPredictor& predictor) {
-  w.enum_u8(predictor.kind(), kPredictorKindCount, "predictor: kind tag");
-  with_concrete(predictor, [&w](const auto& p) { checkpoint::save(w, p); });
-}
-
-std::unique_ptr<SeriesPredictor> load_predictor(checkpoint::Reader& r) {
-  PredictorKind kind{};
-  r.enum_u8(kind, kPredictorKindCount, "predictor: kind tag");
-  // Placeholder constructor arguments; the field list overwrites them.
-  std::unique_ptr<SeriesPredictor> predictor = make_predictor(kind, 2);
-  with_concrete(*predictor, [&r](auto& p) { checkpoint::load(r, p); });
-  return predictor;
 }
 
 HoltParams train_holt(std::span<const double> history, int grid_steps) {

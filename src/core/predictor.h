@@ -7,46 +7,21 @@
 // P_{t+1} = S_t + B_t.  alpha and beta are trained on past records by
 // minimising the squared one-step prediction error (Equation 5).
 //
-// The paper notes any proven predictor can be swapped in; the SeriesPredictor
-// interface plus the naive baselines here support exactly that (and the A2
-// ablation bench).
+// The controller deploys Holt only.  The Holt-Winters and naive baselines
+// below share its observe/predict/ready/reset shape and serve the A2
+// ablation bench (bench_predictor_micro).
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <span>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
-namespace greenhetero::checkpoint {
-class Writer;
-class Reader;
-}  // namespace greenhetero::checkpoint
-
 namespace greenhetero {
-
-enum class PredictorKind;
 
 class PredictorError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// Common interface: feed observations, ask for the next-epoch forecast.
-class SeriesPredictor {
- public:
-  virtual ~SeriesPredictor() = default;
-  virtual void observe(double value) = 0;
-  /// One-step-ahead forecast; requires ready().
-  [[nodiscard]] virtual double predict() const = 0;
-  [[nodiscard]] virtual bool ready() const = 0;
-  virtual void reset() = 0;
-
-  /// Concrete model tag, so a checkpoint can reconstruct the right type
-  /// (retraining replaces predictor objects, so the deployed parameters
-  /// can differ from the configured ones).
-  [[nodiscard]] virtual PredictorKind kind() const = 0;
 };
 
 struct HoltParams {
@@ -62,22 +37,28 @@ struct HoltParams {
   }
 };
 
-class HoltPredictor final : public SeriesPredictor {
+class HoltPredictor {
  public:
   explicit HoltPredictor(HoltParams params = {});
 
-  void observe(double value) override;
-  [[nodiscard]] double predict() const override;
-  [[nodiscard]] bool ready() const override { return count_ >= 2; }
-  void reset() override;
+  void observe(double value);
+  /// One-step-ahead forecast; requires ready().
+  [[nodiscard]] double predict() const;
+  [[nodiscard]] bool ready() const { return count_ >= 2; }
+  void reset();
 
   [[nodiscard]] const HoltParams& params() const { return params_; }
   [[nodiscard]] double level() const { return level_; }
   [[nodiscard]] double trend() const { return trend_; }
 
-  [[nodiscard]] PredictorKind kind() const override;
   template <class Self, class Io>
-  static void fields(Self& self, Io& io);
+  static void fields(Self& self, Io& io) {
+    io.object(self.params_);
+    io.f64(self.level_);
+    io.f64(self.trend_);
+    io.f64(self.previous_);
+    io.i64(self.count_);
+  }
 
  private:
   HoltParams params_;
@@ -88,16 +69,12 @@ class HoltPredictor final : public SeriesPredictor {
 };
 
 /// Baseline: forecast = last observation.
-class LastValuePredictor final : public SeriesPredictor {
+class LastValuePredictor {
  public:
-  void observe(double value) override;
-  [[nodiscard]] double predict() const override;
-  [[nodiscard]] bool ready() const override { return seen_; }
-  void reset() override;
-
-  [[nodiscard]] PredictorKind kind() const override;
-  template <class Self, class Io>
-  static void fields(Self& self, Io& io);
+  void observe(double value);
+  [[nodiscard]] double predict() const;
+  [[nodiscard]] bool ready() const { return seen_; }
+  void reset();
 
  private:
   double last_ = 0.0;
@@ -105,18 +82,14 @@ class LastValuePredictor final : public SeriesPredictor {
 };
 
 /// Baseline: forecast = mean of the last `window` observations.
-class MovingAveragePredictor final : public SeriesPredictor {
+class MovingAveragePredictor {
  public:
   explicit MovingAveragePredictor(int window);
 
-  void observe(double value) override;
-  [[nodiscard]] double predict() const override;
-  [[nodiscard]] bool ready() const override { return !values_.empty(); }
-  void reset() override;
-
-  [[nodiscard]] PredictorKind kind() const override;
-  template <class Self, class Io>
-  static void fields(Self& self, Io& io);
+  void observe(double value);
+  [[nodiscard]] double predict() const;
+  [[nodiscard]] bool ready() const { return !values_.empty(); }
+  void reset();
 
  private:
   int window_;
@@ -133,22 +106,18 @@ class MovingAveragePredictor final : public SeriesPredictor {
 ///   B_t = beta*(S_t - S_{t-1}) + (1-beta)*B_{t-1}
 ///   I_t = delta*(O_t - S_t) + (1-delta)*I_{t-p}
 ///   P_{t+1} = S_t + B_t + I_{t+1-p}
-class HoltWintersPredictor final : public SeriesPredictor {
+class HoltWintersPredictor {
  public:
   /// `period` observations per season (96 for 15-minute epochs over a day).
   HoltWintersPredictor(HoltParams params, int period, double delta = 0.3);
 
-  void observe(double value) override;
-  [[nodiscard]] double predict() const override;
+  void observe(double value);
+  [[nodiscard]] double predict() const;
   /// Ready once a full season plus one observation has been seen.
-  [[nodiscard]] bool ready() const override;
-  void reset() override;
+  [[nodiscard]] bool ready() const;
+  void reset();
 
   [[nodiscard]] int period() const { return period_; }
-
-  [[nodiscard]] PredictorKind kind() const override;
-  template <class Self, class Io>
-  static void fields(Self& self, Io& io);
 
  private:
   [[nodiscard]] double seasonal(int offset) const;
@@ -180,31 +149,5 @@ class HoltWintersPredictor final : public SeriesPredictor {
 /// scan.  Needs at least 3 observations.
 [[nodiscard]] HoltParams train_holt(std::span<const double> history,
                                     int grid_steps = 20);
-
-/// Which forecasting model the controller deploys.  The paper ships Holt
-/// and explicitly invites swapping in "any other proven prediction
-/// approaches"; the alternatives here support that and the A2 ablation.
-enum class PredictorKind {
-  kHolt,         ///< double exponential smoothing (the paper's choice)
-  kHoltWinters,  ///< adds the additive diurnal seasonal term
-  kLastValue,    ///< naive baseline
-  kMovingAverage ///< short-window mean baseline
-};
-inline constexpr int kPredictorKindCount = 4;
-
-[[nodiscard]] std::string_view to_string(PredictorKind kind);
-
-/// Factory.  `season_period` is used by Holt-Winters (observations per
-/// day); the moving-average window defaults to 4 epochs.
-[[nodiscard]] std::unique_ptr<SeriesPredictor> make_predictor(
-    PredictorKind kind, int season_period, HoltParams params = {});
-
-/// Checkpoint a predictor polymorphically: a kind tag followed by the
-/// concrete type's field list.  load_predictor reconstructs the concrete type
-/// and restores its full state (including constructor parameters, which
-/// retraining may have changed from the configured values).
-void save_predictor(checkpoint::Writer& w, const SeriesPredictor& predictor);
-[[nodiscard]] std::unique_ptr<SeriesPredictor> load_predictor(
-    checkpoint::Reader& r);
 
 }  // namespace greenhetero

@@ -51,7 +51,7 @@ SourceDecision PowerSourceSelector::decide_impl(Watts predicted_renewable,
   const bool battery_usable =
       battery_avail.value() > 1e-6 && !plant.battery().at_floor();
 
-  if (renewable >= demand && renewable > config_.renewable_outage_threshold) {
+  if (renewable >= demand && renewable > kRenewableOutageThreshold) {
     // Case A: renewable alone; surplus charges the battery.
     decision.source_case = PowerCase::kRenewableSufficient;
     decision.server_budget = demand;
@@ -60,7 +60,7 @@ SourceDecision PowerSourceSelector::decide_impl(Watts predicted_renewable,
     return decision;
   }
 
-  if (renewable > config_.renewable_outage_threshold) {
+  if (renewable > kRenewableOutageThreshold) {
     // Renewable present but short of demand.
     const Watts gap = demand - renewable;
     if (battery_usable) {
@@ -84,8 +84,7 @@ SourceDecision PowerSourceSelector::decide_impl(Watts predicted_renewable,
     decision.server_budget = renewable + decision.from_grid;
     decision.charge_from_grid =
         plant.battery().soc() <
-        1.0 - plant.battery().spec().depth_of_discharge +
-            config_.recharge_margin;
+        1.0 - plant.battery().spec().depth_of_discharge + kRechargeMargin;
     return decision;
   }
 

@@ -33,10 +33,6 @@ struct SourceDecision {
 };
 
 struct SelectorConfig {
-  /// Below this the renewable source counts as unavailable (Case C).
-  Watts renewable_outage_threshold{10.0};
-  /// Battery SoC margin above the DoD floor at which grid recharge engages.
-  double recharge_margin = 0.02;
   /// Battery rationing horizon.  0 (the paper's behaviour) discharges
   /// greedily until the DoD floor; a positive horizon caps the discharge so
   /// the currently usable energy would last at least this long, spreading
@@ -48,6 +44,11 @@ struct SelectorConfig {
 
 class PowerSourceSelector {
  public:
+  /// Below this the renewable source counts as unavailable (Case C).
+  static constexpr Watts kRenewableOutageThreshold{10.0};
+  /// Battery SoC margin above the DoD floor at which grid recharge engages.
+  static constexpr double kRechargeMargin = 0.02;
+
   explicit PowerSourceSelector(SelectorConfig config = {});
 
   /// Decide sources for one epoch of length `dt` from the predicted

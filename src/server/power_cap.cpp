@@ -10,9 +10,6 @@ PowerCapController::PowerCapController(PowerCapConfig config)
   if (config_.window.value() <= 0.0) {
     throw std::invalid_argument("power cap: window must be positive");
   }
-  if (config_.hysteresis < 0.0 || config_.hysteresis >= 1.0) {
-    throw std::invalid_argument("power cap: hysteresis must be in [0, 1)");
-  }
 }
 
 int PowerCapController::update(ServerSim& server, Watts cap, Minutes dt) {
@@ -39,7 +36,7 @@ int PowerCapController::update(ServerSim& server, Watts cap, Minutes dt) {
         ladder.state_power(1).value() > cap.value()) {
       state = DvfsLadder::kOffState;
     }
-  } else if (average_.value() < cap.value() * (1.0 - config_.hysteresis)) {
+  } else if (average_.value() < cap.value() * (1.0 - kHysteresis)) {
     // Comfortably below: step up if the next state still fits the cap.
     const int next = state + 1;
     if (next <= ladder.operating_states() &&

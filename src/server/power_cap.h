@@ -20,13 +20,14 @@ namespace greenhetero {
 struct PowerCapConfig {
   /// Averaging window (RAPL's PL1 time window; seconds-scale).
   Minutes window{0.05};
-  /// Step the state up only when the windowed average is below
-  /// cap * (1 - hysteresis); prevents up/down chatter at the boundary.
-  double hysteresis = 0.05;
 };
 
 class PowerCapController {
  public:
+  /// Step the state up only when the windowed average is below
+  /// cap * (1 - kHysteresis); prevents up/down chatter at the boundary.
+  static constexpr double kHysteresis = 0.05;
+
   explicit PowerCapController(PowerCapConfig config = {});
 
   [[nodiscard]] const PowerCapConfig& config() const { return config_; }

@@ -67,18 +67,6 @@ void SimConfig::validate() const {
     throw std::invalid_argument(
         "sim config: profiling noise must be in [0, 1]");
   }
-  if (controller.monitor_dropout < 0.0 || controller.monitor_dropout > 1.0) {
-    throw std::invalid_argument(
-        "sim config: monitor dropout must be in [0, 1]");
-  }
-  if (controller.holt_training_window < 3) {
-    throw std::invalid_argument(
-        "sim config: Holt training window must be at least 3 epochs");
-  }
-  if (controller.holt_retrain_every < 1) {
-    throw std::invalid_argument(
-        "sim config: Holt retrain cadence must be at least 1 epoch");
-  }
   if (const std::string_view reason = invalid_reason(); !reason.empty()) {
     throw std::invalid_argument("sim config: " + std::string(reason));
   }
@@ -129,7 +117,6 @@ RackSimulator::RackSimulator(Rack rack, RackPowerPlant plant, SimConfig config)
       controller_(config_.controller),
       clock_(config_.controller.epoch, config_.substep) {
   config_.validate();
-  base_dropout_ = config_.controller.monitor_dropout;
   if (!config_.faults.empty()) {
     for (const FaultEvent& event : config_.faults.events()) {
       const bool group_scoped = event.kind == FaultKind::kServerCrash ||
@@ -189,41 +176,57 @@ void RackSimulator::pretrain() {
                                                        : nullptr);
   GH_SPAN("pretrain");
   const std::vector<double> sweep = controller_.training_sweep();
+  std::vector<Watts> budgets;
+  std::vector<ServerSample> samples;
   for (std::size_t g = 0; g < rack_.group_count(); ++g) {
     const ProfileKey key{rack_.group(g).model, rack_.group_workload(g)};
     if (controller_.database().contains(key)) continue;
     // Flaky meters can drop readings; re-run the sweep until a usable
     // sample set lands (bounded — give up to the online training path).
     for (int attempt = 0; attempt < 16; ++attempt) {
-      std::vector<ServerSample> samples;
-      samples.reserve(sweep.size());
+      samples.clear();
       for (double fraction : sweep) {
         // Drive the whole rack to this fraction of each group's range;
         // only group g's meter is read, the rest just burn along (ample
         // power).
-        std::vector<Watts> budgets;
-        for (std::size_t i = 0; i < rack_.group_count(); ++i) {
-          const PerfCurve& curve = rack_.group_curve(i);
-          const Watts per_server =
-              curve.idle_power() +
-              (curve.peak_power() - curve.idle_power()) * fraction;
-          budgets.push_back((per_server + Watts{0.01}) *
-                            static_cast<double>(rack_.group(i).count));
-        }
+        sweep_budgets(fraction, budgets);
         rack_.enforce_allocation(budgets);
-        const ServerSample s = controller_.monitor().sample_group(rack_, g);
-        if (s.power.value() > 0.0) samples.push_back(s);
+        samples.push_back(controller_.monitor().sample_group(rack_, g));
       }
-      if (samples.size() < 3) continue;
-      try {
-        controller_.record_training(key, samples);
-        break;
-      } catch (const DatabaseError&) {
-        // Degenerate (e.g. surviving samples at too few powers): retry.
-      }
+      if (record_training_run(key, samples) == nullptr) break;
     }
   }
   rack_.power_off();
+}
+
+void RackSimulator::sweep_budgets(double fraction,
+                                  std::vector<Watts>& budgets) const {
+  budgets.resize(rack_.group_count());
+  for (std::size_t i = 0; i < rack_.group_count(); ++i) {
+    const PerfCurve& curve = rack_.group_curve(i);
+    const Watts per_server =
+        curve.idle_power() +
+        (curve.peak_power() - curve.idle_power()) * fraction;
+    budgets[i] =
+        (per_server + Watts{0.01}) * static_cast<double>(rack_.group(i).count);
+  }
+}
+
+const char* RackSimulator::record_training_run(
+    ProfileKey key, std::span<const ServerSample> samples) {
+  // Dropped meter readings (zero power) carry no information.
+  std::vector<ServerSample> valid;
+  for (const ServerSample& s : samples) {
+    if (s.power.value() > 0.0) valid.push_back(s);
+  }
+  if (valid.size() < 3) return "lost too many samples";
+  try {
+    controller_.record_training(key, valid);
+  } catch (const DatabaseError&) {
+    // E.g. the surviving samples sit at too few distinct powers.
+    return "left degenerate samples";
+  }
+  return nullptr;
 }
 
 void RackSimulator::apply_workload_schedule(Minutes now) {
@@ -298,7 +301,7 @@ void RackSimulator::apply_fault_action(const FaultAction& action,
       break;
     case FaultKind::kMonitorDropout:
       controller_.monitor().set_dropout_rate(action.begin ? action.value
-                                                          : base_dropout_);
+                                                          : 0.0);
       break;
   }
   GH_WARN << "fault @" << now.value() << "min: " << to_string(action.kind)
@@ -586,8 +589,7 @@ void RackSimulator::run_training_epoch(const EpochPlan& plan,
   {
     GH_SPAN("substeps");
     const auto substeps = clock_.substeps_per_epoch();
-    // Every substep rewrites each group's budget before using it.
-    std::vector<Watts> budgets(rack_.group_count());
+    std::vector<Watts> budgets;
     for (std::size_t s = 0; s < substeps; ++s) {
       const double elapsed =
           static_cast<double>(s) * clock_.substep_length().value();
@@ -596,15 +598,7 @@ void RackSimulator::run_training_epoch(const EpochPlan& plan,
           sweep.size() - 1,
           static_cast<std::size_t>(elapsed /
                                    cc.training_sample_interval.value()));
-      const double fraction = in_training ? sweep[sample_idx] : 1.0;
-      for (std::size_t i = 0; i < rack_.group_count(); ++i) {
-        const PerfCurve& curve = rack_.group_curve(i);
-        const Watts per_server =
-            curve.idle_power() +
-            (curve.peak_power() - curve.idle_power()) * fraction;
-        budgets[i] = (per_server + Watts{0.01}) *
-                     static_cast<double>(rack_.group(i).count);
-      }
+      sweep_budgets(in_training ? sweep[sample_idx] : 1.0, budgets);
       rack_.enforce_allocation(budgets);
       // Sample at the end of each profiling interval.
       if (in_training &&
@@ -621,25 +615,12 @@ void RackSimulator::run_training_epoch(const EpochPlan& plan,
 
   for (std::size_t i = 0; i < rack_.group_count(); ++i) {
     const ProfileKey key{rack_.group(i).model, rack_.group_workload(i)};
-    if (!controller_.database().contains(key)) {
-      // Dropped meter readings (zero power) carry no information; if too
-      // few valid samples remain, skip recording — needs_training stays
-      // true and the next epoch retries the run.
-      std::vector<ServerSample> valid;
-      for (const ServerSample& s : samples[i]) {
-        if (s.power.value() > 0.0) valid.push_back(s);
-      }
-      if (valid.size() < 3) {
-        GH_WARN << "training run for group " << i
-                << " lost too many samples; retrying next epoch";
-        continue;
-      }
-      try {
-        controller_.record_training(key, valid);
-      } catch (const DatabaseError&) {
-        GH_WARN << "training samples degenerate for group " << i
-                << "; retrying next epoch";
-      }
+    if (controller_.database().contains(key)) continue;
+    // A failed run records nothing: needs_training stays true and the next
+    // epoch retries it.
+    if (const char* failure = record_training_run(key, samples[i])) {
+      GH_WARN << "training run for group " << i << " " << failure
+              << "; retrying next epoch";
     }
   }
 

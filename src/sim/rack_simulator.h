@@ -191,6 +191,16 @@ class RackSimulator final : private EpochClient {
   struct EpochStats;  // defined in the .cpp
 
   EpochRecord step_epoch_impl();
+  /// The training sweep's group budgets (`budgets[i]`, resized to the group
+  /// count): every server of group i at `fraction` of its [idle, peak]
+  /// range, plus 0.01 W.
+  void sweep_budgets(double fraction, std::vector<Watts>& budgets) const;
+  /// Record one training run's samples for `key`, its zero-power (dropped)
+  /// readings left out.  Returns null once the database holds the pair,
+  /// otherwise why it does not: fewer than 3 valid samples or a degenerate
+  /// fit.
+  const char* record_training_run(ProfileKey key,
+                                  std::span<const ServerSample> samples);
   void run_training_epoch(const EpochPlan& plan, EpochRecord& record);
   void run_normal_epoch(const EpochPlan& plan, Watts demand_hint,
                         EpochRecord& record);
@@ -246,8 +256,6 @@ class RackSimulator final : private EpochClient {
   /// Engaged only when the plan is non-empty, so fault-free runs take no
   /// extra work (and stay byte-identical to pre-fault builds).
   std::optional<FaultInjector> injector_;
-  /// Monitor dropout rate to restore when a monitor_dropout fault clears.
-  double base_dropout_ = 0.0;
   /// While a solar *sensor* is stuck, the value it keeps reporting (the
   /// physical array is unaffected; only the controller's feedback lies).
   std::optional<Watts> solar_sensor_stuck_;

@@ -43,13 +43,6 @@ void StreamingTraceSink::push(std::vector<TraceEvent> events) {
   enqueue(ready_);
 }
 
-void StreamingTraceSink::push_merge(std::vector<TraceEvent> batch,
-                                    double watermark) {
-  std::vector<TraceLines> sources(1);
-  for (const TraceEvent& event : batch) sources.front().append(event);
-  push_merge(sources, watermark);
-}
-
 void StreamingTraceSink::push_merge(std::vector<TraceLines>& sources,
                                     double watermark) {
   const auto source_of = [&](std::uint32_t source) -> const TraceLines& {

@@ -99,8 +99,6 @@ class StreamingTraceSink {
   /// and watermark = next epoch start; finish with watermark = +infinity
   /// to flush the tail.
   void push_merge(std::vector<TraceLines>& sources, double watermark);
-  /// push_merge of one source, encoded here from `batch`.
-  void push_merge(std::vector<TraceEvent> batch, double watermark);
 
   /// Record ring evictions reported by the producer; a final
   /// trace_truncated footer is appended at close when the total is

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "checkpoint/serializer.h"
+#include "core/controller.h"
 #include "core/database.h"
 #include "core/predictor.h"
 #include "core/health.h"
@@ -374,6 +375,47 @@ TEST(Checkpoint, HealthTrackerRejectsBadStateTag) {
   HealthTracker tracker;
   checkpoint::Reader r(w.buffer());
   EXPECT_THROW(checkpoint::load(r, tracker), checkpoint::CheckpointError);
+}
+
+TEST(Checkpoint, ControllerRefusesANonHoltPredictorTag) {
+  // The controller deploys Holt only.  Each of its two predictors is stored
+  // behind a kind tag that reads 0 (Holt); any other tag is refused by
+  // name.
+  GreenHeteroController original{ControllerConfig{}};
+  checkpoint::Writer w;
+  checkpoint::save(w, original);
+  // The supply predictor's tag follows the database and the monitor; the
+  // demand predictor's follows the supply predictor.
+  checkpoint::Writer prefix;
+  prefix.object(original.database());
+  prefix.object(original.monitor());
+  checkpoint::Writer holt;
+  holt.object(HoltPredictor{});
+  const std::size_t supply_tag = prefix.buffer().size();
+  const std::size_t demand_tag = supply_tag + 1 + holt.buffer().size();
+  for (const std::size_t at : {supply_tag, demand_tag}) {
+    for (const char tag : {'\x01', '\x03'}) {
+      SCOPED_TRACE("tag " + std::to_string(tag) + " at byte " +
+                   std::to_string(at));
+      std::string payload = w.buffer();
+      ASSERT_EQ(payload[at], '\0');
+      payload[at] = tag;
+      GreenHeteroController restored{ControllerConfig{}};
+      checkpoint::Reader r(payload);
+      try {
+        checkpoint::load(r, restored);
+        FAIL() << "a non-Holt predictor tag was restored";
+      } catch (const checkpoint::CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find("predictor: kind tag"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  GreenHeteroController restored{ControllerConfig{}};
+  checkpoint::Reader r(w.buffer());
+  checkpoint::load(r, restored);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Checkpoint, DatabaseRestoresSamplesAndExactFit) {
@@ -769,7 +811,7 @@ TEST(Snapshot, RefusesMetricsSeriesOutsideTheCatalog) {
 /// solar sensor stuck, battery derate, monitor dropout, a crashed group),
 /// RAPL caps, the invariant checker, a workload switch, the loss ledger, a
 /// rollup window, a flight recorder and a ring small enough to drop events.
-RackSimulator make_pinned_rack(std::uint64_t seed, PredictorKind predictor,
+RackSimulator make_pinned_rack(std::uint64_t seed,
                                const fs::path& flightrec_dir,
                                const fs::path& checkpoint_dir) {
   Rack rack{{{ServerModel::kXeonE5_2620, 2}, {ServerModel::kCoreI5_4460, 2}},
@@ -780,7 +822,6 @@ RackSimulator make_pinned_rack(std::uint64_t seed, PredictorKind predictor,
   cfg.substep = Minutes{2.0};
   cfg.controller.epoch = Minutes{60.0};
   cfg.controller.seed = seed;
-  cfg.controller.predictor = predictor;
   cfg.workload_schedule = {{Minutes{240.0}, Workload::kWebSearch}};
   cfg.telemetry.loss_ledger = true;
   cfg.telemetry.rollup_window_min = 180.0;
@@ -828,18 +869,17 @@ TEST(Checkpoint, LayoutIsPinned) {
   // span series stay listed, which is why the constants differ per
   // telemetry flavour.
 #if GH_TELEMETRY_ENABLED
-  constexpr std::uint64_t kRackChecksum = 0x3e89b3a0110a25ddULL;
-  constexpr std::uint64_t kFleetChecksum = 0xa5ace4c15d6344a7ULL;
+  constexpr std::uint64_t kRackChecksum = 0x4704c99190b06546ULL;
+  constexpr std::uint64_t kFleetChecksum = 0xda4dbb1d8e757b48ULL;
 #else
-  constexpr std::uint64_t kRackChecksum = 0x2dd750af11ed0330ULL;
-  constexpr std::uint64_t kFleetChecksum = 0x4ec47a6528fc3516ULL;
+  constexpr std::uint64_t kRackChecksum = 0x9700699dda57f3fbULL;
+  constexpr std::uint64_t kFleetChecksum = 0x228f5276bb85c2b5ULL;
 #endif
   ScratchDir scratch;
   const Minutes horizon{8.0 * 60.0};
 
-  RackSimulator rack = make_pinned_rack(
-      11, PredictorKind::kHoltWinters, scratch / "rack" / "flightrec",
-      scratch / "rack" / "ckpt");
+  RackSimulator rack = make_pinned_rack(11, scratch / "rack" / "flightrec",
+                                        scratch / "rack" / "ckpt");
   rack.pretrain();
   (void)rack.run(horizon);
   rack.telemetry().metrics().reset();
@@ -847,14 +887,11 @@ TEST(Checkpoint, LayoutIsPinned) {
   EXPECT_EQ(payload_checksum(scratch / "rack" / "ckpt"), kRackChecksum)
       << std::hex << payload_checksum(scratch / "rack" / "ckpt");
 
-  // Three racks, one per remaining predictor kind, on two shards.
+  // Three racks on two shards.
   std::vector<RackSimulator> racks;
-  const PredictorKind kinds[] = {PredictorKind::kHolt,
-                                 PredictorKind::kLastValue,
-                                 PredictorKind::kMovingAverage};
   for (std::uint64_t i = 0; i < 3; ++i) {
-    racks.push_back(make_pinned_rack(
-        20 + i, kinds[i], scratch / "fleet" / "flightrec", ""));
+    racks.push_back(
+        make_pinned_rack(20 + i, scratch / "fleet" / "flightrec", ""));
   }
   FleetConfig cfg;
   cfg.total_grid_budget = Watts{700.0};

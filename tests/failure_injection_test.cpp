@@ -51,18 +51,19 @@ TEST(FaultInjection, DroppedSamplesReadAsZero) {
 }
 
 TEST(FaultInjection, TrainingRetriesUnderHeavyDropout) {
-  // 60% of readings lost: single training runs often yield < 3 valid
-  // samples, so the controller must keep retrying until one sticks — and
-  // the run must complete without throwing.
+  // 60% of readings lost for the whole run: single training runs often
+  // yield < 3 valid samples, so the controller must keep retrying until
+  // one sticks — and the run must complete without throwing.
   Rack rack{default_runtime_rack(), Workload::kSpecJbb};
   SimConfig cfg;
   cfg.controller.policy = PolicyKind::kGreenHetero;
   cfg.controller.seed = 5;
-  cfg.controller.monitor_dropout = 0.6;
+  const Minutes horizon{8.0 * 60.0};
+  cfg.faults.add({Minutes{0.0}, FaultKind::kMonitorDropout, horizon, -1, 0.6});
   RackSimulator sim{std::move(rack),
                     make_fixed_budget_plant(Watts{800.0}, Minutes{2000.0}),
                     std::move(cfg)};
-  const RunReport report = sim.run(Minutes{8.0 * 60.0});
+  const RunReport report = sim.run(horizon);
   // Eventually both groups get trained and service resumes.
   EXPECT_EQ(sim.controller().database().size(), 2u);
   int training_epochs = 0;
@@ -77,13 +78,13 @@ TEST(FaultInjection, RuntimeDropoutDoesNotPoisonTheDatabase) {
   SimConfig cfg;
   cfg.controller.policy = PolicyKind::kGreenHetero;
   cfg.controller.seed = 9;
-  cfg.controller.monitor_dropout = 0.5;
+  const Minutes horizon{6.0 * 60.0};
+  cfg.faults.add({Minutes{0.0}, FaultKind::kMonitorDropout, horizon, -1, 0.5});
   RackSimulator sim{std::move(rack),
                     make_fixed_budget_plant(Watts{800.0}, Minutes{2000.0}),
                     std::move(cfg)};
-  sim.pretrain();  // pretraining bypasses the flaky meters? No: it samples
-                   // through the same monitor, so it may retry too.
-  const RunReport report = sim.run(Minutes{6.0 * 60.0});
+  sim.pretrain();  // before the run, so the fault is not yet active
+  const RunReport report = sim.run(horizon);
   // Every database sample is a real (positive-power) observation.
   for (const ProfileKey& key : sim.controller().database().keys()) {
     const ProfileRecord& rec = sim.controller().database().record(key);
@@ -255,7 +256,7 @@ TEST(FaultPlan, RandomPlanIsSeedDeterministic) {
 // Health state machine.
 
 TEST(HealthTracker, WalksTheFullStateMachineWithHysteresis) {
-  HealthTracker tracker{{}};
+  HealthTracker tracker;
   HealthSignals bad;
   bad.divergent_samples = true;
   const HealthSignals good;
@@ -294,30 +295,6 @@ TEST(HealthTracker, WalksTheFullStateMachineWithHysteresis) {
   EXPECT_FALSE(tracker.quarantine());
 }
 
-TEST(HealthTracker, DisabledTrackerNeverLeavesNormal) {
-  HealthConfig config;
-  config.enabled = false;
-  HealthTracker tracker{config};
-  HealthSignals bad;
-  bad.solver_failed = true;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(tracker.observe_epoch(bad).has_value());
-  }
-  EXPECT_EQ(tracker.state(), HealthState::kNormal);
-}
-
-TEST(HealthTracker, ConfigIsValidated) {
-  HealthConfig config;
-  config.divergence_ratio = 1.5;
-  EXPECT_THROW(HealthTracker{config}, std::invalid_argument);
-  config = {};
-  config.shortfall_fraction = 0.0;
-  EXPECT_THROW(HealthTracker{config}, std::invalid_argument);
-  config = {};
-  config.safe_after = 0;
-  EXPECT_THROW(HealthTracker{config}, std::invalid_argument);
-}
-
 TEST(HealthSignals, ReasonNamesTheDominantSignal) {
   HealthSignals s;
   EXPECT_STREQ(s.reason(), "ok");
@@ -348,12 +325,6 @@ TEST(SimConfigValidation, RejectsBrokenConfigurations) {
   cfg = {};
   cfg.workload_schedule = {{Minutes{60.0}, Workload::kSpecJbb},
                            {Minutes{30.0}, Workload::kStreamcluster}};
-  EXPECT_THROW(make(std::move(cfg)), std::invalid_argument);
-  cfg = {};
-  cfg.controller.monitor_dropout = 1.5;
-  EXPECT_THROW(make(std::move(cfg)), std::invalid_argument);
-  cfg = {};
-  cfg.controller.holt_retrain_every = 0;
   EXPECT_THROW(make(std::move(cfg)), std::invalid_argument);
   // A fault plan aimed at a group the rack does not have is a config bug.
   cfg = {};
@@ -533,20 +504,20 @@ TEST(ScheduledFaults, BatteryDerateClampsStoredEnergy) {
 }
 
 TEST(ScheduledFaults, MonitorDropoutWindowRestoresTheBaseRate) {
+  // The base rate is 0: the fault window is the only source of dropouts.
   FaultPlan plan;
   plan.add({Minutes{30.0}, FaultKind::kMonitorDropout, Minutes{60.0}, -1,
             0.8});
   Rack rack{default_runtime_rack(), Workload::kSpecJbb};
   SimConfig cfg;
   cfg.controller.seed = 3;
-  cfg.controller.monitor_dropout = 0.1;
   cfg.faults = std::move(plan);
   RackSimulator sim{std::move(rack),
                     make_fixed_budget_plant(Watts{800.0}, Minutes{300.0}),
                     std::move(cfg)};
   sim.pretrain();
   (void)sim.run(Minutes{3.0 * 60.0});
-  EXPECT_DOUBLE_EQ(sim.controller().monitor().dropout_rate(), 0.1);
+  EXPECT_DOUBLE_EQ(sim.controller().monitor().dropout_rate(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

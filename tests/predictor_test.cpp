@@ -480,17 +480,6 @@ TEST(HoltWinters, BeatsPlainHoltOnDiurnalSolar) {
   EXPECT_LT(hw_err, holt_err);
 }
 
-TEST(PredictorFactory, CreatesEveryKind) {
-  for (PredictorKind kind :
-       {PredictorKind::kHolt, PredictorKind::kHoltWinters,
-        PredictorKind::kLastValue, PredictorKind::kMovingAverage}) {
-    const auto p = make_predictor(kind, 96);
-    ASSERT_NE(p, nullptr) << to_string(kind);
-    EXPECT_FALSE(p->ready());
-  }
-  EXPECT_EQ(to_string(PredictorKind::kHoltWinters), "Holt-Winters");
-}
-
 TEST(HoltOnSolar, ReasonableOneStepError) {
   // Holt on a real-ish solar day should track the diurnal ramp far better
   // than predicting zero, and at least as well as last-value on average.

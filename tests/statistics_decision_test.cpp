@@ -1,9 +1,6 @@
-// Trace statistics and the Output Decision instruction stream.
+// Trace statistics.
 #include <gtest/gtest.h>
 
-#include "core/decision_output.h"
-#include "core/enforcer.h"
-#include "server/combinations.h"
 #include "trace/load_pattern.h"
 #include "trace/solar.h"
 #include "trace/statistics.h"
@@ -77,54 +74,6 @@ TEST(TraceStatistics, WindVsSolarZeroFraction) {
       analyze_trace(high_solar_week(Watts{2000.0}, 9));
   // Wind has no systematic nightly outage.
   EXPECT_LT(wind.zero_fraction, solar.zero_fraction);
-}
-
-TEST(DecisionOutput, RendersInstructionsPerGroup) {
-  const Rack rack{default_runtime_rack(), Workload::kSpecJbb};
-  const Allocation allocation{{0.6, 0.4}, 0.0, {}};
-  const auto instructions =
-      decision_output(rack, allocation, Watts{1000.0});
-  ASSERT_EQ(instructions.size(), 2u);
-  const FrequencyInstruction& xeon = instructions[0];
-  EXPECT_EQ(xeon.model, ServerModel::kXeonE5_2620);
-  EXPECT_EQ(xeon.server_count, 5);
-  EXPECT_DOUBLE_EQ(xeon.allocated_per_server.value(), 120.0);
-  EXPECT_GT(xeon.state, 0);
-  EXPECT_LE(xeon.state_power.value(), 120.0);
-  // The rendered string carries the essentials.
-  const std::string text = xeon.to_string();
-  EXPECT_NE(text.find("Xeon E5-2620"), std::string::npos);
-  EXPECT_NE(text.find("P"), std::string::npos);
-}
-
-TEST(DecisionOutput, SleepInstructionBelowFloor) {
-  const Rack rack{default_runtime_rack(), Workload::kSpecJbb};
-  const Allocation allocation{{0.1, 0.9}, 0.0, {}};  // Xeons get 20 W each
-  const auto instructions =
-      decision_output(rack, allocation, Watts{1000.0});
-  EXPECT_EQ(instructions[0].state, DvfsLadder::kOffState);
-  EXPECT_NE(instructions[0].to_string().find("sleep"), std::string::npos);
-}
-
-TEST(DecisionOutput, MatchesEnforcedDraw) {
-  // The instruction's state power must equal what enforcement produces.
-  Rack rack{default_runtime_rack(), Workload::kSpecJbb};
-  const Allocation allocation{{0.55, 0.45}, 0.0, {}};
-  const Watts budget{900.0};
-  const auto instructions = decision_output(rack, allocation, budget);
-  Enforcer::apply_allocation(rack, allocation, budget);
-  for (std::size_t g = 0; g < rack.group_count(); ++g) {
-    EXPECT_NEAR(rack.group_draw(g).value(),
-                instructions[g].state_power.value() *
-                    instructions[g].server_count,
-                1e-9);
-  }
-}
-
-TEST(DecisionOutput, SizeMismatchThrows) {
-  const Rack rack{default_runtime_rack(), Workload::kSpecJbb};
-  const Allocation wrong{{1.0}, 0.0, {}};
-  EXPECT_THROW((void)decision_output(rack, wrong, Watts{500.0}), RackError);
 }
 
 }  // namespace

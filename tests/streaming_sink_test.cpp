@@ -7,10 +7,16 @@
 // metrics flush.
 #include "telemetry/stream_sink.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -47,20 +53,63 @@ telemetry::TraceEvent make_event(double t, int rack, int index) {
   return event;
 }
 
+/// push_merge's input for one source holding `events`.
+std::vector<telemetry::TraceLines> one_source(
+    const std::vector<telemetry::TraceEvent>& events) {
+  std::vector<telemetry::TraceLines> sources(1);
+  for (const telemetry::TraceEvent& event : events) {
+    sources.front().append(event);
+  }
+  return sources;
+}
+
 // ---------------------------------------------------------------------------
 // Sink unit tests: ordering, backpressure, watermark merge, footer.
 // ---------------------------------------------------------------------------
 
 TEST(StreamingSink, WritesInOrderUnderBackpressureAndAppendsFooter) {
+  // The sink writes into a FIFO whose reader drains nothing until the
+  // producer has stalled, so the writer thread blocks on a full pipe and
+  // the 2-line queue must fill: the stall is certain, not a race.
   ScratchDir scratch;
-  const fs::path path = scratch / "unit.jsonl";
+  const fs::path path = scratch / "unit.fifo";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  // Open the read end first, non-blocking so it needs no writer yet; the
+  // sink's open for writing then returns at once.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
   telemetry::StreamSinkConfig config;
   config.path = path;
   config.queue_capacity = 2;
 
   std::string expected = telemetry::trace_header_json() + "\n";
+  std::string drained;
   {
     telemetry::StreamingTraceSink sink(config);
+#ifdef F_SETPIPE_SZ
+    // The smallest pipe buffer: a few dozen lines fill it.
+    (void)::fcntl(fd, F_SETPIPE_SZ, 4096);
+#endif
+    ASSERT_EQ(::fcntl(fd, F_SETFL, 0), 0);  // blocking reads from here on
+    std::thread reader([&sink, &drained, fd] {
+      // The deadline only bounds a sink that never waits: it then fails
+      // the stall check below instead of hanging.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (sink.stalls() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      char buffer[4096];
+      for (;;) {
+        const ssize_t n = ::read(fd, buffer, sizeof buffer);
+        if (n > 0) {
+          drained.append(buffer, static_cast<std::size_t>(n));
+        } else if (n == 0 || errno != EINTR) {
+          break;  // end of file: the sink closed its end
+        }
+      }
+    });
     std::vector<telemetry::TraceEvent> batch;
     for (int i = 0; i < 2000; ++i) {
       telemetry::TraceEvent event = make_event(static_cast<double>(i), 0, i);
@@ -76,9 +125,11 @@ TEST(StreamingSink, WritesInOrderUnderBackpressureAndAppendsFooter) {
     EXPECT_GE(sink.stalls(), 1u);
     EXPECT_LE(sink.peak_queue_depth(), config.queue_capacity);
     sink.close();
+    reader.join();
   }
+  ::close(fd);
   expected += telemetry::make_truncation_footer(1999.0, 3).to_json() + "\n";
-  EXPECT_EQ(read_file(path), expected);
+  EXPECT_EQ(drained, expected);
 }
 
 /// The sink's order, spelled out independently of stream_sink.cpp: sim
@@ -116,9 +167,10 @@ TEST(StreamingSink, PushMergeReproducesTheBufferedSortAtWatermarks) {
     telemetry::StreamSinkConfig config;
     config.path = path;
     telemetry::StreamingTraceSink sink(config);
-    sink.push_merge(std::move(epoch0), 10.0);
-    sink.push_merge(std::move(epoch1),
-                    std::numeric_limits<double>::infinity());
+    std::vector<telemetry::TraceLines> sources = one_source(epoch0);
+    sink.push_merge(sources, 10.0);
+    sources = one_source(epoch1);
+    sink.push_merge(sources, std::numeric_limits<double>::infinity());
     sink.close();
   }
   EXPECT_EQ(read_file(path), expected);
@@ -161,11 +213,13 @@ TEST(StreamingSink, PushMergeMatchesStableSortOfRandomBatches) {
     const fs::path path = scratch / ("merge-" + std::to_string(seed));
     {
       telemetry::StreamingTraceSink sink({path});
+      std::vector<telemetry::TraceLines> sources;
       for (int e = 0; e < epochs; ++e) {
-        sink.push_merge(std::move(batches[static_cast<std::size_t>(e)]),
-                        (e + 1) * kEpoch);
+        sources = one_source(batches[static_cast<std::size_t>(e)]);
+        sink.push_merge(sources, (e + 1) * kEpoch);
       }
-      sink.push_merge({}, std::numeric_limits<double>::infinity());
+      sources.clear();
+      sink.push_merge(sources, std::numeric_limits<double>::infinity());
       sink.close();
       EXPECT_EQ(sink.events_written(), all.size());
     }
