@@ -176,7 +176,8 @@ CrashFuzzReport run_crash_fuzzer(const CrashFuzzOptions& options) {
     throw std::runtime_error("crash fuzzer: binary not found: " +
                              options.binary);
   }
-  std::filesystem::create_directories(options.work_dir);
+  const bool made_work_dir =
+      std::filesystem::create_directories(options.work_dir);
 
   CrashFuzzReport report;
   for (int run = 0; run < options.runs; ++run) {
@@ -271,6 +272,11 @@ CrashFuzzReport run_crash_fuzzer(const CrashFuzzOptions& options) {
                    << std::flush;
     }
     std::filesystem::remove_all(run_dir);  // keep failures, drop clean runs
+  }
+  // A clean run leaves no trace of a work directory it made.
+  std::error_code ec;
+  if (made_work_dir && std::filesystem::is_empty(options.work_dir, ec)) {
+    std::filesystem::remove(options.work_dir, ec);
   }
   return report;
 }

@@ -36,7 +36,8 @@ struct CrashFuzzOptions {
   /// Path to the greenhetero CLI binary to drive (the fuzzer execs it).
   std::string binary;
   /// Scratch directory for per-run outputs, checkpoints and child logs;
-  /// created if missing.
+  /// created if missing, and removed again if the fuzzer made it and every
+  /// run was clean (only failed runs keep their outputs).
   std::filesystem::path work_dir;
   std::uint64_t seed = 1;
   int runs = 5;

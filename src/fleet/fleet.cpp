@@ -96,12 +96,17 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   config_.telemetry.rack_id = -1;  // coordinator events
   telemetry_ = std::make_unique<Telemetry>(config_.telemetry);
   // The merged sink reads every rack's events; without it only a flight
-  // recorder does (each rack derived that from its own config).
+  // recorder does (each rack derived that from its own config).  Span wall
+  // times are read through the fleet's own metrics file and checkpoints, so
+  // every rack takes its flag from the fleet's run knobs.
   const bool streamed = config_.trace_stream.has_value();
   telemetry_->set_traced(streamed || !config_.telemetry.flightrec_dir.empty());
+  telemetry_->set_timed(config_.keeps_wall_times(config_.telemetry));
   for (std::size_t i = 0; i < racks_.size(); ++i) {
-    racks_[i].telemetry().set_rack_id(static_cast<int>(i));
-    if (streamed) racks_[i].telemetry().set_traced(true);
+    Telemetry& rack = racks_[i].telemetry();
+    rack.set_rack_id(static_cast<int>(i));
+    if (streamed) rack.set_traced(true);
+    rack.set_timed(config_.keeps_wall_times(rack.config()));
   }
   driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
   records_.resize(racks_.size());

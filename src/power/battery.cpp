@@ -145,6 +145,12 @@ Watts Battery::bisect_max_discharge(Minutes dt) const {
   if (fits(hi)) {
     return Watts{hi};
   }
+  // Stored exactly at the floor (discharge() clamps there): when not even
+  // the loop's smallest midpoint hi * 2^-48 fits, no midpoint does and the
+  // loop below would return +0.0 after 48 steps.
+  if (available.value() == 0.0 && !fits(std::ldexp(hi, -48))) {
+    return Watts{0.0};
+  }
   // Certified bracket: fits(a) holds and fits(b) fails, so by monotonicity
   // every midpoint <= a fits and every midpoint >= b does not.  The
   // bisection below takes the same 48 steps as an uncertified one and

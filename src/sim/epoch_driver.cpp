@@ -20,6 +20,12 @@ std::string_view RunConfig::invalid_reason() const {
   return {};
 }
 
+bool RunConfig::keeps_wall_times(
+    const telemetry::TelemetryConfig& telemetry) const {
+  return telemetry.profile || telemetry.spans || !metrics_out.empty() ||
+         !checkpoint_dir.empty();
+}
+
 EpochDriver::EpochDriver(PayloadKind kind, const RunConfig& config,
                          Telemetry& telemetry)
     : kind_(kind), telemetry_(&telemetry) {

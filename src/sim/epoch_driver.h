@@ -61,6 +61,14 @@ struct RunConfig {
   /// The first rule these knobs break, or empty when valid; the owning
   /// config's validate() prefixes it and throws its own error type.
   [[nodiscard]] std::string_view invalid_reason() const;
+
+  /// Whether a context configured by `telemetry` in this run keeps span
+  /// wall times (Telemetry::timed): it has the profiler or span records,
+  /// or the run writes a metrics file or checkpoints (the registry, span
+  /// histograms included, is checkpointed).  RackSimulator and Fleet set
+  /// every context's flag from it.
+  [[nodiscard]] bool keeps_wall_times(
+      const telemetry::TelemetryConfig& telemetry) const;
 };
 
 /// What a runner supplies to its EpochDriver.  RackSimulator and Fleet

@@ -136,9 +136,10 @@ RackSimulator::RackSimulator(Rack rack, RackPowerPlant plant, SimConfig config)
   }
   driver_ = EpochDriver{PayloadKind::kRack, config_, *telemetry_};
   // Events are read only by the streaming sink and the flight recorder; a
-  // run with neither builds none.
+  // run with neither builds none.  Span wall times likewise.
   telemetry_->set_traced(config_.trace_stream ||
                          !config_.telemetry.flightrec_dir.empty());
+  telemetry_->set_timed(config_.keeps_wall_times(config_.telemetry));
   if (config_.rapl_enforcement) {
     if (config_.controller.policy == PolicyKind::kGreenHeteroS) {
       // The feedback caps act per group; they cannot express waking only a

@@ -1,8 +1,6 @@
 #include "telemetry/profiler.h"
 
-#include <cstdlib>
 #include <ctime>
-#include <new>
 #include <string_view>
 
 #include "telemetry/metrics.h"
@@ -12,11 +10,6 @@
 namespace greenhetero::telemetry {
 
 namespace {
-
-// Constant-initialised (no TLS guard) so the allocation hooks below may
-// touch them at any point, including during static initialisation.
-thread_local std::uint64_t g_alloc_bytes = 0;
-thread_local std::uint64_t g_alloc_count = 0;
 
 std::int64_t thread_cpu_now_ns() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
@@ -37,10 +30,6 @@ void append_i64(std::string& out, std::int64_t v) {
 }
 
 }  // namespace
-
-ThreadAllocCounters thread_alloc_counters() {
-  return ThreadAllocCounters{g_alloc_bytes, g_alloc_count};
-}
 
 Profiler::Profiler(bool enabled) : enabled_(enabled) { clear(); }
 
@@ -199,111 +188,3 @@ void save_profile_json(const ProfileReport& report,
 }
 
 }  // namespace greenhetero::telemetry
-
-#if GH_TELEMETRY_ENABLED
-
-// Global allocation instrumentation backing the profiler's byte/count
-// attribution.  The replacements are malloc/free-backed (every delete form
-// frees what every new form allocated, so sanitizers stay coherent) and
-// unconditionally bump the thread-local tally — two relaxed increments,
-// cheap enough to leave on whenever telemetry is compiled in.  Compiled
-// only here, so a -DGH_TELEMETRY=OFF build keeps the toolchain's stock
-// operator new.
-
-namespace {
-
-void* gh_counted_alloc(std::size_t size) noexcept {
-  greenhetero::telemetry::g_alloc_bytes += size;
-  ++greenhetero::telemetry::g_alloc_count;
-  return std::malloc(size != 0 ? size : 1);
-}
-
-void* gh_counted_alloc_aligned(std::size_t size, std::size_t align) noexcept {
-  greenhetero::telemetry::g_alloc_bytes += size;
-  ++greenhetero::telemetry::g_alloc_count;
-  // posix_memalign wants a power-of-two multiple of sizeof(void*);
-  // operator new alignments are powers of two, so only the floor needs
-  // raising.
-  if (align < sizeof(void*)) align = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, size != 0 ? size : 1) != 0) return nullptr;
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = gh_counted_alloc(size);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  void* p = gh_counted_alloc(size);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return gh_counted_alloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return gh_counted_alloc(size);
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  void* p = gh_counted_alloc_aligned(size, static_cast<std::size_t>(align));
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  void* p = gh_counted_alloc_aligned(size, static_cast<std::size_t>(align));
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  return gh_counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
-  return gh_counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-// Kept out of line: inlined into a caller's node teardown, this free()
-// would meet the replaced operator new there, and GCC 12 reports the pair
-// as -Wmismatched-new-delete.
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-#endif  // GH_TELEMETRY_ENABLED

@@ -164,7 +164,7 @@ void Telemetry::close_span() {
 
 #if GH_TELEMETRY_ENABLED
 
-ScopedSpan::ScopedSpan(SpanTag tag) : sink_(current()) {
+ScopedSpan::ScopedSpan(SpanTag tag) : sink_(timer()) {
   if (sink_ != nullptr) sink_->open_span(tag);
 }
 

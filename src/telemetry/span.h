@@ -8,13 +8,15 @@
 // The tag is a catalog::kSpanTags entry (metrics.h), resolved at compile
 // time: a misspelt tag does not compile.  Each Telemetry context keeps one
 // stack of open spans (Telemetry::open_span / close_span); a ScopedSpan
-// holds only the context it opened on.  Opening a span pushes one frame
-// (tag, wall and sim start, profile node, allocation baselines) and reads
-// the steady clock last; closing reads it first, hands that wall duration
-// to up to three consumers and pops the frame:
+// holds only the context it opened on, and opens nothing when the ambient
+// context is not timed (Telemetry::timed: no consumer below would be read,
+// so the span reads no clock at all).  Opening a span pushes one frame (tag,
+// wall and sim start, profile node, allocation baselines) and reads the
+// steady clock last; closing reads it first, hands that wall duration to up
+// to three consumers and pops the frame:
 //
-//   - the latency histogram gh_span_ns{span=tag}, whenever a telemetry
-//     scope is installed (one slot load plus the observation);
+//   - the latency histogram gh_span_ns{span=tag}, on every timed span
+//     (one slot load plus the observation);
 //   - a SpanRecord and a mirrored "span" trace event, when
 //     TelemetryConfig::spans is on.  A record carries both clocks
 //     (simulation minutes and wall nanoseconds) plus its nesting depth (the
@@ -115,7 +117,7 @@ namespace greenhetero::telemetry {
 class Telemetry;  // defined in telemetry/telemetry.h
 
 /// RAII span tied to the ambient Telemetry's open-span stack; inert when
-/// there is no ambient context.
+/// there is no ambient context or it is not timed (telemetry::timer()).
 class ScopedSpan {
  public:
   explicit ScopedSpan(SpanTag tag);

@@ -84,6 +84,11 @@ Telemetry* tracer() {
   return t != nullptr && t->traced() ? t : nullptr;
 }
 
+Telemetry* timer() {
+  Telemetry* t = g_current;
+  return t != nullptr && t->timed() ? t : nullptr;
+}
+
 TelemetryScope::TelemetryScope(Telemetry* telemetry) : previous_(g_current) {
   g_current = telemetry;
 }

@@ -12,7 +12,8 @@
 // Timestamps are *simulation* minutes: the owner calls set_now() as the sim
 // clock advances and emit() stamps events with it.  Wall time never enters
 // the trace (goldens stay byte-stable); wall time only lands in the
-// gh_span_ns latency histogram via the GH_SPAN spans (span.h).
+// gh_span_ns latency histogram via the GH_SPAN spans (span.h), and only in a
+// context whose wall times have a reader (Telemetry::timed).
 #pragma once
 
 #include <cstdint>
@@ -45,18 +46,19 @@ struct TelemetryConfig {
   /// traces change only when the feature is requested.
   bool loss_ledger = false;
   /// Opt-in: keep every GH_SPAN as a span record, mirrored into the trace
-  /// as a "span" event and exportable as a Chrome trace_event file (the
-  /// gh_span_ns histogram is fed either way).  Off by default: span events
-  /// carry wall nanoseconds, which would break the byte-determinism of
-  /// golden traces.
+  /// as a "span" event and exportable as a Chrome trace_event file.  A run
+  /// with span records is timed (Telemetry::timed), so its gh_span_ns
+  /// histogram is fed too.  Off by default: span events carry wall
+  /// nanoseconds, which would break the byte-determinism of golden traces.
   bool spans = false;
   /// Completed spans kept per context (~9 spans/epoch).
   std::size_t span_capacity = std::size_t{1} << 16;
   /// Opt-in: the in-process profiler (profiler.h).  Every GH_SPAN scope
   /// then attributes wall ns and allocation bytes/counts to its phase path,
   /// and root spans thread-CPU ns.  Independent of `spans` (profiling
-  /// needs no span records); off by default — the *_ns outputs are
-  /// wall-clock and sit outside byte-identity guarantees, like span events.
+  /// needs no span records), and like it makes the run timed
+  /// (Telemetry::timed); off by default — the *_ns outputs are wall-clock
+  /// and sit outside byte-identity guarantees, like span events.
   bool profile = false;
   /// Opt-in: fixed-window rollup aggregation in minutes (0 disables).
   /// Each closed window lands as a "rollup" trace event and is retained
@@ -124,6 +126,15 @@ class Telemetry {
   [[nodiscard]] bool traced() const { return traced_; }
   void set_traced(bool traced) { traced_ = traced; }
 
+  /// Whether span wall times have a reader: the profiler, span records, a
+  /// metrics file or a checkpoint (RunConfig::keeps_wall_times).  A bare
+  /// context is timed; RackSimulator and Fleet set it beside traced().  A
+  /// GH_SPAN on an untimed context (via timer()) reads no clock, pushes no
+  /// frame and feeds no gh_span_ns series.  Set it only while no span is
+  /// open.
+  [[nodiscard]] bool timed() const { return timed_; }
+  void set_timed(bool timed) { timed_ = timed; }
+
   /// Append a trace event stamped with now() and rack_id() (mirrored into
   /// the flight-recorder ring when that feature is on); dropped when the
   /// context is not traced().
@@ -155,6 +166,7 @@ class Telemetry {
   Profiler profiler_;
   Minutes now_{0.0};
   bool traced_ = true;
+  bool timed_ = true;
 
   /// One open GH_SPAN: everything its close hands the three consumers.
   struct OpenSpan {
@@ -178,6 +190,10 @@ class Telemetry {
 /// The ambient context when its events have a reader (Telemetry::traced),
 /// else nullptr — the guard every emit site uses before building an event.
 [[nodiscard]] Telemetry* tracer();
+
+/// The ambient context when its span wall times have a reader
+/// (Telemetry::timed), else nullptr — the guard ScopedSpan opens on.
+[[nodiscard]] Telemetry* timer();
 
 /// RAII installer for the ambient context.  Nestable; installing nullptr
 /// masks any outer context (callees see telemetry disabled).

@@ -1,6 +1,6 @@
 # Byte-identity and argument checks through the real `greenhetero` binary.
 #
-#   cmake -DCLI=<greenhetero> -DCASE=simulate|fleet|reject|accept
+#   cmake -DCLI=<greenhetero> -DCASE=simulate|fleet|reject|accept|crash_clean
 #         -DWORK_DIR=<dir> [-DGOLDEN=<trace_cli_sim.jsonl>]
 #         -P cli_byte_identity.cmake
 #
@@ -19,6 +19,8 @@
 #           --resume directory starts fresh.
 # bench_reject: with CLI=bench_datacenter_study, a negative thread count,
 #           zero racks and an unknown flag each exit 2 naming the flag.
+# crash_clean: a clean one-run `fuzz --crash` leaves its working directory
+#           empty (no crash-fuzz/ work directory behind).
 
 function(run_cli)
   execute_process(COMMAND ${CLI} ${ARGN} RESULT_VARIABLE code
@@ -178,6 +180,19 @@ elseif(CASE STREQUAL "accept")
   # first checkpoint.
   file(MAKE_DIRECTORY ${WORK_DIR}/empty-ckpt)
   run_cli(simulate --days 1 --resume ${WORK_DIR}/empty-ckpt)
+elseif(CASE STREQUAL "crash_clean")
+  file(REMOVE_RECURSE ${WORK_DIR})
+  file(MAKE_DIRECTORY ${WORK_DIR})
+  execute_process(COMMAND ${CLI} fuzz --crash --seed 1 --runs 1
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "fuzz --crash exited ${code}: ${out}${err}")
+  endif()
+  file(GLOB left LIST_DIRECTORIES true ${WORK_DIR}/*)
+  if(left)
+    message(FATAL_ERROR "fuzz --crash left ${left}")
+  endif()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

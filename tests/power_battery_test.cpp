@@ -437,5 +437,33 @@ TEST(BatteryMemo, MaxDischargeMatchesBisectionBitwise) {
   EXPECT_GT(audit.energy_limited, audit.compared / 10);
 }
 
+TEST(BatteryMemo, AtTheFloorReturnsPositiveZeroLikeTheBisection) {
+  // A pack stored exactly at its floor answers +0.0 without bisecting; the
+  // answer must be the reference's, sign bit included, on every chemistry
+  // and a small lead-acid pack, at dts from 1e-6 min to a whole day.
+  const BatterySpec specs[] = {paper_spec(), lead_acid_spec(WattHours{12000.0}),
+                               li_ion_spec(WattHours{12000.0}),
+                               lead_acid_spec(WattHours{3000.0})};
+  MemoAudit audit;
+  for (const BatterySpec& spec : specs) {
+    checkpoint::Writer w;
+    w.f64(spec.floor_energy().value());
+    w.f64(0.0);  // fault derate
+    w.f64(0.0);  // discharged
+    w.f64(0.0);  // charged input
+    Battery b{spec};
+    checkpoint::Reader r{w.buffer()};
+    checkpoint::load(r, b);
+    ASSERT_TRUE(b.at_floor());
+    for (double dt = 1e-6; dt <= 1440.0; dt *= 1.5) {
+      audit.expect_matches(b, Minutes{dt});
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_TRUE(same_bits(b.max_discharge(Minutes{dt}), Watts{0.0}));
+    }
+    audit.expect_matches(b, Minutes{1440.0});
+  }
+  EXPECT_EQ(audit.energy_limited, audit.compared);
+}
+
 }  // namespace
 }  // namespace greenhetero

@@ -2,7 +2,8 @@
 // export shape, and the ScopedSpan/GH_SPAN RAII path through the ambient
 // Telemetry's open-span stack (record depth = stack depth, record +
 // mirrored "span" trace event when enabled, only the gh_span_ns histogram
-// when span records are off, fully inert when no scope exists).
+// when span records are off, fully inert when no scope exists or the
+// context is not timed).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -131,11 +132,29 @@ TEST(ScopedSpan, InertWithoutScopeOrWhenDisabled) {
   }
   EXPECT_TRUE(telemetry.spans().records().empty());
   EXPECT_TRUE(telemetry.trace().events().empty());
-  // The latency histogram is fed whenever a scope is installed.
+  // A bare context is timed: its latency histogram is fed.
   const auto snapshot = telemetry.metrics().snapshot();
   const auto* histogram = snapshot.find("gh_span_ns", {{"span", "plan"}});
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->count, 1u);
+}
+
+TEST(ScopedSpan, UntimedContextFeedsNothing) {
+  TelemetryConfig cfg;
+  cfg.spans = true;
+  cfg.profile = true;
+  Telemetry telemetry{cfg};
+  telemetry.set_timed(false);
+  {
+    TelemetryScope scope{&telemetry};
+    GH_SPAN("epoch");
+    { GH_SPAN("plan"); }
+  }
+  EXPECT_EQ(timer(), nullptr);
+  EXPECT_TRUE(telemetry.spans().records().empty());
+  EXPECT_TRUE(telemetry.trace().events().empty());
+  EXPECT_TRUE(telemetry.profiler().report().empty());
+  EXPECT_TRUE(telemetry.metrics().snapshot().entries.empty());
 }
 
 TEST(ScopedSpan, OverflowBumpsDroppedCounter) {
