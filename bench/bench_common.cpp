@@ -838,7 +838,7 @@ BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
 
 void BenchReport::set(const std::string& key, double value) {
-  fields_.emplace_back(key, telemetry::TraceValue{value});
+  fields_.emplace_back(key, value);
 }
 
 std::string BenchReport::path() const {
@@ -855,7 +855,7 @@ void BenchReport::write() const {
     json += ',';
     telemetry::append_json_escaped(json, key);
     json += ':';
-    value.append_json(json);
+    telemetry::append_number(json, value);
   }
   json += ",\"wall_seconds\":";
   json += telemetry::format_number(wall);

@@ -115,7 +115,7 @@ class BenchReport {
 
  private:
   std::string name_;
-  std::vector<std::pair<std::string, telemetry::TraceValue>> fields_;
+  std::vector<std::pair<std::string, double>> fields_;
   std::chrono::steady_clock::time_point start_;
 };
 

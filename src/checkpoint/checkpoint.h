@@ -33,8 +33,10 @@ namespace greenhetero::checkpoint {
 
 /// Bump on any serialized-layout change; old snapshots are refused.
 /// v7: the streaming sink's pending tail holds encoded lines (t, rack,
-/// line bytes), not trace events.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// line bytes), not trace events.  v8: so do the trace ring and the flight
+/// recorder (TraceLines::fields), and the ring no longer stores its byte
+/// estimate.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// A validated snapshot read back from disk.
 struct Snapshot {

@@ -137,12 +137,6 @@ std::int64_t Reader::in_range(std::int64_t v, std::int64_t lo,
   return v;
 }
 
-void Reader::throw_above_capacity(std::string_view what, std::size_t n,
-                                  std::size_t max) {
-  throw CheckpointError(std::string(what) + " " + std::to_string(n) +
-                        " exceeds the capacity " + std::to_string(max));
-}
-
 void Reader::cursor(std::size_t& v, std::size_t bound, std::string_view what) {
   const std::uint64_t stored = u64();
   if (stored > bound) {

@@ -24,7 +24,7 @@
 // same verbs: a Writer verb appends its argument, the Reader verb of the
 // same name overwrites it, so the two directions cannot drift apart.  A
 // checksum-valid snapshot can still carry values no run produces; the
-// checked verbs (enum_*, i64_in, cursor, fixed_count, bounded objects) refuse
+// checked verbs (enum_*, i64_in, cursor, fixed_count) refuse
 // those on load with a CheckpointError naming the field, on the same line
 // that reads it.  A field list defined in a .cpp is compiled for both
 // directions there with GH_CHECKPOINT_FIELDS.
@@ -84,11 +84,6 @@ class Writer {
   template <typename Seq>
   void objects(const Seq& v) {
     seq(v, [this](const auto& e) { object(e); });
-  }
-  /// objects() whose length the Reader bounds by `max`.
-  template <typename Seq>
-  void objects(const Seq& v, std::size_t /*max*/, std::string_view) {
-    objects(v);
   }
   /// A map as a length prefix, then entry(key, value) per entry.
   template <typename Map, typename Fn>
@@ -180,14 +175,6 @@ class Reader {
   void objects(Seq& v) {
     seq(v, [this](auto& e) { object(e); });
   }
-  /// objects() refusing more than `max` elements: a restored ring must not
-  /// start out above its capacity.
-  template <typename Seq>
-  void objects(Seq& v, std::size_t max, std::string_view what) {
-    const std::size_t n = seq();
-    if (n > max) throw_above_capacity(what, n, max);
-    fill(v, n, [this](auto& e) { object(e); });
-  }
   /// Duplicate keys keep the first entry.
   template <typename Map, typename Fn>
   void map(Map& m, Fn&& entry) {
@@ -252,9 +239,6 @@ class Reader {
   /// [lo, hi]".
   static std::int64_t in_range(std::int64_t v, std::int64_t lo,
                                std::int64_t hi, std::string_view what);
-  [[noreturn]] static void throw_above_capacity(std::string_view what,
-                                                std::size_t n,
-                                                std::size_t max);
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -110,7 +110,6 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   }
   driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
   records_.resize(racks_.size());
-  trace_lines_.resize(racks_.size() + 1);
   rack_label_order_.resize(racks_.size());
   for (std::size_t i = 0; i < racks_.size(); ++i) rack_label_order_[i] = i;
   std::sort(rack_label_order_.begin(), rack_label_order_.end(),
@@ -204,13 +203,8 @@ std::size_t Fleet::advance_epoch(std::size_t e) {
   // shard steps its own racks behind its local barrier.  Which pool a
   // rack lands on never changes its arithmetic, so the records are
   // byte-identical at any --threads/--shards combination.
-  // A streamed fleet also drains and encodes each rack's events on the
-  // thread that stepped it (trace_lines_[i + 1]); push_trace merges them.
-  const std::span<tel::TraceLines> lines =
-      driver_.stream() != nullptr ? std::span(trace_lines_).subspan(1)
-                                  : std::span<tel::TraceLines>{};
   shard_pool_->parallel_for(shards_.size(), [&](std::size_t s) {
-    shards_[s].step(racks_, shares_, records_, lines);
+    shards_[s].step(racks_, shares_, records_);
   });
   history_.append_epoch(records_);
   peak_grid_allocation_ = max(peak_grid_allocation_, allocated);
@@ -357,9 +351,11 @@ void Fleet::write_rollup_jsonl(std::ostream& out) const {
     }
     return a.rack < b.rack;
   });
+  std::string lines;
   for (const Row& row : rows) {
-    out << tel::make_rollup_event(*row.window, row.rack).to_json() << '\n';
+    tel::append_rollup_line(lines, *row.window, row.rack);
   }
+  out << lines;
 }
 
 void Fleet::save_rollup_jsonl(const std::filesystem::path& path) const {
@@ -421,24 +417,23 @@ std::uint64_t Fleet::trace_dropped() const {
 }
 
 void Fleet::push_trace(tel::StreamingTraceSink* sink, bool final) {
-  // No pool thread is running, so the rings and line buffers are quiescent.
-  const auto drain_into = [sink](tel::TraceRing& ring, tel::TraceLines& out) {
-    for (const tel::TraceEvent& event : ring.drain()) {
-      if (sink != nullptr) out.append(event);
-    }
-  };
-  drain_into(telemetry_->trace(), trace_lines_[0]);
-  for (std::size_t i = 0; i < racks_.size(); ++i) {
-    drain_into(racks_[i].telemetry().trace(), trace_lines_[i + 1]);
+  // No pool thread is running, so the rings are quiescent.
+  if (sink == nullptr) {
+    telemetry_->trace().lines().clear();
+    for (RackSimulator& rack : racks_) rack.telemetry().trace().lines().clear();
+    return;
   }
-  if (sink != nullptr) {
-    // At an epoch barrier every event of the finished epoch is stamped
-    // before the next epoch's start, so the merge can flush up to that
-    // watermark; the final drain flushes the tail past every timestamp.
-    sink->push_merge(trace_lines_,
-                     final ? std::numeric_limits<double>::infinity()
-                           : racks_.front().now().value());
+  std::vector<tel::TraceLines*> rings;
+  rings.reserve(racks_.size() + 1);
+  rings.push_back(&telemetry_->trace().lines());
+  for (RackSimulator& rack : racks_) {
+    rings.push_back(&rack.telemetry().trace().lines());
   }
+  // At an epoch barrier every event of the finished epoch is stamped before
+  // the next epoch's start, so the merge can flush up to that watermark;
+  // the final hand-off flushes the tail past every timestamp.
+  sink->push_merge(rings, final ? std::numeric_limits<double>::infinity()
+                                : racks_.front().now().value());
 }
 
 }  // namespace greenhetero

@@ -222,11 +222,9 @@ class Fleet final : private EpochClient {
   }
   void restart_history() override;
   [[nodiscard]] std::uint64_t trace_dropped() const override;
-  /// Hand the sink every source's encoded lines (coordinator first, then
-  /// racks 0..N-1) for its watermark merge, which orders the merged trace
-  /// by (sim time, rack id).  The shards encoded each rack's epoch while
-  /// stepping it; whatever a ring gained since (the coordinator's events,
-  /// the final rollup flush) is encoded here, after it.
+  /// Hand the sink every trace ring's lines (coordinator first, then racks
+  /// 0..N-1) for its watermark merge, which orders the merged trace by
+  /// (sim time, rack id); without a sink, empty the rings.
   void push_trace(telemetry::StreamingTraceSink* sink, bool final) override;
   void flush_rollup() override;
   /// Two-level fan-out over the shards' pools: fn(i) for every rack i on
@@ -253,10 +251,6 @@ class Fleet final : private EpochClient {
   /// in shares_[i], so pool threads never touch a shared structure.
   std::vector<EpochRecord> records_;
   std::vector<Watts> shares_;
-  /// Encoded trace lines per source, filled between barriers and emptied
-  /// by push_trace: [0] the coordinator, [i + 1] rack i (written only by
-  /// the pool thread stepping rack i).
-  std::vector<telemetry::TraceLines> trace_lines_;
   /// Rack indices in the order of their "rack" label strings ("0", "1",
   /// "10", ...): the order metrics_snapshot lists one series' racks in.
   std::vector<std::size_t> rack_label_order_;

@@ -25,16 +25,11 @@ void Shard::fill_deficits(std::span<const RackSimulator> fleet_racks,
 }
 
 void Shard::step(std::span<RackSimulator> fleet_racks,
-                 std::span<const Watts> shares, std::span<EpochRecord> records,
-                 std::span<telemetry::TraceLines> lines) {
+                 std::span<const Watts> shares,
+                 std::span<EpochRecord> records) {
   run(first_, first_ + count_, [&](std::size_t i) {
     fleet_racks[i].set_grid_budget(shares[i]);
     records[i] = fleet_racks[i].step_epoch();
-    if (lines.empty()) return;
-    for (const telemetry::TraceEvent& event :
-         fleet_racks[i].telemetry().trace().drain()) {
-      lines[i].append(event);
-    }
   });
 }
 

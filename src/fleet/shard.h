@@ -51,13 +51,11 @@ class Shard {
                      Minutes epoch, std::span<double> deficits) const;
 
   /// Assign each member rack its share and step it one epoch; rack i's
-  /// record lands in records[i].  When `lines` is non-empty (the fleet
-  /// streams its trace), rack i's ring is then drained and encoded into
-  /// lines[i] on the same pool thread.  Local barrier: returns only after
+  /// record lands in records[i] (and its events, encoded as they are
+  /// emitted, in its own trace ring).  Local barrier: returns only after
   /// every member rack finished.
   void step(std::span<RackSimulator> fleet_racks,
-            std::span<const Watts> shares, std::span<EpochRecord> records,
-            std::span<telemetry::TraceLines> lines);
+            std::span<const Watts> shares, std::span<EpochRecord> records);
 
   /// Run fn(i) for every i in [begin, end) on this shard's pool; returns
   /// after every call finished.

@@ -1,6 +1,7 @@
 #include "sim/rack_simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "telemetry/span.h"
@@ -432,13 +433,15 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
       m.gauge("gh_loss_w", b).set(epoch.bucket(b));
     }
     if (t->traced()) {
-      tel::TraceFields fields{{"supply_w", epoch.supply_w},
-                              {"useful_w", epoch.useful_w},
-                              {"epu", epoch.epu()}};
+      std::array<tel::TraceField, 3 + tel::kLossBucketCount> fields{
+          {{"supply_w", epoch.supply_w},
+           {"useful_w", epoch.useful_w},
+           {"epu", epoch.epu()}}};
       for (tel::LossBucket b : tel::all_loss_buckets()) {
-        fields.emplace_back(tel::watts_key(b), epoch.bucket(b));
+        fields[3 + static_cast<std::size_t>(b)] = {tel::watts_key(b),
+                                                   epoch.bucket(b)};
       }
-      t->emit("loss_ledger", std::move(fields));
+      t->emit("loss_ledger", fields);
     }
   }
   if (t->rollup().enabled()) {
@@ -451,11 +454,14 @@ void RackSimulator::record_epoch_telemetry(const EpochRecord& record) {
     sample.loss = loss_epoch ? &*loss_epoch : nullptr;
     if (auto window = t->rollup().observe_epoch(sample)) {
       m.counter("gh_rollup_windows_total").increment();
-      if (t->traced()) t->emit("rollup", window->to_trace_fields());
+      if (t->traced()) {
+        tel::RollupWindow::Fields fields;
+        t->emit("rollup", window->trace_fields(fields));
+      }
     }
   }
-  // Last so it counts this epoch's own events; what a streaming drain (or
-  // the ring bound) is holding right now.
+  // Last so it counts this epoch's own lines; what the barrier's hand-off
+  // (or the ring bound) is holding right now.
   m.gauge("gh_trace_buffer_bytes")
       .set(static_cast<double>(t->trace().approx_bytes()));
 }
@@ -466,8 +472,12 @@ void RackSimulator::set_grid_budget(Watts budget) {
 
 void RackSimulator::push_trace(tel::StreamingTraceSink* sink,
                                bool /*final*/) {
-  std::vector<tel::TraceEvent> events = telemetry_->trace().drain();
-  if (sink != nullptr) sink->push(std::move(events));
+  tel::TraceLines& lines = telemetry_->trace().lines();
+  if (sink != nullptr) {
+    sink->push(lines);
+  } else {
+    lines.clear();
+  }
 }
 
 void RackSimulator::flush_rollup() {
@@ -480,7 +490,8 @@ void RackSimulator::flush_rollup() {
     telemetry_->set_now(end);
     telemetry_->metrics().counter("gh_rollup_windows_total").increment();
     if (telemetry_->traced()) {
-      telemetry_->emit("rollup", window->to_trace_fields());
+      tel::RollupWindow::Fields fields;
+      telemetry_->emit("rollup", window->trace_fields(fields));
     }
   }
 }
@@ -492,21 +503,16 @@ std::filesystem::path RackSimulator::dump_flight_record(
   const double now = clock_.now().value();
   // Render the fault plan as context rows — the post-mortem's first
   // question is "which injected faults were in flight?".
-  std::vector<tel::TraceEvent> rows;
-  rows.reserve(config_.faults.events().size());
+  tel::TraceLines rows;
   for (const FaultEvent& event : config_.faults.events()) {
-    tel::TraceEvent row;
-    row.sim_minutes = now;
-    row.rack_id = telemetry_->rack_id();
-    row.phase = "fault_plan_row";
-    row.payload = {{"at_min", event.at.value()},
-                  {"kind", to_string(event.kind)},
-                  {"duration_min", event.duration.value()},
-                  {"target", event.target},
-                  {"value", event.value},
-                  {"state", event.at.value() <= now + 1e-9 ? "delivered"
-                                                           : "pending"}};
-    rows.push_back(std::move(row));
+    const tel::TraceField fields[] = {
+        {"at_min", event.at.value()},
+        {"kind", to_string(event.kind)},
+        {"duration_min", event.duration.value()},
+        {"target", event.target},
+        {"value", event.value},
+        {"state", event.at.value() <= now + 1e-9 ? "delivered" : "pending"}};
+    rows.append(now, telemetry_->rack_id(), "fault_plan_row", fields);
   }
   telemetry_->metrics().counter("gh_flightrec_dumps_total").increment();
   return recorder.dump(reason, telemetry_->rack_id(), now,

@@ -33,16 +33,17 @@ FlightRecorder::FlightRecorder(std::size_t capacity,
   }
 }
 
-void FlightRecorder::record(const TraceEvent& event) {
+void FlightRecorder::record(const TraceLines& from,
+                            const TraceLines::Line& line) {
   if (!enabled()) return;
-  if (ring_.size() == capacity_) ring_.pop_front();
-  ring_.push_back(event);
+  if (lines_.size() == capacity_) lines_.pop_front();
+  lines_.append(from, line);
 }
 
-std::filesystem::path FlightRecorder::dump(
-    std::string_view reason, int rack_id, double sim_minutes,
-    const MetricsSnapshot& metrics,
-    const std::vector<TraceEvent>& context_rows) {
+std::filesystem::path FlightRecorder::dump(std::string_view reason,
+                                           int rack_id, double sim_minutes,
+                                           const MetricsSnapshot& metrics,
+                                           const TraceLines& context_rows) {
   if (!enabled()) return {};
   std::filesystem::create_directories(dir_);
   const std::string stem = "flightrec-rack" + std::to_string(rack_id) +
@@ -51,27 +52,15 @@ std::filesystem::path FlightRecorder::dump(
   ++seq_;
   const std::filesystem::path trace_path = dir_ / (stem + ".jsonl");
 
-  TraceEvent trigger;
-  trigger.sim_minutes = sim_minutes;
-  trigger.rack_id = rack_id;
-  trigger.phase = "flightrec";
-  trigger.payload = {{"reason", std::string(reason)},
-                    {"events", ring_.size()},
-                    {"context_rows", context_rows.size()},
-                    {"dump_index", seq_ - 1}};
-
+  const TraceField trigger[] = {{"reason", reason},
+                                {"events", lines_.size()},
+                                {"context_rows", context_rows.size()},
+                                {"dump_index", seq_ - 1}};
   std::string buffer = trace_header_json();
   buffer += '\n';
-  buffer += trigger.to_json();
-  buffer += '\n';
-  for (const TraceEvent& event : ring_) {
-    buffer += event.to_json();
-    buffer += '\n';
-  }
-  for (const TraceEvent& event : context_rows) {
-    buffer += event.to_json();
-    buffer += '\n';
-  }
+  append_event_line(buffer, sim_minutes, rack_id, "flightrec", trigger);
+  buffer += lines_.bytes();
+  buffer += context_rows.bytes();
   // Temp-file + rename: a crash (or a second signal) mid-dump can never
   // leave a torn dump next to the evidence it was meant to preserve.
   try {

@@ -2,14 +2,14 @@
 //
 // Rollups keep long runs cheap by throwing detail away; the flight
 // recorder keeps the detail that matters.  While enabled (a dump directory
-// is configured) every trace event is also copied into a small ring, and
-// when something goes wrong — HealthTracker leaves normal, an
-// InvariantViolation fires, the run aborts — the owner dumps the ring to
+// is configured) every encoded trace line is also copied into a small ring
+// of lines, and when something goes wrong — HealthTracker leaves normal,
+// an InvariantViolation fires, the run aborts — the owner dumps the ring to
 // <dir>/flightrec-rack<N>-<seq>-<reason>.jsonl: a valid v2 trace
 // (`greenhetero analyze` reads it directly) consisting of the schema
 // header, one "flightrec" event describing the trigger, the last
-// `capacity` events verbatim, and the caller's extra context rows (the
-// active fault plan rendered as "fault_plan_row" events).  The metrics
+// `capacity` lines verbatim, and the caller's extra context rows (the
+// active fault plan encoded as "fault_plan_row" lines).  The metrics
 // snapshot at dump time lands next to it as <same stem>-metrics.json.
 //
 // Dumps are per rack and land in distinct files, so fleet racks stepping
@@ -17,11 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <filesystem>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/tracing.h"
 
@@ -32,39 +30,41 @@ struct MetricsSnapshot;
 class FlightRecorder {
  public:
   /// `dir` empty = disabled: record() and dump() become no-ops so the
-  /// default path costs one branch per event.
+  /// default path costs one branch per line.
   FlightRecorder(std::size_t capacity, std::filesystem::path dir);
 
   [[nodiscard]] bool enabled() const { return !dir_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] const std::deque<TraceEvent>& ring() const { return ring_; }
+  /// The last `capacity` lines, oldest first.
+  [[nodiscard]] const TraceLines& lines() const { return lines_; }
   [[nodiscard]] int dumps() const { return seq_; }
 
-  /// Copy one event into the ring (oldest evicted beyond capacity).
-  void record(const TraceEvent& event);
+  /// Copy `line` of `from` into the ring (oldest evicted beyond capacity).
+  void record(const TraceLines& from, const TraceLines::Line& line);
 
   /// Write the dump files; returns the trace path, or an empty path when
   /// disabled.  `context_rows` are appended after the ring (e.g. the
-  /// fault plan as "fault_plan_row" events); `sim_minutes` stamps the
+  /// fault plan as "fault_plan_row" lines); `sim_minutes` stamps the
   /// "flightrec" trigger event.  Creates the directory if needed.
   std::filesystem::path dump(std::string_view reason, int rack_id,
                              double sim_minutes,
                              const MetricsSnapshot& metrics,
-                             const std::vector<TraceEvent>& context_rows);
+                             const TraceLines& context_rows);
 
-  /// Checkpoint the ring contents and the dump sequence number (capacity
-  /// and directory come from configuration).  Loading refuses more events
-  /// than the capacity: record() only evicts at exactly the capacity.
+  /// Checkpoint the ring's lines (TraceLines::fields: loading refuses more
+  /// lines than the capacity, since record() only evicts at exactly the
+  /// capacity) and the dump sequence number (capacity and directory come
+  /// from configuration).
   template <class Self, class Io>
   static void fields(Self& self, Io& io) {
-    io.objects(self.ring_, self.capacity_, "flight recorder: event count");
+    TraceLines::fields(self.lines_, io, self.capacity_, "flight recorder");
     io.i64(self.seq_);
   }
 
  private:
   std::size_t capacity_;
   std::filesystem::path dir_;
-  std::deque<TraceEvent> ring_;
+  TraceLines lines_;
   int seq_ = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 namespace greenhetero::telemetry {
 
@@ -43,15 +42,19 @@ std::string_view to_string(LossBucket bucket) {
 
 std::span<const LossBucket> all_loss_buckets() { return kAllBuckets; }
 
-TraceKey watts_key(LossBucket bucket) {
-  static const std::array<TraceKey, kLossBucketCount> kKeys = [] {
-    std::array<TraceKey, kLossBucketCount> keys;
-    for (LossBucket b : kAllBuckets) {
-      keys[static_cast<std::size_t>(b)] =
-          TraceKey::intern(std::string(to_string(b)) + "_w");
-    }
-    return keys;
-  }();
+std::string_view watts_key(LossBucket bucket) {
+  // In LossBucket order: to_string(bucket) + "_w".
+  static constexpr std::array<std::string_view, kLossBucketCount> kKeys = {
+      "fault_w",
+      "idle_floor_w",
+      "solver_clamp_w",
+      "dvfs_quantization_w",
+      "prediction_error_w",
+      "curtailed_w",
+      "grid_cap_w",
+      "battery_stored_w",
+      "battery_round_trip_w",
+  };
   return kKeys[static_cast<std::size_t>(bucket)];
 }
 

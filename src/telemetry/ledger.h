@@ -38,8 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/tracing.h"
-
 namespace greenhetero::telemetry {
 
 /// Where a supplied-but-not-consumed watt went.  Order is the waterfall
@@ -62,7 +60,7 @@ inline constexpr std::size_t kLossBucketCount = 9;
 /// All buckets in enum order (iteration helper for exports and tests).
 [[nodiscard]] std::span<const LossBucket> all_loss_buckets();
 /// The `<bucket>_w` trace field key of `loss_ledger` and `rollup` events.
-[[nodiscard]] TraceKey watts_key(LossBucket bucket);
+[[nodiscard]] std::string_view watts_key(LossBucket bucket);
 
 /// Per-group enforcement-gap candidates for one substep (watts), attributed
 /// by the Enforcer from budget-vs-draw per group.  These are *candidates*:

@@ -14,51 +14,55 @@ namespace {
 /// The `health_<state>` occupancy keys, in HealthState order.  The names
 /// come from the metric catalog's HealthState label set rather than from
 /// core/health.h: telemetry sits *below* core (the controller emits through
-/// it), so this file must not include upward.  telemetry_test pins the
-/// catalog against core's to_string so they cannot drift silently.
-TraceKey health_key(std::size_t state) {
-  static const std::array<TraceKey, catalog::kHealthStates.size()> kKeys = [] {
-    std::array<TraceKey, catalog::kHealthStates.size()> keys;
-    for (std::size_t s = 0; s < keys.size(); ++s) {
-      keys[s] = TraceKey::intern("health_" +
-                                 std::string(catalog::kHealthStates[s]));
+/// it), so this file must not include upward.  The static_assert below ties
+/// them to the catalog and telemetry_test pins the catalog against core's
+/// to_string, so they cannot drift silently.
+constexpr std::array<std::string_view, catalog::kHealthStates.size()>
+    kHealthKeys = {"health_normal", "health_degraded", "health_safe",
+                   "health_recovering"};
+
+constexpr bool health_keys_match_catalog() {
+  for (std::size_t s = 0; s < kHealthKeys.size(); ++s) {
+    if (!kHealthKeys[s].starts_with("health_") ||
+        kHealthKeys[s].substr(7) != catalog::kHealthStates[s]) {
+      return false;
     }
-    return keys;
-  }();
-  return kKeys[state];
+  }
+  return true;
 }
+static_assert(health_keys_match_catalog());
 
 }  // namespace
 
-TraceFields RollupWindow::to_trace_fields() const {
+std::span<const TraceField> RollupWindow::trace_fields(
+    Fields& storage) const {
   const double n = epochs > 0 ? static_cast<double>(epochs) : 1.0;
-  TraceFields fields{
-      {"window_start_min", start_min},
-      {"window_end_min", end_min},
-      {"epochs", epochs},
-      {"epu", epu_sum / n},
-      {"shortfall_w", shortfall_sum_w / n},
-      {"grid_w", grid_sum_w / n},
+  std::size_t count = 0;
+  const auto add = [&](std::string_view key, TraceValue value) {
+    storage[count++] = {key, value};
   };
+  add("window_start_min", start_min);
+  add("window_end_min", end_min);
+  add("epochs", epochs);
+  add("epu", epu_sum / n);
+  add("shortfall_w", shortfall_sum_w / n);
+  add("grid_w", grid_sum_w / n);
   for (std::size_t s = 0; s < health_occupancy.size(); ++s) {
-    fields.emplace_back(health_key(s), health_occupancy[s]);
+    add(kHealthKeys[s], health_occupancy[s]);
   }
   if (has_loss) {
     for (LossBucket b : all_loss_buckets()) {
-      fields.emplace_back(watts_key(b),
-                          loss_sums_w[static_cast<std::size_t>(b)] / n);
+      add(watts_key(b), loss_sums_w[static_cast<std::size_t>(b)] / n);
     }
   }
-  return fields;
+  return std::span(storage).first(count);
 }
 
-TraceEvent make_rollup_event(const RollupWindow& window, int rack_id) {
-  TraceEvent event;
-  event.sim_minutes = window.emitted_t_min;
-  event.rack_id = rack_id;
-  event.phase = "rollup";
-  event.payload = window.to_trace_fields();
-  return event;
+void append_rollup_line(std::string& out, const RollupWindow& window,
+                        int rack_id) {
+  RollupWindow::Fields storage;
+  append_event_line(out, window.emitted_t_min, rack_id, "rollup",
+                    window.trace_fields(storage));
 }
 
 Rollup::Rollup(double window_min) : window_min_(window_min) {
@@ -129,8 +133,7 @@ void Rollup::write_jsonl(std::ostream& out, int rack_id) const {
   std::string buffer = trace_header_json();
   buffer += '\n';
   for (const RollupWindow& window : windows_) {
-    buffer += make_rollup_event(window, rack_id).to_json();
-    buffer += '\n';
+    append_rollup_line(buffer, window, rack_id);
   }
   const std::lock_guard<std::mutex> lock(trace_writer_mutex());
   out << buffer;

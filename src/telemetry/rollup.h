@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "telemetry/ledger.h"
@@ -54,8 +56,15 @@ struct RollupWindow {
   bool has_loss = false;
   std::array<double, kLossBucketCount> loss_sums_w{};
 
-  /// The "rollup" event payload (means, not sums).
-  [[nodiscard]] TraceFields to_trace_fields() const;
+  /// Room for every "rollup" field: six means and counts, the health
+  /// occupancy and the loss-bucket means.
+  static constexpr std::size_t kMaxFields = 6 + 4 + kLossBucketCount;
+  using Fields = std::array<TraceField, kMaxFields>;
+
+  /// The "rollup" event payload (means, not sums), written into `storage`;
+  /// returns the used prefix.
+  [[nodiscard]] std::span<const TraceField> trace_fields(
+      Fields& storage) const;
 
   template <class Self, class Io>
   static void fields(Self& self, Io& io) {
@@ -115,9 +124,9 @@ class Rollup {
   std::vector<RollupWindow> windows_;
 };
 
-/// The "rollup" trace-event line for a closed window, as emitted both into
-/// the live trace and into the --rollup-out series file.
-[[nodiscard]] TraceEvent make_rollup_event(const RollupWindow& window,
-                                           int rack_id);
+/// Append the "rollup" line of a closed window to `out`: the bytes the live
+/// trace carries, reused by the --rollup-out series file.
+void append_rollup_line(std::string& out, const RollupWindow& window,
+                        int rack_id);
 
 }  // namespace greenhetero::telemetry

@@ -82,7 +82,10 @@ struct SpanRecord {
 /// stored — a capped collector never reallocates under the control loop).
 class SpanCollector {
  public:
-  explicit SpanCollector(std::size_t capacity = std::size_t{1} << 16);
+  /// Completed spans a Telemetry context keeps (~9 spans/epoch).
+  static constexpr std::size_t kCapacity = std::size_t{1} << 16;
+
+  explicit SpanCollector(std::size_t capacity = kCapacity);
 
   /// Store a closed span's `record`; false when full (dropped, counted).
   bool add(SpanRecord record);

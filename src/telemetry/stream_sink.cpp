@@ -37,22 +37,19 @@ StreamingTraceSink::~StreamingTraceSink() {
   }
 }
 
-void StreamingTraceSink::push(std::vector<TraceEvent> events) {
-  ready_.clear();
-  for (const TraceEvent& event : events) ready_.append(event);
-  enqueue(ready_);
-}
+void StreamingTraceSink::push(TraceLines& lines) { enqueue(lines); }
 
-void StreamingTraceSink::push_merge(std::vector<TraceLines>& sources,
+void StreamingTraceSink::push_merge(std::span<TraceLines* const> sources,
                                     double watermark) {
   const auto source_of = [&](std::uint32_t source) -> const TraceLines& {
-    return source == 0 ? pending_ : sources[source - 1];
+    return source == 0 ? pending_ : *sources[source - 1];
   };
   keys_.clear();
   for (std::uint32_t source = 0; source <= sources.size(); ++source) {
-    const TraceLines& lines = source_of(source);
-    for (std::uint32_t i = 0; i < lines.lines.size(); ++i) {
-      keys_.push_back({lines.lines[i].t, lines.lines[i].rack, source, i});
+    const std::span<const TraceLines::Line> lines =
+        source_of(source).lines();
+    for (std::uint32_t i = 0; i < lines.size(); ++i) {
+      keys_.push_back({lines[i].t, lines[i].rack, source, i});
     }
   }
   // (t, rack), ties in arrival order: pending lines first (they are already
@@ -74,10 +71,10 @@ void StreamingTraceSink::push_merge(std::vector<TraceLines>& sources,
   TraceLines carry;
   for (auto it = keys_.begin(); it != keys_.end(); ++it) {
     const TraceLines& from = source_of(it->source);
-    (it < split ? ready_ : carry).append(from, from.lines[it->line]);
+    (it < split ? ready_ : carry).append(from, from.lines()[it->line]);
   }
   pending_ = std::move(carry);
-  for (TraceLines& lines : sources) lines.clear();
+  for (TraceLines* lines : sources) lines->clear();
   enqueue(ready_);
 }
 
@@ -86,7 +83,8 @@ void StreamingTraceSink::note_dropped(std::uint64_t dropped) {
 }
 
 void StreamingTraceSink::enqueue(TraceLines& batch) {
-  const std::size_t count = batch.lines.size();
+  const std::span<const TraceLines::Line> lines = batch.lines();
+  const std::size_t count = lines.size();
   std::size_t offset = 0;
   while (offset < count) {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -104,16 +102,16 @@ void StreamingTraceSink::enqueue(TraceLines& batch) {
     throw_if_failed();
     const std::size_t room = config_.queue_capacity - queue_lines_;
     const std::size_t take = std::min(room, count - offset);
-    const TraceLines::Line& first = batch.lines[offset];
-    const TraceLines::Line& last = batch.lines[offset + take - 1];
-    if (queue_lines_ == 0 && take == count) {
-      queue_.swap(batch.bytes);  // the whole batch: hand the buffer over
+    const TraceLines::Line& first = lines[offset];
+    const TraceLines::Line& last = lines[offset + take - 1];
+    queue_last_t_ = last.t;
+    if (take == count) {
+      batch.move_bytes_to(queue_);  // the whole batch: a buffer swap
     } else {
-      queue_.append(batch.bytes, first.begin,
-                    last.begin + last.size - first.begin);
+      queue_ += batch.bytes().substr(first.begin - lines.front().begin,
+                                     last.begin + last.size - first.begin);
     }
     queue_lines_ += take;
-    queue_last_t_ = last.t;
     offset += take;
     peak_queue_depth_ = std::max(peak_queue_depth_, queue_lines_);
     if (metrics_ != nullptr) {
@@ -132,6 +130,7 @@ void StreamingTraceSink::enqueue(TraceLines& batch) {
     lock.unlock();
     work_cv_.notify_one();
   }
+  batch.clear();
 }
 
 void StreamingTraceSink::writer_loop() {
@@ -202,13 +201,14 @@ void StreamingTraceSink::close() {
   if (!pending_.empty()) {
     // Callers always finish with watermark = +inf; a leftover means a bug
     // upstream, but losing events silently would be worse — write them.
-    out_ << pending_.bytes;
-    last_written_t_ = pending_.lines.back().t;
+    out_ << pending_.bytes();
+    last_written_t_ = pending_.lines().back().t;
     pending_.clear();
   }
   if (dropped_total_ > 0) {
-    out_ << make_truncation_footer(last_written_t_, dropped_total_).to_json()
-         << '\n';
+    std::string footer;
+    append_truncation_footer(footer, last_written_t_, dropped_total_);
+    out_ << footer;
   }
   out_.flush();
   const bool ok = static_cast<bool>(out_);
@@ -246,12 +246,8 @@ void StreamingTraceSink::save_state(checkpoint::Writer& w) {
   w.u64(static_cast<std::uint64_t>(std::streamoff(out_.tellp())));
   w.f64(last_written_t_);
   w.u64(dropped_total_);
-  w.seq(pending_.lines.size());
-  for (const TraceLines::Line& line : pending_.lines) {
-    w.f64(line.t);
-    w.i64(line.rack);
-    w.str(std::string_view(pending_.bytes).substr(line.begin, line.size));
-  }
+  TraceLines::fields(std::as_const(pending_), w, config_.queue_capacity,
+                     "stream sink");
   const std::lock_guard<std::mutex> lock(mutex_);
   w.u64(stalls_);
   w.u64(events_written_);
@@ -261,15 +257,7 @@ void StreamingTraceSink::load_state(checkpoint::Reader& r) {
   const std::uint64_t offset = r.u64();
   last_written_t_ = r.f64();
   dropped_total_ = r.u64();
-  const std::size_t count = r.seq();
-  pending_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t = r.f64();
-    const auto rack = static_cast<int>(r.i64());
-    const std::string line = r.str();
-    pending_.lines.push_back({t, rack, pending_.bytes.size(), line.size()});
-    pending_.bytes += line;
-  }
+  TraceLines::fields(pending_, r, config_.queue_capacity, "stream sink");
   const std::uint64_t stalls = r.u64();
   const std::uint64_t written = r.u64();
   // Drop whatever the crashed run appended past the checkpoint (possibly a

@@ -1,11 +1,12 @@
 // Bounded-memory streaming trace sink: the only way trace events leave a
 // run.
 //
-// Producers hand over encoded JSONL lines (TraceLines) at epoch barriers, a
-// dedicated writer thread writes them to the file, and a bounded queue
-// between the two provides backpressure (a full queue blocks the producer
-// and counts a stall), so memory stays capped at one epoch's lines plus
-// queue_capacity no matter how long the run is.
+// Producers hand over encoded JSONL lines (TraceLines, straight from the
+// contexts' trace rings) at epoch barriers, a dedicated writer thread
+// writes them to the file, and a bounded queue between the two provides
+// backpressure (a full queue blocks the producer and counts a stall), so
+// memory stays capped at one epoch's lines plus queue_capacity no matter
+// how long the run is.
 //
 // Ordering contract: the file holds the schema header, then every event
 // in (sim time, rack id) order with ties in emission order, then a
@@ -13,21 +14,21 @@
 // count.
 //
 //  - Single rack (RackSimulator::run): one source, already in emission
-//    order, so push() writes each epoch's events unmodified.
-//  - Fleet: push_merge().  Each shard drains its racks' rings right after
-//    stepping them and encodes the lines on its pool thread.  At every
-//    epoch barrier the coordinator hands over every source's lines
-//    (coordinator first, then racks 0..N-1); the sink stable-sorts their
-//    (t, rack) tags together with the pending lines and flushes the prefix
-//    strictly below the watermark (the next epoch's start time).  Every
-//    event emitted while stepping epoch e is stamped within
-//    [e_start, e_end) — fault events at substep times,
-//    epoch_plan/loss_ledger/rollup at now(), the coordinator's grid_share
-//    at e_start — so nothing older can arrive later, and rack ids are
-//    unique per source, so (t, rack) ties are always same-source and the
-//    stable sort preserves their emission order.  The incremental merge
-//    therefore equals a stable sort of the whole run's concatenation, and
-//    which thread encoded a line never changes a byte.
+//    order, so push() writes each epoch's lines unmodified.
+//  - Fleet: push_merge().  Every rack encodes its events into its own ring
+//    as it emits them, on the pool thread stepping it.  At every epoch
+//    barrier the coordinator hands over every ring (coordinator first,
+//    then racks 0..N-1); the sink stable-sorts their (t, rack) tags
+//    together with the pending lines and flushes the prefix strictly below
+//    the watermark (the next epoch's start time).  Every event emitted
+//    while stepping epoch e is stamped within [e_start, e_end) — fault
+//    events at substep times, epoch_plan/loss_ledger/rollup at now(), the
+//    coordinator's grid_share at e_start — so nothing older can arrive
+//    later, and rack ids are unique per source, so (t, rack) ties are
+//    always same-source and the stable sort preserves their emission
+//    order.  The incremental merge therefore equals a stable sort of the
+//    whole run's concatenation, and which thread encoded a line never
+//    changes a byte.
 //
 // The contract is pinned by the golden traces (tests/golden/) and by
 // streaming_sink_test, which checks push_merge against std::stable_sort of
@@ -43,6 +44,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,10 +88,10 @@ class StreamingTraceSink {
 
   [[nodiscard]] const StreamSinkConfig& config() const { return config_; }
 
-  /// Enqueue a batch in emission order (single-source path): encode it on
-  /// the calling thread, then block while the queue is full; lines are
+  /// Single-source path: enqueue `lines` (emission order) unmodified,
+  /// blocking while the queue is full, and leave it empty; lines are
   /// written in hand-off order.
-  void push(std::vector<TraceEvent> events);
+  void push(TraceLines& lines);
 
   /// Multi-source path: merge `sources` (each in emission order) with the
   /// pending lines, stable-sorted by (sim time, rack id), and enqueue every
@@ -98,7 +100,7 @@ class StreamingTraceSink {
   /// Call with every source of one epoch barrier, in a fixed source order,
   /// and watermark = next epoch start; finish with watermark = +infinity
   /// to flush the tail.
-  void push_merge(std::vector<TraceLines>& sources, double watermark);
+  void push_merge(std::span<TraceLines* const> sources, double watermark);
 
   /// Record ring evictions reported by the producer; a final
   /// trace_truncated footer is appended at close when the total is
@@ -122,7 +124,8 @@ class StreamingTraceSink {
   /// Checkpoint the sink: the durable byte offset (caller MUST flush()
   /// immediately before, so the writer thread is idle and tellp() is the
   /// exact watermark), the footer bookkeeping and the pending lines of the
-  /// push_merge reorder buffer.  Non-const because tellp() is not.
+  /// push_merge reorder buffer (TraceLines::fields, bounded by
+  /// queue_capacity).  Non-const because tellp() is not.
   void save_state(checkpoint::Writer& w);
   /// Restore a resume-mode sink: truncate the file back to the recorded
   /// offset (a crash may have appended a torn tail past the checkpoint)
@@ -131,8 +134,8 @@ class StreamingTraceSink {
 
  private:
   void writer_loop();
-  /// Queue the lines of `batch` (contiguous in its bytes, in order),
-  /// blocking while the queue is full.
+  /// Queue the lines of `batch` (in order), blocking while the queue is
+  /// full, and leave it empty.
   void enqueue(TraceLines& batch);
   void throw_if_failed();
 

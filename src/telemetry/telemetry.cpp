@@ -11,7 +11,6 @@ thread_local Telemetry* g_current = nullptr;
 Telemetry::Telemetry(TelemetryConfig config)
     : config_(config),
       trace_(config.trace_capacity),
-      spans_(config.span_capacity),
       rollup_(config.rollup_window_min),
       flightrec_(config.flightrec_capacity, config.flightrec_dir),
       profiler_(config.profile) {
@@ -46,15 +45,12 @@ std::string build_info_json() {
   return out;
 }
 
-void Telemetry::emit(std::string phase, TraceFields fields) {
+void Telemetry::emit(std::string_view phase,
+                     std::span<const TraceField> fields) {
   if (!traced_) return;
-  TraceEvent event;
-  event.sim_minutes = now_.value();
-  event.rack_id = config_.rack_id;
-  event.phase = std::move(phase);
-  event.payload = std::move(fields);
-  flightrec_.record(event);  // no-op unless a dump directory is configured
-  trace_.push(std::move(event));
+  trace_.push(now_.value(), config_.rack_id, phase, fields);
+  // No-op unless a dump directory is configured.
+  flightrec_.record(trace_.lines(), trace_.lines().lines().back());
 }
 
 template <class Self, class Io>

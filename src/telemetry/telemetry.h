@@ -17,8 +17,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/flight_recorder.h"
@@ -36,8 +39,8 @@ struct TelemetryConfig {
   /// Master switch: when false the owner installs no scope and every
   /// telemetry call in library code is a no-op.
   bool enabled = true;
-  /// Trace ring capacity in events.  The run loop drains the ring at every
-  /// epoch barrier, so it holds one epoch's events (~6 per rack).
+  /// Trace ring capacity in lines.  The run loop empties the ring at every
+  /// epoch barrier, so it holds one epoch's lines (~6 per rack).
   std::size_t trace_capacity = 1 << 15;
   /// Stamped on every event; the fleet coordinator overrides it per rack.
   int rack_id = 0;
@@ -51,8 +54,6 @@ struct TelemetryConfig {
   /// histogram is fed too.  Off by default: span events carry wall
   /// nanoseconds, which would break the byte-determinism of golden traces.
   bool spans = false;
-  /// Completed spans kept per context (~9 spans/epoch).
-  std::size_t span_capacity = std::size_t{1} << 16;
   /// Opt-in: the in-process profiler (profiler.h).  Every GH_SPAN scope
   /// then attributes wall ns and allocation bytes/counts to its phase path,
   /// and root spans thread-CPU ns.  Independent of `spans` (profiling
@@ -65,7 +66,7 @@ struct TelemetryConfig {
   /// for the --rollup-out series file.
   double rollup_window_min = 0.0;
   /// Opt-in: flight-recorder dump directory (empty disables).  While set,
-  /// the last `flightrec_capacity` events are mirrored into a small ring
+  /// the last `flightrec_capacity` lines are mirrored into a small ring
   /// that the owner dumps on health degradation, invariant violations and
   /// aborts.
   std::string flightrec_dir;
@@ -121,8 +122,8 @@ class Telemetry {
   /// Whether emitted events have a reader.  A bare context keeps its
   /// events; RackSimulator and Fleet clear this unless the run streams its
   /// trace or mirrors it into a flight recorder.  Emit sites test it (via
-  /// tracer()) before building an event, so a run nothing will read builds
-  /// and keeps no trace.
+  /// tracer()) before gathering their fields, so a run nothing will read
+  /// encodes and keeps no trace.
   [[nodiscard]] bool traced() const { return traced_; }
   void set_traced(bool traced) { traced_ = traced; }
 
@@ -135,10 +136,14 @@ class Telemetry {
   [[nodiscard]] bool timed() const { return timed_; }
   void set_timed(bool timed) { timed_ = timed; }
 
-  /// Append a trace event stamped with now() and rack_id() (mirrored into
-  /// the flight-recorder ring when that feature is on); dropped when the
-  /// context is not traced().
-  void emit(std::string phase, TraceFields fields);
+  /// Encode a trace event stamped with now() and rack_id() into the ring
+  /// (and copy the line into the flight recorder when that feature is on);
+  /// dropped when the context is not traced().  The fields only have to
+  /// outlive the call.
+  void emit(std::string_view phase, std::span<const TraceField> fields);
+  void emit(std::string_view phase, std::initializer_list<TraceField> fields) {
+    emit(phase, std::span(fields.begin(), fields.size()));
+  }
 
   /// Open span `tag` on this context's open-span stack (ScopedSpan's
   /// constructor; span.h).

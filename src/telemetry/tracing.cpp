@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <set>
+#include <climits>
+#include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "checkpoint/serializer.h"
 #include "telemetry/metrics.h"
@@ -57,20 +57,6 @@ void append_json_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-static_assert(sizeof(TraceValue) <= 40, "TraceValue: keep the field compact");
-static_assert(sizeof(TraceField) <= 56, "TraceField: keep the field compact");
-
-TraceKey TraceKey::intern(std::string_view key) {
-  // Leaked on purpose: interned keys must outlive every static that may
-  // still hold events (flight recorders, rings) during shutdown.
-  static auto* const mutex = new std::mutex;
-  static auto* const keys = new std::set<std::string, std::less<>>;
-  const std::lock_guard<std::mutex> lock(*mutex);
-  auto it = keys->find(key);
-  if (it == keys->end()) it = keys->emplace(key).first;
-  return TraceKey(std::string_view(*it));
-}
-
 void TraceValue::append_json(std::string& out) const {
   struct Append {
     std::string& out;
@@ -80,10 +66,8 @@ void TraceValue::append_json(std::string& out) const {
       out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
     }
     void operator()(bool v) const { out += v ? "true" : "false"; }
-    void operator()(const std::string& v) const {
-      append_json_escaped(out, v);
-    }
-    void operator()(const std::vector<double>& v) const {
+    void operator()(std::string_view v) const { append_json_escaped(out, v); }
+    void operator()(std::span<const double> v) const {
       out += '[';
       for (std::size_t i = 0; i < v.size(); ++i) {
         if (i > 0) out += ',';
@@ -95,104 +79,130 @@ void TraceValue::append_json(std::string& out) const {
   std::visit(Append{out}, value_);
 }
 
-std::size_t TraceValue::approx_bytes() const {
-  if (const auto* str = std::get_if<std::string>(&value_)) return str->size();
-  if (const auto* array = std::get_if<std::vector<double>>(&value_)) {
-    return array->size() * sizeof(double);
-  }
-  return 0;
-}
-
-double TraceValue::as_double() const {
-  const auto* v = std::get_if<double>(&value_);
-  return v != nullptr ? *v : 0.0;
-}
-
-std::int64_t TraceValue::as_int() const {
-  const auto* v = std::get_if<std::int64_t>(&value_);
-  return v != nullptr ? *v : 0;
-}
-
-bool TraceValue::as_bool() const {
-  const auto* v = std::get_if<bool>(&value_);
-  return v != nullptr && *v;
-}
-
-const std::string& TraceValue::as_string() const {
-  static const std::string kEmpty;
-  const auto* v = std::get_if<std::string>(&value_);
-  return v != nullptr ? *v : kEmpty;
-}
-
-const std::vector<double>& TraceValue::as_array() const {
-  static const std::vector<double> kEmpty;
-  const auto* v = std::get_if<std::vector<double>>(&value_);
-  return v != nullptr ? *v : kEmpty;
-}
-
-std::string TraceEvent::to_json() const {
-  std::string out;
-  append_json(out);
-  return out;
-}
-
-void TraceEvent::append_json(std::string& out) const {
+void append_event_line(std::string& out, double t, int rack,
+                       std::string_view phase,
+                       std::span<const TraceField> fields) {
   out += "{\"t\":";
-  append_number(out, sim_minutes);
+  append_number(out, t);
   out += ",\"rack\":";
-  append_number(out, static_cast<double>(rack_id));
+  append_number(out, static_cast<double>(rack));
   out += ",\"phase\":";
   append_json_escaped(out, phase);
-  for (const auto& [key, value] : payload) {
+  for (const auto& [key, value] : fields) {
     out += ',';
-    append_json_escaped(out, key.view());
+    append_json_escaped(out, key);
     out += ':';
     value.append_json(out);
   }
-  out += '}';
+  out += "}\n";
 }
 
-void TraceLines::append(const TraceEvent& event) {
-  const std::size_t begin = bytes.size();
-  event.append_json(bytes);
-  bytes += '\n';
-  lines.push_back({event.sim_minutes, event.rack_id, begin,
-                   bytes.size() - begin});
+void append_truncation_footer(std::string& out, double last_sim_minutes,
+                              std::uint64_t dropped) {
+  const TraceField fields[] = {{"dropped", static_cast<std::int64_t>(dropped)}};
+  // rack -1: a whole-trace marker, not any one rack.
+  append_event_line(out, last_sim_minutes, -1, "trace_truncated", fields);
+}
+
+void TraceLines::append(double t, int rack, std::string_view phase,
+                        std::span<const TraceField> fields) {
+  const std::size_t begin = bytes_.size();
+  append_event_line(bytes_, t, rack, phase, fields);
+  lines_.push_back({t, rack, begin, bytes_.size() - begin});
 }
 
 void TraceLines::append(const TraceLines& from, const Line& line) {
-  lines.push_back({line.t, line.rack, bytes.size(), line.size});
-  bytes.append(from.bytes, line.begin, line.size);
+  lines_.push_back({line.t, line.rack, bytes_.size(), line.size});
+  bytes_.append(from.bytes_, line.begin, line.size);
 }
 
-const TraceValue* TraceEvent::field(std::string_view key) const {
-  for (const auto& [k, v] : payload) {
-    if (k == key) return &v;
+void TraceLines::pop_front() {
+  ++head_;
+  if (head_ < size()) return;
+  const std::size_t cut =
+      head_ < lines_.size() ? lines_[head_].begin : bytes_.size();
+  bytes_.erase(0, cut);
+  lines_.erase(lines_.begin(),
+               lines_.begin() + static_cast<std::ptrdiff_t>(head_));
+  for (Line& line : lines_) line.begin -= cut;
+  head_ = 0;
+}
+
+void TraceLines::clear() {
+  bytes_.clear();
+  lines_.clear();
+  head_ = 0;
+}
+
+std::string_view TraceLines::bytes() const {
+  if (empty()) return {};
+  return std::string_view(bytes_).substr(lines_[head_].begin);
+}
+
+void TraceLines::move_bytes_to(std::string& out) {
+  if (out.empty() && head_ == 0) {
+    out.swap(bytes_);
+  } else {
+    out += bytes();
   }
-  return nullptr;
+  clear();
 }
 
-std::size_t TraceEvent::approx_bytes() const {
-  // Fixed structural overhead plus every owned string/array payload.  An
-  // estimate (allocator slack is ignored) but a *stable* one: the bounded-
-  // memory CI cap and the bench high-water mark are measured in it.
-  std::size_t bytes = sizeof(TraceEvent) + phase.size();
-  for (const TraceField& field : payload) {
-    bytes += sizeof(TraceField) + field.value.approx_bytes();
+namespace {
+
+/// One {...} object and a single trailing '\n': the shape every encoded
+/// line has (escaping leaves no raw newline inside a string).
+bool is_one_json_line(std::string_view line) {
+  return line.size() >= 3 && line.front() == '{' &&
+         line[line.size() - 2] == '}' && line.find('\n') == line.size() - 1;
+}
+
+[[noreturn]] void refuse_line(std::string_view what, std::size_t index,
+                              std::string_view problem) {
+  throw checkpoint::CheckpointError(std::string(what) + ": line " +
+                                    std::to_string(index) + " " +
+                                    std::string(problem));
+}
+
+}  // namespace
+
+template <class Self, class Io>
+void TraceLines::fields(Self& self, Io& io, std::size_t capacity,
+                        std::string_view what) {
+  if constexpr (!Io::kLoading) {
+    io.seq(self.size());
+    for (const Line& line : self.lines()) {
+      io.f64(line.t);
+      io.i64(line.rack);
+      io.str(self.text(line));
+    }
+  } else {
+    const std::size_t count = io.seq();
+    if (count > capacity) {
+      throw checkpoint::CheckpointError(
+          std::string(what) + ": line count " + std::to_string(count) +
+          " exceeds the capacity " + std::to_string(capacity));
+    }
+    self.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const double t = io.f64();
+      int rack = 0;
+      io.i64_in(rack, INT_MIN, INT_MAX, "trace line: rack");
+      const std::string line = io.str();
+      if (!std::isfinite(t)) refuse_line(what, i, "has a non-finite time");
+      if (!is_one_json_line(line)) {
+        refuse_line(what, i, "is not one JSON object and a newline");
+      }
+      self.lines_.push_back({t, rack, self.bytes_.size(), line.size()});
+      self.bytes_ += line;
+    }
   }
-  return bytes;
 }
 
-TraceEvent make_truncation_footer(double last_sim_minutes,
-                                  std::uint64_t dropped) {
-  TraceEvent footer;
-  footer.sim_minutes = last_sim_minutes;
-  footer.rack_id = -1;  // whole-trace marker, not any one rack
-  footer.phase = "trace_truncated";
-  footer.payload.emplace_back(TraceKey("dropped"),
-                             static_cast<std::int64_t>(dropped));
-  return footer;
-}
+template void TraceLines::fields(const TraceLines&, checkpoint::Writer&,
+                                 std::size_t, std::string_view);
+template void TraceLines::fields(TraceLines&, checkpoint::Reader&,
+                                 std::size_t, std::string_view);
 
 TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0) {
@@ -200,10 +210,10 @@ TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity) {
   }
 }
 
-void TraceRing::push(TraceEvent event) {
-  if (events_.size() == capacity_) {
-    approx_bytes_ -= events_.front().approx_bytes();
-    events_.pop_front();
+void TraceRing::push(double t, int rack, std::string_view phase,
+                     std::span<const TraceField> fields) {
+  if (lines_.size() == capacity_) {
+    lines_.pop_front();
     ++dropped_;
     if (!warned_) {
       warned_ = true;
@@ -211,20 +221,15 @@ void TraceRing::push(TraceEvent event) {
               << "): oldest events are being dropped";
     }
   }
-  approx_bytes_ += event.approx_bytes();
-  peak_bytes_ = std::max(peak_bytes_, approx_bytes_);
-  events_.push_back(std::move(event));
+  lines_.append(t, rack, phase, fields);
+  peak_bytes_ = std::max(peak_bytes_, approx_bytes());
 }
 
-std::vector<TraceEvent> TraceRing::drain() {
-  std::vector<TraceEvent> out;
-  out.reserve(events_.size());
-  for (TraceEvent& event : events_) {
-    out.push_back(std::move(event));
-  }
-  events_.clear();
-  approx_bytes_ = 0;
-  return out;
+void TraceRing::clear() {
+  lines_.clear();
+  dropped_ = 0;
+  warned_ = false;
+  peak_bytes_ = 0;
 }
 
 std::mutex& trace_writer_mutex() {
@@ -232,72 +237,11 @@ std::mutex& trace_writer_mutex() {
   return mutex;
 }
 
-void TraceRing::clear() {
-  events_.clear();
-  dropped_ = 0;
-  warned_ = false;
-  approx_bytes_ = 0;
-  peak_bytes_ = 0;
-}
-
-template <class Self, class Io>
-void TraceKey::fields(Self& self, Io& io) {
-  if constexpr (Io::kLoading) {
-    self = intern(io.str());
-  } else {
-    io.str(self.view());
-  }
-}
-
-namespace {
-
-/// Alternative I of `v`; a load (non-const `v`) first makes it the held one.
-template <std::size_t I, class Variant>
-auto& alternative(Variant& v) {
-  if constexpr (!std::is_const_v<Variant>) v.template emplace<I>();
-  return std::get<I>(v);
-}
-
-}  // namespace
-
-template <class Self, class Io>
-void TraceValue::fields(Self& self, Io& io) {
-  constexpr auto kinds = std::variant_size_v<decltype(self.value_)>;
-  auto kind = static_cast<std::uint8_t>(self.value_.index());
-  io.enum_u8(kind, kinds, "trace value: kind tag");
-  switch (kind) {
-    case 0:
-      return io.f64(alternative<0>(self.value_));
-    case 1:
-      return io.i64(alternative<1>(self.value_));
-    case 2:
-      return io.boolean(alternative<2>(self.value_));
-    case 3:
-      return io.str(alternative<3>(self.value_));
-    case 4:
-      return io.f64_array(alternative<4>(self.value_));
-  }
-}
-
-template <class Self, class Io>
-void TraceEvent::fields(Self& self, Io& io) {
-  io.f64(self.sim_minutes);
-  io.i64(self.rack_id);
-  io.str(self.phase);
-  io.seq(self.payload, [&io](auto& field) {
-    io.object(field.key);
-    io.object(field.value);
-  });
-}
-
-GH_CHECKPOINT_FIELDS(TraceEvent);
-
 template <class Self, class Io>
 void TraceRing::fields(Self& self, Io& io) {
-  io.objects(self.events_, self.capacity_, "trace ring: event count");
+  TraceLines::fields(self.lines_, io, self.capacity_, "trace ring");
   io.u64(self.dropped_);
   io.boolean(self.warned_);
-  io.u64(self.approx_bytes_);
   io.u64(self.peak_bytes_);
 }
 

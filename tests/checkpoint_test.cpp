@@ -869,11 +869,11 @@ TEST(Checkpoint, LayoutIsPinned) {
   // span series stay listed, which is why the constants differ per
   // telemetry flavour.
 #if GH_TELEMETRY_ENABLED
-  constexpr std::uint64_t kRackChecksum = 0x4704c99190b06546ULL;
-  constexpr std::uint64_t kFleetChecksum = 0xda4dbb1d8e757b48ULL;
+  constexpr std::uint64_t kRackChecksum = 0x21a44516710cbb89ULL;
+  constexpr std::uint64_t kFleetChecksum = 0x5ed7e8b246c596e9ULL;
 #else
-  constexpr std::uint64_t kRackChecksum = 0x9700699dda57f3fbULL;
-  constexpr std::uint64_t kFleetChecksum = 0x228f5276bb85c2b5ULL;
+  constexpr std::uint64_t kRackChecksum = 0x4805414ab6f09130ULL;
+  constexpr std::uint64_t kFleetChecksum = 0x060b1a358ae21ae4ULL;
 #endif
   ScratchDir scratch;
   const Minutes horizon{8.0 * 60.0};

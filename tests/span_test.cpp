@@ -91,10 +91,13 @@ TEST(ScopedSpan, RecordsAndMirrorsIntoTraceWhenEnabled) {
   EXPECT_GE(inner.wall_dur_ns, 0);
   EXPECT_GE(outer.wall_dur_ns, inner.wall_dur_ns);
 
-  const auto& events = telemetry.trace().events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, "span");
-  EXPECT_EQ(events[1].phase, "span");
+  const TraceLines& lines = telemetry.trace().lines();
+  ASSERT_EQ(lines.size(), 2u);
+  for (const TraceLines::Line& line : lines.lines()) {
+    EXPECT_NE(lines.text(line).find("\"phase\":\"span\""),
+              std::string_view::npos)
+        << lines.text(line);
+  }
 }
 
 TEST(ScopedSpan, DepthIsTheOpenSpanStackDepth) {
@@ -131,7 +134,7 @@ TEST(ScopedSpan, InertWithoutScopeOrWhenDisabled) {
     GH_SPAN("plan");
   }
   EXPECT_TRUE(telemetry.spans().records().empty());
-  EXPECT_TRUE(telemetry.trace().events().empty());
+  EXPECT_EQ(telemetry.trace().size(), 0u);
   // A bare context is timed: its latency histogram is fed.
   const auto snapshot = telemetry.metrics().snapshot();
   const auto* histogram = snapshot.find("gh_span_ns", {{"span", "plan"}});
@@ -152,7 +155,7 @@ TEST(ScopedSpan, UntimedContextFeedsNothing) {
   }
   EXPECT_EQ(timer(), nullptr);
   EXPECT_TRUE(telemetry.spans().records().empty());
-  EXPECT_TRUE(telemetry.trace().events().empty());
+  EXPECT_EQ(telemetry.trace().size(), 0u);
   EXPECT_TRUE(telemetry.profiler().report().empty());
   EXPECT_TRUE(telemetry.metrics().snapshot().entries.empty());
 }
@@ -160,14 +163,15 @@ TEST(ScopedSpan, UntimedContextFeedsNothing) {
 TEST(ScopedSpan, OverflowBumpsDroppedCounter) {
   TelemetryConfig cfg;
   cfg.spans = true;
-  cfg.span_capacity = 1;
   Telemetry telemetry{cfg};
+  telemetry.set_traced(false);  // records only, no mirrored trace events
   {
     TelemetryScope scope{&telemetry};
-    { GH_SPAN("predict"); }
-    { GH_SPAN("solve"); }
+    for (std::size_t i = 0; i <= SpanCollector::kCapacity; ++i) {
+      GH_SPAN("predict");
+    }
   }
-  EXPECT_EQ(telemetry.spans().records().size(), 1u);
+  EXPECT_EQ(telemetry.spans().records().size(), SpanCollector::kCapacity);
   EXPECT_EQ(telemetry.spans().dropped(), 1u);
   const auto snapshot = telemetry.metrics().snapshot();
   const auto* counter = snapshot.find("gh_spans_dropped_total");

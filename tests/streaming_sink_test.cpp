@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "analysis/trace_analyzer.h"
+#include "checkpoint/serializer.h"
 #include "core/health.h"
 #include "faults/fault_plan.h"
 #include "fleet/fleet.h"
@@ -44,23 +45,45 @@ namespace fs = std::filesystem;
 using testtrace::read_file;
 using testtrace::ScratchDir;
 
-telemetry::TraceEvent make_event(double t, int rack, int index) {
-  telemetry::TraceEvent event;
-  event.sim_minutes = t;
-  event.rack_id = rack;
-  event.phase = "unit";
-  event.payload = {{"i", index}};
-  return event;
+/// A test event: the merge key (t, rack) and an index that tells the lines
+/// apart; `text` and `w` ride along as extra fields when `rich`.
+struct Event {
+  double t = 0.0;
+  int rack = 0;
+  int index = 0;
+  bool rich = false;
+  double w = 0.0;
+};
+
+Event make_event(double t, int rack, int index) { return {t, rack, index}; }
+
+/// Encode `event` into `lines` through the trace encoder.
+void append_event(telemetry::TraceLines& lines, const Event& event) {
+  if (event.rich) {
+    const telemetry::TraceField fields[] = {
+        {"i", event.index}, {"text", "q\"\\\n\x01"}, {"w", event.w}};
+    lines.append(event.t, event.rack, "unit", fields);
+  } else {
+    const telemetry::TraceField fields[] = {{"i", event.index}};
+    lines.append(event.t, event.rack, "unit", fields);
+  }
 }
 
-/// push_merge's input for one source holding `events`.
-std::vector<telemetry::TraceLines> one_source(
-    const std::vector<telemetry::TraceEvent>& events) {
-  std::vector<telemetry::TraceLines> sources(1);
-  for (const telemetry::TraceEvent& event : events) {
-    sources.front().append(event);
-  }
-  return sources;
+/// The schema header, then every event's line in order.
+std::string expected_file(const std::vector<Event>& events) {
+  telemetry::TraceLines lines;
+  for (const Event& event : events) append_event(lines, event);
+  return telemetry::trace_header_json() + "\n" + std::string(lines.bytes());
+}
+
+/// push_merge over the single source `events`.
+void merge_one(telemetry::StreamingTraceSink& sink,
+               const std::vector<Event>& events, double watermark) {
+  telemetry::TraceLines lines;
+  for (const Event& event : events) append_event(lines, event);
+  telemetry::TraceLines* const sources[] = {&lines};
+  sink.push_merge(sources, watermark);
+  EXPECT_TRUE(lines.empty());  // the sink took every line
 }
 
 // ---------------------------------------------------------------------------
@@ -110,15 +133,15 @@ TEST(StreamingSink, WritesInOrderUnderBackpressureAndAppendsFooter) {
         }
       }
     });
-    std::vector<telemetry::TraceEvent> batch;
+    telemetry::TraceLines batch;
     for (int i = 0; i < 2000; ++i) {
-      telemetry::TraceEvent event = make_event(static_cast<double>(i), 0, i);
-      expected += event.to_json() + "\n";
-      batch.push_back(std::move(event));
+      append_event(batch, make_event(static_cast<double>(i), 0, i));
     }
+    expected += batch.bytes();
     // One batch far larger than the queue: the producer must chunk it and
     // block while the writer catches up, never exceeding the bound.
-    sink.push(std::move(batch));
+    sink.push(batch);
+    EXPECT_TRUE(batch.empty());
     sink.note_dropped(3);
     sink.flush();
     EXPECT_EQ(sink.events_written(), 2000u);
@@ -128,16 +151,15 @@ TEST(StreamingSink, WritesInOrderUnderBackpressureAndAppendsFooter) {
     reader.join();
   }
   ::close(fd);
-  expected += telemetry::make_truncation_footer(1999.0, 3).to_json() + "\n";
+  telemetry::append_truncation_footer(expected, 1999.0, 3);
   EXPECT_EQ(drained, expected);
 }
 
 /// The sink's order, spelled out independently of stream_sink.cpp: sim
 /// time, then rack id.
-bool event_before(const telemetry::TraceEvent& a,
-                  const telemetry::TraceEvent& b) {
-  if (a.sim_minutes != b.sim_minutes) return a.sim_minutes < b.sim_minutes;
-  return a.rack_id < b.rack_id;
+bool event_before(const Event& a, const Event& b) {
+  if (a.t != b.t) return a.t < b.t;
+  return a.rack < b.rack;
 }
 
 TEST(StreamingSink, PushMergeReproducesTheBufferedSortAtWatermarks) {
@@ -147,30 +169,25 @@ TEST(StreamingSink, PushMergeReproducesTheBufferedSortAtWatermarks) {
   // Two epoch barriers' worth of events in the buffered writer's
   // concatenation order (coordinator -1 first, then racks 0..N), with
   // cross-source interleavings the merge must untangle.
-  std::vector<telemetry::TraceEvent> epoch0 = {
+  const std::vector<Event> epoch0 = {
       make_event(0.0, -1, 0), make_event(0.0, 0, 1), make_event(5.0, 0, 2),
       make_event(0.0, 1, 3), make_event(5.0, 1, 4)};
-  std::vector<telemetry::TraceEvent> epoch1 = {
+  const std::vector<Event> epoch1 = {
       make_event(10.0, -1, 5), make_event(10.0, 0, 6),
       make_event(12.0, 0, 7), make_event(10.0, 1, 8)};
 
-  std::vector<telemetry::TraceEvent> all;
+  std::vector<Event> all;
   all.insert(all.end(), epoch0.begin(), epoch0.end());
   all.insert(all.end(), epoch1.begin(), epoch1.end());
   std::stable_sort(all.begin(), all.end(), event_before);
-  std::string expected = telemetry::trace_header_json() + "\n";
-  for (const telemetry::TraceEvent& event : all) {
-    expected += event.to_json() + "\n";
-  }
+  const std::string expected = expected_file(all);
 
   {
     telemetry::StreamSinkConfig config;
     config.path = path;
     telemetry::StreamingTraceSink sink(config);
-    std::vector<telemetry::TraceLines> sources = one_source(epoch0);
-    sink.push_merge(sources, 10.0);
-    sources = one_source(epoch1);
-    sink.push_merge(sources, std::numeric_limits<double>::infinity());
+    merge_one(sink, epoch0, 10.0);
+    merge_one(sink, epoch1, std::numeric_limits<double>::infinity());
     sink.close();
   }
   EXPECT_EQ(read_file(path), expected);
@@ -190,11 +207,11 @@ TEST(StreamingSink, PushMergeMatchesStableSortOfRandomBatches) {
     Rng rng(seed);
     const int sources = rng.uniform_int(1, 5);  // rack ids -1 .. sources-2
     const int epochs = rng.uniform_int(1, 6);
-    std::vector<std::vector<telemetry::TraceEvent>> batches;
-    std::vector<telemetry::TraceEvent> all;
+    std::vector<std::vector<Event>> batches;
+    std::vector<Event> all;
     int index = 0;
     for (int e = 0; e < epochs; ++e) {
-      std::vector<telemetry::TraceEvent>& batch = batches.emplace_back();
+      std::vector<Event>& batch = batches.emplace_back();
       for (int source = 0; source < sources; ++source) {
         const int count = rng.uniform_int(0, 6);
         for (int i = 0; i < count; ++i) {
@@ -205,21 +222,15 @@ TEST(StreamingSink, PushMergeMatchesStableSortOfRandomBatches) {
       all.insert(all.end(), batch.begin(), batch.end());
     }
     std::stable_sort(all.begin(), all.end(), event_before);
-    std::string expected = telemetry::trace_header_json() + "\n";
-    for (const telemetry::TraceEvent& event : all) {
-      expected += event.to_json() + "\n";
-    }
+    const std::string expected = expected_file(all);
 
     const fs::path path = scratch / ("merge-" + std::to_string(seed));
     {
       telemetry::StreamingTraceSink sink({path});
-      std::vector<telemetry::TraceLines> sources;
       for (int e = 0; e < epochs; ++e) {
-        sources = one_source(batches[static_cast<std::size_t>(e)]);
-        sink.push_merge(sources, (e + 1) * kEpoch);
+        merge_one(sink, batches[static_cast<std::size_t>(e)], (e + 1) * kEpoch);
       }
-      sources.clear();
-      sink.push_merge(sources, std::numeric_limits<double>::infinity());
+      sink.push_merge({}, std::numeric_limits<double>::infinity());
       sink.close();
       EXPECT_EQ(sink.events_written(), all.size());
     }
@@ -228,11 +239,11 @@ TEST(StreamingSink, PushMergeMatchesStableSortOfRandomBatches) {
 }
 
 TEST(StreamingSink, EncodedLineMergeMatchesToJsonOfStableSortedEvents) {
-  // The fleet's path: each source's events are encoded into its own
-  // TraceLines (by the shard thread that stepped the rack; here by one
-  // thread per source), and the sink merges only the (t, rack) tags.  The
-  // file must equal to_json of a stable sort of every event, with lines
-  // held back at a watermark crossing barriers, at any queue bound.
+  // The fleet's path: each source's events are encoded into its own ring
+  // as they are emitted (by the shard thread stepping the rack; here by
+  // one thread per source), and the sink merges only the (t, rack) tags.
+  // The file must equal the encoding of a stable sort of every event, with
+  // lines held back at a watermark crossing barriers, at any queue bound.
   ScratchDir scratch;
   constexpr double kEpoch = 15.0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -240,8 +251,8 @@ TEST(StreamingSink, EncodedLineMergeMatchesToJsonOfStableSortedEvents) {
     Rng rng(seed * 7919);
     const int sources = rng.uniform_int(1, 6);  // rack ids -1 .. sources-2
     const int epochs = rng.uniform_int(1, 6);
-    std::vector<std::vector<std::vector<telemetry::TraceEvent>>> per_epoch;
-    std::vector<telemetry::TraceEvent> all;
+    std::vector<std::vector<std::vector<Event>>> per_epoch;
+    std::vector<Event> all;
     int index = 0;
     for (int e = 0; e < epochs; ++e) {
       auto& epoch = per_epoch.emplace_back(static_cast<std::size_t>(sources));
@@ -249,21 +260,16 @@ TEST(StreamingSink, EncodedLineMergeMatchesToJsonOfStableSortedEvents) {
         const int count = rng.uniform_int(0, 8);
         for (int i = 0; i < count; ++i) {
           const double t = (e + rng.uniform_int(0, 3) / 3.0) * kEpoch;
-          telemetry::TraceEvent event = make_event(t, source - 1, index++);
-          event.payload.emplace_back(telemetry::TraceKey("text"),
-                                    std::string("q\"\\\n\x01"));
-          event.payload.emplace_back(telemetry::TraceKey("w"),
-                                    rng.uniform(-1e3, 1e3));
+          Event event = make_event(t, source - 1, index++);
+          event.rich = true;
+          event.w = rng.uniform(-1e3, 1e3);
           epoch[static_cast<std::size_t>(source)].push_back(event);
-          all.push_back(std::move(event));
+          all.push_back(event);
         }
       }
     }
     std::stable_sort(all.begin(), all.end(), event_before);
-    std::string expected = telemetry::trace_header_json() + "\n";
-    for (const telemetry::TraceEvent& event : all) {
-      expected += event.to_json() + "\n";
-    }
+    const std::string expected = expected_file(all);
 
     const fs::path path = scratch / ("lines-" + std::to_string(seed));
     {
@@ -272,24 +278,26 @@ TEST(StreamingSink, EncodedLineMergeMatchesToJsonOfStableSortedEvents) {
       telemetry::StreamingTraceSink sink(config);
       std::vector<telemetry::TraceLines> lines(
           static_cast<std::size_t>(sources));
+      std::vector<telemetry::TraceLines*> rings;
+      for (telemetry::TraceLines& source : lines) rings.push_back(&source);
       for (int e = 0; e < epochs; ++e) {
         std::vector<std::thread> encoders;
         for (int source = 0; source < sources; ++source) {
           encoders.emplace_back([&, e, source] {
-            for (const telemetry::TraceEvent& event :
+            for (const Event& event :
                  per_epoch[static_cast<std::size_t>(e)]
                           [static_cast<std::size_t>(source)]) {
-              lines[static_cast<std::size_t>(source)].append(event);
+              append_event(lines[static_cast<std::size_t>(source)], event);
             }
           });
         }
         for (std::thread& encoder : encoders) encoder.join();
-        sink.push_merge(lines, (e + 1) * kEpoch);
+        sink.push_merge(rings, (e + 1) * kEpoch);
         for (const telemetry::TraceLines& source : lines) {
           EXPECT_TRUE(source.empty());  // the sink took every line
         }
       }
-      sink.push_merge(lines, std::numeric_limits<double>::infinity());
+      sink.push_merge(rings, std::numeric_limits<double>::infinity());
       sink.close();
       EXPECT_EQ(sink.events_written(), all.size());
     }
@@ -317,6 +325,34 @@ TEST(StreamingSink, RejectsInvalidConfiguration) {
   fleet_cfg.trace_stream = telemetry::StreamSinkConfig{};
   fleet_cfg.trace_stream->queue_capacity = 0;
   EXPECT_THROW(fleet_cfg.validate(), FleetError);
+}
+
+TEST(StreamingSink, LoadStateRefusesACorruptPendingLine) {
+  // The reorder tail is restored through the trace-line codec, so a
+  // checksum-valid snapshot whose pending line is not one JSON object is
+  // refused by name instead of being written into the resumed file.
+  ScratchDir scratch;
+  checkpoint::Writer w;
+  w.u64(0);    // durable offset
+  w.f64(0.0);  // last written t
+  w.u64(0);    // dropped total
+  w.seq(1);
+  w.f64(15.0);
+  w.i64(0);
+  w.str("not json\n");
+  w.u64(0);  // stalls
+  w.u64(0);  // events written
+  telemetry::StreamSinkConfig config{scratch / "resumed.jsonl"};
+  config.resume = true;
+  telemetry::StreamingTraceSink sink(config);
+  checkpoint::Reader r{w.buffer()};
+  try {
+    sink.load_state(r);
+    ADD_FAILURE() << "a corrupt pending line was restored";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "stream sink: line 0 is not one JSON object and a newline");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +416,7 @@ TEST(StreamingSink, SingleRackRingKeepsNoHistory) {
   recorded.run(Minutes{6.0 * 60.0});
   EXPECT_EQ(recorded.telemetry().trace().size(), 0u);
   EXPECT_GT(recorded.telemetry().trace().peak_bytes(), 0u);
-  EXPECT_FALSE(recorded.telemetry().flightrec().ring().empty());
+  EXPECT_FALSE(recorded.telemetry().flightrec().lines().empty());
 }
 
 RackSimulator make_fleet_rack(Watts solar_capacity, std::uint64_t seed,
@@ -481,14 +517,14 @@ TEST(Rollup, AggregatesFixedWindowsAndFlushesTheTail) {
   EXPECT_EQ(closed->health_occupancy[0], 3u);
   EXPECT_EQ(closed->health_occupancy[1], 1u);
 
-  const telemetry::TraceEvent event = telemetry::make_rollup_event(*closed, 3);
-  EXPECT_EQ(event.phase, "rollup");
-  EXPECT_EQ(event.rack_id, 3);
-  ASSERT_NE(event.field("epu"), nullptr);
-  EXPECT_EQ(event.field("epu")->as_double(), 2.5);
-  EXPECT_EQ(event.field("shortfall_w")->as_double(), 25.0);
-  EXPECT_EQ(event.field("grid_w")->as_double(), 250.0);
-  EXPECT_EQ(event.field("epochs")->as_int(), 4);
+  std::string line;
+  telemetry::append_rollup_line(line, *closed, 3);
+  EXPECT_EQ(line,
+            "{\"t\":60,\"rack\":3,\"phase\":\"rollup\",\"window_start_min\":0,"
+            "\"window_end_min\":60,\"epochs\":4,\"epu\":2.5,"
+            "\"shortfall_w\":25,\"grid_w\":250,\"health_normal\":3,"
+            "\"health_degraded\":1,\"health_safe\":0,"
+            "\"health_recovering\":0}\n");
 
   const auto tail = rollup.flush(75.0);
   ASSERT_TRUE(tail.has_value());
@@ -512,14 +548,18 @@ TEST(Rollup, HealthFieldNamesPinCoreHealthStateNames) {
   telemetry::RollupWindow window;
   window.epochs = 1;
   window.health_occupancy = {1, 2, 3, 4};
-  const telemetry::TraceEvent event = telemetry::make_rollup_event(window, 0);
+  std::string line;
+  telemetry::append_rollup_line(line, window, 0);
   const HealthState states[] = {HealthState::kNormal, HealthState::kDegraded,
                                 HealthState::kSafe, HealthState::kRecovering};
   for (std::size_t s = 0; s < 4; ++s) {
-    const std::string key = std::string("health_") + to_string(states[s]);
-    const telemetry::TraceValue* value = event.field(key);
-    ASSERT_NE(value, nullptr) << key;
-    EXPECT_EQ(value->as_int(), static_cast<std::int64_t>(s + 1)) << key;
+    const std::string field = "\"health_" + std::string(to_string(states[s])) +
+                              "\":" + std::to_string(s + 1);
+    const std::size_t at = line.find(field);
+    ASSERT_NE(at, std::string::npos) << field << line;
+    EXPECT_TRUE(line[at + field.size()] == ',' ||
+                line[at + field.size()] == '}')
+        << field << line;
   }
 }
 

@@ -7,13 +7,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "checkpoint/serializer.h"
@@ -613,48 +615,105 @@ TEST(Slots, RestoreRefusesSeriesOutsideTheCatalog) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace keys and the compact field layout.
+// The trace encoder and the line buffers it writes into.
 
-static_assert(!std::is_constructible_v<TraceKey, std::string>);
-static_assert(!std::is_constructible_v<TraceKey, std::string_view>);
-static_assert(!std::is_constructible_v<TraceKey, const char*>);
-static_assert(sizeof(TraceValue) <= 40);
-static_assert(sizeof(TraceField) <= 56);
+// A field is a key view plus a value view: no owned storage.
+static_assert(sizeof(TraceValue) <= 24);
+static_assert(sizeof(TraceField) <= 40);
 
-TEST(TraceKey, InternReturnsOneStablePerProcessCopy) {
-  std::string built = "health_";
-  built += "safe";
-  const TraceKey a = TraceKey::intern(built);
-  built.assign("overwritten");
-  const TraceKey b = TraceKey::intern("health_safe");
-  EXPECT_EQ(a.view(), "health_safe");
-  EXPECT_EQ(a.view().data(), b.view().data());
-  EXPECT_EQ(watts_key(LossBucket::kGridCap).view(), "grid_cap_w");
+/// The encoder's line for one event.
+std::string encode(double t, int rack, std::string_view phase,
+                   std::initializer_list<TraceField> fields) {
+  std::string out;
+  append_event_line(out, t, rack, phase,
+                    std::span(fields.begin(), fields.size()));
+  return out;
 }
 
-/// The ring's events as JSONL lines, oldest first.
-std::string ring_lines(const TraceRing& ring) {
-  std::string out;
-  for (const TraceEvent& event : ring.events()) out += event.to_json() + "\n";
-  return out;
+TEST(TraceEncoder, JsonShapeAndEscaping) {
+  const std::vector<double> ratios{0.5, 0.25};
+  const std::vector<double> none;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // A key only has to outlive the call: no interning, no static storage.
+  std::string key = "built";
+  key += "_at_runtime";
+  EXPECT_EQ(encode(15.0, 2, "epoch_plan",
+                   {{"case", "A"},
+                    {"budget_w", 750.5},
+                    {"training", false},
+                    {"count", std::size_t{3}},
+                    {"ratio", 3.0},
+                    {"ratios", ratios},
+                    {"note", "line\nbreak \"quoted\""},
+                    {"nan", std::numeric_limits<double>::quiet_NaN()},
+                    {"inf", kInf},
+                    {"ninf", -kInf},
+                    {"min", std::numeric_limits<std::int64_t>::min()},
+                    {"max", std::numeric_limits<std::int64_t>::max()},
+                    {"empty", none},
+                    {key, true}}),
+            "{\"t\":15,\"rack\":2,\"phase\":\"epoch_plan\",\"case\":\"A\","
+            "\"budget_w\":750.5,\"training\":false,\"count\":3,\"ratio\":3,"
+            "\"ratios\":[0.5,0.25],"
+            "\"note\":\"line\\nbreak \\\"quoted\\\"\","
+            "\"nan\":NaN,\"inf\":+Inf,\"ninf\":-Inf,"
+            "\"min\":-9223372036854775808,\"max\":9223372036854775807,"
+            "\"empty\":[],\"built_at_runtime\":true}\n");
+  EXPECT_EQ(encode(-7.5, -1, "bare", {}),
+            "{\"t\":-7.5,\"rack\":-1,\"phase\":\"bare\"}\n");
+}
+
+TEST(TraceEncoder, LedgerKeysAreTheBucketNamesWithAWattSuffix) {
+  for (LossBucket b : all_loss_buckets()) {
+    EXPECT_EQ(watts_key(b), std::string(to_string(b)) + "_w");
+  }
+}
+
+TEST(TraceEncoder, WarmEmitAllocatesNothing) {
+#if !GH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "allocation counters are compiled out (GH_TELEMETRY=OFF)";
+#else
+  Telemetry t;  // traced, flight recorder off
+  const std::string text(40, 'x');  // past any small-string buffer
+  const std::vector<double> values{1.0, 2.5, -3.0};
+  const auto emit_every_kind = [&] {
+    t.emit("every_kind", {{"double", 1.5},
+                          {"int", 7},
+                          {"int64", std::int64_t{-9}},
+                          {"size", std::size_t{3}},
+                          {"bool", true},
+                          {"literal", "short"},
+                          {"string", text},
+                          {"view", std::string_view(text)},
+                          {"array", values},
+                          {"span", std::span<const double>(values)}});
+  };
+  emit_every_kind();
+  emit_every_kind();
+  t.trace().lines().clear();  // the barrier's hand-off keeps the capacity
+  const ThreadAllocCounters before = thread_alloc_counters();
+  emit_every_kind();
+  const ThreadAllocCounters after = thread_alloc_counters();
+  EXPECT_EQ(after.count - before.count, 0u);
+  EXPECT_EQ(after.bytes - before.bytes, 0u);
+  EXPECT_EQ(t.trace().size(), 1u);
+#endif
 }
 
 TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
   TraceRing ring{16};
+  const std::vector<double> ratios{0.25, 0.75};
   for (int i = 0; i < 3; ++i) {
-    TraceEvent event;
-    event.sim_minutes = 15.0 * i;
-    event.rack_id = i;
-    event.phase = "loss_ledger";
-    event.payload = {{"supply_w", 100.5 + i},
-                    {"a_key_longer_than_fifteen_chars", i},
-                    {"case", "B(renewable+battery)"},
-                    {"flag", i % 2 == 0},
-                    {"ratios", std::vector<double>{0.25, 0.75}}};
-    event.payload.emplace_back(watts_key(LossBucket::kCurtailed), 1.5 * i);
-    ring.push(std::move(event));
+    const TraceField fields[] = {
+        {"supply_w", 100.5 + i},
+        {"a_key_longer_than_fifteen_chars", i},
+        {"case", "B(renewable+battery)"},
+        {"flag", i % 2 == 0},
+        {"ratios", ratios},
+        {watts_key(LossBucket::kCurtailed), 1.5 * i}};
+    ring.push(15.0 * i, i, "loss_ledger", fields);
   }
-  const std::string before = ring_lines(ring);
+  const std::string before(ring.lines().bytes());
 
   TraceRing restored{16};
   {
@@ -663,28 +722,31 @@ TEST(TraceRing, CheckpointRoundTripOutlivesTheReaderBuffer) {
     auto buffer = std::make_unique<std::string>(w.buffer());
     checkpoint::Reader r{*buffer};
     checkpoint::load(r, restored);
-    // Overwrite, then free, every byte the keys were read from.
+    // Overwrite, then free, every byte the lines were read from.
     buffer->assign(buffer->size(), '\xff');
     buffer.reset();
   }
-  EXPECT_EQ(ring_lines(restored), before);
-  EXPECT_EQ(restored.approx_bytes(), ring.approx_bytes());
-  ASSERT_NE(restored.events().back().field("curtailed_w"), nullptr);
-  EXPECT_DOUBLE_EQ(restored.events().back().field("curtailed_w")->as_double(),
-                   3.0);
+  EXPECT_EQ(restored.lines().bytes(), before);
+  EXPECT_EQ(restored.approx_bytes(), before.size());
+  EXPECT_EQ(restored.peak_bytes(), ring.peak_bytes());
+  ASSERT_EQ(restored.size(), 3u);
+  EXPECT_EQ(restored.lines().lines().back().t, 30.0);
+  EXPECT_EQ(restored.lines().lines().back().rack, 2);
+  EXPECT_NE(before.find("\"curtailed_w\":3}\n"), std::string::npos)
+      << before;
 }
 
-/// Loads `w` into `ring`, which must refuse it with a CheckpointError whose
-/// message starts with `field`.
-template <class Ring>
-void expect_refused(const checkpoint::Writer& w, Ring& ring,
-                    const std::string& field) {
+/// Loads `w` into `target`, which must refuse it with a CheckpointError
+/// whose message starts with `message`.
+template <class Target>
+void expect_refused(const checkpoint::Writer& w, Target& target,
+                    const std::string& message) {
   checkpoint::Reader r{w.buffer()};
   try {
-    checkpoint::load(r, ring);
-    ADD_FAILURE() << "a ring above its capacity was restored";
+    checkpoint::load(r, target);
+    ADD_FAILURE() << "a refused payload was restored";
   } catch (const checkpoint::CheckpointError& e) {
-    EXPECT_EQ(std::string(e.what()).rfind(field, 0), 0u) << e.what();
+    EXPECT_EQ(std::string(e.what()).rfind(message, 0), 0u) << e.what();
   }
 }
 
@@ -692,12 +754,12 @@ TEST(TraceRing, CheckpointRefusesMoreEventsThanTheCapacity) {
   // push() evicts only when the ring is exactly full, so a ring restored
   // above its capacity would keep growing for the whole run.
   TraceRing ring{8};
-  for (int i = 0; i < 5; ++i) ring.push(TraceEvent{15.0 * i, 0, "epoch", {}});
+  for (int i = 0; i < 5; ++i) ring.push(15.0 * i, 0, "epoch", {});
   checkpoint::Writer w;
   checkpoint::save(w, ring);
 
   TraceRing small{4};
-  expect_refused(w, small, "trace ring: event count 5 exceeds the capacity 4");
+  expect_refused(w, small, "trace ring: line count 5 exceeds the capacity 4");
   TraceRing exact{5};
   checkpoint::Reader r{w.buffer()};
   checkpoint::load(r, exact);
@@ -707,53 +769,80 @@ TEST(TraceRing, CheckpointRefusesMoreEventsThanTheCapacity) {
 TEST(FlightRecorder, CheckpointRefusesMoreEventsThanTheCapacity) {
   // record() evicts only when the ring is exactly full, as push() does.
   FlightRecorder recorder{8, "flightrec-unused"};
-  for (int i = 0; i < 5; ++i) recorder.record(TraceEvent{15.0 * i, 0, "x", {}});
+  TraceLines emitted;
+  for (int i = 0; i < 5; ++i) {
+    emitted.append(15.0 * i, 0, "x", {});
+    recorder.record(emitted, emitted.lines().back());
+  }
   checkpoint::Writer w;
   checkpoint::save(w, recorder);
 
   FlightRecorder small{4, "flightrec-unused"};
   expect_refused(w, small,
-                 "flight recorder: event count 5 exceeds the capacity 4");
+                 "flight recorder: line count 5 exceeds the capacity 4");
   FlightRecorder exact{5, "flightrec-unused"};
   checkpoint::Reader r{w.buffer()};
   checkpoint::load(r, exact);
-  EXPECT_EQ(exact.ring().size(), 5u);
+  EXPECT_EQ(exact.lines().bytes(), emitted.bytes());
 }
 
-TEST(TraceEvent, JsonShapeAndEscaping) {
-  TraceEvent event;
-  event.sim_minutes = 15.0;
-  event.rack_id = 2;
-  event.phase = "epoch_plan";
-  event.payload = {{"case", "A"},
-                  {"budget_w", 750.5},
-                  {"training", false},
-                  {"count", std::size_t{3}},
-                  {"ratios", std::vector<double>{0.5, 0.25}},
-                  {"note", "line\nbreak \"quoted\""}};
-  EXPECT_EQ(event.to_json(),
-            "{\"t\":15,\"rack\":2,\"phase\":\"epoch_plan\",\"case\":\"A\","
-            "\"budget_w\":750.5,\"training\":false,\"count\":3,"
-            "\"ratios\":[0.5,0.25],"
-            "\"note\":\"line\\nbreak \\\"quoted\\\"\"}");
-  ASSERT_NE(event.field("budget_w"), nullptr);
-  EXPECT_DOUBLE_EQ(event.field("budget_w")->as_double(), 750.5);
-  EXPECT_EQ(event.field("nope"), nullptr);
+/// A TraceLines payload of one line (t, rack 0, `line`), loaded into a
+/// buffer of `capacity`; returns the refusal message ("" when accepted).
+std::string load_one_line(double t, std::string_view line,
+                          std::size_t capacity = 8) {
+  checkpoint::Writer w;
+  w.seq(1);
+  w.f64(t);
+  w.i64(0);
+  w.str(line);
+  checkpoint::Reader r{w.buffer()};
+  TraceLines lines;
+  try {
+    TraceLines::fields(lines, r, capacity, "trace ring");
+  } catch (const checkpoint::CheckpointError& e) {
+    return e.what();
+  }
+  EXPECT_EQ(lines.bytes(), line);
+  return "";
+}
+
+TEST(TraceLines, LoadRefusesACountAboveTheCapacity) {
+  EXPECT_EQ(load_one_line(0.0, "{}\n", 0),
+            "trace ring: line count 1 exceeds the capacity 0");
+  EXPECT_EQ(load_one_line(0.0, "{}\n", 1), "");
+}
+
+TEST(TraceLines, LoadRefusesALineThatIsNotOneObjectAndANewline) {
+  const std::string refused =
+      "trace ring: line 0 is not one JSON object and a newline";
+  for (const std::string_view bad :
+       {"", "\n", "{}", "{}\n\n", "{\"a\":1}\n{\"b\":2}\n", "[1]\n", "{\n}\n",
+        "x{}\n", "{}x\n"}) {
+    EXPECT_EQ(load_one_line(0.0, bad), refused) << bad;
+  }
+  EXPECT_EQ(load_one_line(0.0, "{\"t\":0,\"rack\":0,\"phase\":\"p\"}\n"), "");
+}
+
+TEST(TraceLines, LoadRefusesANonFiniteTime) {
+  const std::string refused = "trace ring: line 0 has a non-finite time";
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(load_one_line(t, "{}\n"), refused) << t;
+  }
 }
 
 TEST(TraceRing, EvictsOldestAndWarnsOnce) {
   ScopedLogCapture capture(LogLevel::kWarn);
   TraceRing ring{2};
-  for (int i = 0; i < 5; ++i) {
-    TraceEvent event;
-    event.sim_minutes = i;
-    event.phase = "p";
-    ring.push(std::move(event));
-  }
+  for (int i = 0; i < 5; ++i) ring.push(i, 0, "p", {});
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.dropped(), 3u);
-  EXPECT_DOUBLE_EQ(ring.events().front().sim_minutes, 3.0);
-  EXPECT_DOUBLE_EQ(ring.events().back().sim_minutes, 4.0);
+  EXPECT_EQ(ring.lines().bytes(),
+            "{\"t\":3,\"rack\":0,\"phase\":\"p\"}\n"
+            "{\"t\":4,\"rack\":0,\"phase\":\"p\"}\n");
+  EXPECT_DOUBLE_EQ(ring.lines().lines().front().t, 3.0);
+  EXPECT_DOUBLE_EQ(ring.lines().lines().back().t, 4.0);
   // The full-ring warning fires once, not per evicted event.
   std::size_t warnings = 0;
   for (const auto& entry : capture.entries()) {
@@ -763,25 +852,37 @@ TEST(TraceRing, EvictsOldestAndWarnsOnce) {
   }
   EXPECT_EQ(warnings, 1u);
 
+  // Eviction compacts the buffer in batches; at every capacity the ring
+  // holds exactly the newest lines, oldest first.
+  for (const std::size_t capacity : {1u, 3u, 5u}) {
+    TraceRing wide{capacity};
+    for (int i = 0; i < 23; ++i) {
+      wide.push(i, 0, "p", {});
+      std::string expected;
+      for (int j = std::max(0, i + 1 - static_cast<int>(capacity)); j <= i;
+           ++j) {
+        expected += encode(j, 0, "p", {});
+      }
+      ASSERT_EQ(wide.lines().bytes(), expected) << capacity << " " << i;
+      ASSERT_EQ(wide.approx_bytes(), expected.size());
+    }
+  }
+
   ring.clear();
   EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.approx_bytes(), 0u);
 }
 
 TEST(TraceRing, WritesJsonl) {
-  // Drained into the streaming sink, the ring's events land as JSONL after
-  // the schema header, and the ring is left empty.
+  // Handed to the streaming sink, the ring's lines land after the schema
+  // header, and the ring is left empty.
   TraceRing ring{8};
-  for (int i = 0; i < 2; ++i) {
-    TraceEvent event;
-    event.sim_minutes = 15.0 * i;
-    event.phase = "tick";
-    ring.push(std::move(event));
-  }
+  for (int i = 0; i < 2; ++i) ring.push(15.0 * i, 0, "tick", {});
   const testtrace::ScratchDir scratch;
   const std::filesystem::path path = scratch / "ring.jsonl";
   {
     StreamingTraceSink sink({path});
-    sink.push(ring.drain());
+    sink.push(ring.lines());
   }
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(testtrace::read_file(path),
@@ -823,9 +924,8 @@ TEST(Scope, AmbientContextInstallsNestsAndMasks) {
   EXPECT_EQ(current(), nullptr);
 
   ASSERT_EQ(outer_ctx.trace().size(), 1u);
-  const TraceEvent& event = outer_ctx.trace().events().front();
-  EXPECT_EQ(event.phase, "seen");
-  EXPECT_DOUBLE_EQ(event.sim_minutes, 30.0);
+  EXPECT_EQ(outer_ctx.trace().lines().bytes(),
+            "{\"t\":30,\"rack\":0,\"phase\":\"seen\",\"v\":1}\n");
 }
 
 TEST(Scope, UntracedContextBuildsAndKeepsNoEvents) {
@@ -846,10 +946,13 @@ TEST(Scope, EmitStampsRackId) {
   config.rack_id = 7;
   Telemetry t{config};
   t.emit("tick", {});
-  EXPECT_EQ(t.trace().events().front().rack_id, 7);
+  EXPECT_EQ(t.trace().lines().lines().front().rack, 7);
   t.set_rack_id(9);
   t.emit("tock", {});
-  EXPECT_EQ(t.trace().events().back().rack_id, 9);
+  EXPECT_EQ(t.trace().lines().lines().back().rack, 9);
+  EXPECT_EQ(t.trace().lines().bytes(),
+            "{\"t\":0,\"rack\":7,\"phase\":\"tick\"}\n"
+            "{\"t\":0,\"rack\":9,\"phase\":\"tock\"}\n");
 }
 
 #if GH_TELEMETRY_ENABLED
