@@ -1,6 +1,6 @@
-// Ablation A2 (google-benchmark): predictor cost and accuracy — Holt versus
-// the last-value and moving-average baselines on the synthetic solar traces.
-// Accuracy (mean absolute one-step error in watts) is reported as a counter.
+// Ablation A2 (google-benchmark): the Holt predictor's cost — one
+// observe/predict step and one train_holt call on the synthetic solar
+// traces.
 //
 // A custom main runs the google-benchmark suite and then re-times Holt
 // training on the 96-point window (one day of 15-minute epochs), on the
@@ -8,7 +8,6 @@
 // machine-readable BENCH_predictor_micro.json via BenchReport.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,20 +28,6 @@ std::vector<double> solar_series(bool low) {
     series.push_back(trace.sample(i).value());
   }
   return series;
-}
-
-template <class Predictor>
-double replay_mae(Predictor& predictor, const std::vector<double>& series) {
-  double err = 0.0;
-  int counted = 0;
-  for (double v : series) {
-    if (predictor.ready()) {
-      err += std::fabs(predictor.predict() - v);
-      ++counted;
-    }
-    predictor.observe(v);
-  }
-  return counted ? err / counted : 0.0;
 }
 
 void BM_HoltObserve(benchmark::State& state) {
@@ -70,33 +55,6 @@ void BM_TrainHolt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainHolt);
-
-void BM_PredictorAccuracy(benchmark::State& state) {
-  const bool low = state.range(0) == 1;
-  const auto series = solar_series(low);
-  double holt_mae = 0.0;
-  double hw_mae = 0.0;
-  double last_mae = 0.0;
-  double avg_mae = 0.0;
-  for (auto _ : state) {
-    HoltPredictor holt(train_holt(series));
-    HoltWintersPredictor hw(train_holt(series), /*period=*/96, 0.4);
-    LastValuePredictor last;
-    MovingAveragePredictor avg(4);
-    holt_mae = replay_mae(holt, series);
-    hw_mae = replay_mae(hw, series);
-    last_mae = replay_mae(last, series);
-    avg_mae = replay_mae(avg, series);
-  }
-  state.counters["holt_mae_w"] = holt_mae;
-  state.counters["holtwinters_mae_w"] = hw_mae;
-  state.counters["lastvalue_mae_w"] = last_mae;
-  state.counters["movavg4_mae_w"] = avg_mae;
-}
-BENCHMARK(BM_PredictorAccuracy)
-    ->Arg(0)  // High trace
-    ->Arg(1)  // Low trace
-    ->Iterations(1);
 
 }  // namespace
 

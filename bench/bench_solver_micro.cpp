@@ -1,6 +1,7 @@
-// Ablation A1 (google-benchmark): the exact KKT Solver against exhaustive
-// grids at several granularities, timed on representative 2-, 3- and
-// 5-group problems, plus the subset-activation search on 5/5/4 servers.
+// Ablation A1 (google-benchmark): the exact KKT Solver timed on
+// representative 2-, 3- and 5-group problems, plus the subset-activation
+// search on 5/5/4 servers, and its optimality gap against the oracle's
+// exhaustive grid (check::oracle_solve).
 //
 // A custom main runs the google-benchmark suite and then re-times the key
 // entry points with a plain steady_clock loop to emit the machine-readable
@@ -12,6 +13,7 @@
 
 #include "bench_common.h"
 #include "bench_timing.h"
+#include "check/oracle.h"
 #include "core/solver.h"
 
 namespace {
@@ -84,23 +86,7 @@ void BM_SolveFiveGroups(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveFiveGroups);
 
-void BM_SolveGridTenPercent(benchmark::State& state) {
-  const auto groups = two_groups();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Solver::solve_grid(groups, Watts{900.0}, 0.10));
-  }
-}
-BENCHMARK(BM_SolveGridTenPercent);
-
-void BM_SolveGridFine(benchmark::State& state) {
-  const auto groups = two_groups();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Solver::solve_grid(groups, Watts{900.0}, 0.001));
-  }
-}
-BENCHMARK(BM_SolveGridFine);
-
-// Optimality gap of the production solver vs a very fine brute force,
+// Optimality gap of the production solver vs the oracle's very fine grid,
 // reported as a counter (x1000) alongside the timing.
 void BM_SolveOptimalityGap(benchmark::State& state) {
   const auto groups = two_groups();
@@ -108,11 +94,10 @@ void BM_SolveOptimalityGap(benchmark::State& state) {
   for (auto _ : state) {
     for (double supply : {500.0, 700.0, 900.0, 1100.0, 1400.0}) {
       const Allocation fast = Solver::solve(groups, Watts{supply});
-      const Allocation brute =
-          Solver::solve_grid(groups, Watts{supply}, 0.0005);
-      if (brute.predicted_perf > 0.0) {
-        worst_gap = std::max(
-            worst_gap, 1.0 - fast.predicted_perf / brute.predicted_perf);
+      const check::OracleSolution brute =
+          check::oracle_solve(groups, Watts{supply}, 0.0005);
+      if (brute.perf > 0.0) {
+        worst_gap = std::max(worst_gap, 1.0 - fast.predicted_perf / brute.perf);
       }
     }
   }
@@ -145,9 +130,6 @@ int main(int argc, char** argv) {
   report.set("solve_subset_3groups_ns", time_ns_per_op([&] {
                return Solver::solve_subset(g554, Watts{900.0});
              }));
-  report.set("solve_grid_10pct_ns", time_ns_per_op([&] {
-               return Solver::solve_grid(g2, Watts{900.0}, 0.10);
-             }, 200));
   report.write();
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <string>
 
 #include "checkpoint/serializer.h"
 #include "telemetry/telemetry.h"
@@ -109,71 +108,6 @@ void PerfPowerDatabase::add_runtime_sample(ProfileKey key,
     record.perfs.erase(record.perfs.begin() + victim);
   }
   refit(record);
-}
-
-std::vector<ProfileKey> PerfPowerDatabase::keys() const {
-  std::vector<ProfileKey> result;
-  result.reserve(records_.size());
-  for (const auto& [key, record] : records_) {
-    result.push_back(key);
-  }
-  return result;
-}
-
-CsvTable PerfPowerDatabase::to_csv() const {
-  CsvTable table({"server", "workload", "pinned", "power_w", "perf"});
-  for (const auto& [key, record] : records_) {
-    for (std::size_t i = 0; i < record.powers.size(); ++i) {
-      table.add_row({std::string(server_spec(key.model).name),
-                     std::string(workload_spec(key.workload).name),
-                     i < record.pinned ? "1" : "0",
-                     std::to_string(record.powers[i]),
-                     std::to_string(record.perfs[i])});
-    }
-  }
-  return table;
-}
-
-PerfPowerDatabase PerfPowerDatabase::from_csv(
-    const CsvTable& table, std::size_t max_samples_per_record) {
-  PerfPowerDatabase db(max_samples_per_record);
-  const std::size_t server_col = table.column_index("server");
-  const std::size_t workload_col = table.column_index("workload");
-  const std::size_t pinned_col = table.column_index("pinned");
-  const std::size_t power_col = table.column_index("power_w");
-  const std::size_t perf_col = table.column_index("perf");
-  for (std::size_t r = 0; r < table.row_count(); ++r) {
-    const ProfileKey key{server_model_by_name(table.cell(r, server_col)),
-                         workload_by_name(table.cell(r, workload_col))};
-    ProfileRecord& record = db.records_[key];
-    const bool pinned = table.number(r, pinned_col) != 0.0;
-    if (pinned) {
-      // Pinned rows are serialised first (map order is stable); enforce it.
-      if (record.pinned != record.powers.size()) {
-        throw DatabaseError(
-            "database csv: pinned sample after runtime samples");
-      }
-      record.pinned += 1;
-    }
-    record.powers.push_back(table.number(r, power_col));
-    record.perfs.push_back(table.number(r, perf_col));
-  }
-  for (auto it = db.records_.begin(); it != db.records_.end(); ++it) {
-    if (it->second.powers.size() < 3) {
-      throw DatabaseError("database csv: record with fewer than 3 samples");
-    }
-    db.refit(it->second);
-  }
-  return db;
-}
-
-void PerfPowerDatabase::save(const std::filesystem::path& path) const {
-  to_csv().save(path);
-}
-
-PerfPowerDatabase PerfPowerDatabase::load(
-    const std::filesystem::path& path, std::size_t max_samples_per_record) {
-  return from_csv(CsvTable::load(path), max_samples_per_record);
 }
 
 void PerfPowerDatabase::refit(ProfileRecord& record) const {

@@ -13,13 +13,10 @@
 
 #include <compare>
 #include <cstddef>
-#include <filesystem>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <vector>
-
-#include "util/csv.h"
 
 #include "core/monitor.h"
 #include "server/server_spec.h"
@@ -85,23 +82,9 @@ class PerfPowerDatabase {
   /// points instead of wobbling); genuinely new powers are appended.
   void add_runtime_sample(ProfileKey key, const ServerSample& sample);
 
-  /// All keys currently known (for reporting).
-  [[nodiscard]] std::vector<ProfileKey> keys() const;
-
-  /// Persistence: the database survives controller restarts (the paper's
-  /// database is "dynamically maintained and updated" across runs).  The
-  /// CSV has one row per sample: server, workload, pinned, power, perf.
-  [[nodiscard]] CsvTable to_csv() const;
-  [[nodiscard]] static PerfPowerDatabase from_csv(
-      const CsvTable& table, std::size_t max_samples_per_record = 64);
-  void save(const std::filesystem::path& path) const;
-  [[nodiscard]] static PerfPowerDatabase load(
-      const std::filesystem::path& path,
-      std::size_t max_samples_per_record = 64);
-
-  /// Binary checkpoint of every record, fit coefficients included (the CSV
-  /// path re-fits on load; resume must restore the exact fit so the next
-  /// allocation is bit-identical).
+  /// Binary checkpoint of every record, fit coefficients included (resume
+  /// must restore the exact fit so the next allocation is bit-identical):
+  /// the database survives controller restarts this way.
   template <class Self, class Io>
   static void fields(Self& self, Io& io);
 

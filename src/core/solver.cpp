@@ -113,10 +113,9 @@ double Solver::evaluate(std::span<const GroupModel> groups,
 namespace {
 
 /// Solver entry points, in the catalog's `backend` label order.
-enum class Backend { kAnalyticN, kGrid, kSubset };
+enum class Backend { kAnalyticN, kSubset };
 constexpr telemetry::CounterId kSolverCalls = "gh_solver_calls_total";
 static_assert(kSolverCalls.label_value(Backend::kAnalyticN) == "analytic_n" &&
-              kSolverCalls.label_value(Backend::kGrid) == "grid" &&
               kSolverCalls.label_value(Backend::kSubset) == "subset");
 
 /// Counter + trace event for one solver entry-point call (no-op outside a
@@ -180,45 +179,6 @@ void sanitize_allocation(std::span<const GroupModel> groups, Watts total,
 }
 
 }  // namespace
-
-Allocation Solver::solve_grid(std::span<const GroupModel> groups,
-                              Watts total_supply, double granularity) {
-  validate_inputs(groups, total_supply, /*max_groups=*/8);
-  if (granularity <= 0.0 || granularity > 0.5) {
-    throw SolverError("solver: granularity must be in (0, 0.5]");
-  }
-  const int steps = static_cast<int>(std::lround(1.0 / granularity));
-  Allocation best;
-  best.predicted_perf = -1.0;
-  std::uint64_t evals = 0;
-  const auto consider = [&](const std::vector<double>& ratios) {
-    ++evals;
-    const double perf = evaluate(groups, ratios, total_supply);
-    if (perf > best.predicted_perf) {
-      best = Allocation{ratios, perf, {}};
-    }
-  };
-  // Recursive simplex enumeration: groups 0..n-2 scan the remaining steps,
-  // the last group takes whatever is left (giving it less never helps the
-  // others, and extra power beyond its saturation is harmlessly clamped).
-  std::vector<double> ratios(groups.size(), 0.0);
-  const auto enumerate = [&](auto&& self, std::size_t g,
-                             int steps_left) -> void {
-    if (g + 1 == groups.size()) {
-      ratios[g] = static_cast<double>(steps_left) / steps;
-      consider(ratios);
-      return;
-    }
-    for (int i = 0; i <= steps_left; ++i) {
-      ratios[g] = static_cast<double>(i) / steps;
-      self(self, g + 1, steps_left - i);
-    }
-  };
-  enumerate(enumerate, 0, steps);
-  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, best);
-  report_solve(Backend::kGrid, groups, total_supply, best, evals);
-  return best;
-}
 
 // ---------------------------------------------------------------------------
 // Closed-form KKT / water-filling engine behind Solver::solve.

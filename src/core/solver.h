@@ -13,10 +13,11 @@
 // Solver::solve is the one exact engine: a closed-form KKT active-set
 // sweep for any group count up to 16 — exhaustive over active sets, exact
 // per-set Lagrangian, every candidate validated against the full clamped
-// objective.  solve_grid (an exhaustive simplex scan) is the reference
-// the tests and benches measure it against; solve_subset is the
-// subset-activation extension, an exact search over active-count vectors
-// that runs the same engine once per vector it cannot rule out.
+// objective.  check::oracle_solve (an exhaustive simplex scan sharing no
+// code with it) is the reference the tests and benches measure it against;
+// solve_subset is the subset-activation extension, an exact search over
+// active-count vectors that runs the same engine once per vector it cannot
+// rule out.
 #pragma once
 
 #include <span>
@@ -108,12 +109,6 @@ class Solver {
   /// leaves unpowered).
   [[nodiscard]] static Allocation solve_subset(
       std::span<const GroupModel> groups, Watts total_supply);
-
-  /// Exhaustive simplex scan at `granularity` ratio steps — the reference
-  /// oracle for tests and the engine of the Manual policy (10% granularity).
-  [[nodiscard]] static Allocation solve_grid(std::span<const GroupModel> groups,
-                                             Watts total_supply,
-                                             double granularity);
 
   /// Model-predicted performance of an arbitrary ratio vector.
   [[nodiscard]] static double evaluate(std::span<const GroupModel> groups,

@@ -252,8 +252,4 @@ double Battery::equivalent_cycles() const {
   return discharged_.value() / cycle_energy;
 }
 
-double Battery::wear_fraction() const {
-  return equivalent_cycles() / static_cast<double>(spec_.rated_cycles);
-}
-
 }  // namespace greenhetero

@@ -122,8 +122,6 @@ class Battery {
   /// Cycle wear: total discharged energy divided by the energy of one
   /// DoD-deep cycle.
   [[nodiscard]] double equivalent_cycles() const;
-  /// Fraction of rated lifetime consumed.
-  [[nodiscard]] double wear_fraction() const;
 
   /// Total energy metered at the terminals since construction.
   [[nodiscard]] WattHours total_discharged() const { return discharged_; }

@@ -201,26 +201,12 @@ Watts Rack::group_draw(std::size_t i) const {
   return total;
 }
 
-double Rack::group_throughput(std::size_t i) const {
-  double total = 0.0;
-  for (const ServerSim& server : group_servers(i)) {
-    total += server.throughput();
-  }
-  return total;
-}
-
 const ServerSim& Rack::group_representative(std::size_t i) const {
   return group_servers(i).front();
 }
 
 void Rack::accumulate(Minutes dt) {
   for (ServerSim& server : servers_) server.accumulate(dt);
-}
-
-WattHours Rack::total_energy() const {
-  WattHours total{0.0};
-  for (const ServerSim& server : servers_) total += server.energy_used();
-  return total;
 }
 
 double Rack::total_work() const {

@@ -108,13 +108,11 @@ class Rack {
   [[nodiscard]] Watts total_draw() const;
   [[nodiscard]] double total_throughput() const;
   [[nodiscard]] Watts group_draw(std::size_t i) const;
-  [[nodiscard]] double group_throughput(std::size_t i) const;
   /// One representative server of group i (all members are identical).
   [[nodiscard]] const ServerSim& group_representative(std::size_t i) const;
 
   /// Integrate the current operating point over `dt` on every server.
   void accumulate(Minutes dt);
-  [[nodiscard]] WattHours total_energy() const;
   [[nodiscard]] double total_work() const;
 
   /// Checkpoint per-group workloads plus every server's operating state.

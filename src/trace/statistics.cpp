@@ -51,45 +51,4 @@ TraceStatistics analyze_trace(const PowerTrace& trace) {
   return stats;
 }
 
-double insufficiency_fraction(const PowerTrace& supply,
-                              const PowerTrace& demand) {
-  if (supply.empty() || demand.empty()) {
-    throw TraceError("statistics: empty trace");
-  }
-  if (std::fabs(supply.interval().value() - demand.interval().value()) >
-      1e-9) {
-    throw TraceError("statistics: traces must share the sampling interval");
-  }
-  const std::size_t n = std::min(supply.size(), demand.size());
-  std::size_t short_samples = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (supply.sample(i).value() < demand.sample(i).value()) {
-      ++short_samples;
-    }
-  }
-  return static_cast<double>(short_samples) / static_cast<double>(n);
-}
-
-std::vector<Watts> diurnal_profile(const PowerTrace& trace) {
-  if (trace.empty()) {
-    throw TraceError("statistics: empty trace");
-  }
-  std::vector<double> sums(24, 0.0);
-  std::vector<int> counts(24, 0);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const double minute =
-        static_cast<double>(i) * trace.interval().value();
-    const auto hour =
-        static_cast<std::size_t>(std::fmod(minute, 24.0 * 60.0) / 60.0);
-    sums[hour] += trace.sample(i).value();
-    counts[hour] += 1;
-  }
-  std::vector<Watts> profile;
-  profile.reserve(24);
-  for (int h = 0; h < 24; ++h) {
-    profile.emplace_back(counts[h] > 0 ? sums[h] / counts[h] : 0.0);
-  }
-  return profile;
-}
-
 }  // namespace greenhetero

@@ -27,14 +27,4 @@ struct TraceStatistics {
 /// Compute statistics over a whole trace (throws TraceError when empty).
 [[nodiscard]] TraceStatistics analyze_trace(const PowerTrace& trace);
 
-/// Fraction of `demand`'s samples that `supply` cannot cover — the paper's
-/// "renewable power is insufficient" epochs.  Both traces must share their
-/// sampling interval; comparison runs over the overlapping prefix.
-[[nodiscard]] double insufficiency_fraction(const PowerTrace& supply,
-                                            const PowerTrace& demand);
-
-/// Mean production per hour-of-day (24 buckets) — the diurnal profile used
-/// to eyeball generated traces against the NREL originals.
-[[nodiscard]] std::vector<Watts> diurnal_profile(const PowerTrace& trace);
-
 }  // namespace greenhetero

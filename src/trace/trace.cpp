@@ -31,18 +31,6 @@ Watts PowerTrace::at(Minutes t) const {
   return samples_[clamped];
 }
 
-Watts PowerTrace::interpolate(Minutes t) const {
-  if (samples_.empty()) {
-    throw TraceError("trace: empty");
-  }
-  const double pos = t.value() / interval_.value();
-  if (pos <= 0.0) return samples_.front();
-  if (pos >= static_cast<double>(samples_.size() - 1)) return samples_.back();
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
 Watts PowerTrace::mean_power() const {
   if (samples_.empty()) {
     throw TraceError("trace: empty");
@@ -57,79 +45,6 @@ Watts PowerTrace::peak_power() const {
     throw TraceError("trace: empty");
   }
   return *std::max_element(samples_.begin(), samples_.end());
-}
-
-WattHours PowerTrace::total_energy() const {
-  WattHours total{0.0};
-  for (Watts w : samples_) total += w * interval_;
-  return total;
-}
-
-PowerTrace PowerTrace::scaled(double factor) const {
-  std::vector<Watts> scaled_samples;
-  scaled_samples.reserve(samples_.size());
-  for (Watts w : samples_) scaled_samples.push_back(w * factor);
-  return PowerTrace{interval_, std::move(scaled_samples)};
-}
-
-PowerTrace PowerTrace::window(Minutes from, Minutes length) const {
-  const auto first = static_cast<std::size_t>(
-      std::clamp(std::floor(from.value() / interval_.value()), 0.0,
-                 static_cast<double>(samples_.size())));
-  const auto count = static_cast<std::size_t>(
-      std::max(0.0, std::ceil(length.value() / interval_.value())));
-  const std::size_t last = std::min(first + count, samples_.size());
-  return PowerTrace{interval_,
-                    std::vector<Watts>(samples_.begin() + first,
-                                       samples_.begin() + last)};
-}
-
-PowerTrace PowerTrace::with_outage(Minutes from, Minutes length) const {
-  if (length.value() <= 0.0) {
-    throw TraceError("trace: outage length must be positive");
-  }
-  std::vector<Watts> samples = samples_;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const double t = static_cast<double>(i) * interval_.value();
-    if (t >= from.value() && t < from.value() + length.value()) {
-      samples[i] = Watts{0.0};
-    }
-  }
-  return PowerTrace{interval_, std::move(samples)};
-}
-
-PowerTrace PowerTrace::load_csv(const std::filesystem::path& path) {
-  const CsvTable table = CsvTable::load(path);
-  const auto minutes = table.numeric_column("minute");
-  const auto watts = table.numeric_column("watts");
-  if (minutes.size() < 2) {
-    throw TraceError("trace csv: need at least two samples");
-  }
-  const double interval = minutes[1] - minutes[0];
-  if (interval <= 0.0) {
-    throw TraceError("trace csv: non-increasing timestamps");
-  }
-  for (std::size_t i = 1; i < minutes.size(); ++i) {
-    if (minutes[i] <= minutes[i - 1]) {
-      throw TraceError("trace csv: row " + std::to_string(i + 1) +
-                       ": timestamp " + std::to_string(minutes[i]) +
-                       " does not increase");
-    }
-    if (i >= 2 && std::fabs((minutes[i] - minutes[i - 1]) - interval) > 1e-6) {
-      throw TraceError("trace csv: row " + std::to_string(i + 1) +
-                       ": irregular sampling interval");
-    }
-  }
-  std::vector<Watts> samples;
-  samples.reserve(watts.size());
-  for (std::size_t i = 0; i < watts.size(); ++i) {
-    if (watts[i] < 0.0) {
-      throw TraceError("trace csv: row " + std::to_string(i + 1) +
-                       ": negative power " + std::to_string(watts[i]));
-    }
-    samples.emplace_back(watts[i]);
-  }
-  return PowerTrace{Minutes{interval}, std::move(samples)};
 }
 
 void PowerTrace::save_csv(const std::filesystem::path& path) const {

@@ -3,8 +3,7 @@
 // Both the renewable supply (NREL irradiance is reported every 15 minutes)
 // and the rack demand pattern are represented as a `PowerTrace`: a start-
 // aligned sequence of watt samples at a constant interval, with step-wise
-// lookup (a sample holds until the next one) plus optional linear
-// interpolation for plotting.
+// lookup (a sample holds until the next one).
 #pragma once
 
 #include <cstddef>
@@ -40,29 +39,11 @@ class PowerTrace {
   /// Out-of-range times clamp to the first/last sample.
   [[nodiscard]] Watts at(Minutes t) const;
 
-  /// Linear interpolation between samples (for smooth plots).
-  [[nodiscard]] Watts interpolate(Minutes t) const;
-
   /// Mean power over the whole trace.
   [[nodiscard]] Watts mean_power() const;
   [[nodiscard]] Watts peak_power() const;
 
-  /// Total energy represented by the trace.
-  [[nodiscard]] WattHours total_energy() const;
-
-  /// Uniformly scale all samples (e.g. panel area scaling).
-  [[nodiscard]] PowerTrace scaled(double factor) const;
-
-  /// Extract [from, from + length) as a new trace (clamped to bounds).
-  [[nodiscard]] PowerTrace window(Minutes from, Minutes length) const;
-
-  /// Copy with samples in [from, from + length) zeroed — inverter trip,
-  /// grid-operator curtailment order, or a blown feeder (failure
-  /// injection for robustness tests).
-  [[nodiscard]] PowerTrace with_outage(Minutes from, Minutes length) const;
-
-  /// CSV round trip: columns `minute,watts`.
-  [[nodiscard]] static PowerTrace load_csv(const std::filesystem::path& path);
+  /// CSV export for external tools: columns `minute,watts`.
   void save_csv(const std::filesystem::path& path) const;
 
  private:

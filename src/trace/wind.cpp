@@ -69,17 +69,4 @@ PowerTrace generate_wind_trace(const WindModel& model, int days,
   return PowerTrace{interval, std::move(samples)};
 }
 
-PowerTrace combine_traces(const PowerTrace& a, const PowerTrace& b) {
-  if (a.size() != b.size() ||
-      std::fabs(a.interval().value() - b.interval().value()) > 1e-9) {
-    throw TraceError("combine: traces must share size and interval");
-  }
-  std::vector<Watts> samples;
-  samples.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    samples.push_back(a.sample(i) + b.sample(i));
-  }
-  return PowerTrace{a.interval(), std::move(samples)};
-}
-
 }  // namespace greenhetero

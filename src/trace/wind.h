@@ -42,8 +42,4 @@ struct WindModel {
                                              std::uint64_t seed,
                                              Minutes interval = Minutes{15.0});
 
-/// Element-wise sum of two equally shaped traces (hybrid PV + wind plant).
-[[nodiscard]] PowerTrace combine_traces(const PowerTrace& a,
-                                        const PowerTrace& b);
-
 }  // namespace greenhetero

@@ -129,7 +129,6 @@ TEST(Battery, CycleCounting) {
   // One full DoD-deep cycle = 4800 Wh discharged.
   b.discharge(Watts{3000.0}, Minutes{96.0});
   EXPECT_NEAR(b.equivalent_cycles(), 1.0, 1e-9);
-  EXPECT_NEAR(b.wear_fraction(), 1.0 / 1300.0, 1e-12);
 }
 
 TEST(Battery, PeukertDrainsFasterAboveNominal) {

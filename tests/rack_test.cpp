@@ -56,8 +56,10 @@ TEST(Rack, UniformAllocationSplitsWithinGroup) {
   rack.enforce_allocation(alloc);
   EXPECT_DOUBLE_EQ(rack.group_draw(0).value(), 0.0);
   EXPECT_NEAR(rack.group_draw(1).value(), i5_peak.value() * 5.0, 1e-9);
-  EXPECT_DOUBLE_EQ(rack.group_throughput(0), 0.0);
-  EXPECT_GT(rack.group_throughput(1), 0.0);
+  EXPECT_DOUBLE_EQ(rack.group_representative(0).throughput(), 0.0);
+  EXPECT_GT(rack.group_representative(1).throughput(), 0.0);
+  EXPECT_NEAR(rack.total_throughput(),
+              5.0 * rack.group_representative(1).throughput(), 1e-9);
 }
 
 TEST(Rack, AllocationSizeChecked) {
@@ -81,7 +83,6 @@ TEST(Rack, FullSpeedAndTotals) {
   EXPECT_NEAR(rack.total_draw().value(), rack.peak_demand().value(), 1e-9);
   EXPECT_GT(rack.total_throughput(), 0.0);
   rack.accumulate(Minutes{60.0});
-  EXPECT_NEAR(rack.total_energy().value(), rack.peak_demand().value(), 1e-9);
   EXPECT_NEAR(rack.total_work(), rack.total_throughput(), 1e-9);
   rack.power_off();
   EXPECT_DOUBLE_EQ(rack.total_draw().value(), 0.0);

@@ -22,7 +22,6 @@ TEST(TraceStatistics, FlatTrace) {
 
 TEST(TraceStatistics, EmptyThrows) {
   EXPECT_THROW((void)analyze_trace(PowerTrace{}), TraceError);
-  EXPECT_THROW((void)diurnal_profile(PowerTrace{}), TraceError);
 }
 
 TEST(TraceStatistics, SolarCharacter) {
@@ -41,30 +40,6 @@ TEST(TraceStatistics, LowTraceIsMoreVariable) {
   const TraceStatistics low = analyze_trace(low_solar_week(Watts{2500.0}, 3));
   EXPECT_GT(low.variability, high.variability);
   EXPECT_LT(low.load_factor, high.load_factor);
-}
-
-TEST(TraceStatistics, InsufficiencyFraction) {
-  const PowerTrace supply{Minutes{15.0},
-                          {Watts{100.0}, Watts{300.0}, Watts{500.0},
-                           Watts{100.0}}};
-  const PowerTrace demand{Minutes{15.0},
-                          {Watts{200.0}, Watts{200.0}, Watts{200.0},
-                           Watts{200.0}}};
-  EXPECT_DOUBLE_EQ(insufficiency_fraction(supply, demand), 0.5);
-  const PowerTrace mismatched{Minutes{30.0}, {Watts{1.0}, Watts{1.0}}};
-  EXPECT_THROW((void)insufficiency_fraction(supply, mismatched), TraceError);
-}
-
-TEST(TraceStatistics, DiurnalProfilePeaksAtNoon) {
-  const auto profile = diurnal_profile(high_solar_week(Watts{2500.0}, 3));
-  ASSERT_EQ(profile.size(), 24u);
-  EXPECT_DOUBLE_EQ(profile[2].value(), 0.0);   // 2am
-  std::size_t peak_hour = 0;
-  for (std::size_t h = 1; h < 24; ++h) {
-    if (profile[h] > profile[peak_hour]) peak_hour = h;
-  }
-  EXPECT_GE(peak_hour, 10u);
-  EXPECT_LE(peak_hour, 14u);
 }
 
 TEST(TraceStatistics, WindVsSolarZeroFraction) {

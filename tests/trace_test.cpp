@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 
 #include "util/csv.h"
 #include "trace/heterogeneity.h"
@@ -39,27 +38,10 @@ TEST(PowerTrace, StepLookup) {
   EXPECT_DOUBLE_EQ(t.at(Minutes{500.0}).value(), 50.0);
 }
 
-TEST(PowerTrace, Interpolation) {
-  const PowerTrace t = small_trace();
-  EXPECT_DOUBLE_EQ(t.interpolate(Minutes{7.5}).value(), 50.0);
-  EXPECT_DOUBLE_EQ(t.interpolate(Minutes{0.0}).value(), 0.0);
-  EXPECT_DOUBLE_EQ(t.interpolate(Minutes{100.0}).value(), 50.0);
-}
-
 TEST(PowerTrace, Aggregates) {
   const PowerTrace t = small_trace();
   EXPECT_DOUBLE_EQ(t.mean_power().value(), 87.5);
   EXPECT_DOUBLE_EQ(t.peak_power().value(), 200.0);
-  // Each sample holds 15 min = 0.25 h: (0+100+200+50) * 0.25.
-  EXPECT_DOUBLE_EQ(t.total_energy().value(), 87.5);
-}
-
-TEST(PowerTrace, ScaledAndWindow) {
-  const PowerTrace t = small_trace();
-  EXPECT_DOUBLE_EQ(t.scaled(2.0).sample(1).value(), 200.0);
-  const PowerTrace w = t.window(Minutes{15.0}, Minutes{30.0});
-  EXPECT_EQ(w.size(), 2u);
-  EXPECT_DOUBLE_EQ(w.sample(0).value(), 100.0);
 }
 
 TEST(PowerTrace, InvalidConstruction) {
@@ -72,36 +54,13 @@ TEST(PowerTrace, CsvRoundTrip) {
       std::filesystem::temp_directory_path() / "greenhetero_trace_test.csv";
   const PowerTrace t = small_trace();
   t.save_csv(path);
-  const PowerTrace back = PowerTrace::load_csv(path);
-  ASSERT_EQ(back.size(), t.size());
-  EXPECT_DOUBLE_EQ(back.interval().value(), 15.0);
-  EXPECT_DOUBLE_EQ(back.sample(2).value(), 200.0);
-  std::filesystem::remove(path);
-}
-
-TEST(PowerTrace, CsvLoadRejectsCorruptRows) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "greenhetero_bad_trace.csv";
-  const auto write = [&](const char* body) {
-    std::ofstream out(path);
-    out << body;
-  };
-
-  write("minute,watts\n0,100\n15,nan\n30,120\n");
-  EXPECT_THROW((void)PowerTrace::load_csv(path), CsvError);
-
-  write("minute,watts\n0,100\n15,-5\n30,120\n");
-  EXPECT_THROW((void)PowerTrace::load_csv(path), TraceError);
-
-  write("minute,watts\n0,100\n30,110\n15,120\n");
-  EXPECT_THROW((void)PowerTrace::load_csv(path), TraceError);
-
-  write("minute,watts\n0,100\n15,110\n37,120\n");
-  EXPECT_THROW((void)PowerTrace::load_csv(path), TraceError);
-
-  write("minute,watts\n0,100\n");
-  EXPECT_THROW((void)PowerTrace::load_csv(path), TraceError);
-
+  const CsvTable back = CsvTable::load(path);
+  ASSERT_EQ(back.row_count(), t.size());
+  const std::size_t minute = back.column_index("minute");
+  const std::size_t watts = back.column_index("watts");
+  EXPECT_DOUBLE_EQ(back.number(1, minute), 15.0);
+  EXPECT_DOUBLE_EQ(back.number(2, minute), 30.0);
+  EXPECT_DOUBLE_EQ(back.number(2, watts), 200.0);
   std::filesystem::remove(path);
 }
 
@@ -130,7 +89,7 @@ TEST(Solar, TraceIsDeterministicAndDiurnal) {
 TEST(Solar, HighTraceYieldsMoreThanLow) {
   const PowerTrace high = high_solar_week(Watts{2500.0}, 7);
   const PowerTrace low = low_solar_week(Watts{2500.0}, 7);
-  EXPECT_GT(high.total_energy().value(), 1.5 * low.total_energy().value());
+  EXPECT_GT(high.mean_power().value(), 1.5 * low.mean_power().value());
 }
 
 TEST(Solar, NeverExceedsCapacityOrNegative) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "trace/solar.h"
 
 namespace greenhetero {
@@ -96,26 +99,16 @@ TEST(Wind, Validation) {
   EXPECT_THROW((void)generate_wind_trace(bad, 1, 1), TraceError);
 }
 
-TEST(Wind, CombineTraces) {
-  const PowerTrace wind = generate_wind_trace(WindModel{}, 2, 9);
-  const PowerTrace solar =
-      generate_solar_trace(high_solar_model(Watts{2000.0}), 2, 9);
-  const PowerTrace hybrid = combine_traces(wind, solar);
-  ASSERT_EQ(hybrid.size(), wind.size());
-  for (std::size_t i = 0; i < hybrid.size(); i += 17) {
-    EXPECT_DOUBLE_EQ(hybrid.sample(i).value(),
-                     wind.sample(i).value() + solar.sample(i).value());
-  }
-  const PowerTrace short_trace = generate_wind_trace(WindModel{}, 1, 9);
-  EXPECT_THROW((void)combine_traces(wind, short_trace), TraceError);
-}
-
 TEST(Wind, HybridPlantFlattensNightDeficit) {
   // A hybrid plant's worst 4-hour window beats solar-only's (which is 0).
   const PowerTrace solar = high_solar_week(Watts{2000.0}, 9);
-  const PowerTrace hybrid =
-      combine_traces(solar, generate_wind_trace(WindModel{}, 7, 9));
-  EXPECT_GT(hybrid.total_energy().value(), solar.total_energy().value());
+  const PowerTrace wind = generate_wind_trace(WindModel{}, 7, 9);
+  ASSERT_EQ(wind.size(), solar.size());
+  std::vector<Watts> sum;
+  for (std::size_t i = 0; i < solar.size(); ++i) {
+    sum.push_back(solar.sample(i) + wind.sample(i));
+  }
+  const PowerTrace hybrid{solar.interval(), std::move(sum)};
   EXPECT_GT(hybrid.mean_power().value(), solar.mean_power().value());
 }
 
