@@ -66,7 +66,7 @@ struct Fixture {
 struct Traced {
   Traced() : scope(&telemetry) {}
   void tick() {
-    if (++epochs % 192 == 0) telemetry.trace().clear();
+    if (++epochs % 192 == 0) telemetry.trace().lines().clear();
   }
 
   Telemetry telemetry;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/rng.h"
 
@@ -125,23 +124,6 @@ FaultPlan FaultPlan::parse_csv(const CsvTable& table) {
 
 FaultPlan FaultPlan::load_csv(const std::filesystem::path& path) {
   return parse_csv(CsvTable::load(path));
-}
-
-CsvTable FaultPlan::to_csv() const {
-  CsvTable table({"at_min", "kind", "duration_min", "target", "value"});
-  for (const FaultEvent& e : events_) {
-    std::ostringstream at, duration, value;
-    at << e.at.value();
-    duration << e.duration.value();
-    value << e.value;
-    table.add_row({at.str(), std::string(to_string(e.kind)), duration.str(),
-                   std::to_string(e.target), value.str()});
-  }
-  return table;
-}
-
-void FaultPlan::save_csv(const std::filesystem::path& path) const {
-  to_csv().save(path);
 }
 
 FaultPlan make_random_plan(std::uint64_t seed, Minutes duration,

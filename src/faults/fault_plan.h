@@ -75,8 +75,6 @@ class FaultPlan {
 
   [[nodiscard]] static FaultPlan parse_csv(const CsvTable& table);
   [[nodiscard]] static FaultPlan load_csv(const std::filesystem::path& path);
-  [[nodiscard]] CsvTable to_csv() const;
-  void save_csv(const std::filesystem::path& path) const;
 
  private:
   std::vector<FaultEvent> events_;  ///< sorted by `at` (stable)

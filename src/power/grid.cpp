@@ -15,11 +15,6 @@ void GridSupply::set_budget(Watts budget) {
   spec_.budget = budget;
 }
 
-Watts GridSupply::available(Watts already_drawn) const {
-  const double remaining = budget().value() - already_drawn.value();
-  return Watts{remaining > 0.0 ? remaining : 0.0};
-}
-
 WattHours GridSupply::draw(Watts power, Minutes dt, double hour_of_day) {
   if (power.value() < 0.0) {
     throw GridError("grid: draw must be non-negative");

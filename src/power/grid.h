@@ -55,9 +55,6 @@ class GridSupply {
   void set_outage(bool outage) { outage_ = outage; }
   [[nodiscard]] bool in_outage() const { return outage_; }
 
-  /// Power still available this step given `already_drawn` within the step.
-  [[nodiscard]] Watts available(Watts already_drawn) const;
-
   /// Draw `power` for `dt` at local `hour_of_day` (for the TOU tariff);
   /// throws GridError when over budget.  Returns the energy delivered.
   WattHours draw(Watts power, Minutes dt, double hour_of_day = 0.0);

@@ -48,10 +48,4 @@ Watts DvfsLadder::quantization_gap(Watts budget) const {
   return max(Watts{0.0}, budget - state_power(state));
 }
 
-double DvfsLadder::frequency_fraction(int state) const {
-  if (state <= 1) return 0.0;
-  return static_cast<double>(state - 1) /
-         static_cast<double>(operating_states_ - 1);
-}
-
 }  // namespace greenhetero

@@ -39,10 +39,6 @@ class DvfsLadder {
   /// lowest operating state does not fit.  This is the SPC's enforcement map.
   [[nodiscard]] int state_for_budget(Watts budget) const;
 
-  /// Fraction of the frequency range represented by `state`: 0 for off and
-  /// for the lowest operating state, 1 for the top state.
-  [[nodiscard]] double frequency_fraction(int state) const;
-
   /// Watts of `budget` lost to state quantization: the gap between the
   /// budget and the draw of the state enforcement would pick.  Zero when the
   /// budget lands exactly on a state, and zero below the idle floor — that

@@ -48,9 +48,4 @@ int PowerCapController::update(ServerSim& server, Watts cap, Minutes dt) {
   return server.state();
 }
 
-void PowerCapController::reset() {
-  average_ = Watts{0.0};
-  seeded_ = false;
-}
-
 }  // namespace greenhetero

@@ -38,8 +38,6 @@ class PowerCapController {
   /// Returns the state selected.
   int update(ServerSim& server, Watts cap, Minutes dt);
 
-  void reset();
-
   template <class Self, class Io>
   static void fields(Self& self, Io& io) {
     io.f64(self.average_);

@@ -32,11 +32,4 @@ const ServerSpec& server_spec(ServerModel model) {
 
 std::span<const ServerSpec> all_server_specs() { return kSpecs; }
 
-ServerModel server_model_by_name(std::string_view name) {
-  for (const auto& spec : kSpecs) {
-    if (spec.name == name) return spec.model;
-  }
-  throw std::invalid_argument("unknown server name: " + std::string(name));
-}
-
 }  // namespace greenhetero

@@ -50,8 +50,4 @@ struct ServerSpec {
 /// All six Table II configurations.
 [[nodiscard]] std::span<const ServerSpec> all_server_specs();
 
-/// Lookup by the human-readable name used in benches ("Xeon E5-2620", ...).
-/// Throws std::invalid_argument for unknown names.
-[[nodiscard]] ServerModel server_model_by_name(std::string_view name);
-
 }  // namespace greenhetero

@@ -13,18 +13,6 @@ double RunReport::mean_throughput() const {
   return count > 0 ? sum / count : 0.0;
 }
 
-double RunReport::mean_throughput_insufficient() const {
-  double sum = 0.0;
-  int count = 0;
-  for (const auto& e : epochs) {
-    if (e.training) continue;
-    if (e.source_case == PowerCase::kRenewableSufficient) continue;
-    sum += e.throughput;
-    ++count;
-  }
-  return count > 0 ? sum / count : 0.0;
-}
-
 double RunReport::mean_ratio(std::size_t g) const {
   double sum = 0.0;
   int count = 0;

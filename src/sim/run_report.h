@@ -49,9 +49,6 @@ struct RunReport {
 
   /// Mean rack throughput over non-training epochs.
   [[nodiscard]] double mean_throughput() const;
-  /// Mean throughput restricted to epochs where green supply fell short of
-  /// demand (the paper's "renewable power is insufficient" analysis).
-  [[nodiscard]] double mean_throughput_insufficient() const;
   /// Mean PAR of group `g` over non-training epochs with a live budget.
   [[nodiscard]] double mean_ratio(std::size_t g) const;
   [[nodiscard]] int epochs_in_case(PowerCase c) const;

@@ -18,11 +18,6 @@ SimClock::SimClock(Minutes epoch, Minutes substep)
   }
 }
 
-double SimClock::hour_of_day() const {
-  const double minutes_of_day = std::fmod(now_.value(), 24.0 * 60.0);
-  return minutes_of_day / 60.0;
-}
-
 bool SimClock::advance_substep() {
   now_ += substep_;
   ++substep_in_epoch_;
@@ -32,12 +27,6 @@ bool SimClock::advance_substep() {
     return true;
   }
   return false;
-}
-
-void SimClock::reset() {
-  now_ = Minutes{0.0};
-  substep_in_epoch_ = 0;
-  epoch_index_ = 0;
 }
 
 }  // namespace greenhetero

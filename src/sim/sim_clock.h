@@ -18,13 +18,8 @@ class SimClock {
   [[nodiscard]] std::size_t substeps_per_epoch() const { return substeps_; }
   [[nodiscard]] std::size_t epoch_index() const { return epoch_index_; }
 
-  /// Hour-of-day in [0, 24) for diurnal lookups.
-  [[nodiscard]] double hour_of_day() const;
-
   /// Advance one substep; returns true when this crossed an epoch boundary.
   bool advance_substep();
-
-  void reset();
 
   /// Checkpoint the position (the epoch and substep lengths come from
   /// configuration).

@@ -156,10 +156,4 @@ EpochLossRecord LossLedger::end_epoch() {
   return record;
 }
 
-void LossLedger::clear() {
-  open_ = false;
-  steps_ = 0;
-  epochs_.clear();
-}
-
 }  // namespace greenhetero::telemetry

@@ -141,7 +141,6 @@ class LossLedger {
   [[nodiscard]] const std::vector<EpochLossRecord>& epochs() const {
     return epochs_;
   }
-  void clear();
 
   /// Checkpoint the full ledger: an epoch may be mid-accumulation when the
   /// snapshot lands (it never is at the epoch barrier, but the fields are

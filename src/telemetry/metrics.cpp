@@ -113,10 +113,6 @@ double histogram_quantile(std::span<const double> bounds,
   return bounds.back();
 }
 
-double Histogram::quantile(double q) const {
-  return histogram_quantile(bounds_, counts_, q);
-}
-
 std::string_view to_string(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter:

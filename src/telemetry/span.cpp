@@ -34,11 +34,6 @@ bool SpanCollector::add(SpanRecord record) {
   return true;
 }
 
-void SpanCollector::clear() {
-  dropped_ = 0;
-  records_.clear();
-}
-
 void write_chrome_trace(std::ostream& out,
                         std::span<const SpanRecord> spans) {
   std::vector<const SpanRecord*> ordered;

@@ -95,7 +95,6 @@ class SpanCollector {
   }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  void clear();
 
   void write_chrome_trace(std::ostream& out) const;
   void save_chrome_trace(const std::filesystem::path& path) const;

@@ -225,13 +225,6 @@ void TraceRing::push(double t, int rack, std::string_view phase,
   peak_bytes_ = std::max(peak_bytes_, approx_bytes());
 }
 
-void TraceRing::clear() {
-  lines_.clear();
-  dropped_ = 0;
-  warned_ = false;
-  peak_bytes_ = 0;
-}
-
 std::mutex& trace_writer_mutex() {
   static std::mutex mutex;
   return mutex;

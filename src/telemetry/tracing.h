@@ -163,13 +163,11 @@ class TraceRing {
   [[nodiscard]] const TraceLines& lines() const { return lines_; }
   [[nodiscard]] TraceLines& lines() { return lines_; }
   /// Bytes currently buffered (exact), and their high-water mark since
-  /// construction/clear(); a run's peak is its largest epoch's lines.
+  /// construction; a run's peak is its largest epoch's lines.
   [[nodiscard]] std::size_t approx_bytes() const {
     return lines_.bytes().size();
   }
   [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
-
-  void clear();
 
   /// Checkpoint the buffered lines (TraceLines::fields, bounded by the
   /// configured capacity) plus the cumulative drop/peak accounting.

@@ -70,12 +70,6 @@ CsvTable CsvTable::load(const std::filesystem::path& path, bool has_header) {
   return parse(buffer.str(), has_header);
 }
 
-std::size_t CsvTable::column_count() const {
-  if (!header_.empty()) return header_.size();
-  if (!rows_.empty()) return rows_.front().size();
-  return 0;
-}
-
 const std::vector<std::string>& CsvTable::row(std::size_t i) const {
   if (i >= rows_.size()) {
     throw CsvError("csv: row index " + std::to_string(i) + " out of range");
@@ -118,16 +112,6 @@ double CsvTable::number(std::size_t row, std::size_t col) const {
 
 double CsvTable::number(std::size_t row, const std::string& col) const {
   return number(row, column_index(col));
-}
-
-std::vector<double> CsvTable::numeric_column(const std::string& name) const {
-  const std::size_t col = column_index(name);
-  std::vector<double> values;
-  values.reserve(rows_.size());
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    values.push_back(number(i, col));
-  }
-  return values;
 }
 
 void CsvTable::add_row(std::vector<std::string> cells) {

@@ -36,7 +36,6 @@ class CsvTable {
     return header_;
   }
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-  [[nodiscard]] std::size_t column_count() const;
 
   [[nodiscard]] const std::vector<std::string>& row(std::size_t i) const;
 
@@ -48,10 +47,6 @@ class CsvTable {
                                         std::size_t col) const;
   [[nodiscard]] double number(std::size_t row, std::size_t col) const;
   [[nodiscard]] double number(std::size_t row, const std::string& col) const;
-
-  /// Whole column as doubles.
-  [[nodiscard]] std::vector<double> numeric_column(
-      const std::string& name) const;
 
   void add_row(std::vector<std::string> cells);
   void add_numeric_row(const std::vector<double>& values);

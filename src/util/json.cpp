@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdint>
+#include <limits>
 
 namespace greenhetero::json {
 
@@ -170,6 +171,17 @@ class Parser {
 
   Value parse_number() {
     skip_whitespace();
+    // The telemetry encoder (telemetry::append_number) spells non-finite
+    // doubles the Prometheus way; read them back as the values they name.
+    if (consume_literal("NaN")) {
+      return Value::make_number(std::numeric_limits<double>::quiet_NaN());
+    }
+    if (consume_literal("+Inf")) {
+      return Value::make_number(std::numeric_limits<double>::infinity());
+    }
+    if (consume_literal("-Inf")) {
+      return Value::make_number(-std::numeric_limits<double>::infinity());
+    }
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&

@@ -2,7 +2,8 @@
 //
 // The analyzer consumes JSONL traces the telemetry layer itself wrote, so
 // this parser targets exactly that dialect: objects, arrays, strings with
-// standard escapes, numbers, booleans, null.  Two deliberate choices:
+// standard escapes, numbers (plus the encoder's non-finite spellings `NaN`,
+// `+Inf` and `-Inf`), booleans, null.  Two deliberate choices:
 //
 //  - objects are kept as an ordered vector of (key, value) pairs rather
 //    than a map, because trace events may legitimately repeat a key (the

@@ -137,10 +137,6 @@ const WorkloadTraits& WorkloadCatalog::traits(Workload w) const {
   return traits_[index_of(w)];
 }
 
-void WorkloadCatalog::set_traits(Workload w, const WorkloadTraits& traits) {
-  traits_[index_of(w)] = traits;
-}
-
 bool WorkloadCatalog::runnable(ServerModel model, Workload w) const {
   const ServerSpec& spec = server_spec(model);
   if (!spec.is_gpu) return true;

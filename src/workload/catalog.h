@@ -48,8 +48,6 @@ class WorkloadCatalog {
   [[nodiscard]] double cpu_capability(ServerModel model) const;
 
   [[nodiscard]] const WorkloadTraits& traits(Workload w) const;
-  /// Replace a workload's traits (tests / sensitivity studies).
-  void set_traits(Workload w, const WorkloadTraits& traits);
 
   /// Can this workload execute on this server at all?
   [[nodiscard]] bool runnable(ServerModel model, Workload w) const;

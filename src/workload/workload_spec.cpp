@@ -49,13 +49,6 @@ constexpr std::array<Workload, 12> kFigure9 = {
     Workload::kX264,         Workload::kCanneal,      Workload::kMcf,
 };
 
-constexpr std::array<Workload, 4> kFigure14 = {
-    Workload::kRodiniaStreamcluster,
-    Workload::kSradV1,
-    Workload::kParticlefilter,
-    Workload::kCfd,
-};
-
 }  // namespace
 
 const WorkloadSpec& workload_spec(Workload w) {
@@ -91,7 +84,5 @@ std::string_view to_string(Suite suite) {
 }
 
 std::span<const Workload> figure9_workloads() { return kFigure9; }
-
-std::span<const Workload> figure14_workloads() { return kFigure14; }
 
 }  // namespace greenhetero

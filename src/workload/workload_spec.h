@@ -60,7 +60,4 @@ struct WorkloadSpec {
 /// (3 interactive + 8 PARSEC + Mcf).
 [[nodiscard]] std::span<const Workload> figure9_workloads();
 
-/// The 4 GPU-capable workloads of the Figure 14 (Comb6) evaluation.
-[[nodiscard]] std::span<const Workload> figure14_workloads();
-
 }  // namespace greenhetero

@@ -90,4 +90,19 @@ inline RackSimulator make_solar_sim(const SolarSimParams& p) {
       std::move(cfg)};
 }
 
+/// Mean throughput over the non-training epochs where green supply fell
+/// short of demand (every source case but A) — the paper's "renewable power
+/// is insufficient" analysis.
+inline double mean_throughput_insufficient(const RunReport& report) {
+  double sum = 0.0;
+  int count = 0;
+  for (const auto& e : report.epochs) {
+    if (e.training) continue;
+    if (e.source_case == PowerCase::kRenewableSufficient) continue;
+    sum += e.throughput;
+    ++count;
+  }
+  return count > 0 ? sum / count : 0.0;
+}
+
 }  // namespace greenhetero::testgen

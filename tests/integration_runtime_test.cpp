@@ -2,6 +2,7 @@
 // scenarios behind Figures 6, 8 and 11.
 #include <gtest/gtest.h>
 
+#include "generators.h"
 #include "server/combinations.h"
 #include "sim/rack_simulator.h"
 #include "trace/load_pattern.h"
@@ -119,8 +120,8 @@ TEST(Runtime, GreenHeteroOutperformsUniformOverADay) {
   const RunReport gh_report = gh.run(kDay);
   const RunReport uni_report = uni.run(kDay);
   // The paper's headline: gains concentrate where renewable is insufficient.
-  EXPECT_GT(gh_report.mean_throughput_insufficient(),
-            1.1 * uni_report.mean_throughput_insufficient());
+  EXPECT_GT(testgen::mean_throughput_insufficient(gh_report),
+            1.1 * testgen::mean_throughput_insufficient(uni_report));
   EXPECT_GE(gh_report.overall_epu, uni_report.overall_epu);
 }
 

@@ -104,15 +104,5 @@ TEST(PowerCap, SubIdleCapForcesSleep) {
   EXPECT_DOUBLE_EQ(server.draw().value(), 0.0);
 }
 
-TEST(PowerCap, ResetClearsWindow) {
-  ServerSim server = make_server();
-  server.run_full_speed();
-  PowerCapController cap;
-  cap.update(server, Watts{500.0}, kTick);
-  EXPECT_GT(cap.windowed_average().value(), 0.0);
-  cap.reset();
-  EXPECT_DOUBLE_EQ(cap.windowed_average().value(), 0.0);
-}
-
 }  // namespace
 }  // namespace greenhetero

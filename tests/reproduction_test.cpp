@@ -8,6 +8,7 @@
 
 #include "bench_common.h"
 #include "core/epu.h"
+#include "generators.h"
 
 namespace greenhetero {
 namespace {
@@ -154,8 +155,8 @@ TEST(Reproduction, Figure8RuntimeShape) {
   const RunReport& uni = bench::paper_day(PolicyKind::kUniform);
 
   // Paper: ~1.5x gain in insufficient epochs on the High trace.
-  EXPECT_GT(gh.mean_throughput_insufficient(),
-            1.2 * uni.mean_throughput_insufficient());
+  EXPECT_GT(testgen::mean_throughput_insufficient(gh),
+            1.2 * testgen::mean_throughput_insufficient(uni));
   // PAR adapts and averages in a plausible band (paper: 58%).
   const double mean_par = gh.mean_ratio(0);
   EXPECT_GT(mean_par, 0.4);

@@ -38,11 +38,6 @@ TEST(ServerSpec, AllSixConfigs) {
   }
 }
 
-TEST(ServerSpec, LookupByName) {
-  EXPECT_EQ(server_model_by_name("Core i5-4460"), ServerModel::kCoreI5_4460);
-  EXPECT_THROW((void)server_model_by_name("Pentium"), std::invalid_argument);
-}
-
 TEST(Dvfs, StatePowersSpanRange) {
   const DvfsLadder ladder{Watts{50.0}, Watts{150.0}, 11};
   EXPECT_EQ(ladder.state_count(), 12);
@@ -84,13 +79,6 @@ TEST(Dvfs, InvalidConstruction) {
   EXPECT_THROW(DvfsLadder(Watts{50.0}, Watts{150.0}, 1), DvfsError);
   EXPECT_THROW(DvfsLadder(Watts{150.0}, Watts{50.0}, 5), DvfsError);
   EXPECT_THROW(DvfsLadder(Watts{-1.0}, Watts{50.0}, 5), DvfsError);
-}
-
-TEST(Dvfs, FrequencyFraction) {
-  const DvfsLadder ladder{Watts{50.0}, Watts{150.0}, 5};
-  EXPECT_DOUBLE_EQ(ladder.frequency_fraction(0), 0.0);
-  EXPECT_DOUBLE_EQ(ladder.frequency_fraction(1), 0.0);
-  EXPECT_DOUBLE_EQ(ladder.frequency_fraction(5), 1.0);
 }
 
 PerfCurveParams test_params() {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "generators.h"
 #include "server/combinations.h"
 
 namespace greenhetero {
@@ -23,20 +24,11 @@ TEST(SimClock, EpochArithmetic) {
   EXPECT_TRUE(clock.advance_substep());
   EXPECT_EQ(clock.epoch_index(), 1u);
   EXPECT_DOUBLE_EQ(clock.now().value(), 15.0);
-  clock.reset();
-  EXPECT_DOUBLE_EQ(clock.now().value(), 0.0);
 }
 
 TEST(SimClock, RejectsNonDivisibleSubstep) {
   EXPECT_THROW(SimClock(Minutes{15.0}, Minutes{4.0}), std::invalid_argument);
   EXPECT_THROW(SimClock(Minutes{0.0}, Minutes{1.0}), std::invalid_argument);
-}
-
-TEST(SimClock, HourOfDayWraps) {
-  SimClock clock{Minutes{15.0}, Minutes{15.0}};
-  for (int i = 0; i < 100; ++i) clock.advance_substep();
-  // 100 epochs x 15 min = 1500 min = 25 h -> hour-of-day 1.
-  EXPECT_NEAR(clock.hour_of_day(), 1.0, 1e-9);
 }
 
 TEST(PlantFactories, PaperBatterySpec) {
@@ -206,7 +198,7 @@ TEST(Simulator, RunReportAggregateHelpers) {
   c.ratios = {0.2, 0.8};
   report.epochs = {a, b, c};
   EXPECT_DOUBLE_EQ(report.mean_throughput(), 60.0);
-  EXPECT_DOUBLE_EQ(report.mean_throughput_insufficient(), 50.0);
+  EXPECT_DOUBLE_EQ(testgen::mean_throughput_insufficient(report), 50.0);
   EXPECT_DOUBLE_EQ(report.mean_ratio(0), 0.4);
   EXPECT_EQ(report.epochs_in_case(PowerCase::kJointSupply), 1);
 }

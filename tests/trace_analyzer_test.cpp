@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,6 +75,38 @@ TEST(LoadTrace, RejectsMissingFiles) {
   EXPECT_THROW((void)load_trace(std::filesystem::path{::testing::TempDir()} /
                                 "does_not_exist.jsonl"),
                AnalyzerError);
+}
+
+TEST(LoadTrace, ReadsTheEncodersNonFiniteNumbers) {
+  // append_number spells non-finite doubles NaN / +Inf / -Inf; a line that
+  // carries one, mid-trace or last, is an event, not corruption.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::string contents = telemetry::trace_header_json() + "\n";
+  const telemetry::TraceField finite[] = {{"epu", 0.9}, {"budget_w", 500.0}};
+  const telemetry::TraceField nan[] = {{"epu", kNan}, {"budget_w", 500.0}};
+  const telemetry::TraceField inf[] = {{"epu", 0.8}, {"budget_w", kInf},
+                                       {"shortfall_w", -kInf}};
+  telemetry::append_event_line(contents, 0.0, 0, "epoch_plan", finite);
+  telemetry::append_event_line(contents, 15.0, 0, "epoch_plan", nan);
+  telemetry::append_event_line(contents, 30.0, 0, "epoch_plan", finite);
+  telemetry::append_event_line(contents, 45.0, 0, "epoch_plan", inf);
+  telemetry::append_event_line(contents, 60.0, 0, "epoch_plan", nan);
+  ASSERT_NE(contents.find("\"epu\":NaN"), std::string::npos) << contents;
+  ASSERT_NE(contents.find("\"budget_w\":+Inf"), std::string::npos);
+
+  const TraceData trace =
+      load_trace(write_temp_trace("non_finite.jsonl", contents));
+  EXPECT_EQ(trace.torn_tail_lines, 0u);
+  ASSERT_EQ(trace.events.size(), 5u);
+  EXPECT_TRUE(std::isnan(trace.events[1].number_or("epu", 0.0)));
+  EXPECT_EQ(trace.events[3].number_or("budget_w", 0.0), kInf);
+  EXPECT_EQ(trace.events[3].number_or("shortfall_w", 0.0), -kInf);
+  EXPECT_TRUE(std::isnan(trace.events[4].number_or("epu", 0.0)));
+
+  const TraceAnalysis analysis = analyze(trace);
+  EXPECT_EQ(analysis.event_count, 5u);
+  EXPECT_EQ(analysis.torn_tail_lines, 0u);
 }
 
 // The golden fault plan (failure_injection_test.cpp): server_crash at

@@ -13,7 +13,6 @@ TEST(Csv, ParseWithHeader) {
   ASSERT_EQ(t.header().size(), 3u);
   EXPECT_EQ(t.header()[1], "b");
   EXPECT_EQ(t.row_count(), 2u);
-  EXPECT_EQ(t.column_count(), 3u);
   EXPECT_DOUBLE_EQ(t.number(1, 2), 6.0);
 }
 
@@ -39,9 +38,6 @@ TEST(Csv, ColumnLookup) {
   const CsvTable t = CsvTable::parse("x,y\n1,2\n3,4\n");
   EXPECT_EQ(t.column_index("y"), 1u);
   EXPECT_THROW((void)t.column_index("z"), CsvError);
-  const auto ys = t.numeric_column("y");
-  ASSERT_EQ(ys.size(), 2u);
-  EXPECT_DOUBLE_EQ(ys[1], 4.0);
   EXPECT_DOUBLE_EQ(t.number(0, "x"), 1.0);
 }
 

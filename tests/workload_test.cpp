@@ -32,10 +32,6 @@ TEST(WorkloadSpec, LookupByName) {
 
 TEST(WorkloadSpec, FigureSets) {
   EXPECT_EQ(figure9_workloads().size(), 12u);
-  EXPECT_EQ(figure14_workloads().size(), 4u);
-  for (Workload w : figure14_workloads()) {
-    EXPECT_TRUE(workload_spec(w).gpu_capable);
-  }
 }
 
 TEST(WorkloadSpec, SuiteNames) {
@@ -127,16 +123,6 @@ TEST(Catalog, GpuDominatesSradButNotCfd) {
   const double cpu_cfd =
       cat.curve(ServerModel::kXeonE5_2620, Workload::kCfd).peak_throughput();
   EXPECT_LT(gpu_cfd, 2.0 * cpu_cfd);
-}
-
-TEST(Catalog, SetTraitsOverrides) {
-  WorkloadCatalog cat;
-  WorkloadTraits t = cat.traits(Workload::kMcf);
-  t.unit_scale *= 2.0;
-  cat.set_traits(Workload::kMcf, t);
-  EXPECT_DOUBLE_EQ(cat.traits(Workload::kMcf).unit_scale, t.unit_scale);
-  EXPECT_NE(default_catalog().traits(Workload::kMcf).unit_scale,
-            t.unit_scale);
 }
 
 }  // namespace
