@@ -40,13 +40,6 @@ std::optional<std::uint64_t> parse_epoch(const std::filesystem::path& path) {
 
 void write_snapshot(const std::filesystem::path& dir,
                     std::uint64_t epoch_index, std::uint64_t config_hash,
-                    std::string_view payload, int keep_last) {
-  write_snapshot(dir, epoch_index, config_hash,
-                 std::span<const std::string_view>(&payload, 1), keep_last);
-}
-
-void write_snapshot(const std::filesystem::path& dir,
-                    std::uint64_t epoch_index, std::uint64_t config_hash,
                     std::span<const std::string_view> payload,
                     int keep_last) {
   std::error_code ec;

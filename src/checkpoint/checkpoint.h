@@ -47,15 +47,11 @@ struct Snapshot {
 };
 
 /// Writes `dir/ckpt-<epoch>.bin` atomically, creating `dir` if needed.
-/// When `keep_last` > 0, older snapshots beyond the newest `keep_last`
-/// are pruned after the rename (never before — the new snapshot must be
-/// durable first).
-void write_snapshot(const std::filesystem::path& dir,
-                    std::uint64_t epoch_index, std::uint64_t config_hash,
-                    std::string_view payload, int keep_last = 2);
-/// The same snapshot for a payload given as consecutive chunks: the
-/// checksum folds over them in order and the file holds the header, then
-/// each chunk, with no whole-payload copy.
+/// The payload is given as consecutive chunks: the checksum folds over
+/// them in order and the file holds the header, then each chunk, with no
+/// whole-payload copy.  When `keep_last` > 0, older snapshots beyond the
+/// newest `keep_last` are pruned after the rename (never before — the new
+/// snapshot must be durable first).
 void write_snapshot(const std::filesystem::path& dir,
                     std::uint64_t epoch_index, std::uint64_t config_hash,
                     std::span<const std::string_view> payload,

@@ -16,8 +16,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -43,6 +45,15 @@ namespace greenhetero {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A one-chunk snapshot.
+void write_snapshot(const fs::path& dir, std::uint64_t epoch_index,
+                    std::uint64_t config_hash, std::string_view payload,
+                    int keep_last = 2) {
+  checkpoint::write_snapshot(dir, epoch_index, config_hash,
+                             std::span<const std::string_view>(&payload, 1),
+                             keep_last);
+}
 
 /// Unique per-process scratch directory, removed on destruction (ctest may
 /// run several processes of this binary concurrently).
@@ -610,7 +621,7 @@ TEST(Checkpoint, SimClockRejectsASubstepPastTheEpoch) {
 TEST(Snapshot, WriteLoadRoundTrip) {
   ScratchDir scratch;
   const std::string payload = "resumable state bytes \x01\x02\xFF";
-  checkpoint::write_snapshot(scratch.path(), 42, 0xC0FFEEu, payload);
+  write_snapshot(scratch.path(), 42, 0xC0FFEEu, payload);
 
   const auto files = checkpoint::list_snapshots(scratch.path());
   ASSERT_EQ(files.size(), 1u);
@@ -624,7 +635,7 @@ TEST(Snapshot, WriteLoadRoundTrip) {
 TEST(Snapshot, KeepLastPrunesOldest) {
   ScratchDir scratch;
   for (std::uint64_t e = 1; e <= 5; ++e) {
-    checkpoint::write_snapshot(scratch.path(), e, 1, "p", /*keep_last=*/2);
+    write_snapshot(scratch.path(), e, 1, "p", /*keep_last=*/2);
   }
   const auto files = checkpoint::list_snapshots(scratch.path());
   ASSERT_EQ(files.size(), 2u);
@@ -635,14 +646,14 @@ TEST(Snapshot, KeepLastPrunesOldest) {
 TEST(Snapshot, KeepAllWhenNonPositive) {
   ScratchDir scratch;
   for (std::uint64_t e = 1; e <= 5; ++e) {
-    checkpoint::write_snapshot(scratch.path(), e, 1, "p", /*keep_last=*/0);
+    write_snapshot(scratch.path(), e, 1, "p", /*keep_last=*/0);
   }
   EXPECT_EQ(checkpoint::list_snapshots(scratch.path()).size(), 5u);
 }
 
 TEST(Snapshot, RejectsFlippedPayloadByte) {
   ScratchDir scratch;
-  checkpoint::write_snapshot(scratch.path(), 7, 1, "payload bytes here");
+  write_snapshot(scratch.path(), 7, 1, "payload bytes here");
   const auto files = checkpoint::list_snapshots(scratch.path());
   ASSERT_EQ(files.size(), 1u);
 
@@ -655,7 +666,7 @@ TEST(Snapshot, RejectsFlippedPayloadByte) {
 
 TEST(Snapshot, RejectsTruncatedFile) {
   ScratchDir scratch;
-  checkpoint::write_snapshot(scratch.path(), 7, 1, "payload bytes here");
+  write_snapshot(scratch.path(), 7, 1, "payload bytes here");
   const auto files = checkpoint::list_snapshots(scratch.path());
   ASSERT_EQ(files.size(), 1u);
 
@@ -674,7 +685,7 @@ TEST(Snapshot, RejectsTruncatedFile) {
 
 TEST(Snapshot, RejectsForeignMagicAndFutureVersion) {
   ScratchDir scratch;
-  checkpoint::write_snapshot(scratch.path(), 7, 1, "payload");
+  write_snapshot(scratch.path(), 7, 1, "payload");
   const auto files = checkpoint::list_snapshots(scratch.path());
   const std::string bytes = read_file(files[0]);
 
@@ -707,7 +718,7 @@ TEST(Snapshot, RejectsForeignMagicAndFutureVersion) {
 
 TEST(Snapshot, RejectsTrailingGarbage) {
   ScratchDir scratch;
-  checkpoint::write_snapshot(scratch.path(), 7, 1, "payload");
+  write_snapshot(scratch.path(), 7, 1, "payload");
   const auto files = checkpoint::list_snapshots(scratch.path());
   write_file(files[0], read_file(files[0]) + "extra");
   EXPECT_THROW((void)checkpoint::load_snapshot(files[0]),
@@ -716,8 +727,8 @@ TEST(Snapshot, RejectsTrailingGarbage) {
 
 TEST(Snapshot, LoadLatestSkipsCorruptAndPicksNewestValid) {
   ScratchDir scratch;
-  checkpoint::write_snapshot(scratch.path(), 10, 1, "older", 0);
-  checkpoint::write_snapshot(scratch.path(), 20, 1, "newest", 0);
+  write_snapshot(scratch.path(), 10, 1, "older", 0);
+  write_snapshot(scratch.path(), 20, 1, "newest", 0);
   const auto files = checkpoint::list_snapshots(scratch.path());
   ASSERT_EQ(files.size(), 2u);
 
@@ -735,7 +746,7 @@ TEST(Snapshot, LoadLatestWarnsWhyEachSnapshotWasSkipped) {
   // A directory holding only a snapshot of another layout version: resume
   // starts fresh, and the log says which file was passed over and why.
   ScratchDir scratch;
-  checkpoint::write_snapshot(scratch.path(), 12, 1, "payload", 0);
+  write_snapshot(scratch.path(), 12, 1, "payload", 0);
   const auto files = checkpoint::list_snapshots(scratch.path());
   ASSERT_EQ(files.size(), 1u);
   std::string previous = read_file(files[0]);
@@ -786,8 +797,8 @@ TEST(Snapshot, RefusesMetricsSeriesOutsideTheCatalog) {
     ++renamed;
   }
   ASSERT_EQ(renamed, 1u);
-  checkpoint::write_snapshot(scratch / "forged", written->epoch_index,
-                             written->config_hash, payload);
+  write_snapshot(scratch / "forged", written->epoch_index,
+                 written->config_hash, payload);
   const auto forged = checkpoint::load_latest(scratch / "forged");
   ASSERT_TRUE(forged.has_value());  // the container itself is valid
 
