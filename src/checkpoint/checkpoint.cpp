@@ -1,7 +1,9 @@
 #include "checkpoint/checkpoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <system_error>
 
@@ -12,6 +14,11 @@ namespace greenhetero::checkpoint {
 
 namespace {
 
+// XXH64 reads its words as memory, so the value is the little-endian one
+// only on a little-endian host (the serializer makes the same demand).
+static_assert(std::endian::native == std::endian::little,
+              "XXH64 words are read as little-endian memory");
+
 constexpr std::string_view kMagic = "GHCKPT01";
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 8;
 
@@ -20,6 +27,13 @@ std::string snapshot_name(std::uint64_t epoch_index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "ckpt-%010llu.bin",
                 static_cast<unsigned long long>(epoch_index));
+  return buf;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -36,7 +50,105 @@ std::optional<std::uint64_t> parse_epoch(const std::filesystem::path& path) {
   return std::stoull(digits);
 }
 
+std::uint64_t read64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint32_t read32(const unsigned char* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * Xxh64::kPrime2;
+  return std::rotl(acc, 31) * Xxh64::kPrime1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t hash, std::uint64_t lane) {
+  hash ^= xxh_round(0, lane);
+  return hash * Xxh64::kPrime1 + Xxh64::kPrime4;
+}
+
+/// Folds every whole 32-byte stripe of [p, p + n) into `lanes`; returns the
+/// bytes consumed.
+std::size_t xxh_stripes(std::uint64_t (&lanes)[4], const unsigned char* p,
+                        std::size_t n) {
+  std::uint64_t v0 = lanes[0], v1 = lanes[1], v2 = lanes[2], v3 = lanes[3];
+  const std::size_t whole = n - n % 32;
+  for (std::size_t i = 0; i < whole; i += 32) {
+    v0 = xxh_round(v0, read64(p + i));
+    v1 = xxh_round(v1, read64(p + i + 8));
+    v2 = xxh_round(v2, read64(p + i + 16));
+    v3 = xxh_round(v3, read64(p + i + 24));
+  }
+  lanes[0] = v0;
+  lanes[1] = v1;
+  lanes[2] = v2;
+  lanes[3] = v3;
+  return whole;
+}
+
 }  // namespace
+
+void Xxh64::update(std::string_view data) {
+  if (data.empty()) return;  // data() may be null
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  total_ += n;
+  if (tail_size_ > 0) {
+    const std::size_t take = std::min(n, sizeof(tail_) - tail_size_);
+    std::memcpy(tail_ + tail_size_, p, take);
+    tail_size_ += take;
+    p += take;
+    n -= take;
+    if (tail_size_ < sizeof(tail_)) return;
+    xxh_stripes(lanes_, tail_, sizeof(tail_));
+    tail_size_ = 0;
+  }
+  const std::size_t done = xxh_stripes(lanes_, p, n);
+  tail_size_ = n - done;
+  if (tail_size_ > 0) std::memcpy(tail_, p + done, tail_size_);
+}
+
+std::uint64_t Xxh64::digest() const {
+  std::uint64_t hash = kPrime5;  // seed 0, under 32 bytes
+  if (total_ >= 32) {
+    hash = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+           std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+    for (const std::uint64_t lane : lanes_) hash = xxh_merge(hash, lane);
+  }
+  hash += total_;
+  const unsigned char* p = tail_;
+  const unsigned char* const end = tail_ + tail_size_;
+  for (; p + 8 <= end; p += 8) {
+    hash ^= xxh_round(0, read64(p));
+    hash = std::rotl(hash, 27) * kPrime1 + kPrime4;
+  }
+  if (p + 4 <= end) {
+    hash ^= static_cast<std::uint64_t>(read32(p)) * kPrime1;
+    hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    hash ^= *p * kPrime5;
+    hash = std::rotl(hash, 11) * kPrime1;
+  }
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash;
+}
+
+std::uint64_t xxh64(std::string_view data) {
+  Xxh64 hash;
+  hash.update(data);
+  return hash.digest();
+}
 
 void write_snapshot(const std::filesystem::path& dir,
                     std::uint64_t epoch_index, std::uint64_t config_hash,
@@ -50,10 +162,10 @@ void write_snapshot(const std::filesystem::path& dir,
   }
 
   std::uint64_t size = 0;
-  std::uint64_t checksum = kFnv1aBasis;
+  Xxh64 checksum;
   for (std::string_view chunk : payload) {
     size += chunk.size();
-    checksum = fnv1a(chunk, checksum);
+    checksum.update(chunk);
   }
   Writer header;
   for (char c : kMagic) header.u8(static_cast<std::uint8_t>(c));
@@ -61,7 +173,7 @@ void write_snapshot(const std::filesystem::path& dir,
   header.u64(epoch_index);
   header.u64(config_hash);
   header.u64(size);
-  header.u64(checksum);
+  header.u64(checksum.digest());
 
   std::vector<std::string_view> body;
   body.reserve(payload.size() + 1);
@@ -73,12 +185,17 @@ void write_snapshot(const std::filesystem::path& dir,
     throw CheckpointError(e.what());
   }
 
-  if (keep_last > 0) {
-    std::vector<std::filesystem::path> all = list_snapshots(dir);
-    if (all.size() > static_cast<std::size_t>(keep_last)) {
-      for (std::size_t i = 0; i < all.size() - keep_last; ++i) {
-        std::filesystem::remove(all[i], ec);  // best-effort prune
-      }
+  // The directory holds this run's history: a later epoch can only be an
+  // earlier run's, which a resume must never land on.  Then keep the newest
+  // `keep_last`.  Both prunes are best-effort.
+  std::vector<std::filesystem::path> all = list_snapshots(dir);
+  while (!all.empty() && parse_epoch(all.back()) > epoch_index) {
+    std::filesystem::remove(all.back(), ec);
+    all.pop_back();
+  }
+  if (keep_last > 0 && all.size() > static_cast<std::size_t>(keep_last)) {
+    for (std::size_t i = 0; i < all.size() - keep_last; ++i) {
+      std::filesystem::remove(all[i], ec);
     }
   }
 }
@@ -142,8 +259,14 @@ Snapshot load_snapshot(const std::filesystem::path& path) {
   }
   snapshot.payload.resize(payload_size);
   in.read(snapshot.payload.data(), static_cast<std::streamsize>(payload_size));
-  if (!in || fnv1a(snapshot.payload) != checksum) {
-    throw CheckpointError("checkpoint checksum mismatch: " + path.string());
+  if (!in) {
+    throw CheckpointError("cannot read checkpoint payload: " + path.string());
+  }
+  if (const std::uint64_t actual = xxh64(snapshot.payload);
+      actual != checksum) {
+    throw CheckpointError("checkpoint checksum mismatch: " + path.string() +
+                          " (header holds XXH64 " + hex64(checksum) +
+                          ", payload hashes to " + hex64(actual) + ")");
   }
   snapshot.path = path;
   return snapshot;

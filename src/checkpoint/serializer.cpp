@@ -156,7 +156,8 @@ void Reader::fixed_count(std::size_t n, std::string_view what) {
   }
 }
 
-std::uint64_t fnv1a(std::string_view data, std::uint64_t hash) {
+std::uint64_t fnv1a(std::string_view data) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // the offset basis
   for (char c : data) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001b3ULL;

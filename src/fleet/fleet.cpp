@@ -110,11 +110,15 @@ Fleet::Fleet(std::vector<RackSimulator> racks, FleetConfig config)
   }
   driver_ = EpochDriver{PayloadKind::kFleet, config_, *telemetry_};
   records_.resize(racks_.size());
+  rack_labels_.reserve(racks_.size());
   rack_label_order_.resize(racks_.size());
-  for (std::size_t i = 0; i < racks_.size(); ++i) rack_label_order_[i] = i;
+  for (std::size_t i = 0; i < racks_.size(); ++i) {
+    rack_labels_.emplace_back(i);
+    rack_label_order_[i] = i;
+  }
   std::sort(rack_label_order_.begin(), rack_label_order_.end(),
-            [](std::size_t a, std::size_t b) {
-              return std::to_string(a) < std::to_string(b);
+            [this](std::size_t a, std::size_t b) {
+              return rack_labels_[a].value() < rack_labels_[b].value();
             });
 }
 
@@ -241,41 +245,21 @@ void Fleet::parallel_for(std::size_t n,
 }
 
 MetricsSnapshot Fleet::metrics_snapshot() const {
-  // Snapshot every registry with each entry's rank in the catalog's
-  // (name, labels) order: the coordinator's ([0]) inline, the racks' ([i+1])
-  // on the shard pools, each rack entry tagged with its "rack" label.
-  const std::size_t sources = racks_.size() + 1;
-  std::vector<MetricsSnapshot> snaps(sources);
-  std::vector<std::vector<std::uint16_t>> ranks(sources);
-  snaps[0] = telemetry_->metrics().snapshot(&ranks[0]);
-  for_each_rack([&](std::size_t i) {
-    snaps[i + 1] = racks_[i].telemetry().metrics().snapshot(&ranks[i + 1]);
-    const std::string label = std::to_string(i);
-    for (tel::SnapshotEntry& entry : snaps[i + 1].entries) {
-      entry.labels.emplace_back("rack", label);
-    }
-  });
-  // Merge by rank: within one catalog series the coordinator's entry (no
-  // rack label) sorts first, then the racks in the order of their label
-  // strings.  Keys are unique, so this is exactly the (name, labels) sort.
-  std::vector<std::size_t> offsets(tel::catalog::kSlotCount + 1, 0);
-  for (const std::vector<std::uint16_t>& r : ranks) {
-    for (std::uint16_t rank : r) ++offsets[rank + 1];
+  return tel::merged_snapshot(
+      metrics_sources(),
+      [this](std::size_t n, const std::function<void(std::size_t)>& fn) {
+        parallel_for(n, fn);
+      });
+}
+
+std::vector<tel::MetricsSource> Fleet::metrics_sources() const {
+  std::vector<tel::MetricsSource> sources;
+  sources.reserve(racks_.size() + 1);
+  sources.push_back({&telemetry_->metrics()});
+  for (std::size_t i : rack_label_order_) {
+    sources.push_back({&racks_[i].telemetry().metrics(), &rack_labels_[i]});
   }
-  for (std::size_t k = 1; k < offsets.size(); ++k) {
-    offsets[k] += offsets[k - 1];
-  }
-  MetricsSnapshot merged;
-  merged.entries.resize(offsets.back());
-  const auto place = [&](std::size_t source) {
-    for (std::size_t k = 0; k < ranks[source].size(); ++k) {
-      merged.entries[offsets[ranks[source][k]]++] =
-          std::move(snaps[source].entries[k]);
-    }
-  };
-  place(0);
-  for (std::size_t i : rack_label_order_) place(i + 1);
-  return merged;
+  return sources;
 }
 
 tel::ProfileReport Fleet::profile_report() const {

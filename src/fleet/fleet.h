@@ -155,10 +155,11 @@ class Fleet final : private EpochClient {
   [[nodiscard]] const Telemetry& telemetry() const { return *telemetry_; }
 
   /// Fleet-wide metrics: the coordinator's own series plus every rack's,
-  /// the latter tagged with a "rack" label, in (name, labels) order.  The
-  /// racks' snapshots are taken on the shard pools and merged by their
-  /// catalog rank, so the result is the same at any topology.
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const override;
+  /// the latter tagged with a "rack" label, in (name, labels) order
+  /// (telemetry::merged_snapshot of metrics_sources(), on the shard
+  /// pools), so the result is the same at any topology.  The run's metrics
+  /// file holds the same rows, encoded straight from the registries.
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
   /// Merged control-loop spans from every rack (and the coordinator) as one
   /// Chrome trace_event JSON file; each rack renders as its own process row.
@@ -218,6 +219,9 @@ class Fleet final : private EpochClient {
     return racks_.front().epoch_index();
   }
   void restart_history() override;
+  /// The coordinator's registry, then the racks' in rack_label_order_.
+  [[nodiscard]] std::vector<telemetry::MetricsSource> metrics_sources()
+      const override;
   [[nodiscard]] std::uint64_t trace_dropped() const override;
   /// Hand the sink every trace ring's lines (coordinator first, then racks
   /// 0..N-1) for its watermark merge, which orders the merged trace by
@@ -248,8 +252,10 @@ class Fleet final : private EpochClient {
   /// in shares_[i], so pool threads never touch a shared structure.
   std::vector<EpochRecord> records_;
   std::vector<Watts> shares_;
+  /// Each rack's "rack" label, spelled once.
+  std::vector<telemetry::RackLabel> rack_labels_;
   /// Rack indices in the order of their "rack" label strings ("0", "1",
-  /// "10", ...): the order metrics_snapshot lists one series' racks in.
+  /// "10", ...): the order the metrics list one series' racks in.
   std::vector<std::size_t> rack_label_order_;
   /// Completed-epoch history, all racks, as SoA columns (epoch-major).  A
   /// member (not a run()-local) so checkpoints capture it and a resumed run

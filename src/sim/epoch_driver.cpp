@@ -61,7 +61,7 @@ bool EpochDriver::run(EpochClient& client, std::size_t epochs) {
     }
     if (config.metrics_out.empty()) return;
     telemetry::save_metrics(
-        client.metrics_snapshot(), config.metrics_out,
+        client.metrics_sources(), config.metrics_out,
         /*human_sibling=*/true,
         [&client](std::size_t n, const std::function<void(std::size_t)>& fn) {
           client.parallel_for(n, fn);

@@ -6,8 +6,8 @@
 // outputs.  EpochDriver owns that sequence,
 // the streaming sink and the checkpoint envelope; a runner supplies only
 // what differs (EpochClient), including where the barrier's per-rack work
-// runs: the fleet encodes trace lines, metrics and checkpoint chunks on its
-// shard pools, and the driver only joins the results in a fixed order.
+// runs: the fleet encodes trace lines, metrics rows and checkpoint chunks on
+// its shard pools, and EpochDriver only joins the results in a fixed order.
 #pragma once
 
 #include <atomic>
@@ -93,8 +93,11 @@ class EpochClient {
                           bool final) = 0;
   /// Close the trailing rollup windows (stamped with the run's end time).
   virtual void flush_rollup() = 0;
-  /// The snapshot metrics_out receives.
-  [[nodiscard]] virtual MetricsSnapshot metrics_snapshot() const = 0;
+  /// The registries metrics_out receives, in the order their rows join
+  /// within one series (telemetry::save_metrics encodes them straight from
+  /// their slots, on parallel_for).
+  [[nodiscard]] virtual std::vector<telemetry::MetricsSource>
+  metrics_sources() const = 0;
   /// The checkpoint payload between the kind byte and the sink state, as
   /// consecutive chunks appended to `chunks` (a rack writes one; the fleet
   /// serialises each rack into its own chunk on its shard pools).

@@ -162,7 +162,7 @@ class RackSimulator final : private EpochClient {
   /// directly for run-abort hooks.
   std::filesystem::path dump_flight_record(std::string_view reason);
   /// Snapshot of all metrics accumulated so far.
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const override {
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const {
     return telemetry_->metrics().snapshot();
   }
 
@@ -225,6 +225,10 @@ class RackSimulator final : private EpochClient {
   }
   std::size_t advance_epoch(std::size_t epoch) override;
   void restart_history() override { epochs_.reset(1); }
+  [[nodiscard]] std::vector<telemetry::MetricsSource> metrics_sources()
+      const override {
+    return {{&telemetry_->metrics()}};
+  }
   [[nodiscard]] std::uint64_t trace_dropped() const override {
     return telemetry_->trace().dropped();
   }

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <tuple>
 
@@ -65,10 +66,11 @@ void Histogram::observe(double value) {
   sum_ += value;
 }
 
-void Histogram::snapshot_into(std::vector<std::uint64_t>& buckets,
+void Histogram::snapshot_into(std::span<std::uint64_t> buckets,
                               std::uint64_t& count, double& sum) const {
   const std::lock_guard<std::mutex> lock(*mutex_);
-  buckets = counts_;
+  std::copy_n(counts_.begin(), std::min(buckets.size(), counts_.size()),
+              buckets.begin());
   count = count_;
   sum = sum_;
 }
@@ -154,176 +156,221 @@ std::string format_duration_ns(double ns) {
 
 namespace {
 
-/// `{k="v",...}` (nothing for an empty set); a Prometheus histogram bucket
-/// adds `le="<bound>"` (`le_inf` spells the last one "+Inf").
-void append_label_set(std::string& out, const Labels& labels,
-                      const double* le = nullptr, bool le_inf = false) {
-  if (labels.empty() && le == nullptr && !le_inf) return;
+/// `"key":"value"` (JSON) or `key="value"` (Prometheus and the human table)
+/// appended to a comma-joined label list.
+void append_json_label(std::string& out, std::string_view key,
+                       std::string_view value) {
+  if (!out.empty()) out += ',';
+  append_json_escaped(out, key);
+  out += ':';
+  append_json_escaped(out, value);
+}
+
+void append_text_label(std::string& out, std::string_view key,
+                       std::string_view value) {
+  if (!out.empty()) out += ',';
+  out += key;
+  out += "=\"";
+  out += value;
+  out += '"';
+}
+
+/// `{a,b,c}` over the non-empty label lists; nothing when all are empty.
+void append_braced(std::string& out, std::string_view a, std::string_view b,
+                   std::string_view c = {}) {
+  if (a.empty() && b.empty() && c.empty()) return;
   out += '{';
   bool first = true;
-  for (const auto& [key, value] : labels) {
+  for (const std::string_view list : {a, b, c}) {
+    if (list.empty()) continue;
     if (!first) out += ',';
     first = false;
-    out += key;
-    out += "=\"";
-    out += value;
-    out += '"';
-  }
-  if (le != nullptr || le_inf) {
-    if (!first) out += ',';
-    out += "le=\"";
-    if (le != nullptr) {
-      append_number(out, *le);
-    } else {
-      out += "+Inf";
-    }
-    out += '"';
+    out += list;
   }
   out += '}';
 }
 
-/// Length of append_label_set(labels) without building it.
-std::size_t label_set_size(const Labels& labels) {
-  if (labels.empty()) return 0;
-  std::size_t size = 2 + (labels.size() - 1);  // braces and commas
-  for (const auto& [key, value] : labels) {
-    size += key.size() + value.size() + 3;  // key="value"
-  }
-  return size;
-}
+/// The constant parts of one series' row in every format: its name, kind
+/// and labels, a histogram's bounds.  Spelled once per catalog slot
+/// (slot_texts()), or per snapshot entry into reused scratch.
+struct RowText {
+  std::string_view name;
+  MetricKind kind = MetricKind::kCounter;
+  std::span<const double> bounds;
+  bool duration = false;     ///< a *_ns series: human values as durations
+  std::string json_head;     ///< {"name":"<name>","kind":"<kind>"
+  std::string json_labels;   ///< "key":"value",... (no braces)
+  std::string text_labels;   ///< key="value",... (no braces)
+  std::string json_bounds;   ///< ,"bounds":[...] (histograms)
+  std::vector<std::string> le;  ///< le="<bound>" per bucket, le="+Inf" last
+  std::string type_line;     ///< # TYPE <name> <kind>\n
 
-/// Appends encode(out, k) for every k in [0, n).  With a fan-out, runs of
-/// consecutive indices encode into their own strings concurrently and are
-/// joined in index order, so the bytes never depend on the fan-out.
-template <typename Encode>
-void append_encoded(std::string& out, std::size_t n,
-                    const util::ForEach& for_each, const Encode& encode) {
-  constexpr std::size_t kPerPiece = 256;
-  const std::size_t pieces = (n + kPerPiece - 1) / kPerPiece;
-  if (!for_each || pieces <= 1) {
-    for (std::size_t k = 0; k < n; ++k) encode(out, k);
-    return;
-  }
-  std::vector<std::string> parts(pieces);
-  for_each(pieces, [&](std::size_t p) {
-    const std::size_t end = std::min(n, (p + 1) * kPerPiece);
-    for (std::size_t k = p * kPerPiece; k < end; ++k) encode(parts[p], k);
-  });
-  std::size_t total = out.size();
-  for (const std::string& part : parts) total += part.size();
-  out.reserve(total);
-  for (const std::string& part : parts) out += part;
-}
-
-void append_prometheus(std::string& out, const SnapshotEntry& e,
-                       const SnapshotEntry* previous) {
-  if (previous == nullptr || previous->name != e.name) {
-    out += "# TYPE ";
-    out += e.name;
-    out += ' ';
-    out += to_string(e.kind);
-    out += '\n';
-  }
-  if (e.kind == MetricKind::kHistogram) {
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < e.buckets.size(); ++b) {
-      cumulative += e.buckets[b];
-      out += e.name;
-      out += "_bucket";
-      const bool finite = b < e.bounds.size();
-      append_label_set(out, e.labels, finite ? &e.bounds[b] : nullptr,
-                       !finite);
-      out += ' ';
-      append_number(out, static_cast<double>(cumulative));
-      out += '\n';
+  /// Respell for another series; the strings keep their capacity.
+  void spell(std::string_view series, MetricKind series_kind,
+             std::span<const double> series_bounds) {
+    name = series;
+    kind = series_kind;
+    bounds = series_bounds;
+    duration = name.ends_with("_ns") && name.size() > 3;
+    json_head = "{\"name\":";
+    append_json_escaped(json_head, name);
+    json_head += ",\"kind\":";
+    append_json_escaped(json_head, to_string(kind));
+    json_labels.clear();
+    text_labels.clear();
+    json_bounds.clear();
+    le.clear();
+    type_line = "# TYPE ";
+    type_line += name;
+    type_line += ' ';
+    type_line += to_string(kind);
+    type_line += '\n';
+    if (kind != MetricKind::kHistogram) return;
+    json_bounds = ",\"bounds\":[";
+    for (std::size_t b = 0; b < bounds.size(); ++b) {
+      if (b > 0) json_bounds += ',';
+      append_number(json_bounds, bounds[b]);
     }
-    out += e.name;
-    out += "_sum";
-    append_label_set(out, e.labels);
-    out += ' ';
-    append_number(out, e.sum);
-    out += '\n';
-    out += e.name;
-    out += "_count";
-    append_label_set(out, e.labels);
-    out += ' ';
-    append_number(out, static_cast<double>(e.count));
-    out += '\n';
-  } else {
-    out += e.name;
-    append_label_set(out, e.labels);
-    out += ' ';
-    append_number(out, e.value);
-    out += '\n';
+    json_bounds += ']';
+    le.resize(bounds.size() + 1);
+    for (std::size_t b = 0; b < le.size(); ++b) {
+      le[b] = "le=\"";
+      if (b < bounds.size()) {
+        append_number(le[b], bounds[b]);
+      } else {
+        le[b] += "+Inf";
+      }
+      le[b] += '"';
+    }
   }
+  void add_label(std::string_view key, std::string_view value) {
+    append_json_label(json_labels, key, value);
+    append_text_label(text_labels, key, value);
+  }
+};
+
+/// Every catalog slot's row text, spelled on first use.
+const std::array<RowText, catalog::kSlotCount>& slot_texts() {
+  static const std::array<RowText, catalog::kSlotCount> texts = [] {
+    std::array<RowText, catalog::kSlotCount> t;
+    for (std::size_t m = 0; m < kBuiltinMetrics.size(); ++m) {
+      const MetricDef& def = kBuiltinMetrics[m];
+      for (std::size_t l = 0; l < def.slots(); ++l) {
+        RowText& text = t[catalog::kSlotOffsets[m] + l];
+        text.spell(def.name, def.kind, def.bounds);
+        if (!def.label_key.empty()) {
+          text.add_label(def.label_key, def.label_values[l]);
+        }
+      }
+    }
+    return t;
+  }();
+  return texts;
 }
 
-void append_json(std::string& out, const SnapshotEntry& e) {
-  out += "{\"name\":";
-  append_json_escaped(out, e.name);
-  out += ",\"kind\":";
-  append_json_escaped(out, to_string(e.kind));
-  if (!e.labels.empty()) {
-    out += ",\"labels\":{";
-    bool first = true;
-    for (const auto& [key, value] : e.labels) {
-      if (!first) out += ',';
-      first = false;
-      append_json_escaped(out, key);
-      out += ':';
-      append_json_escaped(out, value);
-    }
-    out += '}';
+// The row encoders, one per format.  `rack` is a source's extra label list
+// (RackLabel::json / text), empty for none.
+
+void append_json_row(std::string& out, const RowText& t,
+                     std::string_view rack, const SeriesView& v) {
+  out += t.json_head;
+  if (!t.json_labels.empty() || !rack.empty()) {
+    out += ",\"labels\":";
+    append_braced(out, t.json_labels, rack);
   }
-  if (e.kind == MetricKind::kHistogram) {
+  if (t.kind == MetricKind::kHistogram) {
     out += ",\"count\":";
-    append_number(out, static_cast<double>(e.count));
+    append_number(out, static_cast<double>(v.count));
     out += ",\"sum\":";
-    append_number(out, e.sum);
-    out += ",\"bounds\":[";
-    for (std::size_t b = 0; b < e.bounds.size(); ++b) {
+    append_number(out, v.sum);
+    out += t.json_bounds;
+    out += ",\"buckets\":[";
+    for (std::size_t b = 0; b < v.buckets.size(); ++b) {
       if (b > 0) out += ',';
-      append_number(out, e.bounds[b]);
-    }
-    out += "],\"buckets\":[";
-    for (std::size_t b = 0; b < e.buckets.size(); ++b) {
-      if (b > 0) out += ',';
-      append_number(out, static_cast<double>(e.buckets[b]));
+      append_number(out, static_cast<double>(v.buckets[b]));
     }
     out += ']';
   } else {
     out += ",\"value\":";
-    append_number(out, e.value);
+    append_number(out, v.value);
   }
   out += '}';
 }
 
+/// Prometheus text: the sample lines of one series (its `# TYPE` line is
+/// written once per metric by the caller).
+void append_prometheus_row(std::string& out, const RowText& t,
+                           std::string_view rack, const SeriesView& v) {
+  if (t.kind == MetricKind::kHistogram) {
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b < v.buckets.size(); ++b) {
+      cumulative += v.buckets[b];
+      out += t.name;
+      out += "_bucket";
+      append_braced(out, t.text_labels, rack,
+                    t.le[std::min(b, t.le.size() - 1)]);
+      out += ' ';
+      append_number(out, static_cast<double>(cumulative));
+      out += '\n';
+    }
+    out += t.name;
+    out += "_sum";
+    append_braced(out, t.text_labels, rack);
+    out += ' ';
+    append_number(out, v.sum);
+    out += '\n';
+    out += t.name;
+    out += "_count";
+    append_braced(out, t.text_labels, rack);
+    out += ' ';
+    append_number(out, static_cast<double>(v.count));
+    out += '\n';
+  } else {
+    out += t.name;
+    append_braced(out, t.text_labels, rack);
+    out += ' ';
+    append_number(out, v.value);
+    out += '\n';
+  }
+}
+
+/// Width of a human row's `name{labels}` column.
+std::size_t human_name_size(const RowText& t, std::string_view rack) {
+  std::size_t lists = 0;
+  std::size_t size = t.name.size();
+  for (const std::string_view list : {std::string_view(t.text_labels), rack}) {
+    if (list.empty()) continue;
+    size += list.size();
+    ++lists;
+  }
+  return lists == 0 ? size : size + 2 + (lists - 1);  // braces and comma
+}
+
 /// "3.1us" for *_ns series, plain append_number otherwise.
-void append_human_value(std::string& out, const std::string& name,
-                        double value) {
-  if (name.size() > 3 && name.compare(name.size() - 3, 3, "_ns") == 0) {
+void append_human_value(std::string& out, const RowText& t, double value) {
+  if (t.duration) {
     append_duration_ns(out, value);
   } else {
     append_number(out, value);
   }
 }
 
-void append_human(std::string& out, const SnapshotEntry& e,
-                  std::size_t name_width) {
+void append_human_row(std::string& out, const RowText& t,
+                      std::string_view rack, const SeriesView& v,
+                      std::size_t name_width) {
   const std::size_t row_start = out.size();
-  out += e.name;
-  append_label_set(out, e.labels);
+  out += t.name;
+  append_braced(out, t.text_labels, rack);
   out.append(name_width + 2 - (out.size() - row_start), ' ');
-  const std::string_view kind = to_string(e.kind);
+  const std::string_view kind = to_string(t.kind);
   out += kind;
   out.append(11 - kind.size(), ' ');
-  if (e.kind == MetricKind::kHistogram) {
+  if (t.kind == MetricKind::kHistogram) {
     out += "count=";
-    append_number(out, static_cast<double>(e.count));
+    append_number(out, static_cast<double>(v.count));
     out += " mean=";
     append_human_value(
-        out, e.name,
-        e.count > 0 ? e.sum / static_cast<double>(e.count) : 0.0);
+        out, t, v.count > 0 ? v.sum / static_cast<double>(v.count) : 0.0);
     for (const auto& [label, q] :
          {std::pair<const char*, double>{"p50", 0.5},
           {"p90", 0.9},
@@ -331,14 +378,44 @@ void append_human(std::string& out, const SnapshotEntry& e,
       out += ' ';
       out += label;
       out += '=';
-      append_human_value(out, e.name,
-                         histogram_quantile(e.bounds, e.buckets, q));
+      append_human_value(out, t, histogram_quantile(t.bounds, v.buckets, q));
     }
   } else {
-    append_human_value(out, e.name, e.value);
+    append_human_value(out, t, v.value);
   }
   out += '\n';
 }
+
+/// A snapshot entry's row text, spelled into `scratch`, which holds the
+/// previous entry's: a run of entries of one series (a fleet's racks)
+/// respells only its labels.
+const RowText& entry_text(RowText& scratch, const SnapshotEntry& e) {
+  if (scratch.json_head.empty() || scratch.name != e.name ||
+      scratch.kind != e.kind ||
+      !std::equal(scratch.bounds.begin(), scratch.bounds.end(),
+                  e.bounds.begin(), e.bounds.end())) {
+    scratch.spell(e.name, e.kind, e.bounds);
+  } else {
+    scratch.name = e.name;
+    scratch.bounds = e.bounds;
+    scratch.json_labels.clear();
+    scratch.text_labels.clear();
+  }
+  for (const auto& [key, value] : e.labels) scratch.add_label(key, value);
+  return scratch;
+}
+
+SeriesView entry_view(const SnapshotEntry& e) {
+  SeriesView v;
+  v.value = e.value;
+  v.buckets = e.buckets;
+  v.count = e.count;
+  v.sum = e.sum;
+  return v;
+}
+
+/// The human table's narrowest `name{labels}` column.
+constexpr std::size_t kMinNameWidth = 4;
 
 }  // namespace
 
@@ -350,42 +427,217 @@ const SnapshotEntry* MetricsSnapshot::find(std::string_view name,
   return nullptr;
 }
 
-std::string MetricsSnapshot::to_prometheus(
-    const util::ForEach& for_each) const {
+std::string MetricsSnapshot::to_prometheus() const {
   std::string out;
-  append_encoded(out, entries.size(), for_each,
-                 [&](std::string& piece, std::size_t k) {
-                   append_prometheus(piece, entries[k],
-                                     k > 0 ? &entries[k - 1] : nullptr);
-                 });
+  RowText text;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const SnapshotEntry& e = entries[k];
+    const RowText& t = entry_text(text, e);
+    if (k == 0 || entries[k - 1].name != e.name) out += t.type_line;
+    append_prometheus_row(out, t, {}, entry_view(e));
+  }
   return out;
 }
 
-std::string MetricsSnapshot::to_json(const util::ForEach& for_each) const {
+std::string MetricsSnapshot::to_json() const {
   std::string out = "{\"metrics\":[";
-  append_encoded(out, entries.size(), for_each,
-                 [&](std::string& piece, std::size_t k) {
-                   if (k > 0) piece += ',';
-                   append_json(piece, entries[k]);
-                 });
+  RowText text;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    if (k > 0) out += ',';
+    append_json_row(out, entry_text(text, entries[k]), {},
+                    entry_view(entries[k]));
+  }
   out += "]}";
   return out;
 }
 
-std::string MetricsSnapshot::to_human(const util::ForEach& for_each) const {
-  // One column width over every row, so the table reads the same however
-  // its rows were encoded.
-  std::size_t name_width = 4;
+std::string MetricsSnapshot::to_human() const {
+  // One column width over every row.
+  RowText text;
+  std::size_t name_width = kMinNameWidth;
   for (const SnapshotEntry& e : entries) {
-    name_width =
-        std::max(name_width, e.name.size() + label_set_size(e.labels));
+    name_width = std::max(name_width, human_name_size(entry_text(text, e), {}));
   }
   std::string out;
-  append_encoded(out, entries.size(), for_each,
-                 [&](std::string& piece, std::size_t k) {
-                   append_human(piece, entries[k], name_width);
-                 });
+  for (const SnapshotEntry& e : entries) {
+    append_human_row(out, entry_text(text, e), {}, entry_view(e), name_width);
+  }
   return out;
+}
+
+RackLabel::RackLabel(std::size_t rack) : value_(std::to_string(rack)) {
+  append_json_label(json_, "rack", value_);
+  append_text_label(text_, "rack", value_);
+}
+
+namespace {
+
+enum class Format { kJson, kHuman, kPrometheus };
+
+Format format_of(const std::filesystem::path& path) {
+  const std::string name = path.string();
+  if (name.ends_with(".json")) return Format::kJson;
+  if (name.ends_with(".txt")) return Format::kHuman;
+  return Format::kPrometheus;
+}
+
+/// One registry's rows, encoded in up to two formats: each row's rank in
+/// the catalog order and, per format, the bytes and each row's end offset.
+struct SourceRows {
+  std::vector<std::uint16_t> ranks;
+  std::array<std::string, 2> bytes;
+  std::array<std::vector<std::size_t>, 2> ends;
+};
+
+void encode_rows(const MetricsSource& source, std::span<const Format> formats,
+                 std::size_t name_width, SourceRows& rows) {
+  const std::array<RowText, catalog::kSlotCount>& texts = slot_texts();
+  const std::string_view rack_json = source.rack ? source.rack->json() : "";
+  const std::string_view rack_text = source.rack ? source.rack->text() : "";
+  source.registry->for_each_touched([&](const SeriesView& v) {
+    const RowText& t = texts[v.slot];
+    rows.ranks.push_back(static_cast<std::uint16_t>(v.rank));
+    for (std::size_t f = 0; f < formats.size(); ++f) {
+      std::string& out = rows.bytes[f];
+      switch (formats[f]) {
+        case Format::kJson:
+          append_json_row(out, t, rack_json, v);
+          break;
+        case Format::kHuman:
+          append_human_row(out, t, rack_text, v, name_width);
+          break;
+        case Format::kPrometheus:
+          append_prometheus_row(out, t, rack_text, v);
+          break;
+      }
+      rows.ends[f].push_back(out.size());
+    }
+  });
+}
+
+/// The order every multi-registry export lists its series in: by catalog
+/// rank, and within one rank (one series) in source order.  `ranks[s]` are
+/// source s's row ranks, ascending; fn(s, k) visits row k of source s.
+template <typename Fn>
+void in_join_order(std::span<const std::vector<std::uint16_t>* const> ranks,
+                   Fn&& fn) {
+  std::vector<std::size_t> cursor(ranks.size(), 0);
+  for (std::size_t rank = 0; rank < catalog::kSlotCount; ++rank) {
+    for (std::size_t s = 0; s < ranks.size(); ++s) {
+      std::size_t& k = cursor[s];
+      if (k == ranks[s]->size() || (*ranks[s])[k] != rank) continue;
+      fn(s, k);
+      ++k;
+    }
+  }
+}
+
+/// Join every source's rows of format slot `f` in join order.
+std::string join_rows(std::span<const SourceRows> sources, std::size_t f,
+                      Format format) {
+  std::size_t total = 16;
+  std::vector<const std::vector<std::uint16_t>*> ranks;
+  ranks.reserve(sources.size());
+  for (const SourceRows& rows : sources) {
+    total += rows.bytes[f].size() + rows.ranks.size();  // + separators
+    ranks.push_back(&rows.ranks);
+  }
+  std::string out;
+  out.reserve(total);
+  if (format == Format::kJson) out += "{\"metrics\":[";
+  const std::array<RowText, catalog::kSlotCount>& texts = slot_texts();
+  std::size_t last_metric = kBuiltinMetrics.size();
+  bool first = true;
+  in_join_order(ranks, [&](std::size_t s, std::size_t k) {
+    const SourceRows& rows = sources[s];
+    const std::size_t slot = catalog::kSnapshotOrder[rows.ranks[k]];
+    if (format == Format::kPrometheus &&
+        catalog::kSlotMetric[slot] != last_metric) {
+      last_metric = catalog::kSlotMetric[slot];
+      out += texts[slot].type_line;
+    }
+    if (format == Format::kJson && !first) out += ',';
+    first = false;
+    const std::size_t begin = k == 0 ? 0 : rows.ends[f][k - 1];
+    out.append(rows.bytes[f], begin, rows.ends[f][k] - begin);
+  });
+  if (format == Format::kJson) out += "]}";
+  return out;
+}
+
+/// fn(s) for every source, on `for_each` when given.
+void for_each_source(std::size_t n, const util::ForEach& for_each,
+                     const std::function<void(std::size_t)>& fn) {
+  if (for_each) {
+    for_each(n, fn);
+  } else {
+    for (std::size_t s = 0; s < n; ++s) fn(s);
+  }
+}
+
+}  // namespace
+
+void save_metrics(std::span<const MetricsSource> sources,
+                  const std::filesystem::path& path, bool human_sibling,
+                  const util::ForEach& for_each) {
+  std::array<Format, 2> formats{format_of(path), Format::kHuman};
+  const std::size_t format_count =
+      human_sibling && formats[0] != Format::kHuman ? 2 : 1;
+  const std::span<const Format> used(formats.data(), format_count);
+
+  // A first pass over the touched slots fixes the human table's column.
+  std::size_t name_width = kMinNameWidth;
+  if (std::find(used.begin(), used.end(), Format::kHuman) != used.end()) {
+    const std::array<RowText, catalog::kSlotCount>& texts = slot_texts();
+    for (const MetricsSource& source : sources) {
+      const std::string_view rack = source.rack ? source.rack->text() : "";
+      source.registry->for_each_touched([&](const SeriesView& v) {
+        name_width = std::max(name_width, human_name_size(texts[v.slot], rack));
+      });
+    }
+  }
+  std::vector<SourceRows> rows(sources.size());
+  for_each_source(sources.size(), for_each, [&](std::size_t s) {
+    encode_rows(sources[s], used, name_width, rows[s]);
+  });
+  // Temp-and-rename: a run killed mid-flush must leave the previous
+  // complete file, never a torn one.
+  try {
+    util::write_file_atomic(path, join_rows(rows, 0, formats[0]));
+    if (format_count == 2) {
+      std::filesystem::path sibling = path;
+      sibling.replace_extension(".txt");
+      util::write_file_atomic(sibling, join_rows(rows, 1, Format::kHuman));
+    }
+  } catch (const util::AtomicWriteError& e) {
+    throw TelemetryError(e.what());
+  }
+}
+
+MetricsSnapshot merged_snapshot(std::span<const MetricsSource> sources,
+                                const util::ForEach& for_each) {
+  std::vector<MetricsSnapshot> snaps(sources.size());
+  std::vector<std::vector<std::uint16_t>> ranks(sources.size());
+  for_each_source(sources.size(), for_each, [&](std::size_t s) {
+    snaps[s] = sources[s].registry->snapshot(&ranks[s]);
+    if (sources[s].rack == nullptr) return;
+    const std::string label(sources[s].rack->value());
+    for (SnapshotEntry& entry : snaps[s].entries) {
+      entry.labels.emplace_back("rack", label);
+    }
+  });
+  std::vector<const std::vector<std::uint16_t>*> rank_lists;
+  std::size_t total = 0;
+  for (const std::vector<std::uint16_t>& r : ranks) {
+    rank_lists.push_back(&r);
+    total += r.size();
+  }
+  MetricsSnapshot merged;
+  merged.entries.reserve(total);
+  in_join_order(rank_lists, [&](std::size_t s, std::size_t k) {
+    merged.entries.push_back(std::move(snaps[s].entries[k]));
+  });
+  return merged;
 }
 
 namespace {
@@ -415,42 +667,34 @@ void MetricsRegistry::bad_label(std::size_t metric, std::size_t label) {
                        " outside its label set");
 }
 
+std::size_t MetricsRegistry::touched() const {
+  std::size_t n = 0;
+  for (const Series& series : slots_) {
+    n += series.touched.load(std::memory_order_relaxed) ? 1 : 0;
+  }
+  return n;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot(
     std::vector<std::uint16_t>* ranks) const {
-  std::size_t touched = 0;
-  for (const Series& series : slots_) {
-    touched += series.touched.load(std::memory_order_relaxed) ? 1 : 0;
-  }
   MetricsSnapshot snap;
-  snap.entries.reserve(touched);
-  for (std::size_t rank = 0; rank < catalog::kSlotCount; ++rank) {
-    const std::size_t slot = catalog::kSnapshotOrder[rank];
-    const Series& series = slots_[slot];
-    if (!series.touched.load(std::memory_order_relaxed)) continue;
-    const auto metric = static_cast<std::size_t>(
-        std::upper_bound(catalog::kSlotOffsets.begin(),
-                         catalog::kSlotOffsets.end(), slot) -
-        catalog::kSlotOffsets.begin() - 1);
+  snap.entries.reserve(touched());
+  for_each_touched([&](const SeriesView& v) {
+    const std::size_t metric = catalog::kSlotMetric[v.slot];
     const MetricDef& def = kBuiltinMetrics[metric];
     SnapshotEntry& entry = snap.entries.emplace_back();
     entry.name = def.name;
-    entry.labels = slot_labels(def, slot - catalog::kSlotOffsets[metric]);
+    entry.labels = slot_labels(def, v.slot - catalog::kSlotOffsets[metric]);
     entry.kind = def.kind;
-    switch (def.kind) {
-      case MetricKind::kCounter:
-        entry.value = series.counter.value();
-        break;
-      case MetricKind::kGauge:
-        entry.value = series.gauge.value();
-        break;
-      case MetricKind::kHistogram:
-        entry.bounds = series.histogram->upper_bounds();
-        series.histogram->snapshot_into(entry.buckets, entry.count,
-                                        entry.sum);
-        break;
+    entry.value = v.value;
+    if (def.kind == MetricKind::kHistogram) {
+      entry.bounds.assign(def.bounds.begin(), def.bounds.end());
+      entry.buckets.assign(v.buckets.begin(), v.buckets.end());
+      entry.count = v.count;
+      entry.sum = v.sum;
     }
-    if (ranks != nullptr) ranks->push_back(static_cast<std::uint16_t>(rank));
-  }
+    if (ranks != nullptr) ranks->push_back(static_cast<std::uint16_t>(v.rank));
+  });
   return snap;
 }
 
@@ -462,34 +706,6 @@ void MetricsRegistry::reset() {
   }
 }
 
-void save_metrics(const MetricsSnapshot& snapshot,
-                  const std::filesystem::path& path, bool human_sibling,
-                  const util::ForEach& for_each) {
-  const std::string name = path.string();
-  std::string body;
-  bool is_human = false;
-  if (name.ends_with(".json")) {
-    body = snapshot.to_json(for_each);
-  } else if (name.ends_with(".txt")) {
-    body = snapshot.to_human(for_each);
-    is_human = true;
-  } else {
-    body = snapshot.to_prometheus(for_each);
-  }
-  // Temp-and-rename: a run killed mid-flush must leave the previous
-  // complete snapshot, never a torn file.
-  try {
-    util::write_file_atomic(path, body);
-    if (human_sibling && !is_human) {
-      std::filesystem::path sibling = path;
-      sibling.replace_extension(".txt");
-      util::write_file_atomic(sibling, snapshot.to_human(for_each));
-    }
-  } catch (const util::AtomicWriteError& e) {
-    throw TelemetryError(e.what());
-  }
-}
-
 void MetricsRegistry::restore(const MetricsSnapshot& snapshot) {
   // Map every entry to its series first, so a refused snapshot changes
   // nothing.
@@ -497,7 +713,11 @@ void MetricsRegistry::restore(const MetricsSnapshot& snapshot) {
   targets.reserve(snapshot.entries.size());
   for (const SnapshotEntry& entry : snapshot.entries) {
     std::string series = entry.name;
-    append_label_set(series, entry.labels);
+    std::string labels;
+    for (const auto& [key, value] : entry.labels) {
+      append_text_label(labels, key, value);
+    }
+    append_braced(series, labels, {});
     const auto refused = [&](const std::string& why) {
       return checkpoint::CheckpointError("metrics snapshot: series " +
                                          series + " " + why);
@@ -562,6 +782,29 @@ void SnapshotEntry::fields(Self& self, Io& io) {
 template <class Self, class Io>
 void MetricsSnapshot::fields(Self& self, Io& io) {
   io.objects(self.entries);
+}
+
+void MetricsRegistry::save(checkpoint::Writer& w) const {
+  // MetricsSnapshot::fields, each entry's list written from its slot.
+  w.seq(touched());
+  for_each_touched([&w](const SeriesView& v) {
+    const std::size_t metric = catalog::kSlotMetric[v.slot];
+    const MetricDef& def = kBuiltinMetrics[metric];
+    w.str(def.name);
+    w.seq(def.label_key.empty() ? 0 : 1);
+    if (!def.label_key.empty()) {
+      w.str(def.label_key);
+      w.str(def.label_values[v.slot - catalog::kSlotOffsets[metric]]);
+    }
+    w.enum_u8(def.kind, kMetricKindCount, "metrics snapshot: kind tag");
+    w.f64(v.value);
+    w.f64_array(def.kind == MetricKind::kHistogram ? def.bounds
+                                                   : std::span<const double>{});
+    w.seq(v.buckets.size());
+    for (const std::uint64_t n : v.buckets) w.u64(n);
+    w.u64(v.count);
+    w.f64(v.sum);
+  });
 }
 
 GH_CHECKPOINT_FIELDS(MetricsSnapshot);

@@ -17,9 +17,15 @@
 //
 // Histograms use *fixed, deterministic* bucket bounds from the catalog (no
 // adaptive resizing), so two runs of the same scenario always export the
-// same bucket layout and snapshots diff cleanly.  Snapshots can be exported
-// as Prometheus text or JSON; `reset()` zeroes values but keeps the touched
-// flags.
+// same bucket layout and snapshots diff cleanly.  `reset()` zeroes values
+// but keeps the touched flags.
+//
+// Export: each format (JSON, the human table, Prometheus text) has one row
+// encoder.  A metrics file is encoded straight from the registries
+// (save_metrics over MetricsSource rows, read from the slots, with every
+// catalog-constant piece of a row spelled once per process); a frozen
+// MetricsSnapshot feeds the same encoders from its entries, so both paths
+// write the same bytes.
 //
 // Thread-safety: each rack owns its own Telemetry, but the fleet's worker
 // pool may step two racks on different threads — and any registry could in
@@ -31,6 +37,7 @@
 // stays valid across reset() and restore().
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -48,6 +55,10 @@
 #include <vector>
 
 #include "util/thread_pool.h"
+
+namespace greenhetero::checkpoint {
+class Writer;
+}  // namespace greenhetero::checkpoint
 
 namespace greenhetero::telemetry {
 
@@ -122,9 +133,10 @@ class Histogram {
     return counts_;
   }
   /// Locked, mutually consistent copy of (buckets, count, sum) for
-  /// exporters that may race with live observers.
-  void snapshot_into(std::vector<std::uint64_t>& buckets,
-                     std::uint64_t& count, double& sum) const;
+  /// exporters that may race with live observers; `buckets` holds
+  /// bucket_counts().size() elements.
+  void snapshot_into(std::span<std::uint64_t> buckets, std::uint64_t& count,
+                     double& sum) const;
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const {
@@ -322,6 +334,28 @@ inline constexpr std::array<std::size_t, kBuiltinMetrics.size() + 1>
     }();
 inline constexpr std::size_t kSlotCount = kSlotOffsets.back();
 
+/// The catalog entry owning each registry slot.
+inline constexpr std::array<std::uint8_t, kSlotCount> kSlotMetric = [] {
+  std::array<std::uint8_t, kSlotCount> metric{};
+  for (std::size_t m = 0; m < kBuiltinMetrics.size(); ++m) {
+    for (std::size_t s = kSlotOffsets[m]; s < kSlotOffsets[m + 1]; ++s) {
+      metric[s] = static_cast<std::uint8_t>(m);
+    }
+  }
+  return metric;
+}();
+
+/// The most buckets (bounds + the +Inf bucket) of any catalog histogram.
+inline constexpr std::size_t kMaxBuckets = [] {
+  std::size_t most = 0;
+  for (const MetricDef& def : kBuiltinMetrics) {
+    if (def.kind == MetricKind::kHistogram) {
+      most = std::max(most, def.bounds.size() + 1);
+    }
+  }
+  return most;
+}();
+
 /// Every registry slot in export order: by metric name, then by label value
 /// — the (name, labels) order of snapshot entries, whose label positions
 /// follow their enums rather than their strings.  Sorted once, at compile
@@ -426,16 +460,12 @@ struct MetricsSnapshot {
 
   [[nodiscard]] const SnapshotEntry* find(std::string_view name,
                                           const Labels& labels = {}) const;
-  // The encoders take an optional fan-out: runs of entries then encode
-  // concurrently and join in entry order, byte-identical to the inline
-  // encoding.
   /// Prometheus text exposition format.
-  [[nodiscard]] std::string to_prometheus(
-      const util::ForEach& for_each = {}) const;
+  [[nodiscard]] std::string to_prometheus() const;
   /// One JSON object per series under a top-level "metrics" array.
-  [[nodiscard]] std::string to_json(const util::ForEach& for_each = {}) const;
+  [[nodiscard]] std::string to_json() const;
   /// Aligned human-readable table; histograms show count/mean/p50/p90/p99.
-  [[nodiscard]] std::string to_human(const util::ForEach& for_each = {}) const;
+  [[nodiscard]] std::string to_human() const;
 
   /// Checkpoint serialization of a frozen snapshot (the registry itself
   /// round-trips as snapshot() -> save -> load -> restore()).
@@ -443,22 +473,71 @@ struct MetricsSnapshot {
   static void fields(Self& self, Io& io);
 };
 
-/// Write a snapshot to `path`, format chosen by extension: ".json" JSON,
-/// ".txt" the human table, anything else Prometheus text.  Writes a
-/// sibling temp file first and renames it into place, so the periodic
-/// mid-run flush (SimConfig/FleetConfig metrics_flush_every) always leaves
-/// a complete snapshot on disk even if the run dies mid-write.
+/// The "rack" label a fleet adds to every series of one rack's registry,
+/// spelled once: `"rack":"<i>"` for JSON and `rack="<i>"` for the
+/// Prometheus and human formats.
+class RackLabel {
+ public:
+  explicit RackLabel(std::size_t rack);
+
+  [[nodiscard]] std::string_view value() const { return value_; }
+  [[nodiscard]] std::string_view json() const { return json_; }
+  [[nodiscard]] std::string_view text() const { return text_; }
+
+ private:
+  std::string value_;
+  std::string json_;
+  std::string text_;
+};
+
+class MetricsRegistry;
+
+/// One registry of a metrics file, with the rack label its series carry
+/// (none when null).
+struct MetricsSource {
+  const MetricsRegistry* registry = nullptr;
+  const RackLabel* rack = nullptr;
+};
+
+/// Write the touched series of `sources` to `path`, format chosen by
+/// extension: ".json" JSON, ".txt" the human table, anything else
+/// Prometheus text.  The rows join in catalog (name, labels) order and,
+/// within one series, in `sources` order; the bytes equal the same encoder
+/// run over a MetricsSnapshot holding those entries in that order (a
+/// Fleet::metrics_snapshot(), say).  Each registry's rows are encoded
+/// straight from its slots, on `for_each` when given.  Writes a sibling
+/// temp file first and renames it into place, so the periodic mid-run
+/// flush (RunConfig::metrics_flush_every) always leaves a complete file on
+/// disk even if the run dies mid-write.
 ///
 /// With `human_sibling` set (the run loops' flush path), a machine-format
 /// `path` additionally refreshes the human-readable table at the same path
 /// with a ".txt" extension — same atomic-write discipline — so the dump a
-/// human tails mid-run never goes stale while the JSON snapshot advances.
-/// A `path` that is already ".txt" writes one file, not two.  `for_each`
-/// fans the encoding out (see MetricsSnapshot::to_json).
-void save_metrics(const MetricsSnapshot& snapshot,
+/// human tails mid-run never goes stale while the JSON file advances.  A
+/// `path` that is already ".txt" writes one file, not two.
+void save_metrics(std::span<const MetricsSource> sources,
                   const std::filesystem::path& path,
                   bool human_sibling = false,
                   const util::ForEach& for_each = {});
+
+/// The touched series of `sources` as one snapshot, in the order
+/// save_metrics writes them; a source with a rack label has it appended
+/// to each of its entries' labels.  The registries are read on
+/// `for_each` when given.
+[[nodiscard]] MetricsSnapshot merged_snapshot(
+    std::span<const MetricsSource> sources, const util::ForEach& for_each = {});
+
+/// One touched series as read from its registry slot: the row every
+/// exporter (the metrics file encoders, snapshot(), the checkpoint writer)
+/// starts from.  The buckets view lives only during the visit.
+struct SeriesView {
+  std::size_t slot = 0;  ///< registry slot (catalog row + label position)
+  std::size_t rank = 0;  ///< position in catalog::kSnapshotOrder
+  double value = 0.0;    ///< counter / gauge
+  std::span<const std::uint64_t> buckets;  ///< histograms only
+  std::uint64_t count = 0;
+  double sum = 0.0;
+};
 
 class MetricsRegistry {
  public:
@@ -483,6 +562,42 @@ class MetricsRegistry {
   /// of several registries' snapshots orders on without comparing strings.
   [[nodiscard]] MetricsSnapshot snapshot(
       std::vector<std::uint16_t>* ranks = nullptr) const;
+  /// fn(view) for every touched series, in (name, labels) order.  A
+  /// histogram's bins are copied under its lock into scratch the view
+  /// points at; nothing is allocated.
+  template <typename Fn>
+  void for_each_touched(Fn&& fn) const {
+    std::array<std::uint64_t, catalog::kMaxBuckets> bins{};
+    for (std::size_t rank = 0; rank < catalog::kSlotCount; ++rank) {
+      const std::size_t slot = catalog::kSnapshotOrder[rank];
+      const Series& series = slots_[slot];
+      if (!series.touched.load(std::memory_order_relaxed)) continue;
+      SeriesView view;
+      view.slot = slot;
+      view.rank = rank;
+      switch (kBuiltinMetrics[catalog::kSlotMetric[slot]].kind) {
+        case MetricKind::kCounter:
+          view.value = series.counter.value();
+          break;
+        case MetricKind::kGauge:
+          view.value = series.gauge.value();
+          break;
+        case MetricKind::kHistogram: {
+          const std::span<std::uint64_t> buckets(
+              bins.data(), series.histogram->bucket_counts().size());
+          series.histogram->snapshot_into(buckets, view.count, view.sum);
+          view.buckets = buckets;
+          break;
+        }
+      }
+      fn(static_cast<const SeriesView&>(view));
+    }
+  }
+  /// The touched series' count.
+  [[nodiscard]] std::size_t touched() const;
+  /// Checkpoint save, straight from the slots: the bytes of
+  /// checkpoint::save(w, snapshot()).
+  void save(checkpoint::Writer& w) const;
   /// Zero every series; touched series stay listed.
   void reset();
   /// Checkpoint restore: overwrite (and mark touched) the series of every

@@ -55,10 +55,13 @@ void Telemetry::emit(std::string_view phase,
 
 template <class Self, class Io>
 void Telemetry::fields(Self& self, Io& io) {
-  MetricsSnapshot metrics;
-  if constexpr (!Io::kLoading) metrics = self.metrics_.snapshot();
-  io.object(metrics);
-  if constexpr (Io::kLoading) self.metrics_.restore(metrics);
+  if constexpr (Io::kLoading) {
+    MetricsSnapshot metrics;
+    io.object(metrics);
+    self.metrics_.restore(metrics);
+  } else {
+    self.metrics_.save(io);
+  }
   io.object(self.trace_);
   io.object(self.loss_);
   io.object(self.rollup_);

@@ -924,6 +924,210 @@ TEST(Checkpoint, LayoutIsPinned) {
       << std::hex << payload_checksum(scratch / "fleet" / "ckpt");
 }
 
+// ---------------------------------------------------------------------------
+// The v9 checksum (XXH64) and the directory rule.
+// ---------------------------------------------------------------------------
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream out;
+  out << std::hex << v;
+  return out.str();
+}
+
+TEST(SnapshotV9, ChecksumIsXxh64OfTheKnownAnswers) {
+  ASSERT_EQ(checkpoint::kSnapshotVersion, 9u);
+  const std::pair<std::string_view, std::uint64_t> known[] = {
+      {"", 0xef46db3751d8e999ULL},
+      {"a", 0xd24ec4f1a98c6e5bULL},
+      {"abc", 0x44bc2cf5ad770999ULL},
+      {"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1ULL},
+  };
+  for (const auto& [input, expected] : known) {
+    const std::uint64_t found = checkpoint::xxh64(input);
+    EXPECT_EQ(found, expected)
+        << "v" << checkpoint::kSnapshotVersion << " checksum of \"" << input
+        << "\": found " << hex(found) << ", expected " << hex(expected);
+  }
+}
+
+TEST(SnapshotV9, StreamingHashEqualsOneShotAtEveryCut) {
+  Rng rng{2024};
+  for (std::size_t size = 0; size <= 300; ++size) {
+    std::string bytes(size, '\0');
+    for (char& c : bytes) {
+      c = static_cast<char>(rng.uniform_int(0, 255));
+    }
+    const std::string_view all = bytes;
+    const std::uint64_t expected = checkpoint::xxh64(all);
+    // Two chunks at every cut, and three chunks at every pair of cuts for
+    // the sizes around one 32-byte stripe and a few beyond.
+    for (std::size_t a = 0; a <= size; ++a) {
+      checkpoint::Xxh64 two;
+      two.update(all.substr(0, a));
+      two.update(all.substr(a));
+      ASSERT_EQ(two.digest(), expected)
+          << "size " << size << " cut at " << a << ": found "
+          << hex(two.digest()) << ", expected " << hex(expected);
+      if (size > 100 && size % 37 != 0) continue;
+      for (std::size_t b = a; b <= size; ++b) {
+        checkpoint::Xxh64 three;
+        three.update(all.substr(0, a));
+        three.update(all.substr(a, b - a));
+        three.update(all.substr(b));
+        ASSERT_EQ(three.digest(), expected)
+            << "size " << size << " cut at " << a << " and " << b
+            << ": found " << hex(three.digest()) << ", expected "
+            << hex(expected);
+      }
+    }
+  }
+  // The one-shot hash itself agrees with the stripe boundaries it crosses.
+  for (const std::size_t size : {31u, 32u, 33u, 63u, 64u, 65u}) {
+    const std::string bytes(size, 'x');
+    checkpoint::Xxh64 bytewise;
+    for (char c : bytes) bytewise.update(std::string_view(&c, 1));
+    EXPECT_EQ(bytewise.digest(), checkpoint::xxh64(bytes)) << size;
+  }
+}
+
+/// A three-rack, two-shard fleet of pinned racks checkpointing into `dir`
+/// every `every` epochs (60-minute epochs).
+Fleet make_checkpointing_fleet(const fs::path& dir, int every,
+                               const std::atomic<bool>* stop = nullptr) {
+  std::vector<RackSimulator> racks;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    racks.push_back(make_pinned_rack(40 + i, "", ""));
+  }
+  FleetConfig cfg;
+  cfg.total_grid_budget = Watts{700.0};
+  cfg.shards = 2;
+  cfg.checkpoint_dir = dir.string();
+  cfg.checkpoint_every = every;
+  cfg.stop_flag = stop;
+  Fleet fleet{std::move(racks), cfg};
+  fleet.pretrain();
+  return fleet;
+}
+
+TEST(SnapshotV9, RefusesACorruptOrTruncatedFleetSnapshot) {
+  ScratchDir scratch;
+  Fleet fleet = make_checkpointing_fleet(scratch / "ckpt", 1000);
+  (void)fleet.run(Minutes{3.0 * 60.0});
+  fleet.write_checkpoint();
+  const auto files = checkpoint::list_snapshots(scratch / "ckpt");
+  ASSERT_EQ(files.size(), 1u);
+  const std::string pristine = read_file(files[0]);
+  ASSERT_NO_THROW((void)checkpoint::load_snapshot(files[0]));
+
+  constexpr std::size_t kHeader = 44;
+  ASSERT_GT(pristine.size(), kHeader + 1000);
+  struct Damage {
+    const char* what;
+    std::string bytes;
+  };
+  std::vector<Damage> damaged;
+  // Header bytes the load checks: magic, version, payload size, checksum.
+  // (The epoch and the scenario fingerprint are checked by the resume.)
+  for (const std::size_t at : {std::size_t{0}, std::size_t{8},
+                               std::size_t{28}, std::size_t{36}, kHeader,
+                               kHeader + pristine.size() / 2,
+                               pristine.size() - 1}) {
+    std::string bytes = pristine;
+    bytes[at] ^= 0x10;
+    damaged.push_back({at < kHeader ? "flipped header byte"
+                                    : "flipped payload byte",
+                       std::move(bytes)});
+  }
+  damaged.push_back({"truncated", pristine.substr(0, pristine.size() - 1)});
+  for (const Damage& d : damaged) {
+    write_file(files[0], d.bytes);
+    EXPECT_THROW((void)checkpoint::load_snapshot(files[0]),
+                 checkpoint::CheckpointError)
+        << d.what;
+  }
+
+  // A flipped payload byte is named by both checksums.
+  std::string flipped = pristine;
+  flipped.back() ^= 0x01;
+  write_file(files[0], flipped);
+  checkpoint::Reader header(std::string_view(pristine).substr(36, 8));
+  const std::uint64_t stored = header.u64();
+  const std::uint64_t actual =
+      checkpoint::xxh64(std::string_view(flipped).substr(kHeader));
+  try {
+    (void)checkpoint::load_snapshot(files[0]);
+    ADD_FAILURE() << "a flipped last payload byte was accepted";
+  } catch (const checkpoint::CheckpointError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("checksum mismatch"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(std::string(16 - hex(stored).size(), '0') +
+                           hex(stored)),
+              std::string::npos)
+        << message << " (expected " << hex(stored) << ")";
+    EXPECT_NE(message.find(std::string(16 - hex(actual).size(), '0') +
+                           hex(actual)),
+              std::string::npos)
+        << message << " (found " << hex(actual) << ")";
+  }
+
+  // A version-8 header (FNV-1a era) is refused by its version.
+  std::string v8 = pristine;
+  v8[8] = 8;
+  write_file(files[0], v8);
+  try {
+    (void)checkpoint::load_snapshot(files[0]);
+    ADD_FAILURE() << "a version-8 snapshot was accepted";
+  } catch (const checkpoint::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 8"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Snapshot, WriteRemovesLaterEpochsLeftByAnEarlierRun) {
+  ScratchDir scratch;
+  for (const int keep : {2, 0}) {
+    const fs::path dir = scratch / ("keep" + std::to_string(keep));
+    for (std::uint64_t e : {188u, 192u}) write_snapshot(dir, e, 1, "old", keep);
+    write_snapshot(dir, 4, 1, "new", keep);
+    const auto files = checkpoint::list_snapshots(dir);
+    ASSERT_EQ(files.size(), 1u) << "keep_last " << keep;
+    EXPECT_EQ(checkpoint::load_snapshot(files[0]).epoch_index, 4u);
+    write_snapshot(dir, 8, 1, "new", keep);
+    EXPECT_EQ(checkpoint::list_snapshots(dir).size(), 2u);
+  }
+}
+
+TEST(Snapshot, AStoppedRerunResumesFromItsOwnCheckpoint) {
+  // A finished run leaves its last snapshots; the same scenario run again
+  // into the same directory and stopped after one epoch must resume from
+  // that epoch, not from the earlier run's later state.
+  ScratchDir scratch;
+  const fs::path dir = scratch / "ckpt";
+  {
+    Fleet first = make_checkpointing_fleet(dir, 2);
+    ASSERT_FALSE(first.run(Minutes{8.0 * 60.0}).interrupted);
+  }
+  ASSERT_EQ(checkpoint::list_snapshots(dir).size(), 2u);
+  std::atomic<bool> stop{true};
+  {
+    Fleet rerun = make_checkpointing_fleet(dir, 2, &stop);
+    ASSERT_TRUE(rerun.run(Minutes{8.0 * 60.0}).interrupted);
+  }
+  const auto latest = checkpoint::load_latest(dir);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->epoch_index, 1u);
+  EXPECT_EQ(checkpoint::list_snapshots(dir).size(), 1u);
+
+  stop = false;
+  Fleet resumed = make_checkpointing_fleet(dir, 2, &stop);
+  resumed.load_checkpoint(*latest);
+  const FleetReport report = resumed.run(Minutes{8.0 * 60.0});
+  EXPECT_FALSE(report.interrupted);
+  EXPECT_EQ(report.racks.front().epochs.size(), 8u);
+}
+
 TEST(Snapshot, LoadLatestEmptyDirectory) {
   ScratchDir scratch;
   EXPECT_FALSE(checkpoint::load_latest(scratch.path()).has_value());

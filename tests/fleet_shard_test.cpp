@@ -347,8 +347,8 @@ std::vector<std::string> deterministic_series(const std::string& text,
 }
 
 TEST(FleetShard, MetricsFilesIdenticalAcrossThreadAndShardMatrix) {
-  // The flushed metrics.json and its metrics.txt sibling: the racks'
-  // snapshots are taken and encoded on the shard pools, and the merge and
+  // The flushed metrics.json and its metrics.txt sibling: the racks' rows
+  // are encoded from their registries on the shard pools, and the join and
   // the table's column width must not depend on the topology.  A flush
   // every 5 epochs plus the final one.  36 racks keep the dump above 512
   // entries in a -DGH_TELEMETRY=OFF build too, which has no span series.
@@ -390,7 +390,7 @@ TEST(FleetShard, MetricsFilesIdenticalAcrossThreadAndShardMatrix) {
   const std::vector<std::string> json_series = deterministic_series(json, true);
   const std::vector<std::string> human_series =
       deterministic_series(human, false);
-  // More than 256 entries in all: the encoding fans out in several pieces.
+  // More than 512 rows in all, from 37 registries encoded on the pools.
   std::size_t entries = 0;
   for (std::size_t at = json.find("{\"name\":"); at != std::string::npos;
        at = json.find("{\"name\":", at + 1)) {

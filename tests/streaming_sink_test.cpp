@@ -726,11 +726,11 @@ TEST(MetricsFlush, HumanSiblingRidesAlongWithMachineFormats) {
   ScratchDir scratch;
   telemetry::MetricsRegistry registry;
   registry.counter("gh_substeps_total").increment();
-  const MetricsSnapshot snapshot = registry.snapshot();
+  const telemetry::MetricsSource sources[] = {{&registry}};
 
   // Machine-readable flush also refreshes the human-readable .txt sibling.
   const fs::path as_prom = scratch / "metrics.prom";
-  telemetry::save_metrics(snapshot, as_prom, /*human_sibling=*/true);
+  telemetry::save_metrics(sources, as_prom, /*human_sibling=*/true);
   const fs::path sibling = scratch / "metrics.txt";
   ASSERT_TRUE(fs::exists(sibling));
   const std::string sibling_body = read_file(sibling);
@@ -741,7 +741,7 @@ TEST(MetricsFlush, HumanSiblingRidesAlongWithMachineFormats) {
 
   // A .txt primary IS the human format: no second file appears.
   const fs::path as_text = scratch / "solo.txt";
-  telemetry::save_metrics(snapshot, as_text, /*human_sibling=*/true);
+  telemetry::save_metrics(sources, as_text, /*human_sibling=*/true);
   std::size_t files = 0;
   for (const auto& entry : fs::directory_iterator(as_text.parent_path())) {
     if (entry.path().filename().string().starts_with("solo")) ++files;
@@ -768,14 +768,14 @@ TEST(MetricsFlush, SaveMetricsPicksTheFormatByExtension) {
   ScratchDir scratch;
   telemetry::MetricsRegistry registry;
   registry.counter("gh_substeps_total").increment();
-  const MetricsSnapshot snapshot = registry.snapshot();
+  const telemetry::MetricsSource sources[] = {{&registry}};
 
   const fs::path as_json = scratch / "m.json";
   const fs::path as_text = scratch / "m.txt";
   const fs::path as_prom = scratch / "m.prom";
-  telemetry::save_metrics(snapshot, as_json);
-  telemetry::save_metrics(snapshot, as_text);
-  telemetry::save_metrics(snapshot, as_prom);
+  telemetry::save_metrics(sources, as_json);
+  telemetry::save_metrics(sources, as_text);
+  telemetry::save_metrics(sources, as_prom);
 
   const std::string json_body = read_file(as_json);
   const std::string text_body = read_file(as_text);
@@ -788,6 +788,63 @@ TEST(MetricsFlush, SaveMetricsPicksTheFormatByExtension) {
   // The JSON flavour must parse with the analyzer's reader.
   EXPECT_NO_THROW(json::parse(json_body));
   EXPECT_NE(prom_body.find("gh_substeps_total"), std::string::npos);
+}
+
+TEST(MetricsFlush, DirectEncodingMatchesTheSnapshotEncoders) {
+  // The run's flush encodes rows straight from the registries; its files
+  // must be byte-identical to the snapshot encoders over the same state.
+  // 12 racks on 2 shards: labels "10" and "11" sort before "2".
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    for (const char* const name : {"m.json", "m.prom"}) {
+      ScratchDir scratch;
+      std::vector<RackSimulator> racks;
+      for (std::size_t i = 0; i < 12; ++i) {
+        racks.push_back(make_sim({}, Watts{600.0 + 150.0 * i}, 30 + i));
+      }
+      FleetConfig cfg;
+      cfg.total_grid_budget = Watts{4000.0};
+      cfg.mode = GridShareMode::kDemandProportional;
+      cfg.threads = threads;
+      cfg.shards = 2;
+      cfg.telemetry.loss_ledger = true;
+      cfg.trace_stream = telemetry::StreamSinkConfig{scratch / "t.jsonl"};
+      cfg.metrics_out = (scratch / name).string();
+      cfg.metrics_flush_every = 3;
+      Fleet fleet{std::move(racks), cfg};
+      fleet.pretrain();
+      (void)fleet.run(Minutes{3.0 * 60.0});
+      const MetricsSnapshot snapshot = fleet.metrics_snapshot();
+      ASSERT_NE(snapshot.find("gh_substeps_total", {{"rack", "10"}}),
+                nullptr);
+      const std::string human = read_file(scratch / "m.txt");
+      EXPECT_EQ(human, snapshot.to_human());
+      if (std::string_view(name) == "m.json") {
+        EXPECT_EQ(read_file(scratch / name), snapshot.to_json());
+        const std::size_t rack10 = human.find("rack=\"10\"");
+        const std::size_t rack2 = human.find("rack=\"2\"");
+        ASSERT_NE(rack10, std::string::npos);
+        EXPECT_LT(rack10, rack2);
+      } else {
+        EXPECT_EQ(read_file(scratch / name), snapshot.to_prometheus());
+      }
+    }
+  }
+  // A standalone rack: one registry, no rack label.
+  for (const char* const name : {"m.json", "m.prom"}) {
+    ScratchDir scratch;
+    SimConfig cfg;
+    cfg.metrics_out = (scratch / name).string();
+    cfg.metrics_flush_every = 4;
+    RackSimulator sim = make_sim(std::move(cfg));
+    sim.pretrain();
+    sim.run(Minutes{3.0 * 60.0});
+    const MetricsSnapshot snapshot = sim.metrics_snapshot();
+    EXPECT_EQ(read_file(scratch / "m.txt"), snapshot.to_human()) << name;
+    EXPECT_EQ(read_file(scratch / name), std::string_view(name) == "m.json"
+                                             ? snapshot.to_json()
+                                             : snapshot.to_prometheus());
+  }
 }
 
 }  // namespace

@@ -365,6 +365,30 @@ TEST(SnapshotOrder, MatchesAStringSortOfEverySlot) {
   }
 }
 
+TEST(SnapshotOrder, RegistrySaveWritesTheSnapshotFieldList) {
+  // The checkpoint writes a registry straight from its slots; the bytes
+  // must be those of the snapshot's field list, for every kind of series.
+  MetricsRegistry registry;
+  checkpoint::Writer empty;
+  registry.save(empty);
+  checkpoint::Writer empty_snapshot;
+  checkpoint::save(empty_snapshot, registry.snapshot());
+  EXPECT_EQ(empty.buffer(), empty_snapshot.buffer());
+
+  registry.counter("gh_epochs_total", 2).increment(3.0);
+  registry.counter("gh_substeps_total").increment(0.5);
+  registry.gauge("gh_battery_soc").set(-0.0);
+  registry.gauge("gh_loss_w", 7).set(1e300);
+  registry.histogram("gh_span_ns", SpanTag("solve").index()).observe(4e3);
+  registry.histogram("gh_span_ns", SpanTag("plan").index()).observe(1e12);
+  registry.histogram("gh_renewable_prediction_error_w").observe(-3.0);
+  checkpoint::Writer direct;
+  registry.save(direct);
+  checkpoint::Writer via_snapshot;
+  checkpoint::save(via_snapshot, registry.snapshot());
+  EXPECT_EQ(direct.buffer(), via_snapshot.buffer());
+}
+
 /// A snapshot built directly: the exporters take any name, labels and
 /// bounds, only the registry is tied to the catalog.
 TEST(Registry, PrometheusExport) {
@@ -383,6 +407,7 @@ TEST(Registry, PrometheusExport) {
   histogram.name = "gh_err";
   histogram.kind = MetricKind::kHistogram;
   histogram.bounds = h.upper_bounds();
+  histogram.buckets.resize(h.bucket_counts().size());
   h.snapshot_into(histogram.buckets, histogram.count, histogram.sum);
   snap.entries.push_back(histogram);
   const std::string text = snap.to_prometheus();
